@@ -222,7 +222,11 @@ class QueryEngine(ProtocolEngine):
         self, record: QueryRecord, request: PendingRequest, target: int
     ) -> None:
         self._mirror(record, request)
-        requester = self.deployment.nodes[record.requester]
+        requester = self.deployment.nodes.get(record.requester)
+        if requester is None:
+            # The requester left between attempts: nobody to retry for.
+            self.tracker.abandon(request.request_id, "requester-departed")
+            return
         requester.send(
             MessageKind.BLOCK_REQUEST,
             target,

@@ -192,6 +192,12 @@ class RequestTracker:
         request.attempts += 1
         self._attempt(request_id)
 
+    def abandon(self, request_id: int, reason: str) -> None:
+        """The caller cannot pursue the request any further: degrade it."""
+        request = self.pending.get(request_id)
+        if request is not None and request.active:
+            self._degrade(request, reason)
+
     def resolve(self, request_id: int) -> PendingRequest | None:
         """An answer arrived: stop tracking (stale deadlines no-op)."""
         request = self.pending.pop(request_id, None)

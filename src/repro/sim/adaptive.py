@@ -60,8 +60,6 @@ class AdaptiveCompareConfig:
     repair_cadence: float = 5.0
     #: Optional heat-model override (``None`` = HeatConfig defaults).
     heat: "object | None" = None
-    backend: str = "serial"
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
@@ -144,14 +142,16 @@ class AdaptiveCompareOutcome:
         }
 
 
-def shed_floor_met(deployment: ICIDeployment, planner) -> bool:
+def shed_floor_met(deployment: ICIDeployment, planner, tier=None) -> bool:
     """Is every block at or above ``min(target, r, live)`` everywhere?
 
     The invariant a *shed* can break (capped at the base ``r``, so a
     not-yet-filled hot target — a deficit, the repair side's job — is
-    not a breach).  Used round-by-round during convergence; the final
-    audit also runs the stricter
-    :func:`repro.sim.chaos.adaptive_floor_met`.
+    not a breach).  With an archival ``tier``, archived blocks must
+    instead hold ≥ ``k`` live chunks on distinct members.  Used
+    round-by-round during convergence; the final audits run the
+    stricter :func:`repro.sim.chaos.adaptive_floor_met` /
+    :func:`repro.sim.chaos.archival_floor_met`.
     """
     from repro.sim.faults import live_members
 
@@ -163,14 +163,19 @@ def shed_floor_met(deployment: ICIDeployment, planner) -> bool:
         for header in deployment.ledger.store.iter_active_headers():
             if header.is_genesis:
                 continue
-            target = planner.target_for(header.block_hash)
+            block_hash = header.block_hash
+            if tier is not None and tier.is_archived(
+                view.cluster_id, block_hash
+            ):
+                if not tier.coded_floor_ok(view.cluster_id, block_hash):
+                    return False
+                continue
+            target = planner.target_for(block_hash)
             floor = min(max(target, 1), base, len(live))
             holders = sum(
                 1
                 for member in live
-                if deployment.nodes[member].store.has_body(
-                    header.block_hash
-                )
+                if deployment.nodes[member].store.has_body(block_hash)
             )
             if holders < floor:
                 return False
@@ -184,7 +189,6 @@ def _drive(
     outcome: AdaptiveCompareOutcome,
 ) -> ICIDeployment:
     """One side of the comparison: produce, read in rounds, sweep."""
-    from repro.sim.backend import backend_scope, parse_backend
     from repro.sim.chaos import adaptive_floor_met
 
     ici = ICIConfig(
@@ -192,8 +196,7 @@ def _drive(
         replication=config.replication,
         limits=limits,
     )
-    with backend_scope(parse_backend(config.backend, config.workers)):
-        deployment = ICIDeployment(config.n_nodes, config=ici)
+    deployment = ICIDeployment(config.n_nodes, config=ici)
     planner = (
         deployment.enable_adaptive_replication(config.heat)
         if adaptive

@@ -41,6 +41,7 @@ from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
 from repro.obs.summary import percentile
 from repro.obs.tracer import Tracer
+from repro.sim.adaptive import shed_floor_met
 from repro.sim.runner import ScenarioRunner
 from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
 
@@ -68,8 +69,6 @@ class ArchivalCompareConfig:
     heat: "object | None" = None
     #: Optional archival-code override (``None`` = ArchivalConfig 3+1).
     code: "object | None" = None
-    backend: str = "serial"
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
@@ -160,45 +159,6 @@ class ArchivalCompareOutcome:
         }
 
 
-def archival_shed_floor_met(
-    deployment: ICIDeployment, planner, tier
-) -> bool:
-    """Round-by-round floor: coded floor for archived, shed for the rest.
-
-    The lenient convergence-time audit (the analogue of
-    :func:`repro.sim.adaptive.shed_floor_met`): archived blocks must
-    hold ≥ ``k`` live chunks on distinct members, everything else the
-    replica shed floor ``min(target, r, live)``.  A deficit *toward* a
-    hot target is convergence work, not a breach; the final audit runs
-    the stricter :func:`repro.sim.chaos.archival_floor_met`.
-    """
-    from repro.sim.faults import live_members
-
-    base = deployment.config.replication
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        for header in deployment.ledger.store.iter_active_headers():
-            if header.is_genesis:
-                continue
-            block_hash = header.block_hash
-            if tier.is_archived(view.cluster_id, block_hash):
-                if not tier.coded_floor_ok(view.cluster_id, block_hash):
-                    return False
-                continue
-            target = planner.target_for(block_hash)
-            floor = min(max(target, 1), base, len(live))
-            holders = sum(
-                1
-                for member in live
-                if deployment.nodes[member].store.has_body(block_hash)
-            )
-            if holders < floor:
-                return False
-    return True
-
-
 def _drive(
     config: ArchivalCompareConfig,
     limits: ValidationLimits,
@@ -206,7 +166,6 @@ def _drive(
     outcome: ArchivalCompareOutcome,
 ) -> ICIDeployment:
     """One side of the comparison: produce, read in rounds, sweep."""
-    from repro.sim.backend import backend_scope, parse_backend
     from repro.sim.chaos import (
         archival_cluster_integrity,
         archival_floor_met,
@@ -217,8 +176,7 @@ def _drive(
         replication=config.replication,
         limits=limits,
     )
-    with backend_scope(parse_backend(config.backend, config.workers)):
-        deployment = ICIDeployment(config.n_nodes, config=ici)
+    deployment = ICIDeployment(config.n_nodes, config=ici)
     planner = deployment.enable_adaptive_replication(config.heat)
     tier = (
         deployment.enable_archival_tier(config.code) if archival else None
@@ -258,7 +216,7 @@ def _drive(
                 for view in deployment.clusters.views()
             ):
                 outcome.coverage_breaches += 1
-            if not archival_shed_floor_met(deployment, planner, tier):
+            if not shed_floor_met(deployment, planner, tier):
                 outcome.floor_breaches += 1
 
     completed = [

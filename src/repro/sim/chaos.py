@@ -77,12 +77,6 @@ class ChaosConfig:
     domains: bool = False
     #: Zones in the failure-domain map (domain runs only).
     zones: int = 4
-    #: Simulation backend (``"serial"`` or ``"parallel"``).  Fault
-    #: injection couples a sharded clock into the serial-exact schedule,
-    #: so signatures are backend-independent by construction; the knob
-    #: exists to exercise exactly that property.
-    backend: str = "serial"
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
@@ -201,10 +195,7 @@ def run_chaos(
         replication=config.replication,
         limits=limits,
     )
-    from repro.sim.backend import backend_scope, parse_backend
-
-    with backend_scope(parse_backend(config.backend, config.workers)):
-        deployment = ICIDeployment(config.n_nodes, config=ici)
+    deployment = ICIDeployment(config.n_nodes, config=ici)
     runner = ScenarioRunner(deployment, limits=limits, seed=config.seed)
     plan = FaultPlan(
         config=FaultConfig(
@@ -593,9 +584,6 @@ class EnduranceConfig:
     domains: bool = False
     #: Zones in the failure-domain map (domain runs only).
     zones: int = 3
-    #: Simulation backend (see :class:`ChaosConfig.backend`).
-    backend: str = "serial"
-    workers: int = 2
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
@@ -758,10 +746,7 @@ def run_endurance(
         replication=config.replication,
         limits=limits,
     )
-    from repro.sim.backend import backend_scope, parse_backend
-
-    with backend_scope(parse_backend(config.backend, config.workers)):
-        deployment = ICIDeployment(config.n_nodes, config=ici)
+    deployment = ICIDeployment(config.n_nodes, config=ici)
     planner = None
     tier = None
     reads = None

@@ -415,9 +415,14 @@ class FaultInjector:
             self._trace("stall", {"node": node_id})
 
     def recover(self, node_id: int) -> None:
-        """Bring a crashed or stalled node back."""
+        """Bring a crashed or stalled node back.
+
+        A node that churn removed while it was down has nothing to bring
+        back: it only leaves the crashed/stalled sets.
+        """
         if node_id in self._crashed:
-            self.network.set_online(node_id, True)
+            if node_id in self.network.node_ids:
+                self.network.set_online(node_id, True)
             self._crashed.discard(node_id)
         self._stalled.discard(node_id)
         self.stats.recoveries += 1

@@ -60,29 +60,6 @@ class ScenarioRunner:
         self._tip_height = 0
         self.workload.on_block_confirmed(genesis)
 
-    @classmethod
-    def for_scenario(
-        cls,
-        scenario,
-        backend: str | None = None,
-        workers: int = 2,
-        **kwargs,
-    ) -> "ScenarioRunner":
-        """Build a scenario's deployment under a simulation backend.
-
-        ``backend`` is a CLI-style name (``"serial"``/``"parallel"``/
-        ``None``); the deployment is constructed inside the matching
-        :func:`~repro.sim.backend.backend_scope`, so ``"parallel"``
-        yields a cluster-sharded clock.  Remaining kwargs go to
-        ``__init__``.
-        """
-        from repro.sim.backend import backend_scope, parse_backend
-        from repro.sim.scenario import build_deployment
-
-        with backend_scope(parse_backend(backend, workers)):
-            deployment = build_deployment(scenario)
-        return cls(deployment, **kwargs)
-
     @property
     def pending_events(self) -> int:
         """Events still queued on the deployment's clock (O(1))."""

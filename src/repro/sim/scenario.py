@@ -73,12 +73,7 @@ class Scenario:
 
 
 def build_network(scenario: Scenario) -> tuple[Network, list | None]:
-    """The fabric for a scenario; returns ``(network, coordinates)``.
-
-    The clock is left to :class:`Network`'s default, which consults the
-    active :mod:`simulation backend <repro.sim.backend>` — so scenarios
-    built inside a ``backend_scope`` run sharded.
-    """
+    """The fabric for a scenario; returns ``(network, coordinates)``."""
     coordinates = None
     if scenario.latency == "constant":
         latency = ConstantLatency(0.05)

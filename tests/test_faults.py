@@ -406,6 +406,20 @@ class TestFaultInjector:
         net.run()
         assert injector.stats.crashes == 0
 
+    def test_heal_after_crashed_node_departed(self, net):
+        # Regression: churn removed a node while it was down, and heal()
+        # raised UnknownNodeError trying to bring it back online.
+        wire(net, 3)
+        injector = FaultPlan().install(net)
+        injector.crash(1)
+        injector.stall(2)
+        net.unregister(1)
+        net.unregister(2)
+        injector.heal()
+        assert not injector._crashed
+        assert not injector._stalled
+        assert not net.is_online(1)
+
     def test_same_seed_same_interception_stream(self):
         def run(seed: int) -> dict[str, int]:
             net = Network(clock=SimClock(), latency=ConstantLatency(0.1))
@@ -586,6 +600,17 @@ class TestRequestTracker:
         # Deadlines at 1, +2, +4 virtual seconds: degrade at t=7.
         assert request.degraded.at == pytest.approx(7.0)
         assert harness.sends == [4, 4, 4]
+
+    def test_abandon_degrades_with_the_given_reason(self):
+        harness = TrackerHarness()
+        request = harness.begin(0, [5, 6])
+        harness.tracker.abandon(0, "requester-departed")
+        assert request.degraded.reason == "requester-departed"
+        harness.tracker.abandon(0, "again")  # inactive: no second verdict
+        harness.tracker.abandon(404, "unknown id")
+        harness.clock.run()  # the stale deadline fires as a no-op
+        assert harness.sends == [5]
+        assert harness.events == ["degraded"]
 
     def test_unknown_request_ids_are_ignored(self):
         harness = TrackerHarness()

@@ -337,6 +337,28 @@ class TestQueryEngineIsolated:
         assert record.attempts == 2  # the timeout advanced the plan once
         assert record.latency is not None and record.latency > 2.0
 
+    def test_requester_departing_mid_retry_degrades(self):
+        # Regression: the deadline retry indexed the departed requester
+        # and a KeyError escaped SimClock.step.
+        harness, engine = self.make_engine()
+        block = self.seal_block(harness)
+        holders = harness.holders_in_cluster(block.header, 0)
+        for holder in holders:
+            harness.network.set_online(holder, False)
+        requester = next(
+            node_id
+            for node_id in harness.nodes
+            if node_id not in holders
+        )
+        record = engine.retrieve_block(requester, block.block_hash)
+        harness.network.run_for(1.0)  # attempt 1 sent, deadline pending
+        del harness.nodes[requester]
+        harness.network.unregister(requester)
+        harness.run()
+        assert record.completed_at is None
+        assert record.degraded
+        assert record.attempts == 2  # the retry that found nobody home
+
 
 class TestDeterminismRegression:
     """Fixed-seed scenario must finalize the identical chain pre/post split.

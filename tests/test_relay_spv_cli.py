@@ -226,6 +226,14 @@ class TestCli:
             ]
         ) == 2
 
+    def test_removed_backend_flag_rejected(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--backend", "parallel"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_compare_command(self, capsys):
         from repro.cli import main
 
