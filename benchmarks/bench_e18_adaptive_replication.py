@@ -11,41 +11,44 @@ its replica floor while placements converge.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from benchmarks.conftest import emit, run_once
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
-from repro.sim.adaptive import AdaptiveCompareConfig, run_adaptive_compare
 from repro.sim.scenario import BENCH_LIMITS
+from repro.sim.tiered_compare import E18, run_tiered_compare
 
 #: The acceptance run: defaults (seed 42, 18 nodes / 3 clusters, r=2,
 #: 16 blocks, 150 Zipf reads over 6 convergence rounds).
-ACCEPT = AdaptiveCompareConfig()
+ACCEPT = E18
 
 
 def test_e18_adaptive_replication(benchmark, results_dir):
     outcomes = {}
 
     def run_all():
-        outcomes["compare"] = run_adaptive_compare(ACCEPT)
+        outcomes["compare"] = run_tiered_compare(ACCEPT)
 
     run_once(benchmark, run_all)
     outcome = outcomes["compare"]
+    fixed, adaptive = outcome.baseline, outcome.treatment
 
     rows = [
         (
             "fixed r=2",
-            format_bytes(outcome.fixed_bytes),
+            format_bytes(fixed.bytes),
             "-",
-            f"{outcome.fixed_p95_latency * 1000:.1f} ms",
-            outcome.fixed_queries_completed,
+            f"{fixed.p95_latency * 1000:.1f} ms",
+            fixed.queries_completed,
             "-",
         ),
         (
             "adaptive",
-            format_bytes(outcome.adaptive_bytes),
+            format_bytes(adaptive.bytes),
             f"{outcome.savings_fraction:.1%}",
-            f"{outcome.adaptive_p95_latency * 1000:.1f} ms",
-            outcome.adaptive_queries_completed,
+            f"{adaptive.p95_latency * 1000:.1f} ms",
+            adaptive.queries_completed,
             "/".join(
                 str(outcome.tier_counts.get(tier, 0))
                 for tier in ("hot", "warm", "cold")
@@ -72,10 +75,7 @@ def test_e18_adaptive_replication(benchmark, results_dir):
 
     # The acceptance criteria, verbatim.
     assert outcome.savings_fraction >= 0.15, outcome.savings_fraction
-    assert outcome.latency_ok, (
-        outcome.adaptive_p95_latency,
-        outcome.fixed_p95_latency,
-    )
+    assert outcome.latency_ok, (adaptive.p95_latency, fixed.p95_latency)
     assert outcome.converged_safely
     assert outcome.adaptive_stats["floor_violations"] == 0
     assert outcome.adaptive_stats["replicas_shed"] > 0
@@ -83,16 +83,14 @@ def test_e18_adaptive_replication(benchmark, results_dir):
 
 # ---------------------------------------------------------- perf workload
 def _bench_workload(profile):
-    config = AdaptiveCompareConfig(
+    config = replace(
+        ACCEPT,
         n_blocks=profile.pick(8, ACCEPT.n_blocks),
         reads=profile.pick(60, ACCEPT.reads),
         rounds=profile.pick(4, ACCEPT.rounds),
     )
-    outcome = run_adaptive_compare(config, limits=BENCH_LIMITS)
-    return [
-        ("fixed", outcome.fixed_deployment),
-        ("adaptive", outcome.adaptive_deployment),
-    ]
+    outcome = run_tiered_compare(config, limits=BENCH_LIMITS)
+    return [(name, arm.deployment) for name, arm in outcome.arms.items()]
 
 
 WORKLOAD = BenchWorkload(

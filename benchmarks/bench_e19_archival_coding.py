@@ -13,43 +13,46 @@ floor.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from benchmarks.conftest import emit, run_once
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
-from repro.sim.archival import ArchivalCompareConfig, run_archival_compare
 from repro.sim.scenario import BENCH_LIMITS
+from repro.sim.tiered_compare import E19, run_tiered_compare
 
 #: The acceptance run: defaults (seed 42, 18 nodes / 3 clusters, r=3,
 #: 16 blocks, 150 Zipf reads over 6 convergence rounds, 3+1 code).
-ACCEPT = ArchivalCompareConfig()
+ACCEPT = E19
 
 
 def test_e19_archival_coding(benchmark, results_dir):
     outcomes = {}
 
     def run_all():
-        outcomes["compare"] = run_archival_compare(ACCEPT)
+        outcomes["compare"] = run_tiered_compare(ACCEPT)
 
     run_once(benchmark, run_all)
     outcome = outcomes["compare"]
 
     stats = outcome.archival_stats
+    adaptive, coded = outcome.baseline, outcome.treatment
     rows = [
         (
             "adaptive only",
-            format_bytes(outcome.adaptive_bytes),
+            format_bytes(adaptive.bytes),
             "-",
-            f"{outcome.adaptive_p95_latency * 1000:.1f} ms",
-            outcome.adaptive_queries_completed,
+            f"{adaptive.p95_latency * 1000:.1f} ms",
+            adaptive.queries_completed,
             "-",
             "-",
         ),
         (
             "adaptive + archival",
-            format_bytes(outcome.coded_bytes),
+            format_bytes(coded.bytes),
             f"{outcome.savings_fraction:.1%}",
-            f"{outcome.coded_p95_latency * 1000:.1f} ms",
-            outcome.coded_queries_completed,
+            f"{coded.p95_latency * 1000:.1f} ms",
+            coded.queries_completed,
             outcome.archived_blocks,
             format_bytes(stats.get("chunk_bytes_read", 0)),
         ),
@@ -74,11 +77,11 @@ def test_e19_archival_coding(benchmark, results_dir):
     emit(results_dir, "e19_archival_coding", table)
 
     # The acceptance criteria, verbatim.
-    assert outcome.coded_bytes < outcome.adaptive_bytes
+    assert coded.bytes < adaptive.bytes
     assert outcome.savings_fraction >= 0.10, outcome.savings_fraction
     assert outcome.reads_ok, (
-        outcome.coded_queries_completed,
-        outcome.adaptive_queries_completed,
+        coded.queries_completed,
+        adaptive.queries_completed,
     )
     assert outcome.converged_safely
     assert outcome.coverage_breaches == 0
@@ -90,16 +93,14 @@ def test_e19_archival_coding(benchmark, results_dir):
 
 # ---------------------------------------------------------- perf workload
 def _bench_workload(profile):
-    config = ArchivalCompareConfig(
+    config = replace(
+        ACCEPT,
         n_blocks=profile.pick(8, ACCEPT.n_blocks),
         reads=profile.pick(60, ACCEPT.reads),
         rounds=profile.pick(4, ACCEPT.rounds),
     )
-    outcome = run_archival_compare(config, limits=BENCH_LIMITS)
-    return [
-        ("adaptive", outcome.adaptive_deployment),
-        ("coded", outcome.coded_deployment),
-    ]
+    outcome = run_tiered_compare(config, limits=BENCH_LIMITS)
+    return [(name, arm.deployment) for name, arm in outcome.arms.items()]
 
 
 WORKLOAD = BenchWorkload(

@@ -386,30 +386,34 @@ def _failure_domain_lines(domains: dict) -> list[str]:
     ]
 
 
-def render_chaos_summary(outcome) -> str:
-    """Markdown post-mortem of one :func:`repro.sim.chaos.run_chaos`."""
+def _storm_header(
+    kind: str, outcome, detail: list[str], integrity_note: str = ""
+) -> list[str]:
+    """Title + run bullets the chaos and endurance summaries share."""
     config = outcome.config
     verdict = "restored" if outcome.integrity_restored else "VIOLATED"
-    lines = [
-        f"# Chaos run (seed {config.seed})",
+    return [
+        f"# {kind} run (seed {config.seed})",
         "",
         f"- nodes: {config.n_nodes} in {config.n_clusters} clusters, "
         f"r={config.replication}",
         f"- fault rates: drop {config.drop_rate:.0%}, "
         f"duplicate {config.duplicate_rate:.0%}, "
         f"delay {config.delay_rate:.0%} (+{config.delay_seconds:g}s)",
-        "- outages: "
-        f"crashed {outcome.crashed or 'none'}, "
-        f"stalled {outcome.stalled or 'none'}, "
-        f"partitioned {outcome.partitioned or 'none'}",
-        f"- blocks: {outcome.blocks_produced} produced, "
-        f"{outcome.finalized_blocks} finalized everywhere",
+        *detail,
         f"- virtual time: {outcome.virtual_seconds:.1f}s over "
         f"{outcome.events_processed} events",
         f"- **cluster integrity: {verdict}** "
         f"({sum(outcome.cluster_integrity.values())}"
-        f"/{len(outcome.cluster_integrity)} clusters hold the full ledger)",
+        f"/{len(outcome.cluster_integrity)} clusters hold the full "
+        f"ledger{integrity_note})",
         "",
+    ]
+
+
+def _weather_lines(outcome) -> list[str]:
+    """Fault interception, protocol recovery and delivery latency."""
+    lines = [
         "## Fault interception",
         "",
         _md_table(
@@ -419,8 +423,9 @@ def render_chaos_summary(outcome) -> str:
         "",
         "## Protocol recovery",
         "",
+        _protocol_recovery_table(outcome),
     ]
-    lines.append(_protocol_recovery_table(outcome))
+    # Older pickled/stubbed outcomes may lack the percentiles field.
     percentiles = getattr(outcome, "latency_percentiles", None)
     if percentiles:
         lines += [
@@ -444,13 +449,14 @@ def render_chaos_summary(outcome) -> str:
                 or [("(none)", 0, "-", "-", "-", "-")],
             ),
         ]
-    if getattr(outcome, "dht", None):
-        lines += _dht_overlay_lines(outcome.dht)
-    if getattr(outcome, "domains", None):
-        lines += _failure_domain_lines(outcome.domains)
-    lines += [
+    return lines
+
+
+def _probe_lines(title: str, outcome, extra_rows=()) -> list[str]:
+    """The closing probe table (query tallies, plus per-run rows)."""
+    return [
         "",
-        "## Exercised under faults",
+        f"## {title}",
         "",
         _md_table(
             ["probe", "result"],
@@ -460,55 +466,74 @@ def render_chaos_summary(outcome) -> str:
                     f"{outcome.queries_completed}/{outcome.queries_attempted}"
                     f" completed, {outcome.queries_degraded} degraded",
                 ),
-                (
-                    "join bootstrap",
-                    "skipped"
-                    if outcome.bootstrap_complete is None
-                    else (
-                        "complete"
-                        if outcome.bootstrap_complete
-                        else "incomplete"
-                    )
-                    + f" ({outcome.bootstrap_bodies_unavailable}"
-                    " bodies unavailable)",
-                ),
-                ("bodies refetched at heal", outcome.refetched_bodies),
+                *extra_rows,
             ],
         ),
     ]
+
+
+def render_chaos_summary(outcome) -> str:
+    """Markdown post-mortem of one :func:`repro.sim.chaos.run_chaos`."""
+    lines = _storm_header(
+        "Chaos",
+        outcome,
+        [
+            "- outages: "
+            f"crashed {outcome.crashed or 'none'}, "
+            f"stalled {outcome.stalled or 'none'}, "
+            f"partitioned {outcome.partitioned or 'none'}",
+            f"- blocks: {outcome.blocks_produced} produced, "
+            f"{outcome.finalized_blocks} finalized everywhere",
+        ],
+    )
+    lines += _weather_lines(outcome)
+    if outcome.dht:
+        lines += _dht_overlay_lines(outcome.dht)
+    if outcome.domains:
+        lines += _failure_domain_lines(outcome.domains)
+    lines += _probe_lines(
+        "Exercised under faults",
+        outcome,
+        [
+            (
+                "join bootstrap",
+                "skipped"
+                if outcome.bootstrap_complete is None
+                else (
+                    "complete"
+                    if outcome.bootstrap_complete
+                    else "incomplete"
+                )
+                + f" ({outcome.bootstrap_bodies_unavailable}"
+                " bodies unavailable)",
+            ),
+            ("bodies refetched at heal", outcome.refetched_bodies),
+        ],
+    )
     return "\n".join(lines) + "\n"
 
 
 def render_endurance_summary(outcome) -> str:
     """Markdown audit of one :func:`repro.sim.chaos.run_endurance`."""
-    config = outcome.config
-    verdict = "restored" if outcome.integrity_restored else "VIOLATED"
     floor = "met" if outcome.replica_floor_met else "NOT met"
     repair = outcome.repair
     ttr = outcome.time_to_repair
-    lines = [
-        f"# Endurance run (seed {config.seed})",
-        "",
-        f"- nodes: {config.n_nodes} in {config.n_clusters} clusters, "
-        f"r={config.replication}",
-        f"- fault rates: drop {config.drop_rate:.0%}, "
-        f"duplicate {config.duplicate_rate:.0%}, "
-        f"delay {config.delay_rate:.0%} (+{config.delay_seconds:g}s)",
-        f"- churn: {outcome.joins} joins, {outcome.leaves} leaves, "
-        f"{outcome.churn_crashes} crashes "
-        f"({outcome.skipped_events} events skipped)",
-        "- outages: "
-        f"crashed {outcome.outage_crashed or 'none'}, "
-        f"partitioned {outcome.partitioned or 'none'}",
-        f"- blocks: {outcome.blocks_produced} produced; healing "
-        f"converged after {outcome.heal_rounds} sweep rounds",
-        f"- virtual time: {outcome.virtual_seconds:.1f}s over "
-        f"{outcome.events_processed} events",
-        f"- **cluster integrity: {verdict}** "
-        f"({sum(outcome.cluster_integrity.values())}"
-        f"/{len(outcome.cluster_integrity)} clusters hold the full "
-        f"ledger; replication floor {floor})",
-        "",
+    lines = _storm_header(
+        "Endurance",
+        outcome,
+        [
+            f"- churn: {outcome.joins} joins, {outcome.leaves} leaves, "
+            f"{outcome.churn_crashes} crashes "
+            f"({outcome.skipped_events} events skipped)",
+            "- outages: "
+            f"crashed {outcome.outage_crashed or 'none'}, "
+            f"partitioned {outcome.partitioned or 'none'}",
+            f"- blocks: {outcome.blocks_produced} produced; healing "
+            f"converged after {outcome.heal_rounds} sweep rounds",
+        ],
+        integrity_note=f"; replication floor {floor}",
+    )
+    lines += [
         "## Anti-entropy repair",
         "",
         _md_table(
@@ -553,41 +578,8 @@ def render_endurance_summary(outcome) -> str:
             ],
         ),
         "",
-        "## Fault interception",
-        "",
-        _md_table(
-            ["fault", "count"],
-            sorted(outcome.fault_stats.items()),
-        ),
-        "",
-        "## Protocol recovery",
-        "",
     ]
-    lines.append(_protocol_recovery_table(outcome))
-    if outcome.latency_percentiles:
-        lines += [
-            "",
-            "## Delivery latency (virtual time)",
-            "",
-            _md_table(
-                ["message kind", "delivered", "p50", "p95", "p99", "max"],
-                [
-                    (
-                        kind,
-                        entry.get("count", 0),
-                        format_seconds(entry.get("p50", 0.0)),
-                        format_seconds(entry.get("p95", 0.0)),
-                        format_seconds(entry.get("p99", 0.0)),
-                        format_seconds(entry.get("max", 0.0)),
-                    )
-                    for kind, entry in sorted(
-                        outcome.latency_percentiles.items()
-                    )
-                    if entry.get("count", 0)
-                ]
-                or [("(none)", 0, "-", "-", "-", "-")],
-            ),
-        ]
+    lines += _weather_lines(outcome)
     if outcome.adaptive:
         adaptive = outcome.adaptive
         lines += [
@@ -675,25 +667,11 @@ def render_endurance_summary(outcome) -> str:
                 ],
             ),
         ]
-    if getattr(outcome, "dht", None):
+    if outcome.dht:
         lines += _dht_overlay_lines(outcome.dht)
-    if getattr(outcome, "domains", None):
+    if outcome.domains:
         lines += _failure_domain_lines(outcome.domains)
-    lines += [
-        "",
-        "## Exercised after heal",
-        "",
-        _md_table(
-            ["probe", "result"],
-            [
-                (
-                    "queries",
-                    f"{outcome.queries_completed}/{outcome.queries_attempted}"
-                    f" completed, {outcome.queries_degraded} degraded",
-                ),
-            ],
-        ),
-    ]
+    lines += _probe_lines("Exercised after heal", outcome)
     return "\n".join(lines) + "\n"
 
 

@@ -24,11 +24,18 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.tables import format_bytes, format_seconds, render_table
+from repro.sim.chaos import (
+    ChaosConfig,
+    EnduranceConfig,
+    run_chaos,
+    run_endurance,
+)
 from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import BENCH_LIMITS, Scenario, build_deployment
 
@@ -190,209 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="seeded fault-injection run: drops, crashes, heal, audit",
     )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--nodes", type=int, default=16)
-    chaos.add_argument(
-        "--groups", type=int, default=4, help="clusters / committees"
-    )
-    chaos.add_argument(
-        "--replication", type=int, default=2, help="replicas per block"
-    )
-    chaos.add_argument("--blocks", type=int, default=8)
-    chaos.add_argument("--txs", type=int, default=2, help="txs per block")
-    chaos.add_argument(
-        "--drop-rate",
-        type=float,
-        default=0.2,
-        help="fraction of messages dropped (default 0.2)",
-    )
-    chaos.add_argument(
-        "--duplicate-rate",
-        type=float,
-        default=0.05,
-        help="fraction of messages delivered twice (default 0.05)",
-    )
-    chaos.add_argument(
-        "--delay-rate",
-        type=float,
-        default=0.05,
-        help="fraction of messages hit by a delay spike (default 0.05)",
-    )
-    chaos.add_argument(
-        "--crash-count",
-        type=int,
-        default=1,
-        help="nodes crashed mid-run and later recovered (default 1)",
-    )
-    chaos.add_argument(
-        "--stall-count",
-        type=int,
-        default=0,
-        help="nodes stalled (unresponsive but up) mid-run (default 0)",
-    )
-    chaos.add_argument(
-        "--partition",
-        action="store_true",
-        help="also cut a minority partition mid-run",
-    )
-    chaos.add_argument(
-        "--dht",
-        action="store_true",
-        help="enable the Kademlia-style DHT overlay (queries resolve "
-        "holders via FIND_VALUE; the audit adds a routing-table census "
-        "and a per-block lookup batch, and the exit code gates on it)",
-    )
-    chaos.add_argument(
-        "--domains",
-        action="store_true",
-        help="enable failure-domain awareness (placement spreads "
-        "replicas across zones; the outage becomes a full zone crash, "
-        "and the exit code gates on the post-heal zone-diversity audit)",
-    )
-    chaos.add_argument(
-        "--zones",
-        type=int,
-        default=4,
-        help="failure domains in the map (with --domains; default 4)",
-    )
-    chaos.add_argument(
-        "--report",
-        metavar="FILE",
-        help="write the markdown summary to FILE as well as stdout",
-    )
-    chaos.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="export the run's Chrome trace-event JSON to FILE",
-    )
+    _storm_args(chaos, ChaosConfig)
 
     endurance = sub.add_parser(
         "endurance",
         help="sustained churn under fault weather with anti-entropy "
         "repair; audits integrity and the replica floor",
     )
-    endurance.add_argument("--seed", type=int, default=0)
-    endurance.add_argument("--nodes", type=int, default=24)
-    endurance.add_argument(
-        "--groups", type=int, default=3, help="clusters / committees"
-    )
-    endurance.add_argument(
-        "--replication", type=int, default=2, help="replicas per block"
-    )
-    endurance.add_argument("--blocks", type=int, default=12)
-    endurance.add_argument(
-        "--txs", type=int, default=2, help="txs per block"
-    )
-    endurance.add_argument(
-        "--drop-rate",
-        type=float,
-        default=0.2,
-        help="fraction of messages dropped (default 0.2)",
-    )
-    endurance.add_argument(
-        "--duplicate-rate",
-        type=float,
-        default=0.05,
-        help="fraction of messages delivered twice (default 0.05)",
-    )
-    endurance.add_argument(
-        "--delay-rate",
-        type=float,
-        default=0.05,
-        help="fraction of messages hit by a delay spike (default 0.05)",
-    )
-    endurance.add_argument(
-        "--join-rate",
-        type=float,
-        default=0.15,
-        help="expected joins per produced block (default 0.15)",
-    )
-    endurance.add_argument(
-        "--leave-rate",
-        type=float,
-        default=0.1,
-        help="expected graceful leaves per block (default 0.1)",
-    )
-    endurance.add_argument(
-        "--crash-rate",
-        type=float,
-        default=0.1,
-        help="expected churn crashes per block (default 0.1)",
-    )
-    endurance.add_argument(
-        "--crash-count",
-        type=int,
-        default=1,
-        help="extra outage crashes a third of the way in (default 1)",
-    )
-    endurance.add_argument(
-        "--no-partition",
-        action="store_false",
-        dest="partition",
-        help="skip the mid-run minority partition window",
-    )
-    endurance.add_argument(
-        "--cadence",
-        type=float,
-        default=5.0,
-        help="anti-entropy sweep interval, virtual seconds (default 5)",
-    )
-    endurance.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="enable heat-aware adaptive replication (Zipf reads drive "
-        "per-block tier targets; sweeps repair and shed to them)",
-    )
-    endurance.add_argument(
-        "--archival",
-        action="store_true",
-        help="enable the Reed-Solomon archival tier (implies --adaptive; "
-        "cold blocks become 3+1 coded chunk sets, audited against the "
-        "coded floor)",
-    )
-    endurance.add_argument(
-        "--reads",
-        type=int,
-        default=4,
-        help="adaptive-mode Zipf reads per produced block (default 4)",
-    )
-    endurance.add_argument(
-        "--zipf",
-        type=float,
-        default=1.1,
-        help="adaptive-mode Zipf exponent over recency rank (default 1.1)",
-    )
-    endurance.add_argument(
-        "--dht",
-        action="store_true",
-        help="enable the Kademlia-style DHT overlay (joins self-lookup, "
-        "queries resolve holders via FIND_VALUE, repair digests route "
-        "to XOR-nearest peers; the audit adds a routing-table census "
-        "and a per-block lookup batch, and the exit code gates on it)",
-    )
-    endurance.add_argument(
-        "--domains",
-        action="store_true",
-        help="enable failure-domain awareness (spread placement, a "
-        "full zone outage a third of the way in, diversity-restoring "
-        "sweeps, and a post-heal zone-diversity exit gate)",
-    )
-    endurance.add_argument(
-        "--zones",
-        type=int,
-        default=3,
-        help="failure domains in the map (with --domains; default 3)",
-    )
-    endurance.add_argument(
-        "--report",
-        metavar="FILE",
-        help="write the markdown summary to FILE as well as stdout",
-    )
-    endurance.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="export the run's Chrome trace-event JSON to FILE",
-    )
+    _storm_args(endurance, EnduranceConfig)
 
     trace = sub.add_parser(
         "trace",
@@ -475,6 +287,141 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         default="uniform",
     )
     parser.add_argument("--seed", type=int, default=0)
+
+
+#: CLI spelling -> config field, where the two differ.
+_FIELD_OF = {
+    "nodes": "n_nodes",
+    "groups": "n_clusters",
+    "blocks": "n_blocks",
+    "txs": "txs_per_block",
+    "cadence": "repair_cadence",
+    "reads": "reads_per_block",
+    "zipf": "zipf_exponent",
+}
+
+#: Every population/weather/feature flag of ``chaos`` and ``endurance``
+#: with its help text.  A parser takes the flags its config class has a
+#: field for, and reads the default off that field — so each default is
+#: stated once, on the dataclass.  Boolean fields become switches:
+#: ``--x`` when off by default, ``--no-x`` when on.
+_STORM_FLAGS = (
+    ("seed", "every random draw derives from it"),
+    ("nodes", "initial population"),
+    ("groups", "clusters / committees"),
+    ("replication", "replicas per block"),
+    ("blocks", "blocks produced"),
+    ("txs", "txs per block"),
+    ("drop-rate", "fraction of messages dropped"),
+    ("duplicate-rate", "fraction of messages delivered twice"),
+    ("delay-rate", "fraction of messages hit by a delay spike"),
+    ("join-rate", "expected joins per produced block"),
+    ("leave-rate", "expected graceful leaves per block"),
+    ("crash-rate", "expected churn crashes per block"),
+    ("crash-count", "nodes crashed mid-run and recovered at heal"),
+    ("stall-count", "nodes stalled (unresponsive but up) mid-run"),
+    ("partition", "the mid-run minority partition window"),
+    ("cadence", "anti-entropy sweep interval, virtual seconds"),
+    (
+        "adaptive",
+        "heat-aware adaptive replication (Zipf reads drive per-block "
+        "tier targets; sweeps repair and shed to them)",
+    ),
+    (
+        "archival",
+        "the Reed-Solomon archival tier (implies --adaptive; cold blocks "
+        "become 3+1 coded chunk sets, audited against the coded floor)",
+    ),
+    ("reads", "adaptive-mode Zipf reads per produced block"),
+    ("zipf", "adaptive-mode Zipf exponent over recency rank"),
+    (
+        "dht",
+        "the Kademlia-style DHT overlay (joins self-lookup, queries "
+        "resolve holders via FIND_VALUE, repair digests route to "
+        "XOR-nearest peers; the audit adds a routing-table census and a "
+        "per-block lookup batch, and the exit code gates on it)",
+    ),
+    (
+        "domains",
+        "failure-domain awareness (spread placement, the outage becomes "
+        "a full zone crash, diversity-restoring sweeps, and a post-heal "
+        "zone-diversity exit gate)",
+    ),
+    ("zones", "failure domains in the map (with --domains)"),
+)
+
+
+def _storm_args(parser: argparse.ArgumentParser, config_cls) -> None:
+    """The ``chaos``/``endurance`` flags, defaults from ``config_cls``."""
+    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+    for flag, text in _STORM_FLAGS:
+        dest = flag.replace("-", "_")
+        field_name = _FIELD_OF.get(dest, dest)
+        if field_name not in defaults:
+            continue
+        default = defaults[field_name]
+        if default is True:
+            parser.add_argument(
+                f"--no-{flag}",
+                action="store_false",
+                dest=dest,
+                help=f"skip {text}",
+            )
+        elif default is False:
+            parser.add_argument(
+                f"--{flag}", action="store_true", help=f"enable {text}"
+            )
+        else:
+            parser.add_argument(
+                f"--{flag}",
+                type=type(default),
+                default=default,
+                help=f"{text} (default %(default)s)",
+            )
+    parser.add_argument(
+        "--report",
+        metavar="FILE",
+        help="write the markdown summary to FILE as well as stdout",
+    )
+    parser.add_argument(
+        "--trace",
+        metavar="FILE",
+        help="export the run's Chrome trace-event JSON to FILE",
+    )
+
+
+def _storm_config(config_cls, args: argparse.Namespace):
+    """Build a chaos/endurance config from its parsed flags."""
+    given = {_FIELD_OF.get(k, k): v for k, v in vars(args).items()}
+    return config_cls(
+        **{
+            f.name: given[f.name]
+            for f in dataclasses.fields(config_cls)
+            if f.name in given
+        }
+    )
+
+
+def _storm_epilogue(
+    args: argparse.Namespace, outcome, summary: str, label: str
+) -> int:
+    """Print/write the summary, export the trace, exit on the verdict."""
+    print(summary, end="")
+    if args.report:
+        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.report).write_text(summary, encoding="utf-8")
+        print(f"\nreport written to {args.report}", file=sys.stderr)
+    if args.trace:
+        from repro.obs.export import write_chrome_trace
+
+        path = write_chrome_trace(
+            outcome.tracer, Path(args.trace), label=label
+        )
+        print(
+            f"trace ({len(outcome.tracer)} events) written to {path}",
+            file=sys.stderr,
+        )
+    return 0 if outcome.passed else 1
 
 
 def _deploy(args: argparse.Namespace, strategy: str):
@@ -726,122 +673,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """``chaos``: one seeded fault-injection run with a markdown audit."""
     from repro.analysis.report import render_chaos_summary
-    from repro.sim.chaos import ChaosConfig, run_chaos
 
-    config = ChaosConfig(
-        seed=args.seed,
-        n_nodes=args.nodes,
-        n_clusters=args.groups,
-        replication=args.replication,
-        n_blocks=args.blocks,
-        txs_per_block=args.txs,
-        drop_rate=args.drop_rate,
-        duplicate_rate=args.duplicate_rate,
-        delay_rate=args.delay_rate,
-        crash_count=args.crash_count,
-        stall_count=args.stall_count,
-        partition=args.partition,
-        dht=args.dht,
-        domains=args.domains,
-        zones=args.zones,
+    outcome = run_chaos(_storm_config(ChaosConfig, args))
+    return _storm_epilogue(
+        args, outcome, render_chaos_summary(outcome), "chaos"
     )
-    outcome = run_chaos(config)
-    summary = render_chaos_summary(outcome)
-    print(summary, end="")
-    if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(summary)
-        print(f"\nreport written to {args.report}", file=sys.stderr)
-    if args.trace and outcome.tracer is not None:
-        from repro.obs.export import write_chrome_trace
-
-        path = write_chrome_trace(
-            outcome.tracer, Path(args.trace), label="chaos"
-        )
-        print(
-            f"trace ({len(outcome.tracer)} events) written to {path}",
-            file=sys.stderr,
-        )
-    ok = outcome.integrity_restored
-    if args.dht:
-        # DHT runs additionally gate on the overlay audit: every
-        # post-heal lookup must resolve its block's holder record.
-        ok = ok and outcome.dht.get("audit_lookups_ok") == outcome.dht.get(
-            "audit_lookups"
-        )
-    if args.domains:
-        # Domain runs additionally gate on the post-heal diversity
-        # audit: every block's live copies must span distinct zones
-        # again (up to the live-zone count).
-        ok = ok and bool(outcome.domains.get("diversity_met"))
-    return 0 if ok else 1
 
 
 def cmd_endurance(args: argparse.Namespace) -> int:
     """``endurance``: churn × faults × anti-entropy, then audit."""
     from repro.analysis.report import render_endurance_summary
-    from repro.sim.chaos import EnduranceConfig, run_endurance
 
-    config = EnduranceConfig(
-        seed=args.seed,
-        n_nodes=args.nodes,
-        n_clusters=args.groups,
-        replication=args.replication,
-        n_blocks=args.blocks,
-        txs_per_block=args.txs,
-        drop_rate=args.drop_rate,
-        duplicate_rate=args.duplicate_rate,
-        delay_rate=args.delay_rate,
-        join_rate=args.join_rate,
-        leave_rate=args.leave_rate,
-        crash_rate=args.crash_rate,
-        crash_count=args.crash_count,
-        partition=args.partition,
-        repair_cadence=args.cadence,
-        adaptive=args.adaptive,
-        archival=args.archival,
-        reads_per_block=args.reads,
-        zipf_exponent=args.zipf,
-        dht=args.dht,
-        domains=args.domains,
-        zones=args.zones,
+    outcome = run_endurance(_storm_config(EnduranceConfig, args))
+    return _storm_epilogue(
+        args, outcome, render_endurance_summary(outcome), "endurance"
     )
-    outcome = run_endurance(config)
-    summary = render_endurance_summary(outcome)
-    print(summary, end="")
-    if args.report:
-        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(summary)
-        print(f"\nreport written to {args.report}", file=sys.stderr)
-    if args.trace and outcome.tracer is not None:
-        from repro.obs.export import write_chrome_trace
-
-        path = write_chrome_trace(
-            outcome.tracer, Path(args.trace), label="endurance"
-        )
-        print(
-            f"trace ({len(outcome.tracer)} events) written to {path}",
-            file=sys.stderr,
-        )
-    ok = outcome.integrity_restored
-    if args.adaptive or args.archival:
-        # Adaptive and archival runs additionally gate on the
-        # tier-aware floor: a shed that left a block under-replicated —
-        # or an archived block under its coded floor — must fail the
-        # run.
-        ok = ok and outcome.replica_floor_met
-    if args.dht:
-        # DHT runs gate on the overlay audit, same as chaos --dht.
-        ok = ok and outcome.dht.get("audit_lookups_ok") == outcome.dht.get(
-            "audit_lookups"
-        )
-    if args.domains:
-        # Domain runs gate on the post-heal zone-diversity audit, same
-        # as chaos --domains.
-        ok = ok and bool(outcome.domains.get("diversity_met"))
-    return 0 if ok else 1
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
@@ -911,8 +757,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if args.scenario != "ici":
             print("--chaos only traces the ici strategy", file=sys.stderr)
             return 2
-        from repro.sim.chaos import ChaosConfig, run_chaos
-
         config = ChaosConfig(
             seed=args.seed,
             n_nodes=args.nodes,

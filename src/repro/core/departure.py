@@ -69,7 +69,9 @@ class _RepairSession:
         for block in blocks:
             if block.block_hash not in owed:
                 continue
-            _backfill_headers(self.deployment, node, block.header)
+            node.backfill_headers(
+                block.header, self.deployment.ledger.store
+            )
             node.assign_body(block)
             owed.discard(block.block_hash)
             self.report.blocks_transferred += 1
@@ -359,28 +361,6 @@ def _pick_source(
     survivors = [h for h in old_holders if h != leaving]
     live = live_members(deployment.network, survivors + [leaving])
     return live[0] if live else None
-
-
-def _backfill_headers(
-    deployment: "ICIDeployment", node: ClusterNode, header
-) -> None:
-    """Index the ancestor headers a lagging repair target is missing.
-
-    A target that sat behind a partition may lack the chain above its
-    last-seen height; ``add_body`` refuses a body whose parent header is
-    unknown.  The canonical store supplies the ancestry (no-op on nodes
-    that followed gossip normally).
-    """
-    store = deployment.ledger.store
-    missing = []
-    current = header
-    while not node.store.has_header(current.block_hash):
-        missing.append(current)
-        if current.is_genesis:
-            break
-        current = store.header(current.prev_hash)
-    for ancestor in reversed(missing):
-        node.store.add_header(ancestor)
 
 
 def _remove_member(deployment: "ICIDeployment", node_id: int) -> None:

@@ -46,6 +46,27 @@ class ClusterNode(BaseNode):
         self._assigned.add(block.block_hash)
         self.store.add_body(block)
 
+    def backfill_headers(self, header: BlockHeader, canonical) -> None:
+        """Index the ancestry of ``header`` this node is missing.
+
+        Headers are indexed parent-first, and ``add_body`` refuses a
+        body whose parent header is unknown; a node that missed gossip
+        (partitioned, crashed, freshly joined) may lack the chain above
+        its last-seen height.  ``canonical`` — the ledger's store, the
+        same oracle shortcut the reconcile pass uses — supplies the
+        ancestry.  Every path that hands this node a body outside
+        dissemination calls this first; a no-op when nothing is missing.
+        """
+        missing: list[BlockHeader] = []
+        current = header
+        while not self.store.has_header(current.block_hash):
+            missing.append(current)
+            if current.is_genesis:
+                break
+            current = canonical.header(current.prev_hash)
+        for ancestor in reversed(missing):
+            self.store.add_header(ancestor)
+
     def unassign_body(self, block_hash: bytes) -> int:
         """Release a body placement no longer pins to us (migration).
 

@@ -454,7 +454,7 @@ class AntiEntropyEngine(ProtocolEngine):
         self.tracker.resolve(request_id)
         self.release_request(request_id)
         self._inflight.discard((block_hash, target))
-        self._ensure_headers(node, body.header)
+        node.backfill_headers(body.header, self.deployment.ledger.store)
         node.assign_body(body)
         self._note_repaired(cluster_id, block_hash, target, body)
 
@@ -846,25 +846,6 @@ class AntiEntropyEngine(ProtocolEngine):
         # Next sweep re-detects the deficit and tries again (idempotent).
 
     # ------------------------------------------------------------- plumbing
-    def _ensure_headers(self, node: ClusterNode, header: BlockHeader) -> None:
-        """Backfill ancestor headers a lagging target is missing.
-
-        Headers are indexed parent-first; a node that missed gossip while
-        partitioned may lack the chain above its last-seen height.  The
-        canonical store supplies the ancestry (same oracle shortcut the
-        reconcile pass uses).
-        """
-        store = self.deployment.ledger.store
-        missing: list[BlockHeader] = []
-        current = header
-        while not node.store.has_header(current.block_hash):
-            missing.append(current)
-            if current.is_genesis:
-                break
-            current = store.header(current.prev_hash)
-        for ancestor in reversed(missing):
-            node.store.add_header(ancestor)
-
     def _note_repaired(
         self,
         cluster_id: int,

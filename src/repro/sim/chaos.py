@@ -34,16 +34,30 @@ from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
 from repro.obs.hooks import install_tracing
-from repro.obs.summary import summarize
+from repro.obs.summary import percentile, summarize
 from repro.obs.tracer import Tracer
 from repro.protocols.reliability import RetryPolicy
-from repro.sim.faults import FaultConfig, FaultPlan, PartitionWindow
+from repro.sim.audit import diversity_met, floor_met
+from repro.sim.churn import (
+    ChurnConfig,
+    ChurnDriver,
+    ChurnOutcome,
+    make_schedule,
+)
+from repro.sim.faults import (
+    FaultConfig,
+    FaultPlan,
+    PartitionWindow,
+    live_members,
+)
 from repro.sim.runner import ScenarioRunner
+from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
-    """One seeded chaos scenario (all randomness derives from ``seed``)."""
+class _StormConfig:
+    """What chaos and endurance scenarios both configure: population,
+    fault weather, and the opt-in features (all seeded from ``seed``)."""
 
     seed: int = 0
     n_nodes: int = 16
@@ -56,83 +70,100 @@ class ChaosConfig:
     delay_rate: float = 0.05
     delay_seconds: float = 1.0
     crash_count: int = 1
-    stall_count: int = 0
     partition: bool = False
-    join_after: bool = True
     queries: int = 8
     #: Kademlia-style DHT overlay (:mod:`repro.dht`): queries resolve
-    #: holders via FIND_VALUE, the join bootstraps by self-lookup, the
-    #: heal phase refreshes routing tables and republishes provider
-    #: records, and the audit adds a table-liveness census plus a
-    #: full lookup batch.  Off by default: non-DHT signatures must
-    #: stay byte-identical (golden pins).
+    #: holders via FIND_VALUE, joins bootstrap by self-lookup, repair
+    #: digests route to XOR-nearest peers, the heal phase refreshes
+    #: routing tables and republishes provider records, and the audit
+    #: adds a table-liveness census plus a full lookup batch.  Off by
+    #: default: non-DHT signatures must stay byte-identical (golden
+    #: pins).
     dht: bool = False
     #: Failure-domain awareness (:mod:`repro.net.domains`): placement
-    #: spreads replicas across zones, phase 2 replaces the sampled
-    #: victims with a full **zone outage** (every live member of one
-    #: deterministically-drawn zone crashes at once), and the audit
-    #: adds a post-heal domain-diversity check.  Off by default:
-    #: domain-oblivious signatures must stay byte-identical (golden
-    #: pins).
+    #: spreads replicas across zones, the mid-run outage becomes a full
+    #: **zone outage** (every live member of one deterministically-drawn
+    #: zone crashes at once, replacing the sampled victims), the
+    #: anti-entropy sweep restores zone diversity as well as copy count,
+    #: and the audit adds a post-heal domain-diversity check.  Off by
+    #: default: domain-oblivious signatures must stay byte-identical
+    #: (golden pins).
     domains: bool = False
     #: Zones in the failure-domain map (domain runs only).
     zones: int = 4
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
-            raise ConfigurationError("chaos runs need at least 2 blocks")
-        if self.crash_count < 0 or self.stall_count < 0 or self.queries < 0:
+            raise ConfigurationError("runs need at least 2 blocks")
+        if self.crash_count < 0 or self.queries < 0:
             raise ConfigurationError("counts must be >= 0")
         if self.domains and self.zones < 2:
             raise ConfigurationError("domain runs need at least 2 zones")
 
+    def fault_config(self) -> FaultConfig:
+        """The message-level fault weather this scenario runs under."""
+        return FaultConfig(
+            seed=self.seed,
+            drop_rate=self.drop_rate,
+            duplicate_rate=self.duplicate_rate,
+            delay_rate=self.delay_rate,
+            delay_seconds=self.delay_seconds,
+        )
+
+
+@dataclass(frozen=True)
+class ChaosConfig(_StormConfig):
+    """One seeded chaos scenario (all randomness derives from ``seed``)."""
+
+    stall_count: int = 0
+    join_after: bool = True
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.stall_count < 0:
+            raise ConfigurationError("counts must be >= 0")
+
 
 @dataclass
-class ChaosOutcome:
-    """What one chaos run did and whether the network came back whole."""
+class _StormOutcome:
+    """What chaos and endurance outcomes share: the fault/reliability
+    counters, the probe tallies, the per-feature audits, the verdict."""
 
-    config: ChaosConfig
+    config: _StormConfig
     blocks_produced: int = 0
-    finalized_blocks: int = 0
-    crashed: list[int] = field(default_factory=list)
-    stalled: list[int] = field(default_factory=list)
     partitioned: list[int] = field(default_factory=list)
     fault_stats: dict[str, int] = field(default_factory=dict)
     retries: dict[str, int] = field(default_factory=dict)
     timeouts: dict[str, int] = field(default_factory=dict)
     degraded: dict[str, int] = field(default_factory=dict)
-    refetched_bodies: int = 0
     queries_attempted: int = 0
     queries_completed: int = 0
     queries_degraded: int = 0
-    bootstrap_complete: bool | None = None
-    bootstrap_bodies_unavailable: int = 0
     cluster_integrity: dict[int, bool] = field(default_factory=dict)
     #: DHT overlay counters + audit (``DHTStats.as_dict()`` merged with
     #: the table census and the audit lookup batch); empty on non-DHT
-    #: runs, and only a non-empty dict joins :meth:`signature` — the
-    #: same opt-in discipline as the endurance outcome's ``adaptive``.
+    #: runs, and only a non-empty dict joins ``signature()`` — so
+    #: enabling a feature cannot move the golden pins of runs without it.
     dht: dict[str, int] = field(default_factory=dict)
     #: Failure-domain census + audit (zone killed, victim count,
     #: placement spread deficit, diversity repairs, post-heal diversity
-    #: flag); empty on domain-oblivious runs, and only a non-empty dict
-    #: joins :meth:`signature` — the same opt-in discipline as ``dht``.
+    #: flag); empty on domain-oblivious runs, same opt-in discipline.
     domains: dict[str, int] = field(default_factory=dict)
     virtual_seconds: float = 0.0
     events_processed: int = 0
     #: Per-kind tracked-send counts (``RouterStats.sends``); the
     #: denominator for the report renderers' degraded-percentage
-    #: column.  Not part of :meth:`signature` — the per-kind retry/
-    #: timeout/degraded counters above already pin the same stream.
+    #: column.  Not signed — the per-kind retry/timeout/degraded
+    #: counters above already pin the same stream.
     sends: dict[str, int] = field(default_factory=dict)
     #: Per-kind delivery-latency percentiles (virtual time) from the
     #: run's trace; quantifies degradation beyond the counters.  Not
-    #: part of :meth:`signature` — latency values are floats derived
-    #: from the same deterministic stream the counters pin.
+    #: signed — floats derived from the same deterministic stream the
+    #: counters pin.
     latency_percentiles: dict[str, dict[str, float]] = field(
         default_factory=dict
     )
-    #: The run's tracer (``repro chaos --trace`` exports it).
+    #: The run's tracer (``--trace`` exports it).
     tracer: Tracer | None = field(default=None, repr=False)
 
     @property
@@ -141,6 +172,35 @@ class ChaosOutcome:
         return bool(self.cluster_integrity) and all(
             self.cluster_integrity.values()
         )
+
+    @property
+    def passed(self) -> bool:
+        """The run's verdict — what the CLI exit code reports.
+
+        Integrity restored (on endurance runs that includes the tier-
+        and code-aware floor) and, for each enabled feature, its own
+        audit: every post-heal DHT lookup resolved its block's holder
+        record; every block's live copies span distinct zones again
+        (up to the live-zone count).
+        """
+        return (
+            self.integrity_restored
+            and self.dht.get("audit_lookups_ok")
+            == self.dht.get("audit_lookups")
+            and (not self.domains or bool(self.domains["diversity_met"]))
+        )
+
+
+@dataclass
+class ChaosOutcome(_StormOutcome):
+    """What one chaos run did and whether the network came back whole."""
+
+    finalized_blocks: int = 0
+    crashed: list[int] = field(default_factory=list)
+    stalled: list[int] = field(default_factory=list)
+    refetched_bodies: int = 0
+    bootstrap_complete: bool | None = None
+    bootstrap_bodies_unavailable: int = 0
 
     def signature(self) -> dict:
         """The determinism fingerprint: equal for equal (config, seed).
@@ -176,6 +236,76 @@ CHAOS_QUERY_POLICY = RetryPolicy(
 )
 
 
+def build_scenario(
+    config,
+    limits: ValidationLimits,
+    faults: FaultConfig,
+    *,
+    adaptive: bool = False,
+    archival: bool = False,
+    dht: bool = False,
+    zones: int = 0,
+    outage_map=None,
+):
+    """One seeded deployment under a fault plan, features switched on.
+
+    ``config`` supplies ``seed``/``n_nodes``/``n_clusters``/
+    ``replication``.  Features are enabled before production (and
+    before the plan installs), so every non-genesis placement is
+    computed by the spread-aware policy and provider records publish
+    organically as blocks finalize.  ``zones`` turns failure-domain
+    awareness on; whole-zone outages resolve their victims through
+    ``outage_map`` (how a domain-oblivious deployment loses the same
+    physical zone as an aware one), else through the deployment's own
+    map.  Returns ``(deployment, runner, injector)``.
+    """
+    ici = ICIConfig(
+        n_clusters=config.n_clusters,
+        replication=config.replication,
+        limits=limits,
+    )
+    deployment = ICIDeployment(config.n_nodes, config=ici)
+    if adaptive or archival:
+        deployment.enable_adaptive_replication()
+    if archival:
+        deployment.enable_archival_tier()
+    if dht:
+        deployment.enable_dht()
+    if zones:
+        deployment.enable_domain_awareness(zones=zones)
+    if outage_map is None:
+        outage_map = deployment.domains
+    runner = ScenarioRunner(deployment, limits=limits, seed=config.seed)
+    injector = FaultPlan(config=faults).install(deployment.network)
+    deployment.query.set_retry_policy(CHAOS_QUERY_POLICY)
+    if outage_map is not None:
+        injector.bind_domains(
+            lambda zone: outage_map.members_of_zone(
+                zone, deployment.nodes.keys()
+            )
+        )
+    return deployment, runner, injector
+
+
+def probe_reads(deployment: ICIDeployment, reads) -> tuple[int, int, int]:
+    """Issue ``(requester, block_hash)`` reads one at a time, draining
+    after each; returns ``(attempted, completed, degraded)``."""
+    attempted = completed = degraded = 0
+    for requester, block_hash in reads:
+        record = deployment.retrieve_block(requester, block_hash)
+        deployment.run()
+        attempted += 1
+        completed += record.completed_at is not None
+        degraded += bool(record.degraded)
+    return attempted, completed, degraded
+
+
+def uniform_reads(rng: random.Random, requesters, block_hashes, count: int):
+    """``count`` seeded uniform ``(requester, block_hash)`` draws."""
+    for _ in range(count):
+        yield rng.choice(requesters), rng.choice(block_hashes)
+
+
 def run_chaos(
     config: ChaosConfig | None = None,
     limits: ValidationLimits = DEFAULT_LIMITS,
@@ -190,40 +320,20 @@ def run_chaos(
     signature is unchanged by it (the chaos suite pins this).
     """
     config = config or ChaosConfig()
-    ici = ICIConfig(
-        n_clusters=config.n_clusters,
-        replication=config.replication,
-        limits=limits,
-    )
-    deployment = ICIDeployment(config.n_nodes, config=ici)
-    runner = ScenarioRunner(deployment, limits=limits, seed=config.seed)
-    plan = FaultPlan(
-        config=FaultConfig(
-            seed=config.seed,
-            drop_rate=config.drop_rate,
-            duplicate_rate=config.duplicate_rate,
-            delay_rate=config.delay_rate,
-            delay_seconds=config.delay_seconds,
-        )
-    )
-    injector = plan.install(deployment.network)
-    deployment.query.set_retry_policy(CHAOS_QUERY_POLICY)
-    if config.dht:
-        # Enabled before production so provider records publish
-        # organically as blocks finalize (the enable-time backfill only
-        # covers genesis here).
-        deployment.enable_dht()
-    if config.domains:
-        # Enabled before production so every non-genesis placement is
-        # computed by the spread-aware policy.
-        deployment.enable_domain_awareness(zones=config.zones)
-        injector.bind_domains(
-            lambda zone: deployment.domains.members_of_zone(
-                zone, deployment.nodes.keys()
-            )
-        )
     if tracer is None:
         tracer = Tracer()
+    deployment, runner, injector = build_scenario(
+        config,
+        limits,
+        config.fault_config(),
+        zones=config.zones if config.domains else 0,
+    )
+    if config.dht:
+        # After the plan installs, unlike endurance runs: the
+        # enable-time publish of genesis provider records rides the
+        # fault weather (the DHT smoke report and E20's chaos leg pin
+        # that message stream).
+        deployment.enable_dht()
     install_tracing(deployment, tracer)
     outcome = ChaosOutcome(config=config, tracer=tracer)
     rng = random.Random(config.seed ^ 0xC4A05)
@@ -247,8 +357,6 @@ def run_chaos(
         zone_killed = rng.randrange(config.zones)
         victims = list(injector.crash_domain(zone_killed))
         outcome.crashed = victims
-        for victim in victims:
-            runner.schedule.remove(victim)
     else:
         victims = _pick_victims(
             deployment, rng, config.crash_count + config.stall_count
@@ -257,14 +365,13 @@ def run_chaos(
         outcome.stalled = victims[config.crash_count :]
         for victim in outcome.crashed:
             injector.crash(victim)
-            runner.schedule.remove(victim)
         for victim in outcome.stalled:
             injector.stall(victim)
-            runner.schedule.remove(victim)
     if config.partition:
         outcome.partitioned = _cut_minority(deployment, injector, victims)
-        for victim in outcome.partitioned:
-            runner.schedule.remove(victim)
+    down = outcome.crashed + outcome.stalled + outcome.partitioned
+    for victim in down:
+        runner.schedule.remove(victim)
 
     # Phase 3: the degraded half.
     with tracer.span("produce:degraded"):
@@ -279,19 +386,11 @@ def run_chaos(
     # Phase 4: heal and reconcile.
     with tracer.span("heal:reconcile"):
         injector.heal()
-        for victim in (
-            outcome.crashed + outcome.stalled + outcome.partitioned
-        ):
+        for victim in down:
             runner.schedule.add(victim)
         outcome.refetched_bodies = reconcile(deployment)
         if config.dht:
-            # Overlay heal: tracked pings evict contacts that died in
-            # the storm, then a forced republish rebuilds provider
-            # records so post-storm lookups see fresh holder sets.
-            deployment.dht.refresh_all()
-            deployment.run()
-            deployment.dht.republish_all()
-            deployment.run()
+            _heal_overlay(deployment)
 
     # Phase 5: a join and a query batch, still under lossy links.
     with tracer.span("join:queries"):
@@ -305,56 +404,100 @@ def run_chaos(
             if join.complete:
                 runner.schedule.add(join.node_id)
         block_hashes = report.block_hashes + report2.block_hashes
-        node_ids = sorted(deployment.nodes)
-        for _ in range(config.queries):
-            requester = rng.choice(node_ids)
-            block_hash = rng.choice(block_hashes)
-            record = deployment.retrieve_block(requester, block_hash)
-            deployment.run()
-            outcome.queries_attempted += 1
-            if record.completed_at is not None:
-                outcome.queries_completed += 1
-            if record.degraded:
-                outcome.queries_degraded += 1
+        (
+            outcome.queries_attempted,
+            outcome.queries_completed,
+            outcome.queries_degraded,
+        ) = probe_reads(
+            deployment,
+            uniform_reads(
+                rng, sorted(deployment.nodes), block_hashes, config.queries
+            ),
+        )
 
     # Phase 6: audit.
+    outcome.finalized_blocks = deployment.total_finalized_blocks()
+    _audit(
+        deployment, outcome, injector, rng, block_hashes, zone_killed, victims
+    )
+    return outcome
+
+
+def _heal_overlay(deployment: ICIDeployment) -> None:
+    """Overlay heal: tracked pings evict contacts that died (or left)
+    in the storm, then a forced republish rebuilds provider records so
+    post-storm lookups see fresh holder sets."""
+    deployment.dht.refresh_all()
+    deployment.run()
+    deployment.dht.republish_all()
+    deployment.run()
+
+
+def _audit(
+    deployment: ICIDeployment,
+    outcome: _StormOutcome,
+    injector,
+    rng: random.Random,
+    block_hashes,
+    zone_killed: int,
+    outage_victims: list[int],
+) -> None:
+    """The end-of-run audit chaos and endurance share.
+
+    Per-cluster integrity (:mod:`repro.sim.audit`), the fault and
+    reliability counters, then each enabled feature's own audit; the
+    clock and latency capture come last because the DHT lookup batch
+    still moves them.
+    """
     for view in deployment.clusters.views():
         outcome.cluster_integrity[view.cluster_id] = (
             deployment.cluster_holds_full_ledger(view.cluster_id)
         )
-    outcome.finalized_blocks = deployment.total_finalized_blocks()
     outcome.fault_stats = injector.stats.as_dict()
     stats = deployment.metrics.router_stats
     outcome.retries = dict(stats.retries)
     outcome.timeouts = dict(stats.timeouts)
     outcome.degraded = dict(stats.degraded)
     outcome.sends = dict(stats.sends)
-    if config.dht:
-        _audit_dht(deployment, outcome, rng, block_hashes)
-    if config.domains:
-        _audit_domains(deployment, outcome, zone_killed, victims)
+    live = live_members(deployment.network, sorted(deployment.nodes))
+    if outcome.config.dht:
+        _audit_dht(deployment, outcome, rng, block_hashes, live)
+    if outcome.config.domains:
+        domains = deployment.domains
+        # Integer-valued so the fingerprint stays json-stable.
+        # ``spread_deficit`` counts the placements that could not reach
+        # full zone spread — the audited fallback, surfaced so a
+        # correlated blast radius is visible instead of silent.
+        outcome.domains = {
+            "zones": domains.zones,
+            "zone_killed": zone_killed,
+            "outage_victims": len(outage_victims),
+            "live_zones": len(domains.zones_of(live)),
+            "spread_deficit": deployment.placement.domain_spread_deficit,
+            "diversity_repairs": deployment.repair.diversity_repairs,
+            "diversity_met": int(diversity_met(deployment)),
+        }
     outcome.virtual_seconds = deployment.network.now
     outcome.events_processed = deployment.network.clock.processed
-    outcome.latency_percentiles = summarize(tracer).latency_percentiles()
-    return outcome
+    outcome.latency_percentiles = summarize(
+        outcome.tracer
+    ).latency_percentiles()
 
 
 def _audit_dht(
-    deployment: ICIDeployment, outcome, rng: random.Random, block_hashes
+    deployment: ICIDeployment, outcome, rng: random.Random, block_hashes, live
 ) -> None:
     """Overlay audit: table-liveness census plus a full lookup batch.
 
     Runs one iterative FIND_VALUE per produced block from a random live
     requester and counts hits — under the acceptance chaos weather
     (10% drop + a crash) every lookup must still succeed, which is what
-    the CLI exit gate and the E20 chaos leg pin.  The census and the
-    engine's own counters land on ``outcome.dht`` (signature opt-in).
+    :attr:`_StormOutcome.passed` and the E20 chaos leg pin.  The census
+    and the engine's own counters land on ``outcome.dht``.
     """
     from repro.dht.idspace import block_key
-    from repro.sim.faults import live_members
 
     dht = deployment.dht
-    live = live_members(deployment.network, sorted(deployment.nodes))
     if not live:
         outcome.dht = {**dht.stats.as_dict(), **dht.audit_tables()}
         return
@@ -370,97 +513,6 @@ def _audit_dht(
         "audit_lookups": len(block_hashes),
         "audit_lookups_ok": lookups_ok,
     }
-
-
-def _audit_domains(
-    deployment: ICIDeployment,
-    outcome,
-    zone_killed: int,
-    victims: list[int],
-) -> None:
-    """Failure-domain audit: zone census plus the post-heal diversity
-    check (see :func:`domain_diversity_met`).
-
-    Lands on ``outcome.domains`` (signature opt-in, integer-valued so
-    the fingerprint stays json-stable).  ``spread_deficit`` counts the
-    placements that could not reach full zone spread — the audited
-    fallback, surfaced here so a correlated blast radius is visible
-    instead of silent.
-    """
-    from repro.sim.faults import live_members
-
-    domains = deployment.domains
-    live = live_members(deployment.network, sorted(deployment.nodes))
-    outcome.domains = {
-        "zones": domains.zones,
-        "zone_killed": zone_killed,
-        "outage_victims": len(victims),
-        "live_zones": len(domains.zones_of(live)),
-        "spread_deficit": getattr(
-            deployment.placement, "domain_spread_deficit", 0
-        ),
-        "diversity_repairs": deployment.repair.diversity_repairs,
-        "diversity_met": int(domain_diversity_met(deployment)),
-    }
-
-
-def domain_diversity_met(deployment: ICIDeployment) -> bool:
-    """Does every cluster spread every block across its live zones?
-
-    The failure-domain counterpart of :func:`replica_floor_met`: per
-    cluster, every non-genesis active block's live holders must span
-    ``min(floor, live-zone count)`` distinct zones, where ``floor`` is
-    the block's replica floor (planner-aware on adaptive runs).
-    Archived blocks check their live **chunk** holders against
-    ``min(k, live-zone count)`` instead — chunk placement rides the
-    same spread-aware policy.  Genesis is exempt: it is a hardcoded
-    constant every node regenerates locally, so zone spread buys it
-    nothing.  Domain-oblivious deployments trivially pass.
-    """
-    from repro.sim.faults import live_members
-
-    domains = getattr(deployment, "domains", None)
-    if domains is None:
-        return True
-    planner = getattr(deployment, "replication_planner", None)
-    tier = getattr(deployment, "archival", None)
-    base = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        live_zone_count = len(domains.zones_of(live))
-        for header in headers:
-            if header.is_genesis:
-                continue
-            block_hash = header.block_hash
-            if tier is not None and tier.is_archived(
-                view.cluster_id, block_hash
-            ):
-                chunk_holders = tier.live_chunk_holders(
-                    view.cluster_id, block_hash
-                )
-                need = min(tier.config.data_chunks, live_zone_count)
-                if len(domains.zones_of(chunk_holders)) < need:
-                    return False
-                continue
-            target = (
-                base
-                if planner is None
-                else planner.target_for(block_hash)
-            )
-            floor = min(max(target, 1), len(live))
-            holders = [
-                member
-                for member in live
-                if deployment.nodes[member].store.has_body(block_hash)
-            ]
-            if len(domains.zones_of(holders)) < min(
-                floor, live_zone_count
-            ):
-                return False
-    return True
 
 
 def reconcile(
@@ -520,7 +572,7 @@ def reconcile(
 
 
 @dataclass(frozen=True)
-class EnduranceConfig:
+class EnduranceConfig(_StormConfig):
     """One seeded endurance scenario: churn × faults × anti-entropy.
 
     Extends the chaos shape with a sustained :class:`ChurnSchedule`
@@ -529,25 +581,17 @@ class EnduranceConfig:
     engine sweeping at ``repair_cadence`` throughout.
     """
 
-    seed: int = 0
     n_nodes: int = 24
     n_clusters: int = 3
-    replication: int = 2
     n_blocks: int = 12
-    txs_per_block: int = 2
-    drop_rate: float = 0.2
-    duplicate_rate: float = 0.05
-    delay_rate: float = 0.05
-    delay_seconds: float = 1.0
+    partition: bool = True
+    zones: int = 3
     join_rate: float = 0.15
     leave_rate: float = 0.1
     crash_rate: float = 0.1
-    crash_count: int = 1
-    partition: bool = True
     partition_blocks: int = 3
     repair_cadence: float = 5.0
     settle_seconds: float = 10.0
-    queries: int = 8
     max_heal_rounds: int = 40
     #: Heat-aware adaptive replication (:mod:`repro.storage.heat`).
     #: When on, a Zipf-skewed read stream runs through the storm so heat
@@ -557,8 +601,6 @@ class EnduranceConfig:
     adaptive: bool = False
     reads_per_block: int = 4
     zipf_exponent: float = 1.1
-    #: Optional heat-model override (``None`` = HeatConfig defaults).
-    heat: "object | None" = None
     #: Coded archival tier (:mod:`repro.storage.coded`).  Implies the
     #: adaptive path (the tier consumes the planner's cold signal): cold
     #: blocks transition to k-of-n Reed–Solomon chunks, queries decode
@@ -567,33 +609,11 @@ class EnduranceConfig:
     #: Off by default: adaptive-without-archival runs must stay
     #: byte-identical (golden pins).
     archival: bool = False
-    #: Optional code-shape override (``None`` = ArchivalConfig defaults).
-    archival_code: "object | None" = None
-    #: Kademlia-style DHT overlay (:mod:`repro.dht`): joins bootstrap
-    #: by self-lookup, queries resolve holders via FIND_VALUE, repair
-    #: digests route to XOR-nearest peers, and the audit adds a
-    #: table-liveness census plus a full lookup batch.  Off by default:
-    #: non-DHT runs must stay byte-identical (golden pins).
-    dht: bool = False
-    #: Failure-domain awareness (see :class:`ChaosConfig.domains`): the
-    #: outage a third of the way in becomes a full **zone outage**
-    #: (replacing the independently-sampled victims), placement spreads
-    #: replicas across zones, the anti-entropy sweep restores zone
-    #: diversity as well as copy count, and the audit adds the
-    #: post-heal domain-diversity check.  Off by default (golden pins).
-    domains: bool = False
-    #: Zones in the failure-domain map (domain runs only).
-    zones: int = 3
 
     def __post_init__(self) -> None:
-        if self.n_blocks < 2:
-            raise ConfigurationError("endurance runs need at least 2 blocks")
-        if self.domains and self.zones < 2:
-            raise ConfigurationError("domain runs need at least 2 zones")
+        super().__post_init__()
         if self.repair_cadence <= 0 or self.settle_seconds <= 0:
             raise ConfigurationError("cadence/settle must be > 0")
-        if self.crash_count < 0 or self.queries < 0:
-            raise ConfigurationError("counts must be >= 0")
         if self.max_heal_rounds < 1:
             raise ConfigurationError("max_heal_rounds must be >= 1")
         if self.reads_per_block < 0:
@@ -603,21 +623,14 @@ class EnduranceConfig:
 
 
 @dataclass
-class EnduranceOutcome:
+class EnduranceOutcome(_StormOutcome):
     """What one endurance run did and whether self-healing converged."""
 
-    config: EnduranceConfig
-    blocks_produced: int = 0
     joins: int = 0
     leaves: int = 0
     churn_crashes: int = 0
     skipped_events: int = 0
     outage_crashed: list[int] = field(default_factory=list)
-    partitioned: list[int] = field(default_factory=list)
-    fault_stats: dict[str, int] = field(default_factory=dict)
-    retries: dict[str, int] = field(default_factory=dict)
-    timeouts: dict[str, int] = field(default_factory=dict)
-    degraded: dict[str, int] = field(default_factory=dict)
     #: The anti-entropy engine's counters (``RepairStats.as_dict()``).
     repair: dict[str, int] = field(default_factory=dict)
     #: Blocks departures handed off to the sweep after exhausted retries.
@@ -625,39 +638,18 @@ class EnduranceOutcome:
     #: Virtual seconds from first deficit detection to restored copy.
     time_to_repair: dict[str, float] = field(default_factory=dict)
     heal_rounds: int = 0
-    queries_attempted: int = 0
-    queries_completed: int = 0
-    queries_degraded: int = 0
-    cluster_integrity: dict[int, bool] = field(default_factory=dict)
+    #: :func:`repro.sim.audit.floor_met` after healing (strict: tier-
+    #: and code-aware on adaptive/archival runs).
     replica_floor_met: bool = False
     #: Adaptive-replication counters (``AdaptiveStats.as_dict()`` plus
-    #: tier counts and storm reads); empty on fixed-r runs, and only a
-    #: non-empty dict joins :meth:`signature` — so enabling the adaptive
-    #: path cannot move the fixed-r golden pins.
+    #: tier counts and storm reads); empty on fixed-r runs, same opt-in
+    #: signature discipline as ``dht``.
     adaptive: dict[str, int] = field(default_factory=dict)
     #: Archival-tier counters (``ArchivalStats.as_dict()``); empty
-    #: unless the coded tier ran, and only a non-empty dict joins
-    #: :meth:`signature` — same opt-in discipline as ``adaptive``.
+    #: unless the coded tier ran, same opt-in discipline.
     archival: dict[str, int] = field(default_factory=dict)
-    #: DHT overlay counters + audit (see :class:`ChaosOutcome.dht`);
-    #: empty unless the overlay ran, same opt-in discipline.
-    dht: dict[str, int] = field(default_factory=dict)
-    #: Failure-domain census + audit (see :class:`ChaosOutcome.
-    #: domains`); empty on oblivious runs, same opt-in discipline.
-    domains: dict[str, int] = field(default_factory=dict)
     #: Network-wide ledger bytes at audit time (reports; not signed).
     storage_total_bytes: int = 0
-    #: Per-kind tracked-send counts (see :class:`ChaosOutcome.sends`);
-    #: reports only, not signed.
-    sends: dict[str, int] = field(default_factory=dict)
-    virtual_seconds: float = 0.0
-    events_processed: int = 0
-    #: Not part of :meth:`signature` (floats derived from the same
-    #: deterministic stream the counters pin) — see ChaosOutcome.
-    latency_percentiles: dict[str, dict[str, float]] = field(
-        default_factory=dict
-    )
-    tracer: Tracer | None = field(default=None, repr=False)
     #: The healed deployment, for independent post-run auditing (the
     #: property suite re-derives coverage rather than trusting the
     #: audit flags above).  Not part of the signature.
@@ -666,11 +658,7 @@ class EnduranceOutcome:
     @property
     def integrity_restored(self) -> bool:
         """Full ledger per cluster *and* the replication floor met."""
-        return (
-            bool(self.cluster_integrity)
-            and all(self.cluster_integrity.values())
-            and self.replica_floor_met
-        )
+        return super().integrity_restored and self.replica_floor_met
 
     def signature(self) -> dict:
         """The determinism fingerprint: equal for equal (config, seed)."""
@@ -697,14 +685,10 @@ class EnduranceOutcome:
             "virtual_seconds": self.virtual_seconds,
             "events_processed": self.events_processed,
         }
-        if self.adaptive:
-            signature["adaptive"] = dict(self.adaptive)
-        if self.archival:
-            signature["archival"] = dict(self.archival)
-        if self.dht:
-            signature["dht"] = dict(self.dht)
-        if self.domains:
-            signature["domains"] = dict(self.domains)
+        for feature in ("adaptive", "archival", "dht", "domains"):
+            counters = getattr(self, feature)
+            if counters:
+                signature[feature] = dict(counters)
         return signature
 
 
@@ -729,65 +713,34 @@ def run_endurance(
        the repair counters go quiet.
     3. **Probe** — a query batch under the still-lossy link rates.
     4. **Audit** — per-cluster full-ledger integrity plus the stronger
-       replica floor: every active block holds ``min(r, live)`` live
-       replicas in every cluster.
+       floor (:func:`repro.sim.audit.floor_met`): every active block
+       holds ``min(target, live)`` live replicas — or its coded floor —
+       in every cluster.
     """
-    from repro.obs.summary import percentile
-    from repro.sim.churn import (
-        ChurnConfig,
-        ChurnDriver,
-        ChurnOutcome,
-        make_schedule,
-    )
-
     config = config or EnduranceConfig()
-    ici = ICIConfig(
-        n_clusters=config.n_clusters,
-        replication=config.replication,
-        limits=limits,
+    if tracer is None:
+        tracer = Tracer()
+    deployment, runner, injector = build_scenario(
+        config,
+        limits,
+        config.fault_config(),
+        adaptive=config.adaptive,
+        archival=config.archival,
+        dht=config.dht,
+        zones=config.zones if config.domains else 0,
     )
-    deployment = ICIDeployment(config.n_nodes, config=ici)
-    planner = None
-    tier = None
+    install_tracing(deployment, tracer)
+    planner = deployment.replication_planner
+    tier = deployment.archival
     reads = None
     storm_reads = 0
-    if config.adaptive or config.archival:
-        from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
-
-        planner = deployment.enable_adaptive_replication(config.heat)
+    if planner is not None:
         reads = ZipfReadWorkload(
             ReadWorkloadConfig(
                 seed=config.seed ^ 0x2EAD,
                 exponent=config.zipf_exponent,
             )
         )
-    if config.archival:
-        tier = deployment.enable_archival_tier(config.archival_code)
-    if config.dht:
-        deployment.enable_dht()
-    if config.domains:
-        deployment.enable_domain_awareness(zones=config.zones)
-    runner = ScenarioRunner(deployment, limits=limits, seed=config.seed)
-    plan = FaultPlan(
-        config=FaultConfig(
-            seed=config.seed,
-            drop_rate=config.drop_rate,
-            duplicate_rate=config.duplicate_rate,
-            delay_rate=config.delay_rate,
-            delay_seconds=config.delay_seconds,
-        )
-    )
-    injector = plan.install(deployment.network)
-    deployment.query.set_retry_policy(CHAOS_QUERY_POLICY)
-    if config.domains:
-        injector.bind_domains(
-            lambda zone: deployment.domains.members_of_zone(
-                zone, deployment.nodes.keys()
-            )
-        )
-    if tracer is None:
-        tracer = Tracer()
-    install_tracing(deployment, tracer)
     outcome = EnduranceOutcome(config=config, tracer=tracer)
     rng = random.Random(config.seed ^ 0xE17D)
 
@@ -852,7 +805,7 @@ def run_endurance(
                 for victim in outcome.partitioned:
                     runner.schedule.remove(victim)
             for event in by_block.get(block_index, []):
-                driver._apply(event, churn)
+                driver.apply(event, churn)
             if reads is not None and block_hashes:
                 # The Zipf read stream heats the tip while history cools;
                 # replies land whenever the weather lets them through.
@@ -883,27 +836,24 @@ def run_endurance(
         repair.stop()
         reconcile(deployment, refetch_bodies=False)
         repair.start(cadence=config.repair_cadence)
-        last = (-1, -1, -1, -1)
+        last = None
         quiet = 0
         for _ in range(config.max_heal_rounds):
             deployment.network.clock.run_for(config.repair_cadence)
             outcome.heal_rounds += 1
+            # Quiet means the repair counters stopped moving — and, where
+            # those tiers run, shedding and the coded tier (archives,
+            # chunk re-homes, thaws) stopped too.
             snapshot = (
                 repair.stats.under_replicated,
                 repair.stats.blocks_re_replicated,
-                # Adaptive runs also wait for shedding to go quiet.
-                planner.stats.replicas_shed if planner is not None else -1,
-                # Archival runs also wait for the coded tier to go quiet
-                # (archives, chunk re-homes, and thaws all settled); the
-                # constant -1 without a tier keeps the quietness
-                # equality — and every non-archival signature — exactly
-                # as before.
+                planner.stats.replicas_shed if planner is not None else 0,
                 (
                     tier.stats.blocks_archived
                     + tier.stats.chunks_repaired
                     + tier.stats.blocks_thawed
                     if tier is not None
-                    else -1
+                    else 0
                 ),
             )
             if snapshot == last and repair.idle:
@@ -916,74 +866,41 @@ def run_endurance(
         repair.stop()
         deployment.run()
         if config.dht:
-            # Overlay heal: the sweep hook kept records fresh through
-            # the convergence rounds; the explicit ping pass evicts
-            # contacts that died (or left) in the storm, and the forced
-            # republish covers clusters whose membership churned.
-            deployment.dht.refresh_all()
-            deployment.run()
-            deployment.dht.republish_all()
-            deployment.run()
+            # The sweep hook kept records fresh through the convergence
+            # rounds; the explicit pass covers clusters whose membership
+            # churned.
+            _heal_overlay(deployment)
 
     # Phase 3: a query batch, still under lossy links.
     with tracer.span("endurance:queries"):
         node_ids = sorted(deployment.nodes)
-        for _ in range(config.queries):
-            if reads is not None:
-                requester, block_hash = reads.next_read(
-                    block_hashes, node_ids
-                )
-            else:
-                requester = rng.choice(node_ids)
-                block_hash = rng.choice(block_hashes)
-            record = deployment.retrieve_block(requester, block_hash)
-            deployment.run()
-            outcome.queries_attempted += 1
-            if record.completed_at is not None:
-                outcome.queries_completed += 1
-            if record.degraded:
-                outcome.queries_degraded += 1
-
-    # Phase 4: audit.
-    for view in deployment.clusters.views():
-        if tier is not None:
-            # Archived blocks legitimately hold zero full replicas; a
-            # cluster is whole when every body is held *or* decodable
-            # from ≥ k live chunks.
-            outcome.cluster_integrity[view.cluster_id] = (
-                archival_cluster_integrity(
-                    deployment, tier, view.cluster_id
-                )
+        if reads is not None:
+            probes = (
+                reads.next_read(block_hashes, node_ids)
+                for _ in range(config.queries)
             )
         else:
-            outcome.cluster_integrity[view.cluster_id] = (
-                deployment.cluster_holds_full_ledger(view.cluster_id)
+            probes = uniform_reads(
+                rng, node_ids, block_hashes, config.queries
             )
-    if tier is not None:
-        outcome.replica_floor_met = archival_floor_met(
-            deployment, planner, tier
-        )
+        (
+            outcome.queries_attempted,
+            outcome.queries_completed,
+            outcome.queries_degraded,
+        ) = probe_reads(deployment, probes)
+
+    # Phase 4: audit.
+    outcome.replica_floor_met = floor_met(deployment)
+    outcome.storage_total_bytes = deployment.storage_report().total_bytes
+    if planner is not None:
         outcome.adaptive = dict(planner.as_dict())
         outcome.adaptive["storm_reads"] = storm_reads
+    if tier is not None:
         outcome.archival = dict(tier.as_dict())
         outcome.archival["archived_blocks"] = tier.archived_blocks
         outcome.archival["chunk_bytes"] = tier.total_chunk_bytes
-    elif planner is not None:
-        outcome.replica_floor_met = adaptive_floor_met(deployment, planner)
-        outcome.adaptive = dict(planner.as_dict())
-        outcome.adaptive["storm_reads"] = storm_reads
-    else:
-        outcome.replica_floor_met = replica_floor_met(deployment)
-    outcome.storage_total_bytes = deployment.storage_report().total_bytes
-    if tier is not None:
         # Coded chunks live beside the replicas the report counts.
         outcome.storage_total_bytes += tier.total_chunk_bytes
-    outcome.fault_stats = injector.stats.as_dict()
-    stats = deployment.metrics.router_stats
-    outcome.retries = dict(stats.retries)
-    outcome.timeouts = dict(stats.timeouts)
-    outcome.degraded = dict(stats.degraded)
-    outcome.sends = dict(stats.sends)
     outcome.repair = repair.stats.as_dict()
     outcome.deferred_blocks = sum(
         len(report.deferred_blocks)
@@ -995,146 +912,25 @@ def run_endurance(
             "p50": percentile(times, 0.50),
             "p95": percentile(times, 0.95),
         }
-    if config.dht:
-        _audit_dht(deployment, outcome, rng, block_hashes)
-    if config.domains:
-        _audit_domains(
-            deployment, outcome, zone_killed, outcome.outage_crashed
-        )
-    outcome.virtual_seconds = deployment.network.now
-    outcome.events_processed = deployment.network.clock.processed
-    outcome.latency_percentiles = summarize(tracer).latency_percentiles()
+    _audit(
+        deployment,
+        outcome,
+        injector,
+        rng,
+        block_hashes,
+        zone_killed,
+        outcome.outage_crashed,
+    )
     outcome.deployment = deployment
     return outcome
-
-
-def replica_floor_met(deployment: ICIDeployment) -> bool:
-    """Does every cluster hold ``min(r, live)`` live replicas of
-    every active block?
-
-    Stronger than :meth:`cluster_holds_full_ledger` (any one copy): this
-    is the invariant the anti-entropy sweep converges toward.
-    """
-    from repro.sim.faults import live_members
-
-    replication = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        floor = min(replication, len(live))
-        if floor == 0:
-            continue
-        for header in headers:
-            holders = sum(
-                1
-                for member in live
-                if deployment.nodes[member].store.has_body(
-                    header.block_hash
-                )
-            )
-            if holders < floor:
-                return False
-    return True
-
-
-def adaptive_floor_met(deployment: ICIDeployment, planner) -> bool:
-    """Tier-aware replica floor: ``min(target, live)`` copies per block.
-
-    The adaptive counterpart of :func:`replica_floor_met`: each block's
-    floor follows its heat tier (hot above ``r``, cold down to 1 —
-    never zero, so every cluster still contributes a cross-cluster
-    copy).  Genesis keeps the base floor.
-    """
-    from repro.sim.faults import live_members
-
-    base = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        for header in headers:
-            target = (
-                base
-                if header.is_genesis
-                else planner.target_for(header.block_hash)
-            )
-            floor = min(max(target, 1), len(live))
-            holders = sum(
-                1
-                for member in live
-                if deployment.nodes[member].store.has_body(
-                    header.block_hash
-                )
-            )
-            if holders < floor:
-                return False
-    return True
 
 
 def archival_cluster_integrity(
     deployment: ICIDeployment, tier, cluster_id: int
 ) -> bool:
-    """Archival-aware integrity: every body held *or* reconstructable.
-
-    The coded tier's counterpart of
-    :meth:`~repro.core.icistrategy.ICIDeployment.cluster_holds_full_
-    ledger`: an archived block contributes through ≥ ``k`` live chunks
-    instead of a full replica.
-    """
-    members = deployment.clusters.members_of(cluster_id)
-    for header in deployment.ledger.store.iter_active_headers():
-        block_hash = header.block_hash
-        if any(
-            deployment.nodes[m].store.has_body(block_hash)
-            for m in members
-        ):
-            continue
-        if tier.can_reconstruct(cluster_id, block_hash):
-            continue
-        return False
-    return True
-
-
-def archival_floor_met(
-    deployment: ICIDeployment, planner, tier
-) -> bool:
-    """Tier-aware floor with the coded invariant for archived blocks.
-
-    Archived blocks must hold the **coded floor** — at least ``k`` live
-    chunks on distinct members; everything else keeps the adaptive
-    ``min(target, live)`` replica floor of :func:`adaptive_floor_met`.
-    """
-    from repro.sim.faults import live_members
-
-    base = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        for header in headers:
-            block_hash = header.block_hash
-            if not header.is_genesis and tier.is_archived(
-                view.cluster_id, block_hash
-            ):
-                if not tier.coded_floor_ok(view.cluster_id, block_hash):
-                    return False
-                continue
-            target = (
-                base
-                if header.is_genesis
-                else planner.target_for(block_hash)
-            )
-            floor = min(max(target, 1), len(live))
-            holders = sum(
-                1
-                for member in live
-                if deployment.nodes[member].store.has_body(block_hash)
-            )
-            if holders < floor:
-                return False
-    return True
+    """The spelling ``perfbench/`` (frozen) calls: integrity is one
+    definition now, and it reads ``tier`` off the deployment itself."""
+    return deployment.cluster_holds_full_ledger(cluster_id)
 
 
 def _pick_victims(
@@ -1148,8 +944,6 @@ def _pick_victims(
     composition would otherwise raise).  On a clean network every member
     is live, so the candidate list — and the RNG draw — is unchanged.
     """
-    from repro.sim.faults import live_members
-
     if count == 0:
         return []
     minimum = max(deployment.config.replication + 1, 2)

@@ -118,12 +118,13 @@ class ChurnDriver:
             self.runner.produce_blocks(1, txs_per_block=txs_per_block)
             outcome.blocks_produced += 1
             for event in by_block.get(block_index, []):
-                self._apply(event, outcome)
+                self.apply(event, outcome)
             outcome.population_history.append(self.deployment.node_count)
         return outcome
 
     # ------------------------------------------------------------- events
-    def _apply(self, event: ChurnEvent, outcome: ChurnOutcome) -> None:
+    def apply(self, event: ChurnEvent, outcome: ChurnOutcome) -> None:
+        """Apply one churn event, tallying it on ``outcome``."""
         if event.kind is ChurnKind.JOIN:
             self._apply_join(outcome)
         else:

@@ -37,13 +37,12 @@ import random
 from dataclasses import dataclass, field
 
 from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
-from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
 from repro.net.domains import FailureDomainMap
-from repro.sim.chaos import CHAOS_QUERY_POLICY
-from repro.sim.faults import FaultConfig, FaultPlan
-from repro.sim.runner import ScenarioRunner
+from repro.sim.audit import diversity_met, uncovered_pairs
+from repro.sim.chaos import build_scenario, probe_reads, uniform_reads
+from repro.sim.faults import FaultConfig, live_members
 
 #: The two measured arms, in run (and report) order.
 ARMS = ("aware", "oblivious")
@@ -147,94 +146,26 @@ class DomainCompareOutcome:
         }
 
 
-def _coverage_lost(deployment: ICIDeployment) -> int:
-    """Cluster/block pairs with zero live in-cluster copies right now."""
-    from repro.sim.faults import live_members
-
-    lost = 0
-    headers = [
-        header
-        for header in deployment.ledger.store.iter_active_headers()
-        if not header.is_genesis
-    ]
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        for header in headers:
-            if not any(
-                deployment.nodes[member].store.has_body(header.block_hash)
-                for member in live
-            ):
-                lost += 1
-    return lost
-
-
-def _diversity_with(
-    deployment: ICIDeployment, domains: FailureDomainMap
-) -> bool:
-    """Zone-diversity audit against an *explicit* map (fixed-``r``).
-
-    The oblivious arm has no map of its own, so both arms are judged
-    against the shared victim-resolution map — the physical topology —
-    exactly like :func:`repro.sim.chaos.domain_diversity_met` judges a
-    domain-aware deployment against its installed map.
-    """
-    from repro.sim.faults import live_members
-
-    replication = deployment.config.replication
-    headers = list(deployment.ledger.store.iter_active_headers())
-    for view in deployment.clusters.views():
-        live = live_members(deployment.network, sorted(view.members))
-        if not live:
-            continue
-        live_zone_count = len(domains.zones_of(live))
-        floor = min(replication, len(live))
-        need = min(floor, live_zone_count)
-        for header in headers:
-            if header.is_genesis:
-                continue
-            holders = [
-                member
-                for member in live
-                if deployment.nodes[member].store.has_body(
-                    header.block_hash
-                )
-            ]
-            if len(domains.zones_of(holders)) < need:
-                return False
-    return True
-
-
 def _run_arm(
     config: DomainCompareConfig,
     aware: bool,
     limits: ValidationLimits,
 ) -> tuple[dict[str, int], int, list[int], ICIDeployment]:
     """Drive one arm: produce clean, kill a zone, read, heal, sweep."""
-    from repro.sim.faults import live_members
-
-    ici = ICIConfig(
-        n_clusters=config.n_clusters,
-        replication=config.replication,
-        limits=limits,
-    )
-    deployment = ICIDeployment(config.n_nodes, config=ici)
-    if aware:
-        deployment.enable_domain_awareness(zones=config.zones)
-    # The victim-resolution map: a standalone instance with the same
-    # striping, so both arms crash the identical physical node set (the
-    # aware arm's installed map derives the same labels — one pure
-    # function of the node id).
+    # The physical topology: a standalone map with the same striping
+    # (one pure function of the node id), so both arms crash the
+    # identical node set and are judged against the same zones — the
+    # oblivious arm has no map of its own.
     topology = FailureDomainMap(zones=config.zones)
-    topology.sync(deployment.nodes.keys())
-    runner = ScenarioRunner(deployment, limits=limits, seed=config.seed)
     # Clean weather: the injector exists for its outage machinery (and
     # for the query engine's failover tail), but drops nothing.
-    injector = FaultPlan(config=FaultConfig(seed=config.seed)).install(
-        deployment.network
+    deployment, runner, injector = build_scenario(
+        config,
+        limits,
+        FaultConfig(seed=config.seed),
+        zones=config.zones if aware else 0,
+        outage_map=topology,
     )
-    injector.bind_domains(topology.members_of_zone)
-    deployment.query.set_retry_policy(CHAOS_QUERY_POLICY)
-
     report = runner.produce_blocks(
         config.n_blocks, txs_per_block=config.txs_per_block
     )
@@ -244,35 +175,14 @@ def _run_arm(
     rng = random.Random(config.seed ^ 0xD0A1)
     zone_killed = rng.randrange(config.zones)
     victims = list(injector.crash_domain(zone_killed))
-
-    row = {
-        "blocks_lost": _coverage_lost(deployment),
-        "reads_attempted": 0,
-        "reads_completed": 0,
-        "reads_failed": 0,
-        "reads_degraded": 0,
-        "repairs_scheduled": 0,
-        "blocks_re_replicated": 0,
-        "repairs_degraded": 0,
-        "diversity_repairs": 0,
-        "spread_deficit": 0,
-        "rounds_to_diversity": -1,
-    }
+    blocks_lost = uncovered_pairs(deployment)
 
     # Reads while the zone is down: live requesters, seeded pairs.
     live = live_members(deployment.network, sorted(deployment.nodes))
-    for _ in range(config.reads):
-        requester = rng.choice(live)
-        block_hash = rng.choice(report.block_hashes)
-        record = deployment.retrieve_block(requester, block_hash)
-        deployment.run()
-        row["reads_attempted"] += 1
-        if record.completed_at is not None:
-            row["reads_completed"] += 1
-        else:
-            row["reads_failed"] += 1
-        if record.degraded:
-            row["reads_degraded"] += 1
+    attempted, completed, degraded = probe_reads(
+        deployment,
+        uniform_reads(rng, live, report.block_hashes, config.reads),
+    )
 
     # Heal, then bounded sweeps until zone diversity is back.  Crashed
     # members kept their disks, so coverage returns with them; what the
@@ -280,21 +190,30 @@ def _run_arm(
     injector.heal()
     repair = deployment.repair
     repair.start(cadence=config.repair_cadence)
+    rounds_to_diversity = -1
     for sweep_round in range(config.max_heal_rounds + 1):
-        if _diversity_with(deployment, topology):
-            row["rounds_to_diversity"] = sweep_round
+        if diversity_met(deployment, topology):
+            rounds_to_diversity = sweep_round
             break
         deployment.network.clock.run_for(config.repair_cadence)
     repair.stop()
     deployment.run()
 
-    row["repairs_scheduled"] = repair.stats.repairs_scheduled
-    row["blocks_re_replicated"] = repair.stats.blocks_re_replicated
-    row["repairs_degraded"] = repair.stats.repairs_degraded
-    row["diversity_repairs"] = repair.diversity_repairs
-    row["spread_deficit"] = getattr(
-        deployment.placement, "domain_spread_deficit", 0
-    )
+    row = {
+        "blocks_lost": blocks_lost,
+        "reads_attempted": attempted,
+        "reads_completed": completed,
+        "reads_failed": attempted - completed,
+        "reads_degraded": degraded,
+        "repairs_scheduled": repair.stats.repairs_scheduled,
+        "blocks_re_replicated": repair.stats.blocks_re_replicated,
+        "repairs_degraded": repair.stats.repairs_degraded,
+        "diversity_repairs": repair.diversity_repairs,
+        "spread_deficit": getattr(
+            deployment.placement, "domain_spread_deficit", 0
+        ),
+        "rounds_to_diversity": rounds_to_diversity,
+    }
     return row, zone_killed, victims, deployment
 
 

@@ -321,7 +321,10 @@ class ArchivalTier:
             self.stats.floor_deficits += 1
             return
         for target in targets:
-            deployment.nodes[target].assign_body(block)
+            node = deployment.nodes[target]
+            # A target that missed header gossip cannot index the body.
+            node.backfill_headers(entry.header, deployment.ledger.store)
+            node.assign_body(block)
         self._forget(cluster_id, entry)
         self.stats.blocks_thawed += 1
         self._trace(

@@ -4,7 +4,7 @@ Covers the whole adaptive loop (:mod:`repro.storage.heat`): the router
 observer that accumulates access heat, the rank-quantile tier planner,
 the repair engine's shed pass and its safety floor, the Zipf read
 workload that makes heat non-uniform, and the acceptance comparison
-(:mod:`repro.sim.adaptive`) behind the ">= 15% ledger bytes at
+(:mod:`repro.sim.tiered_compare`) behind the ">= 15% ledger bytes at
 equal-or-better p95" claim.  Every scenario is seeded; the key ones are
 pinned.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -231,7 +232,7 @@ class TestReplicationPlanner:
 
 class TestShedding:
     def test_cold_blocks_shed_to_floor_and_never_below(self):
-        from repro.sim.adaptive import shed_floor_met
+        from repro.sim.audit import floor_met
 
         deployment, planner, report = build_adaptive()
         tracker = deployment.heat
@@ -249,7 +250,7 @@ class TestShedding:
             )
         assert planner.stats.replicas_shed > 0
         assert planner.stats.floor_violations == 0
-        assert shed_floor_met(deployment, planner)
+        assert floor_met(deployment, shed_only=True)
 
     def test_shedding_is_idempotent_across_sweeps(self):
         deployment, planner, report = build_adaptive()
@@ -342,6 +343,12 @@ class TestZipfReadWorkload:
         )
 
 
+#: sha256 of the canonical-JSON signature of the default E18 run.
+E18_GOLDEN_SHA = (
+    "0bdc515c9f2857ed88e368ba1d610345da64f66c19304640b056f62c7e016fc0"
+)
+
+
 class TestAdaptiveCompare:
     def test_acceptance_savings_latency_and_safety(self):
         """The PR's acceptance gate, verbatim: under Zipf reads at seed
@@ -349,48 +356,50 @@ class TestAdaptiveCompare:
         bytes than fixed-r at equal-or-better p95 query latency, with
         the replica floor and cross-cluster coverage never violated
         while placements converge."""
-        from repro.sim.adaptive import (
-            AdaptiveCompareConfig,
-            run_adaptive_compare,
-        )
+        from repro.sim.tiered_compare import E18, run_tiered_compare
 
-        outcome = run_adaptive_compare(AdaptiveCompareConfig(seed=42))
+        outcome = run_tiered_compare(replace(E18, seed=42))
+        fixed, adaptive = outcome.baseline, outcome.treatment
         assert outcome.savings_fraction >= 0.15, outcome.signature()
         assert outcome.latency_ok, (
-            outcome.adaptive_p95_latency,
-            outcome.fixed_p95_latency,
+            adaptive.p95_latency,
+            fixed.p95_latency,
         )
         assert outcome.converged_safely
         assert outcome.adaptive_stats["replicas_shed"] > 0
         assert outcome.adaptive_stats["sheds_blocked"] == 0
-        assert outcome.fixed_queries_completed == outcome.config.reads
-        assert (
-            outcome.adaptive_queries_completed == outcome.config.reads
-        )
+        assert fixed.queries_completed == outcome.config.reads
+        assert adaptive.queries_completed == outcome.config.reads
+
+    def test_e18_golden_signature(self):
+        """Pinned at the commit before the E18/E19 harnesses merged:
+        the merged harness must reproduce the legacy signature key for
+        key and value for value."""
+        from repro.sim.tiered_compare import E18, run_tiered_compare
+
+        signature = run_tiered_compare(E18).signature()
+        blob = json.dumps(signature, sort_keys=True)
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == E18_GOLDEN_SHA, signature
 
     def test_compare_is_deterministic(self):
-        from repro.sim.adaptive import (
-            AdaptiveCompareConfig,
-            run_adaptive_compare,
-        )
+        from repro.sim.tiered_compare import E18, run_tiered_compare
 
-        config = AdaptiveCompareConfig(
-            n_blocks=8, reads=60, rounds=3
-        )
+        config = replace(E18, n_blocks=8, reads=60, rounds=3)
         assert (
-            run_adaptive_compare(config).signature()
-            == run_adaptive_compare(config).signature()
+            run_tiered_compare(config).signature()
+            == run_tiered_compare(config).signature()
         )
 
     def test_rejects_degenerate_configs(self):
-        from repro.sim.adaptive import AdaptiveCompareConfig
+        from repro.sim.tiered_compare import E18
 
         with pytest.raises(ConfigurationError):
-            AdaptiveCompareConfig(n_blocks=1)
+            replace(E18, n_blocks=1)
         with pytest.raises(ConfigurationError):
-            AdaptiveCompareConfig(rounds=0)
+            replace(E18, rounds=0)
         with pytest.raises(ConfigurationError):
-            AdaptiveCompareConfig(repair_cadence=0.0)
+            replace(E18, repair_cadence=0.0)
 
 
 class TestAdaptiveEndurance:

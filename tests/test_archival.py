@@ -4,7 +4,7 @@ Covers the whole archival loop (:mod:`repro.storage.coded`): the
 cold-block transition from replicas to 3+1 Reed–Solomon chunk sets on
 distinct members, lazy reconstruction through the query failover tail,
 chunk re-homing when holders depart, thaw on re-warm, the acceptance
-comparison (:mod:`repro.sim.archival`) behind the ">= 10% stored bytes
+comparison (:mod:`repro.sim.tiered_compare`) behind the ">= 10% stored bytes
 at full read availability" claim, and the endurance audit's coded
 floor.  Every scenario is seeded; the key ones are pinned.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -222,6 +223,12 @@ class TestArchivalTier:
         assert deployment.archival is tier
 
 
+#: sha256 of the canonical-JSON signature of the default E19 run.
+E19_GOLDEN_SHA = (
+    "8152a3adf64cc3a4181790dcd7dd4a4f2defb64b4927c2b1ed5ee8d1ddae71ca"
+)
+
+
 class TestArchivalCompare:
     def test_acceptance_savings_and_availability(self):
         """The PR's acceptance gate, verbatim: under Zipf reads at seed
@@ -229,43 +236,48 @@ class TestArchivalCompare:
         bytes (replicas + chunks) than adaptive-only, every query still
         completes, and no audit round finds a coverage hole or a block
         below its coded/shed floor."""
-        from repro.sim.archival import (
-            ArchivalCompareConfig,
-            run_archival_compare,
-        )
+        from repro.sim.tiered_compare import E19, run_tiered_compare
 
-        outcome = run_archival_compare(ArchivalCompareConfig(seed=42))
-        assert outcome.coded_bytes < outcome.adaptive_bytes
+        outcome = run_tiered_compare(replace(E19, seed=42))
+        adaptive, coded = outcome.baseline, outcome.treatment
+        assert coded.bytes < adaptive.bytes
         assert outcome.savings_fraction >= 0.10, outcome.signature()
         assert outcome.reads_ok
         assert outcome.converged_safely
         assert outcome.archival_stats["blocks_archived"] > 0
         assert outcome.archival_stats["reconstructions"] > 0
         assert outcome.archival_stats["failed_reconstructions"] == 0
-        assert outcome.adaptive_queries_completed == outcome.config.reads
-        assert outcome.coded_queries_completed == outcome.config.reads
+        assert adaptive.queries_completed == outcome.config.reads
+        assert coded.queries_completed == outcome.config.reads
+
+    def test_e19_golden_signature(self):
+        """Pinned at the commit before the E18/E19 harnesses merged
+        (see the E18 pin in tests/test_adaptive.py)."""
+        from repro.sim.tiered_compare import E19, run_tiered_compare
+
+        signature = run_tiered_compare(E19).signature()
+        blob = json.dumps(signature, sort_keys=True)
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == E19_GOLDEN_SHA, signature
 
     def test_compare_is_deterministic(self):
-        from repro.sim.archival import (
-            ArchivalCompareConfig,
-            run_archival_compare,
-        )
+        from repro.sim.tiered_compare import E19, run_tiered_compare
 
-        config = ArchivalCompareConfig(n_blocks=8, reads=60, rounds=3)
+        config = replace(E19, n_blocks=8, reads=60, rounds=3)
         assert (
-            run_archival_compare(config).signature()
-            == run_archival_compare(config).signature()
+            run_tiered_compare(config).signature()
+            == run_tiered_compare(config).signature()
         )
 
     def test_rejects_degenerate_configs(self):
-        from repro.sim.archival import ArchivalCompareConfig
+        from repro.sim.tiered_compare import E19
 
         with pytest.raises(ConfigurationError):
-            ArchivalCompareConfig(n_blocks=1)
+            replace(E19, n_blocks=1)
         with pytest.raises(ConfigurationError):
-            ArchivalCompareConfig(rounds=0)
+            replace(E19, rounds=0)
         with pytest.raises(ConfigurationError):
-            ArchivalCompareConfig(repair_cadence=0.0)
+            replace(E19, repair_cadence=0.0)
 
 
 class TestArchivalEndurance:
@@ -286,6 +298,15 @@ class TestArchivalEndurance:
         assert outcome.archival["chunks_repaired"] > 0
         assert outcome.archival["failed_reconstructions"] == 0
         assert outcome.storage_total_bytes > 0
+
+    def test_thaw_backfills_a_target_that_missed_header_gossip(self):
+        """Regression: at seed 1 a re-warmed block thaws onto a member
+        that was cut off while its header gossiped; handing it the
+        decoded body used to raise ``ValidationError: header arrived
+        before its parent``."""
+        outcome = self.endurance(seed=1, queries=8)
+        assert outcome.archival["blocks_thawed"] > 0
+        assert outcome.integrity_restored
 
     def test_archival_golden_signature(self):
         signature = self.endurance().signature()

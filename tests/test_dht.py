@@ -13,6 +13,9 @@ seeded and the key signatures are pinned for determinism.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.config import ICIConfig
@@ -323,6 +326,12 @@ def test_endurance_dht_audit():
     assert "dht" in outcome.signature()
 
 
+#: sha256 of the canonical-JSON signature of the default E20 run.
+E20_GOLDEN_SHA = (
+    "c115ed2521e119cf0325b175654b2bc100991526f3589e5eb0bef19f87438b1c"
+)
+
+
 def test_dht_compare_sublinear_and_deterministic():
     config = DhtCompareConfig(
         network_sizes=(12, 24), n_blocks=3, lookups=6
@@ -334,6 +343,15 @@ def test_dht_compare_sublinear_and_deterministic():
     assert outcome.chaos_integrity
     again = run_dht_compare(config, limits=TEST_LIMITS)
     assert outcome.signature() == again.signature()
+
+
+def test_e20_golden_signature():
+    """The default E20 run, pinned like E18/E19/E21: its chaos leg also
+    pins that the overlay is enabled *under* the fault weather."""
+    signature = run_dht_compare().signature()
+    blob = json.dumps(signature, sort_keys=True)
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == E20_GOLDEN_SHA, signature
 
 
 def test_dht_compare_config_validation():

@@ -27,10 +27,10 @@ from repro.net.domains import DomainLabel, FailureDomainMap
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.simclock import SimClock
+from repro.sim.audit import diversity_met
 from repro.sim.chaos import (
     ChaosConfig,
     EnduranceConfig,
-    domain_diversity_met,
     run_chaos,
     run_endurance,
 )
@@ -407,7 +407,7 @@ def test_domain_diversity_met_trivially_true_without_map():
     deployment = ICIDeployment(
         8, config=ICIConfig(n_clusters=2, limits=TEST_LIMITS)
     )
-    assert domain_diversity_met(deployment)
+    assert diversity_met(deployment)
 
 
 # ----------------------------------------------------------------- E21 / pin
