@@ -38,6 +38,12 @@ class ChainStore:
         self._bodies: dict[Hash32, Block] = {}
         self._by_height: dict[int, list[Hash32]] = {}
         self._tip: BlockHeader | None = None
+        # Genesis→tip headers of the chain ending at ``_active_tip``;
+        # ancestry is immutable, so the pair is valid until the tip moves.
+        self._active_chain: list[BlockHeader] = []
+        self._active_tip: BlockHeader | None = None
+        self._header_bytes = 0
+        self._body_bytes = 0
 
     # -------------------------------------------------------------- headers
     def add_header(self, header: BlockHeader) -> bool:
@@ -55,6 +61,7 @@ class ChainStore:
                 "header arrived before its parent; fetch parents first"
             )
         self._headers[block_hash] = header
+        self._header_bytes += header.size_bytes
         self._by_height.setdefault(header.height, []).append(block_hash)
         if self._tip is None or header.height > self._tip.height:
             self._tip = header
@@ -106,16 +113,27 @@ class ChainStore:
 
     def iter_active_headers(self) -> Iterator[BlockHeader]:
         """Active chain headers from genesis to tip."""
-        if self._tip is None:
-            return
-        chain: list[BlockHeader] = []
-        current = self._tip
-        while True:
-            chain.append(current)
-            if current.is_genesis:
-                break
-            current = self.header(current.prev_hash)
-        yield from reversed(chain)
+        tip = self._tip
+        if tip is not self._active_tip:
+            # Walk back only to where the new tip's ancestry meets the
+            # cached chain (one step for an extension, the fork point
+            # after a reorg) and splice; a new list each time, so
+            # iterators handed out earlier keep their snapshot.
+            cached = self._active_chain
+            suffix: list[BlockHeader] = []
+            current = tip
+            while not (
+                current.height < len(cached)
+                and cached[current.height] is current
+            ):
+                suffix.append(current)
+                if current.is_genesis:
+                    break
+                current = self.header(current.prev_hash)
+            suffix.reverse()
+            self._active_chain = cached[: suffix[0].height] + suffix
+            self._active_tip = tip
+        return iter(self._active_chain)
 
     # --------------------------------------------------------------- bodies
     def add_body(self, block: Block) -> bool:
@@ -127,11 +145,16 @@ class ChainStore:
         if block.block_hash in self._bodies:
             return False
         self._bodies[block.block_hash] = block
+        self._body_bytes += block.body_size_bytes
         return True
 
     def drop_body(self, block_hash: Hash32) -> bool:
         """Discard a held body, keeping the header (pruning)."""
-        return self._bodies.pop(block_hash, None) is not None
+        block = self._bodies.pop(block_hash, None)
+        if block is None:
+            return False
+        self._body_bytes -= block.body_size_bytes
+        return True
 
     def has_body(self, block_hash: Hash32) -> bool:
         """Is this body held locally?"""
@@ -168,12 +191,12 @@ class ChainStore:
     @property
     def header_bytes(self) -> int:
         """Bytes consumed by indexed headers."""
-        return sum(h.size_bytes for h in self._headers.values())
+        return self._header_bytes
 
     @property
     def body_bytes(self) -> int:
         """Bytes consumed by held bodies (transactions only)."""
-        return sum(b.body_size_bytes for b in self._bodies.values())
+        return self._body_bytes
 
     @property
     def stored_bytes(self) -> int:

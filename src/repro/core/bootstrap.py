@@ -126,15 +126,13 @@ def continue_bootstrap_with_headers(
         state.report.snapshot_bytes += len(snapshot)
         state.utxo_snapshot = UtxoSet.deserialize_snapshot(snapshot)
 
+    # The joiner is in no old holder set, so every block it wins (and
+    # every peer-to-peer move) is among the blocks whose holders change.
     new_members = deployment.clusters.members_of(node.cluster_id)
     by_source: dict[int, list[Hash32]] = {}
-    for header in headers:
-        old_holders = deployment.placement.holders(
-            header, state.old_members, deployment.config.replication
-        )
-        new_holders = deployment.placement.holders(
-            header, new_members, deployment.config.replication
-        )
+    for header, old_holders, new_holders in deployment.placement.reassignments(
+        headers, state.old_members, new_members, deployment.config.replication
+    ):
         _apply_peer_migration(
             deployment, state, header, old_holders, new_holders
         )
@@ -226,18 +224,15 @@ def _prune_displaced_holders(
     node = deployment.nodes[state.report.node_id]
     assert isinstance(node, ClusterNode)
     new_members = deployment.clusters.members_of(node.cluster_id)
-    for header in node.store.iter_active_headers():
-        new_holders = set(
-            deployment.placement.holders(
-                header, new_members, deployment.config.replication
-            )
-        )
+    for header, old_holders, new_holders in deployment.placement.reassignments(
+        node.store.iter_active_headers(),
+        state.old_members,
+        new_members,
+        deployment.config.replication,
+    ):
         if node.node_id not in new_holders:
             continue
-        old_holders = deployment.placement.holders(
-            header, state.old_members, deployment.config.replication
-        )
-        for displaced in set(old_holders) - new_holders:
+        for displaced in set(old_holders) - set(new_holders):
             # The displaced holder may have departed (or crashed out of
             # membership) while the bootstrap was in flight under churn.
             holder = deployment.nodes.get(displaced)

@@ -156,7 +156,7 @@ def _begin(
         raise ClusteringError(f"node {node_id} is not deployed")
     cluster_id = deployment.clusters.cluster_of(node_id)
     old_members = deployment.clusters.members_of(cluster_id)
-    new_members = [m for m in old_members if m != node_id]
+    new_members = tuple(m for m in old_members if m != node_id)
     if len(new_members) < deployment.config.replication:
         raise ClusteringError(
             "departure would leave fewer members than the replication "
@@ -215,7 +215,7 @@ def _track_transfer(
     session: _RepairSession,
     transfers: dict[tuple[int, int], set[Hash32]],
     target: int,
-    new_members: list[int],
+    new_members: tuple[int, ...],
 ) -> None:
     """Run one target's batch on tracker deadlines with source failover.
 
@@ -262,7 +262,7 @@ def _track_transfer(
 def _plan(
     deployment: "ICIDeployment",
     old_members: tuple[int, ...],
-    new_members: list[int],
+    new_members: tuple[int, ...],
     leaving: int,
 ) -> tuple[
     dict[tuple[int, int], set[Hash32]],
@@ -281,16 +281,12 @@ def _plan(
     transfers: dict[tuple[int, int], set[Hash32]] = {}
     lost: list[Hash32] = []
     prune_plan: list[tuple[int, Hash32]] = []
-    replication = deployment.config.replication
-    for header in deployment.ledger.store.iter_active_headers():
-        old_holders = deployment.placement.holders(
-            header, old_members, replication
-        )
-        new_holders = deployment.placement.holders(
-            header, new_members, replication
-        )
-        if set(old_holders) == set(new_holders):
-            continue
+    for header, old_holders, new_holders in deployment.placement.reassignments(
+        deployment.ledger.store.iter_active_headers(),
+        old_members,
+        new_members,
+        deployment.config.replication,
+    ):
         gained = [m for m in new_holders if m not in old_holders]
         for stale in set(old_holders) - set(new_holders) - {leaving}:
             prune_plan.append((stale, header.block_hash))
@@ -317,7 +313,7 @@ def _plan(
 def _recover_from_parity(
     deployment: "ICIDeployment",
     cluster_id: int,
-    new_members: list[int],
+    new_members: tuple[int, ...],
     lost: list[Hash32],
 ) -> list[Hash32]:
     """Rebuild otherwise-lost blocks via the parity extension.

@@ -190,12 +190,9 @@ class ICIDeployment(StorageDeployment):
             # domain map at this choke point keeps labels current
             # through churn without per-call bookkeeping.
             self.domains.sync(self.nodes.keys())
-        members_by_cluster = [
-            list(view.members) for view in self.clusters.views()
-        ]
         self.network.set_topology(
             clustered_topology(
-                members_by_cluster,
+                [view.members for view in self.clusters.views()],
                 inter_cluster_links=self.config.inter_cluster_links,
                 seed=self.config.seed,
             )

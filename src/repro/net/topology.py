@@ -80,18 +80,23 @@ def clustered_topology(
     rng = random.Random(seed)
     adjacency: dict[int, set[int]] = {}
     for members in clusters:
-        mesh = full_mesh(list(members))
-        for node, peers in mesh.items():
-            adjacency.setdefault(node, set()).update(peers)
+        mesh = set(members)
+        for node in members:
+            adjacency.setdefault(node, set()).update(mesh)
+    for node, peers in adjacency.items():
+        peers.discard(node)
+    links = max(inter_cluster_links, 1)
     for i, cluster_a in enumerate(clusters):
+        if not cluster_a:
+            continue
         for cluster_b in clusters[i + 1 :]:
-            if not cluster_a or not cluster_b:
+            if not cluster_b:
                 continue
-            for _ in range(max(inter_cluster_links, 1)):
-                a = rng.choice(list(cluster_a))
-                b = rng.choice(list(cluster_b))
-                adjacency.setdefault(a, set()).add(b)
-                adjacency.setdefault(b, set()).add(a)
+            for _ in range(links):
+                a = rng.choice(cluster_a)
+                b = rng.choice(cluster_b)
+                adjacency[a].add(b)
+                adjacency[b].add(a)
     return {node: tuple(sorted(peers)) for node, peers in adjacency.items()}
 
 

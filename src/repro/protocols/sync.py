@@ -48,12 +48,6 @@ class BootstrapState:
         # The decoded UTXO snapshot when real fast-sync is enabled.
         self.utxo_snapshot = None
 
-    def check_complete(self, now: float) -> None:
-        """Mark the report complete once nothing is pending."""
-        if not self.pending_sources and not self.expected_bodies:
-            if self.report.completed_at is None:
-                self.report.completed_at = now
-
 
 class SyncEngine(ProtocolEngine):
     """Join/leave/crash-repair synchronization traffic."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.chain.block import BlockHeader
 from repro.errors import PlacementError
@@ -45,6 +45,26 @@ class PlacementPolicy(ABC):
                 inconsistent.
         """
 
+    def reassignments(
+        self,
+        headers: Iterable[BlockHeader],
+        old_members: Sequence[int],
+        new_members: Sequence[int],
+        replication: int,
+    ) -> Iterable[tuple[BlockHeader, tuple[int, ...], tuple[int, ...]]]:
+        """``(header, old_holders, new_holders)`` per block that moves.
+
+        The one traversal behind join, prune and departure planning: in
+        header order, exactly the blocks whose holder *set* differs
+        between the two memberships, with both tuples as :meth:`holders`
+        returns them.
+        """
+        for header in headers:
+            old_holders = self.holders(header, old_members, replication)
+            new_holders = self.holders(header, new_members, replication)
+            if set(old_holders) != set(new_holders):
+                yield header, old_holders, new_holders
+
     @staticmethod
     def _check(members: Sequence[int], replication: int) -> list[int]:
         if replication < 1:
@@ -60,7 +80,55 @@ class PlacementPolicy(ABC):
         return sorted(members)
 
 
-class RendezvousPlacement(PlacementPolicy):
+class _HrwPlacement(PlacementPolicy):
+    """Rendezvous ranking and its memo, shared by the HRW policies.
+
+    A member's score for a block, ``(sha256(hash ‖ member)[:8], member)``
+    packed into one int, does not depend on who else is in the cluster,
+    so scores live in per-block *rows* that every membership of every
+    cluster reuses: a surviving member is never re-hashed.  Results are
+    memoized one group per membership key, so a membership that churn
+    left behind is one dead dict rather than a key tuple per block.
+    """
+
+    #: Soft cap on memoized values (scores + placements); rows and groups
+    #: reset together when exceeded so long churn simulations cannot grow
+    #: them without bound.
+    _CACHE_LIMIT = 200_000
+
+    def __init__(self) -> None:
+        self._rows: dict[bytes, dict[int, int]] = {}
+        self._groups: dict[tuple, dict[bytes, tuple[int, ...]]] = {}
+        self._entries = 0
+
+    def _ranked(self, block_hash: bytes, members: Sequence[int]) -> list[int]:
+        """``members`` by descending score, hashing only unseen ones."""
+        row = self._rows.get(block_hash)
+        if row is None:
+            row = self._rows[block_hash] = {}
+        unseen = [member for member in members if member not in row]
+        for member in unseen:
+            row[member] = _score(block_hash, member)
+        self._entries += len(unseen)
+        return sorted(members, key=row.__getitem__, reverse=True)
+
+    def _group(self, key: tuple) -> dict[bytes, tuple[int, ...]]:
+        """The memo group of one membership key, after the limit check.
+
+        Fetched before ranking, never after, so a reset cannot strand a
+        memoized placement without the score row of its holders.
+        """
+        if self._entries >= self._CACHE_LIMIT:
+            self._rows.clear()
+            self._groups.clear()
+            self._entries = 0
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = {}
+        return group
+
+
+class RendezvousPlacement(_HrwPlacement):
     """Highest-random-weight (rendezvous) hashing — the default policy.
 
     Each member gets a per-block score ``hash(block_hash || member)``; the
@@ -69,13 +137,6 @@ class RendezvousPlacement(PlacementPolicy):
     joins a cluster of ``m``, only the expected ``r/(m+1)`` fraction of
     blocks change holders (exactly the blocks the joiner wins).
     """
-
-    #: Soft cap on memoized placements; the cache resets when exceeded so
-    #: long churn simulations cannot grow it without bound.
-    _CACHE_LIMIT = 200_000
-
-    def __init__(self) -> None:
-        self._cache: dict[tuple, tuple[int, ...]] = {}
 
     def holders(
         self,
@@ -88,28 +149,92 @@ class RendezvousPlacement(PlacementPolicy):
         # block (the protocol's directory-free property), so memoizing on
         # the full public input is a pure win: placements are deterministic
         # functions of (block hash, membership, replication).
-        key = (header.block_hash, tuple(members), replication)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        key = (tuple(members), replication)
+        group = self._groups.get(key)
+        if group is not None:
+            cached = group.get(header.block_hash)
+            if cached is not None:
+                return cached
         canonical = self._check(members, replication)
-        block_hash = header.block_hash
-        scored = sorted(
-            canonical,
-            key=lambda member: (
-                _member_block_digest(block_hash, member),
-                member,
-            ),
-            reverse=True,
+        group = self._group(key)
+        result = group[header.block_hash] = self._top(
+            header.block_hash, canonical, replication
         )
-        result = tuple(sorted(scored[:replication]))
-        if len(self._cache) >= self._CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[key] = result
+        self._entries += 1
         return result
 
+    def _top(
+        self, block_hash: bytes, canonical: list[int], replication: int
+    ) -> tuple[int, ...]:
+        return tuple(sorted(self._ranked(block_hash, canonical)[:replication]))
 
-class DomainSpreadPlacement(PlacementPolicy):
+    def reassignments(
+        self,
+        headers: Iterable[BlockHeader],
+        old_members: Sequence[int],
+        new_members: Sequence[int],
+        replication: int,
+    ) -> Iterable[tuple[BlockHeader, tuple[int, ...], tuple[int, ...]]]:
+        """See :meth:`PlacementPolicy.reassignments`.
+
+        The order on scores is the same in every membership, so when one
+        member joins or leaves, a block's top ``r`` changes only if that
+        member is — or outranks — a holder: a join costs one digest per
+        block and a comparison with the lowest-ranked old holder, a leave
+        re-ranks (from the score row, no hashing) only the blocks the
+        leaver held.  Every block's result seeds the new membership's
+        memo group.  Any other delta takes the generic diff.
+        """
+        old_key, new_key = tuple(old_members), tuple(new_members)
+        old_set, new_set = set(old_key), set(new_key)
+        delta = old_set ^ new_set
+        if (
+            len(delta) != 1
+            or len(old_set) != len(old_key)
+            or len(new_set) != len(new_key)
+        ):
+            return super().reassignments(
+                headers, old_key, new_key, replication
+            )
+        (changed,) = delta
+        joining = changed in new_set
+        old_canonical = self._check(old_key, replication)
+        new_canonical = self._check(new_key, replication)
+        old_group = self._group((old_key, replication))
+        new_group = self._group((new_key, replication))
+        before = len(old_group) + len(new_group)
+        scored = 0
+        moved = []
+        for header in headers:
+            block_hash = header.block_hash
+            old = old_group.get(block_hash)
+            if old is None:
+                old = old_group[block_hash] = self._top(
+                    block_hash, old_canonical, replication
+                )
+            new = new_group.get(block_hash)
+            if new is None:
+                new = old
+                if joining:
+                    row = self._rows[block_hash]
+                    if changed not in row:
+                        row[changed] = _score(block_hash, changed)
+                        scored += 1
+                    lowest = min(old, key=row.__getitem__)
+                    if row[changed] > row[lowest]:
+                        new = tuple(
+                            sorted(changed if m == lowest else m for m in old)
+                        )
+                elif changed in old:
+                    new = self._top(block_hash, new_canonical, replication)
+                new_group[block_hash] = new
+            if new != old:
+                moved.append((header, old, new))
+        self._entries += len(old_group) + len(new_group) - before + scored
+        return moved
+
+
+class DomainSpreadPlacement(_HrwPlacement):
     """Rendezvous ranking post-filtered for failure-domain diversity.
 
     Walks the same highest-random-weight ranking as
@@ -130,14 +255,14 @@ class DomainSpreadPlacement(PlacementPolicy):
 
     Memoization keys include the domain map's version counter: a
     re-assignment or membership sync invalidates stale spreads without
-    flushing unrelated entries.
+    flushing unrelated entries.  The greedy pick is not a top-``r`` of a
+    membership-independent order (one joiner can change which zones count
+    as used), so :meth:`reassignments` stays the generic diff.
     """
 
-    _CACHE_LIMIT = 200_000
-
     def __init__(self, domains: "FailureDomainMap") -> None:
+        super().__init__()
         self._domains = domains
-        self._cache: dict[tuple, tuple[int, ...]] = {}
         #: Placements (distinct block/membership/version inputs) that
         #: could not put every replica in its own zone.
         self.domain_spread_deficit = 0
@@ -154,25 +279,15 @@ class DomainSpreadPlacement(PlacementPolicy):
         replication: int,
     ) -> tuple[int, ...]:
         """See :meth:`PlacementPolicy.holders`."""
-        key = (
-            header.block_hash,
-            tuple(members),
-            replication,
-            self._domains.version,
-        )
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        key = (tuple(members), replication, self._domains.version)
+        group = self._groups.get(key)
+        if group is not None:
+            cached = group.get(header.block_hash)
+            if cached is not None:
+                return cached
         canonical = self._check(members, replication)
-        block_hash = header.block_hash
-        ranked = sorted(
-            canonical,
-            key=lambda member: (
-                _member_block_digest(block_hash, member),
-                member,
-            ),
-            reverse=True,
-        )
+        group = self._group(key)
+        ranked = self._ranked(header.block_hash, canonical)
         chosen: list[int] = []
         used_zones: set[int] = set()
         used_labels: set = set()
@@ -206,10 +321,8 @@ class DomainSpreadPlacement(PlacementPolicy):
                     chosen.append(member)
         if len({self._domains.zone_of(m) for m in chosen}) < len(chosen):
             self.domain_spread_deficit += 1
-        result = tuple(sorted(chosen))
-        if len(self._cache) >= self._CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[key] = result
+        result = group[header.block_hash] = tuple(sorted(chosen))
+        self._entries += 1
         return result
 
 
@@ -290,9 +403,7 @@ class CapacityWeightedPlacement(PlacementPolicy):
         block_hash = header.block_hash
         scored: list[tuple[float, int]] = []
         for member in canonical:
-            digest = int.from_bytes(
-                _member_block_digest(block_hash, member), "big"
-            )
+            digest = _score(block_hash, member) >> 64
             # Map digest to (0, 1), then weight per HRW-with-weights:
             # score = -capacity / ln(u); larger is better.
             uniform = (digest + 1) / float(2**64 + 1)
@@ -302,11 +413,15 @@ class CapacityWeightedPlacement(PlacementPolicy):
         return tuple(member for _, member in scored[:replication])
 
 
-def _member_block_digest(block_hash: bytes, member: int) -> bytes:
-    """8-byte mixing of a block hash with a member id (for HRW scoring)."""
-    return _sha256(
-        block_hash + member.to_bytes(8, "big")
-    ).digest()[:8]
+def _score(block_hash: bytes, member: int) -> int:
+    """A member's HRW rank for a block: ``(digest, member)`` as one int.
+
+    The digest is the first 8 bytes of ``sha256(block_hash ‖ member)``;
+    packed above the member id, int order equals the order on
+    ``(digest bytes, member)`` pairs.
+    """
+    digest = _sha256(block_hash + member.to_bytes(8, "big")).digest()[:8]
+    return int.from_bytes(digest, "big") << 64 | member
 
 
 _sha256 = hashlib.sha256

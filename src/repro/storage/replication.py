@@ -137,16 +137,17 @@ def plan_repair_after_departure(
     """
     if departed not in old_members:
         raise StorageError(f"node {departed} is not a cluster member")
-    new_members = [m for m in old_members if m != departed]
+    new_members = tuple(m for m in old_members if m != departed)
     if replication > len(new_members):
         raise StorageError(
             "departure leaves fewer members than the replication factor"
         )
     transfers: list[tuple[bytes, int, int]] = []
     bytes_moved = 0
-    for header in headers:
-        old_holders = set(policy.holders(header, old_members, replication))
-        new_holders = set(policy.holders(header, new_members, replication))
+    for header, old, new in policy.reassignments(
+        headers, old_members, new_members, replication
+    ):
+        old_holders, new_holders = set(old), set(new)
         survivors = old_holders - {departed}
         gained = new_holders - old_holders
         if not gained:

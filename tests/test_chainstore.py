@@ -60,6 +60,52 @@ class TestChainStoreHeaders:
         heights = [h.height for h in ledger.store.iter_active_headers()]
         assert heights == [0, 1, 2, 3]
 
+    def test_iter_active_headers_is_fresh_each_call(
+        self, ledger, chain_of_three
+    ):
+        store = ledger.store
+        first = store.iter_active_headers()
+        assert next(first).height == 0
+        # A second call starts over, and a consumer mutating its own list
+        # cannot reach the cached chain.
+        taken = list(store.iter_active_headers())
+        taken.clear()
+        assert [h.height for h in store.iter_active_headers()] == [0, 1, 2, 3]
+        assert [h.height for h in first] == [1, 2, 3]
+
+    def test_iterator_keeps_its_snapshot_when_the_tip_moves(
+        self, ledger, alice, bob, chain_of_three
+    ):
+        store = ledger.store
+        in_flight = store.iter_active_headers()
+        assert next(in_flight).height == 0
+        ledger.accept_block(make_transfer_block(ledger, alice, bob, 5))
+        assert [h.height for h in store.iter_active_headers()] == [
+            0, 1, 2, 3, 4,
+        ]
+        assert [h.height for h in in_flight] == [1, 2, 3]
+
+    def test_iter_active_headers_follows_an_overtaking_fork(
+        self, ledger, alice, bob, chain_of_three
+    ):
+        """The cached chain is spliced at the fork point, not reused."""
+        store = ledger.store
+        main = list(store.iter_active_headers())
+        side = Ledger(genesis=store.body(main[0].block_hash), limits=TEST_LIMITS)
+        side.accept_block(store.body(main[1].block_hash))
+        branch = []
+        for amount in (7, 8, 9):
+            block = make_transfer_block(side, alice, bob, amount)
+            side.accept_block(block)
+            branch.append(block.header)
+        # Equal height: the first-seen tip stays, and so does its chain.
+        store.add_header(branch[0])
+        store.add_header(branch[1])
+        assert list(store.iter_active_headers()) == main
+        store.add_header(branch[2])
+        assert list(store.iter_active_headers()) == main[:2] + branch
+        assert store.tip is branch[2]
+
 
 class TestChainStoreBodies:
     def test_add_body_indexes_header(self, genesis):
@@ -91,6 +137,45 @@ class TestChainStoreBodies:
         assert store.stored_bytes == 84 + genesis.body_size_bytes
         store.drop_body(genesis.block_hash)
         assert store.stored_bytes == 84
+
+    def test_running_totals_equal_a_fresh_resum(
+        self, ledger, chain_of_three
+    ):
+        """Interleaved add / drop / duplicate add / drop of an unheld body."""
+        genesis = ledger.store.body(ledger.active_hash_at(0))
+        one, two, three = chain_of_three
+        store = ChainStore()
+
+        def check():
+            assert store.header_bytes == sum(
+                header.size_bytes
+                for height in range(store.height + 1)
+                for header in store.headers_at(height)
+            )
+            assert store.body_bytes == sum(
+                b.body_size_bytes for b in store.iter_bodies()
+            )
+            assert store.stored_bytes == store.header_bytes + store.body_bytes
+
+        steps = [
+            lambda: store.add_body(genesis),
+            lambda: store.add_header(one.header),
+            lambda: store.add_body(one),
+            lambda: store.add_body(one),  # duplicate body
+            lambda: store.add_header(one.header),  # duplicate header
+            lambda: store.drop_body(genesis.block_hash),
+            lambda: store.drop_body(genesis.block_hash),  # already gone
+            lambda: store.add_body(two),
+            lambda: store.drop_body(three.block_hash),  # never held
+            lambda: store.add_body(genesis),  # re-add after drop
+            lambda: store.add_body(three),
+            lambda: store.drop_body(two.block_hash),
+        ]
+        for step in steps:
+            step()
+            check()
+        assert store.header_count == 4
+        assert store.body_count == 3
 
 
 class TestLedger:
@@ -167,6 +252,25 @@ class TestReorg:
         assert disconnected == 1
         assert ledger.height == 2
         assert ledger.tip.block_hash == branch[-1].block_hash
+
+    def test_active_headers_track_undo_and_reorg(self, ledger, alice, bob):
+        """The store's cached chain is revalidated across Ledger reorgs."""
+        store = ledger.store
+        main = make_transfer_block(ledger, alice, bob, 1_000)
+        ledger.accept_block(main)
+        assert [h.block_hash for h in store.iter_active_headers()] == [
+            ledger.active_hash_at(0), main.block_hash,
+        ]
+        branch = self._fork_from_genesis(ledger, alice, bob, 2)
+        ledger.reorg_to(branch)
+        assert [h.block_hash for h in store.iter_active_headers()] == [
+            ledger.active_hash_at(0), *(b.block_hash for b in branch),
+        ]
+        # Undo disconnects the UTXO state only; headers (and so the
+        # store's highest-header chain) stay.
+        ledger.undo_tip()
+        assert [h.height for h in store.iter_active_headers()] == [0, 1, 2]
+        assert store.tip.block_hash == branch[-1].block_hash
 
     def test_equal_length_branch_rejected(self, ledger, alice, bob):
         main = make_transfer_block(ledger, alice, bob, 1_000)

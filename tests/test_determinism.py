@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
+import pytest
+
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.sim.runner import ScenarioRunner
@@ -69,3 +74,76 @@ class TestBitReproducibility:
             for node_id, node in deployment_b.nodes.items()
         }
         assert layout_a == layout_b
+
+
+def churn_sequence_sha(placement: str) -> str:
+    """40 join → leave → join → crash-repair ops on a 20-block ledger.
+
+    The unit-scale twin of perfbench's ``membership_churn``: every number
+    a membership change produces (per-op virtual duration, bytes and body
+    counts, the final per-node storage and the traffic totals) folded
+    into one digest.
+    """
+    deployment = ICIDeployment(
+        24,
+        config=ICIConfig(
+            n_clusters=3,
+            replication=2,
+            limits=TEST_LIMITS,
+            placement=placement,
+        ),
+    )
+    ScenarioRunner(deployment, limits=TEST_LIMITS, seed=5).produce_blocks(
+        20, txs_per_block=4
+    )
+    rng = random.Random(5)
+    ops = []
+    for index in range(40):
+        if index % 2 == 0:
+            report = deployment.join_new_node()
+            deployment.run()
+            ops.append(
+                (report.duration, report.total_bytes, report.bodies_fetched)
+            )
+            continue
+        largest = max(
+            deployment.clusters.views(), key=lambda view: len(view.members)
+        )
+        victim = rng.choice(largest.members)
+        if index % 4 == 1:
+            report = deployment.leave_node(victim)
+        else:
+            report = deployment.repair_after_crash(victim)
+        deployment.run()
+        ops.append(
+            (report.duration, report.bytes_moved, report.blocks_transferred)
+        )
+    assert all(duration is not None for duration, _, _ in ops)
+    traffic = deployment.network.traffic
+    record = (
+        ops,
+        deployment.storage_report().per_node,
+        traffic.total_messages,
+        traffic.total_bytes,
+        sorted((kind.name, n) for kind, n in traffic.bytes_by_kind.items()),
+    )
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+class TestChurnSequencePin:
+    """Membership changes are simulated-number-identical to PR 13.
+
+    The shas were taken at the parent of the O(delta) membership PR
+    (per-header ``holders(old)/holders(new)`` loops, flat placement
+    memo); ``modulo`` drives the generic ``reassignments`` path.
+    """
+
+    @pytest.mark.parametrize(
+        "placement, expected",
+        [
+            ("hash", "dcdce0428b6c00dfebc53de32aefc455bc4045469005526509daebf819e03aa2"),
+            ("modulo", "508a1b14324c1534ca569884f5777e4e2091508e0c88ff79d22ecfbba10cb639"),
+        ],
+    )
+    def test_churn_sequence_unchanged(self, placement, expected):
+        assert churn_sequence_sha(placement) == expected

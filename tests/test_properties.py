@@ -10,6 +10,8 @@ the same example set every run.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from repro.chain.block import BlockHeader
 from repro.crypto.hashing import ZERO_HASH, sha256
 from repro.errors import PlacementError, StorageError
+from repro.net.domains import FailureDomainMap
 from repro.storage.erasure import encode_group, recover_chunk
 from repro.storage.layout import (
     balanced_clusters,
@@ -25,6 +28,7 @@ from repro.storage.layout import (
     synthetic_chain,
 )
 from repro.storage.placement import (
+    DomainSpreadPlacement,
     ModuloSlotPlacement,
     RendezvousPlacement,
     RoundRobinPlacement,
@@ -128,6 +132,119 @@ class TestPlacementProperties:
         assert sum(load.values()) == 400 * 2
         assert all(count > 0 for count in load.values())
         assert load_imbalance(load) < 1.5
+
+
+def reference_ranking(header: BlockHeader, members) -> list[int]:
+    """HRW from scratch, no memo: the definition the policies must equal."""
+    return sorted(
+        members,
+        key=lambda member: (
+            hashlib.sha256(
+                header.block_hash + member.to_bytes(8, "big")
+            ).digest()[:8],
+            member,
+        ),
+        reverse=True,
+    )
+
+
+def reference_rendezvous(header, members, replication) -> tuple[int, ...]:
+    return tuple(sorted(reference_ranking(header, members)[:replication]))
+
+
+def reference_domain_spread(
+    domains: FailureDomainMap, header, members, replication
+) -> tuple[int, ...]:
+    """Greedy over the reference ranking: new zone, new rack, then fill."""
+    ranked = reference_ranking(header, members)
+    chosen: list[int] = []
+    for label_of in (domains.zone_of, domains.domain_of, lambda member: member):
+        for member in ranked:
+            taken = {label_of(holder) for holder in chosen}
+            if len(chosen) < replication and label_of(member) not in taken:
+                chosen.append(member)
+    return tuple(sorted(chosen))
+
+
+#: (join?, pick) steps: a join adds ``pick`` if new, a leave removes the
+#: member at ``pick mod size``.
+churn_strategy = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=10_000)),
+    max_size=10,
+)
+
+
+def churned(members: list[int], steps, floor: int):
+    """The membership after each step, never below ``floor`` members."""
+    members = list(members)
+    yield members
+    for join, pick in steps:
+        if join and pick not in members:
+            members = members + [pick]
+        elif not join and len(members) > floor:
+            members = [m for m in members if m != members[pick % len(members)]]
+        else:
+            continue
+        yield members
+
+
+class TestMemoizedPlacementEquivalence:
+    """Score rows + grouped memo never change an answer.
+
+    One long-lived policy instance is walked through a random join/leave
+    sequence and asked for replication ``r-1 … r+2`` at every step (all
+    sharing one score row per block); each answer, miss and hit alike,
+    must equal the uncached reference.
+    """
+
+    HEADERS = [header_at(height, salt=7) for height in range(5)]
+
+    def _walk(self, policy, reference, members, steps, replication):
+        for current in churned(members, steps, floor=replication):
+            for r in range(max(1, replication - 1), replication + 3):
+                if r > len(current):
+                    continue
+                for header in self.HEADERS:
+                    expected = reference(header, current, r)
+                    assert policy.holders(header, current, r) == expected
+                    assert policy.holders(header, tuple(current), r) == expected
+
+    @SETTINGS
+    @given(
+        members=members_strategy,
+        steps=churn_strategy,
+        replication=st.integers(min_value=1, max_value=3),
+    )
+    def test_rendezvous_equals_uncached_ranking(
+        self, members, steps, replication
+    ):
+        self._walk(
+            RendezvousPlacement(),
+            reference_rendezvous,
+            members,
+            steps,
+            min(replication, len(members)),
+        )
+
+    @SETTINGS
+    @given(
+        members=members_strategy,
+        steps=churn_strategy,
+        replication=st.integers(min_value=1, max_value=3),
+    )
+    def test_domain_spread_equals_uncached_greedy(
+        self, members, steps, replication
+    ):
+        domains = FailureDomainMap(zones=3, racks_per_zone=2)
+        self._walk(
+            DomainSpreadPlacement(domains),
+            lambda header, current, r: reference_domain_spread(
+                domains, header, current, r
+            ),
+            members,
+            steps,
+            min(replication, len(members)),
+        )
 
 
 class TestLayoutProperties:

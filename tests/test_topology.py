@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,42 @@ class TestClusteredTopology:
     def test_empty_cluster_tolerated(self):
         topology = clustered_topology([[0, 1], []], seed=0)
         assert set(topology) == {0, 1}
+
+    # Taken at the parent of the set-arithmetic mesh / direct-draw bridge
+    # rewrite: same RNG stream, same mapping, same key order.
+    _TWELVE_BY_EIGHT = [list(range(i * 8, (i + 1) * 8)) for i in range(12)]
+
+    @pytest.mark.parametrize(
+        "clusters, links, expected",
+        [
+            (
+                _TWELVE_BY_EIGHT,
+                2,
+                "ac61eb9224485c9b037d07dc917dd3ffa77d905d0260898051c8a3a029f769cf",
+            ),
+            (
+                [_TWELVE_BY_EIGHT[0] + [96], *_TWELVE_BY_EIGHT[1:]],
+                2,
+                "f37d12a94af081adb3b83c26dc4e22a188b063ef2abf40718f2c7cce2dc0f4cb",
+            ),
+            (
+                [[0, 1, 2], list(range(3, 11)), list(range(11, 20))],
+                3,
+                "15644ca49f2fd6163edadf37d219684579de6566081266eef5c2ddbd8713ae52",
+            ),
+        ],
+        ids=["12x8", "12x8-plus-joiner", "unequal-3-links"],
+    )
+    def test_output_pinned(self, clusters, links, expected):
+        for groups in (clusters, [tuple(c) for c in clusters]):
+            topology = clustered_topology(
+                groups, inter_cluster_links=links, seed=0
+            )
+            digest = hashlib.sha256(
+                repr(sorted(topology.items())).encode()
+            ).hexdigest()
+            assert digest == expected
+            assert list(topology) == [n for c in clusters for n in c]
 
     @settings(max_examples=20, deadline=None)
     @given(
