@@ -77,9 +77,18 @@ class StorageDeployment(ABC):
         """
         self.router.dispatch(node, message)
 
-    def note_send(self, message: Message) -> None:
+    @property
+    def delivery_entry(self):
+        """What a node binds at ``attach``: ``router.dispatch`` itself (no
+        frame spent here per delivery) unless ``on_message`` is overridden."""
+        if type(self).on_message is StorageDeployment.on_message:
+            return self.router.dispatch
+        return self.on_message
+
+    @property
+    def note_send(self):
         """Instrumentation hook invoked by every node's ``send``."""
-        self.router.note_send(message)
+        return self.router.note_send
 
     # ----------------------------------------------------------- lifecycle
     @abstractmethod

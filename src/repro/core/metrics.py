@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.verification import VerificationCosts
 from repro.crypto.hashing import Hash32
+from repro.net.message import KIND_VALUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
@@ -250,20 +251,11 @@ class MetricsRecorder:
 
     def __init__(self, metrics: DeploymentMetrics) -> None:
         self._metrics = metrics
-        # kind -> kind.value, resolved once: ``.value`` is a Python-level
-        # descriptor and these observers run on every message.
-        self._kind_value: dict = {}
-
-    def _value_of(self, kind) -> str:
-        value = self._kind_value.get(kind)
-        if value is None:
-            value = self._kind_value[kind] = kind.value
-        return value
 
     def on_send(self, message: "Message") -> None:
         """Count one protocol send by kind (wire bytes incl. envelope)."""
         stats = self._metrics.router_stats
-        kind = self._value_of(message.kind)
+        kind = KIND_VALUE[message.kind]
         stats.sends[kind] = stats.sends.get(kind, 0) + 1
         stats.send_bytes[kind] = (
             stats.send_bytes.get(kind, 0) + message.size_bytes
@@ -271,9 +263,9 @@ class MetricsRecorder:
 
     def on_deliver(self, node: "BaseNode", message: "Message") -> None:
         """Count one dispatched delivery by kind."""
-        stats = self._metrics.router_stats
-        kind = self._value_of(message.kind)
-        stats.deliveries[kind] = stats.deliveries.get(kind, 0) + 1
+        deliveries = self._metrics.router_stats.deliveries
+        kind = KIND_VALUE[message.kind]
+        deliveries[kind] = deliveries.get(kind, 0) + 1
 
     def on_retry(self, kind: str) -> None:
         """Count one reliability-layer retry send by kind."""

@@ -208,6 +208,8 @@ class DHTEngine(ProtocolEngine):
         self._requests: dict[int, tuple[object, int]] = {}
         #: node id -> cached overlay key (survives departures).
         self._keys: dict[int, int] = {}
+        #: node id -> its one Contact record (same lifetime as ``_keys``).
+        self._contacts: dict[int, Contact] = {}
         #: (cluster id, block hash) -> last publish time (republish gate).
         self._published_at: dict[tuple[int, Hash32], float] = {}
 
@@ -264,8 +266,12 @@ class DHTEngine(ProtocolEngine):
         return key
 
     def contact_of(self, node_id: int) -> Contact:
-        """A Contact record for a current member."""
-        return Contact(node_id, self.key_of(node_id))
+        """The (cached) Contact record for a current member."""
+        contact = self._contacts.get(node_id)
+        if contact is None:
+            contact = Contact(node_id, self.key_of(node_id))
+            self._contacts[node_id] = contact
+        return contact
 
     def _table(self, node_id: int) -> RoutingTable:
         table = self.tables.get(node_id)

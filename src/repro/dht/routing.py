@@ -34,25 +34,35 @@ class Contact:
 class KBucket:
     """One distance band: ≤ ``k`` contacts in least-recently-seen order."""
 
-    __slots__ = ("k", "entries")
+    __slots__ = ("k", "_by_id")
 
     def __init__(self, k: int) -> None:
         self.k = k
-        #: Oldest (least recently seen) first, newest last.
-        self.entries: list[Contact] = []
+        #: node id -> contact, oldest (least recently seen) first.  A dict
+        #: keeps insertion order, so delete + re-insert *is* "move to the
+        #: tail" and every operation below is O(1), full bucket or not.
+        self._by_id: dict[int, Contact] = {}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._by_id)
+
+    def __contains__(self, node_id: int) -> bool:
+        return node_id in self._by_id
+
+    @property
+    def entries(self) -> list[Contact]:
+        """The contacts, oldest (least recently seen) first, newest last."""
+        return list(self._by_id.values())
 
     @property
     def full(self) -> bool:
         """No room for a new contact."""
-        return len(self.entries) >= self.k
+        return len(self._by_id) >= self.k
 
     @property
     def head(self) -> Contact | None:
         """The least-recently-seen contact (eviction candidate)."""
-        return self.entries[0] if self.entries else None
+        return next(iter(self._by_id.values()), None)
 
     def touch(self, contact: Contact) -> bool:
         """Record an observation of ``contact``.
@@ -62,23 +72,18 @@ class KBucket:
         full and the contact unknown — the caller decides whether to
         probe-and-evict the head or drop the newcomer.
         """
-        for index, entry in enumerate(self.entries):
-            if entry.node_id == contact.node_id:
-                del self.entries[index]
-                self.entries.append(contact)
-                return True
-        if self.full:
+        by_id = self._by_id
+        node_id = contact.node_id
+        if node_id in by_id:
+            del by_id[node_id]
+        elif len(by_id) >= self.k:
             return False
-        self.entries.append(contact)
+        by_id[node_id] = contact
         return True
 
     def remove(self, node_id: int) -> bool:
         """Drop a contact (eviction after a failed liveness probe)."""
-        for index, entry in enumerate(self.entries):
-            if entry.node_id == node_id:
-                del self.entries[index]
-                return True
-        return False
+        return self._by_id.pop(node_id, None) is not None
 
 
 class RoutingTable:
@@ -98,19 +103,7 @@ class RoutingTable:
         return sum(len(bucket) for bucket in self.buckets.values())
 
     def __contains__(self, node_id: int) -> bool:
-        return any(
-            entry.node_id == node_id
-            for bucket in self.buckets.values()
-            for entry in bucket.entries
-        )
-
-    def bucket_for(self, key: int) -> KBucket:
-        """The (lazily created) bucket covering ``key``'s distance band."""
-        index = bucket_index(self.owner_key, key)
-        bucket = self.buckets.get(index)
-        if bucket is None:
-            bucket = self.buckets[index] = KBucket(self.k)
-        return bucket
+        return any(node_id in bucket for bucket in self.buckets.values())
 
     def update(self, contact: Contact) -> Contact | None:
         """Fold an observed contact in; returns a probe candidate.
@@ -122,7 +115,14 @@ class RoutingTable:
         """
         if contact.node_id == self.owner_id:
             return None
-        bucket = self.bucket_for(contact.key)
+        # idspace.bucket_index() inlined: this runs twice per routed
+        # message.  Buckets are created on first use.
+        index = (self.owner_key ^ contact.key).bit_length() - 1
+        if index < 0:
+            raise ValueError("a node does not bucket its own id")
+        bucket = self.buckets.get(index)
+        if bucket is None:
+            bucket = self.buckets[index] = KBucket(self.k)
         if bucket.touch(contact):
             return None
         return bucket.head
@@ -157,8 +157,9 @@ class RoutingTable:
         """
         seen: set[int] = set()
         for index, bucket in self.buckets.items():
-            assert len(bucket.entries) <= self.k, (index, len(bucket))
-            for entry in bucket.entries:
+            assert len(bucket) <= self.k, (index, len(bucket))
+            for node_id, entry in bucket._by_id.items():
+                assert entry.node_id == node_id, (node_id, entry)
                 assert entry.node_id != self.owner_id
                 assert bucket_index(self.owner_key, entry.key) == index
                 assert entry.node_id not in seen, entry.node_id

@@ -71,11 +71,19 @@ class GossipProtocol(Generic[T]):
         self._items: dict[Hashable, T] = {}
         self._requested: dict[int, set[Hashable]] = {}
         self.stats = GossipStats()
+        #: kind -> router-shaped ``(node, message)`` handler; the node is
+        #: unused (per-node state is keyed by ``message.recipient``).
+        self.handlers: dict[MessageKind, Callable[[object, Message], None]] = {
+            announce_kind: self._on_announce,
+            request_kind: self._on_request,
+            item_kind: self._on_item_received,
+        }
 
     # ------------------------------------------------------------- seeding
     def node_has(self, node_id: int, item_id: Hashable) -> bool:
         """Does this node already have the item?"""
-        return item_id in self._have.get(node_id, set())
+        have = self._have.get(node_id)
+        return have is not None and item_id in have
 
     def holders_of(self, item_id: Hashable) -> list[int]:
         """Node ids currently holding the item."""
@@ -92,14 +100,10 @@ class GossipProtocol(Generic[T]):
     # ------------------------------------------------------------ handlers
     def handle(self, message: Message) -> bool:
         """Dispatch a gossip message; returns ``False`` when not ours."""
-        if message.kind == self.announce_kind:
-            self._on_announce(message)
-        elif message.kind == self.request_kind:
-            self._on_request(message)
-        elif message.kind == self.item_kind:
-            self._on_item_received(message)
-        else:
+        handler = self.handlers.get(message.kind)
+        if handler is None:
             return False
+        handler(None, message)
         return True
 
     def _mark_have(self, node_id: int, item_id: Hashable) -> bool:
@@ -125,7 +129,7 @@ class GossipProtocol(Generic[T]):
             for peer in peers
         )
 
-    def _on_announce(self, message: Message) -> None:
+    def _on_announce(self, _node, message: Message) -> None:
         node_id = message.recipient
         item_id = message.payload
         if self.node_has(node_id, item_id):
@@ -146,7 +150,7 @@ class GossipProtocol(Generic[T]):
             )
         )
 
-    def _on_request(self, message: Message) -> None:
+    def _on_request(self, _node, message: Message) -> None:
         node_id = message.recipient
         item_id = message.payload
         if not self.node_has(node_id, item_id):
@@ -163,7 +167,7 @@ class GossipProtocol(Generic[T]):
             )
         )
 
-    def _on_item_received(self, message: Message) -> None:
+    def _on_item_received(self, _node, message: Message) -> None:
         node_id = message.recipient
         item_id, item = message.payload
         self._requested.setdefault(node_id, set()).discard(item_id)

@@ -58,6 +58,15 @@ class ConstantLatency(LatencyModel):
             return 0.0
         return self.seconds
 
+    def total_delay(
+        self, sender, recipient, size_bytes, bandwidth_bps=DEFAULT_BANDWIDTH_BPS
+    ):
+        """The base class's sum in one frame (the per-message hot call)."""
+        if bandwidth_bps <= 0:
+            raise ConfigurationError("bandwidth must be positive")
+        propagation = 0.0 if sender == recipient else self.seconds
+        return propagation + size_bytes / bandwidth_bps
+
 
 class UniformLatency(LatencyModel):
     """Per-pair delay drawn once from ``[low, high)``, then frozen.
@@ -120,3 +129,20 @@ class CoordinateLatency(LatencyModel):
         rx, ry = self.coordinate_of(recipient)
         distance = math.hypot(sx - rx, sy - ry)
         return self._base_seconds + distance * self._seconds_per_unit
+
+    def total_delay(
+        self, sender, recipient, size_bytes, bandwidth_bps=DEFAULT_BANDWIDTH_BPS
+    ):
+        """The base class's sum in one frame (the per-message hot call)."""
+        if sender != recipient and bandwidth_bps > 0:
+            try:
+                sx, sy = self._coordinates[sender]
+                rx, ry = self._coordinates[recipient]
+                return (
+                    self._base_seconds
+                    + math.hypot(sx - rx, sy - ry) * self._seconds_per_unit
+                    + size_bytes / bandwidth_bps
+                )
+            except IndexError:
+                pass  # unknown node: the base class raises, naming it
+        return super().total_delay(sender, recipient, size_bytes, bandwidth_bps)

@@ -9,14 +9,15 @@ kind.  Payloads are live Python objects (no real serialization on the wire
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Fixed per-message envelope overhead (headers, framing), in bytes.
 ENVELOPE_OVERHEAD = 40
 
 _message_ids = itertools.count(1)
+#: What ``NamedTuple._make`` calls underneath, minus its Python frame.
+_new_record = tuple.__new__
 
 
 class MessageKind(Enum):
@@ -72,31 +73,47 @@ class MessageKind(Enum):
     CONTROL = "control"
 
 
-@dataclass(frozen=True)
-class Message:
-    """A simulated wire message.
+#: kind -> ``kind.value``.  ``.value`` is a Python-level descriptor, and
+#: per-message observers (metrics, tracing) label their counters with it.
+KIND_VALUE = {kind: kind.value for kind in MessageKind}
+
+
+class _MessageFields(NamedTuple):
+    kind: MessageKind
+    sender: int
+    recipient: int
+    payload: Any
+    size_bytes: int
+    message_id: int
+
+
+class Message(_MessageFields):
+    """A simulated wire message: an immutable, tuple-backed record.
 
     Attributes:
         kind: taxonomy bucket for traffic accounting.
         sender: node id of the origin.
         recipient: node id of the destination.
         payload: arbitrary live object interpreted by the handler.
-        size_bytes: total bytes on the wire **including** envelope overhead.
-        message_id: unique id for tracing/deduplication.
+        size_bytes: total bytes on the wire **including** envelope overhead
+            (a smaller value is taken as payload bytes and the envelope
+            added).
+        message_id: unique id for tracing/deduplication; drawn from one
+            process-wide sequence in construction order when omitted.
     """
 
-    kind: MessageKind
-    sender: int
-    recipient: int
-    payload: Any
-    size_bytes: int
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < ENVELOPE_OVERHEAD:
-            object.__setattr__(
-                self, "size_bytes", self.size_bytes + ENVELOPE_OVERHEAD
-            )
+    def __new__(
+        cls, kind, sender, recipient, payload, size_bytes, message_id=None
+    ):
+        if size_bytes < ENVELOPE_OVERHEAD:
+            size_bytes += ENVELOPE_OVERHEAD
+        if message_id is None:
+            message_id = next(_message_ids)
+        return _new_record(
+            cls, (kind, sender, recipient, payload, size_bytes, message_id)
+        )
 
 
 def sized_message(
@@ -107,10 +124,8 @@ def sized_message(
     payload_bytes: int,
 ) -> Message:
     """Build a message whose wire size is ``payload_bytes`` + envelope."""
-    return Message(
-        kind=kind,
-        sender=sender,
-        recipient=recipient,
-        payload=payload,
-        size_bytes=payload_bytes + ENVELOPE_OVERHEAD,
+    # One C call; Message.__new__'s envelope and id defaults are done here.
+    size = payload_bytes + ENVELOPE_OVERHEAD
+    return _new_record(
+        Message, (kind, sender, recipient, payload, size, next(_message_ids))
     )

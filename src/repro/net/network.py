@@ -53,7 +53,9 @@ class Network:
         self.bandwidth_bps = bandwidth_bps
         self.traffic = TrafficLedger()
         self._endpoints: dict[int, Endpoint] = {}
-        self._online: dict[int, bool] = {}
+        #: The online subset of ``_endpoints``: one lookup answers both
+        #: "registered?" and "reachable?" on the per-message path.
+        self._reachable: dict[int, Endpoint] = {}
         self._topology: dict[int, tuple[int, ...]] = (
             dict(topology) if topology else {}
         )
@@ -64,13 +66,13 @@ class Network:
     def register(self, node_id: int, endpoint: Endpoint) -> None:
         """Attach an endpoint under ``node_id`` (initially online)."""
         self._endpoints[node_id] = endpoint
-        self._online[node_id] = True
+        self._reachable[node_id] = endpoint
         self._topology.setdefault(node_id, ())
 
     def unregister(self, node_id: int) -> None:
         """Detach a node entirely (permanent departure)."""
         self._endpoints.pop(node_id, None)
-        self._online.pop(node_id, None)
+        self._reachable.pop(node_id, None)
         # Stale peer entries must not survive churn/departure cycles.
         self._topology.pop(node_id, None)
 
@@ -113,7 +115,7 @@ class Network:
     # ------------------------------------------------------------- liveness
     def is_online(self, node_id: int) -> bool:
         """Is the node currently reachable?"""
-        return self._online.get(node_id, False)
+        return node_id in self._reachable
 
     def set_online(self, node_id: int, online: bool) -> None:
         """Crash (``False``) or recover (``True``) a node.
@@ -121,35 +123,38 @@ class Network:
         Raises:
             UnknownNodeError: for unregistered ids.
         """
-        if node_id not in self._endpoints:
+        endpoint = self._endpoints.get(node_id)
+        if endpoint is None:
             raise UnknownNodeError(f"node {node_id} is not registered")
-        self._online[node_id] = online
+        if online:
+            self._reachable[node_id] = endpoint
+        else:
+            self._reachable.pop(node_id, None)
 
     def online_count(self) -> int:
         """How many registered nodes are online."""
-        return sum(1 for online in self._online.values() if online)
+        return len(self._reachable)
 
     # ------------------------------------------------------------- delivery
     def send(self, message: Message) -> None:
         """Schedule delivery of ``message`` (drops if sender is offline now)."""
-        if not self._online.get(message.sender, False):
+        sender = message.sender
+        if sender not in self._reachable:
             self._dropped_messages += 1
             return
         delay = self.latency.total_delay(
-            message.sender,
-            message.recipient,
-            message.size_bytes,
-            self.bandwidth_bps,
+            sender, message.recipient, message.size_bytes, self.bandwidth_bps
         )
         if self._faults is not None:
             copies, extra_delay = self._faults.intercept(message, self.clock.now)
             if copies == 0:
                 self._dropped_messages += 1
                 return
-            for _ in range(copies):
-                self.clock.schedule(delay + extra_delay, self._deliver, message)
-            return
-        self.clock.schedule(delay, self._deliver, message)
+            delay += extra_delay
+            for _ in range(copies - 1):  # fault-injected duplicates
+                self.clock.post(delay, self._deliver, (message,))
+        # Deliveries are never cancelled: post() queues them handle-free.
+        self.clock.post(delay, self._deliver, (message,))
 
     def send_many(self, messages: Iterable[Message]) -> None:
         """Schedule a batch of messages in order.
@@ -167,29 +172,27 @@ class Network:
             for message in messages:
                 self.send(message)
             return
-        online = self._online
+        reachable = self._reachable
         total_delay = self.latency.total_delay
         deliver = self._deliver
         bandwidth = self.bandwidth_bps
-        schedule = self.clock.schedule
+        post = self.clock.post
         for message in messages:
-            if not online.get(message.sender, False):
+            sender = message.sender
+            if sender not in reachable:
                 self._dropped_messages += 1
                 continue
-            schedule(
+            post(
                 total_delay(
-                    message.sender,
-                    message.recipient,
-                    message.size_bytes,
-                    bandwidth,
+                    sender, message.recipient, message.size_bytes, bandwidth
                 ),
                 deliver,
-                message,
+                (message,),
             )
 
     def _deliver(self, message: Message) -> None:
-        endpoint = self._endpoints.get(message.recipient)
-        if endpoint is None or not self._online.get(message.recipient, False):
+        endpoint = self._reachable.get(message.recipient)
+        if endpoint is None:
             self._dropped_messages += 1
             return
         self.traffic.record(message)

@@ -23,9 +23,7 @@ EventCallback = Callable[..., None]
 
 # Heap-entry slots: [time, sequence, callback-or-None, args].
 _TIME = 0
-_SEQ = 1
 _CALLBACK = 2
-_ARGS = 3
 
 
 class EventHandle:
@@ -33,7 +31,7 @@ class EventHandle:
 
     __slots__ = ("_entry", "_clock")
 
-    def __init__(self, entry: list, clock: "SimClock | None" = None) -> None:
+    def __init__(self, entry: list, clock: "SimClock") -> None:
         self._entry = entry
         self._clock = clock
 
@@ -42,8 +40,7 @@ class EventHandle:
         if self._entry[_CALLBACK] is None:
             return False
         self._entry[_CALLBACK] = None
-        if self._clock is not None:
-            self._clock._note_cancel()
+        self._clock._note_cancel()
         return True
 
     @property
@@ -101,32 +98,44 @@ class SimClock:
         return self._processed
 
     # ----------------------------------------------------------- scheduling
+    def post(
+        self, delay: float, callback: EventCallback, args: tuple = (), at=None
+    ) -> list:
+        """Queue ``callback(*args)`` at ``now + delay`` (or absolute ``at``).
+
+        The one heap-entry constructor, and the whole cost of an event
+        nobody will cancel — message deliveries use it directly.  Returns
+        the entry, which only :class:`EventHandle` may interpret.
+
+        Raises:
+            SimulationError: for negative delays or an ``at`` before now.
+        """
+        if at is None:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past ({delay=})")
+            at = self._now + delay
+        elif at < self._now:
+            raise SimulationError(
+                f"cannot schedule at {at} before now={self._now}"
+            )
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        entry = [at, seq, callback, args]
+        heappush(self._heap, entry)
+        self._live += 1
+        return entry
+
     def schedule(
         self, delay: float, callback: EventCallback, *args: Any
     ) -> EventHandle:
-        """Run ``callback(*args)`` at ``now + delay`` virtual seconds.
-
-        Raises:
-            SimulationError: for negative delays.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past ({delay=})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        """:meth:`post` plus a cancellation handle."""
+        return EventHandle(self.post(delay, callback, args), self)
 
     def schedule_at(
         self, time: float, callback: EventCallback, *args: Any
     ) -> EventHandle:
-        """Run ``callback(*args)`` at absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self._now}"
-            )
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        entry = [time, seq, callback, args]
-        heappush(self._heap, entry)
-        self._live += 1
-        return EventHandle(entry, self)
+        """:meth:`post` at absolute virtual ``time``, plus a handle."""
+        return EventHandle(self.post(0.0, callback, args, time), self)
 
     # ------------------------------------------------------- instrumentation
     def attach_tracer(self, tracer) -> None:
@@ -144,26 +153,26 @@ class SimClock:
         heap = self._heap
         while heap:
             entry = heappop(heap)
-            callback = entry[_CALLBACK]
+            time, _, callback, args = entry
             if callback is None:
                 continue
             # Null the slot so a late cancel() on the handle reports
             # "already run" instead of decrementing the live counter.
             entry[_CALLBACK] = None
             self._live -= 1
-            self._now = entry[_TIME]
-            self._processed += 1
-            if self._processed > self._max_events:
+            self._now = time
+            self._processed = processed = self._processed + 1
+            if processed > self._max_events:
                 raise SimulationError(
                     f"event budget exceeded ({self._max_events}); "
                     "likely a protocol feedback loop"
                 )
             tracer = self._tracer
             if tracer is None:
-                callback(*entry[_ARGS])
+                callback(*args)
             else:
                 wall_start = perf_counter()
-                callback(*entry[_ARGS])
+                callback(*args)
                 tracer.callback_event(
                     callback, self._now, perf_counter() - wall_start
                 )

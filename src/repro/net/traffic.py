@@ -68,12 +68,14 @@ class TrafficLedger:
 
     def record(self, message: Message) -> None:
         """Account one delivered message."""
+        kind = message.kind
+        size = message.size_bytes
         self.total_messages += 1
-        self.total_bytes += message.size_bytes
-        self.bytes_by_kind[message.kind] += message.size_bytes
-        self.messages_by_kind[message.kind] += 1
-        self.bytes_sent_by_node[message.sender] += message.size_bytes
-        self.bytes_received_by_node[message.recipient] += message.size_bytes
+        self.total_bytes += size
+        self.bytes_by_kind[kind] += size
+        self.messages_by_kind[kind] += 1
+        self.bytes_sent_by_node[message.sender] += size
+        self.bytes_received_by_node[message.recipient] += size
 
     def snapshot(self) -> TrafficSnapshot:
         """Freeze the current counters."""

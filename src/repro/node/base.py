@@ -55,23 +55,26 @@ class BaseNode:
             Mempool(limits=limits) if with_mempool else None
         )
         self.keypair = KeyPair.from_seed(node_id)
-        self._deployment: Deployment | None = None
+        self._dispatch: MessageHandler | None = None
         self._note_send: Callable[[Message], None] | None = None
         network.register(node_id, self)
 
     # ------------------------------------------------------------- wiring
     def attach(self, deployment: Deployment) -> None:
         """Install the deployment that interprets this node's messages."""
-        self._deployment = deployment
-        # Deployments with a router expose a send hook for instrumentation;
-        # minimal deployments (e.g. test stubs) only implement on_message.
-        # Resolved once here so the hot send path avoids per-message getattr.
+        # Both ends of the per-message path are resolved once here, not per
+        # message.  Deployments with a router expose a send hook and their
+        # delivery entry; minimal ones (test stubs) only have on_message.
         self._note_send = getattr(deployment, "note_send", None)
+        self._dispatch = getattr(
+            deployment, "delivery_entry", deployment.on_message
+        )
 
     def handle_message(self, message: Message) -> None:
         """Network entry point (called by :class:`~repro.net.network.Network`)."""
-        if self._deployment is not None:
-            self._deployment.on_message(self, message)
+        dispatch = self._dispatch
+        if dispatch is not None:
+            dispatch(self, message)
 
     # -------------------------------------------------------------- sending
     def send(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.net.message import KIND_VALUE
 from repro.obs.tracer import (
     STORAGE_TRACK,
     Tracer,
@@ -67,15 +68,6 @@ class TracingObserver:
         self._deployment = deployment
         # message_id -> send virtual time, for queue-latency spans.
         self._sent_at: dict[int, float] = {}
-        # kind -> kind.value resolved once (hot path, same trick as
-        # MetricsRecorder).
-        self._kind_value: dict = {}
-
-    def _value_of(self, kind) -> str:
-        value = self._kind_value.get(kind)
-        if value is None:
-            value = self._kind_value[kind] = kind.value
-        return value
 
     # -------------------------------------------------------- router hooks
     def on_send(self, message: "Message") -> None:
@@ -86,7 +78,7 @@ class TracingObserver:
             sent_at.pop(next(iter(sent_at)))
         sent_at[message.message_id] = now
         self._tracer.instant(
-            self._value_of(message.kind),
+            KIND_VALUE[message.kind],
             node_track(message.sender, self._label),
             ts=now,
             category="send",
@@ -98,7 +90,7 @@ class TracingObserver:
         now = self._clock.now
         start = self._sent_at.pop(message.message_id, None)
         track = node_track(message.recipient, self._label)
-        kind = self._value_of(message.kind)
+        kind = KIND_VALUE[message.kind]
         args = {"from": message.sender, "bytes": message.size_bytes}
         if start is None:
             # Relay or duplicate: no witnessed send to anchor a span.

@@ -53,6 +53,13 @@ class FinalizeEvent:
     cluster_final: bool = True
 
 
+#: The observer hooks a router publishes (all optional on an observer).
+_HOOK_NAMES = (
+    "on_send", "on_deliver", "on_finalize",
+    "on_retry", "on_timeout", "on_degraded",
+)  # fmt: skip
+
+
 class RouterObserver(Protocol):
     """Instrumentation consumer for router traffic and finalizations."""
 
@@ -73,6 +80,12 @@ class MessageRouter:
         self._handlers: dict[MessageKind, Handler] = {}
         self._owners: dict[MessageKind, str] = {}
         self._observers: list[RouterObserver] = []
+        # hook name -> bound methods of the observers defining it, in
+        # add_observer order: resolved once per observer, so the
+        # per-message loops below do no attribute lookups.
+        self._hooks: dict[str, list] = {name: [] for name in _HOOK_NAMES}
+        self._on_send = self._hooks["on_send"]
+        self._on_deliver = self._hooks["on_deliver"]
 
     # -------------------------------------------------------- registration
     def register(
@@ -96,16 +109,8 @@ class MessageRouter:
         self, protocol: "GossipProtocol", owner: str = "gossip"
     ) -> None:
         """Claim a gossip protocol's announce/request/item kinds."""
-
-        def handle(node: "BaseNode", message: Message) -> None:
-            protocol.handle(message)
-
-        for kind in (
-            protocol.announce_kind,
-            protocol.request_kind,
-            protocol.item_kind,
-        ):
-            self.register(kind, handle, owner=owner)
+        for kind, handler in protocol.handlers.items():
+            self.register(kind, handler, owner=owner)
 
     # ------------------------------------------------------------ queries
     @property
@@ -135,47 +140,47 @@ class MessageRouter:
                 f"no handler registered for message kind "
                 f"{message.kind.value!r} delivered to node {node.node_id}"
             )
-        for observer in self._observers:
-            observer.on_deliver(node, message)
+        for hook in self._on_deliver:
+            hook(node, message)
         handler(node, message)
 
     # ----------------------------------------------------- instrumentation
     def add_observer(self, observer: RouterObserver) -> None:
-        """Attach an instrumentation consumer."""
+        """Attach an instrumentation consumer.
+
+        Every hook is optional; the ``on_*`` methods the observer defines
+        are looked up (and bound) here, once.
+        """
         self._observers.append(observer)
+        for name, bound in self._hooks.items():
+            hook = getattr(observer, name, None)
+            if hook is not None:
+                bound.append(hook)
 
     def note_send(self, message: Message) -> None:
         """Record a protocol send (called from the node send path)."""
-        for observer in self._observers:
-            observer.on_send(message)
+        for hook in self._on_send:
+            hook(message)
 
     def notify_finalize(self, event: FinalizeEvent) -> None:
         """Publish a finalization to every observer."""
-        for observer in self._observers:
-            observer.on_finalize(event)
+        for hook in self._hooks["on_finalize"]:
+            hook(event)
 
-    # The reliability hooks are optional on observers (getattr-dispatched)
-    # so pre-existing observers — including test stubs — keep working.
     def note_retry(self, kind: str) -> None:
         """Record a reliability-layer retry send for ``kind``."""
-        for observer in self._observers:
-            hook = getattr(observer, "on_retry", None)
-            if hook is not None:
-                hook(kind)
+        for hook in self._hooks["on_retry"]:
+            hook(kind)
 
     def note_timeout(self, kind: str) -> None:
         """Record a request deadline that fired while still pending."""
-        for observer in self._observers:
-            hook = getattr(observer, "on_timeout", None)
-            if hook is not None:
-                hook(kind)
+        for hook in self._hooks["on_timeout"]:
+            hook(kind)
 
     def note_degraded(self, kind: str) -> None:
         """Record a request that exhausted every replica for ``kind``."""
-        for observer in self._observers:
-            hook = getattr(observer, "on_degraded", None)
-            if hook is not None:
-                hook(kind)
+        for hook in self._hooks["on_degraded"]:
+            hook(kind)
 
 
 class ProtocolEngine:

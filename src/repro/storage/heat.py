@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.crypto.hashing import Hash32
 from repro.errors import ConfigurationError
+from repro.net.message import MessageKind
 from repro.obs.tracer import proto_track
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -193,8 +194,6 @@ class HeatTracker:
 
     def on_deliver(self, node: "BaseNode", message: "Message") -> None:
         """Count query hits and repair pulls as block accesses."""
-        from repro.net.message import MessageKind
-
         kind = message.kind
         if kind is MessageKind.BLOCK_REQUEST:
             # payload = (request_id, block_hash)

@@ -9,7 +9,9 @@ import pytest
 
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
+from repro.net.message import MessageKind, sized_message
 from repro.sim.runner import ScenarioRunner
+from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
 from tests.conftest import TEST_LIMITS
 
 
@@ -147,3 +149,90 @@ class TestChurnSequencePin:
     )
     def test_churn_sequence_unchanged(self, placement, expected):
         assert churn_sequence_sha(placement) == expected
+
+
+class _DeliveryLog:
+    """Router observer keeping the first ``limit`` deliveries in order."""
+
+    def __init__(self, clock, limit: int = 5_000) -> None:
+        self._clock = clock
+        self._limit = limit
+        # Message ids come from one process-wide counter: pin them
+        # relative to a message built now, so test order cannot matter.
+        self._base = sized_message(MessageKind.CONTROL, 0, 0, None, 0).message_id
+        self.rows: list[tuple] = []
+
+    def on_send(self, message) -> None:
+        pass
+
+    def on_deliver(self, node, message) -> None:
+        if len(self.rows) < self._limit:
+            self.rows.append(
+                (
+                    self._clock.now,
+                    message.kind.name,
+                    message.sender,
+                    message.recipient,
+                    message.size_bytes,
+                    message.message_id - self._base,
+                )
+            )
+
+    def on_finalize(self, event) -> None:
+        pass
+
+    def sha(self) -> str:
+        return hashlib.sha256(repr(self.rows).encode()).hexdigest()
+
+
+def delivery_order_sha(read_round: bool) -> tuple[int, str]:
+    """First 5,000 deliveries of a 24-node / 3-cluster / 6-block run.
+
+    With ``read_round`` the deployment runs DHT + adaptive replication
+    and a 120-read Zipf round with two anti-entropy cadences follows the
+    writes, so lookups, heat and repair traffic are in the stream too.
+    """
+    deployment = ICIDeployment(
+        24,
+        config=ICIConfig(n_clusters=3, replication=2, limits=TEST_LIMITS),
+    )
+    log = _DeliveryLog(deployment.network.clock)
+    deployment.router.add_observer(log)
+    if read_round:
+        deployment.enable_adaptive_replication()
+        deployment.enable_dht()
+    report = ScenarioRunner(
+        deployment, limits=TEST_LIMITS, seed=3
+    ).produce_blocks(6, txs_per_block=4)
+    if read_round:
+        reads = ZipfReadWorkload(ReadWorkloadConfig(seed=3))
+        for requester, block_hash in reads.reads(
+            report.block_hashes, sorted(deployment.nodes), 120
+        ):
+            deployment.retrieve_block(requester, block_hash)
+        deployment.run()
+        deployment.repair.start(cadence=5.0)
+        deployment.run_for(10.0)
+        deployment.repair.stop()
+        deployment.run()
+    return len(log.rows), log.sha()
+
+
+class TestDeliveryOrderPin:
+    """``(now, kind, sender, recipient, size, message id)`` per delivery.
+
+    The shas were taken at the parent of the lean-message-path PR
+    (frozen-dataclass ``Message``, handle-per-event scheduling,
+    ``getattr``-dispatched observers): event order, sizes and the id
+    sequence are exactly what that code produced.
+    """
+
+    @pytest.mark.parametrize(
+        "read_round, expected",
+        [
+            (False, (1894, "8bbc5902c4050c3a30552d1e6e57aeeed8e6ce7cab7f1008193016a106d1e236")),
+            (True, (3008, "86324ccb6f07ed2a43ecae3bce1d678b8554c85df71d75542e6e4b87c52df88f")),
+        ],
+    )
+    def test_delivery_order_unchanged(self, read_round, expected):
+        assert delivery_order_sha(read_round) == expected

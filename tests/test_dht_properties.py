@@ -162,6 +162,68 @@ def test_kbucket_lru_discipline(observations):
 
 
 @SETTINGS
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=40),
+            st.sampled_from(["tail", "tail", "head", "evict-head"]),
+        ),
+        min_size=1,
+        max_size=120,
+    ),
+)
+def test_routing_table_matches_list_lru_model(k, ops):
+    # The table against the textbook list model (scan, delete, append),
+    # with the two cases an O(1) bucket could get wrong drawn often:
+    # re-touching the most-recent tail, and touching / evicting the head
+    # of a bucket that is full.  "tail"/"head" pick the fullest band.
+    owner = _contact(1000)
+    table = RoutingTable(owner.node_id, owner.key, k=k)
+    model: dict[int, list[int]] = {}
+
+    def fullest() -> list[int]:
+        return max(model.values(), key=len, default=[])
+
+    for op in ops:
+        if op == "evict-head":
+            band = fullest()
+            if band:
+                assert table.remove(band.pop(0))
+            else:
+                assert not table.remove(0)
+        else:
+            if op in ("tail", "head"):
+                band = fullest()
+                if not band:
+                    continue
+                op = band[-1] if op == "tail" else band[0]
+            contact = _contact(op)
+            band = model.setdefault(
+                bucket_index(owner.key, contact.key), []
+            )
+            stale = table.update(contact)
+            if op in band:
+                band.remove(op)
+                band.append(op)
+                assert stale is None
+            elif len(band) < k:
+                band.append(op)
+                assert stale is None
+            else:
+                assert stale == _contact(band[0])
+        table.check_invariants()
+        assert [c.node_id for c in table.contacts()] == [
+            node_id for index in sorted(model) for node_id in model[index]
+        ]
+        for index, band in model.items():
+            bucket = table.buckets[index]
+            assert len(bucket) == len(band)
+            assert bucket.full == (len(band) >= k)
+            assert bucket.head == (_contact(band[0]) if band else None)
+
+
+@SETTINGS
 @given(st.lists(contact_ids, min_size=2, max_size=60, unique=True))
 def test_update_full_bucket_keeps_head_until_removed(node_ids):
     # The probe-and-evict cycle: a full bucket's head survives until an

@@ -1,0 +1,141 @@
+"""The per-message call budget, counted — no wall clock involved.
+
+Every simulated wire message passes through four stages: it is *built*
+(``sized_message``), *scheduled* (``Network.send`` → ``SimClock.post``),
+*delivered* (``SimClock.step`` → ``Network._deliver`` →
+``BaseNode.handle_message``) and *dispatched* (``MessageRouter.dispatch``
+→ observers → handler).  The simulator's speed is that path's fixed
+cost, so this test pins it in Python ``call`` events under
+``sys.setprofile``: a frame added anywhere on the path fails here, on
+any machine, at any load.  Observer hooks are excluded (how many run is
+a property of the deployment's features, not of the path).
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+from repro.core.config import ICIConfig
+from repro.core.icistrategy import ICIDeployment
+from repro.net.message import MessageKind
+from repro.net.network import Network
+from repro.net.simclock import SimClock
+from repro.net.traffic import TrafficLedger
+from repro.node.base import BaseNode
+from repro.protocols.router import MessageRouter
+from repro.sim.runner import ScenarioRunner
+from tests.conftest import TEST_LIMITS
+
+
+def _code(function):
+    return getattr(function, "__func__", function).__code__
+
+
+def _names(path) -> tuple[str, ...]:
+    return tuple(code.co_name for code in path)
+
+
+class _PathProfiler:
+    """Collects the call sequence of each delivery and of each send.
+
+    A delivery's sequence runs from ``SimClock.step`` entry to the entry
+    of the registered handler; a send's covers the whole
+    ``BaseNode.send`` call.  Calls made by (and below) an observer hook —
+    anything ``dispatch`` or ``note_send`` calls that is not a registered
+    handler — are skipped.
+    """
+
+    def __init__(self, router: MessageRouter) -> None:
+        self._handlers = {_code(h) for h in router._handlers.values()}
+        self._hook_callers = {
+            _code(MessageRouter.dispatch),
+            _code(MessageRouter.note_send),
+        }
+        self._step = _code(SimClock.step)
+        self._send = _code(BaseNode.send)
+        #: call sequence -> how many deliveries / sends took it.
+        self.deliveries: Counter = Counter()
+        self.sends: Counter = Counter()
+        #: frames between step and the handler at handler entry.
+        self.delivery_stacks: Counter = Counter()
+        self._stack: list = []
+        self._delivery: list | None = None  # open step -> handler path
+        self._sending: list | None = None  # open BaseNode.send path
+        self._hook_floor: int | None = None  # stack depth of an open hook
+
+    def __call__(self, frame, event, _arg) -> None:
+        stack = self._stack
+        if event == "return" and stack:
+            code = stack.pop()
+            if self._hook_floor == len(stack):
+                self._hook_floor = None
+            elif code is self._send:
+                self.sends[_names(self._sending)] += 1
+                self._sending = None
+            elif code is self._step:
+                self._delivery = None  # a timer event entered no handler
+        if event != "call":
+            return
+        code = frame.f_code
+        stack.append(code)
+        if self._hook_floor is not None:
+            return
+        if code is self._step:
+            self._delivery = []
+            return
+        if code is self._send:
+            self._sending = []
+            return
+        if len(stack) > 1 and stack[-2] in self._hook_callers:
+            if code not in self._handlers:
+                self._hook_floor = len(stack) - 1
+                return
+            if self._delivery is not None:
+                self.deliveries[_names(self._delivery)] += 1
+                first = len(stack) - 1 - stack[::-1].index(self._step)
+                self.delivery_stacks[_names(stack[first + 1 : -1])] += 1
+                self._delivery = None
+                return
+        for path in (self._delivery, self._sending):
+            if path is not None:
+                path.append(code)
+
+
+def test_call_budget():
+    deployment = ICIDeployment(
+        8, config=ICIConfig(n_clusters=2, replication=2, limits=TEST_LIMITS)
+    )
+    runner = ScenarioRunner(deployment, limits=TEST_LIMITS, seed=1)
+    traffic = deployment.network.traffic
+    profiler = _PathProfiler(deployment.router)
+    sys.setprofile(profiler)
+    try:
+        runner.produce_blocks(2, txs_per_block=3)
+        for sender in range(4):  # the unicast path: node.send()
+            deployment.nodes[sender].send(
+                MessageKind.DHT_PING, sender + 1, (1,), 8
+            )
+        deployment.run()
+    finally:
+        sys.setprofile(None)
+
+    delivered = traffic.total_messages
+    assert delivered > 100
+    # Between SimClock.step and the handler: three frames on the stack ...
+    assert profiler.delivery_stacks == {
+        ("_deliver", "handle_message", "dispatch"): delivered
+    }
+    # ... and one sibling call, the single traffic-accounting site.
+    assert profiler.deliveries == {
+        ("_deliver", "record", "handle_message", "dispatch"): delivered
+    }
+    assert _code(TrafficLedger.record).co_name == "record"
+    assert _code(Network._deliver).co_name == "_deliver"
+    # One send: build, publish to observers, latency, one heap entry.
+    assert "total_delay" in vars(type(deployment.network.latency))
+    sends = sum(profiler.sends.values())
+    assert sends >= 4
+    assert profiler.sends == {
+        ("sized_message", "note_send", "send", "total_delay", "post"): sends
+    }

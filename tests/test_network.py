@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError, UnknownNodeError
 from repro.net.latency import (
     ConstantLatency,
     CoordinateLatency,
+    LatencyModel,
     UniformLatency,
 )
 from repro.net.message import (
@@ -18,6 +19,7 @@ from repro.net.message import (
 )
 from repro.net.network import Network
 from repro.net.simclock import SimClock
+from repro.sim.faults import FaultConfig, FaultPlan
 
 
 class Recorder:
@@ -84,6 +86,34 @@ class TestLatencyModels:
         model = ConstantLatency(0.1)
         assert model.total_delay(0, 1, 500, 1000.0) == pytest.approx(0.6)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ConstantLatency(0.05),
+            CoordinateLatency([(0.0, 0.0), (3.0, 4.0), (-7.5, 0.3)]),
+        ],
+    )
+    def test_one_frame_total_delay_equals_the_base_sum(self, model):
+        # The per-message overrides must be the base class's float, bit
+        # for bit — delivery times order the whole simulation.
+        for sender in range(3):
+            for recipient in range(3):
+                for size in (40, 76, 12_345):
+                    assert model.total_delay(
+                        sender, recipient, size, 2.5e6
+                    ) == LatencyModel.total_delay(
+                        model, sender, recipient, size, 2.5e6
+                    )
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            model.total_delay(0, 1, 40, 0.0)
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            model.total_delay(1, 1, 40, 0.0)
+
+    def test_coordinate_total_delay_missing_node(self):
+        model = CoordinateLatency([(0.0, 0.0)])
+        with pytest.raises(ConfigurationError, match="node 5"):
+            model.total_delay(0, 5, 40)
+
 
 class TestMessages:
     def test_envelope_added(self):
@@ -104,6 +134,75 @@ class TestMessages:
         a = sized_message(MessageKind.CONTROL, 0, 1, None, 0)
         b = sized_message(MessageKind.CONTROL, 0, 1, None, 0)
         assert a.message_id != b.message_id
+
+    def test_ids_strictly_increase_in_construction_order(self):
+        # One sequence, whichever constructor built the message.
+        built = [
+            sized_message(MessageKind.CONTROL, 0, 1, None, 0),
+            Message(MessageKind.CONTROL, 0, 1, None, 64),
+            Message(
+                kind=MessageKind.CONTROL,
+                sender=0,
+                recipient=1,
+                payload=None,
+                size_bytes=64,
+            ),
+            sized_message(MessageKind.CONTROL, 0, 1, None, 0),
+        ]
+        ids = [message.message_id for message in built]
+        assert ids == list(range(ids[0], ids[0] + 4))
+
+    def test_immutable(self):
+        message = sized_message(MessageKind.CONTROL, 0, 1, "x", 10)
+        for name in (*Message._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(message, name, 1)
+        assert not hasattr(message, "__dict__")
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_position = Message(MessageKind.TX_BODY, 3, 4, ("p",), 90, 7)
+        by_keyword = Message(
+            kind=MessageKind.TX_BODY,
+            sender=3,
+            recipient=4,
+            payload=("p",),
+            size_bytes=90,
+            message_id=7,
+        )
+        assert by_position == by_keyword
+        assert hash(by_position) == hash(by_keyword)
+        assert Message._fields == (
+            "kind", "sender", "recipient", "payload", "size_bytes",
+            "message_id",
+        )  # fmt: skip
+        assert sized_message(
+            MessageKind.TX_BODY, 3, 4, ("p",), 50
+        )._replace(message_id=7) == by_position
+
+    @pytest.mark.parametrize(
+        "given, wire",
+        [
+            (0, ENVELOPE_OVERHEAD),
+            (ENVELOPE_OVERHEAD - 1, 2 * ENVELOPE_OVERHEAD - 1),
+            (ENVELOPE_OVERHEAD, ENVELOPE_OVERHEAD),
+            (500, 500),
+        ],
+    )
+    def test_sizes_below_the_envelope_are_payload_bytes(self, given, wire):
+        message = Message(MessageKind.CONTROL, 0, 1, None, given)
+        assert message.size_bytes == wire
+
+    def test_equality_and_repr(self):
+        a = Message(MessageKind.CONTROL, 0, 1, None, 64, 5)
+        assert a == Message(MessageKind.CONTROL, 0, 1, None, 64, 5)
+        assert a != Message(MessageKind.CONTROL, 0, 1, None, 64, 6)
+        assert a != Message(MessageKind.CONTROL, 0, 2, None, 64, 5)
+        assert repr(a) == (
+            "Message(kind=<MessageKind.CONTROL: 'control'>, sender=0, "
+            "recipient=1, payload=None, size_bytes=64, message_id=5)"
+        )
+        with pytest.raises(TypeError):  # an unhashable payload, as before
+            hash(Message(MessageKind.CONTROL, 0, 1, [], 64, 5))
 
 
 class TestDelivery:
@@ -220,3 +319,36 @@ class TestTrafficAccounting:
         net.run()
         subtotal = net.traffic.bytes_for_kinds({MessageKind.TX_BODY})
         assert subtotal == 10 + ENVELOPE_OVERHEAD
+
+    def test_totals_equal_breakdown_sums_after_faulted_run(self, net):
+        # Drops never reach the ledger, duplicates are two deliveries:
+        # whatever the weather, the totals and the three breakdowns are
+        # one account of the same deliveries.
+        endpoints = wire(net, 6)
+        FaultPlan(
+            config=FaultConfig(seed=3, drop_rate=0.3, duplicate_rate=0.3)
+        ).install(net)
+        kinds = (MessageKind.CONTROL, MessageKind.TX_BODY, MessageKind.DHT_PING)
+        for index in range(300):
+            message = sized_message(
+                kinds[index % 3], index % 6, (index * 5 + 1) % 6, None, index
+            )
+            if index % 2:
+                net.send(message)
+            else:
+                net.send_many([message])
+        net.set_online(5, False)
+        net.run()
+        ledger = net.traffic
+        delivered = [m for endpoint in endpoints for _, m in endpoint.received]
+        assert net.faults.stats.dropped and net.faults.stats.duplicated
+        assert net.dropped_messages > net.faults.stats.dropped  # + offline
+        assert ledger.total_messages == len(delivered)
+        assert ledger.total_messages == sum(ledger.messages_by_kind.values())
+        assert ledger.total_bytes == sum(m.size_bytes for m in delivered)
+        assert ledger.total_bytes == sum(ledger.bytes_by_kind.values())
+        assert ledger.total_bytes == sum(ledger.bytes_sent_by_node.values())
+        assert ledger.total_bytes == sum(
+            ledger.bytes_received_by_node.values()
+        )
+        assert 5 not in ledger.bytes_received_by_node

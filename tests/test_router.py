@@ -126,3 +126,94 @@ class TestDispatchFailures:
                 owner="second",
             )
         assert router.owner_of(MessageKind.CONTROL) == "first"
+
+
+class _Hooks:
+    """Observer logging ``(tag, hook)`` per call; defines only ``hooks``."""
+
+    def __init__(self, tag: str, log: list, hooks: tuple[str, ...]) -> None:
+        for name in hooks:
+            setattr(
+                self, name, lambda *args, _name=name: log.append((tag, _name))
+            )
+
+
+ALL_HOOKS = (
+    "on_send", "on_deliver", "on_finalize",
+    "on_retry", "on_timeout", "on_degraded",
+)  # fmt: skip
+
+
+class TestObservers:
+    def test_observer_added_after_nodes_attached_is_called(self):
+        # Nodes bind their delivery entry at attach(); the observer lists
+        # it loops over are read per message, so a late observer counts.
+        deployment = make_ici()
+        log: list = []
+        deployment.router.add_observer(_Hooks("late", log, ALL_HOOKS))
+        deployment.nodes[0].send(MessageKind.DHT_PING, 1, (1,), 8)
+        deployment.run()
+        assert ("late", "on_send") in log and ("late", "on_deliver") in log
+        stats = deployment.metrics.router_stats
+        assert stats.sends["dht_ping"] == stats.deliveries["dht_ping"] == 1
+
+    def test_missing_optional_hooks_tolerated(self):
+        router = MessageRouter()
+        log: list = []
+        router.add_observer(_Hooks("core", log, ALL_HOOKS[:3]))
+        router.add_observer(_Hooks("none", log, ()))
+        router.note_retry("query")
+        router.note_timeout("query")
+        router.note_degraded("query")
+        router.note_send(sized_message(MessageKind.CONTROL, 0, 1, None, 8))
+        assert log == [("core", "on_send")]
+
+    def test_hooks_run_in_add_observer_order(self):
+        router = MessageRouter()
+        log: list = []
+        router.register(
+            MessageKind.CONTROL,
+            lambda node, message: log.append(("handler", "")),
+        )
+        for tag in ("a", "b", "c"):
+            router.add_observer(_Hooks(tag, log, ALL_HOOKS))
+        message = sized_message(MessageKind.CONTROL, 0, 1, None, 8)
+        router.note_send(message)
+        router.dispatch(type("N", (), {"node_id": 1})(), message)
+        router.notify_finalize(None)
+        router.note_retry("k")
+        router.note_timeout("k")
+        router.note_degraded("k")
+        expected = []
+        for name in ALL_HOOKS:
+            expected += [(tag, name) for tag in ("a", "b", "c")]
+            if name == "on_deliver":  # observers first, then the handler
+                expected.append(("handler", ""))
+        assert log == expected
+
+    def test_overridden_on_message_receives_every_delivery(self):
+        seen: list = []
+
+        class Tapped(ICIDeployment):
+            def on_message(self, node, message):
+                seen.append(message.message_id)
+                super().on_message(node, message)
+
+        deployment = Tapped(
+            8,
+            config=ICIConfig(n_clusters=2, replication=2, limits=TEST_LIMITS),
+        )
+        for sender in range(4):
+            deployment.nodes[sender].send(MessageKind.DHT_PING, 7, (1,), 8)
+        deployment.run()
+        traffic = deployment.network.traffic
+        assert len(seen) == traffic.total_messages >= 4
+        assert (
+            deployment.metrics.router_stats.total_deliveries
+            == traffic.total_messages
+        )
+
+    def test_plain_deployment_binds_router_dispatch(self):
+        deployment = make_ici()
+        assert deployment.delivery_entry == deployment.router.dispatch
+        assert deployment.nodes[0]._dispatch == deployment.router.dispatch

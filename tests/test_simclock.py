@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.net.simclock import SimClock
+from repro.net.simclock import EventHandle, SimClock
 
 
 class TestScheduling:
@@ -155,3 +157,101 @@ class TestRunawayProtection:
         clock.schedule(0.1, feedback)
         with pytest.raises(SimulationError, match="budget"):
             clock.run()
+
+
+class TestPost:
+    def test_post_runs_like_schedule_and_returns_no_handle(self):
+        clock = SimClock()
+        order: list[str] = []
+        token = clock.post(1.0, order.append, ("posted",))
+        clock.schedule(1.0, order.append, "scheduled")
+        assert not isinstance(token, EventHandle)
+        assert clock.pending == 2
+        clock.run()
+        assert order == ["posted", "scheduled"]
+        assert clock.processed == 2
+
+    def test_post_negative_delay_rejected(self):
+        with pytest.raises(SimulationError, match="in the past"):
+            SimClock().post(-0.1, lambda: None)
+
+    def test_post_at_in_the_past_rejected(self):
+        clock = SimClock()
+        clock.run_until(1.0)
+        with pytest.raises(SimulationError, match="before now"):
+            clock.post(0.0, lambda: None, at=0.5)
+        assert clock.pending == 0
+
+    def test_schedule_at_keeps_the_exact_time(self):
+        # An absolute time must not be rebuilt as now + (time - now).
+        clock = SimClock()
+        clock.run_until(0.1)
+        assert clock.schedule_at(0.3, lambda: None).time == 0.3
+
+
+#: Few distinct delays, so ties (broken by sequence number) are common.
+_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["post", "schedule", "schedule_at"]), _delays),
+        st.tuples(st.just("cancel"), st.integers(0, 50)),
+        st.tuples(st.just("run_until"), _delays),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_ops)
+def test_post_schedule_interleavings_match_all_schedule_reference(ops):
+    """Whatever mix of entry points queues the events, the run is the same.
+
+    The subject uses the drawn entry point; the reference clock queues
+    every event through ``schedule``.  Events queued by ``post`` cannot
+    be cancelled, so cancels only ever name handle-bearing events.
+    """
+    subject, reference = SimClock(), SimClock()
+    ran = {id(subject): [], id(reference): []}
+    handles: list[tuple[EventHandle, EventHandle]] = []
+
+    def fire(clock, label):
+        ran[id(clock)].append((label, clock.now))
+        if label % 4 == 0:  # a callback that queues a follow-up
+            clock.post(0.5, fire, (clock, -label - 1))
+
+    for label, (op, value) in enumerate(ops):
+        if op == "post":
+            subject.post(value, fire, (subject, label))
+            reference.schedule(value, fire, reference, label)
+        elif op == "schedule":
+            handles.append(
+                (
+                    subject.schedule(value, fire, subject, label),
+                    reference.schedule(value, fire, reference, label),
+                )
+            )
+        elif op == "schedule_at":
+            handles.append(
+                (
+                    subject.schedule_at(
+                        subject.now + value, fire, subject, label
+                    ),
+                    reference.schedule(value, fire, reference, label),
+                )
+            )
+        elif op == "cancel" and handles:
+            ours, theirs = handles[value % len(handles)]
+            assert ours.cancel() == theirs.cancel()
+            assert ours.cancelled and ours.time == theirs.time
+        elif op == "run_until":
+            subject.run_until(subject.now + value)
+            reference.run_until(reference.now + value)
+        assert subject.pending == reference.pending
+        assert subject.processed == reference.processed
+        assert subject.now == reference.now
+    subject.run()
+    reference.run()
+    assert ran[id(subject)] == ran[id(reference)]
+    assert subject.processed == reference.processed
+    assert subject.pending == reference.pending == 0
