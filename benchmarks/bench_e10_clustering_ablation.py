@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import statistics
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.tables import format_seconds, render_table
 from repro.bench.workload import BenchWorkload
 from repro.clustering.coordinates import place_regions
@@ -67,7 +67,7 @@ def measure_retrieval(deployment, block_hashes) -> float:
     return statistics.fmean(latencies)
 
 
-def test_e10_clustering_ablation(benchmark, results_dir):
+def test_e10_clustering_ablation(results_dir):
     results: dict[str, float] = {}
 
     def run_ablation():
@@ -79,7 +79,7 @@ def test_e10_clustering_ablation(benchmark, results_dir):
                 deployment, report.block_hashes[:4]
             )
 
-    run_once(benchmark, run_ablation)
+    run_ablation()
 
     baseline = results["random"]
     rows = [
@@ -105,20 +105,16 @@ def test_e10_clustering_ablation(benchmark, results_dir):
     assert results["latency"] < results["random"]
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    variants = profile.pick(
-        ("random", "kmeans"), ("random", "kmeans", "latency")
-    )
-    blocks = profile.pick(3, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    variants = ("random", "kmeans")
+    blocks = 3
     outputs = []
     for clustering in variants:
         deployment = build(clustering)
         runner = ScenarioRunner(deployment, limits=BENCH_LIMITS)
         report = runner.produce_blocks(blocks, txs_per_block=5)
-        measure_retrieval(
-            deployment, report.block_hashes[: profile.pick(2, 4)]
-        )
+        measure_retrieval(deployment, report.block_hashes[:2])
         outputs.append((clustering, deployment))
     return outputs
 

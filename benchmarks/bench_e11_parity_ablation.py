@@ -9,7 +9,7 @@ storage overhead × crash-loss × repair cost.
 
 from __future__ import annotations
 
-from benchmarks.conftest import build_ici, drive, emit, run_once
+from benchmarks.conftest import build_ici, drive, emit
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
 
@@ -36,7 +36,7 @@ def body_bytes_total(deployment) -> int:
     return total
 
 
-def test_e11_parity_ablation(benchmark, results_dir):
+def test_e11_parity_ablation(results_dir):
     outcomes = {}
 
     def run_ablation():
@@ -61,7 +61,7 @@ def test_e11_parity_ablation(benchmark, results_dir):
                 deployment.cluster_holds_full_ledger(cluster),
             )
 
-    run_once(benchmark, run_ablation)
+    run_ablation()
 
     baseline = outcomes["r=1 (baseline)"][0]
     rows = [
@@ -103,9 +103,9 @@ def test_e11_parity_ablation(benchmark, results_dir):
     assert parity[0] < r1[0] * (1 + 1.0 / PARITY_GROUP + 0.20)
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    blocks = profile.pick(8, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    blocks = 8
     outputs = []
     for label, kwargs in (
         ("r1", dict(replication=1)),

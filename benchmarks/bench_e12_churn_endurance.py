@@ -8,7 +8,7 @@ r=1+parity and measures event costs, losses, and integrity violations.
 
 from __future__ import annotations
 
-from benchmarks.conftest import build_ici, emit, run_once
+from benchmarks.conftest import build_ici, emit
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
 from repro.sim.churn import ChurnConfig, ChurnDriver
@@ -33,7 +33,7 @@ def run_endurance(**ici_kwargs):
     return deployment, outcome
 
 
-def test_e12_churn_endurance(benchmark, results_dir):
+def test_e12_churn_endurance(results_dir):
     outcomes = {}
 
     def run_all():
@@ -42,7 +42,7 @@ def test_e12_churn_endurance(benchmark, results_dir):
             replication=1, parity_group_size=4
         )
 
-    run_once(benchmark, run_all)
+    run_all()
 
     rows = []
     for name, (deployment, outcome) in outcomes.items():
@@ -84,9 +84,9 @@ def test_e12_churn_endurance(benchmark, results_dir):
             assert deployment.cluster_holds_full_ledger(view.cluster_id)
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    blocks = profile.pick(8, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    blocks = 8
     outputs = []
     for label, kwargs in (
         ("r2", dict(replication=2)),

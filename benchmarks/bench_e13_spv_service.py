@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 
-from benchmarks.conftest import build_ici, emit, run_once
+from benchmarks.conftest import build_ici, emit
 from repro.analysis.tables import format_bytes, format_seconds, render_table
 from repro.bench.workload import BenchWorkload
 from repro.sim.runner import ScenarioRunner
@@ -21,7 +21,7 @@ N_CLUSTERS = 4
 TX_COUNTS = (4, 16, 64)
 
 
-def test_e13_spv_service(benchmark, results_dir):
+def test_e13_spv_service(results_dir):
     rows = []
     measured: list[tuple[int, float, float, float]] = []
 
@@ -51,7 +51,7 @@ def test_e13_spv_service(benchmark, results_dir):
                 )
             )
 
-    run_once(benchmark, run_service)
+    run_service()
 
     for n_tx, proof, body, latency in measured:
         rows.append(
@@ -86,9 +86,9 @@ def test_e13_spv_service(benchmark, results_dir):
     assert all(latency < 1.0 for *_rest, latency in measured)
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    tx_counts = profile.pick((4, 16), TX_COUNTS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    tx_counts = (4, 16)
     outputs = []
     for txs in tx_counts:
         deployment = build_ici(N_NODES, N_CLUSTERS, replication=1)
@@ -96,7 +96,7 @@ def _bench_workload(profile):
         report = runner.produce_blocks(6, txs_per_block=txs)
         light = deployment.attach_light_client()
         block = max(report.blocks, key=lambda b: len(b.transactions))
-        for tx in block.transactions[: profile.pick(4, 8)]:
+        for tx in block.transactions[:4]:
             deployment.spv_check(light.node_id, block.block_hash, tx.txid)
             deployment.run()
         outputs.append((f"txs{txs}", deployment))

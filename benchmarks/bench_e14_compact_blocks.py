@@ -9,7 +9,7 @@ idea applied inside ICIStrategy's holder fan-out.
 
 from __future__ import annotations
 
-from benchmarks.conftest import build_ici, emit, run_once
+from benchmarks.conftest import build_ici, emit
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
 from repro.net.message import MessageKind
@@ -37,14 +37,14 @@ def run_mode(compact: bool):
     return deployment, dissemination
 
 
-def test_e14_compact_blocks(benchmark, results_dir):
+def test_e14_compact_blocks(results_dir):
     results = {}
 
     def run_both():
         results["full bodies"] = run_mode(compact=False)
         results["compact"] = run_mode(compact=True)
 
-    run_once(benchmark, run_both)
+    run_both()
 
     baseline = results["full bodies"][1]
     rows = []
@@ -90,9 +90,9 @@ def test_e14_compact_blocks(benchmark, results_dir):
         )
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    blocks = profile.pick(4, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    blocks = 4
     outputs = []
     for label, compact in (("full-bodies", False), ("compact", True)):
         deployment = build_ici(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.tables import format_seconds, render_table
 from repro.bench.workload import BenchWorkload
 from repro.clustering.coordinates import place_regions
@@ -65,7 +65,7 @@ def run_variant(clustering: str, coordinates) -> float:
     return retrieval_latency(deployment, report.block_hashes)
 
 
-def test_e15_vivaldi_clustering(benchmark, results_dir):
+def test_e15_vivaldi_clustering(results_dir):
     results: dict[str, float] = {}
     quality = {}
 
@@ -87,7 +87,7 @@ def test_e15_vivaldi_clustering(benchmark, results_dir):
             "kmeans", list(estimated)
         )
 
-    run_once(benchmark, run_all)
+    run_all()
 
     baseline = results["random"]
     rows = [
@@ -113,7 +113,7 @@ def test_e15_vivaldi_clustering(benchmark, results_dir):
     assert quality["median_error"] < 0.2
 
 
-# ---------------------------------------------------------- perf workload
+# ------------------------------------------------------ drift-gate kernel
 def _workload_variant(clustering, coordinates, blocks):
     true_points = place_regions(N_NODES, n_regions=N_CLUSTERS, seed=13)
     deployment = ICIDeployment(
@@ -134,11 +134,11 @@ def _workload_variant(clustering, coordinates, blocks):
     return deployment
 
 
-def _bench_workload(profile):
-    blocks = profile.pick(3, N_BLOCKS)
+def _bench_workload():
+    blocks = 3
     true_points = place_regions(N_NODES, n_regions=N_CLUSTERS, seed=13)
     estimated = VivaldiEstimator(N_NODES, seed=13).estimate_from_model(
-        CoordinateLatency(true_points), rounds=profile.pick(10, 40)
+        CoordinateLatency(true_points), rounds=10
     )
     return [
         ("random", _workload_variant("random", None, blocks)),

@@ -15,7 +15,7 @@ is *safe*: valid blocks get refused; invalid ones are never accepted.
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.bench.workload import BenchWorkload
 from repro.consensus.quorum import byzantine_quorum, max_byzantine_tolerated
@@ -50,7 +50,7 @@ def run_with_liars(n_liars: int, replication: int) -> float:
     return accepted / N_BLOCKS
 
 
-def test_e16_byzantine_tolerance(benchmark, results_dir):
+def test_e16_byzantine_tolerance(results_dir):
     acceptance: dict[tuple[int, int], float] = {}
 
     def run_sweep():
@@ -60,7 +60,7 @@ def test_e16_byzantine_tolerance(benchmark, results_dir):
                     n_liars, replication
                 )
 
-    run_once(benchmark, run_sweep)
+    run_sweep()
 
     f = max_byzantine_tolerated(CLUSTER_SIZE)
     rows = [
@@ -102,7 +102,7 @@ def test_e16_byzantine_tolerance(benchmark, results_dir):
         assert acceptance[(replication, 4)] < 1.0
 
 
-# ---------------------------------------------------------- perf workload
+# ------------------------------------------------------ drift-gate kernel
 def _workload_run(n_liars: int, replication: int, blocks: int):
     deployment = ICIDeployment(
         CLUSTER_SIZE,
@@ -119,18 +119,11 @@ def _workload_run(n_liars: int, replication: int, blocks: int):
     return deployment
 
 
-def _bench_workload(profile):
-    blocks = profile.pick(3, N_BLOCKS)
-    outputs = []
-    for replication in profile.pick((3,), REPLICATIONS):
-        for n_liars in profile.pick((0, 2), LIAR_COUNTS):
-            outputs.append(
-                (
-                    f"r{replication}-liars{n_liars}",
-                    _workload_run(n_liars, replication, blocks),
-                )
-            )
-    return outputs
+def _bench_workload():
+    return [
+        (f"r3-liars{n_liars}", _workload_run(n_liars, replication=3, blocks=3))
+        for n_liars in (0, 2)
+    ]
 
 
 WORKLOAD = BenchWorkload(

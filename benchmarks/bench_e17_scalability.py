@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 
-from benchmarks.conftest import build_ici, drive, emit, run_once
+from benchmarks.conftest import build_ici, drive, emit
 from repro.analysis.tables import format_bytes, format_seconds, render_table
 from repro.bench.workload import BenchWorkload
 
@@ -21,7 +21,7 @@ CLUSTER_SIZE = 8
 N_BLOCKS = 6
 
 
-def test_e17_scalability(benchmark, results_dir):
+def test_e17_scalability(results_dir):
     rows_data: list[tuple[int, float, float, float]] = []
 
     def run_sweep():
@@ -53,7 +53,7 @@ def test_e17_scalability(benchmark, results_dir):
                 )
             )
 
-    run_once(benchmark, run_sweep)
+    run_sweep()
 
     rows = [
         (
@@ -81,10 +81,10 @@ def test_e17_scalability(benchmark, results_dir):
     assert last[3] < 2.0 * first[3], "finalize latency grew with N"
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    populations = profile.pick((24, 48), POPULATIONS)
-    blocks = profile.pick(3, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    populations = (24, 48)
+    blocks = 3
     outputs = []
     for n in populations:
         deployment = build_ici(n, n // CLUSTER_SIZE, replication=1)

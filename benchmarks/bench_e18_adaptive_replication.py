@@ -13,25 +13,20 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
 from repro.sim.scenario import BENCH_LIMITS
 from repro.sim.tiered_compare import E18, run_tiered_compare
+from repro.sim.workload import ZIPF_EXPONENT
 
 #: The acceptance run: defaults (seed 42, 18 nodes / 3 clusters, r=2,
 #: 16 blocks, 150 Zipf reads over 6 convergence rounds).
 ACCEPT = E18
 
 
-def test_e18_adaptive_replication(benchmark, results_dir):
-    outcomes = {}
-
-    def run_all():
-        outcomes["compare"] = run_tiered_compare(ACCEPT)
-
-    run_once(benchmark, run_all)
-    outcome = outcomes["compare"]
+def test_e18_adaptive_replication(results_dir):
+    outcome = run_tiered_compare(ACCEPT)
     fixed, adaptive = outcome.baseline, outcome.treatment
 
     rows = [
@@ -68,7 +63,7 @@ def test_e18_adaptive_replication(benchmark, results_dir):
         title=(
             f"E18  Adaptive replication (N={ACCEPT.n_nodes}, "
             f"r={ACCEPT.replication}, {ACCEPT.n_blocks} blocks, "
-            f"{ACCEPT.reads} Zipf reads, s={ACCEPT.zipf_exponent})"
+            f"{ACCEPT.reads} Zipf reads, s={ZIPF_EXPONENT})"
         ),
     )
     emit(results_dir, "e18_adaptive_replication", table)
@@ -81,14 +76,9 @@ def test_e18_adaptive_replication(benchmark, results_dir):
     assert outcome.adaptive_stats["replicas_shed"] > 0
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    config = replace(
-        ACCEPT,
-        n_blocks=profile.pick(8, ACCEPT.n_blocks),
-        reads=profile.pick(60, ACCEPT.reads),
-        rounds=profile.pick(4, ACCEPT.rounds),
-    )
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    config = replace(ACCEPT, n_blocks=8, reads=60, rounds=4)
     outcome = run_tiered_compare(config, limits=BENCH_LIMITS)
     return [(name, arm.deployment) for name, arm in outcome.arms.items()]
 
@@ -97,5 +87,4 @@ WORKLOAD = BenchWorkload(
     bench_id="e18",
     title="heat-aware adaptive replication vs fixed-r",
     run=_bench_workload,
-    tags=("heat", "adaptive"),
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
 from repro.sim.scenario import BENCH_LIMITS
@@ -26,14 +26,8 @@ from repro.sim.tiered_compare import E19, run_tiered_compare
 ACCEPT = E19
 
 
-def test_e19_archival_coding(benchmark, results_dir):
-    outcomes = {}
-
-    def run_all():
-        outcomes["compare"] = run_tiered_compare(ACCEPT)
-
-    run_once(benchmark, run_all)
-    outcome = outcomes["compare"]
+def test_e19_archival_coding(results_dir):
+    outcome = run_tiered_compare(ACCEPT)
 
     stats = outcome.archival_stats
     adaptive, coded = outcome.baseline, outcome.treatment
@@ -91,14 +85,9 @@ def test_e19_archival_coding(benchmark, results_dir):
     assert stats["failed_reconstructions"] == 0
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    config = replace(
-        ACCEPT,
-        n_blocks=profile.pick(8, ACCEPT.n_blocks),
-        reads=profile.pick(60, ACCEPT.reads),
-        rounds=profile.pick(4, ACCEPT.rounds),
-    )
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    config = replace(ACCEPT, n_blocks=8, reads=60, rounds=4)
     outcome = run_tiered_compare(config, limits=BENCH_LIMITS)
     return [(name, arm.deployment) for name, arm in outcome.arms.items()]
 
@@ -107,5 +96,4 @@ WORKLOAD = BenchWorkload(
     bench_id="e19",
     title="Reed-Solomon archival tier vs adaptive-only",
     run=_bench_workload,
-    tags=("coded", "archival"),
 )

@@ -15,7 +15,6 @@ from benchmarks.conftest import (
     build_rapid,
     drive,
     emit,
-    run_once,
 )
 from repro.analysis.plots import ascii_series
 from repro.analysis.tables import format_bytes, render_table
@@ -32,7 +31,7 @@ N_COMMITTEES = 6        # RapidChain committee size 8
 CHECKPOINTS = (5, 10, 15, 20)
 
 
-def test_e1_storage_growth(benchmark, results_dir):
+def test_e1_storage_growth(results_dir):
     deployments = {
         "full": build_full(N_NODES),
         "rapidchain": build_rapid(N_NODES, N_COMMITTEES),
@@ -59,7 +58,7 @@ def test_e1_storage_growth(benchmark, results_dir):
                     deployment.storage_report().mean_node_bytes
                 )
 
-    run_once(benchmark, run_experiment)
+    run_experiment()
 
     rows = [
         (
@@ -106,11 +105,11 @@ def test_e1_storage_growth(benchmark, results_dir):
     assert full_total == full_replication_total(N_NODES, per_node)
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    n_nodes = profile.pick(24, N_NODES)
-    groups = profile.pick(3, N_CLUSTERS)
-    n_blocks = profile.pick(6, CHECKPOINTS[-1])
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    n_nodes = 24
+    groups = 3
+    n_blocks = 6
     outputs = []
     for name, deployment in (
         ("full", build_full(n_nodes)),

@@ -13,10 +13,14 @@ still resolves every audit lookup after heal.
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.bench.workload import BenchWorkload
-from repro.sim.dht_compare import DhtCompareConfig, run_dht_compare
+from repro.sim.dht_compare import (
+    CHAOS_DROP_RATE,
+    DhtCompareConfig,
+    run_dht_compare,
+)
 from repro.sim.scenario import BENCH_LIMITS
 
 #: The acceptance run: defaults (seed 42, sizes 12/24/48 at 6 per
@@ -24,14 +28,8 @@ from repro.sim.scenario import BENCH_LIMITS
 ACCEPT = DhtCompareConfig()
 
 
-def test_e20_dht_lookup(benchmark, results_dir):
-    outcomes = {}
-
-    def run_all():
-        outcomes["compare"] = run_dht_compare(ACCEPT)
-
-    run_once(benchmark, run_all)
-    outcome = outcomes["compare"]
+def test_e20_dht_lookup(results_dir):
+    outcome = run_dht_compare(ACCEPT)
 
     rows = []
     for row in outcome.sizes:
@@ -65,7 +63,7 @@ def test_e20_dht_lookup(benchmark, results_dir):
             f"E20  DHT lookup vs broadcast "
             f"(r={ACCEPT.replication}, {ACCEPT.n_blocks} blocks, "
             f"{ACCEPT.lookups} lookups/size, chaos drop "
-            f"{ACCEPT.chaos_drop_rate:.0%})"
+            f"{CHAOS_DROP_RATE:.0%})"
         ),
     )
     emit(results_dir, "e20_dht_lookup", table)
@@ -80,12 +78,10 @@ def test_e20_dht_lookup(benchmark, results_dir):
     assert outcome.chaos.get("empty_tables") == 0
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
     config = DhtCompareConfig(
-        network_sizes=profile.pick((12, 24), ACCEPT.network_sizes),
-        n_blocks=profile.pick(4, ACCEPT.n_blocks),
-        lookups=profile.pick(6, ACCEPT.lookups),
+        network_sizes=(12, 24), n_blocks=4, lookups=6
     )
     outcome = run_dht_compare(config, limits=BENCH_LIMITS)
     smallest = config.network_sizes[0]
@@ -100,5 +96,4 @@ WORKLOAD = BenchWorkload(
     bench_id="e20",
     title="DHT holder lookup vs broadcast baseline",
     run=_bench_workload,
-    tags=("dht", "lookup"),
 )

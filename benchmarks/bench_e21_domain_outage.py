@@ -14,7 +14,7 @@ stacked blocks stay single-zone forever (no mechanism to re-spread).
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.bench.workload import BenchWorkload
 from repro.sim.domain_compare import (
@@ -29,14 +29,8 @@ from repro.sim.scenario import BENCH_LIMITS
 ACCEPT = DomainCompareConfig()
 
 
-def test_e21_domain_outage(benchmark, results_dir):
-    outcomes = {}
-
-    def run_all():
-        outcomes["compare"] = run_domain_compare(ACCEPT)
-
-    run_once(benchmark, run_all)
-    outcome = outcomes["compare"]
+def test_e21_domain_outage(results_dir):
+    outcome = run_domain_compare(ACCEPT)
 
     rows = []
     for name in ARMS:
@@ -83,13 +77,10 @@ def test_e21_domain_outage(benchmark, results_dir):
     assert outcome.arms["oblivious"]["rounds_to_diversity"] == -1
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
     config = DomainCompareConfig(
-        n_nodes=profile.pick(16, ACCEPT.n_nodes),
-        n_clusters=profile.pick(2, ACCEPT.n_clusters),
-        n_blocks=profile.pick(6, ACCEPT.n_blocks),
-        reads=profile.pick(8, ACCEPT.reads),
+        n_nodes=16, n_clusters=2, n_blocks=6, reads=8
     )
     outcome = run_domain_compare(config, limits=BENCH_LIMITS)
     return [
@@ -101,5 +92,4 @@ WORKLOAD = BenchWorkload(
     bench_id="e21",
     title="Zone outage: domain-aware vs oblivious placement",
     run=_bench_workload,
-    tags=("domains", "placement"),
 )

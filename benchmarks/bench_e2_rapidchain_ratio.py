@@ -16,7 +16,6 @@ from benchmarks.conftest import (
     build_rapid,
     drive,
     emit,
-    run_once,
 )
 from repro.analysis.stats import relative_error
 from repro.analysis.tables import format_bytes, render_table
@@ -43,7 +42,7 @@ SIM_CLUSTERS = 25    # cluster size 4 → ratio 100/(4·25) = 1.0? see below
 SIM_BLOCKS = 15
 
 
-def test_e2_rapidchain_ratio(benchmark, results_dir):
+def test_e2_rapidchain_ratio(results_dir):
     # ---------------- closed forms at paper scale ----------------------
     rc_total = rapidchain_total(PAPER_N, PAPER_COMMITTEE, LEDGER_BYTES)
     configurations = [
@@ -96,7 +95,7 @@ def test_e2_rapidchain_ratio(benchmark, results_dir):
             r.body_bytes for r in ici_report.per_node
         ) / sum(r.body_bytes for r in rapid_report.per_node)
 
-    run_once(benchmark, run_sim)
+    run_sim()
 
     sim_ratio = measured["ici_bodies"] / measured["rapid_bodies"]
     # Closed form for the simulated layout: (N/g_i)·r / g_c.
@@ -138,12 +137,12 @@ def test_e2_rapidchain_ratio(benchmark, results_dir):
     assert relative_error(measured["paper_scale_ratio"], 0.25) < 0.03
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    n = profile.pick(40, SIM_N)
-    committees = profile.pick(4, SIM_COMMITTEES)
-    clusters = profile.pick(10, SIM_CLUSTERS)
-    blocks = profile.pick(5, SIM_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    n = 40
+    committees = 4
+    clusters = 10
+    blocks = 5
     rapid = build_rapid(n, committees)
     drive(rapid, blocks)
     ici = build_ici(n, clusters, replication=1)

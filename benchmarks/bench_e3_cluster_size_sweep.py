@@ -7,7 +7,7 @@ simulator at N=60 and checked against the closed form at every point.
 
 from __future__ import annotations
 
-from benchmarks.conftest import build_ici, drive, emit, run_once
+from benchmarks.conftest import build_ici, drive, emit
 from repro.analysis.plots import ascii_series
 from repro.analysis.stats import relative_error
 from repro.analysis.tables import format_bytes, render_table
@@ -25,7 +25,7 @@ SWEEP = (
 N_BLOCKS = 12
 
 
-def test_e3_cluster_size_sweep(benchmark, results_dir):
+def test_e3_cluster_size_sweep(results_dir):
     measured: list[tuple[int, float, float]] = []
 
     def run_sweep():
@@ -42,7 +42,7 @@ def test_e3_cluster_size_sweep(benchmark, results_dir):
             )
             measured.append((cluster_size, body_mean, ledger_bodies))
 
-    run_once(benchmark, run_sweep)
+    run_sweep()
 
     rows = []
     xs, sim_series, model_series = [], [], []
@@ -85,11 +85,11 @@ def test_e3_cluster_size_sweep(benchmark, results_dir):
         )
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    n_nodes = profile.pick(20, N_NODES)
-    sweep = profile.pick(((10, 2), (2, 10)), SWEEP)
-    blocks = profile.pick(4, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    n_nodes = 20
+    sweep = ((10, 2), (2, 10))
+    blocks = 4
     outputs = []
     for n_clusters, cluster_size in sweep:
         deployment = build_ici(n_nodes, n_clusters, replication=1)

@@ -16,7 +16,6 @@ from benchmarks.conftest import (
     build_rapid,
     drive,
     emit,
-    run_once,
 )
 from repro.analysis.plots import ascii_series
 from repro.analysis.tables import format_bytes, render_table
@@ -35,7 +34,7 @@ def traffic_per_block(deployment, n_blocks: int) -> float:
     return delta.total_bytes / n_blocks
 
 
-def test_e4_communication(benchmark, results_dir):
+def test_e4_communication(results_dir):
     series: dict[str, list[float]] = {"full": [], "rapidchain": [], "ici": []}
 
     def run_sweep():
@@ -53,7 +52,7 @@ def test_e4_communication(benchmark, results_dir):
                 )
             )
 
-    run_once(benchmark, run_sweep)
+    run_sweep()
 
     rows = [
         (
@@ -107,10 +106,10 @@ def test_e4_communication(benchmark, results_dir):
     assert last_gain > first_gain * 0.8
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    populations = profile.pick((24,), POPULATIONS)
-    blocks = profile.pick(3, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    populations = (24,)
+    blocks = 3
     outputs = []
     for n in populations:
         groups = n // GROUP_SIZE

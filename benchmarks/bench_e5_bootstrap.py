@@ -15,7 +15,6 @@ from benchmarks.conftest import (
     build_rapid,
     drive,
     emit,
-    run_once,
 )
 from repro.analysis.plots import ascii_bars
 from repro.analysis.tables import format_bytes, format_seconds, render_table
@@ -27,7 +26,7 @@ GROUPS = 6          # size-8 committees/clusters
 N_BLOCKS = 24
 
 
-def test_e5_bootstrap(benchmark, results_dir):
+def test_e5_bootstrap(results_dir):
     results: dict[str, tuple[float, float]] = {}
 
     def run_joins():
@@ -57,7 +56,7 @@ def test_e5_bootstrap(benchmark, results_dir):
             0.0,
         )
 
-    run_once(benchmark, run_joins)
+    run_joins()
 
     order = ["full", "rapidchain", "ici", "spv floor"]
     rows = [
@@ -91,11 +90,11 @@ def test_e5_bootstrap(benchmark, results_dir):
     ][0]
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    n_nodes = profile.pick(16, N_NODES)
-    groups = profile.pick(2, GROUPS)
-    blocks = profile.pick(6, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    n_nodes = 16
+    groups = 2
+    blocks = 6
     outputs = []
     for name, deployment in (
         ("full", build_full(n_nodes)),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 
-from benchmarks.conftest import build_ici, drive, emit, run_once
+from benchmarks.conftest import build_ici, drive, emit
 from repro.analysis.plots import ascii_series
 from repro.analysis.tables import format_seconds, render_table
 from repro.bench.workload import BenchWorkload
@@ -32,7 +32,7 @@ def mean_finalize_latency(deployment, block_hashes) -> float:
     return statistics.fmean([lat for lat in latencies if lat is not None])
 
 
-def test_e6_verification_latency(benchmark, results_dir):
+def test_e6_verification_latency(results_dir):
     aggregated: list[float] = []
     broadcast: list[float] = []
     messages_agg: list[int] = []
@@ -57,7 +57,7 @@ def test_e6_verification_latency(benchmark, results_dir):
             )
             messages_bcast.append(bcast.network.traffic.total_messages)
 
-    run_once(benchmark, run_sweep)
+    run_sweep()
 
     rows = [
         (
@@ -98,11 +98,11 @@ def test_e6_verification_latency(benchmark, results_dir):
     assert messages_bcast[-1] > 1.5 * messages_agg[-1]
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    n_nodes = profile.pick(16, N_NODES)
-    sizes = profile.pick((4, 8), CLUSTER_SIZES)
-    blocks = profile.pick(3, N_BLOCKS)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    n_nodes = 16
+    sizes = (4, 8)
+    blocks = 3
     outputs = []
     for cluster_size in sizes:
         deployment = build_ici(

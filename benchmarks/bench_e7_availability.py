@@ -8,7 +8,7 @@ simulator scenario (crash holders, retrieve through the query protocol).
 
 from __future__ import annotations
 
-from benchmarks.conftest import build_ici, drive, emit, run_once
+from benchmarks.conftest import build_ici, drive, emit
 from repro.analysis.plots import ascii_series
 from repro.analysis.tables import render_table
 from repro.bench.workload import BenchWorkload
@@ -37,7 +37,7 @@ def header_at(height: int) -> BlockHeader:
     )
 
 
-def test_e7_availability(benchmark, results_dir):
+def test_e7_availability(results_dir):
     members = list(range(CLUSTER_SIZE))
     headers = [header_at(h) for h in range(N_BLOCKS_MC)]
     policy = RendezvousPlacement()
@@ -65,7 +65,7 @@ def test_e7_availability(benchmark, results_dir):
             survival[f"r={r}"] = measured
             exact[f"r={r}"] = model
 
-    run_once(benchmark, run_monte_carlo)
+    run_monte_carlo()
 
     rows = []
     for i, f in enumerate(FAIL_COUNTS):
@@ -143,13 +143,11 @@ def test_e7_availability(benchmark, results_dir):
     assert survival["r=3"][1] == 1.0
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    samples = profile.pick(10, MC_SAMPLES)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    samples = 10
     members = list(range(CLUSTER_SIZE))
-    headers = [
-        header_at(h) for h in range(profile.pick(50, N_BLOCKS_MC))
-    ]
+    headers = [header_at(h) for h in range(50)]
     policy = RendezvousPlacement()
     for r in REPLICATIONS:
         for f in FAIL_COUNTS:
@@ -160,7 +158,7 @@ def _bench_workload(profile):
                     headers, members, r, policy, failed
                 )
     deployment = build_ici(16, 2, replication=2)
-    drive(deployment, profile.pick(3, 6))
+    drive(deployment, 3)
     return [("ici-r2", deployment)]
 
 

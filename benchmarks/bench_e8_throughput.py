@@ -14,7 +14,6 @@ from benchmarks.conftest import (
     build_ici,
     build_rapid,
     emit,
-    run_once,
 )
 from repro.analysis.tables import render_table
 from repro.bench.workload import BenchWorkload
@@ -39,7 +38,7 @@ def pipelined_run(deployment):
     return report, elapsed
 
 
-def test_e8_throughput(benchmark, results_dir):
+def test_e8_throughput(results_dir):
     results: dict[str, tuple[float, float, int]] = {}
 
     def run_all():
@@ -59,7 +58,7 @@ def test_e8_throughput(benchmark, results_dir):
             tps = report.transactions_produced / elapsed
             results[name] = (tps, elapsed, finalized)
 
-    run_once(benchmark, run_all)
+    run_all()
 
     rows = [
         (
@@ -89,12 +88,12 @@ def test_e8_throughput(benchmark, results_dir):
     assert results["ici"][0] > 0.9 * results["full"][0]
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
-    n_nodes = profile.pick(16, N_NODES)
-    groups = profile.pick(2, GROUPS)
-    n_blocks = profile.pick(6, N_BLOCKS)
-    txs = profile.pick(4, TXS_PER_BLOCK)
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
+    n_nodes = 16
+    groups = 2
+    n_blocks = 6
+    txs = 4
     outputs = []
     for name, deployment in (
         ("full", build_full(n_nodes)),

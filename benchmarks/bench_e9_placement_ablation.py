@@ -9,7 +9,7 @@ reshuffles; capacity-weighted follows configured heterogeneity.
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit, run_once
+from benchmarks.conftest import emit
 from repro.analysis.tables import render_table
 from repro.bench.workload import BenchWorkload
 from repro.chain.block import BlockHeader
@@ -47,7 +47,7 @@ def migration_fraction(policy, headers, members) -> float:
     return moved / len(headers)
 
 
-def test_e9_placement_ablation(benchmark, results_dir):
+def test_e9_placement_ablation(results_dir):
     members = list(range(CLUSTER_SIZE))
     headers = [header_at(h) for h in range(N_BLOCKS)]
     policies = {
@@ -68,7 +68,7 @@ def test_e9_placement_ablation(benchmark, results_dir):
                 migration_fraction(policy, headers, members),
             )
 
-    run_once(benchmark, run_ablation)
+    run_ablation()
 
     rows = [
         (name, f"{stats[name][0]:.3f}", f"{stats[name][1]:.1%}")
@@ -101,10 +101,10 @@ def test_e9_placement_ablation(benchmark, results_dir):
     assert cap_load[0] > 1.4 * mean_others
 
 
-# ---------------------------------------------------------- perf workload
-def _bench_workload(profile):
+# ------------------------------------------------------ drift-gate kernel
+def _bench_workload():
     members = list(range(CLUSTER_SIZE))
-    headers = [header_at(h) for h in range(profile.pick(200, N_BLOCKS))]
+    headers = [header_at(h) for h in range(200)]
     for policy in (
         RendezvousPlacement(),
         ModuloSlotPlacement(),
@@ -113,7 +113,7 @@ def _bench_workload(profile):
     ):
         placement_load(headers, members, REPLICATION, policy)
         migration_fraction(policy, headers, members)
-    return []  # purely computational: wall-clock only, no deployments
+    return []  # purely computational: no deployment, nothing to compare
 
 
 WORKLOAD = BenchWorkload(

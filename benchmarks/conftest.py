@@ -4,10 +4,9 @@ Each bench regenerates one table/figure of the paper's evaluation
 (see DESIGN.md's experiment index):
 
 * it *prints* the rows/series (visible with ``pytest -s``),
-* it *writes* them under ``benchmarks/results/`` so ``--benchmark-only``
-  runs leave artifacts behind,
-* it *asserts* the qualitative claim (who wins, roughly by how much), and
-* it times one representative kernel through pytest-benchmark.
+* it *writes* them under ``benchmarks/results/`` so runs leave artifacts
+  behind, and
+* it *asserts* the qualitative claim (who wins, roughly by how much).
 """
 
 from __future__ import annotations
@@ -37,11 +36,6 @@ def emit(results_dir: Path, name: str, text: str) -> None:
     print()
     print(text)
     (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def run_once(benchmark, func):
-    """Run ``func`` exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, rounds=1, iterations=1)
 
 
 def build_ici(n_nodes: int, n_clusters: int, replication: int = 1, **kw):

@@ -204,61 +204,6 @@ def _section_latency(deployment) -> str:
     return "## Latency\n\n" + _md_table(["quantity", "value"], rows)
 
 
-# ------------------------------------------------------- benchmark summary
-def render_bench_summary(payload: dict, comparison=None) -> str:
-    """Markdown summary of one benchmark-suite payload.
-
-    ``payload`` is a :mod:`repro.bench.schema` document; ``comparison``
-    is an optional :class:`repro.bench.baseline.BaselineComparison` whose
-    verdict gets appended.
-    """
-    host = payload.get("host", {})
-    lines = [
-        f"# Benchmark run ({payload['profile']} profile)",
-        "",
-        f"- created: {payload.get('created_at', 'unknown')}",
-        f"- python: {host.get('python', 'unknown')} "
-        f"on {host.get('platform', 'unknown')}",
-        f"- calibration kernel: "
-        f"{payload['calibration']['wall_seconds']:.4f}s",
-        "",
-    ]
-    rows = []
-    for bench_id, entry in payload["benchmarks"].items():
-        wall = entry["wall_seconds"]
-        simulated = entry["simulated"]
-        messages = sum(
-            sim.get("messages", 0) for sim in simulated.values()
-        )
-        rows.append(
-            (
-                bench_id,
-                entry.get("title", ""),
-                f"{wall['min']:.3f}",
-                f"{wall['mean']:.3f}",
-                f"{entry.get('peak_rss_kb', 0) // 1024} MB",
-                messages or "-",
-            )
-        )
-    lines.append(
-        _md_table(
-            [
-                "bench",
-                "kernel",
-                "wall min (s)",
-                "wall mean (s)",
-                "peak RSS",
-                "sim messages",
-            ],
-            rows,
-        )
-    )
-    if comparison is not None:
-        lines += ["", "## Baseline comparison", ""]
-        lines += [f"- {line}" for line in comparison.summary_lines()]
-    return "\n".join(lines) + "\n"
-
-
 def _dht_overlay_lines(dht: dict) -> list[str]:
     """The "## DHT overlay" section chaos/endurance summaries share."""
     return [
@@ -391,6 +336,7 @@ def _storm_header(
 ) -> list[str]:
     """Title + run bullets the chaos and endurance summaries share."""
     config = outcome.config
+    delay_seconds = config.fault_config().delay_seconds
     verdict = "restored" if outcome.integrity_restored else "VIOLATED"
     return [
         f"# {kind} run (seed {config.seed})",
@@ -399,7 +345,7 @@ def _storm_header(
         f"r={config.replication}",
         f"- fault rates: drop {config.drop_rate:.0%}, "
         f"duplicate {config.duplicate_rate:.0%}, "
-        f"delay {config.delay_rate:.0%} (+{config.delay_seconds:g}s)",
+        f"delay {config.delay_rate:.0%} (+{delay_seconds:g}s)",
         *detail,
         f"- virtual time: {outcome.virtual_seconds:.1f}s over "
         f"{outcome.events_processed} events",
@@ -497,13 +443,7 @@ def render_chaos_summary(outcome) -> str:
         [
             (
                 "join bootstrap",
-                "skipped"
-                if outcome.bootstrap_complete is None
-                else (
-                    "complete"
-                    if outcome.bootstrap_complete
-                    else "incomplete"
-                )
+                ("complete" if outcome.bootstrap_complete else "incomplete")
                 + f" ({outcome.bootstrap_bodies_unavailable}"
                 " bodies unavailable)",
             ),

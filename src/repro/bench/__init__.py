@@ -1,43 +1,12 @@
-"""Unified benchmark harness: machine-readable perf runs over the benches.
+"""The drift gate over the experiment kernels.
 
 The :mod:`benchmarks` directory reproduces the paper's evaluation as
-pytest-collected experiments; this package gives them a *performance*
-spine.  Each ``benchmarks/bench_e*.py`` module declares a module-level
-:data:`WORKLOAD` (:class:`~repro.bench.workload.BenchWorkload`) — the
-experiment's representative kernel, runnable without pytest — and the
-:class:`~repro.bench.runner.BenchmarkRunner` discovers and executes them
-under a common protocol: fixed seeds, warmup, N repetitions, wall-clock +
-simulated-time + peak-RSS + per-message-kind router counters.
-
-Results serialize to a versioned JSON schema (:mod:`repro.bench.schema`);
-:mod:`repro.bench.baseline` compares a run against the committed
-``benchmarks/baseline.json`` and flags wall-clock regressions and any
-drift in the (machine-independent) simulated metrics.  The ``repro bench``
-CLI subcommand fronts all of it.
+pytest-collected experiments.  Each ``benchmarks/bench_e*.py`` module
+also declares a module-level :data:`WORKLOAD`
+(:class:`~repro.bench.workload.BenchWorkload`) — the experiment's
+representative kernel, runnable without pytest — and
+:mod:`repro.bench.runner` runs them and compares their simulated metrics
+exactly against the committed ``benchmarks/baseline.json``.  The
+``repro bench`` CLI subcommand and ``tests/test_bench_drift.py`` front
+it.  Wall-clock measurement lives in ``perfbench/``.
 """
-
-from repro.bench.baseline import BaselineComparison, compare_to_baseline
-from repro.bench.profile import FULL, PROFILES, QUICK, BenchProfile
-from repro.bench.runner import BenchmarkRunner, discover_workloads
-from repro.bench.schema import (
-    SCHEMA_NAME,
-    SCHEMA_VERSION,
-    validate_payload,
-)
-from repro.bench.workload import BenchWorkload, simulated_metrics
-
-__all__ = [
-    "BenchProfile",
-    "QUICK",
-    "FULL",
-    "PROFILES",
-    "BenchWorkload",
-    "simulated_metrics",
-    "BenchmarkRunner",
-    "discover_workloads",
-    "SCHEMA_NAME",
-    "SCHEMA_VERSION",
-    "validate_payload",
-    "BaselineComparison",
-    "compare_to_baseline",
-]

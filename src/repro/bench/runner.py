@@ -1,45 +1,33 @@
-"""Discovery and execution of the experiment benchmarks.
+"""The drift gate: did any experiment's simulated numbers move?
 
-The runner imports every ``benchmarks/bench_e*.py`` module, collects the
-module-level :data:`WORKLOAD` declarations, and executes each under one
-protocol:
-
-1. a calibration kernel (fixed SHA-256 loop) is timed once per suite, so
-   wall-clock numbers can be compared across machines of different speed;
-2. each workload gets ``profile.warmup`` untimed runs (fills the global
-   hash/signature memoization layers, the same way a long-lived process
-   would be warm);
-3. then ``profile.repetitions`` timed runs.  The simulated metrics of
-   every repetition must be identical — workloads are fixed-seed
-   deterministic by contract, and the runner enforces it;
-4. wall-clock samples, peak RSS, and the per-label simulated metrics go
-   into one schema-versioned payload (:mod:`repro.bench.schema`).
-
-Peak RSS is the process high-water mark from ``getrusage``; it is
-monotone over the suite, so each bench records the mark *as of the end of
-its runs* (the first bench to allocate a large working set moves it).
+Every ``benchmarks/bench_e*.py`` module declares a :data:`WORKLOAD`
+kernel.  :func:`measure` runs one twice and returns its simulated
+metrics (virtual time, message/byte totals, per-kind router counters);
+:func:`drift` compares them with the kernel's entry in the committed
+``benchmarks/baseline.json``.  Those numbers are machine-independent, so
+the comparison is *exact* — any difference at all means the protocols
+changed behaviour.  ``repro bench`` and ``tests/test_bench_drift.py``
+are the two callers.  How fast the simulator runs is ``perfbench/``'s
+question, not this module's; :func:`calibrate` stays only because
+``perfbench/run.py`` records it per host.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import importlib
-import platform
-import resource
+import json
 import sys
 import time
 from pathlib import Path
 
-from repro.bench.profile import BenchProfile
-from repro.bench.schema import (
-    SCHEMA_NAME,
-    SCHEMA_VERSION,
-    dump_payload,
-    wall_stats,
-)
 from repro.bench.workload import BenchWorkload, simulated_metrics
 from repro.errors import ReproError
+
+BENCH_DIR = Path(__file__).resolve().parents[3] / "benchmarks"
+
+#: ``{bench_id: {label: simulated metrics}}`` for every kernel.
+BASELINE = BENCH_DIR / "baseline.json"
 
 #: Iterations of the calibration hash loop (~tens of ms on current CPUs).
 _CALIBRATION_ROUNDS = 200_000
@@ -49,22 +37,18 @@ class BenchError(ReproError):
     """A benchmark violated the execution protocol."""
 
 
-def discover_workloads(
-    bench_dir: Path | None = None,
-) -> list[BenchWorkload]:
+def discover_workloads() -> list[BenchWorkload]:
     """Import ``benchmarks.bench_e*`` modules and collect their WORKLOADs.
 
     Modules without a ``WORKLOAD`` attribute are skipped silently — a
-    bench opts into the harness by declaring one.  Results are sorted by
-    numeric experiment id so payloads and reports are stably ordered.
+    bench opts into the gate by declaring one.  Results are sorted by
+    numeric experiment id.
     """
-    if bench_dir is None:
-        bench_dir = Path(__file__).resolve().parents[3] / "benchmarks"
-    repo_root = bench_dir.parent
+    repo_root = BENCH_DIR.parent
     if str(repo_root) not in sys.path:
         sys.path.insert(0, str(repo_root))
     workloads: list[BenchWorkload] = []
-    for path in sorted(bench_dir.glob("bench_e*.py")):
+    for path in sorted(BENCH_DIR.glob("bench_e*.py")):
         module = importlib.import_module(f"benchmarks.{path.stem}")
         workload = getattr(module, "WORKLOAD", None)
         if workload is None:
@@ -83,6 +67,70 @@ def _bench_sort_key(bench_id: str) -> tuple:
     return (int(digits) if digits else 0, bench_id)
 
 
+def measure(workload: BenchWorkload) -> dict:
+    """Run the kernel twice; returns ``{label: simulated metrics}``.
+
+    Raises :class:`BenchError` when the two runs disagree — a kernel
+    that is not deterministic cannot be gated on exact equality.
+    """
+    first, second = [
+        {
+            label: simulated_metrics(deployment)
+            for label, deployment in workload.run()
+        }
+        for _ in range(2)
+    ]
+    if first != second:
+        raise BenchError(
+            f"{workload.bench_id}: the second run produced different "
+            "simulated metrics — workload is not deterministic"
+        )
+    return first
+
+
+def drift(
+    bench_id: str, baseline_entry: dict | None, measured: dict | None
+) -> list[str]:
+    """Exact-equality diff of two ``{label: metrics}`` maps, one line each.
+
+    An empty list means no drift.  ``None`` stands for an id that side
+    does not know: the baseline file and the kernels must agree exactly.
+    """
+    if baseline_entry is None:
+        return [f"{bench_id}: not in baseline"]
+    if measured is None:
+        return [f"{bench_id}: missing from this run"]
+    problems: list[str] = []
+    for label in sorted(set(baseline_entry) | set(measured)):
+        if label not in measured:
+            problems.append(f"{bench_id}/{label}: missing from this run")
+            continue
+        if label not in baseline_entry:
+            problems.append(f"{bench_id}/{label}: not in baseline")
+            continue
+        base, cand = baseline_entry[label], measured[label]
+        problems.extend(
+            f"{bench_id}/{label}: {key} {base.get(key)!r} "
+            f"-> {cand.get(key)!r}"
+            for key in sorted(set(base) | set(cand))
+            if base.get(key) != cand.get(key)
+        )
+    return problems
+
+
+def load_baseline() -> dict:
+    """The committed ``{bench_id: {label: simulated metrics}}`` map."""
+    return json.loads(BASELINE.read_text(encoding="utf-8"))
+
+
+def write_baseline(measured: dict) -> None:
+    """Store ``measured`` as the baseline: stable, human-diffable JSON."""
+    BASELINE.write_text(
+        json.dumps(measured, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+
+
 def calibrate() -> float:
     """Time the fixed hashing kernel; returns wall seconds.
 
@@ -99,141 +147,3 @@ def calibrate() -> float:
     if not digest:  # pragma: no cover - keeps the loop un-eliminable
         raise BenchError("calibration kernel produced no digest")
     return elapsed
-
-
-def _peak_rss_kb() -> int:
-    """Process peak RSS in kB (``ru_maxrss`` is kB on Linux)."""
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-
-
-class BenchmarkRunner:
-    """Executes workloads under the common protocol and builds the payload.
-
-    Attributes:
-        workloads: the benches to run, in order.
-        profile: execution recipe (sizes, warmup, repetitions).
-        progress: optional callable receiving human-readable status lines.
-    """
-
-    def __init__(
-        self,
-        workloads: list[BenchWorkload],
-        profile: BenchProfile,
-        progress=None,
-        trace_dir: Path | None = None,
-    ) -> None:
-        if not workloads:
-            raise BenchError("no workloads to run")
-        self.workloads = list(workloads)
-        self.profile = profile
-        self._progress = progress or (lambda line: None)
-        self._trace_dir = trace_dir
-
-    # ------------------------------------------------------------- running
-    def run(self) -> dict:
-        """Run the whole suite; returns the schema payload."""
-        self._progress(
-            f"profile={self.profile.name} "
-            f"({self.profile.warmup} warmup + "
-            f"{self.profile.repetitions} timed reps per bench)"
-        )
-        calibration = calibrate()
-        self._progress(f"calibration kernel: {calibration:.4f}s")
-        benchmarks: dict[str, dict] = {}
-        for workload in self.workloads:
-            benchmarks[workload.bench_id] = self._run_workload(workload)
-        return {
-            "schema": SCHEMA_NAME,
-            "schema_version": SCHEMA_VERSION,
-            "created_at": time.strftime(
-                "%Y-%m-%dT%H:%M:%S%z", time.localtime()
-            ),
-            "profile": self.profile.name,
-            "host": {
-                "python": platform.python_version(),
-                "platform": platform.platform(),
-            },
-            "calibration": {
-                "wall_seconds": calibration,
-                "rounds": _CALIBRATION_ROUNDS,
-            },
-            "benchmarks": benchmarks,
-        }
-
-    def _run_workload(self, workload: BenchWorkload) -> dict:
-        for _ in range(self.profile.warmup):
-            workload.run(self.profile)
-        samples: list[float] = []
-        reference: dict | None = None
-        for rep in range(self.profile.repetitions):
-            gc.collect()
-            start = time.perf_counter()
-            outputs = workload.run(self.profile)
-            elapsed = time.perf_counter() - start
-            samples.append(elapsed)
-            simulated = {
-                label: simulated_metrics(deployment)
-                for label, deployment in outputs
-            }
-            if reference is None:
-                reference = simulated
-            elif simulated != reference:
-                raise BenchError(
-                    f"{workload.bench_id}: repetition {rep + 1} produced "
-                    "different simulated metrics — workload is not "
-                    "deterministic"
-                )
-            del outputs
-        self._progress(
-            f"{workload.bench_id}: min {min(samples):.3f}s over "
-            f"{len(samples)} reps"
-        )
-        if self._trace_dir is not None:
-            self._trace_workload(workload)
-        return {
-            "title": workload.title,
-            "wall_seconds": wall_stats(samples),
-            "peak_rss_kb": _peak_rss_kb(),
-            "simulated": reference or {},
-        }
-
-    def _trace_workload(self, workload: BenchWorkload) -> Path:
-        """One extra untimed pass under an active tracer; exports JSON.
-
-        Runs after the timed repetitions so tracing cannot perturb the
-        wall-clock samples; deployments built inside the tracing scope
-        self-attach (see :class:`~repro.core.interface.StorageDeployment`).
-        """
-        from repro.obs.export import write_chrome_trace
-        from repro.obs.tracer import Tracer, tracing
-
-        tracer = Tracer()
-        with tracing(tracer):
-            workload.run(self.profile)
-        path = write_chrome_trace(
-            tracer,
-            self._trace_dir / f"TRACE_{workload.bench_id}.json",
-            label=f"{workload.bench_id}: {workload.title}",
-        )
-        self._progress(
-            f"{workload.bench_id}: trace ({len(tracer)} events, "
-            f"{tracer.evicted} evicted) -> {path}"
-        )
-        return path
-
-    # ------------------------------------------------------------- writing
-    def write(self, payload: dict, output_dir: Path) -> Path:
-        """Write ``BENCH_<timestamp>.json`` under ``output_dir``."""
-        output_dir.mkdir(parents=True, exist_ok=True)
-        stamp = time.strftime("%Y%m%d-%H%M%S", time.localtime())
-        path = output_dir / f"BENCH_{stamp}.json"
-        dump_payload(payload, path)
-        return path
-
-
-__all__ = [
-    "BenchError",
-    "BenchmarkRunner",
-    "calibrate",
-    "discover_workloads",
-]

@@ -1,19 +1,19 @@
-"""The workload declaration each bench module exports.
+"""The kernel declaration each bench module exports.
 
 A ``benchmarks/bench_e*.py`` module declares::
 
     WORKLOAD = BenchWorkload(
         bench_id="e8",
         title="pipelined throughput parity",
-        run=_bench_workload,   # (BenchProfile) -> [(label, deployment), ...]
+        run=_bench_workload,   # () -> [(label, deployment), ...]
     )
 
-``run`` executes the experiment's representative kernel at the profile's
-size and returns the driven deployments, labelled, so the runner can pull
-simulated time, traffic totals, event counts, and per-message-kind router
-counters out of them.  Workloads must be deterministic: fixed seeds only,
-and identical simulated metrics on every repetition (the runner enforces
-this).
+``run`` executes the experiment's representative kernel and returns the
+driven deployments, labelled, so the drift gate can pull simulated time,
+traffic totals, event counts, and per-message-kind router counters out
+of them.  Kernels must be deterministic: fixed seeds only, and identical
+simulated metrics on every run (:func:`repro.bench.runner.measure`
+enforces this).
 """
 
 from __future__ import annotations
@@ -21,30 +21,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
-from repro.bench.profile import BenchProfile
-
-#: What a workload returns: labelled deployments that were driven.
+#: What a kernel returns: labelled deployments that were driven.
 WorkloadOutput = Sequence[Tuple[str, object]]
 
 
 @dataclass(frozen=True)
 class BenchWorkload:
-    """One experiment's perf kernel, discoverable by the runner.
+    """One experiment's drift-gate kernel, discoverable by the runner.
 
     Attributes:
-        bench_id: short experiment id (``"e8"``); keys the result payload.
-        title: human-readable one-liner for reports.
-        run: the kernel; must honour the profile via
-            :meth:`~repro.bench.profile.BenchProfile.pick`.
-        tags: optional topic labels (``("heat", "adaptive")``); the CLI's
-            ``--filter`` matches them alongside bench ids, so related
-            kernels can be selected as a group.
+        bench_id: short experiment id (``"e8"``); keys the baseline.
+        title: human-readable one-liner.
+        run: the kernel.
     """
 
     bench_id: str
     title: str
-    run: Callable[[BenchProfile], WorkloadOutput]
-    tags: Tuple[str, ...] = ()
+    run: Callable[[], WorkloadOutput]
 
 
 def simulated_metrics(deployment) -> dict:

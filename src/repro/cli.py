@@ -6,9 +6,8 @@ Commands:
 * ``compare``  — identical block stream through all three strategies.
 * ``join``     — bootstrap-cost demo: grow a network by one node.
 * ``experiments`` — list the reproduced experiments and their benches.
-* ``bench``    — unified benchmark harness: run the experiment workloads,
-  write versioned ``BENCH_*.json`` results, compare against the committed
-  baseline (``--trace`` adds one traced pass per bench).
+* ``bench``    — drift gate: run the 21 experiment kernels and compare
+  their simulated metrics exactly against ``benchmarks/baseline.json``.
 * ``chaos``    — seeded fault-injection run with a markdown audit
   (``--trace`` exports the run's Chrome trace).
 * ``endurance`` — sustained churn under fault weather with the
@@ -30,6 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.tables import format_bytes, format_seconds, render_table
+from repro.errors import ConfigurationError
 from repro.sim.chaos import (
     ChaosConfig,
     EnduranceConfig,
@@ -126,71 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("experiments", help="list reproduced experiments")
 
     bench = sub.add_parser(
-        "bench", help="run the unified benchmark harness"
-    )
-    bench.add_argument(
-        "--profile",
-        choices=("quick", "full"),
-        default="quick",
-        help="workload sizes and repetition counts",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_const",
-        const="quick",
-        dest="profile",
-        help="shorthand for --profile quick (CI-sized)",
-    )
-    bench.add_argument(
-        "--full",
-        action="store_const",
-        const="full",
-        dest="profile",
-        help="shorthand for --profile full (published bench sizes)",
-    )
-    bench.add_argument(
-        "--filter",
-        metavar="IDS",
-        help="comma-separated bench ids or tags to run (e.g. e8,heat)",
-    )
-    bench.add_argument(
-        "--output-dir",
-        metavar="DIR",
-        help="where BENCH_*.json + .md land (default benchmarks/results)",
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline payload to compare against "
-        "(default benchmarks/baseline.json when it exists)",
-    )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero on wall-clock regression or simulated drift",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="wall-clock regression tolerance as a fraction (default 0.25)",
+        "bench",
+        help="drift gate: run the 21 experiment kernels and compare their "
+        "simulated metrics exactly against benchmarks/baseline.json",
     )
     bench.add_argument(
         "--write-baseline",
         action="store_true",
-        help="store this run as benchmarks/baseline.json",
-    )
-    bench.add_argument(
-        "--list",
-        action="store_true",
-        dest="list_workloads",
-        help="list discovered workloads and exit",
-    )
-    bench.add_argument(
-        "--trace",
-        action="store_true",
-        help="after the timed reps, run each bench once under the tracer "
-        "and write TRACE_<id>.json next to the results",
+        help="store this run as benchmarks/baseline.json instead of "
+        "comparing (only when simulated numbers are meant to move)",
     )
 
     chaos = sub.add_parser(
@@ -296,8 +240,6 @@ _FIELD_OF = {
     "blocks": "n_blocks",
     "txs": "txs_per_block",
     "cadence": "repair_cadence",
-    "reads": "reads_per_block",
-    "zipf": "zipf_exponent",
 }
 
 #: Every population/weather/feature flag of ``chaos`` and ``endurance``
@@ -332,8 +274,6 @@ _STORM_FLAGS = (
         "the Reed-Solomon archival tier (implies --adaptive; cold blocks "
         "become 3+1 coded chunk sets, audited against the coded floor)",
     ),
-    ("reads", "adaptive-mode Zipf reads per produced block"),
-    ("zipf", "adaptive-mode Zipf exponent over recency rank"),
     (
         "dht",
         "the Kademlia-style DHT overlay (joins self-lookup, queries "
@@ -560,114 +500,32 @@ def cmd_experiments(_args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """``bench``: the unified benchmark harness."""
-    from repro.analysis.report import render_bench_summary
-    from repro.bench import (
-        PROFILES,
-        BenchmarkRunner,
-        compare_to_baseline,
-        discover_workloads,
-    )
-    from repro.bench.schema import dump_payload, load_payload
+    """``bench``: exact simulated-metric equality against the baseline."""
+    from repro.bench import runner
 
-    repo_root = Path(__file__).resolve().parents[2]
-    workloads = discover_workloads(repo_root / "benchmarks")
-    if args.filter:
-        wanted = {part.strip() for part in args.filter.split(",")}
-        # A filter term matches a bench id ("e18") or a workload tag
-        # ("heat"), so families of related kernels select as a group.
-        known = {w.bench_id for w in workloads}
-        for w in workloads:
-            known.update(w.tags)
-        unknown = wanted - known
-        if unknown:
-            print(
-                f"unknown bench ids or tags: {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-        workloads = [
-            w
-            for w in workloads
-            if w.bench_id in wanted or wanted & set(w.tags)
-        ]
-    if args.list_workloads:
-        print(
-            render_table(
-                ["bench", "kernel", "tags"],
-                [
-                    (w.bench_id, w.title, ",".join(w.tags) or "-")
-                    for w in workloads
-                ],
-                title=f"{len(workloads)} discovered workloads",
-            )
-        )
-        return 0
-
-    output_dir = (
-        Path(args.output_dir)
-        if args.output_dir
-        else repo_root / "benchmarks" / "results"
-    )
-    runner = BenchmarkRunner(
-        workloads,
-        PROFILES[args.profile],
-        progress=print,
-        trace_dir=output_dir if args.trace else None,
-    )
-    payload = runner.run()
-    json_path = runner.write(payload, output_dir)
-    print(f"results written to {json_path}")
-
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline
-        else repo_root / "benchmarks" / "baseline.json"
-    )
-    comparison = None
-    if baseline_path.exists() and not args.write_baseline:
-        baseline = load_payload(baseline_path)
-        if baseline.get("profile") == payload["profile"]:
-            comparison = compare_to_baseline(
-                payload, baseline, tolerance=args.tolerance
-            )
-            for line in comparison.summary_lines():
-                print(line)
-        elif args.check:
-            print(
-                f"baseline {baseline_path} holds a "
-                f"{baseline.get('profile')!r}-profile run; cannot gate a "
-                f"{payload['profile']!r} run against it",
-                file=sys.stderr,
-            )
-            return 2
-
-    md_path = json_path.with_suffix(".md")
-    md_path.write_text(
-        render_bench_summary(payload, comparison), encoding="utf-8"
-    )
-    print(f"summary written to {md_path}")
-
+    measured = {
+        workload.bench_id: runner.measure(workload)
+        for workload in runner.discover_workloads()
+    }
     if args.write_baseline:
-        # Keep the provenance section: committed baselines carry the
-        # before/after history of hot-path optimizations.
-        if baseline_path.exists():
-            previous = load_payload(baseline_path)
-            if "optimizations" in previous:
-                payload["optimizations"] = previous["optimizations"]
-        dump_payload(payload, baseline_path)
-        print(f"baseline written to {baseline_path}")
-
-    if args.check:
-        if comparison is None:
-            print(
-                f"--check requires a comparable baseline at "
-                f"{baseline_path}",
-                file=sys.stderr,
-            )
-            return 2
-        return 0 if comparison.passed else 1
-    return 0
+        runner.write_baseline(measured)
+        print(f"baseline written to {runner.BASELINE}")
+        return 0
+    baseline = runner.load_baseline()
+    problems = [
+        line
+        for bench_id in sorted(set(baseline) | set(measured))
+        for line in runner.drift(
+            bench_id, baseline.get(bench_id), measured.get(bench_id)
+        )
+    ]
+    for line in problems:
+        print(line)
+    print(
+        f"RESULT: {'FAIL' if problems else 'pass'} "
+        f"({len(measured)} kernels compared with {runner.BASELINE.name})"
+    )
+    return 1 if problems else 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -835,7 +693,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "endurance": cmd_endurance,
         "trace": cmd_trace,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigurationError as error:
+        # An impossible configuration is a usage error, like a bad flag.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -281,9 +281,7 @@ def _pick_contact(
 ) -> int:
     # The fault layer's liveness view: identical to the online filter on
     # clean networks, but also skips stalled (unresponsive) peers.
-    from repro.sim.faults import live_members
-
-    live = live_members(deployment.network, members)
+    live = deployment.network.live_members(members)
     if live:
         return live[0]
     raise BootstrapError("target cluster has no online contact")
@@ -292,9 +290,7 @@ def _pick_contact(
 def _pick_online_holder(
     deployment: "ICIDeployment", holders: tuple[int, ...]
 ) -> int | None:
-    from repro.sim.faults import live_members
-
-    live = live_members(deployment.network, holders)
+    live = deployment.network.live_members(holders)
     return live[0] if live else None
 
 

@@ -39,13 +39,6 @@ class ICIConfig:
             XOR parity chunk per that many consecutive blocks (the
             erasure extension), making any single lost body recoverable
             under r=1.  0 (default) disables parity.
-        adaptive_replication: when ``True``, install the heat-tracking
-            observer and replication planner at construction
-            (:mod:`repro.storage.heat`): per-block replica targets
-            follow observed access heat, and the anti-entropy engine
-            sheds surplus copies as well as repairing deficits.  Off by
-            default — fixed-``r`` deployments must keep byte-identical
-            simulated metrics.
         state_snapshot_bytes: flat size charged for the UTXO snapshot a
             joining node downloads during bootstrap (modelled cost).
         transfer_state_snapshot: when ``True``, bootstrap serves the
@@ -64,7 +57,6 @@ class ICIConfig:
     verify_collaboratively: bool = True
     inter_cluster_links: int = 2
     parity_group_size: int = 0
-    adaptive_replication: bool = False
     state_snapshot_bytes: int = 0
     transfer_state_snapshot: bool = False
     #: Per-node storage capacity weights for ``placement="capacity"``

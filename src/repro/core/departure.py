@@ -225,14 +225,12 @@ def _track_transfer(
     is *still* owed, so partially-delivered batches shrink on retry and
     duplicate bodies are absorbed idempotently by ``on_bodies``.
     """
-    from repro.sim.faults import live_members
-
     preferred = sorted(
         {src for (src, tgt) in transfers if tgt == target}
     )
     alternates = [
         m
-        for m in live_members(deployment.network, sorted(new_members))
+        for m in deployment.network.live_members(sorted(new_members))
         if m != target and m not in preferred
     ]
     repair = deployment.repair
@@ -352,10 +350,8 @@ def _pick_source(
     chosen as a repair source (identical to the online check on clean
     networks).
     """
-    from repro.sim.faults import live_members
-
     survivors = [h for h in old_holders if h != leaving]
-    live = live_members(deployment.network, survivors + [leaving])
+    live = deployment.network.live_members(survivors + [leaving])
     return live[0] if live else None
 
 

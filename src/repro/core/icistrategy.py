@@ -177,8 +177,6 @@ class ICIDeployment(StorageDeployment):
         self.replication_planner = None
         # Coded archival tier (opt-in; see repro.storage.coded).
         self.archival = None
-        if self.config.adaptive_replication:
-            self.enable_adaptive_replication()
         self._seed_genesis(genesis)
 
     # ------------------------------------------------------------ plumbing

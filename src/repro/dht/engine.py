@@ -66,6 +66,12 @@ DHT_RETRY_POLICY = RetryPolicy(
     base_timeout=2.0, backoff=1.5, max_timeout=12.0, rounds=2
 )
 
+#: Minimum virtual seconds between republishes of one record.
+REPUBLISH_INTERVAL = 30.0
+
+#: Hard cap on contacts one lookup may query (loop backstop).
+MAX_LOOKUP_CONTACTS = 24
+
 
 @dataclass(frozen=True)
 class DHTConfig:
@@ -81,18 +87,16 @@ class DHTConfig:
     digest_fanout: int = 4
     #: Provider-record holder lifetime, virtual seconds.
     record_ttl: float = DEFAULT_RECORD_TTL
-    #: Minimum virtual seconds between republishes of one record.
-    republish_interval: float = 30.0
-    #: Hard cap on contacts one lookup may query (loop backstop).
-    max_lookup_contacts: int = 24
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.alpha < 1 or self.digest_fanout < 1:
             raise ConfigurationError("k, alpha, digest_fanout must be >= 1")
-        if self.record_ttl <= 0 or self.republish_interval <= 0:
-            raise ConfigurationError("ttl and republish must be > 0")
-        if self.max_lookup_contacts < self.k:
-            raise ConfigurationError("max_lookup_contacts must be >= k")
+        if self.record_ttl <= 0:
+            raise ConfigurationError("record_ttl must be > 0")
+        if self.k > MAX_LOOKUP_CONTACTS:
+            raise ConfigurationError(
+                f"k must be <= {MAX_LOOKUP_CONTACTS} (the lookup contact cap)"
+            )
 
 
 @dataclass
@@ -447,7 +451,7 @@ class DHTEngine(ProtocolEngine):
         if lookup.done:
             return
         while len(lookup.in_flight) < self.config.alpha:
-            if len(lookup.queried) >= self.config.max_lookup_contacts:
+            if len(lookup.queried) >= MAX_LOOKUP_CONTACTS:
                 break
             if self._converged(lookup):
                 break
@@ -573,8 +577,6 @@ class DHTEngine(ProtocolEngine):
 
     def _publish_cluster(self, block_hash: Hash32, cluster_id: int) -> None:
         """Publish one (block, cluster)'s holder set into the overlay."""
-        from repro.sim.faults import live_members
-
         deployment = self.deployment
         try:
             members = deployment.clusters.members_of(cluster_id)
@@ -588,9 +590,7 @@ class DHTEngine(ProtocolEngine):
             assigned = deployment.placement.holders(
                 header, members, deployment.config.replication
             )
-        holders = tuple(
-            live_members(self.network, [m for m in sorted(assigned)])
-        )
+        holders = tuple(self.network.live_members(sorted(assigned)))
         if not holders:
             return
         publisher = holders[0]
@@ -642,10 +642,7 @@ class DHTEngine(ProtocolEngine):
                 last = self._published_at.get(
                     (view.cluster_id, header.block_hash)
                 )
-                if (
-                    last is None
-                    or now - last >= self.config.republish_interval
-                ):
+                if last is None or now - last >= REPUBLISH_INTERVAL:
                     self._publish_cluster(
                         header.block_hash, view.cluster_id
                     )
@@ -680,9 +677,7 @@ class DHTEngine(ProtocolEngine):
         the explicit refresh pass chaos heal phases run so lookups after
         a crash storm do not waste probes on dead peers.
         """
-        from repro.sim.faults import live_members
-
-        for node_id in live_members(self.network, sorted(self.tables)):
+        for node_id in self.network.live_members(sorted(self.tables)):
             table = self.tables[node_id]
             for contact in table.contacts():
                 self._ping(node_id, contact.node_id)
@@ -709,12 +704,10 @@ class DHTEngine(ProtocolEngine):
         network size by construction, which is exactly the curve the
         experiment contrasts with the iterative lookup's.
         """
-        from repro.sim.faults import live_members
-
         key = block_key(block_hash)
         flood = _Flood(key)
         node = self.deployment.nodes[requester]
-        for peer in live_members(self.network, sorted(self.deployment.nodes)):
+        for peer in self.network.live_members(sorted(self.deployment.nodes)):
             if peer == requester:
                 continue
             request_id = self._allocate("dht_find_value")
@@ -730,10 +723,8 @@ class DHTEngine(ProtocolEngine):
 
     def audit_tables(self) -> dict[str, int]:
         """Routing-table liveness census (chaos/endurance audits)."""
-        from repro.sim.faults import live_members
-
         live = set(
-            live_members(self.network, sorted(self.deployment.nodes))
+            self.network.live_members(sorted(self.deployment.nodes))
         )
         audit = {
             "tables_audited": 0,

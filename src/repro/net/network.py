@@ -135,6 +135,18 @@ class Network:
         """How many registered nodes are online."""
         return len(self._reachable)
 
+    def live_members(self, members: Iterable[int]) -> list[int]:
+        """Filter ``members`` through the fault layer's liveness view.
+
+        Order-preserving; with no injector installed this is exactly the
+        online filter, so fault-free callers see identical candidate lists.
+        """
+        faults = self._faults
+        if faults is None:
+            reachable = self._reachable
+            return [m for m in members if m in reachable]
+        return [m for m in members if faults.is_live(m)]
+
     # ------------------------------------------------------------- delivery
     def send(self, message: Message) -> None:
         """Schedule delivery of ``message`` (drops if sender is offline now)."""

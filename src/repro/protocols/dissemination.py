@@ -22,7 +22,7 @@ from repro.net.message import Message, MessageKind
 from repro.net.gossip import GossipProtocol
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
-from repro.protocols.reliability import PROBE_RETRY_POLICY
+from repro.protocols.reliability import PROBE_ATTEMPTS, PROBE_RETRY_POLICY
 from repro.protocols.router import MessageRouter, ProtocolEngine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -244,7 +244,7 @@ class DisseminationEngine(ProtocolEngine):
             return  # departed mid-probe
         if holder not in deployment.clusters.members_of(cluster_id):
             return  # re-clustered away; placement will reassign
-        if attempt > PROBE_RETRY_POLICY.probe_attempts:
+        if attempt > PROBE_ATTEMPTS:
             self.router.note_degraded("block_body")
             return
         self.router.note_timeout("block_body")

@@ -22,7 +22,7 @@ from repro.crypto.hashing import Hash32
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
-from repro.protocols.reliability import PROBE_RETRY_POLICY
+from repro.protocols.reliability import PROBE_ATTEMPTS, PROBE_RETRY_POLICY
 from repro.protocols.router import (
     FinalizeEvent,
     MessageRouter,
@@ -134,7 +134,7 @@ class IntraClusterEngine(ProtocolEngine):
         ):
             self.probed.discard((node_id, block_hash))
             return
-        if attempt > PROBE_RETRY_POLICY.probe_attempts:
+        if attempt > PROBE_ATTEMPTS:
             self.probed.discard((node_id, block_hash))
             self.router.note_degraded("verify_result")
             return

@@ -1,7 +1,7 @@
 """Retry/timeout/backoff: pending-request tracking for the engines.
 
 The protocol engines assume the simulated network delivers every
-``send``; under the fault layer (:mod:`repro.sim.faults`) it does not.
+``send``; under the fault layer (``sim/faults.py``) it does not.
 This module is the shared recovery substrate: a :class:`RequestTracker`
 holds each pending request, schedules deadlines on the simclock, retries
 with capped exponential backoff, fails over across the request's peer
@@ -39,16 +39,13 @@ class RetryPolicy:
 
     Attempt ``i`` (1-based) waits ``base_timeout * backoff**(i-1)``
     seconds, capped at ``max_timeout``; a request gives up after
-    ``rounds`` full passes over its peer plan.  ``probe_attempts`` caps
-    the fire-and-forget probe retries used by the dissemination and
-    verification engines, which have no per-request plan.
+    ``rounds`` full passes over its peer plan.
     """
 
     base_timeout: float = 2.0
     backoff: float = 1.0
     max_timeout: float = 30.0
     rounds: int = 2
-    probe_attempts: int = 4
 
     def __post_init__(self) -> None:
         if self.base_timeout <= 0:
@@ -57,8 +54,8 @@ class RetryPolicy:
             raise ConfigurationError("backoff must be >= 1")
         if self.max_timeout < self.base_timeout:
             raise ConfigurationError("max_timeout must be >= base_timeout")
-        if self.rounds < 1 or self.probe_attempts < 0:
-            raise ConfigurationError("rounds >= 1, probe_attempts >= 0")
+        if self.rounds < 1:
+            raise ConfigurationError("rounds must be >= 1")
 
     def timeout_for(self, attempt: int) -> float:
         """Deadline for the ``attempt``-th try (capped exponential)."""
@@ -76,8 +73,12 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 
 #: Pacing for the engines' delivery probes under chaos: backs off 2×.
 PROBE_RETRY_POLICY = RetryPolicy(
-    base_timeout=2.0, backoff=2.0, max_timeout=16.0, probe_attempts=4
+    base_timeout=2.0, backoff=2.0, max_timeout=16.0
 )
+
+#: Cap on the fire-and-forget probe retries of the dissemination, sync
+#: and verification engines, which have no per-request peer plan.
+PROBE_ATTEMPTS = 4
 
 
 @dataclass(frozen=True)

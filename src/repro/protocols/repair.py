@@ -309,8 +309,6 @@ class AntiEntropyEngine(ProtocolEngine):
             # One consistent tier view per sweep: analysis and shedding
             # below act on this classification until the next refresh.
             planner.refresh(self.network.now)
-        from repro.sim.faults import live_members
-
         deployment = self.deployment
         dht = getattr(deployment, "dht", None)
         if dht is not None and dht.enabled:
@@ -321,7 +319,7 @@ class AntiEntropyEngine(ProtocolEngine):
         for view in sorted(
             deployment.clusters.views(), key=lambda v: v.cluster_id
         ):
-            live = live_members(self.network, sorted(view.members))
+            live = self.network.live_members(sorted(view.members))
             if not live:
                 continue
             coordinator = live[0]
@@ -461,8 +459,6 @@ class AntiEntropyEngine(ProtocolEngine):
     # ------------------------------------------------------------- analysis
     def _analyze(self, session: _DigestSession) -> None:
         """Turn one cluster's coverage map into repair orders."""
-        from repro.sim.faults import live_members
-
         deployment = self.deployment
         cluster_id = session.cluster_id
         try:
@@ -472,7 +468,7 @@ class AntiEntropyEngine(ProtocolEngine):
         excluded = session.unresponsive | session.unpolled
         live = [
             m
-            for m in live_members(self.network, sorted(members))
+            for m in self.network.live_members(sorted(members))
             if m not in excluded
         ]
         if not live:
@@ -673,13 +669,11 @@ class AntiEntropyEngine(ProtocolEngine):
         self, block_hash: Hash32, cluster_members: set[int]
     ) -> list[int]:
         """Live out-of-cluster holders, for cross-cluster failover."""
-        from repro.sim.faults import live_members
-
         sources: list[int] = []
         for node_id in sorted(self.deployment.nodes):
             if node_id in cluster_members:
                 continue
-            if not live_members(self.network, [node_id]):
+            if not self.network.live_members([node_id]):
                 continue
             if self.deployment.nodes[node_id].store.has_body(block_hash):
                 sources.append(node_id)
@@ -705,8 +699,6 @@ class AntiEntropyEngine(ProtocolEngine):
         of forced: the floor is the planner's promise, not a best
         effort.
         """
-        from repro.sim.faults import live_members
-
         block_hash = header.block_hash
         if any(key[0] == block_hash for key in self._inflight):
             return  # a repair is still converging this block; next sweep
@@ -740,7 +732,7 @@ class AntiEntropyEngine(ProtocolEngine):
             if member not in keep:
                 keep.append(member)
         keep_set = set(keep)
-        live = live_members(self.network, sorted(members))
+        live = self.network.live_members(sorted(members))
         for member in sorted(holders - keep_set):
             node = deployment.nodes.get(member)
             if node is None or not node.store.has_body(block_hash):

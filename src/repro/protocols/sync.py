@@ -18,7 +18,7 @@ from repro.crypto.hashing import Hash32
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
-from repro.protocols.reliability import PROBE_RETRY_POLICY
+from repro.protocols.reliability import PROBE_ATTEMPTS, PROBE_RETRY_POLICY
 from repro.protocols.router import MessageRouter, ProtocolEngine
 
 #: Callback signature of a generic SYNC_BODIES consumer (repair flows).
@@ -152,14 +152,12 @@ class SyncEngine(ProtocolEngine):
 
     def _probe_bootstrap(self, node_id: int, attempt: int) -> None:
         from repro.core.bootstrap import _maybe_complete
-        from repro.sim.faults import live_members
-
         state = self.bootstraps.get(node_id)
         faults = self.network.faults
         node = self.deployment.nodes.get(node_id)
         if state is None or faults is None or node is None:
             return  # completed (or the joiner itself departed)
-        if attempt > PROBE_RETRY_POLICY.probe_attempts:
+        if attempt > PROBE_ATTEMPTS:
             # Every retry exhausted: degrade rather than hang the join.
             self.router.note_degraded("sync_request")
             for missing in sorted(state.expected_bodies):
@@ -170,7 +168,7 @@ class SyncEngine(ProtocolEngine):
             return
         self.router.note_timeout("sync_request")
         if not state.headers_received:
-            candidates = live_members(self.network, state.old_members)
+            candidates = self.network.live_members(state.old_members)
             if candidates:
                 state.contact = candidates[attempt % len(candidates)]
                 self.router.note_retry("sync_request")

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.sim.faults import live_members
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chain.block import BlockHeader
     from repro.core.icistrategy import ICIDeployment
@@ -90,7 +88,7 @@ def holdings(
     else:
         clusters = [(cluster_id, deployment.clusters.members_of(cluster_id))]
     for cluster, members in clusters:
-        live = tuple(live_members(deployment.network, sorted(members)))
+        live = tuple(deployment.network.live_members(sorted(members)))
         offline = [m for m in members if m not in live]
         for header in headers:
             block_hash = header.block_hash

@@ -44,12 +44,7 @@ from repro.sim.churn import (
     ChurnOutcome,
     make_schedule,
 )
-from repro.sim.faults import (
-    FaultConfig,
-    FaultPlan,
-    PartitionWindow,
-    live_members,
-)
+from repro.sim.faults import FaultConfig, FaultPlan, PartitionWindow
 from repro.sim.runner import ScenarioRunner
 from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
 
@@ -68,7 +63,6 @@ class _StormConfig:
     drop_rate: float = 0.2
     duplicate_rate: float = 0.05
     delay_rate: float = 0.05
-    delay_seconds: float = 1.0
     crash_count: int = 1
     partition: bool = False
     queries: int = 8
@@ -107,7 +101,6 @@ class _StormConfig:
             drop_rate=self.drop_rate,
             duplicate_rate=self.duplicate_rate,
             delay_rate=self.delay_rate,
-            delay_seconds=self.delay_seconds,
         )
 
 
@@ -116,7 +109,6 @@ class ChaosConfig(_StormConfig):
     """One seeded chaos scenario (all randomness derives from ``seed``)."""
 
     stall_count: int = 0
-    join_after: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -199,7 +191,7 @@ class ChaosOutcome(_StormOutcome):
     crashed: list[int] = field(default_factory=list)
     stalled: list[int] = field(default_factory=list)
     refetched_bodies: int = 0
-    bootstrap_complete: bool | None = None
+    bootstrap_complete: bool = False
     bootstrap_bodies_unavailable: int = 0
 
     def signature(self) -> dict:
@@ -394,15 +386,12 @@ def run_chaos(
 
     # Phase 5: a join and a query batch, still under lossy links.
     with tracer.span("join:queries"):
-        if config.join_after:
-            join = deployment.join_new_node()
-            deployment.run()
-            outcome.bootstrap_complete = join.complete
-            outcome.bootstrap_bodies_unavailable = len(
-                join.bodies_unavailable
-            )
-            if join.complete:
-                runner.schedule.add(join.node_id)
+        join = deployment.join_new_node()
+        deployment.run()
+        outcome.bootstrap_complete = join.complete
+        outcome.bootstrap_bodies_unavailable = len(join.bodies_unavailable)
+        if join.complete:
+            runner.schedule.add(join.node_id)
         block_hashes = report.block_hashes + report2.block_hashes
         (
             outcome.queries_attempted,
@@ -459,7 +448,7 @@ def _audit(
     outcome.timeouts = dict(stats.timeouts)
     outcome.degraded = dict(stats.degraded)
     outcome.sends = dict(stats.sends)
-    live = live_members(deployment.network, sorted(deployment.nodes))
+    live = deployment.network.live_members(sorted(deployment.nodes))
     if outcome.config.dht:
         _audit_dht(deployment, outcome, rng, block_hashes, live)
     if outcome.config.domains:
@@ -589,18 +578,13 @@ class EnduranceConfig(_StormConfig):
     join_rate: float = 0.15
     leave_rate: float = 0.1
     crash_rate: float = 0.1
-    partition_blocks: int = 3
     repair_cadence: float = 5.0
-    settle_seconds: float = 10.0
-    max_heal_rounds: int = 40
     #: Heat-aware adaptive replication (:mod:`repro.storage.heat`).
     #: When on, a Zipf-skewed read stream runs through the storm so heat
     #: is non-uniform, the anti-entropy sweep sheds as well as repairs,
     #: and the audit checks *per-tier* replica floors.  Off by default:
     #: the fixed-r path must stay byte-identical (golden pins).
     adaptive: bool = False
-    reads_per_block: int = 4
-    zipf_exponent: float = 1.1
     #: Coded archival tier (:mod:`repro.storage.coded`).  Implies the
     #: adaptive path (the tier consumes the planner's cold signal): cold
     #: blocks transition to k-of-n Reed–Solomon chunks, queries decode
@@ -612,14 +596,8 @@ class EnduranceConfig(_StormConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.repair_cadence <= 0 or self.settle_seconds <= 0:
-            raise ConfigurationError("cadence/settle must be > 0")
-        if self.max_heal_rounds < 1:
-            raise ConfigurationError("max_heal_rounds must be >= 1")
-        if self.reads_per_block < 0:
-            raise ConfigurationError("reads_per_block must be >= 0")
-        if self.zipf_exponent <= 0:
-            raise ConfigurationError("zipf_exponent must be > 0")
+        if self.repair_cadence <= 0:
+            raise ConfigurationError("repair cadence must be > 0")
 
 
 @dataclass
@@ -692,6 +670,16 @@ class EnduranceOutcome(_StormOutcome):
         return signature
 
 
+#: The endurance storm's fixed shape: block intervals the mid-run
+#: partition lasts, virtual seconds churn settles after each event, the
+#: cap on post-heal sweep rounds, and the adaptive-mode Zipf reads issued
+#: per produced block.
+PARTITION_BLOCKS = 3
+SETTLE_SECONDS = 10.0
+MAX_HEAL_ROUNDS = 40
+STORM_READS_PER_BLOCK = 4
+
+
 def run_endurance(
     config: EnduranceConfig | None = None,
     limits: ValidationLimits = DEFAULT_LIMITS,
@@ -736,10 +724,7 @@ def run_endurance(
     storm_reads = 0
     if planner is not None:
         reads = ZipfReadWorkload(
-            ReadWorkloadConfig(
-                seed=config.seed ^ 0x2EAD,
-                exponent=config.zipf_exponent,
-            )
+            ReadWorkloadConfig(seed=config.seed ^ 0x2EAD)
         )
     outcome = EnduranceOutcome(config=config, tracer=tracer)
     rng = random.Random(config.seed ^ 0xE17D)
@@ -754,10 +739,7 @@ def run_endurance(
     for event in make_schedule(churn_config, config.n_blocks):
         by_block.setdefault(event.after_block, []).append(event)
     driver = ChurnDriver(
-        deployment,
-        runner,
-        churn_config,
-        settle_seconds=config.settle_seconds,
+        deployment, runner, churn_config, settle_seconds=SETTLE_SECONDS
     )
     churn = ChurnOutcome()
 
@@ -800,7 +782,7 @@ def run_endurance(
                     deployment,
                     injector,
                     outcome.outage_crashed,
-                    duration=config.partition_blocks * runner.block_interval,
+                    duration=PARTITION_BLOCKS * runner.block_interval,
                 )
                 for victim in outcome.partitioned:
                     runner.schedule.remove(victim)
@@ -811,7 +793,7 @@ def run_endurance(
                 # replies land whenever the weather lets them through.
                 node_ids = sorted(deployment.nodes)
                 for requester, block_hash in reads.reads(
-                    block_hashes, node_ids, config.reads_per_block
+                    block_hashes, node_ids, STORM_READS_PER_BLOCK
                 ):
                     node = deployment.nodes[requester]
                     if not node.store.has_header(block_hash):
@@ -838,7 +820,7 @@ def run_endurance(
         repair.start(cadence=config.repair_cadence)
         last = None
         quiet = 0
-        for _ in range(config.max_heal_rounds):
+        for _ in range(MAX_HEAL_ROUNDS):
             deployment.network.clock.run_for(config.repair_cadence)
             outcome.heal_rounds += 1
             # Quiet means the repair counters stopped moving — and, where
@@ -938,7 +920,7 @@ def _pick_victims(
 ) -> list[int]:
     """Deterministically sample outage victims from spare-capacity clusters.
 
-    Candidates come from the fault layer's ``live_members`` view, so an
+    Candidates come from the fault layer's ``Network.live_members`` view, so an
     outage can never target a node that is already crashed or stalled
     (injector.crash on a dead node would double-count it, and a churn
     composition would otherwise raise).  On a clean network every member
@@ -950,7 +932,7 @@ def _pick_victims(
     network = deployment.network
     candidates: list[int] = []
     for view in deployment.clusters.views():
-        live = live_members(network, view.members)
+        live = network.live_members(view.members)
         if len(live) > minimum:
             candidates.extend(live)
     count = min(count, len(candidates))

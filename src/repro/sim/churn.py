@@ -180,7 +180,7 @@ class ChurnDriver:
     def _pick_victim(self) -> int | None:
         """A random live member whose cluster can afford to lose it.
 
-        Liveness comes from the fault layer's view (``live_members``),
+        Liveness comes from the fault layer's view (``Network.live_members``),
         not an ad-hoc membership list: a node the fault plan crashed or
         stalled is neither counted toward its cluster's spare capacity
         nor picked for departure, so churn composes with fault
@@ -188,13 +188,11 @@ class ChurnDriver:
         and the candidate list — and hence the RNG draw — is identical
         to the historical behaviour.
         """
-        from repro.sim.faults import live_members
-
         minimum = max(self.deployment.config.replication + 1, 2)
         network = self.deployment.network
         candidates: list[int] = []
         for view in self.deployment.clusters.views():
-            live = live_members(network, view.members)
+            live = network.live_members(view.members)
             if len(live) > minimum:
                 candidates.extend(live)
         if not candidates:

@@ -41,6 +41,11 @@ from repro.sim.chaos import ChaosConfig, run_chaos
 from repro.sim.runner import ScenarioRunner
 
 
+#: The chaos leg's weather (the acceptance criterion's 10% drop).
+CHAOS_DROP_RATE = 0.10
+CHAOS_CRASH_COUNT = 1
+
+
 @dataclass(frozen=True)
 class DhtCompareConfig:
     """One seeded broadcast-vs-DHT lookup comparison."""
@@ -56,9 +61,6 @@ class DhtCompareConfig:
     #: Seeded (requester, block) resolutions per size — each measured
     #: once as an iterative lookup and once as a flood.
     lookups: int = 12
-    #: The chaos leg's weather (the acceptance criterion's 10% drop).
-    chaos_drop_rate: float = 0.10
-    chaos_crash_count: int = 1
 
     def __post_init__(self) -> None:
         if len(self.network_sizes) < 2:
@@ -80,10 +82,6 @@ class DhtCompareConfig:
             raise ConfigurationError("compare runs need at least 2 blocks")
         if self.lookups < 1:
             raise ConfigurationError("lookups must be >= 1")
-        if not 0.0 <= self.chaos_drop_rate < 1.0:
-            raise ConfigurationError("chaos_drop_rate must be in [0, 1)")
-        if self.chaos_crash_count < 0:
-            raise ConfigurationError("chaos_crash_count must be >= 0")
 
 
 @dataclass
@@ -245,8 +243,8 @@ def run_dht_compare(
             replication=config.replication,
             n_blocks=config.n_blocks,
             txs_per_block=config.txs_per_block,
-            drop_rate=config.chaos_drop_rate,
-            crash_count=config.chaos_crash_count,
+            drop_rate=CHAOS_DROP_RATE,
+            crash_count=CHAOS_CRASH_COUNT,
             dht=True,
         ),
         limits=limits,

@@ -42,7 +42,7 @@ from repro.errors import ConfigurationError
 from repro.net.domains import FailureDomainMap
 from repro.sim.audit import diversity_met, uncovered_pairs
 from repro.sim.chaos import build_scenario, probe_reads, uniform_reads
-from repro.sim.faults import FaultConfig, live_members
+from repro.sim.faults import FaultConfig
 
 #: The two measured arms, in run (and report) order.
 ARMS = ("aware", "oblivious")
@@ -178,7 +178,7 @@ def _run_arm(
     blocks_lost = uncovered_pairs(deployment)
 
     # Reads while the zone is down: live requesters, seeded pairs.
-    live = live_members(deployment.network, sorted(deployment.nodes))
+    live = deployment.network.live_members(sorted(deployment.nodes))
     attempted, completed, degraded = probe_reads(
         deployment,
         uniform_reads(rng, live, report.block_hashes, config.reads),

@@ -609,15 +609,3 @@ def domain_partition(
     return PartitionWindow(
         side_a=inside, side_b=outside, start=start, end=end
     )
-
-
-def live_members(network: "Network", members: Iterable[int]) -> list[int]:
-    """Filter ``members`` through the fault layer's liveness view.
-
-    Order-preserving; with no injector installed this is exactly the
-    online filter, so fault-free callers see identical candidate lists.
-    """
-    faults = network.faults
-    if faults is None:
-        return [m for m in members if network.is_online(m)]
-    return [m for m in members if faults.is_live(m)]

@@ -78,7 +78,6 @@ class TieredCompareConfig:
     txs_per_block: int = 4
     #: Total reads, split evenly across the convergence rounds.
     reads: int = 150
-    zipf_exponent: float = 1.1
     #: Read-batch + sweep-window rounds after production.
     rounds: int = 6
     repair_cadence: float = 5.0
@@ -90,8 +89,6 @@ class TieredCompareConfig:
             raise ConfigurationError("reads/rounds must be >= 1")
         if self.repair_cadence <= 0:
             raise ConfigurationError("repair_cadence must be > 0")
-        if self.zipf_exponent <= 0:
-            raise ConfigurationError("zipf_exponent must be > 0")
 
 
 #: E18: fixed-``r`` vs heat-aware adaptive replication.
@@ -232,11 +229,7 @@ def _drive(
     block_hashes = report.block_hashes
     # Both arms replay the *same* read sequence: the workload is a pure
     # function of its seed and the (identical) population sizes.
-    reads = ZipfReadWorkload(
-        ReadWorkloadConfig(
-            seed=config.seed ^ 0x2EAD, exponent=config.zipf_exponent
-        )
-    )
+    reads = ZipfReadWorkload(ReadWorkloadConfig(seed=config.seed ^ 0x2EAD))
     node_ids = sorted(deployment.nodes)
     repair = deployment.repair
     per_round, remainder = divmod(config.reads, config.rounds)

@@ -192,6 +192,11 @@ class TransactionWorkload:
         return bytes([amount % 251]) * pad
 
 
+#: The Zipf ``s`` every in-repo read stream uses (endurance storm reads,
+#: the E18/E19 comparisons).
+ZIPF_EXPONENT = 1.1
+
+
 @dataclass(frozen=True)
 class ReadWorkloadConfig:
     """Shape of a Zipf-skewed block-read stream.
@@ -204,7 +209,7 @@ class ReadWorkloadConfig:
     """
 
     seed: int = 0
-    exponent: float = 1.1
+    exponent: float = ZIPF_EXPONENT
 
     def __post_init__(self) -> None:
         if self.exponent <= 0:

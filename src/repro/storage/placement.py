@@ -244,8 +244,8 @@ class DomainSpreadPlacement(_HrwPlacement):
     zones**, then members in repeat zones but distinct ``(zone, rack)``
     labels, and only then best-effort fill in rank order.  With at
     least ``r`` live zones the ``r`` replicas can never share a zone —
-    the property that keeps one
-    :class:`~repro.sim.faults.DomainOutageEvent` from erasing a block.
+    the property that keeps one ``DomainOutageEvent`` (``sim/faults.py``)
+    from erasing a block.
 
     When a cluster spans fewer domains than copies the fallback is
     **audited, not silent**: every computed placement that could not

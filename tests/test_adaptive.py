@@ -490,34 +490,3 @@ class TestAdaptiveEndurance:
         out = capsys.readouterr().out
         assert "## Adaptive replication" in out
         assert "## Adaptive replication" in report.read_text()
-
-
-class TestBenchTagFilter:
-    def test_filter_matches_tags_and_ids(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "--list", "--filter", "heat"]) == 0
-        out = capsys.readouterr().out
-        assert "e18" in out
-        assert main(["bench", "--list", "--filter", "e18"]) == 0
-        out = capsys.readouterr().out
-        assert "e18" in out
-
-    def test_unknown_term_is_an_error(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "--list", "--filter", "nope"]) == 2
-        assert "unknown bench ids or tags" in capsys.readouterr().err
-
-    def test_workloads_declare_tags(self):
-        from pathlib import Path
-
-        from repro.bench import discover_workloads
-
-        repo_root = Path(__file__).resolve().parents[1]
-        workloads = discover_workloads(repo_root / "benchmarks")
-        by_id = {w.bench_id: w for w in workloads}
-        assert "e18" in by_id
-        assert set(by_id["e18"].tags) == {"heat", "adaptive"}
-        # Untagged legacy workloads default to the empty tuple.
-        assert by_id["e1"].tags == ()

@@ -382,14 +382,3 @@ class TestArchivalEndurance:
         out = capsys.readouterr().out
         assert "## Archival coding" in out
         assert "## Archival coding" in report.read_text()
-
-    def test_e19_workload_declares_tags(self):
-        from pathlib import Path
-
-        from repro.bench import discover_workloads
-
-        repo_root = Path(__file__).resolve().parents[1]
-        workloads = discover_workloads(repo_root / "benchmarks")
-        by_id = {w.bench_id: w for w in workloads}
-        assert "e19" in by_id
-        assert set(by_id["e19"].tags) == {"coded", "archival"}

@@ -1,25 +1,16 @@
-"""Tests for the unified benchmark harness (repro.bench)."""
+"""Tests for the drift-gate harness (repro.bench) and ``repro bench``."""
 
 from __future__ import annotations
 
-import time
+import json
 from types import SimpleNamespace
 
 import pytest
 
-from repro.bench import (
-    FULL,
-    PROFILES,
-    QUICK,
-    BenchmarkRunner,
-    BenchWorkload,
-    compare_to_baseline,
-    discover_workloads,
-    simulated_metrics,
-    validate_payload,
-)
-from repro.bench.runner import BenchError
-from repro.bench.schema import dump_payload, load_payload, wall_stats
+from repro.bench import runner
+from repro.bench.runner import BenchError, drift, measure
+from repro.bench.workload import BenchWorkload, simulated_metrics
+from repro.cli import main
 
 
 def fake_deployment(now=10.0, messages=100, nbytes=5000, processed=400):
@@ -42,23 +33,6 @@ def fake_deployment(now=10.0, messages=100, nbytes=5000, processed=400):
     )
 
 
-def make_workload(bench_id="w1", deployment_factory=fake_deployment):
-    return BenchWorkload(
-        bench_id=bench_id,
-        title="synthetic",
-        run=lambda profile: [("only", deployment_factory())],
-    )
-
-
-class TestProfiles:
-    def test_registry_holds_both(self):
-        assert PROFILES == {"quick": QUICK, "full": FULL}
-
-    def test_pick_routes_on_name(self):
-        assert QUICK.pick(1, 2) == 1
-        assert FULL.pick(1, 2) == 2
-
-
 class TestSimulatedMetrics:
     def test_reads_clock_traffic_and_router(self):
         metrics = simulated_metrics(fake_deployment())
@@ -75,179 +49,137 @@ class TestSimulatedMetrics:
         assert metrics["message_kinds"]["header_announce"]["sends"] == 0
 
 
-class TestRunnerProtocol:
-    def test_schema_valid_payload_and_roundtrip(self, tmp_path):
-        runner = BenchmarkRunner([make_workload()], QUICK)
-        payload = runner.run()
-        assert validate_payload(payload) == []
-        path = runner.write(payload, tmp_path)
-        assert path.name.startswith("BENCH_") and path.suffix == ".json"
-        assert load_payload(path) == payload
-
-    def test_repetitions_are_all_recorded(self):
-        payload = BenchmarkRunner([make_workload()], QUICK).run()
-        samples = payload["benchmarks"]["w1"]["wall_seconds"]["samples"]
-        assert len(samples) == QUICK.repetitions
-        assert payload["benchmarks"]["w1"]["peak_rss_kb"] > 0
-
-    def test_nondeterministic_workload_is_rejected(self):
-        counter = iter(range(100))
-
-        def drifting(profile):
-            return [("only", fake_deployment(messages=next(counter)))]
-
-        workload = BenchWorkload(bench_id="bad", title="", run=drifting)
-        with pytest.raises(BenchError, match="not\\s+deterministic"):
-            BenchmarkRunner([workload], QUICK).run()
-
-    def test_empty_workload_list_is_rejected(self):
-        with pytest.raises(BenchError):
-            BenchmarkRunner([], QUICK)
-
-
 class TestDiscovery:
     def test_all_twenty_one_experiments_discovered(self):
-        workloads = discover_workloads()
+        workloads = runner.discover_workloads()
         assert [w.bench_id for w in workloads] == [
             f"e{i}" for i in range(1, 22)
         ]
 
-    def test_quick_profile_fits_its_time_budget(self, tmp_path):
-        start = time.perf_counter()
-        runner = BenchmarkRunner(discover_workloads(), QUICK)
-        payload = runner.run()
-        elapsed = time.perf_counter() - start
-        assert elapsed < QUICK.time_budget_seconds
-        assert validate_payload(payload) == []
-        assert len(payload["benchmarks"]) == 21
-
     def test_seed_determinism_across_independent_runs(self):
-        workloads = [
-            w for w in discover_workloads() if w.bench_id in ("e8", "e17")
-        ]
-        first = BenchmarkRunner(workloads, QUICK).run()
-        second = BenchmarkRunner(workloads, QUICK).run()
-        for bench_id in ("e8", "e17"):
-            assert (
-                first["benchmarks"][bench_id]["simulated"]
-                == second["benchmarks"][bench_id]["simulated"]
-            )
+        for workload in runner.discover_workloads():
+            if workload.bench_id in ("e8", "e17"):
+                assert measure(workload) == measure(workload)
 
 
-def payload_with(bench_seconds, calibration=1.0, profile="quick", sim=None):
-    benchmarks = {}
-    for bench_id, seconds in bench_seconds.items():
-        benchmarks[bench_id] = {
-            "title": bench_id,
-            "wall_seconds": wall_stats([seconds]),
-            "peak_rss_kb": 1,
-            "simulated": sim if sim is not None else {},
+class TestRunnerProtocol:
+    def test_measure_returns_labelled_simulated_metrics(self):
+        workload = BenchWorkload(
+            bench_id="w1",
+            title="synthetic",
+            run=lambda: [("only", fake_deployment())],
+        )
+        assert measure(workload) == {
+            "only": simulated_metrics(fake_deployment())
         }
-    return {
-        "schema": "repro-bench",
-        "schema_version": 1,
-        "profile": profile,
-        "calibration": {"wall_seconds": calibration},
-        "benchmarks": benchmarks,
-    }
+
+    def test_nondeterministic_workload_is_rejected(self):
+        counter = iter(range(100))
+
+        def drifting():
+            return [("only", fake_deployment(messages=next(counter)))]
+
+        workload = BenchWorkload(bench_id="bad", title="", run=drifting)
+        with pytest.raises(BenchError, match="not\\s+deterministic"):
+            measure(workload)
+
+    def test_calibration_kernel_times_positive(self):
+        assert runner.calibrate() > 0
 
 
-class TestBaselineComparison:
-    def test_within_tolerance_passes(self):
-        base = payload_with({"e1": 1.0})
-        cand = payload_with({"e1": 1.2})
-        comparison = compare_to_baseline(cand, base, tolerance=0.25)
-        assert comparison.passed
-        assert comparison.deltas[0].ratio == pytest.approx(1.2)
+class TestDrift:
+    BASE = {"ici": {"virtual_seconds": 1.0, "messages": 7}}
 
-    def test_regression_fails(self):
-        base = payload_with({"e1": 1.0})
-        cand = payload_with({"e1": 1.3})
-        comparison = compare_to_baseline(cand, base, tolerance=0.25)
-        assert not comparison.passed
-        assert [d.bench_id for d in comparison.regressions] == ["e1"]
+    def test_equal_maps_have_no_drift(self):
+        assert drift("e1", self.BASE, json.loads(json.dumps(self.BASE))) == []
 
-    def test_calibration_normalizes_machine_speed(self):
-        # Candidate machine is 2x slower (calibration 2.0 vs 1.0), so a
-        # raw 1.8s is really 0.9s on the baseline machine: a speedup.
-        base = payload_with({"e1": 1.0}, calibration=1.0)
-        cand = payload_with({"e1": 1.8}, calibration=2.0)
-        comparison = compare_to_baseline(cand, base, tolerance=0.25)
-        assert comparison.passed
-        assert comparison.deltas[0].ratio == pytest.approx(0.9)
-
-    def test_simulated_drift_fails_even_when_fast(self):
-        base = payload_with(
-            {"e1": 1.0}, sim={"only": {"virtual_seconds": 1.0}}
-        )
-        cand = payload_with(
-            {"e1": 0.5}, sim={"only": {"virtual_seconds": 2.0}}
-        )
-        comparison = compare_to_baseline(cand, base)
-        assert not comparison.passed
-        assert "virtual_seconds" in comparison.simulated_drift[0]
-
-    def test_bench_set_differences_are_notes_not_failures(self):
-        base = payload_with({"e1": 1.0, "gone": 1.0})
-        cand = payload_with({"e1": 1.0, "new": 1.0})
-        comparison = compare_to_baseline(cand, base)
-        assert comparison.passed
-        assert comparison.missing_benches == ["gone"]
-        assert comparison.new_benches == ["new"]
-
-    def test_profile_mismatch_is_refused(self):
-        base = payload_with({"e1": 1.0}, profile="full")
-        cand = payload_with({"e1": 1.0}, profile="quick")
-        with pytest.raises(ValueError, match="profile"):
-            compare_to_baseline(cand, base)
-
-
-class TestSchemaValidation:
-    def test_rejects_wrong_schema_name(self):
-        payload = payload_with({"e1": 1.0})
-        payload["schema"] = "other"
-        assert validate_payload(payload)
-
-    def test_rejects_newer_version(self):
-        payload = payload_with({"e1": 1.0})
-        payload["schema_version"] = 99
-        assert any("newer" in e for e in validate_payload(payload))
-
-    def test_rejects_missing_wall_samples(self):
-        payload = payload_with({"e1": 1.0})
-        payload["benchmarks"]["e1"]["wall_seconds"]["samples"] = []
-        assert validate_payload(payload)
-
-    def test_load_raises_on_invalid_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        dump_payload({"schema": "other"}, path)
-        with pytest.raises(ValueError):
-            load_payload(path)
-
-    def test_committed_baseline_is_valid(self):
-        from pathlib import Path
-
-        baseline = load_payload(
-            Path(__file__).resolve().parents[1]
-            / "benchmarks"
-            / "baseline.json"
-        )
-        assert baseline["profile"] == "quick"
-        assert len(baseline["benchmarks"]) == 21
-        # The baseline carries the optimization provenance the repo's
-        # performance trajectory documentation points at: wall-clock
-        # wins record speedups, storage wins record savings.
-        speedups = [
-            kernel["speedup"]
-            for entry in baseline["optimizations"]
-            for kernel in entry["kernels"].values()
-            if "speedup" in kernel
+    def test_changed_key_is_named_old_to_new(self):
+        moved = {"ici": {"virtual_seconds": 2.0, "messages": 7}}
+        assert drift("e1", self.BASE, moved) == [
+            "e1/ici: virtual_seconds 1.0 -> 2.0"
         ]
-        assert speedups and min(speedups) >= 1.5
-        savings = [
-            kernel["storage_savings"]
-            for entry in baseline["optimizations"]
-            for kernel in entry["kernels"].values()
-            if "storage_savings" in kernel
+
+    def test_missing_and_extra_labels_are_drift(self):
+        measured = {"full": self.BASE["ici"]}
+        assert drift("e1", self.BASE, measured) == [
+            "e1/full: not in baseline",
+            "e1/ici: missing from this run",
         ]
-        assert savings  # the adaptive-replication entry
+
+    def test_id_known_to_one_side_only_is_drift(self):
+        assert drift("e99", None, self.BASE) == ["e99: not in baseline"]
+        assert drift("e99", self.BASE, None) == [
+            "e99: missing from this run"
+        ]
+
+
+@pytest.fixture
+def two_kernel_gate(monkeypatch, tmp_path):
+    """``repro bench`` over e1 + e17 and a tmp baseline holding just them.
+
+    Keeps the exit-code cases cheap; the whole tree is gated once in
+    ``TestBenchCli.test_tree_has_no_drift`` and per kernel in
+    ``tests/test_bench_drift.py``.
+    """
+    kept = [
+        w for w in runner.discover_workloads() if w.bench_id in ("e1", "e17")
+    ]
+    committed = runner.load_baseline()
+    monkeypatch.setattr(runner, "discover_workloads", lambda: kept)
+    monkeypatch.setattr(runner, "BASELINE", tmp_path / "baseline.json")
+    runner.write_baseline({w.bench_id: committed[w.bench_id] for w in kept})
+    return runner.BASELINE
+
+
+class TestBenchCli:
+    def test_tree_has_no_drift(self, capsys):
+        assert main(["bench"]) == 0
+        assert capsys.readouterr().out.startswith("RESULT: pass (21 kernels")
+
+    def test_one_edited_integer_fails_and_is_named(
+        self, two_kernel_gate, capsys
+    ):
+        edited = runner.load_baseline()
+        was = edited["e17"]["n24"]["messages"]
+        edited["e17"]["n24"]["messages"] = was + 1
+        runner.write_baseline(edited)
+        assert main(["bench"]) == 1
+        out = capsys.readouterr().out
+        assert f"e17/n24: messages {was + 1} -> {was}" in out
+        assert "RESULT: FAIL" in out
+
+    def test_ids_must_match_the_kernels(self, two_kernel_gate, capsys):
+        renamed = runner.load_baseline()
+        renamed["e99"] = renamed.pop("e1")
+        runner.write_baseline(renamed)
+        assert main(["bench"]) == 1
+        out = capsys.readouterr().out
+        assert "e1: not in baseline" in out
+        assert "e99: missing from this run" in out
+
+    def test_write_baseline_round_trips_to_zero_drift(
+        self, two_kernel_gate, capsys
+    ):
+        committed = two_kernel_gate.read_bytes()
+        two_kernel_gate.write_text("{}")
+        assert main(["bench"]) == 1
+        assert main(["bench", "--write-baseline"]) == 0
+        assert two_kernel_gate.read_bytes() == committed
+        assert main(["bench"]) == 0
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            ["--quick"],
+            ["--full"],
+            ["--check"],
+            ["--tolerance", "0.5"],
+            ["--filter", "e8"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_removed_flags_are_rejected(self, removed, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", *removed])
+        assert exit_info.value.code == 2
+        assert removed[0] in capsys.readouterr().err

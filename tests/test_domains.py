@@ -46,7 +46,6 @@ from repro.sim.faults import (
     DomainOutageEvent,
     FaultPlan,
     domain_partition,
-    live_members,
 )
 from repro.storage.placement import (
     DomainSpreadPlacement,
@@ -251,11 +250,11 @@ class TestInjectorDomains:
         injector.bind_domains(domains.members_of_zone)
         victims = injector.crash_domain(1)
         assert victims == (1, 3, 5, 7)
-        assert live_members(net, range(8)) == [0, 2, 4, 6]
+        assert net.live_members(range(8)) == [0, 2, 4, 6]
         assert injector.domain_outages == [(0.0, 1, CRASH, victims)]
         recoveries = injector.stats.recoveries
         injector.recover_domain(victims)
-        assert live_members(net, range(8)) == list(range(8))
+        assert net.live_members(range(8)) == list(range(8))
         assert injector.stats.recoveries == recoveries + 4
         # Recovering again is a no-op (no double counting).
         injector.recover_domain(victims)
@@ -294,11 +293,11 @@ class TestInjectorDomains:
         injector = plan.install(net)
         injector.bind_domains(domains.members_of_zone)
         net.clock.run_for(4.9)
-        assert live_members(net, range(6)) == list(range(6))
+        assert net.live_members(range(6)) == list(range(6))
         net.clock.run_for(1.0)
-        assert live_members(net, range(6)) == [0, 2, 3, 5]
+        assert net.live_members(range(6)) == [0, 2, 3, 5]
         net.clock.run_for(4.0)
-        assert live_members(net, range(6)) == list(range(6))
+        assert net.live_members(range(6)) == list(range(6))
         assert injector.domain_outages == [(5.0, 1, CRASH, (1, 4))]
 
 

@@ -90,8 +90,6 @@ class TestEnduranceConfig:
             EnduranceConfig(repair_cadence=0.0)
         with pytest.raises(ConfigurationError):
             EnduranceConfig(crash_count=-1)
-        with pytest.raises(ConfigurationError):
-            EnduranceConfig(max_heal_rounds=0)
 
 
 class TestEnduranceTrace:

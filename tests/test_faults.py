@@ -24,7 +24,6 @@ from repro.sim.faults import (
     FaultStats,
     OutageEvent,
     PartitionWindow,
-    live_members,
 )
 
 
@@ -449,18 +448,18 @@ class TestLiveMembers:
     def test_without_injector_filters_offline(self, net):
         wire(net, 3)
         net.set_online(1, False)
-        assert live_members(net, [0, 1, 2]) == [0, 2]
+        assert net.live_members([0, 1, 2]) == [0, 2]
 
     def test_with_injector_filters_stalled_too(self, net):
         wire(net, 3)
         injector = FaultPlan().install(net)
         injector.stall(2)
         net.set_online(1, False)
-        assert live_members(net, [0, 1, 2]) == [0]
+        assert net.live_members([0, 1, 2]) == [0]
 
     def test_preserves_order(self, net):
         wire(net, 3)
-        assert live_members(net, [2, 0, 1]) == [2, 0, 1]
+        assert net.live_members([2, 0, 1]) == [2, 0, 1]
 
     def test_mixed_crashed_and_stalled(self, net):
         """Crashed and stalled members drop out; everyone else stays."""
@@ -468,11 +467,11 @@ class TestLiveMembers:
         injector = FaultPlan().install(net)
         injector.crash(1)
         injector.stall(3)
-        assert live_members(net, [0, 1, 2, 3, 4]) == [0, 2, 4]
+        assert net.live_members([0, 1, 2, 3, 4]) == [0, 2, 4]
         injector.recover(1)
-        assert live_members(net, [0, 1, 2, 3, 4]) == [0, 1, 2, 4]
+        assert net.live_members([0, 1, 2, 3, 4]) == [0, 1, 2, 4]
         injector.recover(3)
-        assert live_members(net, [0, 1, 2, 3, 4]) == [0, 1, 2, 3, 4]
+        assert net.live_members([0, 1, 2, 3, 4]) == [0, 1, 2, 3, 4]
 
 
 class TestRetryPolicy:
@@ -504,7 +503,6 @@ class TestRetryPolicy:
             {"backoff": 0.5},
             {"max_timeout": 1.0, "base_timeout": 2.0},
             {"rounds": 0},
-            {"probe_attempts": -1},
         ],
     )
     def test_invalid_policy_rejected(self, kwargs):

@@ -14,8 +14,7 @@ import json
 
 import pytest
 
-from repro.bench.profile import BenchProfile
-from repro.bench.workload import BenchWorkload, simulated_metrics
+from repro.bench.workload import simulated_metrics
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ObservabilityError
@@ -402,36 +401,6 @@ class TestSummary:
         summary = summarize(tracer.events())
         assert summary.nodes[("", 3)].sends == 1
         assert summary.evicted == 0
-
-
-class TestBenchTracing:
-    def test_runner_writes_one_trace_per_workload(self, tmp_path):
-        from repro.bench.runner import BenchmarkRunner
-
-        def kernel(profile):
-            deployment = ici_deployment(9)
-            runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
-            runner.produce_blocks(
-                profile.pick(2, 4), txs_per_block=2
-            )
-            return [("ici", deployment)]
-
-        workload = BenchWorkload(
-            bench_id="e99", title="obs test kernel", run=kernel
-        )
-        profile = BenchProfile(
-            name="quick", warmup=0, repetitions=1, time_budget_seconds=60
-        )
-        runner = BenchmarkRunner(
-            [workload], profile, trace_dir=tmp_path
-        )
-        payload = runner.run()
-        trace_path = tmp_path / "TRACE_e99.json"
-        assert trace_path.exists()
-        assert validate_chrome_trace(
-            json.loads(trace_path.read_text())
-        ) == []
-        assert payload["benchmarks"]["e99"]["simulated"]
 
 
 class TestTraceCli:

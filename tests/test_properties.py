@@ -363,7 +363,6 @@ class TestEnduranceConvergence:
     @given(seed=st.integers(min_value=0, max_value=1_000))
     def test_coverage_union_and_replica_floor(self, seed):
         from repro.sim.chaos import EnduranceConfig, run_endurance
-        from repro.sim.faults import live_members
         from tests.conftest import TEST_LIMITS
 
         outcome = run_endurance(
@@ -395,7 +394,7 @@ class TestEnduranceConvergence:
                 f"cluster {view.cluster_id} lost "
                 f"{len(canonical - union)} blocks (seed {seed})"
             )
-            live = live_members(deployment.network, sorted(view.members))
+            live = deployment.network.live_members(sorted(view.members))
             floor = min(replication, len(live))
             for block_hash in canonical:
                 holders = sum(

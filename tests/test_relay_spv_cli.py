@@ -234,6 +234,27 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            ("chaos --domains --zones 1", "at least 2 zones"),
+            ("run --nodes 4 --groups 8", "8 clusters need at least"),
+            (
+                "endurance --nodes 6 --groups 3 --replication 3",
+                "replication 3 exceeds",
+            ),
+        ],
+    )
+    def test_impossible_config_is_a_usage_error(
+        self, argv, complaint, capsys
+    ):
+        from repro.cli import main
+
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and complaint in err
+        assert "Traceback" not in err
+
     def test_compare_command(self, capsys):
         from repro.cli import main
 

@@ -102,52 +102,6 @@ class TestReportSections:
                 assert line.count("|") >= 3
 
 
-def bench_payload() -> dict:
-    """A minimal, schema-shaped benchmark payload for rendering tests."""
-    from repro.bench.schema import wall_stats
-
-    return {
-        "schema": "repro-bench",
-        "schema_version": 1,
-        "created_at": "2026-01-01T00:00:00+0000",
-        "profile": "quick",
-        "host": {"python": "3.11", "platform": "test"},
-        "calibration": {"wall_seconds": 0.05, "rounds": 200_000},
-        "benchmarks": {
-            "e1": {
-                "title": "storage growth",
-                "wall_seconds": wall_stats([0.5, 0.6]),
-                "peak_rss_kb": 2048,
-                "simulated": {
-                    "ici": {"virtual_seconds": 12.0, "messages": 345},
-                },
-            }
-        },
-    }
-
-
-class TestBenchSummary:
-    def test_renders_the_suite_table(self):
-        from repro.analysis.report import render_bench_summary
-
-        summary = render_bench_summary(bench_payload())
-        assert summary.startswith("# Benchmark run (quick profile)")
-        assert "calibration kernel: 0.0500s" in summary
-        assert "| e1 | storage growth | 0.500 |" in summary
-        assert "345" in summary
-        assert "## Baseline comparison" not in summary
-
-    def test_appends_the_baseline_verdict(self):
-        from repro.analysis.report import render_bench_summary
-        from repro.bench.baseline import compare_to_baseline
-
-        payload = bench_payload()
-        comparison = compare_to_baseline(payload, payload)
-        summary = render_bench_summary(payload, comparison)
-        assert "## Baseline comparison" in summary
-        assert "RESULT" in summary
-
-
 class TestChaosSummary:
     def test_summary_includes_latency_percentiles(self):
         from repro.analysis.report import render_chaos_summary
