@@ -374,10 +374,15 @@ def _weather_lines(outcome) -> list[str]:
     # Older pickled/stubbed outcomes may lack the percentiles field.
     percentiles = getattr(outcome, "latency_percentiles", None)
     if percentiles:
+        lines += ["", "## Delivery latency (virtual time)", ""]
+        tracer = getattr(outcome, "tracer", None)
+        if tracer is not None and tracer.evicted:
+            lines += [
+                f"{tracer.evicted} of {tracer.recorded} trace events "
+                "evicted; percentiles cover the retained window",
+                "",
+            ]
         lines += [
-            "",
-            "## Delivery latency (virtual time)",
-            "",
             _md_table(
                 ["message kind", "delivered", "p50", "p95", "p99", "max"],
                 [

@@ -38,6 +38,7 @@ from repro.net.network import Network
 from repro.net.topology import clustered_topology
 from repro.node.clusternode import ClusterNode
 from repro.protocols.query import QUERY_TIMEOUT, SYNC_REQUEST_BYTES
+from repro.protocols.repair import AntiEntropyEngine
 from repro.storage.placement import (
     CapacityWeightedPlacement,
     ModuloSlotPlacement,
@@ -145,7 +146,6 @@ class ICIDeployment(StorageDeployment):
         from repro.protocols.dissemination import DisseminationEngine
         from repro.protocols.intracluster import IntraClusterEngine
         from repro.protocols.query import QueryEngine
-        from repro.protocols.repair import AntiEntropyEngine
         from repro.protocols.sync import SyncEngine
 
         from repro.dht.engine import DHTEngine

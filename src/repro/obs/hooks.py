@@ -21,6 +21,7 @@ harness traces workloads that build their own deployments.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.net.message import KIND_VALUE
@@ -42,6 +43,17 @@ if TYPE_CHECKING:  # pragma: no cover
 _PENDING_SEND_LIMIT = 100_000
 
 
+class _NodeTracks(dict):
+    """node id -> that node's one track tuple, built on first use."""
+
+    def __init__(self, label: str) -> None:
+        self._label = label
+
+    def __missing__(self, node_id: int) -> tuple:
+        track = self[node_id] = node_track(node_id, self._label)
+        return track
+
+
 class TracingObserver:
     """Router observer mirroring protocol traffic into a tracer.
 
@@ -60,6 +72,11 @@ class TracingObserver:
         self._tracer = tracer
         self._clock = clock
         self._label = label
+        # Bound once: a recorded event is this hook's frame plus one
+        # record frame (tests/test_message_path.py counts them).
+        self._instant = tracer.instant
+        self._complete = tracer.complete
+        self._tracks = _NodeTracks(label)
         self._reliability = proto_track("reliability", label)
         self._consensus = proto_track("consensus", label)
         # With a clustered deployment attached, cluster-final finalizes
@@ -77,45 +94,36 @@ class TracingObserver:
         if len(sent_at) >= _PENDING_SEND_LIMIT:
             sent_at.pop(next(iter(sent_at)))
         sent_at[message.message_id] = now
-        self._tracer.instant(
+        self._instant(
             KIND_VALUE[message.kind],
-            node_track(message.sender, self._label),
-            ts=now,
-            category="send",
-            args={"to": message.recipient, "bytes": message.size_bytes},
+            self._tracks[message.sender],
+            now,
+            "send",
+            {"to": message.recipient, "bytes": message.size_bytes},
         )
 
     def on_deliver(self, node: "BaseNode", message: "Message") -> None:
         """A message is dispatched: close its queue-latency span."""
         now = self._clock.now
         start = self._sent_at.pop(message.message_id, None)
-        track = node_track(message.recipient, self._label)
+        track = self._tracks[message.recipient]
         kind = KIND_VALUE[message.kind]
         args = {"from": message.sender, "bytes": message.size_bytes}
         if start is None:
             # Relay or duplicate: no witnessed send to anchor a span.
-            self._tracer.instant(
-                kind, track, ts=now, category="deliver", args=args
-            )
+            self._instant(kind, track, now, "deliver", args)
         else:
-            self._tracer.complete(
-                kind, track, start, now - start,
-                category="deliver", args=args,
-            )
+            self._complete(kind, track, start, now - start, "deliver", args)
 
     def on_finalize(self, event: "FinalizeEvent") -> None:
         """A block finalized somewhere: mark the node (or the cluster)."""
-        track = (
-            node_track(event.node_id, self._label)
-            if event.node_id is not None
-            else self._consensus
-        )
-        self._tracer.instant(
+        node_id = event.node_id
+        self._instant(
             "finalize",
-            track,
-            ts=event.at,
-            category="finalize",
-            args={
+            self._consensus if node_id is None else self._tracks[node_id],
+            event.at,
+            "finalize",
+            {
                 "cluster": event.cluster_id,
                 "accepted": event.accepted,
                 "cluster_final": event.cluster_final,
@@ -137,21 +145,15 @@ class TracingObserver:
     # --------------------------------------------------- reliability hooks
     def on_retry(self, kind: str) -> None:
         """A reliability-layer retry fired for ``kind``."""
-        self._tracer.instant(
-            kind, self._reliability, ts=self._clock.now, category="retry"
-        )
+        self._instant(kind, self._reliability, self._clock.now, "retry")
 
     def on_timeout(self, kind: str) -> None:
         """A request deadline fired while still pending."""
-        self._tracer.instant(
-            kind, self._reliability, ts=self._clock.now, category="timeout"
-        )
+        self._instant(kind, self._reliability, self._clock.now, "timeout")
 
     def on_degraded(self, kind: str) -> None:
         """A request exhausted every replica."""
-        self._tracer.instant(
-            kind, self._reliability, ts=self._clock.now, category="degraded"
-        )
+        self._instant(kind, self._reliability, self._clock.now, "degraded")
 
 
 def record_cluster_storage(
@@ -181,16 +183,20 @@ def record_cluster_storage(
         for member in members
         if member in nodes
     )
-    name = f"cluster {cluster_id} ledger bytes"
-    if label:
-        name = f"{label} {name}"
     tracer.counter(
-        name,
+        _cluster_series(cluster_id, label),
         STORAGE_TRACK,
         {"bytes": total},
         ts=ts,
         category="storage",
     )
+
+
+@lru_cache(maxsize=1024)
+def _cluster_series(cluster_id: int, label: str) -> str:
+    """One cluster's counter-series name (one string for all samples)."""
+    name = f"cluster {cluster_id} ledger bytes"
+    return f"{label} {name}" if label else name
 
 
 def record_tier_storage(
@@ -253,7 +259,7 @@ def install_tracing(
     *,
     callbacks: bool | None = None,
     label: str | None = None,
-) -> TracingObserver:
+) -> TracingObserver | None:
     """Attach ``tracer`` to one deployment through the hook surfaces.
 
     Args:
@@ -265,8 +271,12 @@ def install_tracing(
         label: track label; defaults to a per-tracer-unique class name,
             so multi-deployment workloads keep separate node timelines.
 
-    Returns the installed observer (tests inspect it).
+    Returns the installed observer (tests inspect it).  A disabled
+    tracer — ``enabled`` is fixed at construction — attaches nothing and
+    returns ``None``: the run takes the exact untraced code path.
     """
+    if not tracer.enabled:
+        return None
     if label is None:
         label = tracer.label_for(deployment)
     clock = deployment.network.clock

@@ -17,7 +17,7 @@ fixed-seed run is itself deterministic (wall stamps are ignored).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, inf
 from typing import Iterable
 
 from repro.obs.tracer import (
@@ -111,7 +111,12 @@ def summarize(
     source: Tracer | Iterable[TraceEvent],
     buckets: int = TIMELINE_BUCKETS,
 ) -> TraceSummary:
-    """Aggregate a tracer (or raw event list) into a :class:`TraceSummary`."""
+    """Aggregate a tracer (or raw event list) into a :class:`TraceSummary`.
+
+    One unpacking pass over the events; the timelines need the whole
+    trace's span, so the pass keeps each node's stamps and buckets them
+    once the span is known.
+    """
     if isinstance(source, Tracer):
         events = source.events()
         recorded, evicted = source.recorded, source.evicted
@@ -123,50 +128,53 @@ def summarize(
     )
     if not events:
         return summary
-    summary.t_start = min(e.ts for e in events)
-    summary.t_end = max(e.ts + e.dur for e in events)
 
+    kinds, phases = summary.kinds, summary.phases
+    # node key -> (activity, virtual stamp of each send/deliver).
+    rows: dict[tuple, tuple[NodeActivity, list[float]]] = {}
     latencies: dict[str, list[float]] = {}
-    for event in events:
-        group = event.track[0]
+    t_start, t_end = inf, -inf
+    for name, phase, ts, dur, (group, key), category, _, args in events:
+        end = ts + dur
+        if ts < t_start:
+            t_start = ts
+        if end > t_end:
+            t_end = end
         if group == NODE_GROUP:
-            label, node_id = event.track[1]
-            node = summary.nodes.get(event.track[1])
-            if node is None:
-                node = summary.nodes[event.track[1]] = NodeActivity(
-                    label=label, node_id=node_id
-                )
-            size = (event.args or {}).get("bytes", 0)
-            if event.category == "send":
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = (NodeActivity(*key), [])
+            node, stamps = row
+            size = args.get("bytes", 0) if args else 0
+            if category == "send":
                 node.sends += 1
                 node.bytes_sent += size
-            elif event.category == "deliver":
+            elif category == "deliver":
                 node.receives += 1
                 node.bytes_received += size
-                kind = latencies.setdefault(event.name, [])
-                if event.phase == SPAN:
-                    kind.append(event.dur)
+                samples = latencies.get(name)
+                if samples is None:
+                    samples = latencies[name] = []
+                if phase == SPAN:
+                    samples.append(dur)
                 else:
-                    entry = summary.kinds.setdefault(
-                        event.name, KindLatency(kind=event.name)
-                    )
+                    entry = kinds.get(name)
+                    if entry is None:
+                        entry = kinds[name] = KindLatency(kind=name)
                     entry.unmatched += 1
             else:
                 continue
-            end = event.ts + event.dur
-            node.first_ts = (
-                event.ts
-                if node.first_ts is None
-                else min(node.first_ts, event.ts)
-            )
-            node.last_ts = (
-                end if node.last_ts is None else max(node.last_ts, end)
-            )
-        elif event.track == PHASE_TRACK and event.phase == SPAN:
-            summary.phases.append((event.name, event.ts, event.dur))
+            stamps.append(ts)
+            if node.first_ts is None or ts < node.first_ts:
+                node.first_ts = ts
+            if node.last_ts is None or end > node.last_ts:
+                node.last_ts = end
+        elif phase == SPAN and (group, key) == PHASE_TRACK:
+            phases.append((name, ts, dur))
+    summary.t_start, summary.t_end = t_start, t_end
 
     for kind, samples in latencies.items():
-        entry = summary.kinds.setdefault(kind, KindLatency(kind=kind))
+        entry = kinds.setdefault(kind, KindLatency(kind=kind))
         if not samples:
             continue
         samples.sort()
@@ -177,25 +185,14 @@ def summarize(
         entry.mean = sum(samples) / len(samples)
         entry.max = samples[-1]
 
-    _fill_timelines(summary, events, buckets)
-    summary.phases.sort(key=lambda p: (p[1], -p[2], p[0]))
-    return summary
-
-
-def _fill_timelines(
-    summary: TraceSummary, events: list[TraceEvent], buckets: int
-) -> None:
-    span = summary.span_seconds
-    for node in summary.nodes.values():
-        node.timeline = [0] * buckets
-    if buckets < 1 or not summary.nodes:
-        return
+    span = t_end - t_start
     scale = (buckets / span) if span > 0 else 0.0
-    for event in events:
-        if event.track[0] != NODE_GROUP:
-            continue
-        if event.category not in ("send", "deliver"):
-            continue
-        node = summary.nodes[event.track[1]]
-        index = int((event.ts - summary.t_start) * scale)
-        node.timeline[min(index, buckets - 1)] += 1
+    last = buckets - 1
+    for key, (node, stamps) in rows.items():
+        summary.nodes[key] = node
+        timeline = node.timeline = [0] * buckets
+        if last >= 0:
+            for ts in stamps:
+                timeline[min(int((ts - t_start) * scale), last)] += 1
+    phases.sort(key=lambda p: (p[1], -p[2], p[0]))
+    return summary

@@ -16,9 +16,13 @@ Design rules:
   observer protocol, the simclock's optional callback hook, the fault
   injector's optional tracer slot (see :mod:`repro.obs.hooks`).
 * **Free when disabled**: with no tracer attached the hot paths are the
-  exact pre-existing code (the hooks are ``None`` checks); a disabled
-  :class:`Tracer` additionally turns every record method into an
-  immediate return, allocating nothing.
+  exact pre-existing code (the hooks are ``None`` checks), and
+  :func:`~repro.obs.hooks.install_tracing` attaches nothing for a
+  disabled :class:`Tracer`; called directly, its record methods return
+  immediately, allocating nothing.
+* **Cheap when enabled**: a recorded event is one tuple built by one C
+  call inside the record method — no constructor frame, no per-event
+  track (``tests/test_message_path.py`` counts the frames).
 * **Deterministic virtual story**: virtual timestamps, event order, and
   counts are a pure function of the (seeded) run; only the ``wall``
   stamps vary across machines.  Tracing never schedules events or draws
@@ -36,9 +40,8 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from repro.errors import ObservabilityError
 
@@ -65,9 +68,12 @@ INSTANT = "i"   # point event
 COUNTER = "C"   # sampled numeric series (Perfetto charts these)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event.
+class TraceEvent(NamedTuple):
+    """One recorded event: an immutable eight-field row.
+
+    The record methods build it with one ``tuple.__new__`` (no Python
+    ``__new__``/``__init__`` frame per event); keyword and positional
+    construction work as for any ``NamedTuple``.
 
     Attributes:
         name: what happened (message kind, callback qualname, phase…).
@@ -88,6 +94,10 @@ class TraceEvent:
     category: str
     wall: float
     args: dict | None = None
+
+
+#: What ``NamedTuple._make`` calls underneath, minus its Python frame.
+_new_record = tuple.__new__
 
 
 def node_track(node_id: int, label: str = "") -> tuple:
@@ -210,18 +220,8 @@ class Tracer:
         if ts is None:
             ts = self._now()
         self._recorded += 1
-        self._events.append(
-            TraceEvent(
-                name=name,
-                phase=INSTANT,
-                ts=ts,
-                dur=0.0,
-                track=track,
-                category=category,
-                wall=perf_counter(),
-                args=args,
-            )
-        )
+        row = (name, INSTANT, ts, 0.0, track, category, perf_counter(), args)
+        self._events.append(_new_record(TraceEvent, row))
 
     def counter(
         self,
@@ -241,18 +241,9 @@ class Tracer:
         if ts is None:
             ts = self._now()
         self._recorded += 1
-        self._events.append(
-            TraceEvent(
-                name=name,
-                phase=COUNTER,
-                ts=ts,
-                dur=0.0,
-                track=track,
-                category=category,
-                wall=perf_counter(),
-                args=dict(values),
-            )
-        )
+        args = dict(values)
+        row = (name, COUNTER, ts, 0.0, track, category, perf_counter(), args)
+        self._events.append(_new_record(TraceEvent, row))
 
     def complete(
         self,
@@ -267,18 +258,8 @@ class Tracer:
         if not self._enabled:
             return
         self._recorded += 1
-        self._events.append(
-            TraceEvent(
-                name=name,
-                phase=SPAN,
-                ts=start,
-                dur=dur,
-                track=track,
-                category=category,
-                wall=perf_counter(),
-                args=args,
-            )
-        )
+        row = (name, SPAN, start, dur, track, category, perf_counter(), args)
+        self._events.append(_new_record(TraceEvent, row))
 
     def span(
         self,

@@ -69,6 +69,7 @@ from repro.errors import ConfigurationError
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
+from repro.obs.hooks import record_cluster_storage
 from repro.obs.tracer import active_tracer, proto_track
 from repro.protocols.reliability import (
     PendingRequest,
@@ -771,8 +772,6 @@ class AntiEntropyEngine(ProtocolEngine):
             if remaining < floor:
                 planner.note_floor_violation()
             if self._tracer is not None:
-                from repro.obs.hooks import record_cluster_storage
-
                 record_cluster_storage(
                     self._tracer, deployment, cluster_id, self.network.now
                 )
@@ -861,8 +860,6 @@ class AntiEntropyEngine(ProtocolEngine):
                 "target": target,
             },
         )
-        from repro.obs.hooks import record_cluster_storage
-
         record_cluster_storage(
             self._tracer, self.deployment, cluster_id, self.network.now
         )

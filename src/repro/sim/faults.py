@@ -41,6 +41,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError, FaultConfigError
+from repro.net.message import KIND_VALUE
 from repro.obs.tracer import FAULTS_TRACK, active_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -572,10 +573,10 @@ class FaultInjector:
         self._tracer.instant(
             name,
             FAULTS_TRACK,
-            ts=now,
-            category="fault",
-            args={
-                "kind": message.kind.value,
+            now,
+            "fault",
+            {
+                "kind": KIND_VALUE[message.kind],
                 "from": message.sender,
                 "to": message.recipient,
             },

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.chain.block import Block, deserialize_body, serialize_body
 from repro.crypto.hashing import Hash32
 from repro.errors import ConfigurationError
+from repro.obs.hooks import record_coded_storage
 from repro.obs.tracer import proto_track
 from repro.storage.erasure import rs_decode, rs_encode
 from repro.storage.heat import COLD
@@ -450,8 +451,6 @@ class ArchivalTier:
     def _sample_storage(self) -> None:
         if self._tracer is None:
             return
-        from repro.obs.hooks import record_coded_storage
-
         record_coded_storage(
             self._tracer, self, self.deployment.network.now
         )

@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from repro.crypto.hashing import Hash32
 from repro.errors import ConfigurationError
 from repro.net.message import MessageKind
+from repro.obs.hooks import record_tier_storage
 from repro.obs.tracer import proto_track
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -380,8 +381,6 @@ class ReplicationPlanner:
         self.stats.warm_blocks = counts[WARM]
         self.stats.cold_blocks = counts[COLD]
         if self._tracer is not None:
-            from repro.obs.hooks import record_tier_storage
-
             record_tier_storage(self._tracer, self.deployment, self, now)
         return changes
 

@@ -13,6 +13,7 @@ a property of the deployment's features, not of the path).
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 
@@ -139,3 +140,88 @@ def test_call_budget():
     assert profiler.sends == {
         ("sized_message", "note_send", "send", "total_delay", "post"): sends
     }
+
+
+class _HookProfiler:
+    """The Python ``call`` events below each watched function call."""
+
+    def __init__(self, *watched) -> None:
+        self._watched = {_code(function) for function in watched}
+        #: (watched code, *codes called below it) -> how many calls.
+        self.paths: Counter = Counter()
+        self._path: list | None = None
+        self._depth = 0  # frames open below the watched one
+
+    def __call__(self, frame, event, _arg) -> None:
+        if event == "call":
+            if self._path is not None:
+                self._path.append(frame.f_code)
+                self._depth += 1
+            elif frame.f_code in self._watched:
+                self._path = [frame.f_code]
+        elif event == "return" and self._path is not None:
+            if self._depth:
+                self._depth -= 1
+            else:
+                self.paths[tuple(self._path)] += 1
+                self._path = None
+
+
+def test_traced_call_budget():
+    """One recorded event: the producer's frame plus one record frame.
+
+    The tracer is on in every chaos/endurance run, so its per-event cost
+    is a fixed cost of those runs.  Once a node's track exists (the
+    warm-up block), a traced send is ``on_send`` → ``Tracer.instant`` and
+    a traced delivery ``on_deliver`` → ``Tracer.complete`` (``instant``
+    with no witnessed send), with the public ``SimClock.now`` property
+    read in between as the only other call: no ``node_track``, no
+    ``TraceEvent.__new__``/``__init__``, no inner record helper.
+    Retries, timeouts and fault decisions likewise.
+    """
+    from repro.obs.hooks import TracingObserver, install_tracing
+    from repro.obs.tracer import Tracer
+    from repro.sim.chaos import ChaosConfig, build_scenario
+    from repro.sim.faults import FaultInjector
+
+    config = ChaosConfig(seed=3, n_blocks=4, queries=0, drop_rate=0.2)
+    deployment, runner, _ = build_scenario(
+        config, TEST_LIMITS, config.fault_config()
+    )
+    tracer = Tracer()
+    install_tracing(deployment, tracer)
+    runner.produce_blocks(1, txs_per_block=3)
+    deployment.run()
+    profiler = _HookProfiler(
+        TracingObserver.on_send,
+        TracingObserver.on_deliver,
+        TracingObserver.on_retry,
+        TracingObserver.on_timeout,
+        FaultInjector._trace_fault,
+    )
+    before = tracer.recorded
+    # A collection inside a hook would add the frames of whatever
+    # gc.callbacks the test session registered (hypothesis has one).
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        runner.produce_blocks(2, txs_per_block=3)
+        deployment.run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+
+    now = _code(SimClock.now.fget)
+    instant, complete = _code(Tracer.instant), _code(Tracer.complete)
+    assert set(profiler.paths) == {
+        (_code(TracingObserver.on_send), now, instant),
+        (_code(TracingObserver.on_deliver), now, complete),
+        (_code(TracingObserver.on_deliver), now, instant),
+        (_code(TracingObserver.on_retry), now, instant),
+        (_code(TracingObserver.on_timeout), now, instant),
+        (_code(FaultInjector._trace_fault), instant),
+    }, {_names(path) for path in profiler.paths}
+    assert profiler.paths[_code(TracingObserver.on_send), now, instant] > 100
+    # One event per watched call; finalize marks, counter samples and
+    # repair instants (not watched) make up the rest.
+    assert sum(profiler.paths.values()) <= tracer.recorded - before

@@ -25,7 +25,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.hooks import TracingObserver
+from repro.obs.hooks import TracingObserver, install_tracing
 from repro.obs.summary import TIMELINE_BUCKETS, percentile, summarize
 from repro.obs.tracer import (
     CLOCK_TRACK,
@@ -36,7 +36,7 @@ from repro.obs.tracer import (
     node_track,
     tracing,
 )
-from repro.sim.chaos import ChaosConfig, run_chaos
+from repro.sim.chaos import ChaosConfig, build_scenario, run_chaos
 from repro.sim.runner import ScenarioRunner
 
 from tests.conftest import TEST_LIMITS
@@ -111,6 +111,34 @@ class TestDisabledTracer:
     def test_disabled_span_reuses_one_null_context(self):
         tracer = Tracer(enabled=False)
         assert tracer.span("a") is tracer.span("b")
+
+    def test_installing_a_disabled_tracer_attaches_nothing(self):
+        """Disabled means free for the observer too, not just the sink."""
+        config = ChaosConfig(seed=3, n_blocks=2, queries=0, drop_rate=0.1)
+        deployment, _, injector = build_scenario(
+            config, TEST_LIMITS, config.fault_config()
+        )
+        hooks = {
+            name: list(bound)
+            for name, bound in deployment.router._hooks.items()
+        }
+        observers = list(deployment.router._observers)
+        slots = (deployment.network.clock, injector, deployment.repair)
+        assert deployment.network.faults is injector
+
+        tracer = Tracer(enabled=False, trace_callbacks=True)
+        assert install_tracing(deployment, tracer) is None
+        assert deployment.router._hooks == hooks
+        assert deployment.router._observers == observers
+        assert [slot._tracer for slot in slots] == [None, None, None]
+
+        # The control: the same call with a recording tracer attaches.
+        assert isinstance(
+            install_tracing(deployment, Tracer(trace_callbacks=True)),
+            TracingObserver,
+        )
+        assert deployment.router._hooks != hooks
+        assert None not in [slot._tracer for slot in slots]
 
     def test_enabled_tracer_without_clock_demands_explicit_ts(self):
         tracer = Tracer()

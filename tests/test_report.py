@@ -117,6 +117,28 @@ class TestChaosSummary:
             summary
         )
         assert "block_body" in summary
+        assert outcome.tracer.evicted == 0 and "evicted" not in summary
+
+    def test_truncated_trace_says_so(self):
+        """Percentiles over an evicting ring cover a window, not the run."""
+        from repro.analysis.report import render_chaos_summary
+        from repro.obs.tracer import Tracer
+        from repro.sim.chaos import ChaosConfig, run_chaos
+
+        window = run_chaos(
+            ChaosConfig(seed=3, n_blocks=4, queries=4, drop_rate=0.2),
+            limits=TEST_LIMITS,
+            tracer=Tracer(capacity=500),
+        )
+        assert window.tracer.evicted > 0
+        note = (
+            f"{window.tracer.evicted} of {window.tracer.recorded} trace "
+            "events evicted; percentiles cover the retained window"
+        )
+        lines = render_chaos_summary(window).splitlines()
+        heading = lines.index("## Delivery latency (virtual time)")
+        assert lines[heading + 1 : heading + 4] == ["", note, ""]
+        assert lines[heading + 4].startswith("| message kind |")
 
     def test_tolerates_outcomes_without_percentiles(self):
         """Older pickled/stubbed outcomes may lack the new field."""
