@@ -42,14 +42,8 @@ PROCESS_NAMES = {1: "nodes", 2: "protocol", 3: "simulator"}
 VALID_PHASES = frozenset({SPAN, INSTANT, COUNTER, "M"})
 
 
-def _events_of(source: Tracer | Iterable[TraceEvent]) -> list[TraceEvent]:
-    if isinstance(source, Tracer):
-        return source.events()
-    return list(source)
-
-
 def _thread_layout(
-    events: list[TraceEvent],
+    events: Iterable[TraceEvent],
 ) -> dict[tuple, tuple[int, int, str]]:
     """Assign ``track -> (pid, tid, thread name)`` deterministically."""
     by_group: dict[str, set] = {}
@@ -83,7 +77,8 @@ def to_chrome_trace(
     source: Tracer | Iterable[TraceEvent], label: str = "repro trace"
 ) -> dict:
     """Build the Chrome trace-event JSON document for one trace."""
-    events = _events_of(source)
+    # Two passes (tracks, then rows): a tracer is iterated, never copied.
+    events = source if isinstance(source, Tracer) else list(source)
     layout = _thread_layout(events)
     trace_events: list[dict[str, Any]] = []
     for pid in sorted(set(pid for pid, _, _ in layout.values())):
@@ -240,6 +235,6 @@ def write_jsonl(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        for event in _events_of(source):
+        for event in source:
             handle.write(json.dumps(event_to_json(event)) + "\n")
     return path

@@ -38,6 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.node.base import BaseNode
     from repro.protocols.router import FinalizeEvent
 
+#: Key sets of the send / deliver ``args``, recorded already packed
+#: (``(keys, *values)``, see :meth:`Tracer.instant`): no dict per message.
+_SEND_KEYS = ("to", "bytes")
+_DELIVER_KEYS = ("from", "bytes")
+
 #: Cap on the in-flight send-timestamp map: sends that are never
 #: delivered (drops, crashes) must not grow memory without bound.
 _PENDING_SEND_LIMIT = 100_000
@@ -99,7 +104,7 @@ class TracingObserver:
             self._tracks[message.sender],
             now,
             "send",
-            {"to": message.recipient, "bytes": message.size_bytes},
+            (_SEND_KEYS, message.recipient, message.size_bytes),
         )
 
     def on_deliver(self, node: "BaseNode", message: "Message") -> None:
@@ -108,7 +113,7 @@ class TracingObserver:
         start = self._sent_at.pop(message.message_id, None)
         track = self._tracks[message.recipient]
         kind = KIND_VALUE[message.kind]
-        args = {"from": message.sender, "bytes": message.size_bytes}
+        args = (_DELIVER_KEYS, message.sender, message.size_bytes)
         if start is None:
             # Relay or duplicate: no witnessed send to anchor a span.
             self._instant(kind, track, now, "deliver", args)

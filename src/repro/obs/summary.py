@@ -26,6 +26,7 @@ from repro.obs.tracer import (
     SPAN,
     TraceEvent,
     Tracer,
+    arg_of,
 )
 
 #: Virtual-time buckets per node-activity timeline.
@@ -113,20 +114,19 @@ def summarize(
 ) -> TraceSummary:
     """Aggregate a tracer (or raw event list) into a :class:`TraceSummary`.
 
-    One unpacking pass over the events; the timelines need the whole
-    trace's span, so the pass keeps each node's stamps and buckets them
-    once the span is known.
+    One unpacking pass over the events (a tracer's rows are streamed,
+    not copied); the timelines need the whole trace's span, so the pass
+    keeps each node's stamps and buckets them once the span is known.
     """
     if isinstance(source, Tracer):
-        events = source.events()
+        events, count = source.rows(), len(source)
         recorded, evicted = source.recorded, source.evicted
     else:
         events = list(source)
-        recorded, evicted = len(events), 0
-    summary = TraceSummary(
-        events=len(events), recorded=recorded, evicted=evicted
-    )
-    if not events:
+        count = recorded = len(events)
+        evicted = 0
+    summary = TraceSummary(events=count, recorded=recorded, evicted=evicted)
+    if not count:
         return summary
 
     kinds, phases = summary.kinds, summary.phases
@@ -145,7 +145,7 @@ def summarize(
             if row is None:
                 row = rows[key] = (NodeActivity(*key), [])
             node, stamps = row
-            size = args.get("bytes", 0) if args else 0
+            size = arg_of(args, "bytes", 0)
             if category == "send":
                 node.sends += 1
                 node.bytes_sent += size

@@ -5,9 +5,11 @@ cost) are *flow* properties — who sent what to whom, and when in virtual
 time — which end-of-run aggregate counters cannot explain.  A
 :class:`Tracer` captures that flow as structured events, each stamped
 with **both** simclock virtual time and a wall-clock stamp, into a
-bounded ring buffer (:class:`collections.deque` with ``maxlen``), so a
-trace of any length costs bounded memory and the oldest events are
-evicted first.
+bounded ring buffer, so a trace of any length costs bounded memory and
+the oldest events are evicted first.  The ring is one flat list, eight
+slots per event, with ``args`` packed as ``(keys, *values)``; only
+:meth:`Tracer.rows` and :func:`arg_of` read that stored form, everyone
+else sees :class:`TraceEvent` rows whose ``args`` is a fresh dict.
 
 Design rules:
 
@@ -20,9 +22,10 @@ Design rules:
   :func:`~repro.obs.hooks.install_tracing` attaches nothing for a
   disabled :class:`Tracer`; called directly, its record methods return
   immediately, allocating nothing.
-* **Cheap when enabled**: a recorded event is one tuple built by one C
-  call inside the record method — no constructor frame, no per-event
-  track (``tests/test_message_path.py`` counts the frames).
+* **Cheap when enabled**: a recorded event is eight slots written by
+  one C call inside the record method — no constructor frame, no
+  per-event track, no retained row (``tests/test_message_path.py``
+  counts the frames and the GC-tracked allocations).
 * **Deterministic virtual story**: virtual timestamps, event order, and
   counts are a pure function of the (seeded) run; only the ``wall``
   stamps vary across machines.  Tracing never schedules events or draws
@@ -38,8 +41,8 @@ into processes and tracks into threads (:mod:`repro.obs.export`).
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager, nullcontext
+from itertools import chain, islice
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
@@ -48,7 +51,7 @@ from repro.errors import ObservabilityError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.simclock import SimClock
 
-#: Default ring-buffer capacity (events); ~tens of MB at worst.
+#: Default ring-buffer capacity (events); ~31 MB when full (DESIGN.md).
 DEFAULT_CAPACITY = 200_000
 
 #: Track groups (the Chrome exporter's processes).
@@ -71,9 +74,9 @@ COUNTER = "C"   # sampled numeric series (Perfetto charts these)
 class TraceEvent(NamedTuple):
     """One recorded event: an immutable eight-field row.
 
-    The record methods build it with one ``tuple.__new__`` (no Python
-    ``__new__``/``__init__`` frame per event); keyword and positional
-    construction work as for any ``NamedTuple``.
+    Iterating a :class:`Tracer` builds these on demand from the ring's
+    slots; keyword and positional construction work as for any
+    ``NamedTuple``.
 
     Attributes:
         name: what happened (message kind, callback qualname, phase…).
@@ -98,6 +101,26 @@ class TraceEvent(NamedTuple):
 
 #: What ``NamedTuple._make`` calls underneath, minus its Python frame.
 _new_record = tuple.__new__
+
+#: Ring slots per event.
+_STRIDE = len(TraceEvent._fields)
+
+#: Key set -> the one tuple every packed ``args`` with those keys shares.
+_KEYS: dict[tuple, tuple] = {}
+
+
+def _pack(args: dict) -> tuple:
+    """``args`` as stored: ``(keys, *values)``, a snapshot of the dict."""
+    keys = tuple(args)
+    return (_KEYS.setdefault(keys, keys), *args.values())
+
+
+def arg_of(args: dict | tuple | None, key: str, default: Any = None) -> Any:
+    """``dict.get`` on an event's ``args``, a dict or the stored form."""
+    if args.__class__ is not tuple:
+        return args.get(key, default) if args else default
+    keys = args[0]
+    return args[keys.index(key) + 1] if key in keys else default
 
 
 def node_track(node_id: int, label: str = "") -> tuple:
@@ -127,7 +150,8 @@ class Tracer:
     """
 
     __slots__ = (
-        "_events",
+        "_ring",
+        "_capacity",
         "_enabled",
         "_recorded",
         "_clock",
@@ -145,7 +169,9 @@ class Tracer:
     ) -> None:
         if capacity < 1:
             raise ObservabilityError("tracer capacity must be >= 1")
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        # Flat: event i of the ring is slots [i * _STRIDE, (i + 1) * _STRIDE).
+        self._ring: list = []
+        self._capacity = capacity
         self._enabled = enabled
         self._recorded = 0
         self._clock = clock
@@ -161,7 +187,7 @@ class Tracer:
     @property
     def capacity(self) -> int:
         """Ring-buffer size in events."""
-        return self._events.maxlen or 0
+        return self._capacity
 
     @property
     def recorded(self) -> int:
@@ -171,18 +197,32 @@ class Tracer:
     @property
     def evicted(self) -> int:
         """Events pushed out of the ring by newer ones."""
-        return self._recorded - len(self._events)
+        return self._recorded - len(self)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._ring) // _STRIDE
+
+    def rows(self) -> Iterator[tuple]:
+        """Stream the retained events, oldest first, without copying.
+
+        Plain tuples of :class:`TraceEvent`'s fields as stored: ``args``
+        is packed (``(keys, *values)`` or ``None``; see :func:`arg_of`).
+        """
+        ring = self._ring
+        oldest = self.evicted % self._capacity * _STRIDE
+        slots = chain(islice(ring, oldest, None), islice(ring, oldest))
+        return zip(*[slots] * _STRIDE)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        for row in self.rows():
+            args = row[-1]
+            if args is not None:
+                row = (*row[:-1], dict(zip(args[0], args[1:])))
+            yield _new_record(TraceEvent, row)
 
     def events(self) -> list[TraceEvent]:
-        """The retained events, oldest first."""
-        return list(self._events)
-
-    def clear(self) -> None:
-        """Drop every retained event (counters keep their totals)."""
-        self._events.clear()
+        """The retained events, oldest first (``args`` a fresh dict)."""
+        return list(self)
 
     def bind_clock(self, clock: "SimClock") -> None:
         """Set the default clock for ``ts``-less record calls.
@@ -212,16 +252,25 @@ class Tracer:
         track: tuple,
         ts: float | None = None,
         category: str = "",
-        args: dict | None = None,
+        args: dict | tuple | None = None,
     ) -> None:
-        """Record a point event at virtual time ``ts`` (default: now)."""
+        """Record a point event at virtual time ``ts`` (default: now).
+
+        ``args``: a dict (snapshotted), or already packed by the caller.
+        """
         if not self._enabled:
             return
         if ts is None:
             ts = self._now()
-        self._recorded += 1
+        if args is not None and args.__class__ is not tuple:
+            args = _pack(args)
         row = (name, INSTANT, ts, 0.0, track, category, perf_counter(), args)
-        self._events.append(_new_record(TraceEvent, row))
+        if self._recorded < self._capacity:
+            self._ring.extend(row)
+        else:  # full: overwrite the oldest event's slots
+            oldest = self._recorded % self._capacity * _STRIDE
+            self._ring[oldest : oldest + _STRIDE] = row
+        self._recorded += 1
 
     def counter(
         self,
@@ -240,10 +289,14 @@ class Tracer:
             return
         if ts is None:
             ts = self._now()
-        self._recorded += 1
-        args = dict(values)
+        args = _pack(values)
         row = (name, COUNTER, ts, 0.0, track, category, perf_counter(), args)
-        self._events.append(_new_record(TraceEvent, row))
+        if self._recorded < self._capacity:
+            self._ring.extend(row)
+        else:
+            oldest = self._recorded % self._capacity * _STRIDE
+            self._ring[oldest : oldest + _STRIDE] = row
+        self._recorded += 1
 
     def complete(
         self,
@@ -252,14 +305,20 @@ class Tracer:
         start: float,
         dur: float,
         category: str = "",
-        args: dict | None = None,
+        args: dict | tuple | None = None,
     ) -> None:
         """Record a finished span: ``[start, start + dur]`` virtual time."""
         if not self._enabled:
             return
-        self._recorded += 1
+        if args is not None and args.__class__ is not tuple:
+            args = _pack(args)
         row = (name, SPAN, start, dur, track, category, perf_counter(), args)
-        self._events.append(_new_record(TraceEvent, row))
+        if self._recorded < self._capacity:
+            self._ring.extend(row)
+        else:
+            oldest = self._recorded % self._capacity * _STRIDE
+            self._ring[oldest : oldest + _STRIDE] = row
+        self._recorded += 1
 
     def span(
         self,
@@ -289,13 +348,10 @@ class Tracer:
             yield
         finally:
             end = self._now()
-            merged: dict[str, Any] = dict(args) if args else {}
-            merged["wall_us"] = round(
-                (perf_counter() - wall_start) * 1e6, 1
-            )
+            wall_us = round((perf_counter() - wall_start) * 1e6, 1)
             self.complete(
                 name, track, start, end - start, category=category,
-                args=merged,
+                args={**(args or {}), "wall_us": wall_us},
             )
 
     def callback_event(

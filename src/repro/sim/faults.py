@@ -113,6 +113,9 @@ CRASH = "crash"
 STALL = "stall"
 RECOVER = "recover"
 
+#: Key set of a traced per-message fault decision's (packed) ``args``.
+_FAULT_KEYS = ("kind", "from", "to")
+
 
 @dataclass(frozen=True)
 class OutageEvent:
@@ -575,11 +578,12 @@ class FaultInjector:
             FAULTS_TRACK,
             now,
             "fault",
-            {
-                "kind": KIND_VALUE[message.kind],
-                "from": message.sender,
-                "to": message.recipient,
-            },
+            (
+                _FAULT_KEYS,
+                KIND_VALUE[message.kind],
+                message.sender,
+                message.recipient,
+            ),
         )
 
 

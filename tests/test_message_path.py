@@ -19,7 +19,7 @@ from collections import Counter
 
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
-from repro.net.message import MessageKind
+from repro.net.message import MessageKind, sized_message
 from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.net.traffic import TrafficLedger
@@ -167,7 +167,7 @@ class _HookProfiler:
                 self._path = None
 
 
-def test_traced_call_budget():
+def test_traced_call_budget(wrapped: bool = False):
     """One recorded event: the producer's frame plus one record frame.
 
     The tracer is on in every chaos/endurance run, so its per-event cost
@@ -177,7 +177,8 @@ def test_traced_call_budget():
     with no witnessed send), with the public ``SimClock.now`` property
     read in between as the only other call: no ``node_track``, no
     ``TraceEvent.__new__``/``__init__``, no inner record helper.
-    Retries, timeouts and fault decisions likewise.
+    Retries, timeouts and fault decisions likewise.  The ring is still
+    filling here; the next test re-runs this on one that has ``wrapped``.
     """
     from repro.obs.hooks import TracingObserver, install_tracing
     from repro.obs.tracer import Tracer
@@ -188,10 +189,11 @@ def test_traced_call_budget():
     deployment, runner, _ = build_scenario(
         config, TEST_LIMITS, config.fault_config()
     )
-    tracer = Tracer()
+    tracer = Tracer(64) if wrapped else Tracer()
     install_tracing(deployment, tracer)
     runner.produce_blocks(1, txs_per_block=3)
     deployment.run()
+    assert bool(tracer.evicted) == wrapped
     profiler = _HookProfiler(
         TracingObserver.on_send,
         TracingObserver.on_deliver,
@@ -225,3 +227,54 @@ def test_traced_call_budget():
     # One event per watched call; finalize marks, counter samples and
     # repair instants (not watched) make up the rest.
     assert sum(profiler.paths.values()) <= tracer.recorded - before
+    assert bool(tracer.evicted) == wrapped
+
+
+def test_traced_call_budget_on_a_wrapped_ring():
+    """Overwriting the oldest event's slots is no helper frame either."""
+    test_traced_call_budget(wrapped=True)
+
+
+def _tracked_allocations(call, arguments) -> int:
+    """Net GC-tracked objects left behind by ``call`` over ``arguments``."""
+    gc.collect()
+    gc.disable()  # a collection would reset the generation-0 count
+    try:
+        before = gc.get_count()[0]
+        for argument in arguments:
+            call(argument)
+        return gc.get_count()[0] - before
+    finally:
+        gc.enable()
+
+
+def test_traced_event_retains_at_most_one_tracked_object():
+    """What the cyclic GC has to count per recorded event.
+
+    A traced send leaves one object behind for the collector, the packed
+    ``args`` tuple (a retained row tuple plus an ``args`` dict made it
+    two); an event without ``args`` leaves none, and on a wrapped ring
+    each record frees what it overwrites.
+    """
+    from repro.obs.hooks import TracingObserver
+    from repro.obs.tracer import Tracer
+
+    messages = [
+        sized_message(MessageKind.BLOCK_BODY, index % 8, 8, None, 100)
+        for index in range(10_000)
+    ]
+    tracer = Tracer()
+    observer = TracingObserver(tracer, SimClock())
+    for message in messages[:8]:  # warm-up: one track per sender
+        observer.on_send(message)
+    sends = _tracked_allocations(observer.on_send, messages)
+    assert 10_000 <= sends < 10_100
+    assert abs(_tracked_allocations(observer.on_retry, ["k"] * 10_000)) < 100
+    assert tracer.recorded == 20_008 and tracer.evicted == 0
+
+    wrapped = Tracer(capacity=64)
+    observer = TracingObserver(wrapped, SimClock())
+    for message in messages[:100]:
+        observer.on_send(message)
+    assert abs(_tracked_allocations(observer.on_send, messages)) < 100
+    assert wrapped.evicted == 10_100 - 64

@@ -89,13 +89,30 @@ class TestRingBuffer:
         with pytest.raises(ObservabilityError):
             Tracer(capacity=0)
 
-    def test_clear_keeps_the_counters(self):
-        tracer = bound_tracer(capacity=4)
-        for index in range(6):
-            tracer.instant("e", TRACK, ts=float(index))
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.recorded == 6
+    def test_recorded_args_are_a_snapshot(self):
+        """A producer may reuse its dict; a reader may edit what it got."""
+        tracer = bound_tracer(capacity=8)
+        args = {"to": 3, "bytes": 120, "nested": [1, {"a": None}]}
+        tracer.instant("send", TRACK, ts=0.0, args=args)
+        tracer.complete("deliver", TRACK, 0.0, 1.0, args=args)
+        args["bytes"] = 0
+        args["late"] = True
+        tracer.instant("bare", TRACK, ts=2.0)
+        tracer.instant("empty", TRACK, ts=3.0, args={})
+        tracer.instant("null", TRACK, ts=4.0, args={"b": None, "a": 1})
+
+        first, second, bare, empty, null = tracer.events()
+        recorded = {"to": 3, "bytes": 120, "nested": [1, {"a": None}]}
+        assert first.args == second.args == recorded
+        assert list(first.args) == ["to", "bytes", "nested"]
+        assert bare.args is None
+        assert empty.args == {} and type(empty.args) is dict
+        assert list(null.args.items()) == [("b", None), ("a", 1)]
+        # Two reads of one event: equal, distinct, independently mutable.
+        again = tracer.events()[0]
+        assert again == first and again.args is not first.args
+        first.args["bytes"] = -1
+        assert tracer.events()[0].args == recorded
 
 
 class TestDisabledTracer:

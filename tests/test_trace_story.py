@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.export import event_to_json, to_chrome_trace
+from repro.obs.export import event_to_json, to_chrome_trace, write_jsonl
 from repro.obs.summary import summarize
 from repro.obs.tracer import TraceEvent, Tracer, node_track
 from repro.sim.chaos import EnduranceConfig, run_endurance
@@ -85,6 +85,20 @@ class TestStoryPins:
             [event_to_json(event) for event in storm_tracer.events()],
             summarize(storm_tracer),
         )
+
+    def test_readers_stream_a_tracer_or_take_any_iterable(
+        self, storm_tracer, tmp_path
+    ):
+        """The stored rows and the rebuilt events tell one story."""
+        events = storm_tracer.events()
+        assert summarize(storm_tracer) == summarize(events)
+        assert summarize(storm_tracer) == summarize(iter(storm_tracer))
+        chrome = to_chrome_trace(storm_tracer)
+        assert to_chrome_trace(event for event in events) == chrome
+        ours = write_jsonl(storm_tracer, tmp_path / "tracer.jsonl")
+        theirs = write_jsonl((e for e in events), tmp_path / "events.jsonl")
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert len(ours.read_text().splitlines()) == len(storm_tracer)
 
     def test_cli_trace_scenario_is_what_it_was(self, tmp_path):
         """The CI trace-smoke invocation, callback spans included."""
