@@ -98,7 +98,7 @@ class FullReplicationDeployment(StorageDeployment):
         self.metrics.costs.charge_full_validation(block)
         # Full replication has no clusters; the whole network is "cluster
         # 0" — the first node to apply a block stamps its cluster-final
-        # time, and benches read per-node times via node_finalized_at.
+        # time; later nodes' events only count towards finalize_events.
         self.router.notify_finalize(
             FinalizeEvent(
                 block_hash=block.block_hash,

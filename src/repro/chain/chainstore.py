@@ -36,7 +36,6 @@ class ChainStore:
     def __init__(self) -> None:
         self._headers: dict[Hash32, BlockHeader] = {}
         self._bodies: dict[Hash32, Block] = {}
-        self._by_height: dict[int, list[Hash32]] = {}
         self._tip: BlockHeader | None = None
         # Genesis→tip headers of the chain ending at ``_active_tip``;
         # ancestry is immutable, so the pair is valid until the tip moves.
@@ -62,7 +61,6 @@ class ChainStore:
             )
         self._headers[block_hash] = header
         self._header_bytes += header.size_bytes
-        self._by_height.setdefault(header.height, []).append(block_hash)
         if self._tip is None or header.height > self._tip.height:
             self._tip = header
         return True
@@ -95,8 +93,12 @@ class ChainStore:
         return -1 if self._tip is None else self._tip.height
 
     def headers_at(self, height: int) -> list[BlockHeader]:
-        """All indexed headers at a height (>1 during forks)."""
-        return [self._headers[h] for h in self._by_height.get(height, [])]
+        """All indexed headers at a height (>1 during forks), oldest first.
+
+        One scan of the index: only snapshot export asks, and a per-height
+        table would cost every node a list per block.
+        """
+        return [h for h in self._headers.values() if h.height == height]
 
     def active_header_at(self, height: int) -> BlockHeader:
         """The active-chain header at ``height`` (walk back from tip).

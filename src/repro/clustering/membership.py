@@ -39,6 +39,11 @@ class ClusterTable:
 
     _members: dict[int, list[int]] = field(default_factory=dict)
     _cluster_of: dict[int, int] = field(default_factory=dict)
+    # members_of's answers, one tuple per cluster; a mutation drops the
+    # clusters it touched.
+    _member_tuples: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @classmethod
     def from_assignment(
@@ -87,10 +92,14 @@ class ClusterTable:
 
     def members_of(self, cluster_id: int) -> tuple[int, ...]:
         """Members of a cluster, in stable insertion order."""
-        try:
-            return tuple(self._members[cluster_id])
-        except KeyError:
-            raise ClusteringError(f"no cluster {cluster_id}") from None
+        members = self._member_tuples.get(cluster_id)
+        if members is None:
+            try:
+                members = tuple(self._members[cluster_id])
+            except KeyError:
+                raise ClusteringError(f"no cluster {cluster_id}") from None
+            self._member_tuples[cluster_id] = members
+        return members
 
     def peers_of(self, node_id: int) -> tuple[int, ...]:
         """A node's cluster-mates (itself excluded)."""
@@ -147,6 +156,7 @@ class ClusterTable:
             raise ClusteringError(f"no cluster {cluster_id}")
         self._members[cluster_id].append(node_id)
         self._cluster_of[node_id] = cluster_id
+        self._member_tuples.pop(cluster_id, None)
         return cluster_id
 
     def remove_node(self, node_id: int) -> int:
@@ -167,6 +177,7 @@ class ClusterTable:
             )
         members.remove(node_id)
         del self._cluster_of[node_id]
+        self._member_tuples.pop(cluster_id, None)
         return cluster_id
 
     def move_node(self, node_id: int, new_cluster: int) -> None:
@@ -183,6 +194,8 @@ class ClusterTable:
         self._members[old_cluster].remove(node_id)
         self._members[new_cluster].append(node_id)
         self._cluster_of[node_id] = new_cluster
+        self._member_tuples.pop(old_cluster, None)
+        self._member_tuples.pop(new_cluster, None)
 
     # ----------------------------------------------------------- validation
     def check_invariants(self) -> None:
@@ -201,3 +214,8 @@ class ClusterTable:
                     )
         if seen != set(self._cluster_of):
             raise ClusteringError("membership maps are out of sync")
+        for cluster_id, cached in self._member_tuples.items():
+            if cached != tuple(self._members.get(cluster_id, ())):
+                raise ClusteringError(
+                    f"cluster {cluster_id} cached members are stale"
+                )

@@ -19,7 +19,6 @@ keeps the protocol unit-testable without a simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.consensus.quorum import Vote, VoteTally, byzantine_quorum
@@ -35,12 +34,15 @@ class RoundPhase(Enum):
     REJECTED = "rejected"
 
 
-@dataclass
 class VerificationRound:
     """Per-member view of one block's intra-cluster verification.
 
     Each cluster member runs its own round instance; instances exchange
-    PREPARE/COMMIT events through the messaging layer.
+    PREPARE/COMMIT events through the messaging layer.  A deployment
+    keeps one per (member, block), so the state is slots only: prepare
+    verdicts are two bitmasks over ``holders`` positions, and the commit
+    tally is built by the first COMMIT (with an aggregator most members
+    never receive one).
 
     Attributes:
         block_hash: the block under verification.
@@ -49,24 +51,36 @@ class VerificationRound:
         member_id: the member whose view this is.
     """
 
-    block_hash: bytes
-    members: tuple[int, ...]
-    holders: tuple[int, ...]
-    member_id: int
-    phase: RoundPhase = RoundPhase.AWAITING_PREPARES
-    prepare_votes: dict[int, Vote] = field(default_factory=dict)
-    commit_tally: VoteTally = field(init=False)
-    sent_commit: bool = False
-    decided_at: float | None = None
+    __slots__ = (
+        "block_hash", "members", "holders", "member_id", "phase",
+        "sent_commit", "decided_at", "_prepare_accepts", "_prepare_rejects",
+        "_pending_commit", "_commit_tally",
+    )  # fmt: skip
 
-    def __post_init__(self) -> None:
-        if self.member_id not in self.members:
+    def __init__(
+        self,
+        block_hash: bytes,
+        members: tuple[int, ...],
+        holders: tuple[int, ...],
+        member_id: int,
+    ) -> None:
+        if member_id not in members:
             raise ConsensusError("round owner must be a cluster member")
-        if not set(self.holders) <= set(self.members):
+        if not set(holders) <= set(members):
             raise ConsensusError("holders must be cluster members")
-        if not self.holders:
+        if not holders:
             raise ConsensusError("a block must have at least one holder")
-        self.commit_tally = VoteTally(cluster_size=len(self.members))
+        self.block_hash = block_hash
+        self.members = members
+        self.holders = holders
+        self.member_id = member_id
+        self.phase = RoundPhase.AWAITING_PREPARES
+        self.sent_commit = False
+        self.decided_at: float | None = None
+        self._prepare_accepts = 0
+        self._prepare_rejects = 0
+        self._pending_commit: Vote | None = None
+        self._commit_tally: VoteTally | None = None
 
     # ------------------------------------------------------------ thresholds
     @property
@@ -79,6 +93,26 @@ class VerificationRound:
         """Commits needed to decide: the Byzantine quorum."""
         return byzantine_quorum(len(self.members))
 
+    # ---------------------------------------------------------------- state
+    @property
+    def prepare_votes(self) -> dict[int, Vote]:
+        """Read-only view: the first verdict recorded per holder."""
+        votes: dict[int, Vote] = {}
+        for position, holder in enumerate(self.holders):
+            if self._prepare_accepts >> position & 1:
+                votes[holder] = Vote.ACCEPT
+            elif self._prepare_rejects >> position & 1:
+                votes[holder] = Vote.REJECT
+        return votes
+
+    @property
+    def commit_tally(self) -> VoteTally:
+        """The COMMIT tally, created when first asked for."""
+        tally = self._commit_tally
+        if tally is None:
+            tally = self._commit_tally = VoteTally(len(self.members))
+        return tally
+
     # --------------------------------------------------------------- events
     def on_prepare(self, holder: int, vote: Vote) -> bool:
         """Record a holder's PREPARE; returns ``True`` when this member
@@ -89,31 +123,29 @@ class VerificationRound:
         """
         if self.phase in (RoundPhase.ACCEPTED, RoundPhase.REJECTED):
             return False
-        if holder not in self.holders:
+        try:
+            bit = 1 << self.holders.index(holder)
+        except ValueError:
             return False
-        self.prepare_votes.setdefault(holder, vote)
+        if not (self._prepare_accepts | self._prepare_rejects) & bit:
+            if vote is Vote.ACCEPT:
+                self._prepare_accepts |= bit
+            else:
+                self._prepare_rejects |= bit
         return self._maybe_enter_commit()
 
     def _maybe_enter_commit(self) -> bool:
         if self.phase is not RoundPhase.AWAITING_PREPARES or self.sent_commit:
             return False
-        accepts = sum(
-            1 for v in self.prepare_votes.values() if v is Vote.ACCEPT
-        )
-        rejects = sum(
-            1 for v in self.prepare_votes.values() if v is Vote.REJECT
-        )
-        if accepts >= self.prepare_quorum:
-            self.phase = RoundPhase.AWAITING_COMMITS
-            self.sent_commit = True
+        if bin(self._prepare_accepts).count("1") >= self.prepare_quorum:
             self._pending_commit = Vote.ACCEPT
-            return True
-        if rejects >= self.prepare_quorum:
-            self.phase = RoundPhase.AWAITING_COMMITS
-            self.sent_commit = True
+        elif bin(self._prepare_rejects).count("1") >= self.prepare_quorum:
             self._pending_commit = Vote.REJECT
-            return True
-        return False
+        else:
+            return False
+        self.phase = RoundPhase.AWAITING_COMMITS
+        self.sent_commit = True
+        return True
 
     @property
     def my_commit_vote(self) -> Vote:
@@ -123,7 +155,7 @@ class VerificationRound:
         Raises:
             ConsensusError: when queried before the commit phase.
         """
-        vote = getattr(self, "_pending_commit", None)
+        vote = self._pending_commit
         if vote is None:
             raise ConsensusError("commit vote not yet determined")
         return vote
@@ -134,12 +166,13 @@ class VerificationRound:
             return False
         if member not in self.members:
             return False
-        self.commit_tally.record(member, vote)
-        if self.commit_tally.accepted:
+        tally = self.commit_tally
+        tally.record(member, vote)
+        if tally.accepted:
             self.phase = RoundPhase.ACCEPTED
             self.decided_at = now
             return True
-        if self.commit_tally.rejected:
+        if tally.rejected:
             self.phase = RoundPhase.REJECTED
             self.decided_at = now
             return True

@@ -8,7 +8,6 @@ message-driven state machine in :mod:`repro.consensus.pbft`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.errors import ConsensusError
@@ -39,7 +38,6 @@ class Vote(Enum):
     REJECT = "reject"
 
 
-@dataclass
 class VoteTally:
     """Collects one cluster's votes on one block.
 
@@ -47,13 +45,14 @@ class VoteTally:
     discards both votes — the standard defensive treatment.
     """
 
-    cluster_size: int
-    votes: dict[int, Vote] = field(default_factory=dict)
-    equivocators: set[int] = field(default_factory=set)
+    __slots__ = ("cluster_size", "votes", "equivocators")
 
-    def __post_init__(self) -> None:
-        if self.cluster_size < 1:
+    def __init__(self, cluster_size: int) -> None:
+        if cluster_size < 1:
             raise ConsensusError("cluster size must be positive")
+        self.cluster_size = cluster_size
+        self.votes: dict[int, Vote] = {}
+        self.equivocators: set[int] = set()
 
     @property
     def quorum(self) -> int:

@@ -163,9 +163,6 @@ class DeploymentMetrics:
     cluster_finalized_at: dict[tuple[Hash32, int], float] = field(
         default_factory=dict
     )
-    node_finalized_at: dict[tuple[Hash32, int], float] = field(
-        default_factory=dict
-    )
     costs: VerificationCosts = field(default_factory=VerificationCosts)
     queries: list[QueryRecord] = field(default_factory=list)
     bootstraps: list[BootstrapReport] = field(default_factory=list)
@@ -183,12 +180,6 @@ class DeploymentMetrics:
     ) -> None:
         """Record a cluster's finalization time (first write wins)."""
         self.cluster_finalized_at.setdefault((block_hash, cluster_id), now)
-
-    def record_node_final(
-        self, block_hash: Hash32, node_id: int, now: float
-    ) -> None:
-        """Record a node's finalization time (first write wins)."""
-        self.node_finalized_at.setdefault((block_hash, node_id), now)
 
     # ------------------------------------------------------------- derived
     def finalize_latency(
@@ -242,11 +233,11 @@ class MetricsRecorder:
 
     Installed by :class:`~repro.core.interface.StorageDeployment` on every
     deployment's router, so engines publish :class:`FinalizeEvent`s and
-    never touch the timing tables directly.  A :class:`FinalizeEvent` with
-    ``node_id`` records a node finalization; one with ``cluster_final``
-    (and a cluster id) additionally records the cluster's finalization —
-    quorum-based strategies emit per-node events with
-    ``cluster_final=False`` plus one cluster-level event at quorum.
+    never touch the timing tables directly.  Every :class:`FinalizeEvent`
+    is counted; one with ``cluster_final`` (and a cluster id) also records
+    the cluster's finalization time — quorum-based strategies emit
+    per-node events with ``cluster_final=False`` plus one cluster-level
+    event at quorum.
     """
 
     def __init__(self, metrics: DeploymentMetrics) -> None:
@@ -283,12 +274,8 @@ class MetricsRecorder:
         degraded[kind] = degraded.get(kind, 0) + 1
 
     def on_finalize(self, event: "FinalizeEvent") -> None:
-        """Fold a finalization into the node/cluster timing tables."""
+        """Count a finalization; a cluster-final one is also timed."""
         self._metrics.router_stats.finalize_events += 1
-        if event.node_id is not None:
-            self._metrics.record_node_final(
-                event.block_hash, event.node_id, event.at
-            )
         if event.cluster_final and event.cluster_id is not None:
             self._metrics.record_cluster_final(
                 event.block_hash, event.cluster_id, event.at

@@ -27,6 +27,9 @@ from repro.errors import ConsensusError
 class PrepareAttestation:
     """A holder's signed verdict after fully validating a body."""
 
+    # Written out, not dataclass(slots=True): requires-python is >=3.9.
+    __slots__ = ("block_hash", "holder", "vote", "signature")
+
     block_hash: Hash32
     holder: int
     vote: Vote
@@ -59,6 +62,8 @@ class PrepareAttestation:
 @dataclass(frozen=True)
 class CommitVote:
     """A member's signed commit after seeing a prepare quorum."""
+
+    __slots__ = ("block_hash", "member", "vote", "signature")
 
     block_hash: Hash32
     member: int
@@ -98,6 +103,8 @@ class QuorumCertificate:
     not bytes-per-message — the E6 bench shows the trade-off.
     """
 
+    __slots__ = ("block_hash", "vote", "commits")
+
     block_hash: Hash32
     vote: Vote
     commits: tuple[CommitVote, ...]
@@ -125,7 +132,10 @@ class QuorumCertificate:
         return True
 
 
-@lru_cache(maxsize=1 << 16)
+# Sized to the working set: a statement is rebuilt only while its block's
+# round runs (one per PREPARE and COMMIT: 320 a block at 256 nodes, 1,920
+# at 1,536), so a larger cache only retains entries never asked for again.
+@lru_cache(maxsize=4096)
 def _attest_message(
     domain: bytes, block_hash: Hash32, node: int, vote: Vote
 ) -> bytes:

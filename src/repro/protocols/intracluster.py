@@ -88,9 +88,11 @@ class IntraClusterEngine(ProtocolEngine):
     def ensure_round(self, node: ClusterNode, header: BlockHeader):
         """The node's (possibly new) verification round for a block."""
         deployment = self.deployment
-        members = deployment.clusters.members_of(node.cluster_id)
-        holders = deployment.holders_in_cluster(header, node.cluster_id)
-        round_ = node.round_for(header, members, holders)
+        round_ = node.rounds.get(header.block_hash)
+        if round_ is None:  # three calls in four find it: rank holders once
+            members = deployment.clusters.members_of(node.cluster_id)
+            holders = deployment.holders_in_cluster(header, node.cluster_id)
+            round_ = node.round_for(header, members, holders)
         if (
             self.network.faults is not None
             and deployment.config.verify_collaboratively

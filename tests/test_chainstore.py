@@ -105,6 +105,12 @@ class TestChainStoreHeaders:
         store.add_header(branch[2])
         assert list(store.iter_active_headers()) == main[:2] + branch
         assert store.tip is branch[2]
+        # Fork siblings come back in arrival order, whichever chain won.
+        assert store.headers_at(1) == [main[1]]
+        assert store.headers_at(2) == [main[2], branch[0]]
+        assert store.headers_at(3) == [main[3], branch[1]]
+        assert store.headers_at(4) == [branch[2]]
+        assert store.headers_at(5) == []
 
 
 class TestChainStoreBodies:

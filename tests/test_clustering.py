@@ -129,6 +129,33 @@ class TestClusterTable:
         table.remove_node(4)
         table.check_invariants()
 
+    def test_members_of_is_one_tuple_per_cluster_until_it_changes(self):
+        table = ClusterTable.from_assignment([[0, 1, 2], [3, 4]])
+        steps = [
+            lambda: table.add_node(5),
+            lambda: table.add_node(6, 0),
+            lambda: table.remove_node(1),
+            lambda: table.move_node(0, 1),
+            lambda: table.move_node(0, 1),  # already there: a no-op
+        ]
+        for step in steps:
+            step()
+            for cid in (0, 1):
+                members = table.members_of(cid)
+                assert members == tuple(table._members[cid])
+                assert table.members_of(cid) is members
+            table.check_invariants()
+        assert table.members_of(0) == (2, 6)
+        assert table.members_of(1) == (3, 4, 5, 0)
+
+    def test_invariants_catch_a_stale_member_tuple(self):
+        table = ClusterTable.from_assignment([[0, 1, 2], [3, 4]])
+        table.members_of(0)
+        table._members[0].append(9)  # behind the table's back
+        table._cluster_of[9] = 0
+        with pytest.raises(ClusteringError, match="stale"):
+            table.check_invariants()
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(min_value=1, max_value=6),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.consensus.quorum import Vote
@@ -132,6 +134,40 @@ class TestQuorumCertificate:
         small = certificate_for(range(2))
         large = certificate_for(range(5))
         assert large.wire_bytes > small.wire_bytes
+
+
+class TestWireObjectsAreSlotted:
+    """One of these per vote per member: fields only, and still values."""
+
+    def objects(self):
+        keypair = KeyPair.from_seed(4)
+        prepare = PrepareAttestation.create(keypair, BLOCK, 4, Vote.ACCEPT)
+        commit = CommitVote.create(keypair, BLOCK, 4, Vote.ACCEPT)
+        return prepare, commit, certificate_for(range(3))
+
+    def test_no_instance_dict_and_frozen(self):
+        for obj in self.objects():
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                obj.vote = Vote.REJECT
+            with pytest.raises(FrozenInstanceError):
+                del obj.vote
+            with pytest.raises((FrozenInstanceError, AttributeError)):
+                obj.scratch = 1
+
+    def test_still_compare_hash_and_print_by_value(self):
+        for first, second in zip(self.objects(), self.objects()):
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+            assert len({first, second}) == 1
+            assert repr(first) == repr(second)
+            assert repr(first).startswith(type(first).__name__ + "(block_hash=")
+        prepare, commit, _ = self.objects()
+        assert prepare != commit
+        assert commit != CommitVote(
+            commit.block_hash, commit.member, Vote.REJECT, commit.signature
+        )
+        assert PrepareAttestation.WIRE_BYTES == CommitVote.WIRE_BYTES == 105
 
 
 class TestVerificationCosts:
