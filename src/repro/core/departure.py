@@ -91,20 +91,15 @@ class _RepairSession:
         """
         owed = self.expected.pop(target, None)
         self.deployment.sync.sessions.pop(target, None)
-        request_id = self.request_ids.pop(target, None)
-        if request_id is not None:
-            self.deployment.repair.release_request(request_id)
+        self.request_ids.pop(target, None)
         if owed:
             self.report.deferred_blocks.extend(sorted(owed))
         self._maybe_finish()
 
     def _resolve_tracking(self, target: int) -> None:
         request_id = self.request_ids.pop(target, None)
-        if request_id is None:
-            return
-        repair = self.deployment.repair
-        repair.tracker.resolve(request_id)
-        repair.release_request(request_id)
+        if request_id is not None:
+            self.deployment.repair.tracker.resolve(request_id)
 
     def _maybe_finish(self) -> None:
         if self.expected or self.report.complete:
@@ -234,7 +229,7 @@ def _track_transfer(
         if m != target and m not in preferred
     ]
     repair = deployment.repair
-    request_id = repair.allocate_request("sync_request")
+    request_id = next(repair.request_ids)
     session.request_ids[target] = request_id
 
     def send(source: int, _request) -> None:
@@ -251,6 +246,7 @@ def _track_transfer(
 
     repair.tracker.begin(
         request_id,
+        "sync_request",
         preferred + alternates,
         send,
         on_degraded=lambda _request: session.on_degraded(target),

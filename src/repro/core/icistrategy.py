@@ -38,6 +38,7 @@ from repro.net.network import Network
 from repro.net.topology import clustered_topology
 from repro.node.clusternode import ClusterNode
 from repro.protocols.query import QUERY_TIMEOUT, SYNC_REQUEST_BYTES
+from repro.protocols.reliability import RequestTracker
 from repro.protocols.repair import AntiEntropyEngine
 from repro.storage.placement import (
     CapacityWeightedPlacement,
@@ -150,6 +151,9 @@ class ICIDeployment(StorageDeployment):
 
         from repro.dht.engine import DHTEngine
 
+        # The deployment-level tracker: the engines' fault-recovery
+        # watches (body delivery, finality, bootstrap) all run on it.
+        self.reliability = RequestTracker(self.network.clock, self.router)
         self.dissemination = self.install_engine(DisseminationEngine(self))
         self.verification = self.install_engine(IntraClusterEngine(self))
         self.query = self.install_engine(QueryEngine(self))

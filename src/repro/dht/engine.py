@@ -34,6 +34,7 @@ gossip keeps buckets warm without dedicated maintenance traffic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -198,18 +199,14 @@ class DHTEngine(ProtocolEngine):
         self.providers: dict[int, ProviderStore] = {}
         self.tracker = RequestTracker(
             deployment.network.clock,
+            deployment.router,
             policy=DHT_RETRY_POLICY,
-            on_retry=lambda r: self.router.note_retry(self._kind_of(r)),
-            on_timeout=lambda r: self.router.note_timeout(self._kind_of(r)),
-            on_degraded=lambda r: self.router.note_degraded(
-                self._kind_of(r)
-            ),
         )
-        self._next_id = 1
-        #: request id -> RouterStats kind label.
-        self._request_kind: dict[int, str] = {}
-        #: request id -> (lookup | flood | ("ping", owner), peer).
-        self._requests: dict[int, tuple[object, int]] = {}
+        #: One id sequence for tracked probes/pings and untracked floods.
+        self._ids = itertools.count(1)
+        #: request id -> flood awaiting that peer's answer (untracked:
+        #: E20's baseline arm has no deadlines and no retries).
+        self._floods: dict[int, _Flood] = {}
         #: node id -> cached overlay key (survives departures).
         self._keys: dict[int, int] = {}
         #: node id -> its one Contact record (same lifetime as ``_keys``).
@@ -332,37 +329,24 @@ class DHTEngine(ProtocolEngine):
         self._publish_cluster(event.block_hash, event.cluster_id)
 
     # ------------------------------------------------------------- requests
-    def _allocate(self, kind: str) -> int:
-        request_id = self._next_id
-        self._next_id += 1
-        self._request_kind[request_id] = kind
-        return request_id
-
-    def _release(self, request_id: int) -> None:
-        self._request_kind.pop(request_id, None)
-
-    def _kind_of(self, request: PendingRequest) -> str:
-        return self._request_kind.get(request.request_id, "dht_find_node")
+    def _evict(self, owner: int, peer: int) -> None:
+        """Drop a contact that stayed silent through every retry."""
+        table = self.tables.get(owner)
+        if table is not None and table.remove(peer):
+            self.stats.contacts_evicted += 1
 
     def _probe_degraded(self, request: PendingRequest) -> None:
-        entry = self._requests.pop(request.request_id, None)
-        self._release(request.request_id)
-        if entry is None:
-            return
-        obj, peer = entry
-        if isinstance(obj, _Lookup):
-            self.stats.probe_failures += 1
-            obj.in_flight.discard(peer)
-            obj.failed.add(peer)
-            table = self.tables.get(obj.requester)
-            if table is not None and table.remove(peer):
-                self.stats.contacts_evicted += 1
-            if not obj.done:
-                self._advance(obj)
-        elif isinstance(obj, tuple) and obj[0] == "ping":
-            table = self.tables.get(obj[1])
-            if table is not None and table.remove(peer):
-                self.stats.contacts_evicted += 1
+        lookup: _Lookup = request.context
+        peer = request.plan[0]
+        self.stats.probe_failures += 1
+        lookup.in_flight.discard(peer)
+        lookup.failed.add(peer)
+        self._evict(lookup.requester, peer)
+        if not lookup.done:
+            self._advance(lookup)
+
+    def _ping_degraded(self, request: PendingRequest) -> None:
+        self._evict(request.context, request.plan[0])
 
     # ----------------------------------------------------- iterative lookup
     def lookup_node(
@@ -470,20 +454,26 @@ class DHTEngine(ProtocolEngine):
             if lookup.mode == "value"
             else MessageKind.DHT_FIND_NODE
         )
-        request_id = self._allocate(kind.value)
-        self._requests[request_id] = (lookup, peer)
 
-        def send(target: int, _request: PendingRequest) -> None:
+        def send(target: int, request: PendingRequest) -> None:
             requester = self.deployment.nodes.get(lookup.requester)
             if requester is None:
                 return
             lookup.messages += 1
             requester.send(
-                kind, target, (request_id, lookup.target), KEY_BYTES + 8
+                kind,
+                target,
+                (request.request_id, lookup.target),
+                KEY_BYTES + 8,
             )
 
         self.tracker.begin(
-            request_id, [peer], send, on_degraded=self._probe_degraded
+            next(self._ids),
+            kind.value,
+            [peer],
+            send,
+            on_degraded=self._probe_degraded,
+            context=lookup,
         )
 
     def _absorb(
@@ -492,20 +482,18 @@ class DHTEngine(ProtocolEngine):
         contacts: tuple[tuple[int, int], ...],
         holders: tuple[int, ...] | None,
     ) -> None:
-        entry = self._requests.pop(request_id, None)
-        if entry is None:
-            return  # duplicate delivery or post-degrade straggler
-        self.tracker.resolve(request_id)
-        self._release(request_id)
-        obj, peer = entry
-        if isinstance(obj, _Flood):
-            obj.messages += 1
-            obj.responses += 1
-            if holders and obj.holders is None:
-                obj.holders = holders
+        flood = self._floods.pop(request_id, None)
+        if flood is not None:
+            flood.messages += 1
+            flood.responses += 1
+            if holders and flood.holders is None:
+                flood.holders = holders
             return
-        lookup = obj
-        assert isinstance(lookup, _Lookup)
+        request = self.tracker.resolve(request_id)
+        if request is None:
+            return  # duplicate delivery or post-degrade straggler
+        lookup: _Lookup = request.context
+        peer = request.plan[0]
         lookup.messages += 1
         lookup.in_flight.discard(peer)
         depth = lookup.generation.get(peer, 0) + 1
@@ -683,18 +671,22 @@ class DHTEngine(ProtocolEngine):
                 self._ping(node_id, contact.node_id)
 
     def _ping(self, owner: int, peer: int) -> None:
-        request_id = self._allocate("dht_ping")
-        self._requests[request_id] = (("ping", owner), peer)
-
-        def send(target: int, _request: PendingRequest) -> None:
+        def send(target: int, request: PendingRequest) -> None:
             node = self.deployment.nodes.get(owner)
             if node is None:
                 return
             self.stats.pings_sent += 1
-            node.send(MessageKind.DHT_PING, target, request_id, PING_BYTES)
+            node.send(
+                MessageKind.DHT_PING, target, request.request_id, PING_BYTES
+            )
 
         self.tracker.begin(
-            request_id, [peer], send, on_degraded=self._probe_degraded
+            next(self._ids),
+            "dht_ping",
+            [peer],
+            send,
+            on_degraded=self._ping_degraded,
+            context=owner,
         )
 
     def flood_resolve(self, requester: int, block_hash: Hash32) -> _Flood:
@@ -710,8 +702,8 @@ class DHTEngine(ProtocolEngine):
         for peer in self.network.live_members(sorted(self.deployment.nodes)):
             if peer == requester:
                 continue
-            request_id = self._allocate("dht_find_value")
-            self._requests[request_id] = (flood, peer)
+            request_id = next(self._ids)
+            self._floods[request_id] = flood
             flood.messages += 1
             node.send(
                 MessageKind.DHT_FIND_VALUE,
@@ -763,11 +755,7 @@ class DHTEngine(ProtocolEngine):
         )
 
     def _on_pong(self, node: BaseNode, message: Message) -> None:
-        request_id = message.payload
-        if self._requests.pop(request_id, None) is None:
-            return
-        self.tracker.resolve(request_id)
-        self._release(request_id)
+        self.tracker.resolve(message.payload)
 
     def _on_find_node(self, node: BaseNode, message: Message) -> None:
         request_id, target = message.payload

@@ -22,7 +22,6 @@ from repro.net.message import Message, MessageKind
 from repro.net.gossip import GossipProtocol
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
-from repro.protocols.reliability import PROBE_ATTEMPTS, PROBE_RETRY_POLICY
 from repro.protocols.router import MessageRouter, ProtocolEngine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -114,9 +113,7 @@ class DisseminationEngine(ProtocolEngine):
                 # Under faults, watch each assigned holder until its body
                 # lands; the probe re-sends from a surviving replica.
                 for holder in holders:
-                    self._schedule_body_probe(
-                        block, view.cluster_id, holder, 1
-                    )
+                    self._watch_body(block, view.cluster_id, holder)
 
     def _canonical_accept(self, block: Block) -> bool:
         from repro.chain.validation import check_block_stateless
@@ -209,51 +206,38 @@ class DisseminationEngine(ProtocolEngine):
         )
 
     # ------------------------------------------------- fault-layer probes
-    def _schedule_body_probe(
-        self, block: Block, cluster_id: int, holder: int, attempt: int
-    ) -> None:
-        self.network.clock.schedule(
-            PROBE_RETRY_POLICY.timeout_for(attempt),
-            self._probe_body,
-            block,
-            cluster_id,
-            holder,
-            attempt,
+    def _watch_body(self, block: Block, cluster_id: int, holder: int) -> None:
+        """Re-deliver an assigned body until it validates at its holder.
+
+        Started only on fault-injected networks.  The re-send comes from
+        a *live* replica — preferring in-cluster members that already
+        hold the body, exactly the alternate-peer failover the storage
+        claim needs — until the holder validates, departs, or the
+        attempts cap degrades the delivery.
+        """
+        self.deployment.reliability.watch(
+            "block_body",
+            waiting=lambda: self._body_owed(block, cluster_id, holder),
+            kick=lambda attempt: self._resend_body(block, cluster_id, holder),
         )
 
-    def _probe_body(
-        self, block: Block, cluster_id: int, holder: int, attempt: int
-    ) -> None:
-        """Re-deliver an assigned body that never validated at its holder.
-
-        Fires only on fault-injected networks.  The re-send comes from a
-        *live* replica — preferring in-cluster members that already hold
-        the body, exactly the alternate-peer failover the storage claim
-        needs — and backs off per :data:`PROBE_RETRY_POLICY` until the
-        holder validates, departs, or the attempts cap degrades the
-        delivery.
-        """
-        faults = self.network.faults
-        if faults is None:
-            return
+    def _body_owed(self, block: Block, cluster_id: int, holder: int) -> bool:
         deployment = self.deployment
-        block_hash = block.block_hash
-        if self.validated_bodies.get((holder, block_hash)):
-            return  # delivered and validated; probe chain ends
-        if holder not in deployment.nodes:
-            return  # departed mid-probe
-        if holder not in deployment.clusters.members_of(cluster_id):
-            return  # re-clustered away; placement will reassign
-        if attempt > PROBE_ATTEMPTS:
-            self.router.note_degraded("block_body")
+        return not (
+            self.network.faults is None
+            or self.validated_bodies.get((holder, block.block_hash))
+            or holder not in deployment.nodes  # departed mid-watch
+            # re-clustered away: placement will reassign
+            or holder not in deployment.clusters.members_of(cluster_id)
+        )
+
+    def _resend_body(self, block: Block, cluster_id: int, holder: int) -> None:
+        if not self.network.faults.is_live(holder):
             return
-        self.router.note_timeout("block_body")
-        if faults.is_live(holder):
-            source = self._probe_source(block_hash, cluster_id, holder)
-            if source is not None:
-                self.router.note_retry("block_body")
-                self.send_body(deployment.nodes[source], holder, block)
-        self._schedule_body_probe(block, cluster_id, holder, attempt + 1)
+        source = self._probe_source(block.block_hash, cluster_id, holder)
+        if source is not None:
+            self.router.note_retry("block_body")
+            self.send_body(self.deployment.nodes[source], holder, block)
 
     def _probe_source(
         self, block_hash: Hash32, cluster_id: int, holder: int

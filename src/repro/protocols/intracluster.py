@@ -22,7 +22,6 @@ from repro.crypto.hashing import Hash32
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
-from repro.protocols.reliability import PROBE_ATTEMPTS, PROBE_RETRY_POLICY
 from repro.protocols.router import (
     FinalizeEvent,
     MessageRouter,
@@ -46,9 +45,6 @@ class IntraClusterEngine(ProtocolEngine):
             tuple[int, Hash32], list[CommitVote]
         ] = {}
         self.result_sent: set[tuple[int, Hash32]] = set()
-        # (node, block) pairs with a finality probe in flight — only
-        # populated when a fault injector is installed.
-        self.probed: set[tuple[int, Hash32]] = set()
 
     def install(self, router: MessageRouter) -> None:
         router.register(
@@ -105,51 +101,36 @@ class IntraClusterEngine(ProtocolEngine):
     def _watch_finality(self, node: ClusterNode, block_hash: Hash32) -> None:
         """Under faults, watch a member's round until it finalizes.
 
-        One probe chain per (member, block): each firing re-kicks the
-        round if it is still stuck (dropped prepare/commit/result), with
-        :data:`PROBE_RETRY_POLICY` pacing.  Never scheduled on clean
-        networks, so fault-free event sequences are untouched.
+        One watch per (member, block): each firing re-kicks the round if
+        it is still stuck (dropped prepare/commit/result).  Never started
+        on clean networks, so fault-free event sequences are untouched.
         """
-        key = (node.node_id, block_hash)
-        if key in self.probed:
-            return
-        self.probed.add(key)
-        self.network.clock.schedule(
-            PROBE_RETRY_POLICY.timeout_for(1),
-            self._probe_finality,
-            node.node_id,
-            block_hash,
-            1,
+        tracker = self.deployment.reliability
+        node_id = node.node_id
+        key = (node_id, block_hash)
+        if key in tracker.watching:
+            return  # ensure_round asks again on every vote: skip the lambdas
+        tracker.watch(
+            "verify_result",
+            waiting=lambda: self._awaiting_finality(node_id, block_hash),
+            kick=lambda attempt: self._rekick(node_id, block_hash),
+            key=key,
         )
 
-    def _probe_finality(
-        self, node_id: int, block_hash: Hash32, attempt: int
-    ) -> None:
-        faults = self.network.faults
-        deployment = self.deployment
-        node = deployment.nodes.get(node_id)
-        if (
-            faults is None
+    def _awaiting_finality(self, node_id: int, block_hash: Hash32) -> bool:
+        node = self.deployment.nodes.get(node_id)
+        return not (
+            self.network.faults is None
             or node is None
             or node.is_finalized(block_hash)
-            or deployment.byzantine.get(node_id) == "silent"
-        ):
-            self.probed.discard((node_id, block_hash))
-            return
-        if attempt > PROBE_ATTEMPTS:
-            self.probed.discard((node_id, block_hash))
-            self.router.note_degraded("verify_result")
-            return
-        self.router.note_timeout("verify_result")
-        if faults.is_live(node_id) and node.store.has_header(block_hash):
-            self._nudge(node, node.store.header(block_hash))
-        self.network.clock.schedule(
-            PROBE_RETRY_POLICY.timeout_for(attempt + 1),
-            self._probe_finality,
-            node_id,
-            block_hash,
-            attempt + 1,
+            or self.deployment.byzantine.get(node_id) == "silent"
         )
+
+    def _rekick(self, node_id: int, block_hash: Hash32) -> None:
+        node = self.deployment.nodes[node_id]
+        live = self.network.faults.is_live(node_id)
+        if live and node.store.has_header(block_hash):
+            self._nudge(node, node.store.header(block_hash))
 
     def _nudge(self, node: ClusterNode, header: BlockHeader) -> None:
         """Re-kick one stuck round; every path is duplicate-safe."""

@@ -50,18 +50,11 @@ class QueryEngine(ProtocolEngine):
     def __init__(self, deployment) -> None:
         super().__init__(deployment)
         self.queries: dict[int, QueryRecord] = {}
-        self.query_plan: dict[int, list[int]] = {}
         self.next_request_id = 0
         self.tracker = RequestTracker(
             deployment.network.clock,
+            deployment.router,
             policy=DEFAULT_RETRY_POLICY,
-            on_retry=lambda request: self.router.note_retry("block_request"),
-            on_timeout=lambda request: self.router.note_timeout(
-                "block_request"
-            ),
-            on_degraded=lambda request: self.router.note_degraded(
-                "block_request"
-            ),
         )
 
         # SPV light-client service state.
@@ -159,26 +152,15 @@ class QueryEngine(ProtocolEngine):
 
     def _begin(self, record: QueryRecord, holders: list[int]) -> None:
         """Start the tracked fetch over ``holders`` (may be empty)."""
-        if not holders:
-            # Unresolvable; stays incomplete.  The empty-plan begin only
-            # records the degraded result (no events scheduled).
-            self.tracker.begin(
-                record.request_id,
-                [],
-                send=lambda target, request: None,
-                on_degraded=lambda request: self._mark_degraded(
-                    record, request
-                ),
-            )
-            return
-        self.query_plan[record.request_id] = holders
+        # An empty plan is unresolvable: begin degrades it on the spot
+        # (no events scheduled) and the record stays incomplete.
         self.tracker.begin(
             record.request_id,
+            "block_request",
             holders,
-            send=lambda target, request: self._send_attempt(
-                record, request, target
-            ),
-            on_degraded=lambda request: self._mark_degraded(record, request),
+            self._send_attempt,
+            on_degraded=self._mark_degraded,
+            context=record,
         )
 
     def _retrieve_via_dht(
@@ -218,9 +200,8 @@ class QueryEngine(ProtocolEngine):
             record.requester, record.block_hash, resolved
         )
 
-    def _send_attempt(
-        self, record: QueryRecord, request: PendingRequest, target: int
-    ) -> None:
+    def _send_attempt(self, target: int, request: PendingRequest) -> None:
+        record: QueryRecord = request.context
         self._mirror(record, request)
         requester = self.deployment.nodes.get(record.requester)
         if requester is None:
@@ -239,11 +220,10 @@ class QueryEngine(ProtocolEngine):
         record.timeouts = request.timeouts
         record.failovers = request.failovers
 
-    def _mark_degraded(
-        self, record: QueryRecord, request: PendingRequest
-    ) -> None:
+    def _mark_degraded(self, request: PendingRequest) -> None:
         """All replicas exhausted: reconstruct from the archival tier,
         or carry the degraded verdict on the record."""
+        record: QueryRecord = request.context
         self._mirror(record, request)
         if self._reconstruct_from_archive(record):
             return

@@ -175,20 +175,12 @@ class AntiEntropyEngine(ProtocolEngine):
         self.repair_times: list[float] = []
         self.tracker = RequestTracker(
             deployment.network.clock,
+            deployment.router,
             policy=REPAIR_RETRY_POLICY,
-            on_retry=lambda r: self.router.note_retry(self._kind_of(r)),
-            on_timeout=lambda r: self.router.note_timeout(self._kind_of(r)),
-            on_degraded=lambda r: self.router.note_degraded(
-                self._kind_of(r)
-            ),
         )
-        self._ids = itertools.count(1)
-        # request id -> RouterStats kind label (shared tracker carries
-        # digest, re-replication, and departure-repair requests).
-        self._request_kind: dict[int, str] = {}
-        self._digest_requests: dict[int, tuple[_DigestSession, int]] = {}
-        # request id -> (cluster, block hash, target node).
-        self._repair_requests: dict[int, tuple[int, Hash32, int]] = {}
+        #: The shared tracker's id sequence: digest, re-replication and
+        #: departure-repair requests all draw from it.
+        self.request_ids = itertools.count(1)
         self._inflight: set[tuple[Hash32, int]] = set()
         # Diversity repairs: blocks at their replica floor whose copies
         # nonetheless shared a zone, fixed by an extra spread-restoring
@@ -283,21 +275,10 @@ class AntiEntropyEngine(ProtocolEngine):
         alone never modify storage — convergence loops pair this with
         stable repair counters.
         """
-        return not self._repair_requests
-
-    # ---------------------------------------------- departure-repair support
-    def allocate_request(self, kind: str) -> int:
-        """Reserve a tracker request id reported under ``kind``."""
-        request_id = next(self._ids)
-        self._request_kind[request_id] = kind
-        return request_id
-
-    def release_request(self, request_id: int) -> None:
-        """Forget a request id's kind label once it resolved/degraded."""
-        self._request_kind.pop(request_id, None)
-
-    def _kind_of(self, request: PendingRequest) -> str:
-        return self._request_kind.get(request.request_id, "repair_request")
+        return not any(
+            request.kind == "repair_request"
+            for request in self.tracker.pending.values()
+        )
 
     # ------------------------------------------------------------- sweeping
     def _sweep(self) -> None:
@@ -354,31 +335,30 @@ class AntiEntropyEngine(ProtocolEngine):
         return sorted(block.block_hash for block in node.store.iter_bodies())
 
     def _request_digest(self, session: _DigestSession, member: int) -> None:
-        request_id = self.allocate_request("repair_digest_request")
         self.stats.digests_requested += 1
-        self._digest_requests[request_id] = (session, member)
 
-        def send(target: int, _request: PendingRequest) -> None:
+        def send(target: int, request: PendingRequest) -> None:
             coordinator = self.deployment.nodes.get(session.coordinator)
             if coordinator is None:
                 return  # coordinator departed mid-collection
             coordinator.send(
                 MessageKind.REPAIR_DIGEST_REQUEST,
                 target,
-                request_id,
+                request.request_id,
                 DIGEST_REQUEST_BYTES,
             )
 
         self.tracker.begin(
-            request_id, [member], send, on_degraded=self._digest_degraded
+            next(self.request_ids),
+            "repair_digest_request",
+            [member],
+            send,
+            on_degraded=self._digest_degraded,
+            context=(session, member),
         )
 
     def _digest_degraded(self, request: PendingRequest) -> None:
-        entry = self._digest_requests.pop(request.request_id, None)
-        self.release_request(request.request_id)
-        if entry is None:
-            return
-        session, member = entry
+        session, member = request.context
         self.stats.digest_failures += 1
         self._trace(
             "digest_lost",
@@ -405,12 +385,10 @@ class AntiEntropyEngine(ProtocolEngine):
 
     def _on_digest(self, node: BaseNode, message: Message) -> None:
         request_id, hashes = message.payload
-        entry = self._digest_requests.pop(request_id, None)
-        if entry is None:
+        request = self.tracker.resolve(request_id)
+        if request is None:
             return  # duplicate delivery or post-degrade straggler
-        self.tracker.resolve(request_id)
-        self.release_request(request_id)
-        session, member = entry
+        session, member = request.context
         self.stats.digests_received += 1
         session.absorb(member, hashes)
         if not session.pending:
@@ -439,19 +417,17 @@ class AntiEntropyEngine(ProtocolEngine):
     def _on_repair_bodies(self, node: BaseNode, message: Message) -> None:
         assert isinstance(node, ClusterNode)
         request_id, body = message.payload
-        entry = self._repair_requests.get(request_id)
-        if entry is None:
+        request = self.tracker.pending.get(request_id)
+        if request is None:
             return  # duplicate delivery or post-degrade straggler
         if body is None:
             # Explicit miss: fail over to the next plan peer immediately.
             self.tracker.advance(request_id)
             return
-        cluster_id, block_hash, target = entry
+        cluster_id, block_hash, target = request.context
         if node.node_id != target or body.block_hash != block_hash:
             return
-        del self._repair_requests[request_id]
         self.tracker.resolve(request_id)
-        self.release_request(request_id)
         self._inflight.discard((block_hash, target))
         node.backfill_headers(body.header, self.deployment.ledger.store)
         node.assign_body(body)
@@ -799,31 +775,30 @@ class AntiEntropyEngine(ProtocolEngine):
         if key in self._inflight or target not in self.deployment.nodes:
             return
         self._inflight.add(key)
-        request_id = self.allocate_request("repair_request")
         self.stats.repairs_scheduled += 1
-        self._repair_requests[request_id] = (cluster_id, block_hash, target)
 
-        def send(source: int, _request: PendingRequest) -> None:
+        def send(source: int, request: PendingRequest) -> None:
             requester = self.deployment.nodes.get(target)
             if requester is None:
                 return  # target departed mid-repair
             requester.send(
                 MessageKind.REPAIR_REQUEST,
                 source,
-                (request_id, block_hash),
+                (request.request_id, block_hash),
                 REPAIR_REQUEST_BYTES,
             )
 
         self.tracker.begin(
-            request_id, plan, send, on_degraded=self._repair_degraded
+            next(self.request_ids),
+            "repair_request",
+            plan,
+            send,
+            on_degraded=self._repair_degraded,
+            context=(cluster_id, block_hash, target),
         )
 
     def _repair_degraded(self, request: PendingRequest) -> None:
-        entry = self._repair_requests.pop(request.request_id, None)
-        self.release_request(request.request_id)
-        if entry is None:
-            return
-        cluster_id, block_hash, target = entry
+        cluster_id, block_hash, target = request.context
         self._inflight.discard((block_hash, target))
         self.stats.repairs_degraded += 1
         self._trace(

@@ -18,7 +18,6 @@ from repro.crypto.hashing import Hash32
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
-from repro.protocols.reliability import PROBE_ATTEMPTS, PROBE_RETRY_POLICY
 from repro.protocols.router import MessageRouter, ProtocolEngine
 
 #: Callback signature of a generic SYNC_BODIES consumer (repair flows).
@@ -138,35 +137,35 @@ class SyncEngine(ProtocolEngine):
     def watch_bootstrap(self, node_id: int) -> None:
         """Under faults, guard one join until it completes.
 
-        A probe chain re-requests whatever phase stalled — headers from
+        Each firing re-requests whatever phase stalled — headers from
         an alternate live contact, bodies from alternate live replicas —
         and, at the attempts cap, strands the unreachable bodies as
         ``bodies_unavailable`` so the join degrades instead of hanging.
-        Never scheduled on clean networks.
+        Never started on clean networks.
         """
         if self.network.faults is None:
             return
-        self.network.clock.schedule(
-            PROBE_RETRY_POLICY.timeout_for(1), self._probe_bootstrap, node_id, 1
+        self.deployment.reliability.watch(
+            "sync_request",
+            waiting=lambda: self._joining(node_id),
+            kick=lambda attempt: self._rerequest(node_id, attempt),
+            exhausted=lambda: self._strand(node_id),
         )
 
-    def _probe_bootstrap(self, node_id: int, attempt: int) -> None:
+    def _joining(self, node_id: int) -> bool:
+        """Still mid-join (not completed, and the joiner has not left)."""
+        return (
+            node_id in self.bootstraps
+            and self.network.faults is not None
+            and node_id in self.deployment.nodes
+        )
+
+    def _rerequest(self, node_id: int, attempt: int) -> bool:
+        """Re-drive the stalled phase; true when that completed the join."""
         from repro.core.bootstrap import _maybe_complete
-        state = self.bootstraps.get(node_id)
-        faults = self.network.faults
-        node = self.deployment.nodes.get(node_id)
-        if state is None or faults is None or node is None:
-            return  # completed (or the joiner itself departed)
-        if attempt > PROBE_ATTEMPTS:
-            # Every retry exhausted: degrade rather than hang the join.
-            self.router.note_degraded("sync_request")
-            for missing in sorted(state.expected_bodies):
-                state.report.bodies_unavailable.append(missing)
-            state.expected_bodies.clear()
-            state.pending_sources.clear()
-            _maybe_complete(self.deployment, state)
-            return
-        self.router.note_timeout("sync_request")
+
+        state = self.bootstraps[node_id]
+        node = self.deployment.nodes[node_id]
         if not state.headers_received:
             candidates = self.network.live_members(state.old_members)
             if candidates:
@@ -178,13 +177,18 @@ class SyncEngine(ProtocolEngine):
         elif state.expected_bodies:
             self._replan_bodies(state, node)
             _maybe_complete(self.deployment, state)
-        if self.bootstraps.get(node_id) is state:
-            self.network.clock.schedule(
-                PROBE_RETRY_POLICY.timeout_for(attempt + 1),
-                self._probe_bootstrap,
-                node_id,
-                attempt + 1,
-            )
+        return self.bootstraps.get(node_id) is not state
+
+    def _strand(self, node_id: int) -> None:
+        """Every retry spent: degrade the join rather than hang it."""
+        from repro.core.bootstrap import _maybe_complete
+
+        state = self.bootstraps[node_id]
+        for missing in sorted(state.expected_bodies):
+            state.report.bodies_unavailable.append(missing)
+        state.expected_bodies.clear()
+        state.pending_sources.clear()
+        _maybe_complete(self.deployment, state)
 
     def _replan_bodies(self, state: BootstrapState, node: ClusterNode) -> None:
         """Re-request outstanding bodies, failing over to live replicas."""

@@ -511,23 +511,38 @@ class TestRetryPolicy:
 
 
 class TrackerHarness:
-    """A tracker over a bare simclock with recorded sends and events."""
+    """A tracker over a bare simclock with recorded sends and events.
+
+    The harness is its own router: the tracker reports to ``note_*``.
+    """
+
+    KIND = "test_request"
 
     def __init__(self, policy: RetryPolicy | None = None) -> None:
         self.clock = SimClock()
         self.sends: list[int] = []
         self.events: list[str] = []
-        self.tracker = RequestTracker(
-            self.clock,
-            policy=policy,
-            on_retry=lambda request: self.events.append("retry"),
-            on_timeout=lambda request: self.events.append("timeout"),
-            on_degraded=lambda request: self.events.append("degraded"),
-        )
+        self.tracker = RequestTracker(self.clock, self, policy=policy)
 
-    def begin(self, request_id: int, plan: list[int]):
+    def note_retry(self, kind: str) -> None:
+        assert kind == self.KIND
+        self.events.append("retry")
+
+    def note_timeout(self, kind: str) -> None:
+        assert kind == self.KIND
+        self.events.append("timeout")
+
+    def note_degraded(self, kind: str) -> None:
+        assert kind == self.KIND
+        self.events.append("degraded")
+
+    def begin(self, request_id: int, plan: list[int], context=None):
         return self.tracker.begin(
-            request_id, plan, send=lambda target, request: self.sends.append(target)
+            request_id,
+            self.KIND,
+            plan,
+            send=lambda target, request: self.sends.append(target),
+            context=context,
         )
 
 
@@ -539,14 +554,16 @@ class TestRequestTracker:
         assert request.degraded.reason == "no-reachable-replica"
         assert harness.sends == []
         assert harness.events == ["degraded"]
-        assert harness.tracker.degraded_results == [request.degraded]
+        assert not harness.tracker.pending
 
     def test_clean_resolve_sends_once(self):
         harness = TrackerHarness()
-        harness.begin(0, [5, 6])
+        context = object()
+        harness.begin(0, [5, 6], context=context)
         assert harness.sends == [5]
         resolved = harness.tracker.resolve(0)
-        assert resolved.resolved
+        assert resolved.kind == harness.KIND and resolved.context is context
+        assert not harness.tracker.pending
         harness.clock.run()  # the stale deadline fires as a no-op
         assert harness.sends == [5]
         assert harness.events == []
@@ -564,6 +581,7 @@ class TestRequestTracker:
         assert harness.events.count("timeout") == 4
         assert harness.events.count("retry") == 3
         assert harness.events[-1] == "degraded"
+        assert not harness.tracker.pending  # a degraded request is let go
 
     def test_single_peer_plan_counts_no_failovers(self):
         harness = TrackerHarness()
@@ -615,3 +633,29 @@ class TestRequestTracker:
         harness.tracker.advance(404)
         assert harness.tracker.resolve(404) is None
         assert harness.sends == []
+
+
+def test_endurance_leaves_no_request_or_watch_behind():
+    """Every request ends resolved or degraded and every watch ends:
+    after a drained storm no tracker still holds one (a retained
+    request pins its ``send`` closure and everything that captured)."""
+    from repro.sim.chaos import EnduranceConfig, run_endurance
+    from tests.conftest import TEST_LIMITS
+
+    outcome = run_endurance(
+        EnduranceConfig(seed=7, adaptive=True, domains=True),
+        limits=TEST_LIMITS,
+    )
+    deployment = outcome.deployment
+    deployment.run()
+    assert deployment.metrics.router_stats.total_degraded > 0
+    trackers = {
+        "query": deployment.query.tracker,
+        "repair": deployment.repair.tracker,
+        "dht": deployment.dht.tracker,
+        "watches": deployment.reliability,
+    }
+    assert {
+        name: len(tracker.pending) for name, tracker in trackers.items()
+    } == dict.fromkeys(trackers, 0)
+    assert not deployment.reliability.watching

@@ -316,7 +316,10 @@ class TestQueryEngineIsolated:
         record = engine.retrieve_block(0, block.block_hash)
         harness.run()
         assert record.completed_at is None
-        plan = engine.query_plan[record.request_id]
+        node = harness.nodes[0]
+        plan = engine._plan_holders(
+            node, node.store.header(block.block_hash), 0
+        )
         assert record.attempts > 2 * len(plan)  # every holder tried twice
 
     def test_offline_holder_times_out_then_retries(self):
