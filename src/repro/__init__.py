@@ -28,9 +28,9 @@ from repro.core import (
     DeploymentMetrics,
     ICIConfig,
     ICIDeployment,
-    QueryRecord,
     StorageDeployment,
 )
+from repro.protocols.query import QueryRecord
 from repro.sim import (
     BENCH_LIMITS,
     RunReport,

@@ -14,8 +14,9 @@ from repro.chain.block import Block
 from repro.chain.genesis import make_genesis
 from repro.chain.validation import DEFAULT_LIMITS, ValidationError, ValidationLimits
 from repro.core.interface import StorageDeployment
-from repro.core.metrics import BootstrapReport, QueryRecord
+from repro.core.metrics import BootstrapReport
 from repro.crypto.hashing import Hash32
+from repro.crypto.keys import KeyPair
 from repro.errors import ForkError, UnknownBlockError
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network
@@ -23,6 +24,7 @@ from repro.net.gossip import GossipProtocol
 from repro.net.topology import random_regular
 from repro.node.base import BaseNode
 from repro.node.fullnode import FullNode
+from repro.protocols.query import QueryRecord
 from repro.protocols.router import FinalizeEvent
 
 
@@ -40,8 +42,6 @@ class FullReplicationDeployment(StorageDeployment):
     ) -> None:
         super().__init__(network or Network())
         if genesis is None:
-            from repro.crypto.keys import KeyPair
-
             genesis = make_genesis([KeyPair.from_seed(0).address])
         self.genesis = genesis
         self.limits = limits

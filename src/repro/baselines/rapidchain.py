@@ -26,8 +26,9 @@ from repro.clustering.algorithms import RandomBalancedClustering
 from repro.clustering.membership import ClusterTable
 from repro.consensus.quorum import byzantine_quorum
 from repro.core.interface import StorageDeployment
-from repro.core.metrics import BootstrapReport, QueryRecord
+from repro.core.metrics import BootstrapReport
 from repro.crypto.hashing import Hash32
+from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError, UnknownBlockError
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network
@@ -35,6 +36,7 @@ from repro.net.gossip import GossipProtocol
 from repro.net.topology import clustered_topology
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
+from repro.protocols.query import QueryRecord
 from repro.protocols.router import FinalizeEvent
 
 
@@ -57,8 +59,6 @@ class RapidChainDeployment(StorageDeployment):
             )
         self.limits = limits
         if genesis is None:
-            from repro.crypto.keys import KeyPair
-
             genesis = make_genesis([KeyPair.from_seed(0).address])
         self.genesis = genesis
         self.ledger = Ledger(genesis=genesis, limits=limits)

@@ -163,8 +163,6 @@ def deserialize_body(header: BlockHeader, raw: bytes) -> Block:
         ValidationError: on malformed bytes or when the reconstructed
             body does not match the header's Merkle commitment.
     """
-    from repro.chain.transaction import Transaction
-
     offset = 0
 
     def take(count: int) -> bytes:

@@ -6,10 +6,12 @@ records make chain reorganizations possible without replaying from genesis.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.chain.block import Block
 from repro.chain.transaction import OutPoint, Transaction, TxOutput
+from repro.crypto.keys import ADDRESS_SIZE
 from repro.errors import ValidationError
 
 
@@ -144,8 +146,6 @@ class UtxoSet:
         bytes; the wire size is what a fast-syncing node actually
         downloads instead of replaying block bodies.
         """
-        import struct
-
         entries = sorted(
             self._entries.items(),
             key=lambda pair: (pair[0].txid, pair[0].index),
@@ -165,11 +165,6 @@ class UtxoSet:
         Raises:
             ValidationError: on truncated or malformed input.
         """
-        import struct
-
-        from repro.chain.transaction import TxOutput
-        from repro.crypto.keys import ADDRESS_SIZE
-
         offset = 0
 
         def take(count: int) -> bytes:

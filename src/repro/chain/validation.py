@@ -7,7 +7,7 @@ Validation is split the way full nodes split it:
 * **stateful** checks need the UTXO set and chain context (no double spends,
   input values cover outputs, correct coinbase reward, height linkage).
 
-Collaborative verification (``repro.core.verification``) runs the stateless
+Collaborative verification (``repro.protocols.intracluster``) runs the stateless
 header checks on every cluster member but the expensive body checks only on
 the block's assigned holders.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.block import Block, BlockHeader
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import OutPoint, Transaction, TxOutput
 from repro.chain.utxo import UtxoSet
 from repro.crypto.keys import address_of
 from repro.crypto.signatures import verify
@@ -168,8 +168,6 @@ def check_block_stateful(
     inside the same block) are supported via an explicit overlay of
     created/spent outpoints.
     """
-    from repro.chain.transaction import OutPoint, TxOutput
-
     created: dict[OutPoint, TxOutput] = {}
     spent: set[OutPoint] = set()
     total_fees = 0

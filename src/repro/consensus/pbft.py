@@ -13,8 +13,9 @@ block arrives:
    Byzantine quorum (``⌊2m/3⌋+1``) of COMMITs.
 
 The state machine here is *pure*: callers feed events in and get decisions
-out; all networking lives in :mod:`repro.core.verification`.  That split
-keeps the protocol unit-testable without a simulator.
+out; the signed wire objects live in :mod:`repro.consensus.votes` and all
+networking in :mod:`repro.protocols.intracluster`.  That split keeps the
+protocol unit-testable without a simulator.
 """
 
 from __future__ import annotations

@@ -15,9 +15,13 @@ from typing import Sequence
 from repro.chain.block import Block, build_block
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction, make_coinbase
-from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
+from repro.chain.validation import (
+    DEFAULT_LIMITS,
+    ValidationLimits,
+    check_transaction_stateful,
+)
 from repro.crypto.hashing import Hash32
-from repro.errors import ConsensusError
+from repro.errors import ConsensusError, ValidationError
 
 
 class ProposerSchedule:
@@ -108,9 +112,6 @@ class BlockProposer:
 
         fees = 0
         if utxos is not None:
-            from repro.chain.validation import check_transaction_stateful
-            from repro.errors import ValidationError
-
             for tx in selected:
                 try:
                     fees += check_transaction_stateful(tx, utxos)

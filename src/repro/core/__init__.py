@@ -7,16 +7,9 @@ from repro.core.metrics import (
     BootstrapReport,
     DepartureReport,
     DeploymentMetrics,
-    QueryRecord,
 )
 from repro.core.explorer import AddressEvent, ChainExplorer, TxLocation
 from repro.core.parity import ParityManager, RecoveryReport
-from repro.core.verification import (
-    CommitVote,
-    PrepareAttestation,
-    QuorumCertificate,
-    VerificationCosts,
-)
 
 __all__ = [
     "ICIConfig",
@@ -26,14 +19,9 @@ __all__ = [
     "BootstrapReport",
     "DepartureReport",
     "DeploymentMetrics",
-    "QueryRecord",
     "AddressEvent",
     "ChainExplorer",
     "TxLocation",
     "ParityManager",
     "RecoveryReport",
-    "CommitVote",
-    "PrepareAttestation",
-    "QuorumCertificate",
-    "VerificationCosts",
 ]

@@ -34,7 +34,6 @@ class ICIConfig:
             validation once the cluster finalizes the block.
         verify_collaboratively: when ``False``, every member validates the
             full body itself (ablation; loses the CPU and traffic savings).
-        inter_cluster_links: bridges per cluster pair in the overlay.
         parity_group_size: when ≥ 2, each cluster additionally stores one
             XOR parity chunk per that many consecutive blocks (the
             erasure extension), making any single lost body recoverable
@@ -55,7 +54,6 @@ class ICIConfig:
     compact_blocks: bool = False
     prune_after_verify: bool = True
     verify_collaboratively: bool = True
-    inter_cluster_links: int = 2
     parity_group_size: int = 0
     state_snapshot_bytes: int = 0
     transfer_state_snapshot: bool = False
@@ -78,8 +76,6 @@ class ICIConfig:
             raise ConfigurationError(
                 f"unknown clustering algorithm {self.clustering!r}"
             )
-        if self.inter_cluster_links < 0:
-            raise ConfigurationError("inter_cluster_links must be >= 0")
         if self.parity_group_size < 0 or self.parity_group_size == 1:
             raise ConfigurationError(
                 "parity_group_size must be 0 (disabled) or >= 2"

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.metrics import DepartureReport
+from repro.core.parity import RecoveryReport
 from repro.crypto.hashing import Hash32
 from repro.errors import ClusteringError, StorageError
 from repro.net.message import MessageKind
@@ -315,8 +316,6 @@ def _recover_from_parity(
     Recovered blocks are assigned to their new placement holders; blocks
     whose group lost a second chunk stay lost.
     """
-    from repro.core.parity import RecoveryReport
-
     assert deployment.parity is not None
     recovery = RecoveryReport()
     still_lost: list[Hash32] = []

@@ -29,19 +29,39 @@ from repro.clustering.algorithms import (
 )
 from repro.clustering.coordinates import Coordinate
 from repro.clustering.membership import ClusterTable
+from repro.core.audit import cluster_integrity
+from repro.core.bootstrap import start_bootstrap
 from repro.core.config import ICIConfig
+from repro.core.departure import start_crash_repair, start_departure
+from repro.core.explorer import ChainExplorer
 from repro.core.interface import StorageDeployment
-from repro.core.metrics import BootstrapReport, QueryRecord
+from repro.core.metrics import BootstrapReport
+from repro.core.parity import ParityManager
 from repro.crypto.hashing import Hash32
+from repro.crypto.keys import KeyPair
+from repro.dht.engine import DHTEngine
 from repro.errors import ConfigurationError
+from repro.net.domains import FailureDomainMap
 from repro.net.network import Network
 from repro.net.topology import clustered_topology
 from repro.node.clusternode import ClusterNode
-from repro.protocols.query import QUERY_TIMEOUT, SYNC_REQUEST_BYTES
+from repro.protocols.dissemination import DisseminationEngine
+from repro.protocols.intracluster import IntraClusterEngine
+from repro.protocols.query import (
+    QUERY_TIMEOUT,
+    SYNC_REQUEST_BYTES,
+    QueryEngine,
+    QueryRecord,
+)
 from repro.protocols.reliability import RequestTracker
 from repro.protocols.repair import AntiEntropyEngine
+from repro.protocols.spv import attach_light_client, start_spv_check
+from repro.protocols.sync import SyncEngine
+from repro.storage.coded import ArchivalTier
+from repro.storage.heat import HeatTracker, ReplicationPlanner
 from repro.storage.placement import (
     CapacityWeightedPlacement,
+    DomainSpreadPlacement,
     ModuloSlotPlacement,
     PlacementPolicy,
     RendezvousPlacement,
@@ -110,8 +130,6 @@ class ICIDeployment(StorageDeployment):
         self.domains = None
 
         if genesis is None:
-            from repro.crypto.keys import KeyPair
-
             genesis = make_genesis([KeyPair.from_seed(0).address])
         self.ledger = Ledger(genesis=genesis, limits=self.config.limits)
 
@@ -141,16 +159,6 @@ class ICIDeployment(StorageDeployment):
         # Fault injection: node id -> behaviour ("vote_reject" lies about
         # validity; "silent" withholds every protocol vote).
         self.byzantine: dict[int, str] = {}
-        # Deferred imports: the engines import repro.core submodules, so
-        # importing them at module scope would recurse while this package
-        # is still initializing.
-        from repro.protocols.dissemination import DisseminationEngine
-        from repro.protocols.intracluster import IntraClusterEngine
-        from repro.protocols.query import QueryEngine
-        from repro.protocols.sync import SyncEngine
-
-        from repro.dht.engine import DHTEngine
-
         # The deployment-level tracker: the engines' fault-recovery
         # watches (body delivery, finality, bootstrap) all run on it.
         self.reliability = RequestTracker(self.network.clock, self.router)
@@ -167,8 +175,6 @@ class ICIDeployment(StorageDeployment):
         self.dht = self.install_engine(DHTEngine(self))
 
         if self.config.parity_group_size:
-            from repro.core.parity import ParityManager
-
             self.parity: ParityManager | None = ParityManager(
                 self.config.parity_group_size
             )
@@ -195,7 +201,6 @@ class ICIDeployment(StorageDeployment):
         self.network.set_topology(
             clustered_topology(
                 [view.members for view in self.clusters.views()],
-                inter_cluster_links=self.config.inter_cluster_links,
                 seed=self.config.seed,
             )
         )
@@ -224,8 +229,6 @@ class ICIDeployment(StorageDeployment):
         """
         if self.replication_planner is not None:
             return self.replication_planner
-        from repro.storage.heat import HeatTracker, ReplicationPlanner
-
         tracker = HeatTracker(self.network.clock, heat_config)
         self.router.add_observer(tracker)
         planner = ReplicationPlanner(self, tracker, tracker.config)
@@ -255,9 +258,6 @@ class ICIDeployment(StorageDeployment):
         """
         if self.domains is not None:
             return self.domains
-        from repro.net.domains import FailureDomainMap
-        from repro.storage.placement import DomainSpreadPlacement
-
         domains = FailureDomainMap(
             zones=zones, racks_per_zone=racks_per_zone
         )
@@ -291,8 +291,6 @@ class ICIDeployment(StorageDeployment):
         """
         if self.archival is not None:
             return self.archival
-        from repro.storage.coded import ArchivalTier
-
         planner = self.enable_adaptive_replication()
         tier = ArchivalTier(self, planner, archival_config)
         self.archival = tier
@@ -341,26 +339,22 @@ class ICIDeployment(StorageDeployment):
 
     def join_new_node(self) -> BootstrapReport:
         """Admit a brand-new node (see interface and bootstrap module docs)."""
-        return self.sync.join_new_node()
+        return start_bootstrap(self)
 
     def leave_node(self, node_id: int):
         """Gracefully retire a member (see :mod:`repro.core.departure`)."""
-        return self.sync.leave_node(node_id)
+        return start_departure(self, node_id)
 
     def repair_after_crash(self, node_id: int):
         """Re-replicate a crashed member's blocks from survivors."""
-        return self.sync.repair_after_crash(node_id)
+        return start_crash_repair(self, node_id)
 
     def attach_light_client(self):
-        """Register a headers-only SPV client (see :mod:`repro.core.spv`)."""
-        from repro.core.spv import attach_light_client
-
+        """Register a headers-only SPV client (see :mod:`repro.protocols.spv`)."""
         return attach_light_client(self)
 
     def spv_check(self, light_id: int, block_hash: Hash32, txid: Hash32):
         """Ask the cluster to prove a payment to a light client."""
-        from repro.core.spv import start_spv_check
-
         return start_spv_check(self, light_id, block_hash, txid)
 
     def mempool_of(self, node_id: int):
@@ -394,8 +388,6 @@ class ICIDeployment(StorageDeployment):
     def explorer(self):
         """Lazy chain explorer (see :mod:`repro.core.explorer`)."""
         if not hasattr(self, "_explorer"):
-            from repro.core.explorer import ChainExplorer
-
             self._explorer = ChainExplorer(self)
         return self._explorer
 
@@ -415,8 +407,6 @@ class ICIDeployment(StorageDeployment):
     def cluster_holds_full_ledger(self, cluster_id: int) -> bool:
         """Intra-cluster integrity: every active body held or decodable.
 
-        The paper's guarantee, defined once in :mod:`repro.sim.audit`.
+        The paper's guarantee, defined once in :mod:`repro.core.audit`.
         """
-        from repro.sim.audit import cluster_integrity
-
         return cluster_integrity(self, cluster_id)

@@ -23,12 +23,13 @@ from repro.core.metrics import (
     BootstrapReport,
     DeploymentMetrics,
     MetricsRecorder,
-    QueryRecord,
 )
 from repro.crypto.hashing import Hash32
 from repro.net.message import Message
 from repro.net.network import Network
+from repro.obs.hooks import install_tracing
 from repro.obs.tracer import active_tracer
+from repro.protocols.query import QueryRecord
 from repro.protocols.router import MessageRouter, ProtocolEngine
 from repro.storage.accounting import NetworkStorageReport, report_network
 
@@ -54,8 +55,6 @@ class StorageDeployment(ABC):
         # active tracer this is one function call per construction.
         tracer = active_tracer()
         if tracer is not None:
-            from repro.obs.hooks import install_tracing
-
             install_tracing(self, tracer)
 
     # -------------------------------------------------------------- routing

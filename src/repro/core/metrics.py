@@ -12,37 +12,15 @@ import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.verification import VerificationCosts
+from repro.consensus.votes import VerificationCosts
 from repro.crypto.hashing import Hash32
 from repro.net.message import KIND_VALUE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
     from repro.node.base import BaseNode
+    from repro.protocols.query import QueryRecord
     from repro.protocols.router import FinalizeEvent
-
-
-@dataclass
-class QueryRecord:
-    """One block-retrieval request's lifecycle."""
-
-    request_id: int
-    requester: int
-    block_hash: Hash32
-    started_at: float
-    completed_at: float | None = None
-    attempts: int = 1
-    timeouts: int = 0
-    failovers: int = 0
-    #: Every replica exhausted without an answer (fault-layer runs).
-    degraded: bool = False
-
-    @property
-    def latency(self) -> float | None:
-        """Seconds from request to body delivery (``None`` while pending)."""
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at
 
 
 @dataclass

@@ -35,14 +35,14 @@ gossip keeps buckets warm without dedicated maintenance traffic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.crypto.hashing import Hash32
 from repro.dht.idspace import block_key, node_key
 from repro.dht.records import DEFAULT_RECORD_TTL, ProviderStore
 from repro.dht.routing import DEFAULT_K, Contact, RoutingTable
-from repro.errors import ConfigurationError
+from repro.errors import ClusteringError, ConfigurationError
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.protocols.reliability import (
@@ -118,10 +118,6 @@ class DHTStats:
     pings_sent: int = 0
     contacts_evicted: int = 0
     records_expired: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (for reports and determinism signatures)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _Lookup:
@@ -568,7 +564,7 @@ class DHTEngine(ProtocolEngine):
         deployment = self.deployment
         try:
             members = deployment.clusters.members_of(cluster_id)
-        except Exception:
+        except ClusteringError:
             return  # cluster dissolved since the event fired
         header = deployment.ledger.store.header(block_hash)
         planner = getattr(deployment, "replication_planner", None)

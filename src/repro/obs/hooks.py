@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from repro.errors import ClusteringError
 from repro.net.message import KIND_VALUE
 from repro.obs.tracer import (
     STORAGE_TRACK,
@@ -181,7 +182,7 @@ def record_cluster_storage(
         return
     try:
         members = clusters.members_of(cluster_id)
-    except Exception:  # dissolved mid-run
+    except ClusteringError:  # dissolved mid-run
         return
     total = sum(
         nodes[member].store.stored_bytes

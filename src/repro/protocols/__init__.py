@@ -15,10 +15,9 @@ from repro.protocols.router import (
     ProtocolEngine,
     RouterObserver,
 )
-from repro.protocols.sync import BootstrapState, SyncEngine
+from repro.protocols.sync import SyncEngine
 
 __all__ = [
-    "BootstrapState",
     "DisseminationEngine",
     "FinalizeEvent",
     "IntraClusterEngine",

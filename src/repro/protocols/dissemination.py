@@ -11,21 +11,22 @@ its business.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.chain.block import Block, BlockHeader, HEADER_SIZE
 from repro.chain.transaction import Transaction
-from repro.chain.validation import ValidationError
+from repro.chain.validation import ValidationError, check_block_stateless
 from repro.crypto.hashing import Hash32
-from repro.errors import UnknownBlockError
+from repro.errors import ForkError, UnknownBlockError
 from repro.net.message import Message, MessageKind
 from repro.net.gossip import GossipProtocol
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
+from repro.protocols.compact import (
+    CompactStats,
+    PendingCompact,
+    on_compact,
+    send_compact,
+)
 from repro.protocols.router import MessageRouter, ProtocolEngine
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.compact import CompactStats, PendingCompact
 
 
 class DisseminationEngine(ProtocolEngine):
@@ -45,10 +46,8 @@ class DisseminationEngine(ProtocolEngine):
         self.orphan_bodies: dict[int, dict[Hash32, Block]] = {}
         self.orphan_headers: dict[int, dict[Hash32, BlockHeader]] = {}
         # Compact-block reconstruction state.
-        from repro.core.compact import CompactStats
-
-        self.pending_compact: dict[tuple[int, Hash32], "PendingCompact"] = {}
-        self.compact_stats: "CompactStats" = CompactStats()
+        self.pending_compact: dict[tuple[int, Hash32], PendingCompact] = {}
+        self.compact_stats = CompactStats()
 
         self.header_gossip: GossipProtocol[BlockHeader] = GossipProtocol(
             network=self.network,
@@ -99,8 +98,6 @@ class DisseminationEngine(ProtocolEngine):
                 block.header, view.members, config.replication
             )
             if compact:
-                from repro.core.compact import send_compact
-
                 for holder in holders:
                     send_compact(deployment, proposer, holder, block)
             elif config.verify_collaboratively:
@@ -116,9 +113,6 @@ class DisseminationEngine(ProtocolEngine):
                     self._watch_body(block, view.cluster_id, holder)
 
     def _canonical_accept(self, block: Block) -> bool:
-        from repro.chain.validation import check_block_stateless
-        from repro.errors import ForkError
-
         ledger = self.deployment.ledger
         try:
             ledger.accept_block(block)
@@ -143,8 +137,6 @@ class DisseminationEngine(ProtocolEngine):
 
     def _maybe_reorg(self, tip: Block) -> None:
         """Switch the canonical chain when a side branch gets longer."""
-        from repro.errors import ForkError
-
         ledger = self.deployment.ledger
         if tip.header.height <= ledger.height:
             return
@@ -262,8 +254,6 @@ class DisseminationEngine(ProtocolEngine):
         if tag in ("body", "body-fanout"):
             self.on_body(node, message.payload[1], tag == "body-fanout")
         elif tag == "compact":
-            from repro.core.compact import on_compact
-
             _, header, txids = message.payload
             on_compact(self.deployment, node, header, txids, message.sender)
         elif tag == "serve":

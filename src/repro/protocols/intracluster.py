@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.chain.block import Block, BlockHeader
 from repro.consensus.quorum import Vote, byzantine_quorum
-from repro.core.verification import (
+from repro.consensus.votes import (
     CommitVote,
     PrepareAttestation,
     QuorumCertificate,

@@ -10,14 +10,15 @@ dissemination engine, which owns reconstruction state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from repro.chain.block import Block
-from repro.core.metrics import QueryRecord
 from repro.crypto.hashing import Hash32
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
+from repro.node.lightnode import LightNode
+from repro.protocols.compact import on_txfetch, on_txfill
 from repro.protocols.reliability import (
     DEFAULT_RETRY_POLICY,
     PendingRequest,
@@ -25,15 +26,39 @@ from repro.protocols.reliability import (
     RetryPolicy,
 )
 from repro.protocols.router import MessageRouter, ProtocolEngine
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.spv import SpvRecord
-    from repro.node.lightnode import LightNode
+from repro.protocols.spv import (
+    SpvRecord,
+    handle_spv_request,
+    handle_spv_response,
+)
 
 #: Seconds a requester waits for a holder before trying the next one.
 QUERY_TIMEOUT = 2.0
 #: Bytes of a sync-request control message payload.
 SYNC_REQUEST_BYTES = 64
+
+
+@dataclass
+class QueryRecord:
+    """One block-retrieval request's lifecycle."""
+
+    request_id: int
+    requester: int
+    block_hash: Hash32
+    started_at: float
+    completed_at: float | None = None
+    attempts: int = 1
+    timeouts: int = 0
+    failovers: int = 0
+    #: Every replica exhausted without an answer (fault-layer runs).
+    degraded: bool = False
+
+    @property
+    def latency(self) -> float | None:
+        """Seconds from request to body delivery (``None`` while pending)."""
+        if self.completed_at is None:
+            return None
+        return self.completed_at - self.started_at
 
 
 class QueryEngine(ProtocolEngine):
@@ -58,11 +83,11 @@ class QueryEngine(ProtocolEngine):
         )
 
         # SPV light-client service state.
-        self.light_clients: dict[int, "LightNode"] = {}
+        self.light_clients: dict[int, LightNode] = {}
         self.light_contacts: dict[int, int] = {}
-        self.spv_records: dict[int, "SpvRecord"] = {}
+        self.spv_records: dict[int, SpvRecord] = {}
         self.next_spv_id = 0
-        self.spv_log: list["SpvRecord"] = []
+        self.spv_log: list[SpvRecord] = []
 
     def set_retry_policy(self, policy: RetryPolicy) -> None:
         """Swap the retry pacing (existing pending requests keep theirs)."""
@@ -309,22 +334,12 @@ class QueryEngine(ProtocolEngine):
 
     # ---------------------------------------------------------------- SPV
     def _on_control(self, node: BaseNode, message: Message) -> None:
-        from repro.core import spv as spv_module
-
         tag = message.payload[0]
         if tag == "spv_req" and isinstance(node, ClusterNode):
-            spv_module.handle_spv_request(
-                self.deployment, node, message.payload
-            )
+            handle_spv_request(self.deployment, node, message.payload)
         elif tag in ("spv_resp", "spv_miss"):
-            spv_module.handle_spv_response(
-                self.deployment, node, message.payload
-            )
+            handle_spv_response(self.deployment, node, message.payload)
         elif tag == "txfetch" and isinstance(node, ClusterNode):
-            from repro.core.compact import on_txfetch
-
             on_txfetch(self.deployment, node, message.payload)
         elif tag == "txfill" and isinstance(node, ClusterNode):
-            from repro.core.compact import on_txfill
-
             on_txfill(self.deployment, node, message.payload)

@@ -60,12 +60,12 @@ endurance audit pins at zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.chain.block import Block, BlockHeader
 from repro.crypto.hashing import Hash32
-from repro.errors import ConfigurationError
+from repro.errors import ClusteringError, ConfigurationError
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
@@ -114,10 +114,6 @@ class RepairStats:
     bytes_re_replicated: int = 0
     repairs_degraded: int = 0
     unrecoverable: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (for reports and determinism signatures)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _DigestSession:
@@ -440,7 +436,7 @@ class AntiEntropyEngine(ProtocolEngine):
         cluster_id = session.cluster_id
         try:
             members = deployment.clusters.members_of(cluster_id)
-        except Exception:  # cluster dissolved since the sweep started
+        except ClusteringError:  # cluster dissolved since the sweep started
             return
         excluded = session.unresponsive | session.unpolled
         live = [

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.crypto.hashing import Hash32
+from repro.errors import MerkleError, UnknownBlockError, ValidationError
+from repro.net.message import MessageKind
+from repro.node.lightnode import LightNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.icistrategy import ICIDeployment
-    from repro.node.lightnode import LightNode
 
 #: Wire bytes of an SPV request (block hash + txid + ids).
 SPV_REQUEST_BYTES = 80
@@ -46,15 +48,13 @@ class SpvRecord:
         return self.completed_at - self.started_at
 
 
-def attach_light_client(deployment: "ICIDeployment") -> "LightNode":
+def attach_light_client(deployment: "ICIDeployment") -> LightNode:
     """Register a headers-only client and sync it to the current tip.
 
     The header sync is applied directly (84 bytes/header is the SPV
     bootstrap floor measured separately in E5); subsequent headers arrive
     when the caller invokes :func:`refresh_light_client`.
     """
-    from repro.node.lightnode import LightNode
-
     light_id = max(
         [*deployment.nodes, *deployment.light_clients], default=-1
     ) + 1
@@ -86,8 +86,6 @@ def start_spv_check(
     txid: Hash32,
 ) -> SpvRecord:
     """A light client asks its contact to prove a payment's inclusion."""
-    from repro.net.message import MessageKind
-
     light = deployment.light_clients[light_id]
     record = SpvRecord(
         request_id=deployment.query.next_spv_id,
@@ -111,14 +109,12 @@ def start_spv_check(
 
 def handle_spv_request(deployment: "ICIDeployment", node, payload) -> None:
     """A cluster node routes/serves an SPV proof request."""
-    from repro.net.message import MessageKind
-
     _tag, request_id, light_id, block_hash, txid = payload
     if not node.store.has_body(block_hash):
         # Forward to the in-cluster primary holder of that block.
         try:
             header = node.store.header(block_hash)
-        except Exception:  # unknown block: drop; client will time out
+        except UnknownBlockError:  # drop; the client will time out
             return
         holder = deployment.holders_in_cluster(header, node.cluster_id)[0]
         if holder != node.node_id:
@@ -165,5 +161,5 @@ def handle_spv_response(deployment: "ICIDeployment", light, payload) -> None:
         record.verified = light.verify_transaction(
             tx, record.block_hash, proof
         )
-    except Exception:
+    except (UnknownBlockError, ValidationError, MerkleError):
         record.verified = False

@@ -27,17 +27,18 @@ Shape of a run (:func:`run_chaos`):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
+from repro.core.audit import diversity_met, floor_met
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
+from repro.dht.idspace import block_key
 from repro.errors import ConfigurationError
 from repro.obs.hooks import install_tracing
 from repro.obs.summary import percentile, summarize
 from repro.obs.tracer import Tracer
 from repro.protocols.reliability import RetryPolicy
-from repro.sim.audit import diversity_met, floor_met
 from repro.sim.churn import (
     ChurnConfig,
     ChurnDriver,
@@ -132,7 +133,7 @@ class _StormOutcome:
     queries_completed: int = 0
     queries_degraded: int = 0
     cluster_integrity: dict[int, bool] = field(default_factory=dict)
-    #: DHT overlay counters + audit (``DHTStats.as_dict()`` merged with
+    #: DHT overlay counters + audit (``asdict(DHTStats)`` merged with
     #: the table census and the audit lookup batch); empty on non-DHT
     #: runs, and only a non-empty dict joins ``signature()`` — so
     #: enabling a feature cannot move the golden pins of runs without it.
@@ -433,7 +434,7 @@ def _audit(
 ) -> None:
     """The end-of-run audit chaos and endurance share.
 
-    Per-cluster integrity (:mod:`repro.sim.audit`), the fault and
+    Per-cluster integrity (:mod:`repro.core.audit`), the fault and
     reliability counters, then each enabled feature's own audit; the
     clock and latency capture come last because the DHT lookup batch
     still moves them.
@@ -442,7 +443,7 @@ def _audit(
         outcome.cluster_integrity[view.cluster_id] = (
             deployment.cluster_holds_full_ledger(view.cluster_id)
         )
-    outcome.fault_stats = injector.stats.as_dict()
+    outcome.fault_stats = asdict(injector.stats)
     stats = deployment.metrics.router_stats
     outcome.retries = dict(stats.retries)
     outcome.timeouts = dict(stats.timeouts)
@@ -484,11 +485,9 @@ def _audit_dht(
     :attr:`_StormOutcome.passed` and the E20 chaos leg pin.  The census
     and the engine's own counters land on ``outcome.dht``.
     """
-    from repro.dht.idspace import block_key
-
     dht = deployment.dht
     if not live:
-        outcome.dht = {**dht.stats.as_dict(), **dht.audit_tables()}
+        outcome.dht = {**asdict(dht.stats), **dht.audit_tables()}
         return
     lookups_ok = 0
     for block_hash in block_hashes:
@@ -497,7 +496,7 @@ def _audit_dht(
         if lookup.value:
             lookups_ok += 1
     outcome.dht = {
-        **dht.stats.as_dict(),
+        **asdict(dht.stats),
         **dht.audit_tables(),
         "audit_lookups": len(block_hashes),
         "audit_lookups_ok": lookups_ok,
@@ -609,21 +608,21 @@ class EnduranceOutcome(_StormOutcome):
     churn_crashes: int = 0
     skipped_events: int = 0
     outage_crashed: list[int] = field(default_factory=list)
-    #: The anti-entropy engine's counters (``RepairStats.as_dict()``).
+    #: The anti-entropy engine's counters (``asdict(RepairStats)``).
     repair: dict[str, int] = field(default_factory=dict)
     #: Blocks departures handed off to the sweep after exhausted retries.
     deferred_blocks: int = 0
     #: Virtual seconds from first deficit detection to restored copy.
     time_to_repair: dict[str, float] = field(default_factory=dict)
     heal_rounds: int = 0
-    #: :func:`repro.sim.audit.floor_met` after healing (strict: tier-
+    #: :func:`repro.core.audit.floor_met` after healing (strict: tier-
     #: and code-aware on adaptive/archival runs).
     replica_floor_met: bool = False
-    #: Adaptive-replication counters (``AdaptiveStats.as_dict()`` plus
+    #: Adaptive-replication counters (``asdict(AdaptiveStats)`` plus
     #: tier counts and storm reads); empty on fixed-r runs, same opt-in
     #: signature discipline as ``dht``.
     adaptive: dict[str, int] = field(default_factory=dict)
-    #: Archival-tier counters (``ArchivalStats.as_dict()``); empty
+    #: Archival-tier counters (``asdict(ArchivalStats)``); empty
     #: unless the coded tier ran, same opt-in discipline.
     archival: dict[str, int] = field(default_factory=dict)
     #: Network-wide ledger bytes at audit time (reports; not signed).
@@ -701,7 +700,7 @@ def run_endurance(
        the repair counters go quiet.
     3. **Probe** — a query batch under the still-lossy link rates.
     4. **Audit** — per-cluster full-ledger integrity plus the stronger
-       floor (:func:`repro.sim.audit.floor_met`): every active block
+       floor (:func:`repro.core.audit.floor_met`): every active block
        holds ``min(target, live)`` live replicas — or its coded floor —
        in every cluster.
     """
@@ -875,15 +874,15 @@ def run_endurance(
     outcome.replica_floor_met = floor_met(deployment)
     outcome.storage_total_bytes = deployment.storage_report().total_bytes
     if planner is not None:
-        outcome.adaptive = dict(planner.as_dict())
+        outcome.adaptive = asdict(planner.stats)
         outcome.adaptive["storm_reads"] = storm_reads
     if tier is not None:
-        outcome.archival = dict(tier.as_dict())
+        outcome.archival = asdict(tier.stats)
         outcome.archival["archived_blocks"] = tier.archived_blocks
         outcome.archival["chunk_bytes"] = tier.total_chunk_bytes
         # Coded chunks live beside the replicas the report counts.
         outcome.storage_total_bytes += tier.total_chunk_bytes
-    outcome.repair = repair.stats.as_dict()
+    outcome.repair = asdict(repair.stats)
     outcome.deferred_blocks = sum(
         len(report.deferred_blocks)
         for report in deployment.metrics.departures

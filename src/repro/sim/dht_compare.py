@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
+from repro.dht.idspace import block_key
 from repro.errors import ConfigurationError
 from repro.sim.chaos import ChaosConfig, run_chaos
 from repro.sim.runner import ScenarioRunner
@@ -161,8 +162,6 @@ def _measure_size(
     limits: ValidationLimits,
 ) -> tuple[dict[str, int], ICIDeployment]:
     """Drive one size: produce, lookup both ways, admit one joiner."""
-    from repro.dht.idspace import block_key
-
     ici = ICIConfig(
         n_clusters=n_nodes // config.cluster_size,
         replication=config.replication,

@@ -37,15 +37,18 @@ import random
 from dataclasses import dataclass, field
 
 from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
+from repro.core.audit import diversity_met, uncovered_pairs
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
 from repro.net.domains import FailureDomainMap
-from repro.sim.audit import diversity_met, uncovered_pairs
 from repro.sim.chaos import build_scenario, probe_reads, uniform_reads
 from repro.sim.faults import FaultConfig
 
 #: The two measured arms, in run (and report) order.
 ARMS = ("aware", "oblivious")
+#: Post-heal sweep budget for the diversity clock; an arm that has not
+#: restored zone spread by then records ``-1`` (never).
+MAX_HEAL_ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,6 @@ class DomainCompareConfig:
     txs_per_block: int = 2
     #: Seeded reads issued while the zone is down (live requesters).
     reads: int = 16
-    repair_cadence: float = 5.0
-    #: Post-heal sweep budget for the diversity clock; an arm that has
-    #: not restored zone spread by then records ``-1`` (never).
-    max_heal_rounds: int = 6
 
     def __post_init__(self) -> None:
         if self.n_clusters < 2:
@@ -82,10 +81,6 @@ class DomainCompareConfig:
             raise ConfigurationError("compare runs need at least 2 blocks")
         if self.reads < 1:
             raise ConfigurationError("reads must be >= 1")
-        if self.repair_cadence <= 0:
-            raise ConfigurationError("repair_cadence must be > 0")
-        if self.max_heal_rounds < 1:
-            raise ConfigurationError("max_heal_rounds must be >= 1")
 
 
 @dataclass
@@ -189,13 +184,13 @@ def _run_arm(
     # sweeps must restore is *spread*, which only the aware arm can.
     injector.heal()
     repair = deployment.repair
-    repair.start(cadence=config.repair_cadence)
+    repair.start()
     rounds_to_diversity = -1
-    for sweep_round in range(config.max_heal_rounds + 1):
+    for sweep_round in range(MAX_HEAL_ROUNDS + 1):
         if diversity_met(deployment, topology):
             rounds_to_diversity = sweep_round
             break
-        deployment.network.clock.run_for(config.repair_cadence)
+        deployment.network.clock.run_for(repair.cadence)
     repair.stop()
     deployment.run()
 

@@ -37,7 +37,7 @@ bench harness enforces this against ``benchmarks/baseline.json``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError, FaultConfigError
@@ -183,10 +183,6 @@ class FaultStats:
     crashes: int = 0
     stalls: int = 0
     recoveries: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (for reports and determinism signatures)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def total_dropped(self) -> int:

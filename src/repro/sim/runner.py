@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chain.block import Block
+from repro.chain.block import Block, build_block
 from repro.chain.mempool import Mempool
+from repro.chain.transaction import make_coinbase
 from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
 from repro.consensus.proposer import BlockProposer, ProposerSchedule
 from repro.core.interface import StorageDeployment
 from repro.crypto.hashing import Hash32
+from repro.crypto.keys import KeyPair
 from repro.errors import SimulationError
 from repro.sim.workload import TransactionWorkload, WorkloadConfig
 
@@ -191,10 +193,6 @@ class ScenarioRunner:
 
         Returns the branch blocks, tip last.
         """
-        from repro.chain.transaction import make_coinbase
-        from repro.chain.block import build_block
-        from repro.crypto.keys import KeyPair
-
         ledger = getattr(self.deployment, "ledger", None)
         if ledger is None:
             raise SimulationError("deployment exposes no canonical ledger")

@@ -25,7 +25,7 @@ batches, and compares the bills:
   is then two replicas per cluster, and the default 3+1 code likewise
   tolerates one holder loss, at ``4/3 ≈ 1.33×`` the body size.
 
-Between rounds the treatment arm is audited (:mod:`repro.sim.audit`):
+Between rounds the treatment arm is audited (:mod:`repro.core.audit`):
 every cluster must be able to produce every block — held, or decodable
 from ≥ ``k`` live chunks — and no block may sit below its **shed
 floor**.  A deficit *toward* a hot target is convergence work; a hole
@@ -40,14 +40,14 @@ the test suite pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
+from repro.core.audit import floor_met
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
 from repro.obs.summary import percentile
-from repro.sim.audit import floor_met
 from repro.sim.runner import ScenarioRunner
 from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
 
@@ -80,15 +80,12 @@ class TieredCompareConfig:
     reads: int = 150
     #: Read-batch + sweep-window rounds after production.
     rounds: int = 6
-    repair_cadence: float = 5.0
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
             raise ConfigurationError("compare runs need at least 2 blocks")
         if self.reads < 1 or self.rounds < 1:
             raise ConfigurationError("reads/rounds must be >= 1")
-        if self.repair_cadence <= 0:
-            raise ConfigurationError("repair_cadence must be > 0")
 
 
 #: E18: fixed-``r`` vs heat-aware adaptive replication.
@@ -240,8 +237,8 @@ def _drive(
         ):
             deployment.retrieve_block(requester, block_hash)
         deployment.run()
-        repair.start(cadence=config.repair_cadence)
-        deployment.network.clock.run_for(config.repair_cadence * 2)
+        repair.start()
+        deployment.network.clock.run_for(repair.cadence * 2)
         repair.stop()
         deployment.run()
         if audited:
@@ -264,9 +261,9 @@ def _drive(
     if audited:
         outcome.tier_counts = planner.tier_counts()
         outcome.tier_body_bytes = planner.tier_body_bytes()
-        outcome.adaptive_stats = dict(planner.as_dict())
+        outcome.adaptive_stats = asdict(planner.stats)
         if tier is not None:
-            outcome.archival_stats = tier.as_dict()
+            outcome.archival_stats = asdict(tier.stats)
             outcome.archived_blocks = tier.archived_blocks
             outcome.chunk_bytes = tier.total_chunk_bytes
         if not floor_met(deployment):

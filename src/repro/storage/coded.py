@@ -35,7 +35,7 @@ read-amplification charges all follow the real holders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.chain.block import Block, deserialize_body, serialize_body
@@ -105,10 +105,6 @@ class ArchivalStats:
     #: (fewer than ``k`` live chunks).  Transient while holders are
     #: down; the endurance audit requires the floor restored at the end.
     floor_deficits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (for reports and determinism signatures)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -438,10 +434,6 @@ class ArchivalTier:
         """chunk index -> holder for one archived block (audits/tests)."""
         entry = self._entries.get((cluster_id, block_hash))
         return dict(entry.holders) if entry is not None else {}
-
-    def as_dict(self) -> dict[str, int]:
-        """Stats view for signatures and reports."""
-        return self.stats.as_dict()
 
     # -------------------------------------------------------------- tracing
     def attach_tracer(self, tracer: "Tracer | None") -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.chain.block import HEADER_SIZE
 from repro.consensus.quorum import byzantine_quorum
-from repro.core.verification import CommitVote, PrepareAttestation
+from repro.consensus.votes import CommitVote, PrepareAttestation
 from repro.errors import ConfigurationError
 from repro.net.gossip import (
     ANNOUNCE_PAYLOAD_BYTES,

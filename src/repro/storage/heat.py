@@ -49,8 +49,8 @@ the endurance audit pins that counter at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 from repro.crypto.hashing import Hash32
 from repro.errors import ConfigurationError
@@ -156,10 +156,6 @@ class AdaptiveStats:
     #: Post-shed recounts that found fewer live copies than the floor.
     #: The shed guard makes this structurally zero; audits pin it.
     floor_violations: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view (for reports and determinism signatures)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _BlockHeat:
@@ -424,10 +420,6 @@ class ReplicationPlanner:
     def note_floor_violation(self) -> None:
         """A post-shed recount found the floor broken (must stay 0)."""
         self.stats.floor_violations += 1
-
-    def as_dict(self) -> Mapping[str, int]:
-        """Stats view for signatures and reports."""
-        return self.stats.as_dict()
 
     # -------------------------------------------------------------- tracing
     def attach_tracer(self, tracer: "Tracer | None") -> None:

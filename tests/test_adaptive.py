@@ -232,7 +232,7 @@ class TestReplicationPlanner:
 
 class TestShedding:
     def test_cold_blocks_shed_to_floor_and_never_below(self):
-        from repro.sim.audit import floor_met
+        from repro.core.audit import floor_met
 
         deployment, planner, report = build_adaptive()
         tracker = deployment.heat
@@ -398,8 +398,6 @@ class TestAdaptiveCompare:
             replace(E18, n_blocks=1)
         with pytest.raises(ConfigurationError):
             replace(E18, rounds=0)
-        with pytest.raises(ConfigurationError):
-            replace(E18, repair_cadence=0.0)
 
 
 class TestAdaptiveEndurance:

@@ -2,6 +2,8 @@
 
 * Every module under ``src/repro`` is imported by something that ships
   (the census that found ``chain/persistence.py`` dead).
+* Imports run one way: down :data:`LAYERS`, with no cycle between
+  modules, and only the CLI's lazy sub-commands import inside a function.
 * Protocol timers have one owner: ``protocols/reliability.py`` holds the
   probe pacing constants and — bar the sweep timer and the
   validation-cost delay — every ``clock.schedule`` of ``protocols/`` and
@@ -12,8 +14,10 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import inspect
 import re
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 from repro.protocols.reliability import RequestTracker
@@ -32,26 +36,30 @@ def module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def imported_names(path: Path) -> set[str]:
-    """Dotted names ``path`` imports; ``from a import b`` yields a and a.b."""
-    if PACKAGE in path.parents:
+def import_targets(node: ast.AST, path: Path) -> set[str]:
+    """Dotted names one import statement names; ``from a import b``
+    yields a and a.b."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    package: list[str] = []
+    if node.level and PACKAGE in path.parents:
         package = module_name(path).split(".")
         if path.name != "__init__.py":
             package = package[:-1]
-    else:
-        package = []
-    names: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - node.level + 1] if node.level else []
-            if node.module:
-                base = base + node.module.split(".")
-            origin = ".".join(base)
-            names.add(origin)
-            names.update(f"{origin}.{alias.name}" for alias in node.names)
-    return names
+        package = package[: len(package) - node.level + 1]
+    origin = ".".join(package + (node.module.split(".") if node.module else []))
+    return {origin} | {f"{origin}.{alias.name}" for alias in node.names}
+
+
+def imported_names(path: Path) -> set[str]:
+    """Every dotted name ``path`` imports, wherever the import sits."""
+    return {
+        name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in import_targets(node, path)
+    }
 
 
 def test_every_module_has_an_importer_outside_tests():
@@ -128,3 +136,105 @@ def test_the_side_tables_stay_deleted():
     assert list(inspect.signature(RequestTracker).parameters) == [
         "clock", "router", "policy",
     ]  # fmt: skip
+
+
+# --------------------------------------------------------------- layering
+#: The package order, lowest first: a module imports its own package and
+#: packages earlier in this list, never a later one.
+LAYERS = (
+    "errors", "crypto", "chain", "consensus", "net", "obs", "node",
+    "clustering", "storage", "protocols", "dht", "core", "baselines",
+    "sim", "analysis", "bench", "cli",
+)  # fmt: skip
+MODULES = {module_name(path): path for path in sorted(PACKAGE.rglob("*.py"))}
+#: Moved to the package that runs them; no alias is left at the old path.
+MOVED = (
+    "repro.core.verification",  # -> repro.consensus.votes
+    "repro.core.compact",  # -> repro.protocols.compact
+    "repro.core.spv",  # -> repro.protocols.spv
+    "repro.sim.audit",  # -> repro.core.audit
+)
+
+
+def layer(module: str) -> str:
+    """A module's package; the root and ``__main__`` rank with the CLI."""
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 and parts[1] in LAYERS else "cli"
+
+
+def executed_imports(path: Path) -> set[tuple[str, bool]]:
+    """``(module, inside a function)`` for every import of a program
+    module that executes; ``if TYPE_CHECKING:`` blocks never do."""
+    found: set[tuple[str, bool]] = set()
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.If) and "TYPE_CHECKING" in ast.unparse(
+                child.test
+            ):
+                continue
+            found.update(
+                (name, in_function)
+                for name in import_targets(child, path)
+                if name in MODULES
+            )
+            visit(
+                child,
+                in_function
+                or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)),
+            )
+
+    visit(ast.parse(path.read_text(), str(path)), False)
+    return found
+
+
+def test_every_package_has_a_layer():
+    packages = {module.split(".")[1] for module in MODULES if "." in module}
+    assert packages - {"__main__"} == set(LAYERS)
+
+
+def test_imports_run_down_the_layers():
+    upward = sorted(
+        (module, target)
+        for module, path in MODULES.items()
+        for target, _ in executed_imports(path)
+        if LAYERS.index(layer(target)) > LAYERS.index(layer(module))
+    )
+    assert upward == []
+
+
+def test_the_module_import_graph_is_acyclic():
+    """Load-time imports, plus the package ``__init__`` each one runs.
+
+    Importing ``repro.a.b`` from outside ``repro.a`` first executes
+    ``repro/a/__init__.py``, so that edge counts.  The root
+    ``repro/__init__.py`` is the public facade: it runs before any
+    submodule and imports downward only, so edges into it are left out.
+    """
+    graph: dict[str, set[str]] = {}
+    for module, path in MODULES.items():
+        targets = {name for name, deferred in executed_imports(path) if not deferred}
+        for name in list(targets):
+            parts = name.split(".")
+            targets.update(
+                parent
+                for parent in (".".join(parts[:i]) for i in range(2, len(parts)))
+                if not module.startswith(parent + ".")
+            )
+        graph[module] = targets - {module}
+    # Raises graphlib.CycleError naming the cycle.
+    assert len(list(TopologicalSorter(graph).static_order())) == len(MODULES)
+
+
+def test_only_the_cli_imports_inside_functions():
+    deferred = sorted(
+        (module, target)
+        for module, path in MODULES.items()
+        for target, in_function in executed_imports(path)
+        if in_function and module != "repro.cli"
+    )
+    assert deferred == []
+
+
+def test_moved_modules_left_no_alias():
+    assert [name for name in MOVED if importlib.util.find_spec(name)] == []

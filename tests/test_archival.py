@@ -276,8 +276,6 @@ class TestArchivalCompare:
             replace(E19, n_blocks=1)
         with pytest.raises(ConfigurationError):
             replace(E19, rounds=0)
-        with pytest.raises(ConfigurationError):
-            replace(E19, repair_cadence=0.0)
 
 
 class TestArchivalEndurance:

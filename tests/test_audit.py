@@ -1,4 +1,4 @@
-"""The ledger audit (:mod:`repro.sim.audit`) and the run verdict.
+"""The ledger audit (:mod:`repro.core.audit`) and the run verdict.
 
 Positive audits ride every chaos/endurance test; this module is where
 an audit is seen returning ``False``.  Each negative case hand-breaks a
@@ -15,7 +15,7 @@ import itertools
 
 import pytest
 
-from repro.sim.audit import (
+from repro.core.audit import (
     cluster_integrity,
     diversity_met,
     floor_met,

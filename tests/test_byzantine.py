@@ -125,7 +125,7 @@ class TestForgedCertificates:
     def test_incomplete_certificate_rejected_by_members(self):
         """A certificate lacking quorum signatures does not finalize."""
         from repro.consensus.quorum import Vote
-        from repro.core.verification import CommitVote, QuorumCertificate
+        from repro.consensus.votes import CommitVote, QuorumCertificate
         from repro.crypto.keys import KeyPair
 
         deployment, runner = one_cluster()
@@ -151,7 +151,7 @@ class TestForgedCertificates:
 
     def test_unsigned_certificate_rejected(self):
         from repro.consensus.quorum import Vote
-        from repro.core.verification import CommitVote, QuorumCertificate
+        from repro.consensus.votes import CommitVote, QuorumCertificate
 
         deployment, runner = one_cluster()
         report = runner.produce_blocks(1, txs_per_block=2)

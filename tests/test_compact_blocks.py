@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.block import Block
-from repro.core.compact import (
+from repro.protocols.compact import (
     CompactStats,
     PendingCompact,
     compact_payload_bytes,

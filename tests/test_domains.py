@@ -27,7 +27,7 @@ from repro.net.domains import DomainLabel, FailureDomainMap
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.simclock import SimClock
-from repro.sim.audit import diversity_met
+from repro.core.audit import diversity_met
 from repro.sim.chaos import (
     ChaosConfig,
     EnduranceConfig,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.errors import ConfigurationError, FaultConfigError
@@ -148,7 +150,7 @@ class TestOutageEvent:
 class TestFaultStats:
     def test_as_dict_covers_every_counter(self):
         stats = FaultStats(dropped=3, partition_dropped=2, stall_dropped=1)
-        view = stats.as_dict()
+        view = asdict(stats)
         assert view["dropped"] == 3
         assert set(view) == {
             "intercepted",
@@ -434,7 +436,7 @@ class TestFaultInjector:
             for _ in range(200):
                 send_one(net)
             net.run()
-            return injector.stats.as_dict()
+            return asdict(injector.stats)
 
         first, second = run(9), run(9)
         assert first == second

@@ -13,7 +13,6 @@ from repro.core.metrics import (
     BootstrapReport,
     DepartureReport,
     DeploymentMetrics,
-    QueryRecord,
 )
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair
@@ -26,6 +25,7 @@ from repro.errors import (
     StorageError,
     ValidationError,
 )
+from repro.protocols.query import QueryRecord
 
 
 class TestGenesis:

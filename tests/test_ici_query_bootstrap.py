@@ -123,6 +123,17 @@ class TestBootstrap:
         assert joiner.store.body_count == expected
         assert join.bodies_fetched == expected
 
+    def test_a_join_outranks_a_repair_session_for_its_bodies(self):
+        deployment, _ = deployed(n_blocks=8)
+        join = deployment.join_new_node()
+        handed_to_repair = []
+        deployment.sync.sessions[join.node_id] = (
+            lambda node, sender, blocks: handed_to_repair.append(blocks)
+        )
+        deployment.run()
+        assert join.complete and join.bodies_fetched > 0
+        assert handed_to_repair == []
+
     def test_integrity_preserved_through_join(self):
         deployment, _ = deployed(n_blocks=8)
         join = deployment.join_new_node()

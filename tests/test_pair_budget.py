@@ -14,7 +14,7 @@ import sys
 import tracemalloc
 from functools import lru_cache
 
-from repro.core import verification
+from repro.consensus import votes
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.crypto import signatures
@@ -24,15 +24,14 @@ from tests.conftest import TEST_LIMITS
 # Where per-pair state is allocated; "<string>" is dataclass-generated
 # __init__ code, which is where a dataclass instance's fields are billed.
 PAIR_SITES = (
-    "/repro/consensus/", "/repro/node/clusternode.py",
-    "/repro/core/verification.py", "/repro/core/metrics.py",
+    "/repro/consensus/", "/repro/node/clusternode.py", "/repro/core/metrics.py",
     "/repro/clustering/membership.py", "/repro/chain/chainstore.py",
     "/repro/crypto/signatures.py",
 )  # fmt: skip
 PAIR_BUDGET_BYTES = 1_500
 CACHES = (
     (signatures, "_verify_cached", signatures._verify_cached),
-    (verification, "_attest_message", verification._attest_message),
+    (votes, "_attest_message", votes._attest_message),
 )
 
 
@@ -64,7 +63,7 @@ def test_live_bytes_per_node_and_block():
     ~2,110 bytes per pair here, this representation ~1,160.
     """
     signatures._verify_cached.cache_clear()
-    verification._attest_message.cache_clear()
+    votes._attest_message.cache_clear()
     runner = _runner(24, 3)
     tracemalloc.start()
     try:

@@ -152,7 +152,7 @@ class TestSpvService:
         deployment, runner, _ = deployed(n_blocks=3)
         light = deployment.attach_light_client()
         runner.produce_blocks(2, txs_per_block=2)
-        from repro.core.spv import refresh_light_client
+        from repro.protocols.spv import refresh_light_client
 
         added = refresh_light_client(deployment, light.node_id)
         assert added == 2

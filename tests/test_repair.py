@@ -9,11 +9,13 @@ unrecoverable verdict when no live replica exists anywhere.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
-from repro.errors import ConfigurationError
+from repro.errors import ClusteringError, ConfigurationError
 from repro.sim.faults import FaultPlan
 from repro.sim.runner import ScenarioRunner
 from tests.conftest import TEST_LIMITS
@@ -68,7 +70,7 @@ class TestDormantByDefault:
         assert repair is deployment.repair
         assert not repair.active
         # Never swept, never sent: a whole run left no repair footprint.
-        assert all(v == 0 for v in repair.stats.as_dict().values())
+        assert all(v == 0 for v in asdict(repair.stats).values())
         assert not repair.tracker.pending
         assert deployment.network.clock.pending == 0
 
@@ -240,3 +242,43 @@ class TestMidRepairCrash:
         assert deployment.cluster_holds_full_ledger(cluster)
         for block_hash in set(report.deferred_blocks):
             assert replicas(deployment, cluster, block_hash) >= 2
+
+
+class TestAnalysisFailures:
+    """``_analyze`` skips a cluster whose id is gone — the
+    ``ClusteringError`` ``members_of`` documents — and nothing else."""
+
+    def analyze_with(self, deployment, members_of):
+        """Sweep with ``members_of`` replaced while ``_analyze`` runs."""
+        repair = deployment.repair
+        analyze = repair._analyze
+        clusters = deployment.clusters
+
+        def patched(session):
+            clusters.members_of = members_of
+            try:
+                analyze(session)
+            finally:
+                del clusters.members_of  # the class method again
+
+        repair._analyze = patched
+        sweep(deployment)
+        return repair.stats
+
+    def test_a_dissolved_cluster_is_skipped(self):
+        deployment, _ = deployed()
+
+        def dissolved(cluster_id):
+            raise ClusteringError(f"no cluster {cluster_id}")
+
+        stats = self.analyze_with(deployment, dissolved)
+        assert stats.sweeps and stats.repairs_scheduled == 0
+
+    def test_any_other_failure_propagates(self):
+        deployment, _ = deployed()
+
+        def corrupted(cluster_id):
+            raise RuntimeError("membership table corrupted")
+
+        with pytest.raises(RuntimeError, match="corrupted"):
+            self.analyze_with(deployment, corrupted)

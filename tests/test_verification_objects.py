@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from repro.consensus.quorum import Vote
-from repro.core.verification import (
+from repro.consensus.votes import (
     CommitVote,
     PrepareAttestation,
     QuorumCertificate,
