@@ -3,7 +3,6 @@
 from repro.analysis.plots import ascii_bars, ascii_series
 from repro.analysis.stats import (
     Summary,
-    geometric_mean,
     percentile,
     relative_error,
     summarize,
@@ -11,7 +10,6 @@ from repro.analysis.stats import (
 from repro.analysis.tables import (
     format_bytes,
     format_seconds,
-    render_ratio_row,
     render_table,
 )
 
@@ -19,12 +17,10 @@ __all__ = [
     "ascii_bars",
     "ascii_series",
     "Summary",
-    "geometric_mean",
     "percentile",
     "relative_error",
     "summarize",
     "format_bytes",
     "format_seconds",
-    "render_ratio_row",
     "render_table",
 ]

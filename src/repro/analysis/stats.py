@@ -67,12 +67,3 @@ def relative_error(measured: float, expected: float) -> float:
     if expected == 0:
         return 0.0 if measured == 0 else float("inf")
     return abs(measured - expected) / abs(expected)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (speedup aggregation)."""
-    if not values:
-        raise ConfigurationError("cannot aggregate an empty sample")
-    if any(value <= 0 for value in values):
-        raise ConfigurationError("geometric mean needs positive values")
-    return math.exp(sum(math.log(value) for value in values) / len(values))

@@ -65,11 +65,3 @@ def render_table(
             )
         )
     return "\n".join(lines)
-
-
-def render_ratio_row(
-    label: str, value: float, reference: float
-) -> tuple[str, str, str]:
-    """A ``(label, value, percent-of-reference)`` row for ratio tables."""
-    percent = 100.0 * value / reference if reference else float("nan")
-    return (label, format_bytes(value), f"{percent:.1f}%")

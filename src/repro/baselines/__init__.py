@@ -4,14 +4,10 @@ from repro.baselines.full_replication import FullReplicationDeployment
 from repro.baselines.rapidchain import RapidChainDeployment
 from repro.baselines.spv import (
     spv_bootstrap_bytes,
-    spv_proof_bytes,
-    spv_verify_payment,
 )
 
 __all__ = [
     "FullReplicationDeployment",
     "RapidChainDeployment",
     "spv_bootstrap_bytes",
-    "spv_proof_bytes",
-    "spv_verify_payment",
 ]

@@ -7,9 +7,7 @@ joiner cost floor is the header chain.
 
 from __future__ import annotations
 
-from repro.chain.block import Block, HEADER_SIZE
-from repro.chain.chainstore import ChainStore
-from repro.crypto.merkle import MerkleProof
+from repro.chain.block import HEADER_SIZE
 
 
 def spv_bootstrap_bytes(chain_height: int) -> int:
@@ -17,26 +15,3 @@ def spv_bootstrap_bytes(chain_height: int) -> int:
     if chain_height < 0:
         raise ValueError("chain height must be >= 0")
     return HEADER_SIZE * (chain_height + 1)
-
-
-def spv_verify_payment(
-    store: ChainStore,
-    block: Block,
-    tx_index: int,
-) -> tuple[bool, MerkleProof]:
-    """Simulate an SPV payment check against a synced header store.
-
-    The serving node produces the proof from the full block; the SPV side
-    folds it against the header it already has.
-
-    Returns:
-        ``(verified, proof)``.
-    """
-    proof = block.merkle_proof(tx_index)
-    header = store.header(block.block_hash)
-    return proof.verify(header.merkle_root), proof
-
-
-def spv_proof_bytes(proof: MerkleProof) -> int:
-    """Wire size of a served SPV proof."""
-    return proof.size_bytes

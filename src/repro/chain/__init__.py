@@ -1,7 +1,7 @@
 """Ledger substrate: transactions, blocks, validation, UTXO set, chain store."""
 
 from repro.chain.block import HEADER_SIZE, Block, BlockHeader, build_block
-from repro.chain.chainstore import ChainStore, Ledger, new_ledger_with_faucets
+from repro.chain.chainstore import ChainStore, Ledger
 from repro.chain.genesis import (
     DEFAULT_FAUCET_VALUE,
     GENESIS_TIMESTAMP,
@@ -31,7 +31,6 @@ from repro.chain.validation import (
     estimate_verification_cost,
     header_check_cost,
     validate_block,
-    verify_merkle_path_cost,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "build_block",
     "ChainStore",
     "Ledger",
-    "new_ledger_with_faucets",
     "DEFAULT_FAUCET_VALUE",
     "GENESIS_TIMESTAMP",
     "make_genesis",
@@ -69,5 +67,4 @@ __all__ = [
     "estimate_verification_cost",
     "header_check_cost",
     "validate_block",
-    "verify_merkle_path_cost",
 ]

@@ -131,13 +131,6 @@ class Block:
         """Inclusion proof for the transaction at ``tx_index``."""
         return self.merkle_tree.proof(tx_index)
 
-    def transaction_by_id(self, txid: Hash32) -> Transaction | None:
-        """Linear lookup of a transaction by id (bodies are small)."""
-        for tx in self.transactions:
-            if tx.txid == txid:
-                return tx
-        return None
-
     def verify_merkle_commitment(self) -> bool:
         """Check that the header's Merkle root matches the body."""
         return self.merkle_tree.root == self.header.merkle_root

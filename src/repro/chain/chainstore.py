@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.chain.block import Block, BlockHeader
-from repro.chain.genesis import make_genesis
 from repro.chain.utxo import UndoRecord, UtxoSet
 from repro.chain.validation import (
     DEFAULT_LIMITS,
@@ -91,27 +90,6 @@ class ChainStore:
     def height(self) -> int:
         """Height of the tip, or -1 when empty."""
         return -1 if self._tip is None else self._tip.height
-
-    def headers_at(self, height: int) -> list[BlockHeader]:
-        """All indexed headers at a height (>1 during forks), oldest first.
-
-        One scan of the index: only snapshot export asks, and a per-height
-        table would cost every node a list per block.
-        """
-        return [h for h in self._headers.values() if h.height == height]
-
-    def active_header_at(self, height: int) -> BlockHeader:
-        """The active-chain header at ``height`` (walk back from tip).
-
-        Raises:
-            UnknownBlockError: when height exceeds the tip or is negative.
-        """
-        if self._tip is None or not 0 <= height <= self._tip.height:
-            raise UnknownBlockError(f"no active header at height {height}")
-        current = self._tip
-        while current.height > height:
-            current = self.header(current.prev_hash)
-        return current
 
     def iter_active_headers(self) -> Iterator[BlockHeader]:
         """Active chain headers from genesis to tip."""
@@ -333,11 +311,3 @@ class Ledger:
                 self.accept_block(block)
             raise
         return len(disconnected)
-
-
-def new_ledger_with_faucets(
-    faucet_addresses: list[bytes],
-    limits: ValidationLimits = DEFAULT_LIMITS,
-) -> Ledger:
-    """Convenience: a ledger initialized with a faucet genesis block."""
-    return Ledger(genesis=make_genesis(faucet_addresses), limits=limits)

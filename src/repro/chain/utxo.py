@@ -198,11 +198,3 @@ class UtxoSet:
     def snapshot_bytes(self) -> int:
         """Wire size of the current snapshot (69 bytes per entry + 4)."""
         return 4 + 69 * len(self._entries)
-
-    def snapshot_addresses(self) -> dict[bytes, int]:
-        """Balance per address — used by conservation property tests."""
-        balances: dict[bytes, int] = {}
-        for entry in self._entries.values():
-            address = entry.output.address
-            balances[address] = balances.get(address, 0) + entry.output.value
-        return balances

@@ -245,11 +245,6 @@ def header_check_cost() -> float:
     return 5e-6
 
 
-def verify_merkle_path_cost(proof_length: int) -> float:
-    """Simulated seconds to fold a Merkle audit path of given length."""
-    return 2e-6 * max(proof_length, 1)
-
-
 __all__ = [
     "ValidationLimits",
     "DEFAULT_LIMITS",
@@ -264,5 +259,4 @@ __all__ = [
     "validate_block",
     "estimate_verification_cost",
     "header_check_cost",
-    "verify_merkle_path_cost",
 ]

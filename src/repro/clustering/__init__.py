@@ -5,7 +5,6 @@ from repro.clustering.algorithms import (
     KMeansClustering,
     LatencyAwareGreedyClustering,
     RandomBalancedClustering,
-    clusters_for_target_size,
 )
 from repro.clustering.coordinates import (
     Coordinate,
@@ -13,7 +12,6 @@ from repro.clustering.coordinates import (
     distance,
     mean_pairwise_distance,
     place_regions,
-    place_uniform,
 )
 from repro.clustering.membership import ClusterTable, ClusterView
 from repro.clustering.vivaldi import VivaldiEstimator, embedding_quality
@@ -23,13 +21,11 @@ __all__ = [
     "KMeansClustering",
     "LatencyAwareGreedyClustering",
     "RandomBalancedClustering",
-    "clusters_for_target_size",
     "Coordinate",
     "centroid",
     "distance",
     "mean_pairwise_distance",
     "place_regions",
-    "place_uniform",
     "ClusterTable",
     "ClusterView",
     "VivaldiEstimator",

@@ -237,20 +237,3 @@ class LatencyAwareGreedyClustering(ClusteringAlgorithm):
                 members.append(nearest)
                 unassigned.discard(nearest)
         return ClusterTable.from_assignment(clusters)
-
-
-def clusters_for_target_size(
-    node_ids: Sequence[int],
-    target_cluster_size: int,
-    algorithm: ClusteringAlgorithm,
-) -> ClusterTable:
-    """Form clusters of approximately ``target_cluster_size`` members.
-
-    The cluster count is ``max(1, round(n / target))``; actual sizes land
-    within ±1 of each other for the balanced algorithms.
-    """
-    if target_cluster_size < 1:
-        raise ClusteringError("target cluster size must be positive")
-    n_clusters = max(1, round(len(node_ids) / target_cluster_size))
-    n_clusters = min(n_clusters, len(node_ids))
-    return algorithm.form_clusters(node_ids, n_clusters)

@@ -3,9 +3,9 @@
 Real deployments estimate pairwise latency with network coordinate systems
 (Vivaldi and friends).  The simulator sidesteps estimation: nodes are placed
 directly on a 2-D plane and the :class:`~repro.net.latency.CoordinateLatency`
-model derives delays from distance.  Placement generators below produce both
-uniform scatter and geo-like "region" blobs — the latter is where
-latency-aware clustering visibly beats random clustering (E10).
+model derives delays from distance.  The placement generator below produces
+geo-like "region" blobs, where latency-aware clustering visibly beats random
+clustering (E10).
 """
 
 from __future__ import annotations
@@ -16,19 +16,6 @@ import random
 from repro.errors import ConfigurationError
 
 Coordinate = tuple[float, float]
-
-
-def place_uniform(
-    n_nodes: int, extent: float = 100.0, seed: int = 0
-) -> list[Coordinate]:
-    """Scatter ``n_nodes`` uniformly over an ``extent`` × ``extent`` square."""
-    if n_nodes < 0:
-        raise ConfigurationError("n_nodes must be non-negative")
-    rng = random.Random(seed)
-    return [
-        (rng.uniform(0.0, extent), rng.uniform(0.0, extent))
-        for _ in range(n_nodes)
-    ]
 
 
 def place_regions(

@@ -101,19 +101,6 @@ class ClusterTable:
             self._member_tuples[cluster_id] = members
         return members
 
-    def peers_of(self, node_id: int) -> tuple[int, ...]:
-        """A node's cluster-mates (itself excluded)."""
-        cluster_id = self.cluster_of(node_id)
-        return tuple(
-            member
-            for member in self._members[cluster_id]
-            if member != node_id
-        )
-
-    def contains(self, node_id: int) -> bool:
-        """Is this node a member of any cluster?"""
-        return node_id in self._cluster_of
-
     def views(self) -> Iterator[ClusterView]:
         """Snapshot every cluster."""
         for cluster_id in sorted(self._members):

@@ -137,14 +137,6 @@ class VivaldiEstimator:
             (node.position[0], node.position[1]) for node in self._nodes
         ]
 
-    def error_of(self, node_id: int) -> float:
-        """A node's confidence value (lower is better)."""
-        return self._nodes[node_id].error
-
-    def mean_error(self) -> float:
-        """Average confidence value across all nodes."""
-        return sum(n.error for n in self._nodes) / len(self._nodes)
-
 
 def embedding_quality(
     model: LatencyModel,

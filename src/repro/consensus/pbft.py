@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from repro.consensus.quorum import Vote, VoteTally, byzantine_quorum
+from repro.consensus.quorum import Vote, VoteTally
 from repro.errors import ConsensusError
 
 
@@ -88,11 +88,6 @@ class VerificationRound:
     def prepare_quorum(self) -> int:
         """Holder attestations needed before members commit: majority."""
         return len(self.holders) // 2 + 1
-
-    @property
-    def commit_quorum(self) -> int:
-        """Commits needed to decide: the Byzantine quorum."""
-        return byzantine_quorum(len(self.members))
 
     # ---------------------------------------------------------------- state
     @property

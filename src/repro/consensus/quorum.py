@@ -90,8 +90,3 @@ class VoteTally:
         """True once acceptance is impossible (too many rejects)."""
         possible = self.cluster_size - self.rejects - len(self.equivocators)
         return possible < self.quorum
-
-    @property
-    def decided(self) -> bool:
-        """Has the tally reached either verdict?"""
-        return self.accepted or self.rejected

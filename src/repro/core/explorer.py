@@ -87,12 +87,6 @@ class ChainExplorer:
         block = self._deployment.ledger.store.body(location.block_hash)
         return block.transactions[location.index]
 
-    @property
-    def indexed_transactions(self) -> int:
-        """Transactions indexed on the active chain."""
-        self._ensure_index()
-        return len(self._tx_location)
-
     # -------------------------------------------------------------- index
     def _ensure_index(self) -> None:
         tip = self._deployment.ledger.tip

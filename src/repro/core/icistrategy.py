@@ -300,10 +300,6 @@ class ICIDeployment(StorageDeployment):
             tier.attach_tracer(self.repair._tracer)
         return tier
 
-    def cluster_members(self, cluster_id: int) -> tuple[int, ...]:
-        """Member ids of one cluster."""
-        return self.clusters.members_of(cluster_id)
-
     def holders_in_cluster(
         self, header: BlockHeader, cluster_id: int
     ) -> tuple[int, ...]:

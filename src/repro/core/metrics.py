@@ -8,7 +8,6 @@ observer, which folds them into the shared :class:`DeploymentMetrics`.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -176,20 +175,6 @@ class DeploymentMetrics:
             return None
         return max(times) - submitted
 
-    def first_cluster_latency(self, block_hash: Hash32) -> float | None:
-        """Submit→first-cluster-finalized latency."""
-        submitted = self.block_submitted_at.get(block_hash)
-        if submitted is None:
-            return None
-        times = [
-            t
-            for (bh, _), t in self.cluster_finalized_at.items()
-            if bh == block_hash
-        ]
-        if not times:
-            return None
-        return min(times) - submitted
-
     def completed_query_latencies(self) -> list[float]:
         """Latencies of every completed retrieval."""
         return [
@@ -197,13 +182,6 @@ class DeploymentMetrics:
             for record in self.queries
             if record.latency is not None
         ]
-
-    def mean_query_latency(self) -> float | None:
-        """Mean completed-retrieval latency (``None`` when none)."""
-        latencies = self.completed_query_latencies()
-        if not latencies:
-            return None
-        return statistics.fmean(latencies)
 
 
 class MetricsRecorder:

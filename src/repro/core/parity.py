@@ -161,10 +161,6 @@ class ParityManager:
         return ranked[0]
 
     # ----------------------------------------------------------- recovery
-    def protected(self, cluster_id: int, block_hash: Hash32) -> bool:
-        """Is this block inside a sealed parity group?"""
-        return (cluster_id, block_hash) in self._group_of
-
     def recover_block(
         self,
         deployment: "ICIDeployment",
@@ -229,10 +225,6 @@ class ParityManager:
     def total_parity_bytes(self) -> int:
         """Extra bytes the extension stores across the whole network."""
         return sum(self._parity_bytes_by_node.values())
-
-    def parity_bytes_of(self, node_id: int) -> int:
-        """Parity bytes charged to one node."""
-        return self._parity_bytes_by_node.get(node_id, 0)
 
     @property
     def sealed_groups(self) -> int:

@@ -6,12 +6,8 @@ from repro.crypto.hashing import (
     ZERO_HASH,
     hash_concat,
     hash_fields,
-    hash_int,
-    hash_str,
-    hex_digest,
     sha256,
     sha256d,
-    short_hex,
     xor_bytes,
 )
 from repro.crypto.keys import (
@@ -19,12 +15,11 @@ from repro.crypto.keys import (
     PRIVATE_KEY_SIZE,
     PUBLIC_KEY_SIZE,
     KeyPair,
-    KeyRing,
     address_of,
     derive_public_key,
 )
 from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root
-from repro.crypto.signatures import SIGNATURE_SIZE, require_valid, sign, verify
+from repro.crypto.signatures import SIGNATURE_SIZE, sign, verify
 
 __all__ = [
     "HASH_SIZE",
@@ -32,25 +27,19 @@ __all__ = [
     "ZERO_HASH",
     "hash_concat",
     "hash_fields",
-    "hash_int",
-    "hash_str",
-    "hex_digest",
     "sha256",
     "sha256d",
-    "short_hex",
     "xor_bytes",
     "ADDRESS_SIZE",
     "PRIVATE_KEY_SIZE",
     "PUBLIC_KEY_SIZE",
     "KeyPair",
-    "KeyRing",
     "address_of",
     "derive_public_key",
     "MerkleProof",
     "MerkleTree",
     "merkle_root",
     "SIGNATURE_SIZE",
-    "require_valid",
     "sign",
     "verify",
 ]

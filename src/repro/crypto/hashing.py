@@ -45,16 +45,6 @@ def hash_concat(left: Hash32, right: Hash32) -> Hash32:
     return sha256d(left + right)
 
 
-def hash_int(value: int) -> Hash32:
-    """Hash an unsigned 64-bit integer deterministically."""
-    return sha256d(struct.pack(">Q", value & 0xFFFFFFFFFFFFFFFF))
-
-
-def hash_str(value: str) -> Hash32:
-    """Hash a unicode string (UTF-8 encoded)."""
-    return sha256d(value.encode("utf-8"))
-
-
 def hash_fields(*fields: _BytesLike) -> Hash32:
     """Hash a sequence of byte fields with length framing.
 
@@ -67,16 +57,6 @@ def hash_fields(*fields: _BytesLike) -> Hash32:
         hasher.update(struct.pack(">I", len(raw)))
         hasher.update(raw)
     return hashlib.sha256(hasher.digest()).digest()
-
-
-def hex_digest(digest: Hash32) -> str:
-    """Render a digest as lowercase hex for logs and debugging."""
-    return digest.hex()
-
-
-def short_hex(digest: Hash32, length: int = 8) -> str:
-    """First ``length`` hex characters of a digest, for compact display."""
-    return digest.hex()[:length]
 
 
 def xor_bytes(chunks: Iterable[_BytesLike]) -> bytes:

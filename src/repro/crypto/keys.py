@@ -87,35 +87,3 @@ class KeyPair:
 
     def __repr__(self) -> str:  # avoid leaking the private key in logs
         return f"KeyPair(address={self.address.hex()[:12]}…)"
-
-
-class KeyRing:
-    """A deterministic factory and registry of key pairs.
-
-    Workload generators use a key ring to mint wallets; the ring can look a
-    key pair back up by address, which the validation layer uses to check
-    signatures without a global PKI.
-    """
-
-    def __init__(self, namespace: str = "default") -> None:
-        self._namespace = namespace
-        self._by_address: dict[bytes, KeyPair] = {}
-        self._counter = 0
-
-    def new_keypair(self) -> KeyPair:
-        """Mint the next key pair in this ring's deterministic sequence."""
-        seed_material = f"repro/ring/{self._namespace}/{self._counter}"
-        self._counter += 1
-        keypair = KeyPair(private_key=sha256(seed_material.encode("ascii")))
-        self._by_address[keypair.address] = keypair
-        return keypair
-
-    def get(self, address: bytes) -> KeyPair | None:
-        """Look up a key pair by its address, or ``None`` if unknown."""
-        return self._by_address.get(address)
-
-    def __len__(self) -> int:
-        return len(self._by_address)
-
-    def __contains__(self, address: bytes) -> bool:
-        return address in self._by_address

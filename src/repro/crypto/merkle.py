@@ -86,11 +86,6 @@ class MerkleTree:
         """The Merkle root committing to all leaves."""
         return self._levels[-1][0]
 
-    @property
-    def leaf_count(self) -> int:
-        """Number of leaves the tree was built from."""
-        return len(self._leaves)
-
     def proof(self, index: int) -> MerkleProof:
         """Build an inclusion proof for the leaf at ``index``.
 

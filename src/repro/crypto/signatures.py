@@ -23,7 +23,6 @@ import hmac
 from functools import lru_cache
 
 from repro.crypto.keys import KeyPair, PUBLIC_KEY_SIZE
-from repro.errors import SignatureError
 
 #: Size in bytes of a signature (matches ECDSA raw r||s encoding).
 SIGNATURE_SIZE = 64
@@ -76,11 +75,3 @@ def _verify_cached(public_key: bytes, message: bytes, signature: bytes) -> bool:
     tag, outer = signature[:32], signature[32:]
     expected = _outer_mac(public_key, message, tag)
     return hmac.compare_digest(outer, expected)
-
-
-def require_valid(public_key: bytes, message: bytes, signature: bytes) -> None:
-    """Raise :class:`SignatureError` unless the signature verifies."""
-    if not verify(public_key, message, signature):
-        raise SignatureError(
-            f"invalid signature for pubkey {public_key.hex()[:12]}…"
-        )

@@ -57,12 +57,3 @@ def bucket_index(own: int, other: int) -> int:
     if d == 0:
         raise ValueError("a node does not bucket its own id")
     return d.bit_length() - 1
-
-
-def sort_by_distance(keys: list[int], target: int) -> list[int]:
-    """Ids ordered nearest-first by XOR distance to ``target``.
-
-    Ties are impossible (XOR distance is injective for a fixed target),
-    so the order is total and deterministic.
-    """
-    return sorted(keys, key=lambda k: k ^ target)

@@ -18,15 +18,11 @@ class ConfigurationError(ReproError):
 
 
 class FaultConfigError(ConfigurationError):
-    """A fault schedule was inconsistent (overlapping or orphan outages)."""
+    """A fault was asked for that cannot happen (unknown kind, no zones)."""
 
 
 class CryptoError(ReproError):
     """Base class for failures in the crypto substrate."""
-
-
-class SignatureError(CryptoError):
-    """A signature failed to verify or could not be produced."""
 
 
 class MerkleError(CryptoError):
@@ -65,20 +61,12 @@ class UnknownNodeError(NetworkError):
     """A message was addressed to a node id not registered on the network."""
 
 
-class NodeOfflineError(NetworkError):
-    """A synchronous operation targeted a node that is offline."""
-
-
 class ClusteringError(ReproError):
     """Cluster formation or membership maintenance failed."""
 
 
 class StorageError(ReproError):
     """Base class for storage-engine failures."""
-
-
-class BlockNotStoredError(StorageError):
-    """A node was asked for a block body it does not hold locally."""
 
 
 class PlacementError(StorageError):

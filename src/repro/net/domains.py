@@ -8,27 +8,25 @@ vocabulary so placement, repair, and fault injection can all reason
 about **correlated** loss:
 
 * :class:`DomainLabel` — one node's hierarchical ``(zone, rack)``
-  position; the zone is the primary blast radius (what a
-  :class:`~repro.sim.faults.DomainOutageEvent` kills at once), the rack
-  a secondary tier inside it.
+  position; the zone is the primary blast radius (what
+  :meth:`~repro.sim.faults.FaultInjector.crash_domain` kills at once),
+  the rack a secondary tier inside it.
 * :class:`FailureDomainMap` — the authoritative node → label mapping.
   Labels derive from a **pure function of the node id** (round-robin
   striping across zones, then racks), so a node that joins mid-run gets
   the same label on every machine and in every run regardless of call
   order — the same determinism contract the placement policies keep.
-  Explicit :meth:`~FailureDomainMap.assign` overrides model operator
-  topologies the striping cannot express.
 
 The map carries a monotonically increasing :attr:`~FailureDomainMap.
 version`; anything that memoizes on domain labels (the spread-aware
-placement cache) keys on it, so re-assignments and membership syncs
-invalidate stale placements without a cache flush protocol.
+placement cache) keys on it, so membership syncs invalidate stale
+placements without a cache flush protocol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -65,7 +63,6 @@ class FailureDomainMap:
             raise ConfigurationError("racks_per_zone must be >= 1")
         self.zones = zones
         self.racks_per_zone = racks_per_zone
-        self._overrides: dict[int, DomainLabel] = {}
         self._members: set[int] = set()
         self._version = 0
 
@@ -76,10 +73,7 @@ class FailureDomainMap:
         return self._version
 
     def domain_of(self, node_id: int) -> DomainLabel:
-        """A node's label: the explicit override, else the derived stripe."""
-        label = self._overrides.get(node_id)
-        if label is not None:
-            return label
+        """A node's label: its derived stripe."""
         return DomainLabel(
             zone=node_id % self.zones,
             rack=(node_id // self.zones) % self.racks_per_zone,
@@ -90,22 +84,10 @@ class FailureDomainMap:
         return self.domain_of(node_id).zone
 
     # ------------------------------------------------------------ mutation
-    def assign(self, node_id: int, label: DomainLabel) -> None:
-        """Pin one node to an explicit label (overrides the stripe)."""
-        if not 0 <= label.zone < self.zones:
-            raise ConfigurationError(
-                f"zone {label.zone} outside [0, {self.zones})"
-            )
-        if self._overrides.get(node_id) == label:
-            return
-        self._overrides[node_id] = label
-        self._version += 1
-
     def remove(self, node_id: int) -> None:
-        """Forget a departed node (its override and membership)."""
-        changed = node_id in self._members
-        self._members.discard(node_id)
-        if self._overrides.pop(node_id, None) is not None or changed:
+        """Forget a departed node."""
+        if node_id in self._members:
+            self._members.discard(node_id)
             self._version += 1
 
     def sync(self, node_ids: Iterable[int]) -> None:
@@ -119,8 +101,6 @@ class FailureDomainMap:
         members = set(node_ids)
         if members == self._members:
             return
-        for departed in self._members - members:
-            self._overrides.pop(departed, None)
         self._members = members
         self._version += 1
 
@@ -140,15 +120,3 @@ class FailureDomainMap:
     def zones_of(self, node_ids: Iterable[int]) -> set[int]:
         """The distinct zones a node set spans."""
         return {self.domain_of(n).zone for n in node_ids}
-
-    def iter_zones(self) -> Iterator[int]:
-        """All configured zone ids, ascending."""
-        return iter(range(self.zones))
-
-    def live_zones(
-        self, is_live: Callable[[int], bool], node_ids: Iterable[int]
-    ) -> set[int]:
-        """Zones with at least one member passing the liveness predicate."""
-        return {
-            self.domain_of(n).zone for n in node_ids if is_live(n)
-        }

@@ -85,12 +85,6 @@ class GossipProtocol(Generic[T]):
         have = self._have.get(node_id)
         return have is not None and item_id in have
 
-    def holders_of(self, item_id: Hashable) -> list[int]:
-        """Node ids currently holding the item."""
-        return sorted(
-            node for node, items in self._have.items() if item_id in items
-        )
-
     def publish(self, node_id: int, item_id: Hashable, item: T) -> None:
         """Node ``node_id`` originates (or completes) ``item`` and relays it."""
         self._items[item_id] = item
@@ -98,14 +92,6 @@ class GossipProtocol(Generic[T]):
             self._announce(node_id, item_id)
 
     # ------------------------------------------------------------ handlers
-    def handle(self, message: Message) -> bool:
-        """Dispatch a gossip message; returns ``False`` when not ours."""
-        handler = self.handlers.get(message.kind)
-        if handler is None:
-            return False
-        handler(None, message)
-        return True
-
     def _mark_have(self, node_id: int, item_id: Hashable) -> bool:
         have = self._have.setdefault(node_id, set())
         if item_id in have:

@@ -131,10 +131,6 @@ class Network:
         else:
             self._reachable.pop(node_id, None)
 
-    def online_count(self) -> int:
-        """How many registered nodes are online."""
-        return len(self._reachable)
-
     def live_members(self, members: Iterable[int]) -> list[int]:
         """Filter ``members`` through the fault layer's liveness view.
 

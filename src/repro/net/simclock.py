@@ -48,11 +48,6 @@ class EventHandle:
         """The virtual time the event is (was) scheduled for."""
         return self._entry[_TIME]
 
-    @property
-    def cancelled(self) -> bool:
-        """Was this event cancelled?"""
-        return self._entry[_CALLBACK] is None
-
 
 class SimClock:
     """The virtual clock plus its pending-event heap.
@@ -99,25 +94,20 @@ class SimClock:
 
     # ----------------------------------------------------------- scheduling
     def post(
-        self, delay: float, callback: EventCallback, args: tuple = (), at=None
+        self, delay: float, callback: EventCallback, args: tuple = ()
     ) -> list:
-        """Queue ``callback(*args)`` at ``now + delay`` (or absolute ``at``).
+        """Queue ``callback(*args)`` at ``now + delay``.
 
         The one heap-entry constructor, and the whole cost of an event
         nobody will cancel — message deliveries use it directly.  Returns
         the entry, which only :class:`EventHandle` may interpret.
 
         Raises:
-            SimulationError: for negative delays or an ``at`` before now.
+            SimulationError: for negative delays.
         """
-        if at is None:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule in the past ({delay=})")
-            at = self._now + delay
-        elif at < self._now:
-            raise SimulationError(
-                f"cannot schedule at {at} before now={self._now}"
-            )
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past ({delay=})")
+        at = self._now + delay
         seq = self._next_seq
         self._next_seq = seq + 1
         entry = [at, seq, callback, args]
@@ -130,12 +120,6 @@ class SimClock:
     ) -> EventHandle:
         """:meth:`post` plus a cancellation handle."""
         return EventHandle(self.post(delay, callback, args), self)
-
-    def schedule_at(
-        self, time: float, callback: EventCallback, *args: Any
-    ) -> EventHandle:
-        """:meth:`post` at absolute virtual ``time``, plus a handle."""
-        return EventHandle(self.post(0.0, callback, args, time), self)
 
     # ------------------------------------------------------- instrumentation
     def attach_tracer(self, tracer) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.chain.block import Block, BlockHeader
 from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
 from repro.consensus.pbft import VerificationRound
-from repro.errors import BlockNotStoredError
 from repro.net.network import Network
 from repro.node.base import BaseNode
 
@@ -83,35 +82,6 @@ class ClusterNode(BaseNode):
         """True when placement assigned this body to us."""
         return block_hash in self._assigned
 
-    def serve_body(self, block_hash: bytes) -> Block:
-        """A cluster-mate's body request.
-
-        Raises:
-            BlockNotStoredError: when we do not hold the body.
-        """
-        if not self.store.has_body(block_hash):
-            raise BlockNotStoredError(
-                f"node {self.node_id} does not hold "
-                f"{block_hash.hex()[:12]}…"
-            )
-        return self.store.body(block_hash)
-
-    def prune_unassigned(self) -> int:
-        """Drop any bodies placement does not assign to us (after fetch).
-
-        Returns the number of bodies dropped.  Called after verification
-        completes: members may have fetched a body to validate it but only
-        holders keep it.
-        """
-        droppable = [
-            block.block_hash
-            for block in self.store.iter_bodies()
-            if block.block_hash not in self._assigned
-        ]
-        for block_hash in droppable:
-            self.store.drop_body(block_hash)
-        return len(droppable)
-
     # -------------------------------------------------------- verification
     def round_for(
         self,
@@ -139,9 +109,3 @@ class ClusterNode(BaseNode):
     def is_finalized(self, block_hash: bytes) -> bool:
         """Has this node finalized the block?"""
         return block_hash in self.finalized
-
-    # ------------------------------------------------------------- queries
-    @property
-    def assigned_count(self) -> int:
-        """How many bodies placement has pinned to this node."""
-        return len(self._assigned)

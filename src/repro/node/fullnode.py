@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from repro.chain.block import Block
 from repro.chain.chainstore import Ledger
-from repro.chain.transaction import Transaction
 from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
 from repro.errors import ValidationError
 from repro.net.network import Network
@@ -45,21 +44,8 @@ class FullNode(BaseNode):
             self.mempool.remove_confirmed(list(block.transactions))
         return applied
 
-    def accept_transaction(self, tx: Transaction) -> bool:
-        """Admit a relayed transaction to the mempool.
-
-        Returns ``False`` for duplicates; invalid transactions raise.
-        """
-        if self.mempool is None:
-            raise ValidationError("node has no mempool")
-        return self.mempool.add(tx, self.ledger.utxos)
-
     # ------------------------------------------------------------- queries
     @property
     def height(self) -> int:
         """The validated chain tip height."""
         return self.ledger.height
-
-    def balance_of(self, address: bytes) -> int:
-        """Spendable balance of an address."""
-        return self.ledger.utxos.balance_of(address)

@@ -220,10 +220,6 @@ class Tracer:
                 row = (*row[:-1], dict(zip(args[0], args[1:])))
             yield _new_record(TraceEvent, row)
 
-    def events(self) -> list[TraceEvent]:
-        """The retained events, oldest first (``args`` a fresh dict)."""
-        return list(self)
-
     def bind_clock(self, clock: "SimClock") -> None:
         """Set the default clock for ``ts``-less record calls.
 

@@ -16,7 +16,7 @@ engine internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.errors import ProtocolError
 from repro.net.message import Message, MessageKind
@@ -118,10 +118,6 @@ class MessageRouter:
         """Every kind with a registered handler."""
         return frozenset(self._handlers)
 
-    def handles(self, kind: MessageKind) -> bool:
-        """Does a handler exist for this kind?"""
-        return kind in self._handlers
-
     def owner_of(self, kind: MessageKind) -> str:
         """The registrant's name (for diagnostics and coverage tests)."""
         return self._owners[kind]
@@ -219,11 +215,3 @@ class ProtocolEngine:
     def router(self) -> MessageRouter:
         """The deployment's message router."""
         return self.deployment.router
-
-    def kinds_claimed(self, router: MessageRouter) -> Iterable[MessageKind]:
-        """Kinds this engine registered (diagnostics)."""
-        return [
-            kind
-            for kind in router.handled_kinds
-            if router.owner_of(kind) == self.name
-        ]

@@ -45,7 +45,7 @@ from repro.sim.churn import (
     ChurnOutcome,
     make_schedule,
 )
-from repro.sim.faults import FaultConfig, FaultPlan, PartitionWindow
+from repro.sim.faults import FaultConfig, FaultInjector, PartitionWindow
 from repro.sim.runner import ScenarioRunner
 from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
 
@@ -269,7 +269,7 @@ def build_scenario(
     if outage_map is None:
         outage_map = deployment.domains
     runner = ScenarioRunner(deployment, limits=limits, seed=config.seed)
-    injector = FaultPlan(config=faults).install(deployment.network)
+    injector = FaultInjector.install(deployment.network, faults)
     deployment.query.set_retry_policy(CHAOS_QUERY_POLICY)
     if outage_map is not None:
         injector.bind_domains(

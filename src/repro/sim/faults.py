@@ -3,28 +3,20 @@
 The protocol claims (each cluster retains full-network integrity while
 members hold only a slice of the ledger) are only credible if the wire
 protocols survive lost messages, slow links, and crashed peers.  This
-module provides that adversary as a **seeded, reproducible plan**:
+module provides that adversary, seeded and reproducible:
 
 * :class:`FaultConfig` — per-message fault rates (drop / duplicate /
   delay-spike), validated.
 * :class:`PartitionWindow` — a per-link partition: messages crossing the
   cut during ``[start, end)`` virtual seconds are severed.
-* :class:`OutageEvent` — a node crash / stall / recovery at a virtual
-  time, scheduled on the :class:`~repro.net.simclock.SimClock` when the
-  plan is installed.  Schedules are validated: orphan recoveries and
-  overlapping outages for one node raise
-  :class:`~repro.errors.FaultConfigError` instead of producing silent
-  nonsense weather.
-* :class:`DomainOutageEvent` — a **correlated** outage: every member of
-  one failure domain (:mod:`repro.net.domains`) crashes or stalls at
-  once, recovering together ``duration`` later.
-  :func:`domain_partition` builds the network-cut analogue (the zone
-  stays up but its uplink is severed).
-* :class:`FaultPlan` — the full schedule; :meth:`FaultPlan.generate`
-  derives one deterministically from a seed (the golden-pin target).
 * :class:`FaultInjector` — the runtime attached to one
-  :class:`~repro.net.network.Network` via :meth:`FaultPlan.install`;
-  ``Network.send``/``send_many`` consult it per message.
+  :class:`~repro.net.network.Network` by :meth:`FaultInjector.install`;
+  ``Network.send``/``send_many`` consult it per message.  Drivers make
+  the rest of the weather by calling it: :meth:`~FaultInjector.crash`,
+  :meth:`~FaultInjector.stall`, :meth:`~FaultInjector.partition`, a
+  **correlated** whole-zone outage with
+  :meth:`~FaultInjector.crash_domain` (zones from
+  :mod:`repro.net.domains`), and :meth:`~FaultInjector.heal`.
 
 Determinism contract: fault decisions are drawn from one seeded stream in
 send order, and the simulator's send order is itself deterministic, so a
@@ -38,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError, FaultConfigError
 from repro.net.message import KIND_VALUE
@@ -94,6 +86,9 @@ class PartitionWindow:
     end: float = float("inf")
 
     def __post_init__(self) -> None:
+        if not self.side_a or not self.side_b:
+            # A cut that severs nothing is a configuration bug, not weather.
+            raise ConfigurationError("partition sides must not be empty")
         if self.side_a & self.side_b:
             raise ConfigurationError("partition sides must be disjoint")
         if self.end < self.start:
@@ -108,66 +103,12 @@ class PartitionWindow:
         )
 
 
-#: Outage kinds an :class:`OutageEvent` can apply.
+#: Outage kinds :meth:`FaultInjector.crash_domain` can apply.
 CRASH = "crash"
 STALL = "stall"
-RECOVER = "recover"
 
 #: Key set of a traced per-message fault decision's (packed) ``args``.
 _FAULT_KEYS = ("kind", "from", "to")
-
-
-@dataclass(frozen=True)
-class OutageEvent:
-    """One scheduled node-liveness change at a virtual time."""
-
-    at: float
-    node_id: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in (CRASH, STALL, RECOVER):
-            raise ConfigurationError(f"unknown outage kind {self.kind!r}")
-        if self.at < 0:
-            raise ConfigurationError("outage time must be >= 0")
-
-
-@dataclass(frozen=True)
-class DomainOutageEvent:
-    """One scheduled **correlated** outage: a whole zone fails at once.
-
-    At ``at`` virtual seconds every current member of ``zone`` is
-    crashed (or stalled); ``duration`` later the same members recover.
-    Resolution from zone to member ids happens **at fire time** through
-    the resolver bound with :meth:`FaultInjector.bind_domains`, so churn
-    between scheduling and firing is honoured — the blast radius is
-    whatever the zone contains when the failure happens, exactly like a
-    real rack losing power.
-
-    Per-node effects land on the ordinary crash/stall/recover counters
-    (a domain outage *is* N node outages, correlated); the injector
-    additionally records each firing on
-    :attr:`FaultInjector.domain_outages` for the opt-in chaos/endurance
-    ``domains`` audit, keeping :class:`FaultStats` — and every
-    golden-pinned signature built from it — exactly as before.
-    """
-
-    at: float
-    zone: int
-    kind: str = CRASH
-    duration: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (CRASH, STALL):
-            raise FaultConfigError(
-                f"domain outages crash or stall, not {self.kind!r}"
-            )
-        if self.at < 0:
-            raise FaultConfigError("domain outage time must be >= 0")
-        if self.duration < 0:
-            raise FaultConfigError("domain outage duration must be >= 0")
-        if self.zone < 0:
-            raise FaultConfigError("zone must be >= 0")
 
 
 @dataclass
@@ -184,197 +125,42 @@ class FaultStats:
     stalls: int = 0
     recoveries: int = 0
 
-    @property
-    def total_dropped(self) -> int:
-        """Messages lost to any fault (rate, partition, or stall)."""
-        return self.dropped + self.partition_dropped + self.stall_dropped
-
-
-class FaultPlan:
-    """A complete, seeded fault schedule for one simulation run."""
-
-    def __init__(
-        self,
-        config: FaultConfig | None = None,
-        partitions: Sequence[PartitionWindow] = (),
-        outages: Sequence[OutageEvent] = (),
-        domain_outages: Sequence[DomainOutageEvent] = (),
-    ) -> None:
-        self.config = config or FaultConfig()
-        self.partitions = tuple(partitions)
-        self.outages = tuple(sorted(outages, key=lambda e: (e.at, e.node_id)))
-        self.domain_outages = tuple(
-            sorted(domain_outages, key=lambda e: (e.at, e.zone))
-        )
-        _validate_outages(self.outages)
-
-    @classmethod
-    def generate(
-        cls,
-        seed: int,
-        node_ids: Iterable[int],
-        *,
-        drop_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        delay_seconds: float = 1.0,
-        crash_count: int = 0,
-        stall_count: int = 0,
-        outage_window: tuple[float, float] = (0.0, 60.0),
-        outage_duration: float = 10.0,
-        domain_outage_count: int = 0,
-        zone_count: int = 0,
-        domain_outage_kind: str = CRASH,
-    ) -> "FaultPlan":
-        """Derive a full plan deterministically from ``seed``.
-
-        Crash/stall victims are sampled without replacement from
-        ``node_ids``; each outage starts uniformly inside
-        ``outage_window`` and recovers ``outage_duration`` later.  Equal
-        inputs yield an identical schedule on every machine — the
-        fixed-seed golden pins in ``tests/test_faults.py`` rely on it.
-
-        With ``domain_outage_count > 0`` (requires ``zone_count``),
-        that many **whole zones** are additionally sampled without
-        replacement and scheduled as :class:`DomainOutageEvent`\\ s over
-        the same window.  The domain draws happen strictly *after* the
-        per-node draws, so every pre-existing ``(seed, kwargs)``
-        schedule — including the pinned golden one — is unchanged when
-        the count is zero.
-        """
-        ids = sorted(node_ids)
-        total = crash_count + stall_count
-        if total > len(ids):
-            raise ConfigurationError(
-                f"{total} outages need at least that many nodes "
-                f"(got {len(ids)})"
-            )
-        if outage_duration < 0:
-            raise ConfigurationError("outage_duration must be >= 0")
-        start, end = outage_window
-        if end < start or start < 0:
-            raise ConfigurationError("outage_window must be ordered and >= 0")
-        rng = random.Random(seed ^ 0xFA017)
-        victims = rng.sample(ids, total) if total else []
-        outages: list[OutageEvent] = []
-        for index, victim in enumerate(victims):
-            kind = CRASH if index < crash_count else STALL
-            at = start + rng.random() * (end - start)
-            outages.append(OutageEvent(at=at, node_id=victim, kind=kind))
-            outages.append(
-                OutageEvent(
-                    at=at + outage_duration, node_id=victim, kind=RECOVER
-                )
-            )
-        domain_outages: list[DomainOutageEvent] = []
-        if domain_outage_count:
-            if zone_count < domain_outage_count:
-                raise FaultConfigError(
-                    f"{domain_outage_count} domain outages need at least "
-                    f"that many zones (got {zone_count})"
-                )
-            zones = rng.sample(range(zone_count), domain_outage_count)
-            for zone in zones:
-                at = start + rng.random() * (end - start)
-                domain_outages.append(
-                    DomainOutageEvent(
-                        at=at,
-                        zone=zone,
-                        kind=domain_outage_kind,
-                        duration=outage_duration,
-                    )
-                )
-        config = FaultConfig(
-            seed=seed,
-            drop_rate=drop_rate,
-            duplicate_rate=duplicate_rate,
-            delay_rate=delay_rate,
-            delay_seconds=delay_seconds,
-        )
-        return cls(
-            config=config, outages=outages, domain_outages=domain_outages
-        )
-
-    @property
-    def has_domain_outages(self) -> bool:
-        """Does this plan schedule any whole-zone failures?"""
-        return bool(self.domain_outages)
-
-    def install(self, network: "Network") -> "FaultInjector":
-        """Attach an injector for this plan to ``network``.
-
-        Scheduled outages land on the network's clock immediately; the
-        injector starts intercepting on the next ``send``.
-        """
-        injector = FaultInjector(self, network)
-        network.attach_faults(injector)
-        return injector
-
-
-def _validate_outages(outages: Sequence[OutageEvent]) -> None:
-    """Reject schedules that cannot describe real weather.
-
-    Scanning the (already time-sorted) schedule per node: a ``RECOVER``
-    with no preceding crash/stall is an orphan, and a second crash/stall
-    before the prior recovery is an overlap — both previously produced
-    silent nonsense (double-counted crashes, recoveries that revived
-    nothing) instead of an error.
-    """
-    down: dict[int, OutageEvent] = {}
-    for event in outages:
-        if event.kind == RECOVER:
-            if down.pop(event.node_id, None) is None:
-                raise FaultConfigError(
-                    f"node {event.node_id} recovers at t={event.at:g} "
-                    "without a preceding crash or stall"
-                )
-            continue
-        prior = down.get(event.node_id)
-        if prior is not None:
-            raise FaultConfigError(
-                f"node {event.node_id} {event.kind}s at t={event.at:g} "
-                f"while already down ({prior.kind} at t={prior.at:g} "
-                "not yet recovered)"
-            )
-        down[event.node_id] = event
-
 
 class FaultInjector:
-    """Runtime fault state for one network; created by ``FaultPlan.install``.
+    """Runtime fault state for one network; created by :meth:`install`.
 
     The injector holds the seeded decision stream, the stall set, and the
     live partition list; :class:`~repro.net.network.Network` consults
     :meth:`intercept` once per message handed to ``send``.
     """
 
-    def __init__(self, plan: FaultPlan, network: "Network") -> None:
-        self.plan = plan
+    def __init__(self, network: "Network", config: FaultConfig | None = None) -> None:
+        self.config = config or FaultConfig()
         self.network = network
         self.stats = FaultStats()
-        self._rng = random.Random(plan.config.seed)
+        self._rng = random.Random(self.config.seed)
         self._stalled: set[int] = set()
-        self._partitions: list[PartitionWindow] = list(plan.partitions)
+        self._partitions: list[PartitionWindow] = []
         self._crashed: set[int] = set()
         # zone -> current member ids; bound by the chaos/endurance driver
         # (the network itself knows nothing about failure domains).
         self._domain_resolver: Callable[[int], Sequence[int]] | None = None
-        #: Every domain outage that fired: ``(at, zone, kind, victims)``.
-        #: Deliberately *not* part of :class:`FaultStats` — the per-node
-        #: crash/stall/recover counters absorb the member-level effects,
-        #: so golden-pinned signatures are unchanged; this record feeds
-        #: the opt-in ``domains`` audit only.
+        #: Every domain outage that fired: ``(at, zone, kind, victims)``,
+        #: for the opt-in ``domains`` audit only — the per-node counters of
+        #: :class:`FaultStats` already absorb the member-level effects.
         self.domain_outages: list[tuple[float, int, str, tuple[int, ...]]] = []
         # Injectors built inside an active tracing scope self-attach;
         # install_tracing() also attaches to pre-existing injectors.
         self._tracer: "Tracer | None" = active_tracer()
-        for event in plan.outages:
-            at = max(event.at, network.clock.now)
-            network.clock.schedule_at(at, self._apply_outage, event)
-        for domain_event in plan.domain_outages:
-            at = max(domain_event.at, network.clock.now)
-            network.clock.schedule_at(
-                at, self._apply_domain_outage, domain_event
-            )
+
+    @classmethod
+    def install(
+        cls, network: "Network", config: FaultConfig | None = None
+    ) -> "FaultInjector":
+        """Attach an injector to ``network``; it intercepts the next send."""
+        injector = cls(network, config)
+        network.attach_faults(injector)
+        return injector
 
     # ------------------------------------------------------- instrumentation
     def attach_tracer(self, tracer: "Tracer | None") -> None:
@@ -391,10 +177,6 @@ class FaultInjector:
         )
 
     # ------------------------------------------------------------ liveness
-    def is_stalled(self, node_id: int) -> bool:
-        """Is the node currently stalled (reachable but unresponsive)?"""
-        return node_id in self._stalled
-
     def is_live(self, node_id: int) -> bool:
         """The fault layer's liveness view: online and not stalled."""
         return self.network.is_online(node_id) and node_id not in self._stalled
@@ -455,37 +237,29 @@ class FaultInjector:
             window for window in self._partitions if window.end <= now
         ]
 
-    def _apply_outage(self, event: OutageEvent) -> None:
-        if event.node_id not in self.network.node_ids:
-            return  # departed before its outage fired
-        if event.kind == CRASH:
-            self.crash(event.node_id)
-        elif event.kind == STALL:
-            self.stall(event.node_id)
-        else:
-            self.recover(event.node_id)
-
     # ------------------------------------------------------ failure domains
-    def bind_domains(
-        self, resolver: Callable[[int], Sequence[int]]
-    ) -> None:
+    def bind_domains(self, resolver: Callable[[int], Sequence[int]]) -> None:
         """Supply the zone → current-members resolver domain outages need.
 
         Typically ``deployment.domains.members_of_zone`` (or a closure
         over it); called once by the chaos/endurance driver after the
-        plan installs.
+        injector installs.
         """
         self._domain_resolver = resolver
 
     def crash_domain(self, zone: int, kind: str = CRASH) -> tuple[int, ...]:
         """Fail every live member of one zone at once; returns the victims.
 
-        ``kind`` selects crash vs stall.  Victims are resolved *now*
-        (post-churn membership), filtered to currently-live nodes so a
-        node already down is never double-counted, and recorded on
-        :attr:`domain_outages`.  Recovery is the caller's (or the
-        scheduled event's) responsibility via :meth:`recover_domain`.
+        ``kind`` selects crash vs stall; anything else raises
+        :class:`~repro.errors.FaultConfigError`.  Victims are resolved
+        *now* (post-churn membership), so the blast radius is whatever
+        the zone holds when it fails, filtered to currently-live nodes
+        so a node already down is never double-counted, and recorded on
+        :attr:`domain_outages`.  Recovery is the caller's, through
+        :meth:`heal`.
         """
+        if kind not in (CRASH, STALL):
+            raise FaultConfigError(f"domain outages crash or stall, not {kind!r}")
         if self._domain_resolver is None:
             raise FaultConfigError(
                 "domain outage fired with no domain resolver bound "
@@ -496,35 +270,16 @@ class FaultInjector:
             for node_id in sorted(self._domain_resolver(zone))
             if node_id in self.network.node_ids and self.is_live(node_id)
         )
+        fail = self.crash if kind == CRASH else self.stall
         for node_id in victims:
-            if kind == CRASH:
-                self.crash(node_id)
-            else:
-                self.stall(node_id)
-        self.domain_outages.append(
-            (self.network.clock.now, zone, kind, victims)
-        )
+            fail(node_id)
+        self.domain_outages.append((self.network.clock.now, zone, kind, victims))
         if self._tracer is not None:
             self._trace(
                 "domain_outage",
                 {"zone": zone, "kind": kind, "victims": list(victims)},
             )
         return victims
-
-    def recover_domain(self, victims: Sequence[int]) -> None:
-        """Bring one domain outage's victims back (departed ones skipped)."""
-        for node_id in sorted(victims):
-            if node_id in self.network.node_ids and (
-                node_id in self._crashed or node_id in self._stalled
-            ):
-                self.recover(node_id)
-
-    def _apply_domain_outage(self, event: DomainOutageEvent) -> None:
-        victims = self.crash_domain(event.zone, kind=event.kind)
-        if event.duration != float("inf"):
-            self.network.clock.schedule(
-                event.duration, self.recover_domain, victims
-            )
 
     # ------------------------------------------------------------ messages
     def intercept(self, message: "Message", now: float) -> tuple[int, float]:
@@ -546,7 +301,7 @@ class FaultInjector:
                 self.stats.partition_dropped += 1
                 self._trace_fault("partition_drop", message, now)
                 return 0, 0.0
-        config = self.plan.config
+        config = self.config
         if config.drop_rate or config.duplicate_rate or config.delay_rate:
             draw = self._rng.random()
             if draw < config.drop_rate:
@@ -581,32 +336,3 @@ class FaultInjector:
                 message.recipient,
             ),
         )
-
-
-def domain_partition(
-    node_ids: Iterable[int],
-    zone_of: Callable[[int], int],
-    zone: int,
-    start: float = 0.0,
-    end: float = float("inf"),
-) -> PartitionWindow:
-    """A domain-cut partition: one zone severed from everything else.
-
-    Models a top-of-rack or zone-uplink failure where the domain's
-    members stay *up* (intra-zone traffic flows) but every link crossing
-    the domain boundary is cut for ``[start, end)``.  Raises
-    :class:`~repro.errors.FaultConfigError` when either side would be
-    empty — a cut that severs nothing is a configuration bug, not
-    weather.
-    """
-    ids = sorted(set(node_ids))
-    inside = frozenset(n for n in ids if zone_of(n) == zone)
-    outside = frozenset(n for n in ids if zone_of(n) != zone)
-    if not inside or not outside:
-        raise FaultConfigError(
-            f"domain cut of zone {zone} needs members on both sides "
-            f"({len(inside)} inside, {len(outside)} outside)"
-        )
-    return PartitionWindow(
-        side_a=inside, side_b=outside, start=start, end=end
-    )

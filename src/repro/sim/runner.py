@@ -62,11 +62,6 @@ class ScenarioRunner:
         self._tip_height = 0
         self.workload.on_block_confirmed(genesis)
 
-    @property
-    def pending_events(self) -> int:
-        """Events still queued on the deployment's clock (O(1))."""
-        return self.deployment.network.clock.pending
-
     def _find_genesis(self) -> Block:
         ledger = getattr(self.deployment, "ledger", None)
         if ledger is not None:

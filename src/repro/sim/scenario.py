@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from repro.baselines.full_replication import FullReplicationDeployment
 from repro.baselines.rapidchain import RapidChainDeployment
 from repro.chain.validation import ValidationLimits
-from repro.clustering.coordinates import place_regions, place_uniform
+from repro.clustering.coordinates import place_regions
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.core.interface import StorageDeployment
@@ -127,8 +127,3 @@ def build_deployment(scenario: Scenario) -> StorageDeployment:
         network=network,
         coordinates=coordinates,
     )
-
-
-def uniform_coordinates(scenario: Scenario) -> list:
-    """Convenience: uniform node placement matching a scenario's size."""
-    return place_uniform(scenario.n_nodes, seed=scenario.seed)

@@ -31,7 +31,7 @@ from repro.chain.transaction import (
     Transaction,
     make_signed_transfer,
 )
-from repro.crypto.keys import KeyPair, KeyRing
+from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError
 
 
@@ -77,7 +77,6 @@ class TransactionWorkload:
         self.wallets: list[KeyPair] = [
             KeyPair.from_seed(index) for index in range(self.config.n_wallets)
         ]
-        self._ring = KeyRing()
         self._spendable: dict[bytes, list[tuple[OutPoint, int]]] = {
             wallet.address: [] for wallet in self.wallets
         }

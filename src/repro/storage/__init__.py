@@ -16,12 +16,10 @@ from repro.storage.communication import (
     header_flood_bytes,
     ici_advantage_factor,
     ici_block_bytes,
-    rapidchain_block_bytes,
 )
 from repro.storage.erasure import (
     ParityGroup,
     encode_group,
-    parity_storage_total,
     recover_chunk,
 )
 from repro.storage.placement import (
@@ -35,13 +33,9 @@ from repro.storage.placement import (
 )
 from repro.storage.replication import (
     AvailabilityReport,
-    RepairPlan,
     analytic_block_survival,
-    analytic_ledger_survival,
     availability_under_failures,
     binomial_failure_probability,
-    expected_repair_fraction,
-    plan_repair_after_departure,
     sample_failure_sets,
 )
 
@@ -59,10 +53,8 @@ __all__ = [
     "header_flood_bytes",
     "ici_advantage_factor",
     "ici_block_bytes",
-    "rapidchain_block_bytes",
     "ParityGroup",
     "encode_group",
-    "parity_storage_total",
     "recover_chunk",
     "CapacityWeightedPlacement",
     "ModuloSlotPlacement",
@@ -72,12 +64,8 @@ __all__ = [
     "load_imbalance",
     "placement_load",
     "AvailabilityReport",
-    "RepairPlan",
     "analytic_block_survival",
-    "analytic_ledger_survival",
     "availability_under_failures",
     "binomial_failure_probability",
-    "expected_repair_fraction",
-    "plan_repair_after_departure",
     "sample_failure_sets",
 ]

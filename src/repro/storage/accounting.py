@@ -70,12 +70,6 @@ class NetworkStorageReport:
             report.total_bytes for report in self.per_node
         )
 
-    def ratio_to(self, other: "NetworkStorageReport") -> float:
-        """This deployment's total storage as a fraction of ``other``'s."""
-        if other.total_bytes == 0:
-            return float("inf") if self.total_bytes else 1.0
-        return self.total_bytes / other.total_bytes
-
 
 def report_node(node_id: int, store: ChainStore) -> NodeStorageReport:
     """Snapshot one chain store's byte usage."""

@@ -424,17 +424,6 @@ class ArchivalTier:
         """Coded bytes the tier stores across the whole network."""
         return sum(self._chunk_bytes_by_node.values())
 
-    def chunk_bytes_of(self, node_id: int) -> int:
-        """Coded bytes charged to one node."""
-        return self._chunk_bytes_by_node.get(node_id, 0)
-
-    def holders_of(
-        self, cluster_id: int, block_hash: Hash32
-    ) -> dict[int, int]:
-        """chunk index -> holder for one archived block (audits/tests)."""
-        entry = self._entries.get((cluster_id, block_hash))
-        return dict(entry.holders) if entry is not None else {}
-
     # -------------------------------------------------------------- tracing
     def attach_tracer(self, tracer: "Tracer | None") -> None:
         """Mirror archive/thaw/repair decisions (``None`` detaches)."""

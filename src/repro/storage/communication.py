@@ -47,17 +47,6 @@ def full_replication_block_bytes(
     )
 
 
-def rapidchain_block_bytes(
-    n_nodes: int, committee_size: int, body_bytes: int, degree: int = 8
-) -> int:
-    """Header floods everywhere; the body fans out inside one committee."""
-    _check(n_nodes, committee_size)
-    body_transfers = committee_size * (
-        HEADER_SIZE + body_bytes + ENVELOPE_OVERHEAD
-    )
-    return header_flood_bytes(n_nodes, degree) + body_transfers
-
-
 def ici_block_bytes(
     n_nodes: int,
     cluster_size: int,
@@ -133,7 +122,6 @@ __all__ = [
     "REQUEST_PAYLOAD_BYTES",
     "header_flood_bytes",
     "full_replication_block_bytes",
-    "rapidchain_block_bytes",
     "ici_block_bytes",
     "ici_advantage_factor",
 ]

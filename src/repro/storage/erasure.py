@@ -47,18 +47,8 @@ class ParityGroup:
     parity: bytes
 
     @property
-    def group_size(self) -> int:
-        """Number of data chunks in the group."""
-        return len(self.member_ids)
-
-    @property
     def padded_length(self) -> int:
         """Common padded chunk length in bytes."""
-        return len(self.parity)
-
-    @property
-    def parity_overhead_bytes(self) -> int:
-        """Extra bytes stored versus storing nothing (the parity chunk)."""
         return len(self.parity)
 
     def index_of(self, member_id: bytes) -> int:
@@ -140,25 +130,6 @@ def recover_chunk(
         pieces.append(_pad(body, group.padded_length))
     recovered = xor_bytes(pieces)
     return recovered[: group.lengths[lost_index]]
-
-
-def parity_storage_total(
-    n_nodes: int,
-    cluster_size: int,
-    group_size: int,
-    ledger_bytes: int,
-) -> float:
-    """Closed-form network storage with single parity per group.
-
-    Each cluster stores ``D`` of data once plus ``D/k`` parity:
-    total ``(N/g)·D·(1 + 1/k)``.
-    """
-    if group_size < 1:
-        raise StorageError("group size must be positive")
-    if cluster_size < 1 or cluster_size > n_nodes:
-        raise StorageError("cluster size must be in [1, n_nodes]")
-    n_clusters = n_nodes / cluster_size
-    return n_clusters * ledger_bytes * (1.0 + 1.0 / group_size)
 
 
 # ----------------------------------------------- GF(256) Reed–Solomon code

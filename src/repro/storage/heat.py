@@ -161,12 +161,11 @@ class AdaptiveStats:
 class _BlockHeat:
     """Decayed access accumulator for one block."""
 
-    __slots__ = ("rate", "last_access", "accesses")
+    __slots__ = ("rate", "last_access")
 
     def __init__(self) -> None:
         self.rate = 0.0
         self.last_access = 0.0
-        self.accesses = 0
 
 
 class HeatTracker:
@@ -212,7 +211,6 @@ class HeatTracker:
             heat = self._heat[block_hash] = _BlockHeat()
         heat.rate = heat.rate * self._decay(now - heat.last_access) + weight
         heat.last_access = now
-        heat.accesses += 1
         self.total_accesses += 1
 
     def _decay(self, elapsed: float) -> float:
@@ -228,11 +226,6 @@ class HeatTracker:
         if now is None:
             now = self._clock.now
         return heat.rate * self._decay(now - heat.last_access)
-
-    def accesses(self, block_hash: Hash32) -> int:
-        """Raw (undecayed) access count of one block."""
-        heat = self._heat.get(block_hash)
-        return heat.accesses if heat is not None else 0
 
     def score(
         self, block_hash: Hash32, size_bytes: int, now: float | None = None

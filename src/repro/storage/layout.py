@@ -109,27 +109,6 @@ def rapidchain_layout(
     return _report(committees, blocks, body_bytes, body_count)
 
 
-def full_replication_layout(
-    node_ids: Sequence[int],
-    blocks: Sequence[SyntheticBlock],
-) -> NetworkStorageReport:
-    """Every node stores everything."""
-    total = sum(block.body_bytes for block in blocks)
-    headers = HEADER_SIZE * len(blocks)
-    return NetworkStorageReport(
-        per_node=tuple(
-            NodeStorageReport(
-                node_id=node,
-                header_bytes=headers,
-                body_bytes=total,
-                header_count=len(blocks),
-                body_count=len(blocks),
-            )
-            for node in sorted(node_ids)
-        )
-    )
-
-
 def balanced_clusters(
     n_nodes: int, n_groups: int, seed: int = 0
 ) -> ClusterTable:

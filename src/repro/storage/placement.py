@@ -244,8 +244,9 @@ class DomainSpreadPlacement(_HrwPlacement):
     zones**, then members in repeat zones but distinct ``(zone, rack)``
     labels, and only then best-effort fill in rank order.  With at
     least ``r`` live zones the ``r`` replicas can never share a zone —
-    the property that keeps one ``DomainOutageEvent`` (``sim/faults.py``)
-    from erasing a block.
+    the property that keeps one whole-zone outage
+    (``FaultInjector.crash_domain`` in ``sim/faults.py``) from erasing a
+    block.
 
     When a cluster spans fewer domains than copies the fallback is
     **audited, not silent**: every computed placement that could not
@@ -254,7 +255,7 @@ class DomainSpreadPlacement(_HrwPlacement):
     how many placements are running with a correlated blast radius.
 
     Memoization keys include the domain map's version counter: a
-    re-assignment or membership sync invalidates stale spreads without
+    membership sync invalidates stale spreads without
     flushing unrelated entries.  The greedy pick is not a top-``r`` of a
     membership-independent order (one joiner can change which zones count
     as used), so :meth:`reassignments` stays the generic diff.

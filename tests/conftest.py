@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.chain.block import Block, build_block
@@ -9,13 +11,29 @@ from repro.chain.chainstore import Ledger
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import make_signed_transfer
 from repro.chain.validation import ValidationLimits
+from repro.clustering.coordinates import Coordinate
 from repro.crypto.keys import KeyPair
+from repro.errors import ConfigurationError
 
 #: Small consensus limits so unit tests stay fast.
 TEST_LIMITS = ValidationLimits(
     max_block_body_bytes=50_000, max_tx_bytes=10_000
 )
 
+
+
+def place_uniform(
+    n_nodes: int, extent: float = 100.0, seed: int = 0
+) -> list[Coordinate]:
+    """Scatter ``n_nodes`` uniformly over an ``extent`` × ``extent`` square:
+    structureless coordinates for the clustering and Vivaldi tests."""
+    if n_nodes < 0:
+        raise ConfigurationError("n_nodes must be non-negative")
+    rng = random.Random(seed)
+    return [
+        (rng.uniform(0.0, extent), rng.uniform(0.0, extent))
+        for _ in range(n_nodes)
+    ]
 
 @pytest.fixture
 def alice() -> KeyPair:

@@ -139,7 +139,6 @@ class TestHeatTracker:
         tracker.note_access(b"\x02" * 32)
         # Half of the first access survives under the second.
         assert tracker.rate(b"\x02" * 32) == pytest.approx(1.5)
-        assert tracker.accesses(b"\x02" * 32) == 2
         assert tracker.total_accesses == 2
 
     def test_unknown_block_scores_only_its_size_term(self):
@@ -155,14 +154,14 @@ class TestHeatTracker:
         deployment, planner, report = build_adaptive()
         tracker = deployment.heat
         target = report.block_hashes[0]
-        before = tracker.accesses(target)
+        sent_at = deployment.network.clock.now
         header = deployment.ledger.store.header(target)
         members = deployment.clusters.members_of(0)
         holders = set(planner.read_plan(header, members))
         requester = sorted(set(members) - holders)[0]
         deployment.retrieve_block(requester, target)
         deployment.run()
-        assert tracker.accesses(target) > before
+        assert tracker._heat[target].last_access > sent_at
 
 
 class TestReplicationPlanner:

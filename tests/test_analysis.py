@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis.plots import ascii_bars, ascii_series
 from repro.analysis.stats import (
-    geometric_mean,
     percentile,
     relative_error,
     summarize,
@@ -16,7 +15,6 @@ from repro.analysis.stats import (
 from repro.analysis.tables import (
     format_bytes,
     format_seconds,
-    render_ratio_row,
     render_table,
 )
 from repro.errors import ConfigurationError
@@ -39,11 +37,6 @@ class TestFormatting:
     def test_format_seconds(self):
         assert format_seconds(0.0031) == "3.1 ms"
         assert format_seconds(2.5) == "2.50 s"
-
-    def test_render_ratio_row(self):
-        label, value, percent = render_ratio_row("ici", 250.0, 1000.0)
-        assert label == "ici"
-        assert percent == "25.0%"
 
 
 class TestRenderTable:
@@ -137,10 +130,3 @@ class TestStats:
         assert relative_error(110, 100) == pytest.approx(0.1)
         assert relative_error(0, 0) == 0.0
         assert math.isinf(relative_error(1, 0))
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        with pytest.raises(ConfigurationError):
-            geometric_mean([])
-        with pytest.raises(ConfigurationError):
-            geometric_mean([1, 0])

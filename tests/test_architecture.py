@@ -1,7 +1,10 @@
 """Structure checks that read the source instead of running it.
 
 * Every module under ``src/repro`` is imported by something that ships
-  (the census that found ``chain/persistence.py`` dead).
+  (the census that found ``chain/persistence.py`` dead), and every
+  function, class and method is named by something that ships, bar the
+  :data:`KEEP` list (``benchmarks/perf/call_census.py`` is the dynamic
+  half: what no entry point runs).
 * Imports run one way: down :data:`LAYERS`, with no cycle between
   modules, and only the CLI's lazy sub-commands import inside a function.
 * Protocol timers have one owner: ``protocols/reliability.py`` holds the
@@ -77,6 +80,91 @@ def test_every_module_has_an_importer_outside_tests():
     assert orphans == []
 
 
+#: Defined under ``src/repro`` and named only by tests, on purpose.
+#: Kept without an entry because something that ships names them:
+#: ``UtxoSet.serialize_snapshot`` / ``deserialize_snapshot`` and
+#: ``bench.runner.calibrate`` (the frozen perfbench probe), and the error
+#: and recovery paths no entry point happens to run (``_mark_unrecoverable``,
+#: ``_strand``, ``_self_commit``, ``RequestTracker.abandon``): safety code.
+KEEP = {
+    "is_connected": "test oracle: connectivity of built topologies",
+    "ClusterTable.check_invariants": "test oracle: the membership invariants",
+    "RoutingTable.check_invariants": "test oracle: the k-bucket invariants",
+    "ClusterTable.move_node": "the dissolution primitive ROADMAP item 10 builds on",
+    "UtxoSet.outpoints_of": "test fixture: spendable outputs of one address",
+    "UtxoSet.total_value": "test oracle: value conservation across blocks",
+    "VerificationRound.prepare_votes": "the round-model oracle's view of a round",
+}
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def names_used(path: Path) -> set[str]:
+    """Names ``path``'s code uses: names, attributes, imports and the
+    words of its string literals (``getattr`` targets, probe specs).
+
+    Docstrings and ``__all__`` name nothing, and neither does a package
+    ``__init__``'s re-export.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    skipped: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skipped.add(id(node.value))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            skipped.update(id(sub) for sub in ast.walk(node.value))
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias) and path.name != "__init__.py":
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(WORD.findall(node.value))
+    return found
+
+
+def definitions():
+    """``(module path, qualname)`` of every top-level def and class and
+    every method of a top-level class, dunders excepted."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            yield path, node.name
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(
+                        sub, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")
+                    ):
+                        yield path, f"{node.name}.{sub.name}"
+
+
+def test_every_definition_has_a_referencer_outside_tests():
+    """A layer's surface is what the next layer calls: a definition only
+    tests name is deleted, or kept in :data:`KEEP` with its reason."""
+    used = set().union(
+        *(names_used(path) for root in IMPORTER_ROOTS for path in root.rglob("*.py"))
+    )
+    unnamed = sorted(
+        f"{path.relative_to(PACKAGE)}:{qualname}"
+        for path, qualname in definitions()
+        if qualname.rpartition(".")[2] not in used and qualname not in KEEP
+    )
+    assert unnamed == []
+    assert sorted(set(KEEP) - {q for _, q in definitions()}) == []
+
+
 def sources(*packages: str):
     for package in packages:
         for path in sorted((PACKAGE / package).rglob("*.py")):
@@ -103,7 +191,7 @@ def test_protocol_timers_are_scheduled_by_the_reliability_layer():
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("schedule", "schedule_at", "post")
+                    and node.func.attr in ("schedule", "post")
                     and ast.unparse(node.func.value).endswith("clock")
                 ):
                     sites.add((path.name, scope.name))

@@ -93,6 +93,11 @@ def archived_hashes(deployment, tier, report):
     ]
 
 
+def chunk_holders(tier, block_hash) -> dict[int, int]:
+    """chunk index -> holder for one block of cluster 0."""
+    return dict(tier._entries[(0, block_hash)].holders)
+
+
 class TestArchivalConfig:
     def test_defaults_validate(self):
         config = ArchivalConfig()
@@ -128,7 +133,7 @@ class TestArchivalTier:
                 for node in deployment.nodes.values()
             )
             # ...and n chunks sit on n distinct live members.
-            holders = tier.holders_of(0, block_hash)
+            holders = chunk_holders(tier, block_hash)
             assert len(holders) == tier.config.total_chunks
             assert len(set(holders.values())) == len(holders)
             assert all(
@@ -192,15 +197,15 @@ class TestArchivalTier:
         heat_one_block(deployment, report.block_hashes[-1])
         sweep(deployment)
         block_hash = archived_hashes(deployment, tier, report)[0]
-        victim = sorted(tier.holders_of(0, block_hash).values())[0]
+        victim = sorted(chunk_holders(tier, block_hash).values())[0]
         deployment.network.set_online(victim, False)
         sweep(deployment)
-        holders = tier.holders_of(0, block_hash)
+        holders = chunk_holders(tier, block_hash)
         assert victim not in holders.values()
         assert len(set(holders.values())) == len(holders)
         assert tier.stats.chunks_repaired > 0
         assert tier.coded_floor_ok(0, block_hash)
-        assert tier.chunk_bytes_of(victim) == 0
+        assert tier._chunk_bytes_by_node.get(victim, 0) == 0
 
     def test_small_clusters_keep_replicas(self):
         # A 3-member cluster cannot give 3+1 chunks distinct holders:

@@ -6,11 +6,7 @@ import pytest
 
 from repro.baselines.full_replication import FullReplicationDeployment
 from repro.baselines.rapidchain import RapidChainDeployment
-from repro.baselines.spv import (
-    spv_bootstrap_bytes,
-    spv_proof_bytes,
-    spv_verify_payment,
-)
+from repro.baselines.spv import spv_bootstrap_bytes
 from repro.chain.block import HEADER_SIZE, build_block
 from repro.chain.transaction import make_coinbase
 from repro.errors import ConfigurationError
@@ -43,9 +39,9 @@ class TestFullReplication:
 
     def test_all_nodes_agree_on_balances(self):
         deployment, _ = full_deployment()
-        reference = deployment.nodes[0].ledger.utxos.snapshot_addresses()
+        reference = deployment.nodes[0].ledger.utxos.serialize_snapshot()
         for node in deployment.nodes.values():
-            assert node.ledger.utxos.snapshot_addresses() == reference
+            assert node.ledger.utxos.serialize_snapshot() == reference
 
     def test_storage_total_is_n_times_ledger(self):
         deployment, _ = full_deployment()
@@ -224,16 +220,3 @@ class TestSpv:
         assert spv_bootstrap_bytes(99) == HEADER_SIZE * 100
         with pytest.raises(ValueError):
             spv_bootstrap_bytes(-1)
-
-    def test_verify_payment(self, ledger, chain_of_three):
-        block = chain_of_three[0]
-        verified, proof = spv_verify_payment(ledger.store, block, 1)
-        assert verified
-        assert spv_proof_bytes(proof) == proof.size_bytes
-
-    def test_verify_fails_for_foreign_block(self, ledger, chain_of_three):
-        from repro.chain.chainstore import ChainStore
-        from repro.errors import UnknownBlockError
-
-        with pytest.raises(UnknownBlockError):
-            spv_verify_payment(ChainStore(), chain_of_three[0], 1)

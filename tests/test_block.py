@@ -106,12 +106,6 @@ class TestBlockBody:
             assert proof.leaf == tx.txid
             assert proof.verify(block.header.merkle_root)
 
-    def test_transaction_by_id(self):
-        block = simple_block()
-        target = block.transactions[1]
-        assert block.transaction_by_id(target.txid) == target
-        assert block.transaction_by_id(sha256(b"nope")) is None
-
     def test_build_block_commits_to_body(self):
         block = simple_block()
         assert block.header.merkle_root == block.merkle_tree.root

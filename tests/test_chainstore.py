@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.block import build_block
-from repro.chain.chainstore import ChainStore, Ledger, new_ledger_with_faucets
+from repro.chain.chainstore import ChainStore, Ledger
 from repro.chain.transaction import make_coinbase
 from repro.crypto.hashing import sha256
-from repro.crypto.keys import KeyPair
 from repro.errors import ForkError, UnknownBlockError, ValidationError
 from tests.conftest import TEST_LIMITS, make_transfer_block
 
@@ -48,13 +47,6 @@ class TestChainStoreHeaders:
         store = ChainStore()
         assert store.height == -1
         assert store.tip is None
-
-    def test_active_header_at(self, ledger, chain_of_three):
-        store = ledger.store
-        assert store.active_header_at(0).is_genesis
-        assert store.active_header_at(2) == chain_of_three[1].header
-        with pytest.raises(UnknownBlockError):
-            store.active_header_at(99)
 
     def test_iter_active_headers_in_order(self, ledger, chain_of_three):
         heights = [h.height for h in ledger.store.iter_active_headers()]
@@ -105,12 +97,10 @@ class TestChainStoreHeaders:
         store.add_header(branch[2])
         assert list(store.iter_active_headers()) == main[:2] + branch
         assert store.tip is branch[2]
-        # Fork siblings come back in arrival order, whichever chain won.
-        assert store.headers_at(1) == [main[1]]
-        assert store.headers_at(2) == [main[2], branch[0]]
-        assert store.headers_at(3) == [main[3], branch[1]]
-        assert store.headers_at(4) == [branch[2]]
-        assert store.headers_at(5) == []
+        # Both chains stay indexed, whichever won.
+        for header in main + branch:
+            assert store.header(header.block_hash) == header
+        assert store.header_count == len(main) + len(branch)
 
 
 class TestChainStoreBodies:
@@ -154,9 +144,7 @@ class TestChainStoreBodies:
 
         def check():
             assert store.header_bytes == sum(
-                header.size_bytes
-                for height in range(store.height + 1)
-                for header in store.headers_at(height)
+                header.size_bytes for header in store._headers.values()
             )
             assert store.body_bytes == sum(
                 b.body_size_bytes for b in store.iter_bodies()
@@ -228,12 +216,6 @@ class TestLedger:
         assert ledger.active_hash_at(2) == chain_of_three[1].block_hash
         with pytest.raises(UnknownBlockError):
             ledger.active_hash_at(9)
-
-    def test_faucet_helper(self):
-        faucets = [KeyPair.from_seed(i).address for i in range(3)]
-        ledger = new_ledger_with_faucets(faucets)
-        for address in faucets:
-            assert ledger.utxos.balance_of(address) > 0
 
 
 class TestReorg:

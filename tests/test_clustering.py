@@ -10,17 +10,16 @@ from repro.clustering.algorithms import (
     KMeansClustering,
     LatencyAwareGreedyClustering,
     RandomBalancedClustering,
-    clusters_for_target_size,
 )
 from repro.clustering.coordinates import (
     centroid,
     distance,
     mean_pairwise_distance,
     place_regions,
-    place_uniform,
 )
 from repro.clustering.membership import ClusterTable
 from repro.errors import ClusteringError, ConfigurationError
+from tests.conftest import place_uniform
 
 
 class TestCoordinates:
@@ -66,7 +65,6 @@ class TestClusterTable:
         assert table.node_count == 5
         assert table.cluster_of(3) == 1
         assert table.members_of(0) == (0, 1)
-        assert table.peers_of(3) == (2, 4)
 
     def test_duplicate_membership_rejected(self):
         with pytest.raises(ClusteringError):
@@ -97,7 +95,7 @@ class TestClusterTable:
     def test_remove_node(self):
         table = ClusterTable.from_assignment([[0, 1], [2]])
         assert table.remove_node(1) == 0
-        assert not table.contains(1)
+        assert 1 not in table.all_nodes()
 
     def test_remove_last_member_rejected(self):
         table = ClusterTable.from_assignment([[0, 1], [2]])
@@ -291,23 +289,3 @@ class TestLatencyAwareGreedy:
             )
 
         assert spread(greedy) < spread(rand)
-
-
-class TestTargetSize:
-    def test_rounds_to_nearest_cluster_count(self):
-        table = clusters_for_target_size(
-            list(range(100)), 25, RandomBalancedClustering(seed=0)
-        )
-        assert table.cluster_count == 4
-
-    def test_minimum_one_cluster(self):
-        table = clusters_for_target_size(
-            list(range(3)), 100, RandomBalancedClustering(seed=0)
-        )
-        assert table.cluster_count == 1
-
-    def test_bad_target_rejected(self):
-        with pytest.raises(ClusteringError):
-            clusters_for_target_size(
-                [0, 1], 0, RandomBalancedClustering()
-            )

@@ -10,7 +10,6 @@ from repro.storage.communication import (
     header_flood_bytes,
     ici_advantage_factor,
     ici_block_bytes,
-    rapidchain_block_bytes,
 )
 
 
@@ -22,9 +21,7 @@ class TestClosedForms:
         body = 100_000
         full = full_replication_block_bytes(400, body)
         ici = ici_block_bytes(400, 16, 1, body)
-        rapid = rapidchain_block_bytes(400, 16, body)
         assert ici < full
-        assert rapid < full
 
     def test_ici_advantage_grows_with_body(self):
         small = ici_advantage_factor(1000, 16, 1, 10_000)
@@ -52,8 +49,6 @@ class TestClosedForms:
             ici_block_bytes(10, 20, 1, 100)
         with pytest.raises(ConfigurationError):
             ici_block_bytes(10, 5, 6, 100)
-        with pytest.raises(ConfigurationError):
-            rapidchain_block_bytes(10, 0, 100)
 
     def test_closed_form_tracks_simulator(self):
         """Measured ICI dissemination lands near the analytic model."""

@@ -47,12 +47,11 @@ class TestVoteTally:
         for member in range(3):
             tally.record(member, Vote.ACCEPT)
         assert tally.accepted
-        assert tally.decided
 
     def test_not_decided_below_quorum(self):
         tally = VoteTally(cluster_size=4)
         tally.record(0, Vote.ACCEPT)
-        assert not tally.decided
+        assert not tally.accepted and not tally.rejected
 
     def test_rejection_when_quorum_impossible(self):
         tally = VoteTally(cluster_size=4)  # quorum 3

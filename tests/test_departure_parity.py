@@ -42,7 +42,7 @@ class TestGracefulDeparture:
         deployment.run()
         assert report.complete and report.graceful
         assert victim not in deployment.nodes
-        assert not deployment.clusters.contains(victim)
+        assert victim not in deployment.clusters.all_nodes()
         assert deployment.cluster_holds_full_ledger(cluster)
 
     def test_replication_count_restored_exactly(self):

@@ -31,7 +31,6 @@ from repro.dht.idspace import (
     bucket_index,
     distance,
     node_key,
-    sort_by_distance,
 )
 from repro.dht.records import ProviderStore
 from repro.dht.routing import Contact, KBucket, RoutingTable
@@ -79,15 +78,6 @@ def test_bucket_index_bands(own, other):
     # The band property: the index is the distance's highest set bit,
     # so everything in bucket i is nearer than anything in bucket i+1.
     assert (1 << index) <= distance(own, other) < (1 << (index + 1))
-
-
-@SETTINGS
-@given(st.lists(keys, max_size=32), keys)
-def test_sort_by_distance_orders(candidates, target):
-    ordered = sort_by_distance(candidates, target)
-    assert sorted(ordered) == sorted(candidates)
-    dists = [distance(key, target) for key in ordered]
-    assert dists == sorted(dists)
 
 
 @SETTINGS
@@ -298,9 +288,9 @@ def test_self_lookup_converges_on_random_topologies(n_nodes, rng):
     universe = [
         contact_by_id[i].key for i in ids if i != requester
     ]
-    truth = set(sort_by_distance(universe, target)[:k])
+    truth = set(sorted(universe, key=lambda key: distance(key, target))[:k])
     found = set(
-        sort_by_distance(list(known.values()), target)[:k]
+        sorted(known.values(), key=lambda key: distance(key, target))[:k]
     )
     assert found == truth
 

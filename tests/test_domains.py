@@ -4,8 +4,8 @@ Covers the whole blast-radius subsystem (:mod:`repro.net.domains`):
 the deterministic zone/rack striping and its version counter, the
 spread-aware placement policy (distinct zones, audited deficit,
 version-keyed cache), the correlated fault machinery (whole-zone
-outages, scheduled :class:`DomainOutageEvent` firings, domain-cut
-partitions), the repair engine's diversity restoration, the
+crash and stall through :meth:`FaultInjector.crash_domain`, recovery
+through ``heal``), the repair engine's diversity restoration, the
 chaos/endurance ``domains=True`` audits, and the E21 aware-vs-oblivious
 zone-outage comparison.  Every scenario is seeded and the E21 signature
 is pinned for determinism.
@@ -39,14 +39,7 @@ from repro.sim.domain_compare import (
     DomainCompareConfig,
     run_domain_compare,
 )
-from repro.sim.faults import (
-    CRASH,
-    RECOVER,
-    STALL,
-    DomainOutageEvent,
-    FaultPlan,
-    domain_partition,
-)
+from repro.sim.faults import CRASH, STALL, FaultInjector
 from repro.storage.placement import (
     DomainSpreadPlacement,
     RendezvousPlacement,
@@ -99,21 +92,6 @@ class TestFailureDomainMap:
         with pytest.raises(ConfigurationError):
             FailureDomainMap(zones=2, racks_per_zone=0)
 
-    def test_assign_overrides_and_bumps_version(self):
-        domains = FailureDomainMap(zones=4)
-        before = domains.version
-        domains.assign(7, DomainLabel(zone=0))
-        assert domains.zone_of(7) == 0
-        assert domains.version == before + 1
-        # Re-assigning the same label is a no-op (no cache churn).
-        domains.assign(7, DomainLabel(zone=0))
-        assert domains.version == before + 1
-
-    def test_assign_rejects_out_of_range_zone(self):
-        domains = FailureDomainMap(zones=2)
-        with pytest.raises(ConfigurationError):
-            domains.assign(0, DomainLabel(zone=2))
-
     def test_sync_bumps_version_only_on_population_change(self):
         domains = FailureDomainMap(zones=2)
         domains.sync(range(6))
@@ -124,13 +102,16 @@ class TestFailureDomainMap:
         assert domains.version == version + 1
         assert domains.members == frozenset(range(7))
 
-    def test_remove_forgets_override_and_membership(self):
+    def test_remove_forgets_membership(self):
         domains = FailureDomainMap(zones=3)
         domains.sync([0, 1, 2])
-        domains.assign(1, DomainLabel(zone=2))
+        version = domains.version
         domains.remove(1)
         assert 1 not in domains.members
-        # Back to the derived stripe.
+        assert domains.version == version + 1
+        # Forgetting a stranger changes nothing.
+        domains.remove(1)
+        assert domains.version == version + 1
         assert domains.zone_of(1) == 1
 
     def test_zone_queries(self):
@@ -139,8 +120,6 @@ class TestFailureDomainMap:
         assert domains.members_of_zone(0) == [0, 3, 6]
         assert domains.members_of_zone(1, [1, 4, 5]) == [1, 4]
         assert domains.zones_of([0, 1, 3]) == {0, 1}
-        assert list(domains.iter_zones()) == [0, 1, 2]
-        assert domains.live_zones(lambda n: n != 0, [0, 3, 1]) == {0, 1}
 
 
 # ---------------------------------------------------------- spread placement
@@ -170,20 +149,18 @@ class TestDomainSpreadPlacement:
         assert policy.domain_spread_deficit == 1
 
     def test_cache_keyed_on_map_version(self):
-        domains = FailureDomainMap(zones=3)
+        # Two zones cannot spread three replicas, so every computed (not
+        # cached) placement counts one deficit.
+        domains = FailureDomainMap(zones=2)
         policy = DomainSpreadPlacement(domains)
-        members = list(range(9))
-        header = header_at(5)
-        before = policy.holders(header, members, 2)
-        # Collapse the first choice into its partner's zone: the stale
-        # cached spread must be recomputed, not served.
-        other = before[1]
-        domains.assign(before[0], domains.domain_of(other))
-        after = policy.holders(header, members, 2)
-        assert len(domains.zones_of(after)) == 2
-        assert after != before or domains.domain_of(
-            after[0]
-        ).zone != domains.domain_of(after[1]).zone
+        members = list(range(6))
+        policy.holders(header_at(5), members, 3)
+        policy.holders(header_at(5), members, 3)
+        assert policy.domain_spread_deficit == 1
+        # A membership sync bumps the version: the spread is recomputed.
+        domains.sync(range(7))
+        policy.holders(header_at(5), members, 3)
+        assert policy.domain_spread_deficit == 2
 
     def test_same_rank_stream_as_rendezvous(self):
         # One zone per member degenerates to pure rank order — the
@@ -200,71 +177,48 @@ class TestDomainSpreadPlacement:
 
 
 # --------------------------------------------------------- correlated faults
-class TestDomainOutageEvent:
-    def test_kind_must_be_crash_or_stall(self):
-        with pytest.raises(FaultConfigError):
-            DomainOutageEvent(at=1.0, zone=0, kind=RECOVER)
-
-    def test_negative_fields_rejected(self):
-        with pytest.raises(FaultConfigError):
-            DomainOutageEvent(at=-1.0, zone=0)
-        with pytest.raises(FaultConfigError):
-            DomainOutageEvent(at=1.0, zone=-1)
-        with pytest.raises(FaultConfigError):
-            DomainOutageEvent(at=1.0, zone=0, duration=-5.0)
-
-
-class TestGenerateDomainOutages:
-    def test_deterministic_per_seed(self):
-        kwargs = dict(
-            crash_count=1, domain_outage_count=2, zone_count=4
-        )
-        one = FaultPlan.generate(9, range(12), **kwargs)
-        two = FaultPlan.generate(9, range(12), **kwargs)
-        assert one.has_domain_outages
-        assert one.domain_outages == two.domain_outages
-        # Existing draws come first, so the node-outage schedule is
-        # unchanged by asking for domain outages on top.
-        plain = FaultPlan.generate(9, range(12), crash_count=1)
-        assert one.outages == plain.outages
-
-    def test_needs_enough_zones(self):
-        with pytest.raises(FaultConfigError):
-            FaultPlan.generate(
-                1, range(8), domain_outage_count=3, zone_count=2
-            )
-
-
 class TestInjectorDomains:
     def test_crash_domain_requires_bound_resolver(self):
         net = fresh_net(6)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         with pytest.raises(FaultConfigError):
             injector.crash_domain(0)
+
+    def test_kind_must_be_crash_or_stall(self):
+        """Any other kind is a configuration bug, not a stall."""
+        net = fresh_net(4)
+        domains = FailureDomainMap(zones=2)
+        domains.sync(range(4))
+        injector = FaultInjector.install(net)
+        injector.bind_domains(domains.members_of_zone)
+        with pytest.raises(FaultConfigError):
+            injector.crash_domain(0, kind="recover")
+        assert net.live_members(range(4)) == [0, 1, 2, 3]
+        assert injector.domain_outages == []
 
     def test_crash_and_recover_domain(self):
         net = fresh_net(8)
         domains = FailureDomainMap(zones=2)
         domains.sync(range(8))
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.bind_domains(domains.members_of_zone)
         victims = injector.crash_domain(1)
         assert victims == (1, 3, 5, 7)
         assert net.live_members(range(8)) == [0, 2, 4, 6]
         assert injector.domain_outages == [(0.0, 1, CRASH, victims)]
         recoveries = injector.stats.recoveries
-        injector.recover_domain(victims)
+        injector.heal()
         assert net.live_members(range(8)) == list(range(8))
         assert injector.stats.recoveries == recoveries + 4
-        # Recovering again is a no-op (no double counting).
-        injector.recover_domain(victims)
+        # Healing again is a no-op (no double counting).
+        injector.heal()
         assert injector.stats.recoveries == recoveries + 4
 
     def test_crash_domain_skips_already_down(self):
         net = fresh_net(6)
         domains = FailureDomainMap(zones=2)
         domains.sync(range(6))
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.bind_domains(domains.members_of_zone)
         injector.crash(2)
         victims = injector.crash_domain(0)
@@ -274,51 +228,12 @@ class TestInjectorDomains:
         net = fresh_net(4)
         domains = FailureDomainMap(zones=2)
         domains.sync(range(4))
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.bind_domains(domains.members_of_zone)
         victims = injector.crash_domain(0, kind=STALL)
         assert victims == (0, 2)
         assert injector.stats.stalls == 2
         assert injector.stats.crashes == 0
-
-    def test_scheduled_event_fires_and_recovers(self):
-        net = fresh_net(6)
-        domains = FailureDomainMap(zones=3)
-        domains.sync(range(6))
-        plan = FaultPlan(
-            domain_outages=[
-                DomainOutageEvent(at=5.0, zone=1, duration=4.0)
-            ]
-        )
-        injector = plan.install(net)
-        injector.bind_domains(domains.members_of_zone)
-        net.clock.run_for(4.9)
-        assert net.live_members(range(6)) == list(range(6))
-        net.clock.run_for(1.0)
-        assert net.live_members(range(6)) == [0, 2, 3, 5]
-        net.clock.run_for(4.0)
-        assert net.live_members(range(6)) == list(range(6))
-        assert injector.domain_outages == [(5.0, 1, CRASH, (1, 4))]
-
-
-class TestDomainPartition:
-    def test_severs_only_cross_zone_links(self):
-        domains = FailureDomainMap(zones=2)
-        window = domain_partition(
-            range(6), domains.zone_of, 1, start=0.0, end=10.0
-        )
-        assert window.severs(1, 2, 5.0)
-        assert window.severs(0, 3, 5.0)
-        assert not window.severs(1, 3, 5.0)  # both inside
-        assert not window.severs(0, 2, 5.0)  # both outside
-        assert not window.severs(1, 2, 10.0)  # window over
-
-    def test_empty_side_rejected(self):
-        domains = FailureDomainMap(zones=2)
-        with pytest.raises(FaultConfigError):
-            domain_partition([0, 2, 4], domains.zone_of, 1)
-        with pytest.raises(FaultConfigError):
-            domain_partition([1, 3, 5], domains.zone_of, 1)
 
 
 # ----------------------------------------------------------- deployment wiring

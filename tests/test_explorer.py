@@ -40,10 +40,12 @@ class TestLookup:
 
     def test_index_counts_all_transactions(self, explored):
         deployment, _runner, report = explored
+        explorer = deployment.explorer
+        explorer.history(b"\x00" * 20)  # force the build
         total = 1 + sum(  # genesis coinbase
             len(block.transactions) for block in report.blocks
         )
-        assert deployment.explorer.indexed_transactions == total
+        assert len(explorer._tx_location) == total
 
 
 class TestAddressHistory:
@@ -116,9 +118,12 @@ class TestReorgAwareness:
         deployment, runner, report = explored
         explorer = deployment.explorer
         explorer.history(b"\x00" * 20)  # force initial build
-        before = explorer.indexed_transactions
-        runner.produce_blocks(2, txs_per_block=3)
-        assert explorer.indexed_transactions > before
+        grown = runner.produce_blocks(2, txs_per_block=3)
+        for block in grown.blocks:
+            for tx in block.transactions:
+                assert explorer.locate_transaction(tx.txid).block_hash == (
+                    block.block_hash
+                )
 
     def test_stale_branch_history_disappears_after_reorg(self, explored):
         deployment, runner, report = explored

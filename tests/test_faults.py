@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.errors import ConfigurationError, FaultConfigError
+from repro.errors import ConfigurationError
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network
@@ -18,13 +18,9 @@ from repro.protocols.reliability import (
     RetryPolicy,
 )
 from repro.sim.faults import (
-    CRASH,
-    RECOVER,
-    STALL,
     FaultConfig,
-    FaultPlan,
+    FaultInjector,
     FaultStats,
-    OutageEvent,
     PartitionWindow,
 )
 
@@ -96,6 +92,13 @@ class TestPartitionWindow:
         with pytest.raises(ConfigurationError):
             PartitionWindow(frozenset({1, 2}), frozenset({2, 3}))
 
+    def test_empty_side_rejected(self):
+        """A cut that severs nothing is a configuration bug, not weather."""
+        with pytest.raises(ConfigurationError):
+            PartitionWindow(frozenset(), frozenset({2, 3}))
+        with pytest.raises(ConfigurationError):
+            PartitionWindow(frozenset({1}), frozenset())
+
     def test_window_must_not_invert(self):
         with pytest.raises(ConfigurationError):
             PartitionWindow(frozenset({1}), frozenset({2}), start=5.0, end=1.0)
@@ -137,16 +140,6 @@ class TestPartitionWindow:
         assert not window.severs(1, 2, now=5.000001)
 
 
-class TestOutageEvent:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OutageEvent(at=1.0, node_id=0, kind="explode")
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OutageEvent(at=-1.0, node_id=0, kind=CRASH)
-
-
 class TestFaultStats:
     def test_as_dict_covers_every_counter(self):
         stats = FaultStats(dropped=3, partition_dropped=2, stall_dropped=1)
@@ -163,122 +156,12 @@ class TestFaultStats:
             "stalls",
             "recoveries",
         }
-        assert stats.total_dropped == 6
-
-
-class TestFaultPlanGenerate:
-    def test_golden_schedule_for_seed_42(self):
-        """Fixed-seed pin: the generated schedule must never drift."""
-        plan = FaultPlan.generate(
-            42,
-            range(10),
-            drop_rate=0.1,
-            crash_count=2,
-            stall_count=1,
-            outage_window=(5.0, 50.0),
-            outage_duration=8.0,
-        )
-        schedule = [
-            (round(event.at, 6), event.node_id, event.kind)
-            for event in plan.outages
-        ]
-        assert schedule == [
-            (31.813618, 5, STALL),
-            (37.987733, 1, CRASH),
-            (39.37421, 7, CRASH),
-            (39.813618, 5, RECOVER),
-            (45.987733, 1, RECOVER),
-            (47.37421, 7, RECOVER),
-        ]
-        assert plan.config.drop_rate == 0.1
-        assert plan.config.seed == 42
-
-    def test_same_seed_same_plan(self):
-        a = FaultPlan.generate(7, range(8), crash_count=2, stall_count=2)
-        b = FaultPlan.generate(7, range(8), crash_count=2, stall_count=2)
-        assert a.outages == b.outages
-
-    def test_outages_sorted_by_time(self):
-        plan = FaultPlan.generate(3, range(12), crash_count=4, stall_count=3)
-        times = [event.at for event in plan.outages]
-        assert times == sorted(times)
-        # Every victim recovers exactly once.
-        downs = [e.node_id for e in plan.outages if e.kind != RECOVER]
-        ups = [e.node_id for e in plan.outages if e.kind == RECOVER]
-        assert sorted(downs) == sorted(ups)
-
-    def test_too_many_outages_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.generate(0, range(3), crash_count=2, stall_count=2)
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan.generate(0, range(4), outage_window=(10.0, 5.0))
-        with pytest.raises(ConfigurationError):
-            FaultPlan.generate(0, range(4), outage_duration=-1.0)
-
-
-class TestFaultPlanValidation:
-    """Regression: inconsistent hand-written schedules must be rejected."""
-
-    def test_recover_without_crash_rejected(self):
-        with pytest.raises(FaultConfigError):
-            FaultPlan(
-                outages=[OutageEvent(at=5.0, node_id=1, kind=RECOVER)]
-            )
-
-    def test_overlapping_outages_rejected(self):
-        with pytest.raises(FaultConfigError):
-            FaultPlan(
-                outages=[
-                    OutageEvent(at=1.0, node_id=3, kind=CRASH),
-                    OutageEvent(at=2.0, node_id=3, kind=STALL),
-                ]
-            )
-
-    def test_recover_after_recover_rejected(self):
-        with pytest.raises(FaultConfigError):
-            FaultPlan(
-                outages=[
-                    OutageEvent(at=1.0, node_id=3, kind=CRASH),
-                    OutageEvent(at=2.0, node_id=3, kind=RECOVER),
-                    OutageEvent(at=3.0, node_id=3, kind=RECOVER),
-                ]
-            )
-
-    def test_crash_recover_crash_cycle_allowed(self):
-        plan = FaultPlan(
-            outages=[
-                OutageEvent(at=1.0, node_id=3, kind=CRASH),
-                OutageEvent(at=2.0, node_id=3, kind=RECOVER),
-                OutageEvent(at=3.0, node_id=3, kind=CRASH),
-            ]
-        )
-        assert len(plan.outages) == 3
-
-    def test_crash_without_recovery_allowed(self):
-        """A victim that never comes back is a legal schedule."""
-        plan = FaultPlan(
-            outages=[OutageEvent(at=1.0, node_id=3, kind=CRASH)]
-        )
-        assert len(plan.outages) == 1
-
-    def test_distinct_nodes_do_not_overlap(self):
-        plan = FaultPlan(
-            outages=[
-                OutageEvent(at=1.0, node_id=1, kind=CRASH),
-                OutageEvent(at=1.5, node_id=2, kind=STALL),
-                OutageEvent(at=2.0, node_id=1, kind=RECOVER),
-                OutageEvent(at=2.5, node_id=2, kind=RECOVER),
-            ]
-        )
-        assert len(plan.outages) == 4
 
 
 class TestFaultInjector:
     def test_certain_drop_loses_everything(self, net):
         endpoints = wire(net, 2)
-        FaultPlan(config=FaultConfig(drop_rate=1.0)).install(net)
+        FaultInjector.install(net, FaultConfig(drop_rate=1.0))
         for _ in range(5):
             send_one(net)
         net.run()
@@ -288,7 +171,7 @@ class TestFaultInjector:
 
     def test_certain_duplicate_delivers_twice(self, net):
         endpoints = wire(net, 2)
-        FaultPlan(config=FaultConfig(duplicate_rate=1.0)).install(net)
+        FaultInjector.install(net, FaultConfig(duplicate_rate=1.0))
         send_one(net)
         net.run()
         assert len(endpoints[1].received) == 2
@@ -299,9 +182,9 @@ class TestFaultInjector:
         send_one(net)
         net.run()
         clean_at = endpoints[1].received[0][0]
-        FaultPlan(
-            config=FaultConfig(delay_rate=1.0, delay_seconds=3.0)
-        ).install(net)
+        FaultInjector.install(
+            net, FaultConfig(delay_rate=1.0, delay_seconds=3.0)
+        )
         base = net.now
         send_one(net)
         net.run()
@@ -311,7 +194,7 @@ class TestFaultInjector:
 
     def test_clean_config_consumes_no_draws(self, net):
         endpoints = wire(net, 2)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         state = injector._rng.getstate()
         send_one(net)
         net.run()
@@ -321,9 +204,8 @@ class TestFaultInjector:
 
     def test_stall_drops_both_directions(self, net):
         endpoints = wire(net, 3)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.stall(1)
-        assert injector.is_stalled(1)
         assert not injector.is_live(1)
         assert net.is_online(1)  # stalled, not crashed
         send_one(net, sender=0, recipient=1)
@@ -336,7 +218,7 @@ class TestFaultInjector:
 
     def test_crash_and_recover_via_injector(self, net):
         endpoints = wire(net, 2)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.crash(1)
         assert not net.is_online(1)
         send_one(net)
@@ -353,7 +235,7 @@ class TestFaultInjector:
 
     def test_partition_severs_and_heals(self, net):
         endpoints = wire(net, 4)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.partition(
             PartitionWindow(frozenset({0, 1}), frozenset({2, 3}))
         )
@@ -370,7 +252,7 @@ class TestFaultInjector:
 
     def test_heal_recovers_everyone(self, net):
         wire(net, 4)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.crash(1)
         injector.stall(2)
         injector.heal()
@@ -379,39 +261,11 @@ class TestFaultInjector:
         assert injector.is_live(2)
         assert injector.stats.recoveries == 2
 
-    def test_scheduled_outages_fire_on_the_clock(self, net):
-        endpoints = wire(net, 2)
-        plan = FaultPlan(
-            outages=[
-                OutageEvent(at=1.0, node_id=1, kind=CRASH),
-                OutageEvent(at=2.0, node_id=1, kind=RECOVER),
-            ]
-        )
-        injector = plan.install(net)
-        net.run()
-        assert net.now == pytest.approx(2.0)
-        assert net.is_online(1)
-        assert injector.stats.crashes == 1
-        assert injector.stats.recoveries == 1
-        send_one(net)
-        net.run()
-        assert len(endpoints[1].received) == 1
-
-    def test_outage_for_departed_node_is_skipped(self, net):
-        wire(net, 2)
-        plan = FaultPlan(
-            outages=[OutageEvent(at=1.0, node_id=1, kind=CRASH)]
-        )
-        injector = plan.install(net)
-        net.unregister(1)
-        net.run()
-        assert injector.stats.crashes == 0
-
     def test_heal_after_crashed_node_departed(self, net):
         # Regression: churn removed a node while it was down, and heal()
         # raised UnknownNodeError trying to bring it back online.
         wire(net, 3)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.crash(1)
         injector.stall(2)
         net.unregister(1)
@@ -425,14 +279,15 @@ class TestFaultInjector:
         def run(seed: int) -> dict[str, int]:
             net = Network(clock=SimClock(), latency=ConstantLatency(0.1))
             wire(net, 2)
-            injector = FaultPlan(
-                config=FaultConfig(
+            injector = FaultInjector.install(
+                net,
+                FaultConfig(
                     seed=seed,
                     drop_rate=0.2,
                     duplicate_rate=0.1,
                     delay_rate=0.1,
-                )
-            ).install(net)
+                ),
+            )
             for _ in range(200):
                 send_one(net)
             net.run()
@@ -454,7 +309,7 @@ class TestLiveMembers:
 
     def test_with_injector_filters_stalled_too(self, net):
         wire(net, 3)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.stall(2)
         net.set_online(1, False)
         assert net.live_members([0, 1, 2]) == [0]
@@ -466,7 +321,7 @@ class TestLiveMembers:
     def test_mixed_crashed_and_stalled(self, net):
         """Crashed and stalled members drop out; everyone else stays."""
         wire(net, 5)
-        injector = FaultPlan().install(net)
+        injector = FaultInjector.install(net)
         injector.crash(1)
         injector.stall(3)
         assert net.live_members([0, 1, 2, 3, 4]) == [0, 2, 4]

@@ -72,21 +72,9 @@ class TestDeploymentMetrics:
         metrics.record_cluster_final(block_hash, 1, 3.5)
         assert metrics.finalize_latency(block_hash, 2) == pytest.approx(2.5)
 
-    def test_first_cluster_latency(self):
-        metrics = DeploymentMetrics()
-        block_hash = sha256(b"b")
-        metrics.record_submit(block_hash, 1.0)
-        assert metrics.first_cluster_latency(block_hash) is None
-        metrics.record_cluster_final(block_hash, 3, 1.7)
-        metrics.record_cluster_final(block_hash, 1, 2.9)
-        assert metrics.first_cluster_latency(block_hash) == pytest.approx(
-            0.7
-        )
-
     def test_unknown_block_latency_none(self):
         metrics = DeploymentMetrics()
         assert metrics.finalize_latency(sha256(b"x"), 1) is None
-        assert metrics.first_cluster_latency(sha256(b"x")) is None
 
     def test_records_are_first_write_wins(self):
         metrics = DeploymentMetrics()
@@ -100,7 +88,7 @@ class TestDeploymentMetrics:
 
     def test_query_latency_aggregation(self):
         metrics = DeploymentMetrics()
-        assert metrics.mean_query_latency() is None
+        assert metrics.completed_query_latencies() == []
         metrics.queries.append(
             QueryRecord(1, 0, sha256(b"a"), started_at=0.0, completed_at=0.4)
         )
@@ -108,7 +96,6 @@ class TestDeploymentMetrics:
             QueryRecord(2, 0, sha256(b"b"), started_at=0.0)  # pending
         )
         assert metrics.completed_query_latencies() == [0.4]
-        assert metrics.mean_query_latency() == pytest.approx(0.4)
 
 
 class TestReportObjects:

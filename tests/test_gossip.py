@@ -39,7 +39,7 @@ class GossipHarness:
 
         class _Endpoint:
             def handle_message(self, message: Message) -> None:
-                harness.gossip.handle(message)
+                harness.gossip.handlers[message.kind](None, message)
 
         return _Endpoint()
 
@@ -86,7 +86,7 @@ class TestFlooding:
         harness = GossipHarness(6)
         harness.gossip.publish(2, "x", "X")
         harness.network.run()
-        assert harness.gossip.holders_of("x") == list(range(6))
+        assert all(harness.gossip.node_has(node, "x") for node in range(6))
 
     def test_offline_node_misses_item(self):
         harness = GossipHarness(10)
@@ -117,7 +117,7 @@ class TestFlooding:
             payload=None,
             size_bytes=50,
         )
-        assert not harness.gossip.handle(foreign)
+        assert foreign.kind not in harness.gossip.handlers
 
 
 class TestFloodCostModel:

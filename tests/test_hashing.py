@@ -37,17 +37,6 @@ class TestStructuredHashing:
         a, b = hashing.sha256(b"a"), hashing.sha256(b"b")
         assert hashing.hash_concat(a, b) != hashing.hash_concat(b, a)
 
-    def test_hash_int_distinct(self):
-        assert hashing.hash_int(1) != hashing.hash_int(2)
-
-    def test_hash_int_wraps_to_64_bits(self):
-        assert hashing.hash_int(2**64 + 5) == hashing.hash_int(5)
-
-    def test_hash_str_utf8(self):
-        assert hashing.hash_str("héllo") == hashing.sha256d(
-            "héllo".encode("utf-8")
-        )
-
     def test_hash_fields_injective_framing(self):
         # Without length framing these two would collide.
         assert hashing.hash_fields(b"ab", b"c") != hashing.hash_fields(
@@ -60,16 +49,6 @@ class TestStructuredHashing:
     @given(st.lists(st.binary(max_size=64), max_size=8))
     def test_hash_fields_deterministic(self, fields):
         assert hashing.hash_fields(*fields) == hashing.hash_fields(*fields)
-
-
-class TestHexHelpers:
-    def test_hex_digest_roundtrip(self):
-        digest = hashing.sha256(b"z")
-        assert bytes.fromhex(hashing.hex_digest(digest)) == digest
-
-    def test_short_hex_prefix(self):
-        digest = hashing.sha256(b"z")
-        assert hashing.short_hex(digest, 6) == digest.hex()[:6]
 
 
 class TestXorBytes:

@@ -94,7 +94,7 @@ class TestRetrieval:
         requester, _ = non_holder_of(deployment, report.block_hashes[0])
         deployment.retrieve_block(requester, report.block_hashes[0])
         deployment.run()
-        assert deployment.metrics.mean_query_latency() is not None
+        assert deployment.metrics.completed_query_latencies()
 
 
 class TestBootstrap:

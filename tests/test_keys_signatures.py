@@ -10,17 +10,10 @@ from repro.crypto.keys import (
     ADDRESS_SIZE,
     PUBLIC_KEY_SIZE,
     KeyPair,
-    KeyRing,
     address_of,
     derive_public_key,
 )
-from repro.crypto.signatures import (
-    SIGNATURE_SIZE,
-    require_valid,
-    sign,
-    verify,
-)
-from repro.errors import SignatureError
+from repro.crypto.signatures import SIGNATURE_SIZE, sign, verify
 
 
 class TestKeyDerivation:
@@ -68,28 +61,6 @@ class TestAddresses:
         assert len(addresses) == 50
 
 
-class TestKeyRing:
-    def test_mints_unique_keys(self):
-        ring = KeyRing()
-        keys = [ring.new_keypair() for _ in range(10)]
-        assert len({k.address for k in keys}) == 10
-        assert len(ring) == 10
-
-    def test_lookup_by_address(self):
-        ring = KeyRing()
-        keypair = ring.new_keypair()
-        assert ring.get(keypair.address) == keypair
-        assert keypair.address in ring
-
-    def test_unknown_address_returns_none(self):
-        assert KeyRing().get(b"\x00" * 20) is None
-
-    def test_namespaces_isolate_sequences(self):
-        a = KeyRing("a").new_keypair()
-        b = KeyRing("b").new_keypair()
-        assert a.address != b.address
-
-
 class TestSignatures:
     def test_sign_verify_roundtrip(self):
         keypair = KeyPair.from_seed(5)
@@ -123,11 +94,6 @@ class TestSignatures:
         signature = bytearray(sign(keypair, b"message"))
         signature[0] ^= 0xFF
         assert not verify(keypair.public_key, b"message", bytes(signature))
-
-    def test_require_valid_raises(self):
-        keypair = KeyPair.from_seed(5)
-        with pytest.raises(SignatureError):
-            require_valid(keypair.public_key, b"m", b"\x00" * SIGNATURE_SIZE)
 
     @given(st.binary(max_size=256), st.integers(0, 1000))
     def test_roundtrip_property(self, message, seed):

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.block import HEADER_SIZE
 from repro.errors import ConfigurationError
 from repro.storage.accounting import ici_total, rapidchain_total
 from repro.storage.layout import (
     balanced_clusters,
-    full_replication_layout,
     ici_layout,
     rapidchain_layout,
     synthetic_chain,
@@ -61,15 +59,6 @@ class TestLayouts:
         assert total_bodies == pytest.approx(
             rapidchain_total(60, 10, ledger), rel=0.05
         )
-
-    def test_full_replication_layout(self):
-        blocks = synthetic_chain(20, mean_body_bytes=500, seed=6)
-        ledger = sum(b.body_bytes for b in blocks)
-        report = full_replication_layout(range(8), blocks)
-        assert report.node_count == 8
-        for node_report in report.per_node:
-            assert node_report.body_bytes == ledger
-            assert node_report.header_bytes == HEADER_SIZE * 20
 
     def test_every_cluster_covers_ledger(self):
         """Intra-cluster integrity at layout level: summed counts match."""

@@ -40,9 +40,6 @@ class TestTreeConstruction:
         sample = leaves(5)
         assert merkle_root(sample) == MerkleTree(sample).root
 
-    def test_leaf_count(self):
-        assert MerkleTree(leaves(7)).leaf_count == 7
-
     def test_order_sensitivity(self):
         sample = leaves(4)
         assert MerkleTree(sample).root != MerkleTree(sample[::-1]).root

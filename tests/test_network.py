@@ -19,7 +19,7 @@ from repro.net.message import (
 )
 from repro.net.network import Network
 from repro.net.simclock import SimClock
-from repro.sim.faults import FaultConfig, FaultPlan
+from repro.sim.faults import FaultConfig, FaultInjector
 
 
 class Recorder:
@@ -245,9 +245,9 @@ class TestDelivery:
 
     def test_online_count(self, net):
         wire(net, 3)
-        assert net.online_count() == 3
+        assert net.live_members(range(3)) == [0, 1, 2]
         net.set_online(2, False)
-        assert net.online_count() == 2
+        assert net.live_members(range(3)) == [0, 1]
 
     def test_unregister_removes(self, net):
         wire(net, 2)
@@ -325,9 +325,9 @@ class TestTrafficAccounting:
         # whatever the weather, the totals and the three breakdowns are
         # one account of the same deliveries.
         endpoints = wire(net, 6)
-        FaultPlan(
-            config=FaultConfig(seed=3, drop_rate=0.3, duplicate_rate=0.3)
-        ).install(net)
+        FaultInjector.install(
+            net, FaultConfig(seed=3, drop_rate=0.3, duplicate_rate=0.3)
+        )
         kinds = (MessageKind.CONTROL, MessageKind.TX_BODY, MessageKind.DHT_PING)
         for index in range(300):
             message = sized_message(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.chain.genesis import make_genesis
 from repro.crypto.keys import KeyPair
-from repro.errors import BlockNotStoredError, ValidationError
+from repro.errors import ValidationError
 from repro.net.latency import ConstantLatency
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network
@@ -75,14 +75,14 @@ class TestFullNode:
         block = make_transfer_block(node.ledger, alice, bob, 500)
         assert node.accept_block(block)
         assert node.height == 1
-        assert node.balance_of(bob.address) >= 500
+        assert node.ledger.utxos.balance_of(bob.address) >= 500
 
     def test_mempool_pruned_on_block(self, net, alice, bob):
         genesis = make_genesis([alice.address])
         node = FullNode(0, net, genesis, limits=TEST_LIMITS)
         block = make_transfer_block(node.ledger, alice, bob, 500)
         transfer = block.transactions[1]
-        node.accept_transaction(transfer)
+        node.mempool.add(transfer, node.ledger.utxos)
         assert transfer.txid in node.mempool
         node.accept_block(block)
         assert transfer.txid not in node.mempool
@@ -98,8 +98,7 @@ class TestClusterNode:
         node = ClusterNode(0, net, cluster_id=2, limits=TEST_LIMITS)
         node.assign_body(genesis)
         assert node.is_holder_of(genesis.block_hash)
-        assert node.assigned_count == 1
-        assert node.serve_body(genesis.block_hash) == genesis
+        assert node.store.body(genesis.block_hash) == genesis
 
     def test_unassign_frees_bytes(self, net, genesis):
         node = ClusterNode(0, net, cluster_id=0, limits=TEST_LIMITS)
@@ -108,22 +107,6 @@ class TestClusterNode:
         assert freed == genesis.body_size_bytes
         assert not node.store.has_body(genesis.block_hash)
         assert node.unassign_body(genesis.block_hash) == 0
-
-    def test_serve_missing_raises(self, net, genesis):
-        node = ClusterNode(0, net, cluster_id=0, limits=TEST_LIMITS)
-        with pytest.raises(BlockNotStoredError):
-            node.serve_body(genesis.block_hash)
-
-    def test_prune_unassigned(self, net, genesis, alice, bob, ledger):
-        node = ClusterNode(0, net, cluster_id=0, limits=TEST_LIMITS)
-        node.store.add_header(genesis.header)
-        block = make_transfer_block(ledger, alice, bob, 10)
-        node.assign_body(genesis)
-        node.store.add_body(block)  # fetched but not assigned
-        dropped = node.prune_unassigned()
-        assert dropped == 1
-        assert node.store.has_body(genesis.block_hash)
-        assert not node.store.has_body(block.block_hash)
 
     def test_round_reuse(self, net, genesis):
         node = ClusterNode(1, net, cluster_id=0, limits=TEST_LIMITS)

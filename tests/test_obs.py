@@ -76,7 +76,7 @@ class TestRingBuffer:
         assert len(tracer) == 10
         assert tracer.recorded == 25
         assert tracer.evicted == 15
-        names = [event.name for event in tracer.events()]
+        names = [event.name for event in tracer]
         assert names == [f"e{i}" for i in range(15, 25)]
 
     def test_under_capacity_evicts_nothing(self):
@@ -101,7 +101,7 @@ class TestRingBuffer:
         tracer.instant("empty", TRACK, ts=3.0, args={})
         tracer.instant("null", TRACK, ts=4.0, args={"b": None, "a": 1})
 
-        first, second, bare, empty, null = tracer.events()
+        first, second, bare, empty, null = list(tracer)
         recorded = {"to": 3, "bytes": 120, "nested": [1, {"a": None}]}
         assert first.args == second.args == recorded
         assert list(first.args) == ["to", "bytes", "nested"]
@@ -109,10 +109,10 @@ class TestRingBuffer:
         assert empty.args == {} and type(empty.args) is dict
         assert list(null.args.items()) == [("b", None), ("a", 1)]
         # Two reads of one event: equal, distinct, independently mutable.
-        again = tracer.events()[0]
+        again = list(tracer)[0]
         assert again == first and again.args is not first.args
         first.args["bytes"] = -1
-        assert tracer.events()[0].args == recorded
+        assert list(tracer)[0].args == recorded
 
 
 class TestDisabledTracer:
@@ -204,7 +204,7 @@ class TestSpans:
             with tracer.span("inner"):
                 clock.schedule(2.0, lambda: None)
                 clock.run()
-        inner, outer = tracer.events()
+        inner, outer = list(tracer)
         assert (inner.name, outer.name) == ("inner", "outer")
         assert inner.track == outer.track == PHASE_TRACK
         assert inner.ts == 1.0 and inner.dur == 2.0
@@ -224,8 +224,8 @@ class TestSpans:
         with tracer.span("drive"):
             clock.schedule(0.5, tick, 2)
             clock.run()
-        spans = [e for e in tracer.events() if e.track == PHASE_TRACK]
-        callbacks = [e for e in tracer.events() if e.track == CLOCK_TRACK]
+        spans = [e for e in tracer if e.track == PHASE_TRACK]
+        callbacks = [e for e in tracer if e.track == CLOCK_TRACK]
         (drive,) = spans
         assert drive.ts == 0.0 and drive.dur == 1.5
         assert len(callbacks) == 3
@@ -241,10 +241,10 @@ class TestTracedDeployment:
     def test_queue_latency_spans_from_send_to_deliver(self):
         tracer, _ = traced_run()
         delivers = [
-            e for e in tracer.events()
+            e for e in tracer
             if e.category == "deliver" and e.phase == "X"
         ]
-        sends = [e for e in tracer.events() if e.category == "send"]
+        sends = [e for e in tracer if e.category == "send"]
         assert sends and delivers
         assert all(e.dur > 0 for e in delivers)
         assert all(e.track[0] == "node" for e in sends + delivers)
@@ -253,7 +253,7 @@ class TestTracedDeployment:
     def test_finalize_instants_mark_consensus(self):
         tracer, _ = traced_run()
         finals = [
-            e for e in tracer.events() if e.category == "finalize"
+            e for e in tracer if e.category == "finalize"
         ]
         assert finals
         assert all(e.args["accepted"] for e in finals)
@@ -298,7 +298,7 @@ class TestFaultAndRetryCapture:
 
     def test_fault_events_match_the_injector_stats(self, lossy):
         tracer, outcome = lossy
-        faults = [e for e in tracer.events() if e.track == FAULTS_TRACK]
+        faults = [e for e in tracer if e.track == FAULTS_TRACK]
         by_name: dict[str, int] = {}
         for event in faults:
             by_name[event.name] = by_name.get(event.name, 0) + 1
@@ -312,15 +312,15 @@ class TestFaultAndRetryCapture:
 
     def test_retry_and_timeout_events_flow_through(self, lossy):
         tracer, outcome = lossy
-        retries = [e for e in tracer.events() if e.category == "retry"]
-        timeouts = [e for e in tracer.events() if e.category == "timeout"]
+        retries = [e for e in tracer if e.category == "retry"]
+        timeouts = [e for e in tracer if e.category == "timeout"]
         assert len(retries) == sum(outcome.retries.values())
         assert len(timeouts) == sum(outcome.timeouts.values())
 
     def test_phase_spans_tell_the_chaos_story(self, lossy):
         tracer, _ = lossy
         phases = {
-            e.name for e in tracer.events() if e.track == PHASE_TRACK
+            e.name for e in tracer if e.track == PHASE_TRACK
         }
         assert {"produce:degraded", "heal:reconcile"} <= phases
 
@@ -412,10 +412,10 @@ class TestSummary:
         sends = sum(n.sends for n in summary.nodes.values())
         recvs = sum(n.receives for n in summary.nodes.values())
         assert sends == len(
-            [e for e in tracer.events() if e.category == "send"]
+            [e for e in tracer if e.category == "send"]
         )
         assert recvs == len(
-            [e for e in tracer.events() if e.category == "deliver"]
+            [e for e in tracer if e.category == "deliver"]
         )
         assert set(summary.nodes) <= {
             ("ICIDeployment", node_id) for node_id in deployment.nodes
@@ -443,7 +443,7 @@ class TestSummary:
             category="send",
             args={"to": 4, "bytes": 100},
         )
-        summary = summarize(tracer.events())
+        summary = summarize(list(tracer))
         assert summary.nodes[("", 3)].sends == 1
         assert summary.evicted == 0
 

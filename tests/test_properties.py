@@ -23,7 +23,6 @@ from repro.net.domains import FailureDomainMap
 from repro.storage.erasure import encode_group, recover_chunk
 from repro.storage.layout import (
     balanced_clusters,
-    full_replication_layout,
     ici_layout,
     synthetic_chain,
 )
@@ -271,19 +270,6 @@ class TestLayoutProperties:
         assert body_total == clusters.cluster_count * replication * chain_bytes
         body_count = sum(node.body_count for node in report.per_node)
         assert body_count == clusters.cluster_count * replication * n_blocks
-
-    @SETTINGS
-    @given(
-        n_nodes=st.integers(min_value=1, max_value=20),
-        n_blocks=st.integers(min_value=0, max_value=12),
-    )
-    def test_full_replication_dominates_ici(self, n_nodes, n_blocks):
-        """Everyone-stores-everything is exactly n · chain bytes."""
-        chain = synthetic_chain(n_blocks, mean_body_bytes=10_000, seed=3)
-        report = full_replication_layout(list(range(n_nodes)), chain)
-        chain_bytes = sum(block.body_bytes for block in chain)
-        body_total = sum(node.body_bytes for node in report.per_node)
-        assert body_total == n_nodes * chain_bytes
 
 
 bodies_strategy = st.lists(

@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ClusteringError, ConfigurationError
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultInjector
 from repro.sim.runner import ScenarioRunner
 from tests.conftest import TEST_LIMITS
 
@@ -28,7 +28,9 @@ def deployed(n_nodes=12, n_blocks=4, faults=True, **config_kwargs):
     deployment = ICIDeployment(n_nodes, config=ICIConfig(**config_kwargs))
     # A zero-rate fault layer: lossless and deterministic, but its
     # presence routes departures through the tracked repair path.
-    injector = FaultPlan().install(deployment.network) if faults else None
+    injector = (
+        FaultInjector.install(deployment.network) if faults else None
+    )
     runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
     runner.produce_blocks(n_blocks, txs_per_block=2)
     return deployment, injector

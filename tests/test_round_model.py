@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consensus.pbft import RoundPhase, VerificationRound
-from repro.consensus.quorum import Vote, VoteTally, byzantine_quorum
+from repro.consensus.quorum import Vote, VoteTally
 from repro.errors import ConsensusError
 
 BLOCK = b"\x07" * 32
@@ -49,10 +49,6 @@ class ModelRound:
     @property
     def prepare_quorum(self) -> int:
         return len(self.holders) // 2 + 1
-
-    @property
-    def commit_quorum(self) -> int:
-        return byzantine_quorum(len(self.members))
 
     def on_prepare(self, holder: int, vote: Vote) -> bool:
         if self.phase in (RoundPhase.ACCEPTED, RoundPhase.REJECTED):
@@ -154,7 +150,7 @@ def observe(round_, peek: bool = True) -> dict:
             tally.cluster_size, tally.accepts, tally.rejects,
             set(tally.equivocators), dict(tally.votes),
         ),  # fmt: skip
-        "quorums": (round_.prepare_quorum, round_.commit_quorum),
+        "quorums": (round_.prepare_quorum, tally.quorum),
     }
 
 

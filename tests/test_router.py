@@ -89,13 +89,6 @@ class TestKindCoverage:
             for kind in deployment.router.handled_kinds
         }
         assert set(owners.values()) == set(deployment.engines)
-        for engine in deployment.engines.values():
-            claimed = set(engine.kinds_claimed(deployment.router))
-            assert claimed == {
-                kind
-                for kind, owner in owners.items()
-                if owner == engine.name
-            }
 
 
 class TestDispatchFailures:

@@ -32,13 +32,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             SimClock().schedule(-0.1, lambda: None)
 
-    def test_schedule_at_in_the_past_rejected(self):
-        clock = SimClock()
-        clock.schedule(1.0, lambda: None)
-        clock.run()
-        with pytest.raises(SimulationError):
-            clock.schedule_at(0.5, lambda: None)
-
     def test_nested_scheduling(self):
         clock = SimClock()
         seen: list[float] = []
@@ -60,7 +53,6 @@ class TestCancellation:
         assert handle.cancel()
         clock.run()
         assert not fired
-        assert handle.cancelled
 
     def test_double_cancel_returns_false(self):
         clock = SimClock()
@@ -175,25 +167,12 @@ class TestPost:
         with pytest.raises(SimulationError, match="in the past"):
             SimClock().post(-0.1, lambda: None)
 
-    def test_post_at_in_the_past_rejected(self):
-        clock = SimClock()
-        clock.run_until(1.0)
-        with pytest.raises(SimulationError, match="before now"):
-            clock.post(0.0, lambda: None, at=0.5)
-        assert clock.pending == 0
-
-    def test_schedule_at_keeps_the_exact_time(self):
-        # An absolute time must not be rebuilt as now + (time - now).
-        clock = SimClock()
-        clock.run_until(0.1)
-        assert clock.schedule_at(0.3, lambda: None).time == 0.3
-
 
 #: Few distinct delays, so ties (broken by sequence number) are common.
 _delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["post", "schedule", "schedule_at"]), _delays),
+        st.tuples(st.sampled_from(["post", "schedule"]), _delays),
         st.tuples(st.just("cancel"), st.integers(0, 50)),
         st.tuples(st.just("run_until"), _delays),
     ),
@@ -231,19 +210,10 @@ def test_post_schedule_interleavings_match_all_schedule_reference(ops):
                     reference.schedule(value, fire, reference, label),
                 )
             )
-        elif op == "schedule_at":
-            handles.append(
-                (
-                    subject.schedule_at(
-                        subject.now + value, fire, subject, label
-                    ),
-                    reference.schedule(value, fire, reference, label),
-                )
-            )
         elif op == "cancel" and handles:
             ours, theirs = handles[value % len(handles)]
             assert ours.cancel() == theirs.cancel()
-            assert ours.cancelled and ours.time == theirs.time
+            assert ours.time == theirs.time
         elif op == "run_until":
             subject.run_until(subject.now + value)
             reference.run_until(reference.now + value)

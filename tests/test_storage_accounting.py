@@ -21,17 +21,13 @@ from repro.storage.accounting import (
 )
 from repro.storage.erasure import (
     encode_group,
-    parity_storage_total,
     recover_chunk,
 )
 from repro.storage.placement import RendezvousPlacement
 from repro.storage.replication import (
     analytic_block_survival,
-    analytic_ledger_survival,
     availability_under_failures,
     binomial_failure_probability,
-    expected_repair_fraction,
-    plan_repair_after_departure,
     sample_failure_sets,
 )
 
@@ -71,14 +67,6 @@ class TestReports:
         assert report.mean_node_bytes == report.total_bytes / 3
         assert report.stdev_node_bytes > 0
 
-    def test_ratio_to(self, genesis):
-        a = report_network({0: ChainStore()})
-        store = ChainStore()
-        store.add_body(genesis)
-        b = report_network({0: store})
-        assert b.ratio_to(b) == 1.0
-        assert a.ratio_to(b) == 0.0
-
 
 class TestClosedForms:
     def test_full_replication_scales_with_n(self):
@@ -117,8 +105,7 @@ class TestAvailability:
         report = availability_under_failures(
             headers, list(range(10)), 2, RendezvousPlacement(), set()
         )
-        assert report.all_available
-        assert report.survival_fraction == 1.0
+        assert report.lost_blocks == report.at_risk_blocks == 0
 
     def test_failing_all_holders_loses_block(self):
         headers = [header_at(0)]
@@ -127,8 +114,7 @@ class TestAvailability:
         report = availability_under_failures(
             headers, list(range(6)), 2, policy, holders
         )
-        assert report.lost_blocks == 1
-        assert not report.all_available
+        assert report.lost_blocks == report.total_blocks == 1
 
     def test_at_risk_counting(self):
         headers = [header_at(0)]
@@ -144,12 +130,6 @@ class TestAvailability:
         assert analytic_block_survival(10, 1, 0.5) == 0.5
         assert analytic_block_survival(10, 2, 0.5) == 0.75
         assert analytic_block_survival(10, 3, 0.0) == 1.0
-
-    def test_analytic_ledger_survival(self):
-        single = analytic_block_survival(10, 2, 0.3)
-        assert analytic_ledger_survival(5, 10, 2, 0.3) == pytest.approx(
-            single**5
-        )
 
     def test_bad_probability_rejected(self):
         with pytest.raises(StorageError):
@@ -184,42 +164,6 @@ class TestAvailability:
 
 
 class TestRepairPlanning:
-    def test_departure_triggers_transfers(self):
-        members = list(range(8))
-        headers = [header_at(h) for h in range(100)]
-        policy = RendezvousPlacement()
-        plan = plan_repair_after_departure(
-            headers,
-            body_bytes=lambda _h: 1000,
-            old_members=members,
-            departed=3,
-            replication=2,
-            policy=policy,
-        )
-        # Expected ≈ r/m of blocks need repair.
-        assert 0 < plan.transfer_count < len(headers)
-        assert plan.bytes_moved == plan.transfer_count * 1000
-
-    def test_unknown_departed_rejected(self):
-        with pytest.raises(StorageError):
-            plan_repair_after_departure(
-                [], lambda _h: 0, [0, 1], departed=9, replication=1,
-                policy=RendezvousPlacement(),
-            )
-
-    def test_departure_below_replication_rejected(self):
-        with pytest.raises(StorageError):
-            plan_repair_after_departure(
-                [], lambda _h: 0, [0, 1], departed=0, replication=2,
-                policy=RendezvousPlacement(),
-            )
-
-    def test_expected_repair_fraction(self):
-        assert expected_repair_fraction(10, 2) == 0.2
-        assert expected_repair_fraction(2, 2) == 1.0
-        with pytest.raises(StorageError):
-            expected_repair_fraction(0, 1)
-
     def test_sample_failure_sets_bounds(self):
         sets = list(sample_failure_sets(range(5), 2, 4, seed=0))
         assert len(sets) == 4
@@ -274,12 +218,6 @@ class TestErasure:
         group = encode_group([(b"a" * 4, b"x" * 4)])
         with pytest.raises(StorageError):
             group.index_of(b"z" * 4)
-
-    def test_parity_storage_closed_form(self):
-        # group of 4: overhead factor 1.25 per cluster.
-        assert parity_storage_total(100, 10, 4, 1000.0) == pytest.approx(
-            10 * 1250.0
-        )
 
     @settings(max_examples=30, deadline=None)
     @given(

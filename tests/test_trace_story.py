@@ -82,7 +82,7 @@ class TestStoryPins:
         assert storm_tracer.recorded == 25_550
         assert ENDURANCE_PINS == _story_shas(
             to_chrome_trace(storm_tracer),
-            [event_to_json(event) for event in storm_tracer.events()],
+            [event_to_json(event) for event in storm_tracer],
             summarize(storm_tracer),
         )
 
@@ -90,7 +90,7 @@ class TestStoryPins:
         self, storm_tracer, tmp_path
     ):
         """The stored rows and the rebuilt events tell one story."""
-        events = storm_tracer.events()
+        events = list(storm_tracer)
         assert summarize(storm_tracer) == summarize(events)
         assert summarize(storm_tracer) == summarize(iter(storm_tracer))
         chrome = to_chrome_trace(storm_tracer)
@@ -132,7 +132,7 @@ class TestEventShape:
     def test_a_node_has_one_track_object(self, storm_tracer):
         """The observer builds a node's track once; its events share it."""
         tracks: dict[tuple, tuple] = {}
-        for event in storm_tracer.events():
+        for event in storm_tracer:
             if event.track[0] == "node":
                 assert tracks.setdefault(event.track[1], event.track) is (
                     event.track
@@ -163,7 +163,7 @@ class TestEventShape:
         tracer = Tracer()
         tracer.instant("block_body", node_track(3), ts=1.5, category="send")
         tracer.complete("late", node_track(3), 1.0, 0.75)
-        first, second = tracer.events()
+        first, second = list(tracer)
         assert type(first) is TraceEvent
         assert first._replace(wall=0.0) == event
         assert (second.name, second.phase, second.ts, second.dur) == (

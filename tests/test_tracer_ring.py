@@ -93,7 +93,7 @@ def test_ring_matches_a_deque_of_events(capacity, ops):
             args[next(iter(args))] = "mutated"
             args["extra"] = 1
 
-        assert _unwalled(tracer.events()) == list(model)
+        assert _unwalled(list(tracer)) == list(model)
         assert _unwalled(tracer) == list(model)
         assert len(tracer) == len(model)
         assert tracer.recorded == recorded

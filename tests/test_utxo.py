@@ -186,4 +186,3 @@ class TestConservationProperty:
         utxos.apply_transaction(sweep, height=1)
         assert utxos.total_value == total_before
         assert utxos.balance_of(addresses[0]) == total_before
-        assert sum(utxos.snapshot_addresses().values()) == total_before

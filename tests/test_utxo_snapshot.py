@@ -36,9 +36,7 @@ class TestSnapshotRoundtrip:
         )
         assert len(restored) == len(original)
         assert restored.total_value == original.total_value
-        assert (
-            restored.snapshot_addresses() == original.snapshot_addresses()
-        )
+        assert restored.serialize_snapshot() == original.serialize_snapshot()
 
     def test_empty_set(self):
         restored = UtxoSet.deserialize_snapshot(

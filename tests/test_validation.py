@@ -22,7 +22,6 @@ from repro.chain.validation import (
     estimate_verification_cost,
     header_check_cost,
     validate_block,
-    verify_merkle_path_cost,
 )
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair
@@ -301,6 +300,3 @@ class TestCostModel:
     def test_header_check_is_cheaper_than_body(self, ledger, alice, bob):
         block = make_transfer_block(ledger, alice, bob, 10)
         assert header_check_cost() < estimate_verification_cost(block)
-
-    def test_merkle_path_cost_monotonic(self):
-        assert verify_merkle_path_cost(10) > verify_merkle_path_cost(2)

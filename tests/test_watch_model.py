@@ -241,7 +241,7 @@ def run(scripts: list[Script], modelled: bool) -> tuple[World, object]:
         start = chains[script.chain].watch if modelled else watches.watch
         start(subject)
         for at in script.rewatch_at:
-            world.clock.schedule_at(at, start, subject)
+            world.clock.schedule(at, start, subject)
     world.clock.run()
     return world, chains["finality"].probed if modelled else watches.tracker
 
