@@ -17,13 +17,24 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.clustering.coordinates import Coordinate, distance
 from repro.clustering.membership import ClusterTable
 from repro.errors import ClusteringError
+
+# numpy is imported inside the two k-means methods, its only users: at
+# module level it would load (~13 MB, ~0.1 s) into every process that
+# imports ``repro``, and the default clustering is random.
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _coordinate(coordinates: list[Coordinate], node_id: int) -> Coordinate:
+    """``coordinates[node_id]``; a negative id must not wrap around."""
+    if not 0 <= node_id < len(coordinates):
+        raise ClusteringError(f"no coordinate for node {node_id}")
+    return coordinates[node_id]
 
 
 class ClusteringAlgorithm(ABC):
@@ -93,22 +104,16 @@ class KMeansClustering(ClusteringAlgorithm):
         self._seed = seed
         self._max_iterations = max_iterations
 
-    def _coordinate(self, node_id: int) -> Coordinate:
-        try:
-            return self._coordinates[node_id]
-        except IndexError:
-            raise ClusteringError(
-                f"no coordinate for node {node_id}"
-            ) from None
-
     def form_clusters(
         self, node_ids: Sequence[int], n_clusters: int
     ) -> ClusterTable:
         """See :meth:`ClusteringAlgorithm.form_clusters`."""
+        import numpy as np
+
         self._check_args(node_ids, n_clusters)
         ids = list(node_ids)
         points = np.array(
-            [self._coordinate(node) for node in ids], dtype=float
+            [_coordinate(self._coordinates, node) for node in ids], dtype=float
         )
         rng = np.random.default_rng(self._seed)
         centers = points[
@@ -152,6 +157,8 @@ class KMeansClustering(ClusteringAlgorithm):
         n_clusters: int,
     ) -> np.ndarray:
         """Cap cluster sizes at ceil(n/k) by reassigning farthest members."""
+        import numpy as np
+
         capacity = -(-len(points) // n_clusters)  # ceil division
         labels = labels.copy()
         for cluster in range(n_clusters):
@@ -187,20 +194,13 @@ class LatencyAwareGreedyClustering(ClusteringAlgorithm):
         self._coordinates = list(coordinates)
         self._seed = seed
 
-    def _coordinate(self, node_id: int) -> Coordinate:
-        try:
-            return self._coordinates[node_id]
-        except IndexError:
-            raise ClusteringError(
-                f"no coordinate for node {node_id}"
-            ) from None
-
     def form_clusters(
         self, node_ids: Sequence[int], n_clusters: int
     ) -> ClusterTable:
         """See :meth:`ClusteringAlgorithm.form_clusters`."""
         self._check_args(node_ids, n_clusters)
         ids = list(node_ids)
+        coordinates = self._coordinates
         rng = random.Random(self._seed)
 
         # Farthest-point seeding.
@@ -211,7 +211,9 @@ class LatencyAwareGreedyClustering(ClusteringAlgorithm):
                 if node in seeds:
                     continue
                 score = min(
-                    distance(self._coordinate(node), self._coordinate(s))
+                    distance(
+                        _coordinate(coordinates, node), _coordinate(coordinates, s)
+                    )
                     for s in seeds
                 )
                 if score > best_score:
@@ -227,11 +229,11 @@ class LatencyAwareGreedyClustering(ClusteringAlgorithm):
             ):
                 if not unassigned:
                     break
-                seed_point = self._coordinate(seeds[cluster_id])
+                seed_point = _coordinate(coordinates, seeds[cluster_id])
                 nearest = min(
                     unassigned,
                     key=lambda node: distance(
-                        self._coordinate(node), seed_point
+                        _coordinate(coordinates, node), seed_point
                     ),
                 )
                 members.append(nearest)

@@ -403,42 +403,29 @@ class DHTEngine(ProtocolEngine):
         self._advance(lookup)
         return lookup
 
-    def _candidates(self, lookup: _Lookup) -> list[int]:
-        return sorted(
-            (
-                node_id
-                for node_id in lookup.known
-                if node_id not in lookup.queried
-                and node_id != lookup.requester
-            ),
-            key=lambda n: lookup.known[n] ^ lookup.target,
-        )
-
-    def _converged(self, lookup: _Lookup) -> bool:
-        """Have the k nearest known (non-failed) peers all been asked?"""
-        nearest = sorted(
-            (
-                node_id
-                for node_id in lookup.known
-                if node_id != lookup.requester
-                and node_id not in lookup.failed
-            ),
-            key=lambda n: lookup.known[n] ^ lookup.target,
-        )[: self.config.k]
-        return bool(nearest) and all(n in lookup.queried for n in nearest)
-
     def _advance(self, lookup: _Lookup) -> None:
         if lookup.done:
             return
+        # ``known`` and ``failed`` change only when an answer or a degrade
+        # arrives, never inside a probe's send, so one XOR ordering serves
+        # every probe this call makes.
+        known, target = lookup.known, lookup.target
+        ordered = sorted(
+            (n for n in known if n != lookup.requester),
+            key=lambda n: known[n] ^ target,
+        )
+        nearest = [n for n in ordered if n not in lookup.failed][: self.config.k]
+        candidates = (n for n in ordered if n not in lookup.queried)
         while len(lookup.in_flight) < self.config.alpha:
             if len(lookup.queried) >= MAX_LOOKUP_CONTACTS:
                 break
-            if self._converged(lookup):
+            # Converged: the k nearest known (non-failed) peers were all asked.
+            if nearest and all(n in lookup.queried for n in nearest):
                 break
-            candidates = self._candidates(lookup)
-            if not candidates:
+            peer = next(candidates, None)
+            if peer is None:
                 break
-            self._probe(lookup, candidates[0])
+            self._probe(lookup, peer)
         if not lookup.in_flight and not lookup.done:
             self._complete(lookup)
 

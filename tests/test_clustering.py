@@ -255,6 +255,24 @@ class TestKMeans:
         with pytest.raises(ClusteringError):
             KMeansClustering([(0, 0)]).form_clusters([0, 5], 1)
 
+    def test_negative_node_id_raises(self):
+        """``coordinates[-1]`` would wrap to the last node's position."""
+        points = place_uniform(8, seed=1)
+        with pytest.raises(ClusteringError, match="node -1"):
+            KMeansClustering(points).form_clusters([0, -1], 1)
+
+    def test_labels_are_pinned(self):
+        """Taken with numpy imported at module level; any rewrite of the
+        k-means path must reproduce numpy's draws and this assignment."""
+        points = place_regions(40, n_regions=4, seed=27)
+        table = KMeansClustering(points, seed=27).form_clusters(
+            list(range(40)), 5
+        )
+        assert [table.cluster_of(node) for node in range(40)] == [
+            4, 0, 3, 2, 4, 4, 1, 4, 3, 0, 1, 2, 3, 4, 1, 2, 3, 0, 1, 2,
+            3, 0, 1, 2, 4, 0, 1, 2, 3, 0, 1, 3, 4, 0, 4, 2, 3, 0, 1, 2,
+        ]  # fmt: skip
+
 
 class TestLatencyAwareGreedy:
     def test_balanced_sizes(self):
@@ -289,3 +307,8 @@ class TestLatencyAwareGreedy:
             )
 
         assert spread(greedy) < spread(rand)
+
+    def test_negative_node_id_raises(self):
+        points = place_uniform(8, seed=2)
+        with pytest.raises(ClusteringError, match="node -2"):
+            LatencyAwareGreedyClustering(points).form_clusters([0, -2], 2)
