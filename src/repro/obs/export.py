@@ -20,6 +20,7 @@ every exported document.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -41,14 +42,17 @@ PROCESS_NAMES = {1: "nodes", 2: "protocol", 3: "simulator"}
 #: Event phases a valid exported document may contain.
 VALID_PHASES = frozenset({SPAN, INSTANT, COUNTER, "M"})
 
+#: The ``track`` field of a stored row or a :class:`TraceEvent`.
+_TRACK = itemgetter(4)
+
 
 def _thread_layout(
-    events: Iterable[TraceEvent],
+    tracks: Iterable[tuple],
 ) -> dict[tuple, tuple[int, int, str]]:
     """Assign ``track -> (pid, tid, thread name)`` deterministically."""
     by_group: dict[str, set] = {}
-    for event in events:
-        by_group.setdefault(event.track[0], set()).add(event.track[1])
+    for group, key in set(tracks):
+        by_group.setdefault(group, set()).add(key)
     layout: dict[tuple, tuple[int, int, str]] = {}
     node_keys = sorted(by_group.get(NODE_GROUP, ()))
     single_label = len({label for label, _ in node_keys}) <= 1
@@ -77,9 +81,13 @@ def to_chrome_trace(
     source: Tracer | Iterable[TraceEvent], label: str = "repro trace"
 ) -> dict:
     """Build the Chrome trace-event JSON document for one trace."""
-    # Two passes (tracks, then rows): a tracer is iterated, never copied.
-    events = source if isinstance(source, Tracer) else list(source)
-    layout = _thread_layout(events)
+    # Two passes (tracks, then events): a tracer is streamed, never
+    # copied, and its first pass reads only the track of its stored rows.
+    if isinstance(source, Tracer):
+        events, rows = source, source.rows()
+    else:
+        events = rows = list(source)
+    layout = _thread_layout(map(_TRACK, rows))
     trace_events: list[dict[str, Any]] = []
     for pid in sorted(set(pid for pid, _, _ in layout.values())):
         trace_events.append(

@@ -21,6 +21,7 @@ harness traces workloads that build their own deployments.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -89,8 +90,10 @@ class TracingObserver:
         # additionally sample that cluster's ledger bytes as a counter
         # series (the paper's headline storage claim over virtual time).
         self._deployment = deployment
-        # message_id -> send virtual time, for queue-latency spans.
-        self._sent_at: dict[int, float] = {}
+        # message_id -> send virtual time, for queue-latency spans.  Once
+        # full, the oldest pending send goes: ``popitem(last=False)`` is
+        # O(1), where a dict's first key is a scan past deleted entries.
+        self._sent_at: OrderedDict[int, float] = OrderedDict()
 
     # -------------------------------------------------------- router hooks
     def on_send(self, message: "Message") -> None:
@@ -98,7 +101,7 @@ class TracingObserver:
         now = self._clock.now
         sent_at = self._sent_at
         if len(sent_at) >= _PENDING_SEND_LIMIT:
-            sent_at.pop(next(iter(sent_at)))
+            sent_at.popitem(last=False)
         sent_at[message.message_id] = now
         self._instant(
             KIND_VALUE[message.kind],

@@ -16,6 +16,7 @@ fixed-seed run is itself deterministic (wall stamps are ignored).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from math import ceil, inf
 from typing import Iterable
@@ -130,9 +131,12 @@ def summarize(
         return summary
 
     kinds, phases = summary.kinds, summary.phases
-    # node key -> (activity, virtual stamp of each send/deliver).
-    rows: dict[tuple, tuple[NodeActivity, list[float]]] = {}
-    latencies: dict[str, list[float]] = {}
+    # node key -> (activity, virtual stamp of each send/deliver), and
+    # kind -> span durations.  Arrays, not lists: a tracer's rows carry
+    # fresh float objects, and a list would keep each one alive until
+    # the pass ends.
+    rows: dict[tuple, tuple[NodeActivity, array]] = {}
+    latencies: dict[str, array] = {}
     t_start, t_end = inf, -inf
     for name, phase, ts, dur, (group, key), category, _, args in events:
         end = ts + dur
@@ -143,7 +147,7 @@ def summarize(
         if group == NODE_GROUP:
             row = rows.get(key)
             if row is None:
-                row = rows[key] = (NodeActivity(*key), [])
+                row = rows[key] = (NodeActivity(*key), array("d"))
             node, stamps = row
             size = arg_of(args, "bytes", 0)
             if category == "send":
@@ -154,7 +158,7 @@ def summarize(
                 node.bytes_received += size
                 samples = latencies.get(name)
                 if samples is None:
-                    samples = latencies[name] = []
+                    samples = latencies[name] = array("d")
                 if phase == SPAN:
                     samples.append(dur)
                 else:
@@ -177,7 +181,7 @@ def summarize(
         entry = kinds.setdefault(kind, KindLatency(kind=kind))
         if not samples:
             continue
-        samples.sort()
+        samples = sorted(samples)
         entry.count = len(samples)
         entry.p50 = percentile(samples, 0.50)
         entry.p95 = percentile(samples, 0.95)

@@ -6,10 +6,13 @@ time — which end-of-run aggregate counters cannot explain.  A
 :class:`Tracer` captures that flow as structured events, each stamped
 with **both** simclock virtual time and a wall-clock stamp, into a
 bounded ring buffer, so a trace of any length costs bounded memory and
-the oldest events are evicted first.  The ring is one flat list, eight
-slots per event, with ``args`` packed as ``(keys, *values)``; only
-:meth:`Tracer.rows` and :func:`arg_of` read that stored form, everyone
-else sees :class:`TraceEvent` rows whose ``args`` is a fresh dict.
+the oldest events are evicted first.  A recorded event is stored in
+40 B: two slots of one flat list — an interned *head* ``(name, phase,
+track, category)``, shared by every event of one kind on one track, and
+its ``args``, packed as ``(keys, *values)`` — plus three doubles ``ts,
+dur, wall`` in one ``array('d')``.  Only :meth:`Tracer.rows` and
+:func:`arg_of` read that stored form; everyone else sees
+:class:`TraceEvent` rows whose ``args`` is a fresh dict.
 
 Design rules:
 
@@ -22,10 +25,11 @@ Design rules:
   :func:`~repro.obs.hooks.install_tracing` attaches nothing for a
   disabled :class:`Tracer`; called directly, its record methods return
   immediately, allocating nothing.
-* **Cheap when enabled**: a recorded event is eight slots written by
-  one C call inside the record method — no constructor frame, no
-  per-event track, no retained row (``tests/test_message_path.py``
-  counts the frames and the GC-tracked allocations).
+* **Cheap when enabled**: a recorded event is two slots and three
+  doubles written by C calls inside the record method — no constructor
+  frame, no per-event track or head, no retained row
+  (``tests/test_message_path.py`` counts the frames, the GC-tracked
+  allocations and the bytes).
 * **Deterministic virtual story**: virtual timestamps, event order, and
   counts are a pure function of the (seeded) run; only the ``wall``
   stamps vary across machines.  Tracing never schedules events or draws
@@ -41,8 +45,10 @@ into processes and tracks into threads (:mod:`repro.obs.export`).
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager, nullcontext
 from itertools import chain, islice
+from operator import itemgetter
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
@@ -51,7 +57,8 @@ from repro.errors import ObservabilityError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.simclock import SimClock
 
-#: Default ring-buffer capacity (events); ~31 MB when full (DESIGN.md).
+#: Default ring-buffer capacity (events).  Full, the slots and stamps
+#: take 8 MB, plus one lap's distinct heads and ``args`` (DESIGN.md).
 DEFAULT_CAPACITY = 200_000
 
 #: Track groups (the Chrome exporter's processes).
@@ -102,8 +109,11 @@ class TraceEvent(NamedTuple):
 #: What ``NamedTuple._make`` calls underneath, minus its Python frame.
 _new_record = tuple.__new__
 
-#: Ring slots per event.
-_STRIDE = len(TraceEvent._fields)
+#: Ring slots per event: its interned head and its ``args``.
+_STRIDE = 2
+
+#: Doubles per event in the stamp column: ``ts``, ``dur``, ``wall``.
+_STAMPS = 3
 
 #: Key set -> the one tuple every packed ``args`` with those keys shares.
 _KEYS: dict[tuple, tuple] = {}
@@ -113,6 +123,15 @@ def _pack(args: dict) -> tuple:
     """``args`` as stored: ``(keys, *values)``, a snapshot of the dict."""
     keys = tuple(args)
     return (_KEYS.setdefault(keys, keys), *args.values())
+
+
+def _lap(column, start: int, stride: int = 1) -> Iterator:
+    """``column[start::stride]``, then the slots before ``start`` with
+    the same offset: one field of every retained event, oldest first."""
+    return chain(
+        islice(column, start, None, stride),
+        islice(column, start % stride, start, stride),
+    )
 
 
 def arg_of(args: dict | tuple | None, key: str, default: Any = None) -> Any:
@@ -151,6 +170,8 @@ class Tracer:
 
     __slots__ = (
         "_ring",
+        "_stamps",
+        "_interned",
         "_capacity",
         "_enabled",
         "_recorded",
@@ -169,8 +190,13 @@ class Tracer:
     ) -> None:
         if capacity < 1:
             raise ObservabilityError("tracer capacity must be >= 1")
-        # Flat: event i of the ring is slots [i * _STRIDE, (i + 1) * _STRIDE).
+        # Event i is ring slots [i * _STRIDE, (i + 1) * _STRIDE) and
+        # stamps [i * _STAMPS, (i + 1) * _STAMPS).
         self._ring: list = []
+        self._stamps = array("d")
+        # Head or packed ``args`` -> its one stored copy.  Cleared when
+        # the ring wraps to slot 0, so it holds one lap's values at most.
+        self._interned: dict[tuple, tuple] = {}
         self._capacity = capacity
         self._enabled = enabled
         self._recorded = 0
@@ -207,11 +233,19 @@ class Tracer:
 
         Plain tuples of :class:`TraceEvent`'s fields as stored: ``args``
         is packed (``(keys, *values)`` or ``None``; see :func:`arg_of`).
+        Composed of C iterators, no Python frame per row.
         """
+        first = self.evicted % self._capacity
         ring = self._ring
-        oldest = self.evicted % self._capacity * _STRIDE
-        slots = chain(islice(ring, oldest, None), islice(ring, oldest))
-        return zip(*[slots] * _STRIDE)
+        name, phase, track, category = (
+            map(itemgetter(field), _lap(ring, first * _STRIDE, _STRIDE))
+            for field in range(4)
+        )
+        args = _lap(ring, first * _STRIDE + 1, _STRIDE)
+        # One iterator yields ts, dur, wall in turn; zip pulls its
+        # arguments left to right, so each lands in its own field.
+        stamps = _lap(self._stamps, first * _STAMPS)
+        return zip(name, phase, stamps, stamps, track, category, stamps, args)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         for row in self.rows():
@@ -242,6 +276,14 @@ class Tracer:
         return base if count == 1 else f"{base}#{count}"
 
     # ------------------------------------------------------------ recording
+    # The three record methods write the stored form inline, one frame
+    # per event: the interned head and ``args`` into the ring and the
+    # stamps into the column, appended while filling and over the oldest
+    # event's once full.  A packed ``args`` tuple is interned; a dict is
+    # packed and never interned.  Interning keeps one of several equal
+    # values, and ``1``, ``1.0`` and ``True`` are equal, so only int and
+    # text values may be passed packed.
+
     def instant(
         self,
         name: str,
@@ -252,21 +294,34 @@ class Tracer:
     ) -> None:
         """Record a point event at virtual time ``ts`` (default: now).
 
-        ``args``: a dict (snapshotted), or already packed by the caller.
+        ``args``: a dict (snapshotted, never interned), or already packed
+        by the caller with int and text values only (interned).
         """
         if not self._enabled:
             return
         if ts is None:
             ts = self._now()
-        if args is not None and args.__class__ is not tuple:
-            args = _pack(args)
-        row = (name, INSTANT, ts, 0.0, track, category, perf_counter(), args)
-        if self._recorded < self._capacity:
+        interned = self._interned
+        recorded = self._recorded
+        slot = recorded % self._capacity
+        if not slot:  # a lap begins: drop the last lap's values
+            interned.clear()
+        if args is not None:
+            if args.__class__ is tuple:
+                args = interned.setdefault(args, args)
+            else:
+                args = _pack(args)
+        head = (name, INSTANT, track, category)
+        row = (interned.setdefault(head, head), args)
+        if recorded < self._capacity:
             self._ring.extend(row)
-        else:  # full: overwrite the oldest event's slots
-            oldest = self._recorded % self._capacity * _STRIDE
-            self._ring[oldest : oldest + _STRIDE] = row
-        self._recorded += 1
+            self._stamps.fromlist([ts, 0.0, perf_counter()])
+        else:  # full: overwrite the oldest event
+            at = slot * _STRIDE
+            self._ring[at : at + _STRIDE] = row
+            at = slot * _STAMPS
+            self._stamps[at : at + _STAMPS] = array("d", (ts, 0.0, perf_counter()))
+        self._recorded = recorded + 1
 
     def counter(
         self,
@@ -280,19 +335,28 @@ class Tracer:
 
         ``values`` maps series name → numeric sample; Perfetto stacks
         the series of one counter name into an area chart over time.
+        Packed as a snapshot, never interned.
         """
         if not self._enabled:
             return
         if ts is None:
             ts = self._now()
-        args = _pack(values)
-        row = (name, COUNTER, ts, 0.0, track, category, perf_counter(), args)
-        if self._recorded < self._capacity:
+        interned = self._interned
+        recorded = self._recorded
+        slot = recorded % self._capacity
+        if not slot:
+            interned.clear()
+        head = (name, COUNTER, track, category)
+        row = (interned.setdefault(head, head), _pack(values))
+        if recorded < self._capacity:
             self._ring.extend(row)
+            self._stamps.fromlist([ts, 0.0, perf_counter()])
         else:
-            oldest = self._recorded % self._capacity * _STRIDE
-            self._ring[oldest : oldest + _STRIDE] = row
-        self._recorded += 1
+            at = slot * _STRIDE
+            self._ring[at : at + _STRIDE] = row
+            at = slot * _STAMPS
+            self._stamps[at : at + _STAMPS] = array("d", (ts, 0.0, perf_counter()))
+        self._recorded = recorded + 1
 
     def complete(
         self,
@@ -303,18 +367,34 @@ class Tracer:
         category: str = "",
         args: dict | tuple | None = None,
     ) -> None:
-        """Record a finished span: ``[start, start + dur]`` virtual time."""
+        """Record a finished span: ``[start, start + dur]`` virtual time.
+
+        ``args`` as for :meth:`instant`: a dict is never interned, a
+        packed tuple (int and text values only) is.
+        """
         if not self._enabled:
             return
-        if args is not None and args.__class__ is not tuple:
-            args = _pack(args)
-        row = (name, SPAN, start, dur, track, category, perf_counter(), args)
-        if self._recorded < self._capacity:
+        interned = self._interned
+        recorded = self._recorded
+        slot = recorded % self._capacity
+        if not slot:
+            interned.clear()
+        if args is not None:
+            if args.__class__ is tuple:
+                args = interned.setdefault(args, args)
+            else:
+                args = _pack(args)
+        head = (name, SPAN, track, category)
+        row = (interned.setdefault(head, head), args)
+        if recorded < self._capacity:
             self._ring.extend(row)
+            self._stamps.fromlist([start, dur, perf_counter()])
         else:
-            oldest = self._recorded % self._capacity * _STRIDE
-            self._ring[oldest : oldest + _STRIDE] = row
-        self._recorded += 1
+            at = slot * _STRIDE
+            self._ring[at : at + _STRIDE] = row
+            at = slot * _STAMPS
+            self._stamps[at : at + _STAMPS] = array("d", (start, dur, perf_counter()))
+        self._recorded = recorded + 1
 
     def span(
         self,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import tracemalloc
 from collections import Counter
 
 from repro.core.config import ICIConfig
@@ -248,27 +249,33 @@ def _tracked_allocations(call, arguments) -> int:
         gc.enable()
 
 
-def test_traced_event_retains_at_most_one_tracked_object():
-    """What the cyclic GC has to count per recorded event.
+def _repeated_sends(count: int) -> list:
+    """``count`` sends from eight nodes to a ninth: eight heads and one
+    ``args`` value between them, repeated the way a storm repeats."""
+    return [
+        sized_message(MessageKind.BLOCK_BODY, index % 8, 8, None, 100)
+        for index in range(count)
+    ]
 
-    A traced send leaves one object behind for the collector, the packed
-    ``args`` tuple (a retained row tuple plus an ``args`` dict made it
-    two); an event without ``args`` leaves none, and on a wrapped ring
-    each record frees what it overwrites.
+
+def test_traced_event_retains_at_most_one_tracked_object():
+    """What the cyclic GC has to count per recorded event: about nothing.
+
+    A recorded event is two ring slots (its interned head and ``args``)
+    and three doubles, so a repeated traced send leaves no object behind
+    for the collector (the packed ``args`` tuple was one until heads and
+    packed ``args`` were interned); an event without ``args`` leaves
+    none, and on a wrapped ring each record frees what it overwrites.
     """
     from repro.obs.hooks import TracingObserver
     from repro.obs.tracer import Tracer
 
-    messages = [
-        sized_message(MessageKind.BLOCK_BODY, index % 8, 8, None, 100)
-        for index in range(10_000)
-    ]
+    messages = _repeated_sends(10_000)
     tracer = Tracer()
     observer = TracingObserver(tracer, SimClock())
-    for message in messages[:8]:  # warm-up: one track per sender
+    for message in messages[:8]:  # warm-up: one track and head per sender
         observer.on_send(message)
-    sends = _tracked_allocations(observer.on_send, messages)
-    assert 10_000 <= sends < 10_100
+    assert abs(_tracked_allocations(observer.on_send, messages)) < 100
     assert abs(_tracked_allocations(observer.on_retry, ["k"] * 10_000)) < 100
     assert tracer.recorded == 20_008 and tracer.evicted == 0
 
@@ -278,3 +285,27 @@ def test_traced_event_retains_at_most_one_tracked_object():
         observer.on_send(message)
     assert abs(_tracked_allocations(observer.on_send, messages)) < 100
     assert wrapped.evicted == 10_100 - 64
+
+
+def test_traced_send_retains_at_most_48_bytes():
+    """A repeated traced send keeps two ring slots and three doubles,
+    40 B, plus the list's and the array's growth headroom.  The
+    observer's pending-send map is its own, not the trace's: it is
+    emptied before the reading."""
+    from repro.obs.hooks import TracingObserver
+    from repro.obs.tracer import Tracer
+
+    messages = _repeated_sends(10_000)
+    tracemalloc.start()
+    try:
+        observer = TracingObserver(Tracer(), SimClock())
+        for message in messages[:8]:
+            observer.on_send(message)
+        before = tracemalloc.get_traced_memory()[0]
+        for message in messages:
+            observer.on_send(message)
+        observer._sent_at.clear()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 48 * len(messages)

@@ -18,6 +18,7 @@ from repro.bench.workload import simulated_metrics
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ObservabilityError
+from repro.net.message import MessageKind, sized_message
 from repro.net.simclock import SimClock
 from repro.obs.export import (
     to_chrome_trace,
@@ -249,6 +250,23 @@ class TestTracedDeployment:
         assert all(e.dur > 0 for e in delivers)
         assert all(e.track[0] == "node" for e in sends + delivers)
         assert all(e.args["bytes"] > 0 for e in delivers)
+
+    def test_undelivered_sends_evict_oldest_first(self, monkeypatch):
+        """Drops and dead recipients leave sends pending; once the map is
+        full the oldest go, so only their deliveries lose the span."""
+        monkeypatch.setattr("repro.obs.hooks._PENDING_SEND_LIMIT", 4)
+        tracer = Tracer()
+        observer = TracingObserver(tracer, SimClock())
+        messages = [
+            sized_message(MessageKind.BLOCK_BODY, 0, 1, None, 10)
+            for _ in range(10)
+        ]
+        for message in messages:
+            observer.on_send(message)
+        for message in messages:
+            observer.on_deliver(None, message)
+        phases = [e.phase for e in tracer if e.category == "deliver"]
+        assert phases == ["i"] * 6 + ["X"] * 4
 
     def test_finalize_instants_mark_consensus(self):
         tracer, _ = traced_run()

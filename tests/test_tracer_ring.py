@@ -1,12 +1,14 @@
-"""Model test for the tracer's ring: flat slots against a ``deque`` of events.
+"""Model test for the tracer's ring: stored form against a ``deque`` of events.
 
-The ring stores eight slots per event in one flat list, with ``args``
-packed (:mod:`repro.obs.tracer`); what callers see must stay what a
-``collections.deque(maxlen=capacity)`` of :class:`TraceEvent` rows would
-show.  Hypothesis drives ``instant`` / ``complete`` / ``counter``
-sequences — capacities 1–7, lengths past two wraps, ``args`` absent,
-empty, nested and non-string — and compares every reader after every
-record.  Rides the workflow's fuzz smoke step (``HYPOTHESIS_PROFILE=ci``).
+The ring stores an interned head and ``args`` per event, next to three
+doubles in a float column (:mod:`repro.obs.tracer`); what callers see
+must stay what a ``collections.deque(maxlen=capacity)`` of
+:class:`TraceEvent` rows would show, type for type.  Hypothesis drives
+``instant`` / ``complete`` / ``counter`` sequences — capacities 1–7,
+lengths past two wraps, ``args`` absent, empty, nested, non-string,
+equal across types (``True``, ``1``, ``1.0``) and packed the way the hot
+producers pass them — and compares every reader after every record.
+Rides the workflow's fuzz smoke step (``HYPOTHESIS_PROFILE=ci``).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ _scalars = st.one_of(
     st.integers(-5, 2**40),
     st.floats(allow_nan=False),
     st.text(max_size=4),
+    st.sampled_from((1, 1.0, True, 0, 0.0, False)),  # equal across types
 )
 _values = st.one_of(
     _scalars,
@@ -45,6 +48,14 @@ _values = st.one_of(
     st.dictionaries(st.sampled_from(KEYS), _scalars, max_size=2),
 )
 _dicts = st.dictionaries(st.sampled_from(KEYS), _values, max_size=4)
+#: ``args`` as the hot producers pass them: packed, int and text values.
+_packed = st.lists(st.sampled_from(KEYS), unique=True, max_size=3).flatmap(
+    lambda keys: st.tuples(
+        st.just(tuple(keys)),
+        *[st.integers(-5, 2**40) | st.text(max_size=4)] * len(keys),
+    )
+)
+_args = st.none() | _dicts | _packed
 _tracks = st.sampled_from(
     [("sim", "test"), ("node", ("", 3)), ("proto", ("a", "reliability"))]
 )
@@ -53,11 +64,11 @@ _ops = st.lists(
     st.one_of(
         st.tuples(
             st.just("instant"), st.text(max_size=3), _tracks, _stamps,
-            st.none() | _dicts,
+            _args,
         ),
         st.tuples(
             st.just("complete"), st.text(max_size=3), _tracks, _stamps,
-            st.none() | _dicts, _stamps,
+            _args, _stamps,
         ),
         st.tuples(
             st.just("counter"), st.text(max_size=3), _tracks, _stamps,
@@ -68,8 +79,18 @@ _ops = st.lists(
 )  # fmt: skip
 
 
-def _unwalled(events) -> list[TraceEvent]:
-    return [event._replace(wall=0.0) for event in events]
+def _unwalled(events) -> str:
+    """The events with ``wall`` zeroed, as a ``repr``: ``==`` takes
+    ``True``, ``1`` and ``1.0`` for one value, ``repr`` does not."""
+    return repr([event._replace(wall=0.0) for event in events])
+
+
+def _as_dict(args: dict | tuple | None) -> dict | None:
+    if args is None:
+        return None
+    if isinstance(args, tuple):
+        return dict(zip(args[0], args[1:]))
+    return dict(args)
 
 
 @settings(derandomize=True, deadline=None)
@@ -77,8 +98,9 @@ def _unwalled(events) -> list[TraceEvent]:
 def test_ring_matches_a_deque_of_events(capacity, ops):
     tracer = Tracer(capacity=capacity)
     model: deque[TraceEvent] = deque(maxlen=capacity)
+    packed: deque[tuple | None] = deque(maxlen=capacity)
     for recorded, (method, name, track, ts, args, *dur) in enumerate(ops, 1):
-        expected = None if args is None else dict(args)
+        expected = _as_dict(args)
         if method == "instant":
             tracer.instant(name, track, ts, "cat", args)
             row = (name, INSTANT, ts, 0.0, track, "cat", 0.0, expected)
@@ -89,12 +111,14 @@ def test_ring_matches_a_deque_of_events(capacity, ops):
             tracer.counter(name, track, args, ts, "cat")
             row = (name, COUNTER, ts, 0.0, track, "cat", 0.0, expected)
         model.append(TraceEvent(*row))
-        if args:  # the producer reuses its dict: the record must not move
+        packed.append(args if isinstance(args, tuple) else None)
+        if isinstance(args, dict) and args:
+            # The producer reuses its dict: the record must not move.
             args[next(iter(args))] = "mutated"
             args["extra"] = 1
 
-        assert _unwalled(list(tracer)) == list(model)
-        assert _unwalled(tracer) == list(model)
+        assert _unwalled(list(tracer)) == _unwalled(model)
+        assert _unwalled(tracer) == _unwalled(model)
         assert len(tracer) == len(model)
         assert tracer.recorded == recorded
         assert tracer.evicted == recorded - len(model)
@@ -105,9 +129,17 @@ def test_ring_matches_a_deque_of_events(capacity, ops):
         assert walls == sorted(walls)  # oldest first
         for row, event in zip(stored, model):
             for key in (*KEYS, "extra"):
-                want = (event.args or {}).get(key, MISSING)
-                assert arg_of(row[7], key, MISSING) == want
-                assert arg_of(event.args, key, MISSING) == want
+                want = repr((event.args or {}).get(key, MISSING))
+                assert repr(arg_of(row[7], key, MISSING)) == want
+                assert repr(arg_of(event.args, key, MISSING)) == want
+        # The intern table holds what this lap of the ring recorded: the
+        # distinct heads and packed ``args`` since it last wrapped to 0.
+        lap = (recorded - 1) % capacity + 1
+        lap_values = {
+            (event.name, event.phase, event.track, event.category)
+            for event in list(model)[-lap:]
+        } | {args for args in list(packed)[-lap:] if args is not None}
+        assert len(tracer._interned) <= len(lap_values)
 
 
 def test_only_the_tracer_module_knows_the_stored_form():
