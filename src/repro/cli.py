@@ -30,6 +30,7 @@ from typing import Sequence
 
 from repro.analysis.tables import format_bytes, format_seconds, render_table
 from repro.errors import ConfigurationError
+from repro.obs.tracer import DEFAULT_CAPACITY
 from repro.sim.chaos import (
     ChaosConfig,
     EnduranceConfig,
@@ -207,8 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--capacity",
-        type=int,
-        help="ring-buffer size in events (default 200000; oldest evicted)",
+        type=_capacity,
+        default=DEFAULT_CAPACITY,
+        help="ring-buffer size in events (default %(default)s; oldest "
+        "evicted)",
     )
     trace.add_argument(
         "--no-callback-spans",
@@ -216,6 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip per-simclock-callback spans (much smaller traces)",
     )
     return parser
+
+
+def _capacity(text: str) -> int:
+    """``--capacity``: a ring of at least one event."""
+    capacity = int(text)
+    if capacity < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1 (got {capacity})")
+    return capacity
 
 
 def _common_args(parser: argparse.ArgumentParser) -> None:
@@ -604,11 +615,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
         validate_chrome_trace,
         write_jsonl,
     )
+    from repro.obs.hooks import install_tracing
     from repro.obs.summary import summarize
-    from repro.obs.tracer import DEFAULT_CAPACITY, Tracer, tracing
+    from repro.obs.tracer import Tracer
 
     tracer = Tracer(
-        capacity=args.capacity or DEFAULT_CAPACITY,
+        capacity=args.capacity,
         trace_callbacks=not args.no_callback_spans,
     )
     if args.chaos:
@@ -625,27 +637,25 @@ def cmd_trace(args: argparse.Namespace) -> int:
         run_chaos(config, tracer=tracer)
         label = f"chaos seed={args.seed}"
     else:
-        with tracing(tracer):
-            deployment = _deploy(args, args.scenario)
-            runner = ScenarioRunner(deployment, limits=BENCH_LIMITS)
-            with tracer.span("produce"):
-                report = runner.produce_blocks(
-                    args.blocks, txs_per_block=args.txs
+        deployment = _deploy(args, args.scenario)
+        install_tracing(deployment, tracer)
+        runner = ScenarioRunner(deployment, limits=BENCH_LIMITS)
+        with tracer.span("produce"):
+            report = runner.produce_blocks(args.blocks, txs_per_block=args.txs)
+        with tracer.span("join"):
+            deployment.join_new_node()
+            deployment.run()
+        with tracer.span("queries"):
+            rng = random.Random(args.seed ^ 0x7ACE)
+            hashes = list(report.block_hashes)
+            node_ids = sorted(deployment.nodes)
+            for _ in range(args.queries):
+                if not hashes:
+                    break
+                deployment.retrieve_block(
+                    rng.choice(node_ids), rng.choice(hashes)
                 )
-            with tracer.span("join"):
-                deployment.join_new_node()
-                deployment.run()
-            with tracer.span("queries"):
-                rng = random.Random(args.seed ^ 0x7ACE)
-                hashes = list(report.block_hashes)
-                node_ids = sorted(deployment.nodes)
-                for _ in range(args.queries):
-                    if not hashes:
-                        break
-                    deployment.retrieve_block(
-                        rng.choice(node_ids), rng.choice(hashes)
-                    )
-                deployment.run()
+            deployment.run()
         label = f"{args.scenario} N={args.nodes} groups={args.groups}"
 
     payload = to_chrome_trace(tracer, label=label)

@@ -86,6 +86,10 @@ class RandomBalancedClustering(ClusteringAlgorithm):
         return ClusterTable.from_assignment(clusters)
 
 
+#: Lloyd iterations k-means runs at most before the balancing pass.
+KMEANS_MAX_ITERATIONS = 50
+
+
 class KMeansClustering(ClusteringAlgorithm):
     """Lloyd's k-means over 2-D network coordinates + balancing pass.
 
@@ -98,11 +102,9 @@ class KMeansClustering(ClusteringAlgorithm):
         self,
         coordinates: Sequence[Coordinate],
         seed: int = 0,
-        max_iterations: int = 50,
     ) -> None:
         self._coordinates = list(coordinates)
         self._seed = seed
-        self._max_iterations = max_iterations
 
     def form_clusters(
         self, node_ids: Sequence[int], n_clusters: int
@@ -121,7 +123,7 @@ class KMeansClustering(ClusteringAlgorithm):
         ].copy()
 
         labels = np.zeros(len(ids), dtype=int)
-        for _ in range(self._max_iterations):
+        for _ in range(KMEANS_MAX_ITERATIONS):
             distances = np.linalg.norm(
                 points[:, None, :] - centers[None, :, :], axis=2
             )

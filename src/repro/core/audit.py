@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
+from repro.storage import coded
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chain.block import BlockHeader
     from repro.core.icistrategy import ICIDeployment
@@ -176,7 +178,7 @@ def diversity_met(
         live_zones = len(domains.zones_of(row.live))
         if row.tier is not None:
             copies = row.chunk_holders
-            need = row.tier.config.data_chunks
+            need = coded.DATA_CHUNKS
         else:
             copies, need = row.holders, row.floor
         if len(domains.zones_of(copies)) < min(need, live_zones):

@@ -13,6 +13,11 @@ from repro.errors import ConfigurationError
 class ICIConfig:
     """Tunable knobs of the strategy.
 
+    Verification is always the paper's collaborative scheme: only a
+    block's ``r`` holders per cluster validate the body and attest, every
+    member commits on a holder majority, and a non-holder that held the
+    body (a compact-block proposer) drops it once its cluster finalizes.
+
     Attributes:
         n_clusters: how many clusters to form.
         replication: in-cluster copies of each block body (``r``).
@@ -30,10 +35,6 @@ class ICIConfig:
             fetch only the transactions they miss.  Effective when
             transactions were relayed beforehand
             (:meth:`~repro.sim.runner.ScenarioRunner.produce_blocks_via_relay`).
-        prune_after_verify: non-holders drop bodies they fetched for
-            validation once the cluster finalizes the block.
-        verify_collaboratively: when ``False``, every member validates the
-            full body itself (ablation; loses the CPU and traffic savings).
         parity_group_size: when ≥ 2, each cluster additionally stores one
             XOR parity chunk per that many consecutive blocks (the
             erasure extension), making any single lost body recoverable
@@ -44,6 +45,7 @@ class ICIConfig:
             contact's *actual* serialized UTXO set (69 bytes/entry) and
             charges its real size instead of the flat figure.
         limits: consensus limits shared by every node.
+        seed: drives cluster formation and the clustered topology.
     """
 
     n_clusters: int = 4
@@ -52,8 +54,6 @@ class ICIConfig:
     clustering: str = "random"
     aggregate_votes: bool = True
     compact_blocks: bool = False
-    prune_after_verify: bool = True
-    verify_collaboratively: bool = True
     parity_group_size: int = 0
     state_snapshot_bytes: int = 0
     transfer_state_snapshot: bool = False

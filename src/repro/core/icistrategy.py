@@ -217,7 +217,7 @@ class ICIDeployment(StorageDeployment):
             ):
                 self.nodes[holder].assign_body(genesis)
 
-    def enable_adaptive_replication(self, heat_config=None):
+    def enable_adaptive_replication(self):
         """Install heat tracking + the replication planner (idempotent).
 
         Adds a :class:`~repro.storage.heat.HeatTracker` as a router
@@ -229,9 +229,9 @@ class ICIDeployment(StorageDeployment):
         """
         if self.replication_planner is not None:
             return self.replication_planner
-        tracker = HeatTracker(self.network.clock, heat_config)
+        tracker = HeatTracker(self.network.clock)
         self.router.add_observer(tracker)
-        planner = ReplicationPlanner(self, tracker, tracker.config)
+        planner = ReplicationPlanner(self, tracker)
         self.heat = tracker
         self.replication_planner = planner
         # Inherit the repair engine's tracer when tracing is already on;
@@ -240,7 +240,7 @@ class ICIDeployment(StorageDeployment):
             planner.attach_tracer(self.repair._tracer)
         return planner
 
-    def enable_domain_awareness(self, zones: int = 2, racks_per_zone: int = 1):
+    def enable_domain_awareness(self, zones: int = 2):
         """Install the failure-domain map + spread placement (idempotent).
 
         Hangs a :class:`~repro.net.domains.FailureDomainMap` off the
@@ -258,15 +258,13 @@ class ICIDeployment(StorageDeployment):
         """
         if self.domains is not None:
             return self.domains
-        domains = FailureDomainMap(
-            zones=zones, racks_per_zone=racks_per_zone
-        )
+        domains = FailureDomainMap(zones)
         domains.sync(self.nodes.keys())
         self.domains = domains
         self.placement = DomainSpreadPlacement(domains)
         return domains
 
-    def enable_dht(self, dht_config=None):
+    def enable_dht(self):
         """Activate the Kademlia-style DHT overlay (idempotent).
 
         The always-installed :class:`~repro.dht.engine.DHTEngine` wakes
@@ -277,9 +275,9 @@ class ICIDeployment(StorageDeployment):
         self-lookup, and the anti-entropy engine exchanges digests with
         DHT-nearest peers only.  Returns the engine.
         """
-        return self.dht.enable(dht_config)
+        return self.dht.enable()
 
-    def enable_archival_tier(self, archival_config=None):
+    def enable_archival_tier(self):
         """Install the coded archival tier (idempotent; implies adaptive).
 
         The tier consumes the planner's cold classification, so adaptive
@@ -292,7 +290,7 @@ class ICIDeployment(StorageDeployment):
         if self.archival is not None:
             return self.archival
         planner = self.enable_adaptive_replication()
-        tier = ArchivalTier(self, planner, archival_config)
+        tier = ArchivalTier(self, planner)
         self.archival = tier
         # Inherit the repair engine's tracer when tracing is already on;
         # later install_tracing() calls re-attach through the engine.

@@ -27,8 +27,6 @@ from repro.core.metrics import (
 from repro.crypto.hashing import Hash32
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.obs.hooks import install_tracing
-from repro.obs.tracer import active_tracer
 from repro.protocols.query import QueryRecord
 from repro.protocols.router import MessageRouter, ProtocolEngine
 from repro.storage.accounting import NetworkStorageReport, report_network
@@ -50,12 +48,6 @@ class StorageDeployment(ABC):
         self.router = MessageRouter()
         self.router.add_observer(MetricsRecorder(self.metrics))
         self.engines: dict[str, ProtocolEngine] = {}
-        # Deployments built inside an active tracing scope (the bench
-        # harness's --trace pass, `repro trace`) self-attach; with no
-        # active tracer this is one function call per construction.
-        tracer = active_tracer()
-        if tracer is not None:
-            install_tracing(self, tracer)
 
     # -------------------------------------------------------------- routing
     def install_engine(self, engine: ProtocolEngine) -> ProtocolEngine:

@@ -10,13 +10,12 @@ Submodules:
   α-parallel lookups on the shared request tracker.
 """
 
-from repro.dht.engine import DHTConfig, DHTEngine, DHTStats
+from repro.dht.engine import DHTEngine, DHTStats
 from repro.dht.idspace import ID_BITS, block_key, distance, node_key
 from repro.dht.records import ProviderStore
 from repro.dht.routing import Contact, KBucket, RoutingTable
 
 __all__ = [
-    "DHTConfig",
     "DHTEngine",
     "DHTStats",
     "ID_BITS",

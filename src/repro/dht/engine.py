@@ -42,7 +42,7 @@ from repro.crypto.hashing import Hash32
 from repro.dht.idspace import block_key, node_key
 from repro.dht.records import DEFAULT_RECORD_TTL, ProviderStore
 from repro.dht.routing import DEFAULT_K, Contact, RoutingTable
-from repro.errors import ClusteringError, ConfigurationError
+from repro.errors import ClusteringError
 from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.protocols.reliability import (
@@ -74,30 +74,15 @@ REPUBLISH_INTERVAL = 30.0
 MAX_LOOKUP_CONTACTS = 24
 
 
-@dataclass(frozen=True)
-class DHTConfig:
-    """Overlay knobs (Kademlia's classic parameters plus wiring)."""
+#: Concurrent probes per iterative lookup (Kademlia's ``α``; ``k`` is
+#: :data:`~repro.dht.routing.DEFAULT_K` and the provider-record lifetime
+#: :data:`~repro.dht.records.DEFAULT_RECORD_TTL`).
+ALPHA = 3
 
-    #: Bucket capacity and replication width of provider records.
-    k: int = DEFAULT_K
-    #: Concurrent probes per iterative lookup.
-    alpha: int = 3
-    #: Digest-collection fanout when the repair engine routes through
-    #: the overlay: the coordinator polls only its ``digest_fanout``
-    #: XOR-nearest live cluster peers instead of every member.
-    digest_fanout: int = 4
-    #: Provider-record holder lifetime, virtual seconds.
-    record_ttl: float = DEFAULT_RECORD_TTL
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.alpha < 1 or self.digest_fanout < 1:
-            raise ConfigurationError("k, alpha, digest_fanout must be >= 1")
-        if self.record_ttl <= 0:
-            raise ConfigurationError("record_ttl must be > 0")
-        if self.k > MAX_LOOKUP_CONTACTS:
-            raise ConfigurationError(
-                f"k must be <= {MAX_LOOKUP_CONTACTS} (the lookup contact cap)"
-            )
+#: Digest-collection fanout when the repair engine routes through the
+#: overlay: the coordinator polls only its ``DIGEST_FANOUT`` XOR-nearest
+#: live cluster peers instead of every member.
+DIGEST_FANOUT = 4
 
 
 @dataclass
@@ -187,7 +172,6 @@ class DHTEngine(ProtocolEngine):
     def __init__(self, deployment) -> None:
         super().__init__(deployment)
         self.enabled = False
-        self.config = DHTConfig()
         self.stats = DHTStats()
         #: node id -> routing table (populated at enable/join).
         self.tables: dict[int, RoutingTable] = {}
@@ -230,7 +214,7 @@ class DHTEngine(ProtocolEngine):
         )
 
     # ------------------------------------------------------------ lifecycle
-    def enable(self, config: DHTConfig | None = None) -> "DHTEngine":
+    def enable(self) -> "DHTEngine":
         """Activate the overlay (idempotent).
 
         Seeds every node's routing table from its cluster co-members
@@ -243,8 +227,6 @@ class DHTEngine(ProtocolEngine):
         """
         if self.enabled:
             return self
-        if config is not None:
-            self.config = config
         self.enabled = True
         self.router.add_observer(self)
         for node_id in sorted(self.deployment.nodes):
@@ -273,9 +255,7 @@ class DHTEngine(ProtocolEngine):
     def _table(self, node_id: int) -> RoutingTable:
         table = self.tables.get(node_id)
         if table is None:
-            table = RoutingTable(
-                node_id, self.key_of(node_id), k=self.config.k
-            )
+            table = RoutingTable(node_id, self.key_of(node_id), k=DEFAULT_K)
             self.tables[node_id] = table
             self.providers[node_id] = ProviderStore()
         return table
@@ -395,9 +375,7 @@ class DHTEngine(ProtocolEngine):
     ) -> _Lookup:
         lookup = _Lookup(requester, target, mode, on_complete)
         self.stats.lookups_started += 1
-        for contact in self._table(requester).closest(
-            target, self.config.k
-        ):
+        for contact in self._table(requester).closest(target, DEFAULT_K):
             lookup.known[contact.node_id] = contact.key
             lookup.generation[contact.node_id] = 0
         self._advance(lookup)
@@ -414,9 +392,9 @@ class DHTEngine(ProtocolEngine):
             (n for n in known if n != lookup.requester),
             key=lambda n: known[n] ^ target,
         )
-        nearest = [n for n in ordered if n not in lookup.failed][: self.config.k]
+        nearest = [n for n in ordered if n not in lookup.failed][: DEFAULT_K]
         candidates = (n for n in ordered if n not in lookup.queried)
-        while len(lookup.in_flight) < self.config.alpha:
+        while len(lookup.in_flight) < ALPHA:
             if len(lookup.queried) >= MAX_LOOKUP_CONTACTS:
                 break
             # Converged: the k nearest known (non-failed) peers were all asked.
@@ -519,7 +497,7 @@ class DHTEngine(ProtocolEngine):
                         if n != lookup.requester and n not in lookup.failed
                     ),
                     key=lambda n: lookup.known[n] ^ lookup.target,
-                )[: self.config.k]
+                )[: DEFAULT_K]
             ]
         if lookup.on_complete is not None:
             lookup.on_complete(lookup.result)
@@ -572,7 +550,7 @@ class DHTEngine(ProtocolEngine):
         # The publisher always keeps a local copy: the record stays
         # resolvable even while the k-nearest stores are in flight.
         self.providers.setdefault(publisher, ProviderStore()).put(
-            key, holders, now, self.config.record_ttl
+            key, holders, now, DEFAULT_RECORD_TTL
         )
 
         def stored(contacts) -> None:
@@ -580,14 +558,14 @@ class DHTEngine(ProtocolEngine):
             if publisher_node is None or not contacts:
                 return
             payload_bytes = 16 + KEY_BYTES + HOLDER_BYTES * len(holders)
-            for contact in contacts[: self.config.k]:
+            for contact in contacts[: DEFAULT_K]:
                 if contact.node_id == publisher:
                     continue
                 self.stats.stores_sent += 1
                 publisher_node.send(
                     MessageKind.DHT_STORE,
                     contact.node_id,
-                    (key, holders, self.config.record_ttl),
+                    (key, holders, DEFAULT_RECORD_TTL),
                     payload_bytes,
                 )
 
@@ -632,7 +610,7 @@ class DHTEngine(ProtocolEngine):
         polled each sweep; the analysis pass excludes the rest (their
         coverage is unknown, like an unresponsive member's).
         """
-        fanout = self.config.digest_fanout
+        fanout = DIGEST_FANOUT
         if len(candidates) <= fanout:
             return list(candidates)
         ckey = self.key_of(coordinator)
@@ -729,7 +707,7 @@ class DHTEngine(ProtocolEngine):
             return ()
         return tuple(
             (contact.node_id, contact.key)
-            for contact in table.closest(target, self.config.k)
+            for contact in table.closest(target, DEFAULT_K)
         )
 
     def _on_ping(self, node: BaseNode, message: Message) -> None:

@@ -15,12 +15,8 @@ from repro.obs.summary import TraceSummary, summarize
 from repro.obs.tracer import (
     TraceEvent,
     Tracer,
-    activate,
-    active_tracer,
-    deactivate,
     node_track,
     proto_track,
-    tracing,
 )
 
 __all__ = [
@@ -28,12 +24,8 @@ __all__ = [
     "Tracer",
     "TraceSummary",
     "TracingObserver",
-    "activate",
-    "active_tracer",
-    "deactivate",
     "install_tracing",
     "node_track",
     "proto_track",
     "summarize",
-    "tracing",
 ]

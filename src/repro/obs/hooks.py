@@ -10,13 +10,10 @@ simulator already exposes and never touches protocol state:
   (send → dispatch, virtual time); gossip relays that enter the network
   directly appear as delivery instants.
 * :func:`install_tracing` wires one deployment: router observer, the
-  simclock callback hook (optional, high volume), and the fault
-  injector's tracer slot when one is attached.
-
-:class:`~repro.core.interface.StorageDeployment` calls
-:func:`install_tracing` on itself at construction when a tracer is
-active (:func:`repro.obs.tracer.active_tracer`), which is how the bench
-harness traces workloads that build their own deployments.
+  simclock callback hook (optional, high volume), the fault injector's
+  tracer slot when one is attached, and every engine's tracer slot.
+  It is the one way a tracer reaches a run: call it after building the
+  deployment and before driving it.
 """
 
 from __future__ import annotations
@@ -298,8 +295,7 @@ def install_tracing(
     if faults is not None:
         faults.attach_tracer(tracer)
     # Engines with a tracer slot (the anti-entropy engine) mirror their
-    # audit/repair decisions as instants; engines built inside a
-    # tracing() scope self-attached already — this covers the rest.
+    # audit/repair decisions as instants.
     for engine in getattr(deployment, "engines", {}).values():
         attach = getattr(engine, "attach_tracer", None)
         if attach is not None:

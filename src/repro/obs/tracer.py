@@ -461,43 +461,3 @@ class Tracer:
 
 
 _NULL_CONTEXT = nullcontext()
-
-# --------------------------------------------------------------- context
-# The active tracer is how tracing reaches code that constructs its own
-# deployments (the bench workloads): StorageDeployment.__init__ checks it
-# and self-attaches.  Plain module global — the simulator is single-
-# threaded by construction.
-_ACTIVE: Tracer | None = None
-
-
-def active_tracer() -> Tracer | None:
-    """The tracer new deployments should attach to, or ``None``."""
-    return _ACTIVE
-
-
-def activate(tracer: Tracer) -> None:
-    """Make ``tracer`` the active tracer for new deployments.
-
-    Raises:
-        ObservabilityError: when another tracer is already active.
-    """
-    global _ACTIVE
-    if _ACTIVE is not None and _ACTIVE is not tracer:
-        raise ObservabilityError("another tracer is already active")
-    _ACTIVE = tracer
-
-
-def deactivate() -> None:
-    """Clear the active tracer."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def tracing(tracer: Tracer) -> Iterator[Tracer]:
-    """Scope ``tracer`` as the active tracer for the ``with`` body."""
-    activate(tracer)
-    try:
-        yield tracer
-    finally:
-        deactivate()

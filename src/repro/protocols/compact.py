@@ -86,7 +86,7 @@ def send_compact(
         # The proposer already holds the full block it just built — no
         # reconstruction round trip; go straight to validation.
         node = deployment.nodes[recipient]
-        deployment.dissemination.on_body(node, block, fan_out=False)
+        deployment.dissemination.on_body(node, block)
         return
     sender.send(
         MessageKind.BLOCK_BODY,
@@ -177,4 +177,4 @@ def _complete(
     block = pending.assemble()
     if not block.verify_merkle_commitment():
         return  # sender lied about the body; drop and let retries handle it
-    deployment.dissemination.on_body(node, block, fan_out=False)
+    deployment.dissemination.on_body(node, block)

@@ -2,7 +2,7 @@
 
 Owns everything about how blocks and transactions *travel*: the header
 and transaction gossip floods, targeted body delivery to placement
-holders (full, fan-out ablation, or compact mode), orphan buffering
+holders (full or compact bodies), orphan buffering
 while parents are in flight, and the canonical ledger's fork/reorg
 bookkeeping.  Once a body has landed at a node the engine hands it to
 the verification engine (``deployment.verification``) — voting is not
@@ -88,8 +88,7 @@ class DisseminationEngine(ProtocolEngine):
         self.note_header(proposer, block.header)
 
         config = deployment.config
-        compact = config.compact_blocks and config.verify_collaboratively
-        if compact:
+        if config.compact_blocks:
             # The proposer serves missing-transaction fetches until the
             # block finalizes (non-holders prune then).
             proposer.store.add_body(block)
@@ -97,15 +96,11 @@ class DisseminationEngine(ProtocolEngine):
             holders = deployment.placement.holders(
                 block.header, view.members, config.replication
             )
-            if compact:
-                for holder in holders:
+            for holder in holders:
+                if config.compact_blocks:
                     send_compact(deployment, proposer, holder, block)
-            elif config.verify_collaboratively:
-                for holder in holders:
+                else:
                     self.send_body(proposer, holder, block)
-            else:
-                # Ablation: primary fans the body out to every member.
-                self.send_body(proposer, holders[0], block, fan_out=True)
             if self.network.faults is not None:
                 # Under faults, watch each assigned holder until its body
                 # lands; the probe re-sends from a surviving replica.
@@ -178,22 +173,15 @@ class DisseminationEngine(ProtocolEngine):
         for block in stale:
             self.side_blocks[block.block_hash] = block
 
-    def send_body(
-        self,
-        sender: BaseNode,
-        recipient: int,
-        block: Block,
-        fan_out: bool = False,
-    ) -> None:
+    def send_body(self, sender: BaseNode, recipient: int, block: Block) -> None:
         """Deliver one body (instantly when the sender is the recipient)."""
         if recipient == sender.node_id:
-            self.on_body(self.deployment.nodes[recipient], block, fan_out)
+            self.on_body(self.deployment.nodes[recipient], block)
             return
-        tag = "body-fanout" if fan_out else "body"
         sender.send(
             MessageKind.BLOCK_BODY,
             recipient,
-            (tag, block),
+            ("body", block),
             block.size_bytes,
         )
 
@@ -251,8 +239,8 @@ class DisseminationEngine(ProtocolEngine):
     def _on_block_body(self, node: BaseNode, message: Message) -> None:
         assert isinstance(node, ClusterNode)
         tag = message.payload[0]
-        if tag in ("body", "body-fanout"):
-            self.on_body(node, message.payload[1], tag == "body-fanout")
+        if tag == "body":
+            self.on_body(node, message.payload[1])
         elif tag == "compact":
             _, header, txids = message.payload
             on_compact(self.deployment, node, header, txids, message.sender)
@@ -303,12 +291,10 @@ class DisseminationEngine(ProtocolEngine):
         ]
         for block in ready:
             del orphans[block.block_hash]
-            self.on_body(node, block, fan_out=False)
+            self.on_body(node, block)
 
     # ------------------------------------------------------- body handling
-    def on_body(
-        self, node: ClusterNode, block: Block, fan_out: bool
-    ) -> None:
+    def on_body(self, node: ClusterNode, block: Block) -> None:
         """A body landed at a node: store per placement, start verifying."""
         deployment = self.deployment
         block_hash = block.block_hash
@@ -325,18 +311,10 @@ class DisseminationEngine(ProtocolEngine):
         self.validated_bodies[(node.node_id, block_hash)] = True
         self.note_header(node, block.header)
 
-        if fan_out and node.node_id == deployment.aggregator_for(
-            block.header, node.cluster_id
-        ):
-            for member in deployment.clusters.members_of(node.cluster_id):
-                if member != node.node_id:
-                    self.send_body(node, member, block, fan_out=True)
-
         holders = deployment.holders_in_cluster(block.header, node.cluster_id)
-        is_holder = node.node_id in holders
-        if is_holder:
+        if node.node_id in holders:
             node.assign_body(block)
-        elif not deployment.config.prune_after_verify or not fan_out:
+        else:
             node.store.add_body(block)
 
         deployment.verification.start_verification(node, block)

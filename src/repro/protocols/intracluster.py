@@ -89,10 +89,8 @@ class IntraClusterEngine(ProtocolEngine):
             members = deployment.clusters.members_of(node.cluster_id)
             holders = deployment.holders_in_cluster(header, node.cluster_id)
             round_ = node.round_for(header, members, holders)
-        if (
-            self.network.faults is not None
-            and deployment.config.verify_collaboratively
-            and not node.is_finalized(header.block_hash)
+        if self.network.faults is not None and not node.is_finalized(
+            header.block_hash
         ):
             self._watch_finality(node, header.block_hash)
         return round_
@@ -210,7 +208,7 @@ class IntraClusterEngine(ProtocolEngine):
 
     # --------------------------------------------------- validation entry
     def start_verification(self, node: ClusterNode, block: Block) -> None:
-        """Charge validation cost, then vote per the configured mode."""
+        """Charge validation cost, then broadcast this node's attestation."""
         deployment = self.deployment
         block_hash = block.block_hash
         cost = self.metrics.costs.charge_full_validation(block)
@@ -224,16 +222,9 @@ class IntraClusterEngine(ProtocolEngine):
             vote = Vote.REJECT  # lie about a valid block
         elif behaviour == "silent":
             return  # withhold the attestation entirely
-        if deployment.config.verify_collaboratively:
-            self.network.clock.schedule(
-                cost,
-                lambda: self._broadcast_prepare(node, block_hash, vote),
-            )
-        else:
-            self.network.clock.schedule(
-                cost,
-                lambda: self._self_commit(node, block.header, vote),
-            )
+        self.network.clock.schedule(
+            cost, lambda: self._broadcast_prepare(node, block_hash, vote)
+        )
 
     def _broadcast_prepare(
         self, node: ClusterNode, block_hash: Hash32, vote: Vote
@@ -251,15 +242,6 @@ class IntraClusterEngine(ProtocolEngine):
                     attestation,
                     PrepareAttestation.WIRE_BYTES,
                 )
-
-    def _self_commit(
-        self, node: ClusterNode, header: BlockHeader, vote: Vote
-    ) -> None:
-        """Non-collaborative ablation: commit straight after own validation."""
-        commit = CommitVote.create(
-            node.keypair, header.block_hash, node.node_id, vote
-        )
-        self._dispatch_commit(node, header, commit)
 
     # ------------------------------------------------- verification voting
     def apply_prepare(
@@ -429,7 +411,5 @@ class IntraClusterEngine(ProtocolEngine):
             node.mempool.remove_confirmed(
                 list(ledger.store.body(block_hash).transactions)
             )
-        if deployment.config.prune_after_verify and not node.is_holder_of(
-            block_hash
-        ):
+        if not node.is_holder_of(block_hash):
             node.store.drop_body(block_hash)

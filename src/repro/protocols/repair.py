@@ -70,7 +70,7 @@ from repro.net.message import Message, MessageKind
 from repro.node.base import BaseNode
 from repro.node.clusternode import ClusterNode
 from repro.obs.hooks import record_cluster_storage
-from repro.obs.tracer import active_tracer, proto_track
+from repro.obs.tracer import proto_track
 from repro.protocols.reliability import (
     PendingRequest,
     RequestTracker,
@@ -190,9 +190,7 @@ class AntiEntropyEngine(ProtocolEngine):
         self._unrecoverable: set[tuple[int, Hash32]] = set()
         self._sweep_handle: "EventHandle | None" = None
         self._track = proto_track("repair")
-        # Engines built inside an active tracing scope self-attach;
-        # install_tracing() also attaches to pre-existing engines.
-        self._tracer: "Tracer | None" = active_tracer()
+        self._tracer: "Tracer | None" = None
 
     def install(self, router: MessageRouter) -> None:
         router.register(
@@ -215,11 +213,7 @@ class AntiEntropyEngine(ProtocolEngine):
         )
 
     # ------------------------------------------------------------ lifecycle
-    def start(
-        self,
-        cadence: float | None = None,
-        policy: RetryPolicy | None = None,
-    ) -> None:
+    def start(self, cadence: float | None = None) -> None:
         """Begin sweeping every ``cadence`` virtual seconds.
 
         While active each sweep schedules the next, so drivers must
@@ -231,8 +225,6 @@ class AntiEntropyEngine(ProtocolEngine):
             if cadence <= 0:
                 raise ConfigurationError("repair cadence must be > 0")
             self.cadence = cadence
-        if policy is not None:
-            self.tracker.policy = policy
         if self.active:
             return
         self.active = True

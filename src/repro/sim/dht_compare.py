@@ -45,6 +45,8 @@ from repro.sim.runner import ScenarioRunner
 #: The chaos leg's weather (the acceptance criterion's 10% drop).
 CHAOS_DROP_RATE = 0.10
 CHAOS_CRASH_COUNT = 1
+#: Nodes per cluster at every size (clusters = size // CLUSTER_SIZE).
+CLUSTER_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,6 @@ class DhtCompareConfig:
     seed: int = 42
     #: Deployment sizes for the scaling sweep (ascending).
     network_sizes: tuple[int, ...] = (12, 24, 48)
-    #: Nodes per cluster at every size (clusters = size // cluster_size).
-    cluster_size: int = 6
     replication: int = 2
     n_blocks: int = 6
     txs_per_block: int = 2
@@ -72,10 +72,8 @@ class DhtCompareConfig:
             raise ConfigurationError(
                 "network_sizes must be strictly ascending"
             )
-        if self.cluster_size < 2:
-            raise ConfigurationError("cluster_size must be >= 2")
         for size in self.network_sizes:
-            if size < 2 * self.cluster_size:
+            if size < 2 * CLUSTER_SIZE:
                 raise ConfigurationError(
                     "every size needs at least 2 clusters"
                 )
@@ -163,7 +161,7 @@ def _measure_size(
 ) -> tuple[dict[str, int], ICIDeployment]:
     """Drive one size: produce, lookup both ways, admit one joiner."""
     ici = ICIConfig(
-        n_clusters=n_nodes // config.cluster_size,
+        n_clusters=n_nodes // CLUSTER_SIZE,
         replication=config.replication,
         limits=limits,
     )
@@ -238,7 +236,7 @@ def run_dht_compare(
         ChaosConfig(
             seed=config.seed,
             n_nodes=largest,
-            n_clusters=largest // config.cluster_size,
+            n_clusters=largest // CLUSTER_SIZE,
             replication=config.replication,
             n_blocks=config.n_blocks,
             txs_per_block=config.txs_per_block,

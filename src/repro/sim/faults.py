@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError, FaultConfigError
 from repro.net.message import KIND_VALUE
-from repro.obs.tracer import FAULTS_TRACK, active_tracer
+from repro.obs.tracer import FAULTS_TRACK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
@@ -149,9 +149,7 @@ class FaultInjector:
         #: for the opt-in ``domains`` audit only — the per-node counters of
         #: :class:`FaultStats` already absorb the member-level effects.
         self.domain_outages: list[tuple[float, int, str, tuple[int, ...]]] = []
-        # Injectors built inside an active tracing scope self-attach;
-        # install_tracing() also attaches to pre-existing injectors.
-        self._tracer: "Tracer | None" = active_tracer()
+        self._tracer: "Tracer | None" = None
 
     @classmethod
     def install(

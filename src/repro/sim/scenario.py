@@ -1,15 +1,16 @@
-"""Scenario descriptions: one place to build comparable deployments.
+"""Scenario descriptions: the CLI's comparable deployments.
 
-A :class:`Scenario` captures everything an experiment varies — strategy,
-population, cluster layout, latency model — and :func:`build_deployment`
-turns it into a live deployment.  Benches construct scenarios instead of
-deployments so strategies are always built on identically-configured
-substrates.
+A :class:`Scenario` captures what a ``repro`` command varies — strategy,
+population, cluster count, replication, latency model, seed — and
+:func:`build_deployment` turns it into a live deployment under
+:data:`BENCH_LIMITS`, so every strategy is built on an
+identically-configured substrate.  Experiments that need other
+:class:`~repro.core.config.ICIConfig` knobs build the config directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines.full_replication import FullReplicationDeployment
 from repro.baselines.rapidchain import RapidChainDeployment
@@ -37,7 +38,7 @@ BENCH_LIMITS = ValidationLimits(
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment's deployment recipe.
+    """One command's deployment recipe.
 
     Attributes:
         strategy: ``"ici"``, ``"full"``, or ``"rapidchain"``.
@@ -47,8 +48,6 @@ class Scenario:
         replication: ICI in-cluster replication factor.
         latency: ``"constant"``, ``"uniform"``, or ``"regions"`` (2-D
             coordinates with geographic blobs).
-        placement / clustering / aggregate_votes / verify_collaboratively:
-            forwarded into :class:`~repro.core.config.ICIConfig`.
     """
 
     strategy: str = "ici"
@@ -56,11 +55,6 @@ class Scenario:
     n_groups: int = 4
     replication: int = 1
     latency: str = "uniform"
-    placement: str = "hash"
-    clustering: str = "random"
-    aggregate_votes: bool = True
-    verify_collaboratively: bool = True
-    limits: ValidationLimits = field(default_factory=lambda: BENCH_LIMITS)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -96,7 +90,7 @@ def build_deployment(scenario: Scenario) -> StorageDeployment:
         return FullReplicationDeployment(
             scenario.n_nodes,
             network=network,
-            limits=scenario.limits,
+            limits=BENCH_LIMITS,
             seed=scenario.seed,
         )
     if scenario.strategy == "rapidchain":
@@ -104,21 +98,13 @@ def build_deployment(scenario: Scenario) -> StorageDeployment:
             scenario.n_nodes,
             n_committees=scenario.n_groups,
             network=network,
-            limits=scenario.limits,
+            limits=BENCH_LIMITS,
             seed=scenario.seed,
         )
     config = ICIConfig(
         n_clusters=scenario.n_groups,
         replication=scenario.replication,
-        placement=scenario.placement,
-        clustering=(
-            scenario.clustering
-            if coordinates is not None or scenario.clustering == "random"
-            else "random"
-        ),
-        aggregate_votes=scenario.aggregate_votes,
-        verify_collaboratively=scenario.verify_collaboratively,
-        limits=scenario.limits,
+        limits=BENCH_LIMITS,
         seed=scenario.seed,
     )
     return ICIDeployment(

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.chain.block import Block, deserialize_body, serialize_body
 from repro.crypto.hashing import Hash32
-from repro.errors import ConfigurationError
 from repro.obs.hooks import record_coded_storage
 from repro.obs.tracer import proto_track
 from repro.storage.erasure import rs_decode, rs_encode
@@ -53,38 +52,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.heat import ReplicationPlanner
 
 
-@dataclass(frozen=True)
-class ArchivalConfig:
-    """Shape of the archival code.
-
-    Attributes:
-        data_chunks: ``k`` — chunks needed to reconstruct a body.
-        parity_chunks: ``m`` — extra chunks; any ``m`` holders may die.
-
-    The defaults (3+1) put a cold block at ``4/3 ≈ 1.33×`` its body
-    size per cluster and fit a five-member cluster with one spare.
-    """
-
-    data_chunks: int = 3
-    parity_chunks: int = 1
-
-    def __post_init__(self) -> None:
-        if self.data_chunks < 1:
-            raise ConfigurationError("data_chunks must be >= 1")
-        if self.parity_chunks < 1:
-            raise ConfigurationError(
-                "parity_chunks must be >= 1 (a 0-parity code cannot "
-                "survive a single chunk-holder failure)"
-            )
-        if self.data_chunks + self.parity_chunks > 256:
-            raise ConfigurationError(
-                "GF(256) supports at most 256 total chunks"
-            )
-
-    @property
-    def total_chunks(self) -> int:
-        """``n = k + m``."""
-        return self.data_chunks + self.parity_chunks
+#: ``k`` — chunks needed to reconstruct a body.
+DATA_CHUNKS = 3
+#: ``m`` — extra chunks; any ``m`` holders may die.  With ``k = 3``
+#: this puts a cold block at ``4/3 ≈ 1.33×`` its body size per cluster
+#: and fits a five-member cluster with one spare.
+PARITY_CHUNKS = 1
 
 
 @dataclass
@@ -128,14 +101,10 @@ class ArchivalTier:
     """
 
     def __init__(
-        self,
-        deployment: "ICIDeployment",
-        planner: "ReplicationPlanner",
-        config: ArchivalConfig | None = None,
+        self, deployment: "ICIDeployment", planner: "ReplicationPlanner"
     ) -> None:
         self.deployment = deployment
         self.planner = planner
-        self.config = config or ArchivalConfig()
         self.stats = ArchivalStats()
         self._entries: dict[tuple[int, Hash32], _ArchivedBlock] = {}
         self._chunk_bytes_by_node: dict[int, int] = {}
@@ -158,7 +127,7 @@ class ArchivalTier:
         entry = self._entries.get((cluster_id, block_hash))
         if entry is None:
             return False
-        return len(self._live_chunks(entry)) >= self.config.data_chunks
+        return len(self._live_chunks(entry)) >= DATA_CHUNKS
 
     def live_chunk_holders(
         self, cluster_id: int, block_hash: Hash32
@@ -183,7 +152,7 @@ class ArchivalTier:
         alive = self._live_chunks(entry)
         holders = list(alive.values())
         return (
-            len(alive) >= self.config.data_chunks
+            len(alive) >= DATA_CHUNKS
             and len(set(holders)) == len(holders)
         )
 
@@ -197,13 +166,13 @@ class ArchivalTier:
         cluster has fewer than ``n`` live members — every chunk needs a
         distinct holder or a single crash could take two.
         """
-        n = self.config.total_chunks
+        n = DATA_CHUNKS + PARITY_CHUNKS
         if len(live) < n:
             return False
         deployment = self.deployment
         block_hash = header.block_hash
         body = serialize_body(deployment.ledger.store.body(block_hash))
-        chunks = rs_encode(body, self.config.data_chunks, n)
+        chunks = rs_encode(body, DATA_CHUNKS, n)
         ranked = deployment.placement.holders(
             header, tuple(sorted(live)), n
         )
@@ -262,7 +231,7 @@ class ArchivalTier:
         dead = sorted(set(entry.holders) - set(alive))
         if not dead:
             return
-        if len(alive) < self.config.data_chunks:
+        if len(alive) < DATA_CHUNKS:
             self.stats.floor_deficits += 1
             return
         occupied = set(alive.values())
@@ -278,9 +247,7 @@ class ArchivalTier:
             entry.holders[index] = target
             self._credit(target, shard_len)
             # Rebuilding one chunk reads k live chunks and re-encodes.
-            self.stats.chunk_bytes_read += (
-                self.config.data_chunks * shard_len
-            )
+            self.stats.chunk_bytes_read += DATA_CHUNKS * shard_len
             self.stats.chunks_repaired += 1
             self._trace(
                 "chunk_repaired",
@@ -363,14 +330,14 @@ class ArchivalTier:
             {
                 "cluster": cluster_id,
                 "block": block_hash.hex()[:12],
-                "chunks_read": self.config.data_chunks,
+                "chunks_read": DATA_CHUNKS,
             },
         )
         return block
 
     def _decode(self, entry: _ArchivedBlock) -> Block | None:
         alive = self._live_chunks(entry)
-        k = self.config.data_chunks
+        k = DATA_CHUNKS
         if len(alive) < k:
             return None
         # rs_decode uses the first k present indices; charge exactly
@@ -387,9 +354,7 @@ class ArchivalTier:
                     "holder": alive[index],
                 },
             )
-        raw = rs_decode(
-            present, k, self.config.total_chunks, entry.data_length
-        )
+        raw = rs_decode(present, k, k + PARITY_CHUNKS, entry.data_length)
         return deserialize_body(entry.header, raw)
 
     def _live_chunks(self, entry: _ArchivedBlock) -> dict[int, int]:

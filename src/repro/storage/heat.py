@@ -8,7 +8,7 @@ anti-entropy engine (:mod:`repro.protocols.repair`) converges actual
 placements toward it — it already adds replicas; with a planner attached
 it also sheds them.
 
-Three pieces:
+Two pieces:
 
 * :class:`HeatTracker` — a router observer (the same hook surface the
   metrics recorder and tracing observer use).  Every delivered
@@ -16,14 +16,15 @@ Three pieces:
   (a re-replication pull) counts as one access to that block.  Accesses
   accumulate into an exponentially decayed rate on **virtual time**, so
   two same-seed runs score identically on any machine.
-* :class:`HeatConfig` — the scoring weights, decay half-life, and tier
-  quantiles, all validated.
 * :class:`ReplicationPlanner` — ranks every active block by a weighted
   (read rate, recency, size) score, classifies them by *rank quantile*
   (top slice hot, bottom slice cold, rest warm — rank-based so a flat
   score distribution cannot flip the whole chain into one tier), and
-  maps tiers to replication targets: hot ``r + hot_bonus``, warm ``r``,
-  cold ``max(r - cold_margin, 1)``.
+  maps tiers to replication targets: hot ``r + HOT_BONUS``, warm ``r``,
+  cold ``max(r - COLD_MARGIN, 1)``.
+
+The scoring weights, decay half-life and tier quantiles are the module
+constants below.
 
 The subsystem is **opt-in and dormant by default**: nothing here is
 constructed unless :meth:`~repro.core.icistrategy.ICIDeployment.
@@ -35,10 +36,9 @@ Shed-safety invariants (enforced by the repair engine, audited here):
 * a shed never drops a cluster below ``min(target, live)`` live copies,
   and never below **one** — the last in-cluster copy is also the last
   cross-cluster copy from that cluster's point of view;
-* blocks younger than :attr:`HeatConfig.warmup_seconds` are never
-  classified cold (no heat evidence yet), and nothing is classified
-  until the tracker has seen :attr:`HeatConfig.min_observations`
-  accesses overall;
+* blocks younger than :data:`WARMUP_SECONDS` are never classified cold
+  (no heat evidence yet), and nothing is classified until the tracker
+  has seen :data:`MIN_OBSERVATIONS` accesses overall;
 * genesis is exempt (regenerable, but it anchors every audit).
 
 Every shed is followed by a recount of actual live holders; a recount
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.crypto.hashing import Hash32
-from repro.errors import ConfigurationError
 from repro.net.message import MessageKind
 from repro.obs.hooks import record_tier_storage
 from repro.obs.tracer import proto_track
@@ -72,69 +71,32 @@ COLD = "cold"
 TIERS = (HOT, WARM, COLD)
 
 
-@dataclass(frozen=True)
-class HeatConfig:
-    """Scoring and tiering knobs for adaptive replication.
-
-    Attributes:
-        half_life: virtual seconds for an access's weight to halve.
-        read_weight: weight of the decayed access rate in the score.
-        recency_weight: weight of the time-since-last-access term.
-        size_weight: weight of the (small-is-cheap) size term.
-        size_scale: body bytes at which the size term reaches 0.5.
-        repair_weight: heat contributed by one ``REPAIR_REQUEST`` pull
-            relative to a query hit (re-requests are demand too, but
-            second-hand).
-        hot_quantile: blocks ranked above this score quantile are hot
-            (0.9 → top 10%).
-        cold_quantile: blocks ranked below this quantile are cold
-            (0.7 → bottom 70%; archival chains are mostly cold).
-        hot_bonus: extra replicas per cluster for hot blocks.
-        cold_margin: replicas removed for cold blocks (floor-clamped
-            to 1).
-        warmup_seconds: a block stays at least warm this long after the
-            planner first sees it.
-        min_observations: no block is classified away from warm until
-            the tracker has witnessed this many accesses in total.
-    """
-
-    half_life: float = 30.0
-    read_weight: float = 1.0
-    recency_weight: float = 0.5
-    size_weight: float = 0.25
-    size_scale: float = 4096.0
-    repair_weight: float = 0.5
-    hot_quantile: float = 0.9
-    cold_quantile: float = 0.7
-    hot_bonus: int = 2
-    cold_margin: int = 1
-    warmup_seconds: float = 10.0
-    min_observations: int = 8
-
-    def __post_init__(self) -> None:
-        if self.half_life <= 0:
-            raise ConfigurationError("half_life must be > 0")
-        for name in ("read_weight", "recency_weight", "size_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.size_scale <= 0:
-            raise ConfigurationError("size_scale must be > 0")
-        if self.repair_weight < 0:
-            raise ConfigurationError("repair_weight must be >= 0")
-        if not 0.0 < self.hot_quantile <= 1.0:
-            raise ConfigurationError("hot_quantile must be in (0, 1]")
-        if not 0.0 <= self.cold_quantile < 1.0:
-            raise ConfigurationError("cold_quantile must be in [0, 1)")
-        if self.cold_quantile >= self.hot_quantile:
-            raise ConfigurationError(
-                "cold_quantile must be below hot_quantile"
-            )
-        if self.hot_bonus < 0 or self.cold_margin < 0:
-            raise ConfigurationError("hot_bonus/cold_margin must be >= 0")
-        if self.warmup_seconds < 0:
-            raise ConfigurationError("warmup_seconds must be >= 0")
-        if self.min_observations < 0:
-            raise ConfigurationError("min_observations must be >= 0")
+#: Virtual seconds for an access's weight to halve.
+HALF_LIFE = 30.0
+#: Score weights: the decayed access rate, the time-since-last-access
+#: term and the (small-is-cheap) size term.
+READ_WEIGHT = 1.0
+RECENCY_WEIGHT = 0.5
+SIZE_WEIGHT = 0.25
+#: Body bytes at which the size term reaches 0.5.
+SIZE_SCALE = 4096.0
+#: Heat of one ``REPAIR_REQUEST`` pull relative to a query hit
+#: (re-requests are demand too, but second-hand).
+REPAIR_WEIGHT = 0.5
+#: Blocks ranked above this score quantile are hot (0.9 → top 10%).
+HOT_QUANTILE = 0.9
+#: Blocks ranked below this quantile are cold (0.7 → bottom 70%;
+#: archival chains are mostly cold).
+COLD_QUANTILE = 0.7
+#: Extra replicas per cluster for hot blocks.
+HOT_BONUS = 2
+#: Replicas removed for cold blocks (floor-clamped to 1).
+COLD_MARGIN = 1
+#: A block stays at least warm this long after the planner first sees it.
+WARMUP_SECONDS = 10.0
+#: No block is classified away from warm until the tracker has
+#: witnessed this many accesses in total.
+MIN_OBSERVATIONS = 8
 
 
 @dataclass
@@ -176,10 +138,7 @@ class HeatTracker:
     attaching it cannot perturb the simulation schedule.
     """
 
-    def __init__(
-        self, clock: "SimClock", config: HeatConfig | None = None
-    ) -> None:
-        self.config = config or HeatConfig()
+    def __init__(self, clock: "SimClock") -> None:
         self._clock = clock
         self._heat: dict[Hash32, _BlockHeat] = {}
         self.total_accesses = 0
@@ -195,9 +154,7 @@ class HeatTracker:
             # payload = (request_id, block_hash)
             self.note_access(message.payload[1])
         elif kind is MessageKind.REPAIR_REQUEST:
-            self.note_access(
-                message.payload[1], weight=self.config.repair_weight
-            )
+            self.note_access(message.payload[1], weight=REPAIR_WEIGHT)
 
     def on_finalize(self, event) -> None:
         """Unused (observer protocol)."""
@@ -216,7 +173,7 @@ class HeatTracker:
     def _decay(self, elapsed: float) -> float:
         if elapsed <= 0:
             return 1.0
-        return math.exp(-elapsed * math.log(2.0) / self.config.half_life)
+        return math.exp(-elapsed * math.log(2.0) / HALF_LIFE)
 
     def rate(self, block_hash: Hash32, now: float | None = None) -> float:
         """The decayed access rate of one block at ``now``."""
@@ -231,7 +188,6 @@ class HeatTracker:
         self, block_hash: Hash32, size_bytes: int, now: float | None = None
     ) -> float:
         """Weighted heat score: read rate + recency + small-size bonus."""
-        config = self.config
         if now is None:
             now = self._clock.now
         heat = self._heat.get(block_hash)
@@ -241,11 +197,11 @@ class HeatTracker:
             decay = self._decay(now - heat.last_access)
             rate = heat.rate * decay
             recency = decay
-        size_term = config.size_scale / (config.size_scale + size_bytes)
+        size_term = SIZE_SCALE / (SIZE_SCALE + size_bytes)
         return (
-            config.read_weight * rate
-            + config.recency_weight * recency
-            + config.size_weight * size_term
+            READ_WEIGHT * rate
+            + RECENCY_WEIGHT * recency
+            + SIZE_WEIGHT * size_term
         )
 
 
@@ -258,15 +214,9 @@ class ReplicationPlanner:
     on one consistent view per sweep.
     """
 
-    def __init__(
-        self,
-        deployment,
-        tracker: HeatTracker,
-        config: HeatConfig | None = None,
-    ) -> None:
+    def __init__(self, deployment, tracker: HeatTracker) -> None:
         self.deployment = deployment
         self.tracker = tracker
-        self.config = config or tracker.config
         self.stats = AdaptiveStats()
         self.tiers: dict[Hash32, str] = {}
         self._first_seen: dict[Hash32, float] = {}
@@ -279,9 +229,9 @@ class ReplicationPlanner:
         base = self.deployment.config.replication
         tier = self.tiers.get(block_hash, WARM)
         if tier == HOT:
-            return base + self.config.hot_bonus
+            return base + HOT_BONUS
         if tier == COLD:
-            return max(base - self.config.cold_margin, 1)
+            return max(base - COLD_MARGIN, 1)
         return base
 
     def tier_of(self, block_hash: Hash32) -> str:
@@ -308,10 +258,10 @@ class ReplicationPlanner:
         """Re-rank every active block; returns reclassification count.
 
         Rank-quantile tiers: blocks are ordered by score (hash as the
-        deterministic tie-break), the top ``1 - hot_quantile`` slice is
-        hot, the bottom ``cold_quantile`` slice is cold.  Guards: hot
+        deterministic tie-break), the top ``1 - HOT_QUANTILE`` slice is
+        hot, the bottom ``COLD_QUANTILE`` slice is cold.  Guards: hot
         needs a nonzero observed rate, cold needs the block to be past
-        warm-up and the tracker past ``min_observations``.
+        warm-up and the tracker past ``MIN_OBSERVATIONS``.
         """
         deployment = self.deployment
         if now is None:
@@ -336,9 +286,9 @@ class ReplicationPlanner:
             )
         scored.sort(key=lambda entry: (-entry[0], entry[1]))
         n = len(scored)
-        hot_count = int(n * (1.0 - self.config.hot_quantile))
-        cold_count = int(n * self.config.cold_quantile)
-        observed = self.tracker.total_accesses >= self.config.min_observations
+        hot_count = int(n * (1.0 - HOT_QUANTILE))
+        cold_count = int(n * COLD_QUANTILE)
+        observed = self.tracker.total_accesses >= MIN_OBSERVATIONS
         changes = 0
         counts = {HOT: 0, WARM: 0, COLD: 0}
         for index, (score, _, block_hash) in enumerate(scored):
@@ -352,7 +302,7 @@ class ReplicationPlanner:
             elif (
                 index >= n - cold_count
                 and now - self._first_seen[block_hash]
-                >= self.config.warmup_seconds
+                >= WARMUP_SECONDS
             ):
                 tier = COLD
             else:

@@ -240,9 +240,8 @@ class DomainSpreadPlacement(_HrwPlacement):
     Walks the same highest-random-weight ranking as
     :class:`RendezvousPlacement` (identical per-member scores, so the
     enabled and disabled policies are directly comparable), but picks
-    greedily for blast-radius spread: first members in **distinct
-    zones**, then members in repeat zones but distinct ``(zone, rack)``
-    labels, and only then best-effort fill in rank order.  With at
+    greedily for blast-radius spread: first the top member of each
+    **distinct zone**, then best-effort fill in rank order.  With at
     least ``r`` live zones the ``r`` replicas can never share a zone —
     the property that keeps one whole-zone outage
     (``FaultInjector.crash_domain`` in ``sim/faults.py``) from erasing a
@@ -291,28 +290,16 @@ class DomainSpreadPlacement(_HrwPlacement):
         ranked = self._ranked(header.block_hash, canonical)
         chosen: list[int] = []
         used_zones: set[int] = set()
-        used_labels: set = set()
+        zone_of = self._domains.zone_of
         # Pass 1: the top-ranked member of each so-far-unused zone.
         for member in ranked:
             if len(chosen) == replication:
                 break
-            label = self._domains.domain_of(member)
-            if label.zone not in used_zones:
+            zone = zone_of(member)
+            if zone not in used_zones:
                 chosen.append(member)
-                used_zones.add(label.zone)
-                used_labels.add(label)
-        # Pass 2: zones must repeat, but racks inside them need not.
-        if len(chosen) < replication:
-            for member in ranked:
-                if len(chosen) == replication:
-                    break
-                if member in chosen:
-                    continue
-                label = self._domains.domain_of(member)
-                if label not in used_labels:
-                    chosen.append(member)
-                    used_labels.add(label)
-        # Pass 3: best-effort fill in rank order (clusters smaller than
+                used_zones.add(zone)
+        # Pass 2: best-effort fill in rank order (clusters smaller than
         # their domain vocabulary can express).
         if len(chosen) < replication:
             for member in ranked:
@@ -320,7 +307,7 @@ class DomainSpreadPlacement(_HrwPlacement):
                     break
                 if member not in chosen:
                     chosen.append(member)
-        if len({self._domains.zone_of(m) for m in chosen}) < len(chosen):
+        if len({zone_of(m) for m in chosen}) < len(chosen):
             self.domain_spread_deficit += 1
         result = group[header.block_hash] = tuple(sorted(chosen))
         self._entries += 1

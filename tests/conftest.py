@@ -14,6 +14,7 @@ from repro.chain.validation import ValidationLimits
 from repro.clustering.coordinates import Coordinate
 from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError
+from repro.storage import heat
 
 #: Small consensus limits so unit tests stay fast.
 TEST_LIMITS = ValidationLimits(
@@ -34,6 +35,14 @@ def place_uniform(
         (rng.uniform(0.0, extent), rng.uniform(0.0, extent))
         for _ in range(n_nodes)
     ]
+
+@pytest.fixture
+def small_heat(monkeypatch):
+    """Widen the tier slices for six-block deployments: with the default
+    quantiles a handful of blocks would get zero hot slots."""
+    monkeypatch.setattr(heat, "HOT_QUANTILE", 0.8)
+    monkeypatch.setattr(heat, "COLD_QUANTILE", 0.5)
+
 
 @pytest.fixture
 def alice() -> KeyPair:

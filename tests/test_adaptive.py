@@ -22,11 +22,11 @@ from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
 from repro.sim.runner import ScenarioRunner
 from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
+from repro.storage import heat
 from repro.storage.heat import (
     COLD,
     HOT,
     WARM,
-    HeatConfig,
     HeatTracker,
     ReplicationPlanner,
 )
@@ -45,26 +45,24 @@ ADAPTIVE_GOLDEN_SHA = (
     "b5038df61ac7386ff6bfe87ceca9493d0d930a0459465d26089624391b8194d3"
 )
 
-#: Small-population tiering knobs: with 6 blocks the default quantiles
-#: would allot zero hot slots, so tests widen the slices.
-SMALL_HEAT = HeatConfig(hot_quantile=0.8, cold_quantile=0.5)
-
-
 def build_adaptive(
     n_nodes: int = 6,
     n_clusters: int = 1,
     replication: int = 2,
     n_blocks: int = 6,
-    heat: HeatConfig | None = SMALL_HEAT,
 ):
-    """One-cluster adaptive deployment with ``n_blocks`` produced."""
+    """One-cluster adaptive deployment with ``n_blocks`` produced.
+
+    Tests that classify request the ``small_heat`` fixture: with 6
+    blocks the default quantiles would allot zero hot slots.
+    """
     config = ICIConfig(
         n_clusters=n_clusters,
         replication=replication,
         limits=TEST_LIMITS,
     )
     deployment = ICIDeployment(n_nodes, config=config)
-    planner = deployment.enable_adaptive_replication(heat)
+    planner = deployment.enable_adaptive_replication()
     runner = ScenarioRunner(deployment, limits=TEST_LIMITS, seed=7)
     report = runner.produce_blocks(n_blocks, txs_per_block=2)
     return deployment, planner, report
@@ -92,27 +90,13 @@ def holder_census(deployment, block_hashes):
 
 class TestHeatConfig:
     def test_defaults_validate(self):
-        HeatConfig()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(half_life=0.0),
-            dict(read_weight=-0.1),
-            dict(size_scale=0.0),
-            dict(repair_weight=-1.0),
-            dict(hot_quantile=0.0),
-            dict(hot_quantile=1.5),
-            dict(cold_quantile=1.0),
-            dict(cold_quantile=0.95),  # >= hot_quantile
-            dict(hot_bonus=-1),
-            dict(warmup_seconds=-1.0),
-            dict(min_observations=-1),
-        ],
-    )
-    def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            HeatConfig(**kwargs)
+        """The tuning constants keep the planner's preconditions."""
+        assert heat.HALF_LIFE > 0 and heat.SIZE_SCALE > 0
+        assert min(heat.READ_WEIGHT, heat.RECENCY_WEIGHT, heat.SIZE_WEIGHT) >= 0
+        assert heat.REPAIR_WEIGHT >= 0
+        assert 0.0 <= heat.COLD_QUANTILE < heat.HOT_QUANTILE <= 1.0
+        assert heat.HOT_BONUS >= 0 and heat.COLD_MARGIN >= 0
+        assert heat.WARMUP_SECONDS >= 0 and heat.MIN_OBSERVATIONS >= 0
 
 
 class _FakeClock:
@@ -123,19 +107,19 @@ class _FakeClock:
 class TestHeatTracker:
     def test_rate_halves_after_one_half_life(self):
         clock = _FakeClock()
-        tracker = HeatTracker(clock, HeatConfig(half_life=30.0))
+        tracker = HeatTracker(clock)
         tracker.note_access(b"\x01" * 32)
         assert tracker.rate(b"\x01" * 32) == pytest.approx(1.0)
-        clock.now = 30.0
+        clock.now = heat.HALF_LIFE
         assert tracker.rate(b"\x01" * 32) == pytest.approx(0.5)
-        clock.now = 60.0
+        clock.now = 2 * heat.HALF_LIFE
         assert tracker.rate(b"\x01" * 32) == pytest.approx(0.25)
 
     def test_accesses_accumulate_into_the_decayed_rate(self):
         clock = _FakeClock()
-        tracker = HeatTracker(clock, HeatConfig(half_life=30.0))
+        tracker = HeatTracker(clock)
         tracker.note_access(b"\x02" * 32)
-        clock.now = 30.0
+        clock.now = heat.HALF_LIFE
         tracker.note_access(b"\x02" * 32)
         # Half of the first access survives under the second.
         assert tracker.rate(b"\x02" * 32) == pytest.approx(1.5)
@@ -143,13 +127,13 @@ class TestHeatTracker:
 
     def test_unknown_block_scores_only_its_size_term(self):
         tracker = HeatTracker(_FakeClock())
-        config = tracker.config
-        expected = config.size_weight * (
-            config.size_scale / (config.size_scale + 1000)
+        expected = heat.SIZE_WEIGHT * (
+            heat.SIZE_SCALE / (heat.SIZE_SCALE + 1000)
         )
         assert tracker.score(b"\x03" * 32, 1000) == pytest.approx(expected)
         assert tracker.rate(b"\x03" * 32) == 0.0
 
+    @pytest.mark.usefixtures("small_heat")
     def test_queries_feed_the_tracker_through_the_router(self):
         deployment, planner, report = build_adaptive()
         tracker = deployment.heat
@@ -164,6 +148,7 @@ class TestHeatTracker:
         assert tracker._heat[target].last_access > sent_at
 
 
+@pytest.mark.usefixtures("small_heat")
 class TestReplicationPlanner:
     def test_targets_follow_tiers(self):
         deployment, planner, report = build_adaptive()
@@ -172,11 +157,9 @@ class TestReplicationPlanner:
         assert planner.tier_of(block) == WARM  # unclassified default
         assert planner.target_for(block) == base
         planner.tiers[block] = HOT
-        assert planner.target_for(block) == base + SMALL_HEAT.hot_bonus
+        assert planner.target_for(block) == base + heat.HOT_BONUS
         planner.tiers[block] = COLD
-        assert planner.target_for(block) == max(
-            base - SMALL_HEAT.cold_margin, 1
-        )
+        assert planner.target_for(block) == max(base - heat.COLD_MARGIN, 1)
 
     def test_refresh_classifies_by_rank_quantile(self):
         deployment, planner, report = build_adaptive()
@@ -188,7 +171,7 @@ class TestReplicationPlanner:
         planner.refresh(now)
         # Freshly seen: nothing can be cold during warm-up.
         assert planner.stats.cold_blocks == 0
-        planner.refresh(now + SMALL_HEAT.warmup_seconds)
+        planner.refresh(now + heat.WARMUP_SECONDS)
         assert planner.tier_of(hot_block) == HOT
         counts = planner.tier_counts()
         assert counts[HOT] == 1  # int(6 * (1 - 0.8))
@@ -229,6 +212,7 @@ class TestReplicationPlanner:
         assert deployment.enable_adaptive_replication() is planner
 
 
+@pytest.mark.usefixtures("small_heat")
 class TestShedding:
     def test_cold_blocks_shed_to_floor_and_never_below(self):
         from repro.core.audit import floor_met

@@ -7,6 +7,10 @@
   half: what no entry point runs).
 * Imports run one way: down :data:`LAYERS`, with no cycle between
   modules, and only the CLI's lazy sub-commands import inside a function.
+* Every settable value — a field of a settings dataclass or a parameter
+  of an ``enable`` method — is set by something that ships, bar the
+  :data:`KEEP_SETTINGS` list: a value only tests set is a constant.
+* The frozen perfbench probe still finds every name it shims.
 * Protocol timers have one owner: ``protocols/reliability.py`` holds the
   probe pacing constants and — bar the sweep timer and the
   validation-cost delay — every ``clock.schedule`` of ``protocols/`` and
@@ -85,7 +89,7 @@ def test_every_module_has_an_importer_outside_tests():
 #: ``UtxoSet.serialize_snapshot`` / ``deserialize_snapshot`` and
 #: ``bench.runner.calibrate`` (the frozen perfbench probe), and the error
 #: and recovery paths no entry point happens to run (``_mark_unrecoverable``,
-#: ``_strand``, ``_self_commit``, ``RequestTracker.abandon``): safety code.
+#: ``_strand``, ``RequestTracker.abandon``): safety code.
 KEEP = {
     "is_connected": "test oracle: connectivity of built topologies",
     "ClusterTable.check_invariants": "test oracle: the membership invariants",
@@ -163,6 +167,171 @@ def test_every_definition_has_a_referencer_outside_tests():
     )
     assert unnamed == []
     assert sorted(set(KEEP) - {q for _, q in definitions()}) == []
+
+
+# --------------------------------------------------------------- settings
+#: Dataclasses whose fields a caller sets: these suffixes, plus the
+#: CLI's ``Scenario``.
+SETTINGS_SUFFIXES = ("Config", "Policy", "Limits")
+
+#: Settable values nothing that ships sets, on purpose.
+KEEP_SETTINGS = {
+    "ICIConfig.placement": "selects a live deployment's placement policy; "
+    "E9 compares the policy objects directly, tests run each one through "
+    "the protocols",
+    "ICIConfig.node_capacities": "the weights placement='capacity' reads",
+    "ICIConfig.state_snapshot_bytes": "the modelled size of the UTXO "
+    "snapshot a joiner downloads; tests price a join with it",
+    "ICIConfig.transfer_state_snapshot": "bootstrap over the real "
+    "serialized UTXO set, the snapshot codec's only caller",
+    "ValidationLimits.block_reward": "a consensus rule the coinbase check "
+    "enforces, not a tuning knob",
+    "FaultConfig.delay_seconds": "the length of the spikes --delay-rate "
+    "(set by the CLI) draws",
+    "WorkloadConfig.n_wallets": "workload shape tests vary; a constant "
+    "candidate with the two below (ROADMAP item 6)",
+    "WorkloadConfig.target_tx_bytes": "tests drive unpadded (0) and "
+    "larger transactions through the chain rules",
+    "WorkloadConfig.fee_per_transfer": "the only way a block carries fees: "
+    "tests check coinbase = reward + fees with it",
+}
+
+
+def is_settings(node: ast.ClassDef) -> bool:
+    return (node.name.endswith(SETTINGS_SUFFIXES) or node.name == "Scenario") and any(
+        "dataclass" in ast.unparse(decorator) for decorator in node.decorator_list
+    )
+
+
+def defaulted(function: ast.FunctionDef) -> list[str]:
+    """The parameters of ``function`` that carry a default."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    return [arg.arg for arg in positional[len(positional) - len(args.defaults) :]] + [
+        arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+
+
+def settings():
+    """``(label, owner, name)`` of every value a caller can set: each
+    defaulted field of a settings dataclass (``owner`` is the class) and
+    each defaulted parameter of an ``enable``/``enable_*`` method
+    (``owner`` is ``None``: the method's name types nothing)."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if (
+                    is_settings(node)
+                    and isinstance(sub, ast.AnnAssign)
+                    and sub.value is not None
+                    and isinstance(sub.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(sub.annotation)
+                ):
+                    yield f"{node.name}.{sub.target.id}", node.name, sub.target.id
+                elif isinstance(sub, ast.FunctionDef) and (
+                    sub.name == "enable" or sub.name.startswith("enable_")
+                ):
+                    for arg in defaulted(sub):
+                        yield f"{node.name}.{sub.name}({arg}=)", None, arg
+
+
+def settings_lineage() -> dict[str, set[str]]:
+    """Settings class -> itself and the settings classes it inherits
+    from: a keyword to ``EnduranceConfig`` sets a ``_StormConfig`` field."""
+    bases: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and is_settings(node):
+                bases[node.name] = {ast.unparse(base) for base in node.bases}
+
+    def lineage(name: str) -> set[str]:
+        return {name}.union(*(lineage(b) for b in bases[name] if b in bases))
+
+    return {name: lineage(name) for name in bases}
+
+
+def setters() -> set[tuple[str | None, str]]:
+    """``(owner, name)`` for every value code that ships sets.
+
+    A keyword argument sets its name on the settings class it calls (and
+    that class's ancestors), or on every class when the callee is a
+    helper, ``replace`` or a method; a string dict key sets its name on
+    every class (bench helpers forward ``**kwargs``), and so does each
+    ``chaos``/``endurance`` flag.  Passing a value on under its own name
+    — ``x=config.x``, or ``x=x`` from a defaulted parameter — sets
+    nothing: the setter is whoever chose the value passed on.
+    """
+    from repro.cli import _FIELD_OF, _STORM_FLAGS
+
+    lineage = settings_lineage()
+    found: set[tuple[str | None, str]] = set()
+    for root in IMPORTER_ROOTS:
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            passed_on: dict[int, set[str]] = {}
+            for function in ast.walk(tree):
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = set(defaulted(function))
+                    for node in ast.walk(function):
+                        if isinstance(node, ast.keyword):
+                            passed_on.setdefault(id(node), set()).update(names)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Dict):
+                    found.update(
+                        (None, key.value)
+                        for key in node.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    )
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = ast.unparse(node.func).rpartition(".")[2]
+                for keyword in node.keywords:
+                    name, value = keyword.arg, keyword.value
+                    if name is None or (
+                        isinstance(value, ast.Attribute) and value.attr == name
+                    ):
+                        continue
+                    if isinstance(value, ast.Name) and value.id == name:
+                        if name in passed_on.get(id(keyword), ()):
+                            continue
+                    found.update((owner, name) for owner in lineage.get(callee, {None}))
+    for flag, _ in _STORM_FLAGS:
+        dest = flag.replace("-", "_")
+        found.add((None, _FIELD_OF.get(dest, dest)))
+    return found
+
+
+def test_every_setting_has_a_setter_outside_tests():
+    """A value only tests set is a constant (one value in use): each
+    settable value has a setter that ships, or a :data:`KEEP_SETTINGS`
+    entry with its reason."""
+    found = setters()
+    unset = {
+        label
+        for label, owner, name in settings()
+        if (None, name) not in found and (owner, name) not in found
+    }
+    assert sorted(unset - set(KEEP_SETTINGS)) == []
+    assert sorted(set(KEEP_SETTINGS) - unset) == []
+
+
+def test_the_frozen_probe_still_finds_every_target():
+    """``perfbench/probe.py`` shims program names given as strings; one
+    deleted or renamed target breaks every traced perfbench rep."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_probe", ROOT / "perfbench" / "probe.py"
+    )
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    shim = probe.Probe()
+    try:
+        shim.install()
+    finally:
+        assert shim.restore()
 
 
 def sources(*packages: str):

@@ -22,8 +22,8 @@ from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
 from repro.sim.runner import ScenarioRunner
-from repro.storage.coded import ArchivalConfig
-from repro.storage.heat import COLD, HeatConfig
+from repro.storage import coded
+from repro.storage.heat import COLD
 from tests.conftest import TEST_LIMITS
 from tests.test_adaptive import ADAPTIVE_GOLDEN_SHA
 
@@ -40,27 +40,22 @@ ARCHIVAL_GOLDEN_SHA = (
     "9ac681795fed7d28774d20be9a04cea715fe94caef523693133d40c227bb3a45"
 )
 
-#: Small-population tiering knobs (same as tests/test_adaptive.py):
-#: with 6 blocks the default quantiles would allot zero hot slots.
-SMALL_HEAT = HeatConfig(hot_quantile=0.8, cold_quantile=0.5)
-
-
 def build_archival(
     n_nodes: int = 6,
     n_clusters: int = 1,
     replication: int = 2,
     n_blocks: int = 6,
-    code: ArchivalConfig | None = None,
 ):
-    """One-cluster archival deployment with ``n_blocks`` produced."""
+    """One-cluster archival deployment with ``n_blocks`` produced (the
+    caller requests ``small_heat``: with 6 blocks the default quantiles
+    would allot zero hot slots)."""
     config = ICIConfig(
         n_clusters=n_clusters,
         replication=replication,
         limits=TEST_LIMITS,
     )
     deployment = ICIDeployment(n_nodes, config=config)
-    deployment.enable_adaptive_replication(SMALL_HEAT)
-    tier = deployment.enable_archival_tier(code)
+    tier = deployment.enable_archival_tier()
     runner = ScenarioRunner(deployment, limits=TEST_LIMITS, seed=7)
     report = runner.produce_blocks(n_blocks, txs_per_block=2)
     return deployment, tier, report
@@ -100,23 +95,12 @@ def chunk_holders(tier, block_hash) -> dict[int, int]:
 
 class TestArchivalConfig:
     def test_defaults_validate(self):
-        config = ArchivalConfig()
-        assert config.total_chunks == 4
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(data_chunks=0),
-            dict(parity_chunks=0),
-            dict(parity_chunks=-1),
-            dict(data_chunks=200, parity_chunks=100),
-        ],
-    )
-    def test_rejects_bad_shapes(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            ArchivalConfig(**kwargs)
+        """A 3+1 code: survives one chunk-holder loss, fits GF(256)."""
+        assert coded.DATA_CHUNKS == 3 and coded.PARITY_CHUNKS == 1
+        assert coded.DATA_CHUNKS + coded.PARITY_CHUNKS <= 256
 
 
+@pytest.mark.usefixtures("small_heat")
 class TestArchivalTier:
     def test_cold_blocks_archive_onto_distinct_live_members(self):
         deployment, tier, report = build_archival()
@@ -134,7 +118,7 @@ class TestArchivalTier:
             )
             # ...and n chunks sit on n distinct live members.
             holders = chunk_holders(tier, block_hash)
-            assert len(holders) == tier.config.total_chunks
+            assert len(holders) == coded.DATA_CHUNKS + coded.PARITY_CHUNKS
             assert len(set(holders.values())) == len(holders)
             assert all(
                 deployment.network.is_online(holder)

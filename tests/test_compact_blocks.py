@@ -72,14 +72,6 @@ class TestCompactDissemination:
         # Everything was fetched (hit rate ~0 — only via txfill).
         assert deployment.compact_stats.transactions_fetched > 0
 
-    def test_compact_ignored_in_non_collaborative_mode(self):
-        deployment, runner = compact_deployment(
-            verify_collaboratively=False
-        )
-        runner.produce_blocks(3, txs_per_block=3)
-        assert deployment.total_finalized_blocks() == 3
-        assert deployment.compact_stats.announcements == 0
-
 
 class TestCompactPrimitives:
     def test_payload_size_formula(self):

@@ -20,9 +20,10 @@ import pytest
 
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
-from repro.dht.engine import DHTConfig, DHTEngine
+from repro.dht.engine import ALPHA, DIGEST_FANOUT, MAX_LOOKUP_CONTACTS, DHTEngine
 from repro.dht.idspace import block_key
-from repro.dht.records import ProviderStore
+from repro.dht.records import DEFAULT_RECORD_TTL, ProviderStore
+from repro.dht.routing import DEFAULT_K
 from repro.errors import ConfigurationError
 from repro.net.message import MessageKind
 from repro.sim.chaos import ChaosConfig, EnduranceConfig, run_chaos, run_endurance
@@ -37,7 +38,6 @@ def build_dht(
     replication: int = 2,
     n_blocks: int = 4,
     enable: bool = True,
-    config: DHTConfig | None = None,
 ):
     """A small deployment with the overlay (optionally) enabled."""
     ici = ICIConfig(
@@ -47,7 +47,7 @@ def build_dht(
     )
     deployment = ICIDeployment(n_nodes, config=ici)
     if enable:
-        deployment.enable_dht(config)
+        deployment.enable_dht()
     runner = ScenarioRunner(deployment, limits=TEST_LIMITS, seed=11)
     report = runner.produce_blocks(n_blocks, txs_per_block=2)
     deployment.run()
@@ -101,14 +101,11 @@ def test_enable_is_idempotent_and_seeds_every_table():
 
 
 def test_dht_config_validation():
-    with pytest.raises(ConfigurationError):
-        DHTConfig(k=0)
-    with pytest.raises(ConfigurationError):
-        DHTConfig(alpha=0)
-    with pytest.raises(ConfigurationError):
-        DHTConfig(record_ttl=0.0)
-    with pytest.raises(ConfigurationError):
-        DHTConfig(digest_fanout=0)
+    """Kademlia's constants stay in range: a lookup never asks for more
+    than its contact cap, and records outlive their publication."""
+    assert 1 <= DEFAULT_K <= MAX_LOOKUP_CONTACTS
+    assert ALPHA >= 1 and DIGEST_FANOUT >= 1
+    assert DEFAULT_RECORD_TTL > 0
 
 
 # ------------------------------------------------------------------ lookups
@@ -202,7 +199,7 @@ def test_finalize_publishes_each_cluster_record_once():
 def test_records_expire_and_republish_on_sweep():
     deployment, report = build_dht()
     dht = deployment.dht
-    ttl = dht.config.record_ttl
+    ttl = DEFAULT_RECORD_TTL
     key = block_key(report.block_hashes[0])
     now = deployment.network.now
     held = sum(
@@ -265,10 +262,9 @@ def test_join_bootstraps_by_self_lookup():
 def test_digest_peers_picks_xor_nearest_subset():
     deployment, _ = build_dht()
     dht = deployment.dht
-    fanout = dht.config.digest_fanout
     candidates = [n for n in sorted(deployment.nodes) if n != 0]
     picked = dht.digest_peers(0, candidates)
-    assert len(picked) == fanout
+    assert len(picked) == DIGEST_FANOUT
     own = dht.key_of(0)
     cutoff = max(dht.key_of(p) ^ own for p in picked)
     for other in set(candidates) - set(picked):
@@ -360,7 +356,7 @@ def test_dht_compare_config_validation():
     with pytest.raises(ConfigurationError):
         DhtCompareConfig(network_sizes=(24, 12))
     with pytest.raises(ConfigurationError):
-        DhtCompareConfig(network_sizes=(6, 12), cluster_size=6)
+        DhtCompareConfig(network_sizes=(6, 12))
     with pytest.raises(ConfigurationError):
         DhtCompareConfig(lookups=0)
 

@@ -23,7 +23,7 @@ from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.crypto.hashing import ZERO_HASH, sha256
 from repro.errors import ConfigurationError, FaultConfigError
-from repro.net.domains import DomainLabel, FailureDomainMap
+from repro.net.domains import FailureDomainMap
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.simclock import SimClock
@@ -78,19 +78,14 @@ def fresh_net(count: int) -> Network:
 # ---------------------------------------------------------------- the map
 class TestFailureDomainMap:
     def test_striping_is_pure_and_deterministic(self):
-        one = FailureDomainMap(zones=3, racks_per_zone=2)
-        two = FailureDomainMap(zones=3, racks_per_zone=2)
+        one = FailureDomainMap(zones=3)
+        two = FailureDomainMap(zones=3)
         for node_id in range(24):
-            assert one.domain_of(node_id) == two.domain_of(node_id)
-            assert one.domain_of(node_id) == DomainLabel(
-                zone=node_id % 3, rack=(node_id // 3) % 2
-            )
+            assert one.zone_of(node_id) == two.zone_of(node_id) == node_id % 3
 
     def test_constructor_validation(self):
         with pytest.raises(ConfigurationError):
             FailureDomainMap(zones=0)
-        with pytest.raises(ConfigurationError):
-            FailureDomainMap(zones=2, racks_per_zone=0)
 
     def test_sync_bumps_version_only_on_population_change(self):
         domains = FailureDomainMap(zones=2)

@@ -170,34 +170,6 @@ class TestAblations:
             > agg.network.traffic.total_messages
         )
 
-    def test_non_collaborative_mode_finalizes(self):
-        deployment = deploy(verify_collaboratively=False)
-        run_blocks(deployment, n_blocks=3)
-        assert deployment.total_finalized_blocks() == 3
-
-    def test_non_collaborative_validates_everywhere(self):
-        collab = deploy(verify_collaboratively=True)
-        run_blocks(collab, n_blocks=3)
-        solo = deploy(verify_collaboratively=False)
-        run_blocks(solo, n_blocks=3)
-        assert (
-            solo.metrics.costs.full_validations
-            > collab.metrics.costs.full_validations
-        )
-
-    def test_no_pruning_keeps_fetched_bodies(self):
-        deployment = deploy(
-            verify_collaboratively=False, prune_after_verify=False
-        )
-        report, _ = run_blocks(deployment, n_blocks=3)
-        # In fan-out mode without pruning every member retains every body.
-        for block_hash in report.block_hashes:
-            copies = sum(
-                node.store.has_body(block_hash)
-                for node in deployment.nodes.values()
-            )
-            assert copies == len(deployment.nodes)
-
     def test_placement_policies_all_work(self):
         for placement in ("hash", "modulo", "round_robin", "capacity"):
             deployment = deploy(placement=placement)

@@ -33,9 +33,7 @@ from repro.obs.tracer import (
     FAULTS_TRACK,
     PHASE_TRACK,
     Tracer,
-    active_tracer,
     node_track,
-    tracing,
 )
 from repro.sim.chaos import ChaosConfig, build_scenario, run_chaos
 from repro.sim.runner import ScenarioRunner
@@ -62,10 +60,10 @@ def ici_deployment(n_nodes: int = 12, **kwargs) -> ICIDeployment:
 def traced_run(tracer: Tracer | None = None, blocks: int = 3):
     """Stream a few blocks through an ICI deployment under tracing."""
     tracer = tracer or Tracer()
-    with tracing(tracer):
-        deployment = ici_deployment()
-        runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
-        runner.produce_blocks(blocks, txs_per_block=2)
+    deployment = ici_deployment()
+    install_tracing(deployment, tracer)
+    runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
+    runner.produce_blocks(blocks, txs_per_block=2)
     return tracer, deployment
 
 
@@ -165,25 +163,10 @@ class TestDisabledTracer:
             tracer.instant("no-clock", TRACK)
 
 
-class TestActiveTracer:
-    def test_tracing_scopes_the_active_tracer(self):
-        assert active_tracer() is None
-        tracer = Tracer()
-        with tracing(tracer):
-            assert active_tracer() is tracer
-        assert active_tracer() is None
-
-    def test_two_active_tracers_conflict(self):
-        with tracing(Tracer()):
-            with pytest.raises(ObservabilityError):
-                with tracing(Tracer()):
-                    pass  # pragma: no cover
-        assert active_tracer() is None
-
-    def test_deployments_self_attach_inside_the_scope(self):
-        tracer = Tracer()
-        with tracing(tracer):
-            traced = ici_deployment()
+class TestInstallTracing:
+    def test_only_the_installed_deployment_is_traced(self):
+        traced = ici_deployment()
+        install_tracing(traced, Tracer())
         untraced = ici_deployment()
         assert any(
             isinstance(obs, TracingObserver)
@@ -280,16 +263,11 @@ class TestTracedDeployment:
         """The PR's acceptance pin: tracing must not move the simulation."""
 
         def run_once(trace: bool) -> dict:
+            deployment = ici_deployment()
             if trace:
-                tracer = Tracer(trace_callbacks=True)
-                with tracing(tracer):
-                    deployment = ici_deployment()
-                    runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
-                    runner.produce_blocks(3, txs_per_block=2)
-            else:
-                deployment = ici_deployment()
-                runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
-                runner.produce_blocks(3, txs_per_block=2)
+                install_tracing(deployment, Tracer(trace_callbacks=True))
+            runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
+            runner.produce_blocks(3, txs_per_block=2)
             deployment.join_new_node()
             deployment.run()
             return simulated_metrics(deployment)
@@ -397,10 +375,10 @@ class TestChromeExport:
 
     def test_multi_deployment_traces_keep_labels_apart(self):
         tracer = Tracer()
-        with tracing(tracer):
-            for deployment in (ici_deployment(9), ici_deployment(9)):
-                runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
-                runner.produce_blocks(2, txs_per_block=2)
+        for deployment in (ici_deployment(9), ici_deployment(9)):
+            install_tracing(deployment, tracer)
+            runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
+            runner.produce_blocks(2, txs_per_block=2)
         payload = to_chrome_trace(tracer)
         assert validate_chrome_trace(payload) == []
         names = {
@@ -499,6 +477,15 @@ class TestTraceCli:
         code = main(["trace", "full", "--chaos"])
         assert code == 2
         assert "ici" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("capacity", ["0", "-3"])
+    def test_trace_rejects_a_ring_below_one_event(self, capacity, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["trace", "ici", "--capacity", capacity])
+        assert exited.value.code == 2
+        assert "--capacity: must be >= 1" in capsys.readouterr().err
 
 
 class TestTraceProfile:

@@ -177,9 +177,7 @@ class TestRoundRobinSemantics:
 #: must not share a memo with the policy under test.
 POLICY_FACTORIES = {
     "rendezvous": RendezvousPlacement,
-    "domain_spread": lambda: DomainSpreadPlacement(
-        FailureDomainMap(zones=3, racks_per_zone=2)
-    ),
+    "domain_spread": lambda: DomainSpreadPlacement(FailureDomainMap(zones=3)),
     "modulo": ModuloSlotPlacement,
     "round_robin": RoundRobinPlacement,
     "capacity": lambda: CapacityWeightedPlacement({1: 3.0, 4: 0.5}),

@@ -154,10 +154,10 @@ def reference_rendezvous(header, members, replication) -> tuple[int, ...]:
 def reference_domain_spread(
     domains: FailureDomainMap, header, members, replication
 ) -> tuple[int, ...]:
-    """Greedy over the reference ranking: new zone, new rack, then fill."""
+    """Greedy over the reference ranking: new zone, then fill."""
     ranked = reference_ranking(header, members)
     chosen: list[int] = []
-    for label_of in (domains.zone_of, domains.domain_of, lambda member: member):
+    for label_of in (domains.zone_of, lambda member: member):
         for member in ranked:
             taken = {label_of(holder) for holder in chosen}
             if len(chosen) < replication and label_of(member) not in taken:
@@ -234,7 +234,7 @@ class TestMemoizedPlacementEquivalence:
     def test_domain_spread_equals_uncached_greedy(
         self, members, steps, replication
     ):
-        domains = FailureDomainMap(zones=3, racks_per_zone=2)
+        domains = FailureDomainMap(zones=3)
         self._walk(
             DomainSpreadPlacement(domains),
             lambda header, current, r: reference_domain_spread(

@@ -191,7 +191,7 @@ class TestDisseminationEngineIsolated:
             chain, KeyPair.from_seed(1), KeyPair.from_seed(2), 200
         )
         node = harness.nodes[3]
-        engine.on_body(node, block2, fan_out=False)
+        engine.on_body(node, block2)
         assert block2.block_hash in engine.orphan_bodies[node.node_id]
         assert harness.verification.started == []
         # The parent header arriving releases the buffered body.

@@ -11,15 +11,18 @@ from repro.analysis.report import (
 from repro.baselines.full_replication import FullReplicationDeployment
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
+from repro.obs.hooks import install_tracing
 from repro.sim.runner import ScenarioRunner
 from tests.conftest import TEST_LIMITS
 
 
-def ici_deployment(**kwargs):
+def ici_deployment(tracer=None, **kwargs):
     kwargs.setdefault("n_clusters", 4)
     kwargs.setdefault("replication", 1)
     kwargs.setdefault("limits", TEST_LIMITS)
     deployment = ICIDeployment(16, config=ICIConfig(**kwargs))
+    if tracer is not None:
+        install_tracing(deployment, tracer)
     runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
     runner.produce_blocks(4, txs_per_block=3)
     return deployment, runner
@@ -167,13 +170,12 @@ class TestTraceSummaryReport:
     def test_renders_latency_timelines_and_phases(self):
         from repro.analysis.report import render_trace_summary
         from repro.obs.summary import summarize
-        from repro.obs.tracer import Tracer, tracing
+        from repro.obs.tracer import Tracer
 
         tracer = Tracer()
-        with tracing(tracer):
-            deployment, _ = ici_deployment()
-            with tracer.span("stream"):
-                deployment.run()
+        deployment, _ = ici_deployment(tracer)
+        with tracer.span("stream"):
+            deployment.run()
         summary = render_trace_summary(summarize(tracer), title="T")
         assert summary.startswith("# T")
         assert "## Delivery latency by message kind (virtual time)" in (
@@ -186,12 +188,11 @@ class TestTraceSummaryReport:
     def test_single_deployment_nodes_sort_numerically(self):
         from repro.analysis.report import render_trace_summary
         from repro.obs.summary import summarize
-        from repro.obs.tracer import Tracer, tracing
+        from repro.obs.tracer import Tracer
 
         tracer = Tracer()
-        with tracing(tracer):
-            deployment, _ = ici_deployment()
-            deployment.run()
+        deployment, _ = ici_deployment(tracer)
+        deployment.run()
         summary = render_trace_summary(summarize(tracer))
         rows = [
             line.split("|")[1].strip()

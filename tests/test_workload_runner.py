@@ -130,14 +130,13 @@ class TestScenario:
         assert len(coordinates) == 10
 
     def test_ici_with_latency_clustering(self):
-        scenario = Scenario(
-            strategy="ici",
-            n_nodes=12,
-            n_groups=3,
-            latency="regions",
-            clustering="latency",
+        network, coordinates = build_network(
+            Scenario(n_nodes=12, n_groups=3, latency="regions")
         )
-        deployment = build_deployment(scenario)
+        config = ICIConfig(n_clusters=3, clustering="latency", limits=BENCH_LIMITS)
+        deployment = ICIDeployment(
+            12, config=config, network=network, coordinates=coordinates
+        )
         runner = ScenarioRunner(deployment, limits=BENCH_LIMITS)
         runner.produce_blocks(2, txs_per_block=2)
         assert deployment.total_finalized_blocks() == 2
