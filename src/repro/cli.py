@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.tables import format_bytes, format_seconds, render_table
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs.tracer import DEFAULT_CAPACITY
 from repro.sim.chaos import (
     ChaosConfig,
@@ -705,8 +705,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigurationError as error:
-        # An impossible configuration is a usage error, like a bad flag.
+    except (ConfigurationError, ObservabilityError) as error:
+        # An impossible configuration, or a trace file that cannot be
+        # read, is a usage error, like a bad flag.
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
 

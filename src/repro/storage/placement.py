@@ -87,18 +87,24 @@ class _HrwPlacement(PlacementPolicy):
     packed into one int, does not depend on who else is in the cluster,
     so scores live in per-block *rows* that every membership of every
     cluster reuses: a surviving member is never re-hashed.  Results are
-    memoized one group per membership key, so a membership that churn
-    left behind is one dead dict rather than a key tuple per block.
+    memoized one group per membership key.  The memo holds what live
+    memberships use: a membership change retires the group it replaced
+    and a leaver's scores (:meth:`RendezvousPlacement.reassignments`),
+    and a domain-map change retires the spreads of older versions
+    (:class:`DomainSpreadPlacement`).  A retired entry only costs a
+    recompute if it is asked for again.
     """
 
     #: Soft cap on memoized values (scores + placements); rows and groups
-    #: reset together when exceeded so long churn simulations cannot grow
-    #: them without bound.
+    #: reset together when exceeded.  The backstop for keys no membership
+    #: change replaces (the archival tier's live subsets and candidates).
     _CACHE_LIMIT = 200_000
 
     def __init__(self) -> None:
         self._rows: dict[bytes, dict[int, int]] = {}
         self._groups: dict[tuple, dict[bytes, tuple[int, ...]]] = {}
+        #: Group key -> the key the last traversal into it came from.
+        self._before: dict[tuple, tuple] = {}
         self._entries = 0
 
     def _ranked(self, block_hash: bytes, members: Sequence[int]) -> list[int]:
@@ -121,11 +127,17 @@ class _HrwPlacement(PlacementPolicy):
         if self._entries >= self._CACHE_LIMIT:
             self._rows.clear()
             self._groups.clear()
+            self._before.clear()
             self._entries = 0
         group = self._groups.get(key)
         if group is None:
             group = self._groups[key] = {}
         return group
+
+    def _drop_group(self, key: tuple) -> None:
+        group = self._groups.pop(key, None)
+        if group is not None:
+            self._entries -= len(group)
 
 
 class RendezvousPlacement(_HrwPlacement):
@@ -183,7 +195,10 @@ class RendezvousPlacement(_HrwPlacement):
         block and a comparison with the lowest-ranked old holder, a leave
         re-ranks (from the score row, no hashing) only the blocks the
         leaver held.  Every block's result seeds the new membership's
-        memo group.  Any other delta takes the generic diff.
+        memo group; the group before the old membership is retired
+        (:meth:`_retire`) and a leaver's scores leave every row, so
+        churn keeps the memo at the size of the live memberships.  Any
+        other delta takes the generic diff and retires nothing.
         """
         old_key, new_key = tuple(old_members), tuple(new_members)
         old_set, new_set = set(old_key), set(new_key)
@@ -220,7 +235,16 @@ class RendezvousPlacement(_HrwPlacement):
                     if changed not in row:
                         row[changed] = _score(block_hash, changed)
                         scored += 1
-                    lowest = min(old, key=row.__getitem__)
+                    try:
+                        lowest = min(old, key=row.__getitem__)
+                    except KeyError:
+                        # A kept group can name a member that has left
+                        # since, and a leaver's scores go at once.
+                        for member in old:
+                            if member not in row:
+                                row[member] = _score(block_hash, member)
+                                scored += 1
+                        lowest = min(old, key=row.__getitem__)
                     if row[changed] > row[lowest]:
                         new = tuple(
                             sorted(changed if m == lowest else m for m in old)
@@ -231,7 +255,29 @@ class RendezvousPlacement(_HrwPlacement):
             if new != old:
                 moved.append((header, old, new))
         self._entries += len(old_group) + len(new_group) - before + scored
+        self._retire((old_key, replication), (new_key, replication))
+        if not joining:
+            dropped = 0
+            for row in self._rows.values():
+                if row.pop(changed, None) is not None:
+                    dropped += 1
+            self._entries -= dropped
         return moved
+
+    def _retire(self, old_key: tuple, new_key: tuple) -> None:
+        """Drop the groups the move ``old_key -> new_key`` replaced.
+
+        ``old_key``'s own group stays (a join walks the same pair twice:
+        to plan, and to prune once the joiner confirms); the group the
+        traversal into ``old_key`` came from goes, and so does every
+        older group on that chain.  Keys recur (a joiner can reuse a
+        departed id), so neither end of this move is ever dropped.
+        """
+        stale = self._before.pop(old_key, None)
+        self._before[new_key] = old_key
+        while stale is not None and stale != old_key and stale != new_key:
+            self._drop_group(stale)
+            stale = self._before.pop(stale, None)
 
 
 class DomainSpreadPlacement(_HrwPlacement):
@@ -253,9 +299,10 @@ class DomainSpreadPlacement(_HrwPlacement):
     (chaos/endurance outcomes surface it), so an operator sees exactly
     how many placements are running with a correlated blast radius.
 
-    Memoization keys include the domain map's version counter: a
-    membership sync invalidates stale spreads without
-    flushing unrelated entries.  The greedy pick is not a top-``r`` of a
+    Memoization keys include the domain map's version counter, which
+    only increases: the first placement at a new version drops every
+    group of the older ones, which nothing can ask for again, and keeps
+    the score rows.  The greedy pick is not a top-``r`` of a
     membership-independent order (one joiner can change which zones count
     as used), so :meth:`reassignments` stays the generic diff.
     """
@@ -263,6 +310,7 @@ class DomainSpreadPlacement(_HrwPlacement):
     def __init__(self, domains: "FailureDomainMap") -> None:
         super().__init__()
         self._domains = domains
+        self._version = domains.version
         #: Placements (distinct block/membership/version inputs) that
         #: could not put every replica in its own zone.
         self.domain_spread_deficit = 0
@@ -279,13 +327,18 @@ class DomainSpreadPlacement(_HrwPlacement):
         replication: int,
     ) -> tuple[int, ...]:
         """See :meth:`PlacementPolicy.holders`."""
-        key = (tuple(members), replication, self._domains.version)
+        version = self._domains.version
+        key = (tuple(members), replication, version)
         group = self._groups.get(key)
         if group is not None:
             cached = group.get(header.block_hash)
             if cached is not None:
                 return cached
         canonical = self._check(members, replication)
+        if version != self._version:
+            self._version = version
+            for stale in list(self._groups):
+                self._drop_group(stale)
         group = self._group(key)
         ranked = self._ranked(header.block_hash, canonical)
         chosen: list[int] = []

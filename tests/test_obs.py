@@ -697,6 +697,22 @@ class TestTraceDiff:
         with pytest.raises(ObservabilityError):
             diff_traces(good, bad)
 
+    def test_cli_unreadable_file_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        good = tmp_path / "a.json"
+        good.write_text(json.dumps(self.payload(self.row())))
+        jsonl = tmp_path / "trace.jsonl"  # what `trace --jsonl` writes
+        jsonl.write_text('{"ph": "X"}\n{"ph": "X"}\n')
+        for argv in (
+            ["trace", "diff", str(good), str(jsonl)],
+            ["trace", "diff", str(good), str(tmp_path / "missing.json")],
+            ["trace", "profile", str(jsonl)],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error: cannot read trace"), err
+
     def test_cli_diff_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -4,12 +4,14 @@ A member retains, per block, its header, its verdict and the few bits of
 round state a late vote can still read (DESIGN.md, "What a (node, block)
 pair costs").  These tests pin that budget in bytes (tracemalloc), the two
 signature-path caches in hit/miss counts, and ``ensure_round``'s
-placement lookups in calls.
+placement lookups in calls.  A membership change may retain only a small
+pinned budget too: the placement memo holds what live memberships use.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import sys
 import tracemalloc
 from functools import lru_cache
@@ -19,6 +21,7 @@ from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.crypto import signatures
 from repro.sim.runner import ScenarioRunner
+from repro.storage.placement import RendezvousPlacement
 from tests.conftest import TEST_LIMITS
 
 # Where per-pair state is allocated; "<string>" is dataclass-generated
@@ -29,6 +32,7 @@ PAIR_SITES = (
     "/repro/crypto/signatures.py",
 )  # fmt: skip
 PAIR_BUDGET_BYTES = 1_500
+MEMBERSHIP_OP_BUDGET_BYTES = 1_000
 CACHES = (
     (signatures, "_verify_cached", signatures._verify_cached),
     (votes, "_attest_message", votes._attest_message),
@@ -45,13 +49,13 @@ def _runner(n_nodes: int, n_clusters: int) -> ScenarioRunner:
     return ScenarioRunner(deployment, limits=TEST_LIMITS, seed=1)
 
 
-def _live_pair_bytes() -> int:
+def _live_bytes(sites=PAIR_SITES) -> int:
     gc.collect()
     return sum(
         stat.size
         for stat in tracemalloc.take_snapshot().statistics("filename")
         if stat.traceback[0].filename == "<string>"
-        or any(site in stat.traceback[0].filename for site in PAIR_SITES)
+        or any(site in stat.traceback[0].filename for site in sites)
     )
 
 
@@ -68,9 +72,9 @@ def test_live_bytes_per_node_and_block():
     tracemalloc.start()
     try:
         runner.produce_blocks(8, txs_per_block=3)
-        short = _live_pair_bytes()
+        short = _live_bytes()
         runner.produce_blocks(16, txs_per_block=3)
-        long_ = _live_pair_bytes()
+        long_ = _live_bytes()
     finally:
         tracemalloc.stop()
     per_pair = (long_ - short) / (24 * 16)
@@ -126,3 +130,54 @@ def test_ensure_round_ranks_holders_once_per_member_and_block():
     rounds = sum(len(node.rounds) for node in deployment.nodes.values())
     assert rounds == 24 * len(report.block_hashes)
     assert len(calls) == rounds
+
+
+def _membership_op(deployment, index: int, rng: random.Random) -> None:
+    """perfbench ``membership_churn``'s cycle: join -> leave -> join ->
+    crash + repair, victims drawn from the largest cluster."""
+    if index % 2 == 0:
+        deployment.join_new_node()
+    else:
+        largest = max(
+            deployment.clusters.views(), key=lambda view: len(view.members)
+        ).members
+        victim = rng.choice(largest)
+        if index % 4 == 1:
+            deployment.leave_node(victim)
+        else:
+            deployment.repair_after_crash(victim)
+    deployment.run()
+
+
+def test_membership_churn_retains_a_flat_memo():
+    """24 nodes x 25 blocks, 40 warm-up ops, then 300 more.
+
+    The memo that kept one group per membership ever seen and a score
+    for every joiner retained ~3,260 bytes per op here; retiring the
+    group a change replaced and a leaver's scores leaves ~510 (reports
+    and traffic counters).  After every op the memo holds at most two
+    groups per cluster plus one and no score of a departed member, far
+    below ``_CACHE_LIMIT``, so the cap never resets it.
+    """
+    runner = _runner(24, 3)
+    runner.produce_blocks(24, txs_per_block=3)
+    deployment = runner.deployment
+    policy = deployment.placement
+    assert isinstance(policy, RendezvousPlacement)
+    rng = random.Random(3)
+    tracemalloc.start()
+    try:
+        for index in range(40):
+            _membership_op(deployment, index, rng)
+        before = _live_bytes(["/repro/"])
+        for index in range(40, 340):
+            _membership_op(deployment, index, rng)
+            live = {m for v in deployment.clusters.views() for m in v.members}
+            assert len(policy._groups) <= 2 * 3 + 1, index
+            assert all(set(row) <= live for row in policy._rows.values())
+            assert policy._entries < policy._CACHE_LIMIT
+        after = _live_bytes(["/repro/"])
+    finally:
+        tracemalloc.stop()
+    per_op = (after - before) / 300
+    assert per_op <= MEMBERSHIP_OP_BUDGET_BYTES, per_op

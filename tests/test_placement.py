@@ -359,7 +359,28 @@ class TestRendezvousDeltaCost:
         assert len(generic_calls) == 3
 
 
+def memo_entries(policy) -> int:
+    """Scores + placements, counted from the structures themselves."""
+    return sum(map(len, policy._rows.values())) + sum(
+        map(len, policy._groups.values())
+    )
+
+
 class TestMemoLimit:
+    def test_entries_are_scores_plus_placements_after_a_retirement(self):
+        """A join keeps the group it came from (its prune walks the same
+        pair again); the next change retires it, and a leave drops the
+        leaver's scores; the count follows every drop exactly."""
+        policy = RendezvousPlacement()
+        chain = [(1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 4, 5), (1, 2, 4, 5, 6)]
+        for old, new in zip(chain, chain[1:]):
+            for _ in range(2):  # plan, then prune
+                list(policy.reassignments(HEADERS, old, new, 2))
+            assert set(policy._groups) == {(old, 2), (new, 2)}
+            assert policy._entries == memo_entries(policy)
+        assert all(3 not in row for row in policy._rows.values())
+        assert all(len(row) == 5 for row in policy._rows.values())
+
     @pytest.mark.parametrize(
         "factory",
         [POLICY_FACTORIES["rendezvous"], POLICY_FACTORIES["domain_spread"]],
@@ -376,13 +397,16 @@ class TestMemoLimit:
             following = (
                 (*members, 10 + step) if step % 2 == 0 else members[1:]
             )
-            oldest_group = next(iter(policy._groups), None)
+            in_window = {h.block_hash for h in window}
+            earlier = set(policy._rows) - in_window
             moved = list(policy.reassignments(window, members, following, 2))
-            if oldest_group not in policy._groups and step:
+            # A retirement drops groups and scores, never a block's row:
+            # rows of earlier blocks go only in a reset.
+            if earlier and earlier.isdisjoint(policy._rows):
                 resets += 1
                 # Nothing memoized before the reset survives it: only
                 # this traversal's blocks and memberships are left.
-                assert set(policy._rows) <= {h.block_hash for h in window}
+                assert set(policy._rows) <= in_window
                 assert len(policy._groups) <= 2
             assert moved == list(
                 reference.reassignments(window, members, following, 2)
@@ -391,8 +415,6 @@ class TestMemoLimit:
                 assert policy.holders(
                     header, following, 2
                 ) == reference.holders(header, following, 2)
+            assert policy._entries == memo_entries(policy)
             members = following
         assert resets >= 2
-        assert policy._entries == sum(
-            map(len, policy._rows.values())
-        ) + sum(map(len, policy._groups.values()))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
@@ -187,13 +187,42 @@ def churned(members: list[int], steps, floor: int):
         yield members
 
 
+#: (cluster, kind, pick) steps over two clusters with small id pools, so
+#: a join often re-adds an id that left: kind 0 leaves the member at
+#: ``pick mod size``, kind 1 adds ``pick`` from the pool, kind 2 adds
+#: ``max + 1`` the way ``core.bootstrap`` numbers a joiner.
+traversal_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=11),
+    ),
+    max_size=24,
+)
+
+
+def reference_diff(headers, old, new, replication):
+    """What ``reassignments`` must yield, from the uncached ranking."""
+    moved = []
+    for header in headers:
+        before = reference_rendezvous(header, old, replication)
+        after = reference_rendezvous(header, new, replication)
+        if set(before) != set(after):
+            moved.append((header, before, after))
+    return moved
+
+
 class TestMemoizedPlacementEquivalence:
     """Score rows + grouped memo never change an answer.
 
     One long-lived policy instance is walked through a random join/leave
     sequence and asked for replication ``r-1 … r+2`` at every step (all
     sharing one score row per block); each answer, miss and hit alike,
-    must equal the uncached reference.
+    must equal the uncached reference.  The memo retires what churn
+    replaced: with two clusters churning on one instance, every change
+    walks ``reassignments(old, new)`` twice, as a join's plan and prune
+    do, and the memo holds at most two groups per cluster (a membership
+    and the one it came from) and scores only for members still in one.
     """
 
     HEADERS = [header_at(height, salt=7) for height in range(5)]
@@ -244,6 +273,83 @@ class TestMemoizedPlacementEquivalence:
             steps,
             min(replication, len(members)),
         )
+
+    @SETTINGS
+    @given(steps=traversal_strategy, replication=st.integers(1, 3))
+    # 3 leaves, comes back as ``max + 1`` (its memoized group is hit, its
+    # scores are gone), then a join reads that group as the old side.
+    @example(steps=[(0, 0, 3), (0, 2, 0), (0, 2, 0)], replication=2)
+    def test_rendezvous_traversals_equal_uncached_diff(
+        self, steps, replication
+    ):
+        policy = RendezvousPlacement()
+        clusters = [[0, 1, 2, 3], [100, 101, 102, 103]]
+        for cluster, kind, pick in steps:
+            old = clusters[cluster]
+            pool = range(100 * cluster, 100 * cluster + 12)
+            if kind == 0 and len(old) > replication:
+                new = [m for m in old if m != old[pick % len(old)]]
+            elif kind == 1 and pool[pick] not in old:
+                new = [*old, pool[pick]]
+            elif kind == 2:
+                new = [*old, max(old) + 1]
+            else:
+                continue
+            expected = reference_diff(self.HEADERS, old, new, replication)
+            for _ in range(2):  # plan, then prune
+                got = policy.reassignments(
+                    iter(self.HEADERS), tuple(old), tuple(new), replication
+                )
+                assert list(got) == expected
+            for header in self.HEADERS:
+                assert policy.holders(
+                    header, new, replication
+                ) == reference_rendezvous(header, new, replication)
+            clusters[cluster] = new
+            live = set(clusters[0]) | set(clusters[1])
+            assert len(policy._groups) <= 2 * len(clusters)
+            assert all(set(row) <= live for row in policy._rows.values())
+            assert policy._entries == sum(
+                map(len, policy._rows.values())
+            ) + sum(map(len, policy._groups.values()))
+
+    @SETTINGS
+    @given(
+        members=members_strategy,
+        steps=churn_strategy,
+        replication=st.integers(min_value=1, max_value=3),
+    )
+    def test_domain_spread_deficit_counts_every_distinct_input(
+        self, members, steps, replication
+    ):
+        """Retiring older-version groups changes no answer and no count.
+
+        The domain map syncs to each membership, as the deployment does
+        on a change, so the version moves; the deficit must equal what a
+        policy that never retires counts: one per distinct (block,
+        membership, r, version) input whose placement shares a zone.
+        """
+        domains = FailureDomainMap(zones=3)
+        policy = DomainSpreadPlacement(domains)
+        seen = set()
+        short = 0
+        for current in churned(members, steps, floor=1):
+            domains.sync(current)
+            for r in range(1, replication + 1):
+                if r > len(current):
+                    continue
+                for header in self.HEADERS:
+                    expected = reference_domain_spread(
+                        domains, header, current, r
+                    )
+                    assert policy.holders(header, current, r) == expected
+                    key = (header.block_hash, tuple(current), r, domains.version)
+                    if key not in seen:
+                        seen.add(key)
+                        zones = {domains.zone_of(m) for m in expected}
+                        short += len(zones) < len(expected)
+            assert {key[2] for key in policy._groups} <= {domains.version}
+        assert policy.domain_spread_deficit == short
 
 
 class TestLayoutProperties:
