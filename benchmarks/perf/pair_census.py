@@ -18,12 +18,18 @@ cycle (join, graceful leave, join, crash + repair; victims drawn from the
 largest cluster), ``OPS / 5`` ops of warm-up, then ``OPS`` ops between
 two snapshots.  It prints the live bytes retained per op by package and
 site, and the placement memo's groups and scores against the live
-memberships.  Prints only; gates nothing.  To compare two trees, point
-``PYTHONPATH`` at the other tree's ``src``.
+memberships.  A second process repeats the ops without tracemalloc and
+prints host microseconds per op, split by self time into the overlay
+(``clustered_topology`` and ``Network.peers_of``), the placement walk
+(``RendezvousPlacement.reassignments``), the header ingest (the rest of
+``BootstrapState.on_headers``) and everything else.  Prints only; gates
+nothing.  To compare two trees, point ``PYTHONPATH`` at the other tree's
+``src``.
 """
 
 import argparse
 import gc
+import importlib
 import json
 import random
 import resource
@@ -31,6 +37,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from time import perf_counter
 
 MARKER = "/repro/"
 
@@ -60,36 +67,88 @@ def _memo(deployment) -> dict:
     }
 
 
+def _churn_op(deployment, rng: random.Random, index: int) -> None:
+    if index % 2 == 0:
+        deployment.join_new_node()
+    else:
+        largest = max(
+            deployment.clusters.views(), key=lambda view: len(view.members)
+        ).members
+        victim = rng.choice(largest)
+        if index % 4 == 1:
+            deployment.leave_node(victim)
+        else:
+            deployment.repair_after_crash(victim)
+    deployment.run()
+
+
 def _churn(deployment, seed: int, ops: int) -> None:
     rng = random.Random(seed)
     warm_up = ops // 5
-
-    def op(index: int) -> None:
-        if index % 2 == 0:
-            deployment.join_new_node()
-        else:
-            largest = max(
-                deployment.clusters.views(), key=lambda view: len(view.members)
-            ).members
-            victim = rng.choice(largest)
-            if index % 4 == 1:
-                deployment.leave_node(victim)
-            else:
-                deployment.repair_after_crash(victim)
-        deployment.run()
-
     for index in range(warm_up):
-        op(index)
+        _churn_op(deployment, rng, index)
     gc.collect()
     before, memo_before = _sites(tracemalloc.take_snapshot()), _memo(deployment)
     for index in range(warm_up, warm_up + ops):
-        op(index)
+        _churn_op(deployment, rng, index)
     gc.collect()
     after = _sites(tracemalloc.take_snapshot())
     after.subtract(before)
     print(json.dumps({
         "sites": after, "memo": [memo_before, _memo(deployment)],
     }))  # fmt: skip
+
+
+#: part -> what it times, as ``(module, attribute path)``.
+SPLIT = {
+    "overlay": (
+        ("repro.core.icistrategy", "clustered_topology"),
+        ("repro.net.network", "Network.peers_of"),
+    ),
+    "placement walk": (
+        ("repro.storage.placement", "RendezvousPlacement.reassignments"),
+    ),
+    "header ingest": (("repro.core.bootstrap", "BootstrapState.on_headers"),),
+}
+
+
+def _churn_split(deployment, seed: int, ops: int) -> None:
+    """The same ops untraced: host seconds by part, each part's self time
+    (a nested part's time counts once, in the innermost part)."""
+    spent: Counter = Counter()
+    children = [0.0]
+
+    def span(part, function):
+        def timed(*args, **kwargs):
+            children.append(0.0)
+            start = perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                elapsed = perf_counter() - start
+                spent[part] += elapsed - children.pop()
+                children[-1] += elapsed
+
+        return timed
+
+    for part, targets in SPLIT.items():
+        for module, path in targets:
+            owner = importlib.import_module(module)
+            *outer, name = path.split(".")
+            for attribute in outer:
+                owner = getattr(owner, attribute)
+            setattr(owner, name, span(part, getattr(owner, name)))
+    rng = random.Random(seed)
+    warm_up = ops // 5
+    for index in range(warm_up):
+        _churn_op(deployment, rng, index)
+    spent.clear()
+    gc.collect()
+    start = perf_counter()
+    for index in range(warm_up, warm_up + ops):
+        _churn_op(deployment, rng, index)
+    spent["total"] = perf_counter() - start
+    print(json.dumps({"split": spent}))
 
 
 def _child(
@@ -113,7 +172,7 @@ def _child(
     )
     runner.produce_blocks(blocks, txs_per_block=6)
     if churn:
-        return _churn(deployment, seed, churn)
+        return (_churn if traced else _churn_split)(deployment, seed, churn)
     sites = _sites(tracemalloc.take_snapshot()) if traced else Counter()
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"sites": sites, "rss_mb": round(rss, 1)}))
@@ -168,6 +227,16 @@ if __name__ == "__main__":
                 f"{memo['clusters']} clusters, {memo['scores']:,} scores over "
                 f"{memo['rows']} blocks x {memo['live']} live members"
             )
+        split = run(lengths[-1], False)["split"]
+        total = split.pop("total")
+        split["rest"] = total - sum(split.values())
+        print(
+            f"host us per op, tracemalloc off: {total / args.churn * 1e6:,.0f}"
+            " = " + ", ".join(
+                f"{part} {spent / args.churn * 1e6:,.0f}"
+                for part, spent in split.items()
+            )
+        )  # fmt: skip
         sys.exit(0)
     censuses = []
     for blocks in lengths:

@@ -11,7 +11,7 @@ applying/undoing bodies against the UTXO set is the caller's job (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.chain.block import Block, BlockHeader
 from repro.chain.utxo import UndoRecord, UtxoSet
@@ -20,7 +20,7 @@ from repro.chain.validation import (
     ValidationLimits,
     validate_block,
 )
-from repro.crypto.hashing import Hash32
+from repro.crypto.hashing import ZERO_HASH, Hash32
 from repro.errors import ForkError, UnknownBlockError, ValidationError
 
 
@@ -63,6 +63,48 @@ class ChainStore:
         if self._tip is None or header.height > self._tip.height:
             self._tip = header
         return True
+
+    def add_chain(self, headers: Sequence[BlockHeader]) -> None:
+        """Index a served chain, parent first, as :meth:`add_header` would.
+
+        When the store was empty and ``headers`` is one linked chain from
+        genesis, that chain is the active chain: it also seeds the cache
+        :meth:`iter_active_headers` would otherwise fill by walking every
+        parent back from the tip.
+
+        Raises:
+            ValidationError: when a header arrives before its parent.
+        """
+        index = self._headers
+        linked = not index
+        expected_parent = ZERO_HASH
+        tip = self._tip
+        added_bytes = 0
+        try:
+            for height, header in enumerate(headers):
+                block_hash = header.block_hash
+                if linked and (
+                    header.height != height
+                    or header.prev_hash != expected_parent
+                ):
+                    linked = False
+                expected_parent = block_hash
+                if block_hash in index:
+                    continue
+                if header.prev_hash not in index and not header.is_genesis:
+                    raise ValidationError(
+                        "header arrived before its parent; fetch parents first"
+                    )
+                index[block_hash] = header
+                added_bytes += header.size_bytes
+                if tip is None or header.height > tip.height:
+                    tip = header
+        finally:
+            self._header_bytes += added_bytes
+            self._tip = tip
+        if linked and headers:
+            self._active_chain = list(headers)
+            self._active_tip = tip
 
     def has_header(self, block_hash: Hash32) -> bool:
         """Is this header indexed?"""

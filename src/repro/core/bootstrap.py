@@ -79,8 +79,8 @@ class BootstrapState:
         report = self.report
         node = deployment.nodes[report.node_id]
         assert isinstance(node, ClusterNode)
+        node.store.add_chain(headers)
         for header in headers:
-            node.store.add_header(header)
             node.finalize(header.block_hash)
         report.header_bytes = HEADER_SIZE * len(headers)
         report.snapshot_bytes = deployment.config.state_snapshot_bytes

@@ -10,7 +10,7 @@ drive.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Protocol
+from typing import TYPE_CHECKING, Any, Iterable, Protocol
 
 from repro.errors import UnknownNodeError
 from repro.net.latency import DEFAULT_BANDWIDTH_BPS, ConstantLatency, LatencyModel
@@ -21,6 +21,10 @@ from repro.net.traffic import TrafficLedger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.faults import FaultInjector
+
+
+#: A registration that left the topology's entry as it was.
+_LISTED: Any = object()
 
 
 class Endpoint(Protocol):
@@ -56,9 +60,13 @@ class Network:
         #: The online subset of ``_endpoints``: one lookup answers both
         #: "registered?" and "reachable?" on the per-message path.
         self._reachable: dict[int, Endpoint] = {}
-        self._topology: dict[int, tuple[int, ...]] = (
-            dict(topology) if topology else {}
-        )
+        self._topology: Topology = topology if topology is not None else {}
+        #: What registry changes did to the peer map since the last
+        #: :meth:`set_topology`, which is never written: ``None`` for a
+        #: node unregistered since, ``()`` for one registered again after
+        #: that, :data:`_LISTED` for one registered while present (its
+        #: peers are the topology's, or ``()`` when it lists none).
+        self._changes: dict[int, tuple[int, ...] | None] = {}
         self._dropped_messages = 0
         self._faults: "FaultInjector" | None = None
 
@@ -67,25 +75,44 @@ class Network:
         """Attach an endpoint under ``node_id`` (initially online)."""
         self._endpoints[node_id] = endpoint
         self._reachable[node_id] = endpoint
-        self._topology.setdefault(node_id, ())
+        changes = self._changes
+        if node_id not in changes:
+            changes[node_id] = _LISTED
+        elif changes[node_id] is None:
+            changes[node_id] = ()
 
     def unregister(self, node_id: int) -> None:
         """Detach a node entirely (permanent departure)."""
         self._endpoints.pop(node_id, None)
         self._reachable.pop(node_id, None)
         # Stale peer entries must not survive churn/departure cycles.
-        self._topology.pop(node_id, None)
+        self._changes[node_id] = None
 
     def set_topology(self, topology: Topology) -> None:
-        """Replace the peer graph (e.g., after re-clustering)."""
-        self._topology = dict(topology)
+        """Replace the peer graph (e.g., after re-clustering).
+
+        The mapping is kept, not copied, and never written: a derived
+        overlay (:func:`~repro.net.topology.clustered_topology`) builds
+        only the peer tuples that are read.
+        """
+        self._topology = topology
+        self._changes = {}
 
     def peers_of(self, node_id: int) -> tuple[int, ...]:
         """The node's peer list in the current topology."""
-        try:
-            return self._topology[node_id]
-        except KeyError:
-            raise UnknownNodeError(f"node {node_id} not in topology") from None
+        changes = self._changes
+        if node_id in changes:
+            peers = changes[node_id]
+            if peers is _LISTED:
+                return self._topology.get(node_id, ())
+            if peers is not None:
+                return peers
+        else:
+            try:
+                return self._topology[node_id]
+            except KeyError:
+                pass
+        raise UnknownNodeError(f"node {node_id} not in topology")
 
     @property
     def node_ids(self) -> list[int]:

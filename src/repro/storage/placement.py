@@ -192,12 +192,13 @@ class RendezvousPlacement(_HrwPlacement):
         The order on scores is the same in every membership, so when one
         member joins or leaves, a block's top ``r`` changes only if that
         member is — or outranks — a holder: a join costs one digest per
-        block and a comparison with the lowest-ranked old holder, a leave
-        re-ranks (from the score row, no hashing) only the blocks the
-        leaver held.  Every block's result seeds the new membership's
-        memo group; the group before the old membership is retired
-        (:meth:`_retire`) and a leaver's scores leave every row, so
-        churn keeps the memo at the size of the live memberships.  Any
+        block and a comparison with the lowest-ranked old holder, both
+        inline, and a leave touches only the blocks the leaver held,
+        where its successor is the best-scored non-holder (from the
+        score row, no hashing).  Every block's result seeds the new
+        membership's memo group; the group before the old membership is
+        retired (:meth:`_retire`) and a leaver's scores leave every row,
+        so churn keeps the memo at the size of the live memberships.  Any
         other delta takes the generic diff and retires nothing.
         """
         old_key, new_key = tuple(old_members), tuple(new_members)
@@ -218,6 +219,8 @@ class RendezvousPlacement(_HrwPlacement):
         old_group = self._group((old_key, replication))
         new_group = self._group((new_key, replication))
         before = len(old_group) + len(new_group)
+        rows = self._rows
+        changed_bytes = changed.to_bytes(8, "big")
         scored = 0
         moved = []
         for header in headers:
@@ -231,12 +234,17 @@ class RendezvousPlacement(_HrwPlacement):
             if new is None:
                 new = old
                 if joining:
-                    row = self._rows[block_hash]
-                    if changed not in row:
-                        row[changed] = _score(block_hash, changed)
+                    row = rows[block_hash]
+                    score = row.get(changed)
+                    if score is None:
+                        # _score, inlined: this runs once per block.
+                        score = row[changed] = int.from_bytes(
+                            _sha256(block_hash + changed_bytes).digest()[:8],
+                            "big",
+                        ) << 64 | changed
                         scored += 1
                     try:
-                        lowest = min(old, key=row.__getitem__)
+                        lowest = min(map(row.__getitem__, old))
                     except KeyError:
                         # A kept group can name a member that has left
                         # since, and a leaver's scores go at once.
@@ -244,13 +252,23 @@ class RendezvousPlacement(_HrwPlacement):
                             if member not in row:
                                 row[member] = _score(block_hash, member)
                                 scored += 1
-                        lowest = min(old, key=row.__getitem__)
-                    if row[changed] > row[lowest]:
-                        new = tuple(
-                            sorted(changed if m == lowest else m for m in old)
-                        )
+                        lowest = min(map(row.__getitem__, old))
+                    if score > lowest:
+                        new = _swap(old, lowest & _MEMBER_MASK, changed)
                 elif changed in old:
-                    new = self._top(block_hash, new_canonical, replication)
+                    # The other holders outrank every non-holder, so the
+                    # leaver's successor is the best-scored non-holder.
+                    row = rows[block_hash]
+                    best = 0
+                    for member in new_canonical:
+                        if member not in old:
+                            score = row.get(member)
+                            if score is None:
+                                score = row[member] = _score(block_hash, member)
+                                scored += 1
+                            if score > best:
+                                best = score
+                    new = _swap(old, changed, best & _MEMBER_MASK)
                 new_group[block_hash] = new
             if new != old:
                 moved.append((header, old, new))
@@ -466,6 +484,17 @@ def _score(block_hash: bytes, member: int) -> int:
 
 
 _sha256 = hashlib.sha256
+
+#: The member id packed into the low bits of a :func:`_score`.
+_MEMBER_MASK = (1 << 64) - 1
+
+
+def _swap(holders: tuple[int, ...], out: int, into: int) -> tuple[int, ...]:
+    """Sorted ``holders`` with ``out`` replaced by ``into``."""
+    swapped = list(holders)
+    swapped[swapped.index(out)] = into
+    swapped.sort()
+    return tuple(swapped)
 
 
 def placement_load(

@@ -36,6 +36,35 @@ def place_uniform(
         for _ in range(n_nodes)
     ]
 
+def eager_clustered_topology(
+    clusters, inter_cluster_links: int = 2, seed: int = 0
+) -> dict[int, tuple[int, ...]]:
+    """The oracle for :func:`repro.net.topology.clustered_topology`: the
+    same overlay built at once as a dict (set arithmetic for the meshes,
+    then every bridge drawn from the member tuples)."""
+    rng = random.Random(seed)
+    adjacency: dict[int, set[int]] = {}
+    for members in clusters:
+        mesh = set(members)
+        for node in members:
+            adjacency.setdefault(node, set()).update(mesh)
+    for node, peers in adjacency.items():
+        peers.discard(node)
+    links = max(inter_cluster_links, 1)
+    for i, cluster_a in enumerate(clusters):
+        if not cluster_a:
+            continue
+        for cluster_b in clusters[i + 1 :]:
+            if not cluster_b:
+                continue
+            for _ in range(links):
+                a = rng.choice(cluster_a)
+                b = rng.choice(cluster_b)
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    return {node: tuple(sorted(peers)) for node, peers in adjacency.items()}
+
+
 @pytest.fixture
 def small_heat(monkeypatch):
     """Widen the tier slices for six-block deployments: with the default

@@ -103,6 +103,86 @@ class TestChainStoreHeaders:
         assert store.header_count == len(main) + len(branch)
 
 
+def _state(store: ChainStore):
+    return (
+        list(store._headers.items()),
+        store.header_bytes,
+        store.tip,
+        list(store.iter_active_headers()),
+    )
+
+
+class TestChainStoreAddChain:
+    """``add_chain`` is one ``add_header`` per header, in one call."""
+
+    @pytest.fixture
+    def main_and_branch(self, ledger, alice, bob, chain_of_three):
+        main = list(ledger.store.iter_active_headers())
+        side = Ledger(
+            genesis=ledger.store.body(main[0].block_hash), limits=TEST_LIMITS
+        )
+        side.accept_block(ledger.store.body(main[1].block_hash))
+        branch = []
+        for amount in (7, 8, 9):
+            block = make_transfer_block(side, alice, bob, amount)
+            side.accept_block(block)
+            branch.append(block.header)
+        return main, branch
+
+    @pytest.mark.parametrize(
+        "known, served",
+        [
+            (0, "main"),
+            (1, "main"),
+            (0, "main+branch"),
+            (0, "branch-first"),
+            (2, "main+main"),
+        ],
+    )
+    def test_matches_one_add_header_per_header(
+        self, main_and_branch, known, served
+    ):
+        main, branch = main_and_branch
+        headers = {
+            "main": main,
+            "main+branch": main + branch,
+            "branch-first": main[:2] + branch + main[2:],
+            "main+main": main + main,
+        }[served]
+        one_by_one, at_once = ChainStore(), ChainStore()
+        for store in (one_by_one, at_once):
+            for header in main[:known]:
+                store.add_header(header)
+        for header in headers:
+            one_by_one.add_header(header)
+        at_once.add_chain(headers)
+        assert _state(at_once) == _state(one_by_one)
+
+    def test_a_served_chain_seeds_the_active_chain(self, main_and_branch):
+        main, _ = main_and_branch
+        store = ChainStore()
+        store.add_chain(main)
+
+        def no_walk(block_hash):
+            raise AssertionError("walked a parent")
+
+        store.header = no_walk
+        assert list(store.iter_active_headers()) == main
+
+    def test_an_orphan_stops_the_ingest_where_add_header_would(
+        self, main_and_branch
+    ):
+        main, branch = main_and_branch
+        headers = main[:2] + branch[1:]
+        one_by_one, at_once = ChainStore(), ChainStore()
+        with pytest.raises(ValidationError, match="parent"):
+            for header in headers:
+                one_by_one.add_header(header)
+        with pytest.raises(ValidationError, match="parent"):
+            at_once.add_chain(headers)
+        assert _state(at_once) == _state(one_by_one)
+
+
 class TestChainStoreBodies:
     def test_add_body_indexes_header(self, genesis):
         store = ChainStore()
