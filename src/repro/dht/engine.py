@@ -281,15 +281,20 @@ class DHTEngine(ProtocolEngine):
     # -------------------------------------------------- router observation
     # The engine observes its own deployment's traffic (added at enable):
     # both endpoints of every message are live peers worth remembering.
+    # Two calls per message, so each reads the cached Contact directly and
+    # makes one call, the table's ``update``; the probe candidate it
+    # returns is ignored (a liveness probe is ``refresh_all``'s job).
     def on_send(self, message: Message) -> None:
         table = self.tables.get(message.sender)
-        if table is not None and message.recipient in self.deployment.nodes:
-            table.update(self.contact_of(message.recipient))
+        peer = message.recipient
+        if table is not None and peer in self.deployment.nodes:
+            table.update(self._contacts.get(peer) or self.contact_of(peer))
 
     def on_deliver(self, node: BaseNode, message: Message) -> None:
         table = self.tables.get(node.node_id)
-        if table is not None and message.sender in self.deployment.nodes:
-            table.update(self.contact_of(message.sender))
+        peer = message.sender
+        if table is not None and peer in self.deployment.nodes:
+            table.update(self._contacts.get(peer) or self.contact_of(peer))
 
     def on_finalize(self, event: FinalizeEvent) -> None:
         if (
@@ -466,6 +471,7 @@ class DHTEngine(ProtocolEngine):
             self._complete(lookup)
             return
         table = self.tables.get(lookup.requester)
+        cached = self._contacts
         for node_id, key in contacts:
             if node_id == lookup.requester:
                 continue
@@ -473,7 +479,10 @@ class DHTEngine(ProtocolEngine):
                 lookup.known[node_id] = key
                 lookup.generation[node_id] = depth
             if table is not None:
-                table.update(Contact(node_id, key))
+                contact = cached.get(node_id)
+                if contact is None or contact.key != key:
+                    contact = Contact(node_id, key)
+                table.update(contact)
         self._advance(lookup)
 
     def _complete(self, lookup: _Lookup) -> None:

@@ -40,7 +40,8 @@ class KBucket:
         self.k = k
         #: node id -> contact, oldest (least recently seen) first.  A dict
         #: keeps insertion order, so delete + re-insert *is* "move to the
-        #: tail" and every operation below is O(1), full bucket or not.
+        #: tail" and every operation on it is O(1), full bucket or not
+        #: (``RoutingTable.update`` does the move inline).
         self._by_id: dict[int, Contact] = {}
 
     def __len__(self) -> int:
@@ -50,36 +51,9 @@ class KBucket:
         return node_id in self._by_id
 
     @property
-    def entries(self) -> list[Contact]:
-        """The contacts, oldest (least recently seen) first, newest last."""
-        return list(self._by_id.values())
-
-    @property
     def full(self) -> bool:
         """No room for a new contact."""
         return len(self._by_id) >= self.k
-
-    @property
-    def head(self) -> Contact | None:
-        """The least-recently-seen contact (eviction candidate)."""
-        return next(iter(self._by_id.values()), None)
-
-    def touch(self, contact: Contact) -> bool:
-        """Record an observation of ``contact``.
-
-        Known contacts move to the most-recently-seen tail; unknown ones
-        append while there is room.  Returns ``False`` when the bucket is
-        full and the contact unknown — the caller decides whether to
-        probe-and-evict the head or drop the newcomer.
-        """
-        by_id = self._by_id
-        node_id = contact.node_id
-        if node_id in by_id:
-            del by_id[node_id]
-        elif len(by_id) >= self.k:
-            return False
-        by_id[node_id] = contact
-        return True
 
     def remove(self, node_id: int) -> bool:
         """Drop a contact (eviction after a failed liveness probe)."""
@@ -113,7 +87,8 @@ class RoutingTable:
         engine can PING it — a dead head is evicted on probe failure,
         making room for fresher peers on the next observation.
         """
-        if contact.node_id == self.owner_id:
+        node_id = contact.node_id
+        if node_id == self.owner_id:
             return None
         # idspace.bucket_index() inlined: this runs twice per routed
         # message.  Buckets are created on first use.
@@ -123,9 +98,16 @@ class RoutingTable:
         bucket = self.buckets.get(index)
         if bucket is None:
             bucket = self.buckets[index] = KBucket(self.k)
-        if bucket.touch(contact):
-            return None
-        return bucket.head
+        # The LRU move, inlined for the same reason: a known contact
+        # re-enters at the tail, an unknown one joins while there is room,
+        # and only a full band's rejection reads the head.
+        by_id = bucket._by_id
+        if node_id in by_id:
+            del by_id[node_id]
+        elif len(by_id) >= self.k:
+            return next(iter(by_id.values()))
+        by_id[node_id] = contact
+        return None
 
     def remove(self, node_id: int) -> bool:
         """Evict a contact wherever it lives (post-probe-failure)."""
@@ -135,10 +117,11 @@ class RoutingTable:
 
     def contacts(self) -> list[Contact]:
         """Every contact, in deterministic (bucket, recency) order."""
+        buckets = self.buckets
         return [
             entry
-            for index in sorted(self.buckets)
-            for entry in self.buckets[index].entries
+            for index in sorted(buckets)
+            for entry in buckets[index]._by_id.values()
         ]
 
     def closest(self, target: int, count: int | None = None) -> list[Contact]:

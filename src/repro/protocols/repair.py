@@ -524,14 +524,15 @@ class AntiEntropyEngine(ProtocolEngine):
             return
         self._first_detected[key] = self.network.now
         self.stats.under_replicated += 1
-        self._trace(
-            "under_replicated",
-            {
-                "cluster": cluster_id,
-                "block": block_hash.hex()[:12],
-                "missing": missing,
-            },
-        )
+        if self._tracer is not None:
+            self._trace(
+                "under_replicated",
+                {
+                    "cluster": cluster_id,
+                    "block": block_hash.hex()[:12],
+                    "missing": missing,
+                },
+            )
 
     def _restore_diversity(
         self,
@@ -569,14 +570,15 @@ class AntiEntropyEngine(ProtocolEngine):
         plan = sorted(holders)
         for repair_target in targets:
             self.diversity_repairs += 1
-            self._trace(
-                "diversity_repair",
-                {
-                    "cluster": session.cluster_id,
-                    "block": block_hash.hex()[:12],
-                    "target": repair_target,
-                },
-            )
+            if self._tracer is not None:
+                self._trace(
+                    "diversity_repair",
+                    {
+                        "cluster": session.cluster_id,
+                        "block": block_hash.hex()[:12],
+                        "target": repair_target,
+                    },
+                )
             self._schedule_repair(
                 session.cluster_id, block_hash, repair_target, plan
             )
@@ -718,15 +720,16 @@ class AntiEntropyEngine(ProtocolEngine):
                 continue
             freed = node.unassign_body(block_hash)
             planner.note_shed(block_hash, freed)
-            self._trace(
-                "replica_shed",
-                {
-                    "cluster": cluster_id,
-                    "block": block_hash.hex()[:12],
-                    "member": member,
-                    "bytes": freed,
-                },
-            )
+            if self._tracer is not None:
+                self._trace(
+                    "replica_shed",
+                    {
+                        "cluster": cluster_id,
+                        "block": block_hash.hex()[:12],
+                        "member": member,
+                        "bytes": freed,
+                    },
+                )
             remaining = sum(
                 1
                 for other in live
@@ -747,10 +750,11 @@ class AntiEntropyEngine(ProtocolEngine):
         self._unrecoverable.add(key)
         self.stats.unrecoverable += 1
         self.router.note_degraded("repair_request")
-        self._trace(
-            "unrecoverable",
-            {"cluster": cluster_id, "block": block_hash.hex()[:12]},
-        )
+        if self._tracer is not None:
+            self._trace(
+                "unrecoverable",
+                {"cluster": cluster_id, "block": block_hash.hex()[:12]},
+            )
 
     def _schedule_repair(
         self,
@@ -789,14 +793,15 @@ class AntiEntropyEngine(ProtocolEngine):
         cluster_id, block_hash, target = request.context
         self._inflight.discard((block_hash, target))
         self.stats.repairs_degraded += 1
-        self._trace(
-            "repair_degraded",
-            {
-                "cluster": cluster_id,
-                "block": block_hash.hex()[:12],
-                "target": target,
-            },
-        )
+        if self._tracer is not None:
+            self._trace(
+                "repair_degraded",
+                {
+                    "cluster": cluster_id,
+                    "block": block_hash.hex()[:12],
+                    "target": target,
+                },
+            )
         # Next sweep re-detects the deficit and tries again (idempotent).
 
     # ------------------------------------------------------------- plumbing

@@ -36,10 +36,12 @@ read-amplification charges all follow the real holders.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from repro.chain.block import Block, deserialize_body, serialize_body
 from repro.crypto.hashing import Hash32
+from repro.errors import ValidationError
 from repro.obs.hooks import record_coded_storage
 from repro.obs.tracer import proto_track
 from repro.storage.erasure import rs_decode, rs_encode
@@ -58,6 +60,14 @@ DATA_CHUNKS = 3
 #: this puts a cold block at ``4/3 ≈ 1.33×`` its body size per cluster
 #: and fits a five-member cluster with one spare.
 PARITY_CHUNKS = 1
+
+#: Bound on the decoded-body memo (:func:`_decoded_body`).  Sized to the
+#: working set: a cold block is decoded again by every read that falls
+#: through to the tier and by every cluster that thaws it, yet perfbench's
+#: ``zipf_read`` decodes 1,346 bodies of only 32 distinct blocks.  Twice
+#: that caps what a longer ledger can pin (an entry holds one body's
+#: bytes and its Block).
+DECODE_MEMO_SIZE = 64
 
 
 @dataclass
@@ -193,15 +203,16 @@ class ArchivalTier:
         self.stats.blocks_archived += 1
         self.stats.chunks_placed += n
         self.stats.replica_bytes_freed += freed
-        self._trace(
-            "block_archived",
-            {
-                "cluster": cluster_id,
-                "block": block_hash.hex()[:12],
-                "chunks": n,
-                "freed": freed,
-            },
-        )
+        if self._tracer is not None:
+            self._trace(
+                "block_archived",
+                {
+                    "cluster": cluster_id,
+                    "block": block_hash.hex()[:12],
+                    "chunks": n,
+                    "freed": freed,
+                },
+            )
         self._sample_storage()
         return True
 
@@ -249,15 +260,16 @@ class ArchivalTier:
             # Rebuilding one chunk reads k live chunks and re-encodes.
             self.stats.chunk_bytes_read += DATA_CHUNKS * shard_len
             self.stats.chunks_repaired += 1
-            self._trace(
-                "chunk_repaired",
-                {
-                    "cluster": cluster_id,
-                    "block": block_hash.hex()[:12],
-                    "chunk": index,
-                    "target": target,
-                },
-            )
+            if self._tracer is not None:
+                self._trace(
+                    "chunk_repaired",
+                    {
+                        "cluster": cluster_id,
+                        "block": block_hash.hex()[:12],
+                        "chunk": index,
+                        "target": target,
+                    },
+                )
         self._sample_storage()
 
     def _thaw(
@@ -291,14 +303,15 @@ class ArchivalTier:
             node.assign_body(block)
         self._forget(cluster_id, entry)
         self.stats.blocks_thawed += 1
-        self._trace(
-            "block_thawed",
-            {
-                "cluster": cluster_id,
-                "block": block_hash.hex()[:12],
-                "replicas": len(targets),
-            },
-        )
+        if self._tracer is not None:
+            self._trace(
+                "block_thawed",
+                {
+                    "cluster": cluster_id,
+                    "block": block_hash.hex()[:12],
+                    "replicas": len(targets),
+                },
+            )
         self._sample_storage()
 
     def _forget(self, cluster_id: int, entry: _ArchivedBlock) -> None:
@@ -312,27 +325,31 @@ class ArchivalTier:
     ) -> Block | None:
         """Lazily decode one archived body (the query failover tail).
 
-        Returns ``None`` when the block is not archived here or fewer
-        than ``k`` chunks are live; the decoded body is *not* re-adopted
-        as a replica — cold blocks stay coded until the planner rewarms
-        them.
+        Returns ``None`` when the block is not archived here, fewer than
+        ``k`` chunks are live, or the decoded body fails its header's
+        Merkle commitment; the decoded body is *not* re-adopted as a
+        replica — cold blocks stay coded until the planner rewarms them.
         """
         entry = self._entries.get((cluster_id, block_hash))
         if entry is None:
             return None
-        block = self._decode(entry)
+        try:
+            block = self._decode(entry)
+        except ValidationError:
+            block = None
         if block is None:
             self.stats.failed_reconstructions += 1
             return None
         self.stats.reconstructions += 1
-        self._trace(
-            "coded_reconstruct",
-            {
-                "cluster": cluster_id,
-                "block": block_hash.hex()[:12],
-                "chunks_read": DATA_CHUNKS,
-            },
-        )
+        if self._tracer is not None:
+            self._trace(
+                "coded_reconstruct",
+                {
+                    "cluster": cluster_id,
+                    "block": block_hash.hex()[:12],
+                    "chunks_read": DATA_CHUNKS,
+                },
+            )
         return block
 
     def _decode(self, entry: _ArchivedBlock) -> Block | None:
@@ -346,16 +363,17 @@ class ArchivalTier:
         present = {index: entry.chunks[index] for index in used}
         for index in used:
             self.stats.chunk_bytes_read += len(entry.chunks[index])
-            self._trace(
-                "chunk_read",
-                {
-                    "block": entry.header.block_hash.hex()[:12],
-                    "chunk": index,
-                    "holder": alive[index],
-                },
-            )
+            if self._tracer is not None:
+                self._trace(
+                    "chunk_read",
+                    {
+                        "block": entry.header.block_hash.hex()[:12],
+                        "chunk": index,
+                        "holder": alive[index],
+                    },
+                )
         raw = rs_decode(present, k, k + PARITY_CHUNKS, entry.data_length)
-        return deserialize_body(entry.header, raw)
+        return _decoded_body(entry.header, raw)
 
     def _live_chunks(self, entry: _ArchivedBlock) -> dict[int, int]:
         deployment = self.deployment
@@ -411,3 +429,14 @@ class ArchivalTier:
             category="archival",
             args=args,
         )
+
+
+# Same idiom as ``crypto.signatures._verify_cached``: the body is a pure
+# function of the header and the decoded bytes, and every reconstruction
+# of a block decodes the same bytes again.  ``rs_decode`` still runs on
+# every call (chunk liveness and read amplification are per read), and a
+# body that fails to parse or to match its Merkle root raises each time —
+# ``lru_cache`` does not cache exceptions.
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _decoded_body(header: "BlockHeader", raw: bytes) -> Block:
+    return deserialize_body(header, raw)

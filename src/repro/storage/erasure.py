@@ -16,7 +16,11 @@ coding extensions trade replicas for parity:
   (:mod:`repro.storage.coded`).  Pure python: field arithmetic runs on
   precomputed log/exp tables, and scaling a whole chunk by a field
   coefficient is one ``bytes.translate`` over a per-coefficient
-  256-entry table, so the per-byte loop never touches the interpreter.
+  256-entry table.
+
+Both codes add chunks with :func:`~repro.crypto.hashing.xor_bytes`, which
+folds each chunk in as one big integer, so no step of either codec loops
+over bytes in the interpreter.
 
 Chunks are padded to a common length; original lengths are kept
 alongside so decoding strips padding exactly.

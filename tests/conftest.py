@@ -65,6 +65,26 @@ def eager_clustered_topology(
     return {node: tuple(sorted(peers)) for node, peers in adjacency.items()}
 
 
+def per_byte_xor(chunks) -> bytes:
+    """The oracle for :func:`repro.crypto.hashing.xor_bytes`: the same
+    fold, one byte at a time, with the same two ``ValueError``s."""
+    result: bytearray | None = None
+    for chunk in chunks:
+        raw = bytes(chunk)
+        if result is None:
+            result = bytearray(raw)
+        else:
+            if len(raw) != len(result):
+                raise ValueError(
+                    f"xor_bytes requires equal lengths, got {len(result)} and {len(raw)}"
+                )
+            for i, byte in enumerate(raw):
+                result[i] ^= byte
+    if result is None:
+        raise ValueError("xor_bytes requires at least one chunk")
+    return bytes(result)
+
+
 @pytest.fixture
 def small_heat(monkeypatch):
     """Widen the tier slices for six-block deployments: with the default

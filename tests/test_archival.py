@@ -23,6 +23,7 @@ from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError
 from repro.sim.runner import ScenarioRunner
 from repro.storage import coded
+from repro.storage.erasure import rs_decode
 from repro.storage.heat import COLD
 from tests.conftest import TEST_LIMITS
 from tests.test_adaptive import ADAPTIVE_GOLDEN_SHA
@@ -216,6 +217,69 @@ class TestArchivalTier:
 E19_GOLDEN_SHA = (
     "8152a3adf64cc3a4181790dcd7dd4a4f2defb64b4927c2b1ed5ee8d1ddae71ca"
 )
+
+
+@pytest.mark.usefixtures("small_heat")
+class TestDecodeMemo:
+    """The decoded-body memo saves the parse, never a read or a failure."""
+
+    def archived(self):
+        deployment, tier, report = build_archival()
+        heat_one_block(deployment, report.block_hashes[-1])
+        sweep(deployment)
+        return deployment, tier, archived_hashes(deployment, tier, report)[0]
+
+    def test_a_repeated_reconstruction_counts_every_read(self, monkeypatch):
+        deployment, tier, block_hash = self.archived()
+        decodes = []
+
+        def counted(*args):
+            decodes.append(args)
+            return rs_decode(*args)
+
+        monkeypatch.setattr(coded, "rs_decode", counted)
+        read_before = tier.stats.chunk_bytes_read
+        first = tier.reconstruct(0, block_hash)
+        per_read = tier.stats.chunk_bytes_read - read_before
+        second = tier.reconstruct(0, block_hash)
+        assert first is not None and second == first
+        assert serialize_body(second) == serialize_body(
+            deployment.ledger.store.body(block_hash)
+        )
+        assert tier.stats.reconstructions == 2
+        assert len(decodes) == 2
+        assert per_read > 0
+        assert tier.stats.chunk_bytes_read - read_before == 2 * per_read
+
+    def test_a_tampered_chunk_fails_every_attempt(self):
+        deployment, tier, block_hash = self.archived()
+        assert tier.reconstruct(0, block_hash) is not None  # memo warm
+        entry = tier._entries[(0, block_hash)]
+        original = entry.chunks[0]
+        entry.chunks[0] = original[:-1] + bytes([original[-1] ^ 0x01])
+        for attempt in range(1, 4):
+            assert tier.reconstruct(0, block_hash) is None
+            assert tier.stats.failed_reconstructions == attempt
+        assert tier.stats.reconstructions == 1
+        entry.chunks[0] = original
+        assert tier.reconstruct(0, block_hash) is not None
+        assert tier.stats.reconstructions == 2
+        assert tier.stats.failed_reconstructions == 3
+
+    def test_the_memo_stays_within_its_bound(self):
+        deployment, tier, block_hash = self.archived()
+        block = deployment.ledger.store.body(block_hash)
+        raw = serialize_body(block)
+        coded._decoded_body.cache_clear()
+        # Distinct headers over one body: timestamp and nonce are outside
+        # the Merkle commitment, so every pair decodes.
+        for nonce in range(coded.DECODE_MEMO_SIZE + 8):
+            header = replace(block.header, nonce=nonce)
+            assert coded._decoded_body(header, raw).header == header
+        info = coded._decoded_body.cache_info()
+        assert info.maxsize == coded.DECODE_MEMO_SIZE
+        assert info.currsize == coded.DECODE_MEMO_SIZE
+        assert info.misses == coded.DECODE_MEMO_SIZE + 8
 
 
 class TestArchivalCompare:

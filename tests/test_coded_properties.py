@@ -1,10 +1,13 @@
-"""Property-based tests (hypothesis) for the GF(256) Reed–Solomon codec.
+"""Property-based tests (hypothesis) for the GF(256) Reed–Solomon codec
+and the XOR fold under it.
 
 The archival tier (``repro.storage.coded``) stakes cluster durability on
 this codec, so the battery is exhaustive where it matters: for every
 drawn ``(k, n, body)`` the round-trip is checked under **every** loss
 pattern of up to ``n - k`` chunks, and the first pattern past the MDS
-bound must be rejected loudly.  ``derandomize=True`` keeps CI
+bound must be rejected loudly.  Every codec output is a scale-and-XOR, so
+:func:`~repro.crypto.hashing.xor_bytes` is checked against the per-byte
+oracle ``tests.conftest.per_byte_xor``.  ``derandomize=True`` keeps CI
 deterministic — hypothesis explores the same example set every run.
 
 A bounded ``ci`` profile is registered for the codec fuzz smoke step in
@@ -22,10 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
-from repro.crypto.hashing import ZERO_HASH, sha256
+from repro.crypto.hashing import ZERO_HASH, sha256, xor_bytes
 from repro.errors import StorageError
 from repro.storage.erasure import rs_decode, rs_encode, rs_shard_length
 from repro.storage.placement import RendezvousPlacement
+from tests.conftest import per_byte_xor
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -168,3 +172,87 @@ class TestReedSolomonProperties:
         chunks = rs_encode(b"", 3, 5)
         assert all(chunk == b"" for chunk in chunks)
         assert rs_decode({0: b"", 3: b"", 4: b""}, 3, 5, 0) == b""
+
+    @SETTINGS
+    @given(
+        shape=code_shape,
+        shard_len=st.integers(min_value=0, max_value=40).map(
+            lambda half: 2 * half + 1
+        ),
+        data=st.data(),
+    )
+    def test_odd_shard_lengths_round_trip(self, shape, shard_len, data):
+        """Bodies whose shards have an odd length (the last one padded)
+        survive every loss pattern within the bound."""
+        k, n = shape
+        length = data.draw(
+            st.integers(
+                min_value=(shard_len - 1) * k + 1, max_value=shard_len * k
+            )
+        )
+        body = data.draw(st.binary(min_size=length, max_size=length))
+        chunks = rs_encode(body, k, n)
+        assert {len(chunk) for chunk in chunks} == {shard_len}
+        for lost in combinations(range(n), n - k):
+            present = {i: chunks[i] for i in range(n) if i not in lost}
+            assert rs_decode(present, k, n, length) == body
+
+
+def _outcome(fold, chunks):
+    """A fold's result, or the type and message of what it raised."""
+    try:
+        return fold(chunks)
+    except ValueError as error:
+        return ("ValueError", str(error))
+
+
+def _wide_view(raw: bytes):
+    """A memoryview whose ``len`` counts 2-byte items, not bytes."""
+    return memoryview(raw).cast("H") if len(raw) % 2 == 0 else raw
+
+
+byte_likes = st.sampled_from([bytes, bytearray, memoryview, _wide_view])
+
+
+class TestXorFold:
+    @SETTINGS
+    @given(
+        length=st.integers(min_value=0, max_value=70),
+        count=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_equals_the_per_byte_oracle(self, length, count, data):
+        """Any number of equal-length chunks (length 0, one chunk, many;
+        bytes, bytearray or memoryviews, also of 2-byte items) folds to
+        the oracle's bytes."""
+        chunks = [
+            data.draw(byte_likes)(
+                data.draw(st.binary(min_size=length, max_size=length))
+            )
+            for _ in range(count)
+        ]
+        folded = xor_bytes(chunks)
+        assert type(folded) is bytes
+        assert folded == per_byte_xor(chunks)
+
+    @SETTINGS
+    @given(
+        chunks=st.lists(st.binary(max_size=6), min_size=0, max_size=5)
+    )
+    def test_errors_match_the_oracle(self, chunks):
+        """Empty input and the first unequal length raise the oracle's
+        ``ValueError`` with its message; anything else folds alike."""
+        assert _outcome(xor_bytes, chunks) == _outcome(per_byte_xor, chunks)
+
+    def test_both_errors_are_raised(self):
+        assert _outcome(xor_bytes, []) == (
+            "ValueError",
+            "xor_bytes requires at least one chunk",
+        )
+        assert _outcome(xor_bytes, [b"ab", b"ab", b"abc"]) == (
+            "ValueError",
+            "xor_bytes requires equal lengths, got 2 and 3",
+        )
+        assert _outcome(xor_bytes, iter([b"x", b"yz"])) == _outcome(
+            per_byte_xor, [b"x", b"yz"]
+        )

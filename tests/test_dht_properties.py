@@ -33,7 +33,7 @@ from repro.dht.idspace import (
     node_key,
 )
 from repro.dht.records import ProviderStore
-from repro.dht.routing import Contact, KBucket, RoutingTable
+from repro.dht.routing import Contact, RoutingTable
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -100,6 +100,11 @@ def _contact(node_id: int) -> Contact:
     )
 
 
+def _entries(bucket) -> list[Contact]:
+    """A bucket's contacts, oldest (least recently seen) first."""
+    return list(bucket._by_id.values())
+
+
 @SETTINGS
 @given(
     st.integers(min_value=1, max_value=8),
@@ -130,24 +135,29 @@ def test_routing_table_invariants_under_churn(k, ops):
 @SETTINGS
 @given(st.lists(contact_ids, min_size=1, max_size=60))
 def test_kbucket_lru_discipline(observations):
+    # One band driven through RoutingTable.update: against owner key 0,
+    # every key 256 + id has bit 8 as its highest, so all land in bucket 8.
     k = 4
-    bucket = KBucket(k)
+    table = RoutingTable(owner_id=1000, owner_key=0, k=k)
     for node_id in observations:
-        contact = Contact(node_id=node_id, key=node_id)
-        accepted = bucket.touch(contact)
-        if accepted:
+        contact = Contact(node_id=node_id, key=(1 << 8) | node_id)
+        stale = table.update(contact)
+        (bucket,) = table.buckets.values()
+        if stale is None:
             # Most recently seen is always at the tail.
-            assert bucket.entries[-1].node_id == node_id
+            assert _entries(bucket)[-1] == contact
         else:
             # Rejection happens only when full of *other* contacts —
-            # Kademlia keeps the old, drops the new.
+            # Kademlia keeps the old, drops the new, and nominates the
+            # least-recently-seen head for a liveness probe.
             assert bucket.full
+            assert stale == _entries(bucket)[0]
             assert all(
-                entry.node_id != node_id for entry in bucket.entries
+                entry.node_id != node_id for entry in _entries(bucket)
             )
         assert len(bucket) <= k
     # Entries are unique and ordered oldest-first.
-    ids = [entry.node_id for entry in bucket.entries]
+    ids = [entry.node_id for entry in _entries(bucket)]
     assert len(ids) == len(set(ids))
 
 
@@ -210,7 +220,7 @@ def test_routing_table_matches_list_lru_model(k, ops):
             bucket = table.buckets[index]
             assert len(bucket) == len(band)
             assert bucket.full == (len(band) >= k)
-            assert bucket.head == (_contact(band[0]) if band else None)
+            assert _entries(bucket) == [_contact(node_id) for node_id in band]
 
 
 @SETTINGS

@@ -236,6 +236,55 @@ def test_traced_call_budget_on_a_wrapped_ring():
     test_traced_call_budget(wrapped=True)
 
 
+def test_dht_observation_call_budget():
+    """A DHT-observed message costs one frame below the engine's hook.
+
+    With the overlay on, the engine observes both endpoints of every
+    message: ``on_send`` / ``on_deliver`` read the peer's cached contact
+    and make one call, ``RoutingTable.update``, whose LRU move is inline
+    — no ``contact_of``, no bucket method, no probe-candidate property.
+    The one frame ``update`` may add is a new band's ``KBucket``.
+    """
+    from repro.dht.engine import DHTEngine
+    from repro.dht.routing import KBucket, RoutingTable
+
+    deployment = ICIDeployment(
+        16, config=ICIConfig(n_clusters=3, replication=2, limits=TEST_LIMITS)
+    )
+    deployment.enable_dht()
+    runner = ScenarioRunner(deployment, limits=TEST_LIMITS, seed=1)
+    report = runner.produce_blocks(1, txs_per_block=3)
+    deployment.run()
+    tables = deployment.dht.tables.values()
+    bands_before = sum(len(table.buckets) for table in tables)
+    profiler = _HookProfiler(DHTEngine.on_send, DHTEngine.on_deliver)
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        report = runner.produce_blocks(2, txs_per_block=3)
+        for requester in range(0, 16, 3):
+            deployment.retrieve_block(requester, report.block_hashes[0])
+        deployment.run()
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+
+    on_send, on_deliver = _code(DHTEngine.on_send), _code(DHTEngine.on_deliver)
+    update, new_band = _code(RoutingTable.update), _code(KBucket.__init__)
+    assert set(profiler.paths) <= {
+        (hook, update, *tail)
+        for hook in (on_send, on_deliver)
+        for tail in ((), (new_band,))
+    }, {_names(path) for path in profiler.paths}
+    assert profiler.paths[on_send, update] > 100
+    assert profiler.paths[on_deliver, update] > 100
+    bands_made = sum(
+        count for path, count in profiler.paths.items() if new_band in path
+    )
+    bands_after = sum(len(table.buckets) for table in tables)
+    assert bands_made <= bands_after - bands_before
+
+
 def _tracked_allocations(call, arguments) -> int:
     """Net GC-tracked objects left behind by ``call`` over ``arguments``."""
     gc.collect()
