@@ -8,6 +8,7 @@ greedily by fee rate under the block-size cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.chain.transaction import OutPoint, Transaction
 from repro.chain.utxo import UtxoSet
@@ -114,7 +115,7 @@ class Mempool:
             self._spent_outpoints.pop(outpoint, None)
         return True
 
-    def remove_confirmed(self, txs: list[Transaction]) -> int:
+    def remove_confirmed(self, txs: Iterable[Transaction]) -> int:
         """Drop every transaction included in a confirmed block.
 
         Also evicts pooled transactions that conflict with the confirmed
@@ -123,6 +124,10 @@ class Mempool:
         Returns:
             Number of entries removed.
         """
+        if not self._entries:
+            # Only add() and remove() write either dict, so no pooled
+            # transaction also means no pooled spend: nothing to evict.
+            return 0
         removed = 0
         confirmed_spends: set[OutPoint] = set()
         for tx in txs:

@@ -34,6 +34,11 @@ def max_byzantine_tolerated(cluster_size: int) -> int:
 class Vote(Enum):
     """A member's verdict on a block."""
 
+    # Members are singletons compared by identity, so the id-based C hash
+    # is consistent, and the statement cache's key hashes a vote without
+    # ``Enum.__hash__``'s Python frame.  No set of votes is iterated.
+    __hash__ = object.__hash__
+
     ACCEPT = "accept"
     REJECT = "reject"
 

@@ -34,6 +34,43 @@ def sha256d(data: _BytesLike) -> Hash32:
     return hashlib.sha256(hashlib.sha256(bytes(data)).digest()).digest()
 
 
+#: Keys whose HMAC pad states are kept: every node's signing-tag key
+#: and public key (two per node, 512 at 256 nodes) plus the key domain.
+HMAC_PAD_CACHE_SIZE = 1024
+
+_SHA256_BLOCK = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+@lru_cache(maxsize=HMAC_PAD_CACHE_SIZE)
+def _hmac_pads(key: bytes):
+    """The two SHA-256 states HMAC-SHA256 under ``key`` starts from.
+
+    RFC 2104: a key longer than the block is hashed first, then the key
+    is zero-padded to the block and XORed with the inner and outer pads.
+    Building them is most of an ``hmac.new``; a node signs and verifies
+    under the same few keys all run long.
+    """
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    return (
+        hashlib.sha256(key.translate(_IPAD)),
+        hashlib.sha256(key.translate(_OPAD)),
+    )
+
+
+def hmac_sha256(key: bytes, message: bytes) -> Hash32:
+    """``hmac.new(key, message, hashlib.sha256).digest()``, byte for byte."""
+    inner, outer = _hmac_pads(key)
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 @lru_cache(maxsize=1 << 16)
 def hash_concat(left: Hash32, right: Hash32) -> Hash32:
     """Hash the concatenation of two digests (Merkle inner node).

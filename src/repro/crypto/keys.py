@@ -10,12 +10,10 @@ so byte accounting in the simulator is realistic.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import hmac_sha256, sha256
 
 #: Size in bytes of a private key.
 PRIVATE_KEY_SIZE = 32
@@ -31,7 +29,7 @@ def derive_public_key(private_key: bytes) -> bytes:
     """Deterministically derive the 33-byte public key for a private key."""
     if len(private_key) != PRIVATE_KEY_SIZE:
         raise ValueError(f"private key must be {PRIVATE_KEY_SIZE} bytes")
-    digest = hmac.new(_PUBKEY_DOMAIN, private_key, hashlib.sha256).digest()
+    digest = hmac_sha256(_PUBKEY_DOMAIN, private_key)
     # Prefix byte mimics a compressed-point parity marker.
     parity = b"\x02" if digest[-1] % 2 == 0 else b"\x03"
     return parity + digest

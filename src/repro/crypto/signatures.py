@@ -18,10 +18,10 @@ tag, which the tests treat as infeasible.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from functools import lru_cache
 
+from repro.crypto.hashing import hmac_sha256
 from repro.crypto.keys import KeyPair, PUBLIC_KEY_SIZE
 
 #: Size in bytes of a signature (matches ECDSA raw r||s encoding).
@@ -32,12 +32,12 @@ _TAG_DOMAIN = b"repro/sigtag/v1"
 
 def _signing_tag(private_key: bytes, message: bytes) -> bytes:
     """The 32-byte secret tag binding the private key to this message."""
-    return hmac.new(_TAG_DOMAIN + private_key, message, hashlib.sha256).digest()
+    return hmac_sha256(_TAG_DOMAIN + private_key, message)
 
 
 def _outer_mac(public_key: bytes, message: bytes, tag: bytes) -> bytes:
     """The publicly-recomputable half of the signature."""
-    return hmac.new(public_key, message + tag, hashlib.sha256).digest()
+    return hmac_sha256(public_key, message + tag)
 
 
 def sign(keypair: KeyPair, message: bytes) -> bytes:

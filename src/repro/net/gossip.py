@@ -104,25 +104,28 @@ class GossipProtocol(Generic[T]):
         if not peers:
             return
         self.stats.announces_sent += len(peers)
+        kind = self.announce_kind
+        # A list, not a generator: no frame resumed per peer.
         self._network.send_many(
-            sized_message(
-                self.announce_kind,
-                node_id,
-                peer,
-                item_id,
-                ANNOUNCE_PAYLOAD_BYTES,
-            )
-            for peer in peers
+            [
+                sized_message(
+                    kind, node_id, peer, item_id, ANNOUNCE_PAYLOAD_BYTES
+                )
+                for peer in peers
+            ]
         )
 
     def _on_announce(self, _node, message: Message) -> None:
         node_id = message.recipient
         item_id = message.payload
-        if self.node_has(node_id, item_id):
+        have = self._have.get(node_id)
+        if have is not None and item_id in have:
             self.stats.duplicate_announces += 1
             return
-        requested = self._requested.setdefault(node_id, set())
-        if item_id in requested:
+        requested = self._requested.get(node_id)
+        if requested is None:
+            requested = self._requested[node_id] = set()
+        elif item_id in requested:
             return
         requested.add(item_id)
         self.stats.requests_sent += 1

@@ -194,11 +194,11 @@ class Network:
     def send_many(self, messages: Iterable[Message]) -> None:
         """Schedule a batch of messages in order.
 
-        Semantically identical to calling :meth:`send` per message (same
-        scheduling order, hence identical event sequence numbers), but the
-        per-message lookups are hoisted out of the loop — the fan-out paths
-        (gossip announce, cluster broadcast) are the simulator's hottest
-        send sites.
+        Semantically identical to calling :meth:`send` per message: the
+        same deliveries, at the same times, in the same order.  Each run
+        of consecutive messages with the same delay is one heap entry
+        (:meth:`SimClock.post_run`), so a fan-out under a constant latency
+        is one event; per-pair latency models split it into single events.
 
         With a fault injector attached the batch falls back to per-message
         :meth:`send` so every message gets its own fault decision.
@@ -209,21 +209,27 @@ class Network:
             return
         reachable = self._reachable
         total_delay = self.latency.total_delay
-        deliver = self._deliver
         bandwidth = self.bandwidth_bps
-        post = self.clock.post
+        deliver = self._deliver
+        post_run = self.clock.post_run
+        run: list[tuple[Message]] = []
+        run_delay = -1.0
         for message in messages:
             sender = message.sender
             if sender not in reachable:
                 self._dropped_messages += 1
                 continue
-            post(
-                total_delay(
-                    sender, message.recipient, message.size_bytes, bandwidth
-                ),
-                deliver,
-                (message,),
+            delay = total_delay(
+                sender, message.recipient, message.size_bytes, bandwidth
             )
+            if delay != run_delay:
+                if run:
+                    post_run(run_delay, deliver, run)
+                run = []
+                run_delay = delay
+            run.append((message,))
+        if run:
+            post_run(run_delay, deliver, run)
 
     def _deliver(self, message: Message) -> None:
         endpoint = self._reachable.get(message.recipient)

@@ -5,6 +5,17 @@ Everything time-dependent in the library runs on this scheduler.  Events are
 number makes ordering deterministic when times tie, which keeps every
 experiment bit-reproducible under a fixed seed.
 
+An entry whose ``args`` slot holds a list instead of a tuple is a *run*:
+``callback(*call)`` for each argument tuple in the list, at one instant,
+in order (:meth:`SimClock.post_run`).  A run of k takes k consecutive
+sequence numbers, so it executes exactly as k separate entries would —
+nothing else can be queued between consecutive numbers at one time —
+while costing one heap entry and one :meth:`~SimClock.step`.  A network
+fan-out whose deliveries share a delay is one run.  A single event keeps
+its bare ``args`` tuple rather than a run of one: a deep heap (24k
+pending timers and deliveries on a Zipf read load) would pay a tuple per
+entry for it.
+
 Entries are plain lists rather than objects so ``heapq`` compares them
 entirely in C (``(time, sequence)`` decides before the callback slot is ever
 reached).  Cancellation nulls the callback slot in place, which is why the
@@ -21,7 +32,7 @@ from repro.errors import SimulationError
 
 EventCallback = Callable[..., None]
 
-# Heap-entry slots: [time, sequence, callback-or-None, args].
+# Heap-entry slots: [time, sequence, callback-or-None, args or run list].
 _TIME = 0
 _CALLBACK = 2
 
@@ -75,7 +86,7 @@ class SimClock:
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued.
+        """Number of not-yet-cancelled entries still queued (a run is one).
 
         Maintained as a live counter (incremented on push, decremented on
         cancel/pop) so runner drain checks are O(1) instead of an O(heap)
@@ -89,7 +100,7 @@ class SimClock:
 
     @property
     def processed(self) -> int:
-        """Total events executed so far."""
+        """Total heap entries executed so far (a run counts once)."""
         return self._processed
 
     # ----------------------------------------------------------- scheduling
@@ -98,9 +109,8 @@ class SimClock:
     ) -> list:
         """Queue ``callback(*args)`` at ``now + delay``.
 
-        The one heap-entry constructor, and the whole cost of an event
-        nobody will cancel — message deliveries use it directly.  Returns
-        the entry, which only :class:`EventHandle` may interpret.
+        The whole cost of an event nobody will cancel.  Returns the
+        entry, which only :class:`EventHandle` may interpret.
 
         Raises:
             SimulationError: for negative delays.
@@ -114,6 +124,32 @@ class SimClock:
         heappush(self._heap, entry)
         self._live += 1
         return entry
+
+    def post_run(
+        self, delay: float, callback: EventCallback, calls: list[tuple]
+    ) -> None:
+        """Queue ``callback(*call)`` for each of ``calls`` at ``now + delay``.
+
+        One heap entry for the whole run, which :meth:`step` executes as
+        one event; the calls take consecutive sequence numbers, so they
+        run in order and ahead of anything queued after this one, exactly
+        as ``len(calls)`` separate :meth:`post` calls would.  ``calls``
+        must be a non-empty list (the entry's tag: a single event holds a
+        tuple) and is kept, not copied; a run of one is queued as a
+        single event.  A run has no cancellation handle.
+
+        Raises:
+            SimulationError: for negative delays.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past ({delay=})")
+        at = self._now + delay
+        seq = self._next_seq
+        count = len(calls)
+        self._next_seq = seq + count
+        run = calls if count > 1 else calls[0]
+        heappush(self._heap, [at, seq, callback, run])
+        self._live += 1
 
     def schedule(
         self, delay: float, callback: EventCallback, *args: Any
@@ -133,11 +169,17 @@ class SimClock:
 
     # ------------------------------------------------------------ execution
     def step(self) -> bool:
-        """Pop and run the next event; ``False`` when the queue is empty."""
+        """Pop and run the next entry; ``False`` when the queue is empty.
+
+        A run executes as one event: it counts once in :attr:`processed`
+        and is one tracer callback event.  A call that raises ends the
+        run there; the calls after it stay queued at the same instant,
+        still ahead of anything queued later.
+        """
         heap = self._heap
         while heap:
             entry = heappop(heap)
-            time, _, callback, args = entry
+            time, seq, callback, args = entry
             if callback is None:
                 continue
             # Null the slot so a late cancel() on the handle reports
@@ -152,11 +194,23 @@ class SimClock:
                     "likely a protocol feedback loop"
                 )
             tracer = self._tracer
-            if tracer is None:
-                callback(*args)
-            else:
+            if tracer is not None:
                 wall_start = perf_counter()
+            if args.__class__ is tuple:
                 callback(*args)
+            else:  # a run, inline: no frame between step and a callback
+                remaining = iter(args)
+                try:
+                    for call in remaining:
+                        callback(*call)
+                except BaseException:
+                    rest = list(remaining)
+                    if rest:
+                        skipped = len(args) - len(rest)
+                        heappush(heap, [time, seq + skipped, callback, rest])
+                        self._live += 1
+                    raise
+            if tracer is not None:
                 tracer.callback_event(
                     callback, self._now, perf_counter() - wall_start
                 )

@@ -41,7 +41,7 @@ class FullNode(BaseNode):
         """
         applied = self.ledger.accept_block(block)
         if applied and self.mempool is not None:
-            self.mempool.remove_confirmed(list(block.transactions))
+            self.mempool.remove_confirmed(block.transactions)
         return applied
 
     # ------------------------------------------------------------- queries

@@ -409,7 +409,7 @@ class IntraClusterEngine(ProtocolEngine):
             return
         if node.mempool is not None and ledger.store.has_body(block_hash):
             node.mempool.remove_confirmed(
-                list(ledger.store.body(block_hash).transactions)
+                ledger.store.body(block_hash).transactions
             )
         if not node.is_holder_of(block_hash):
             node.store.drop_body(block_hash)

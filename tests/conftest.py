@@ -85,6 +85,27 @@ def per_byte_xor(chunks) -> bytes:
     return bytes(result)
 
 
+def remove_confirmed_reference(pool, txs) -> int:
+    """The oracle for :meth:`repro.chain.mempool.Mempool.remove_confirmed`:
+    the full walk with no empty-pool return — drop each confirmed txid,
+    then every pooled transaction spending an outpoint they spent."""
+    removed = 0
+    confirmed_spends = set()
+    for tx in txs:
+        if pool.remove(tx.txid):
+            removed += 1
+        confirmed_spends.update(tx.outpoints_spent())
+    conflicted = [
+        txid
+        for outpoint, txid in pool._spent_outpoints.items()
+        if outpoint in confirmed_spends
+    ]
+    for txid in conflicted:
+        if pool.remove(txid):
+            removed += 1
+    return removed
+
+
 @pytest.fixture
 def small_heat(monkeypatch):
     """Widen the tier slices for six-block deployments: with the default

@@ -1,10 +1,11 @@
 """The per-message call budget, counted — no wall clock involved.
 
 Every simulated wire message passes through four stages: it is *built*
-(``sized_message``), *scheduled* (``Network.send`` → ``SimClock.post``),
-*delivered* (``SimClock.step`` → ``Network._deliver`` →
-``BaseNode.handle_message``) and *dispatched* (``MessageRouter.dispatch``
-→ observers → handler).  The simulator's speed is that path's fixed
+(``sized_message``), *scheduled* (``Network.send`` → ``SimClock.post``,
+or ``Network.send_many`` → one ``SimClock.post_run`` per equal-delay
+run), *delivered* (``SimClock.step`` → ``Network._deliver`` →
+``BaseNode.handle_message``, once per message of the run) and
+*dispatched* (``MessageRouter.dispatch`` → observers → handler).  The simulator's speed is that path's fixed
 cost, so this test pins it in Python ``call`` events under
 ``sys.setprofile``: a frame added anywhere on the path fails here, on
 any machine, at any load.  Observer hooks are excluded (how many run is
@@ -41,9 +42,10 @@ def _names(path) -> tuple[str, ...]:
 class _PathProfiler:
     """Collects the call sequence of each delivery and of each send.
 
-    A delivery's sequence runs from ``SimClock.step`` entry to the entry
-    of the registered handler; a send's covers the whole
-    ``BaseNode.send`` call.  Calls made by (and below) an observer hook —
+    A delivery's sequence runs from ``SimClock.step`` entry — or, inside
+    a run, from the return of the run's previous call — to the entry of
+    the registered handler; a send's covers the whole ``BaseNode.send``
+    call.  Calls made by (and below) an observer hook —
     anything ``dispatch`` or ``note_send`` calls that is not a registered
     handler — are skipped.
     """
@@ -61,6 +63,7 @@ class _PathProfiler:
         self.sends: Counter = Counter()
         #: frames between step and the handler at handler entry.
         self.delivery_stacks: Counter = Counter()
+        self.steps = 0
         self._stack: list = []
         self._delivery: list | None = None  # open step -> handler path
         self._sending: list | None = None  # open BaseNode.send path
@@ -77,6 +80,8 @@ class _PathProfiler:
                 self._sending = None
             elif code is self._step:
                 self._delivery = None  # a timer event entered no handler
+            elif stack and stack[-1] is self._step:
+                self._delivery = []  # the run's next call starts afresh
         if event != "call":
             return
         code = frame.f_code
@@ -84,6 +89,7 @@ class _PathProfiler:
         if self._hook_floor is not None:
             return
         if code is self._step:
+            self.steps += 1
             self._delivery = []
             return
         if code is self._send:
@@ -124,6 +130,8 @@ def test_call_budget():
 
     delivered = traffic.total_messages
     assert delivered > 100
+    # Fan-outs share heap entries, so one step runs several deliveries.
+    assert profiler.steps < delivered
     # Between SimClock.step and the handler: three frames on the stack ...
     assert profiler.delivery_stacks == {
         ("_deliver", "handle_message", "dispatch"): delivered

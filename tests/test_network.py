@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, UnknownNodeError
 from repro.net.latency import (
@@ -268,6 +270,122 @@ class TestDelivery:
         # stale one.
         net.register(2, Recorder(net))
         assert net.peers_of(2) == ()
+
+
+_FANOUT_NODES = 6
+#: Coordinates on a small grid, so some pairs share a distance (a run
+#: longer than one) and most do not.
+_GRID = [(float(i % 3), float(i // 3)) for i in range(_FANOUT_NODES)]
+_LATENCIES = {
+    "constant": lambda: ConstantLatency(0.1),
+    "uniform": lambda: UniformLatency(0.02, 0.2, seed=3),
+    "coordinate": lambda: CoordinateLatency(_GRID, seconds_per_unit=0.01),
+}
+_batches = st.lists(
+    st.tuples(
+        st.integers(0, _FANOUT_NODES - 1),  # sender
+        st.lists(  # (recipient, payload bytes) per message
+            st.tuples(
+                st.integers(0, _FANOUT_NODES - 1), st.sampled_from([0, 40])
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from([0.0, 0.05, 0.1]),  # virtual time before the batch
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class _Relay:
+    """Logs each delivery into a shared sequence; a delivery whose
+    payload is divisible by 3 fans out again from its recipient."""
+
+    def __init__(self, network, node_id, log, batched) -> None:
+        self.network, self.node_id = network, node_id
+        self.log, self.batched = log, batched
+
+    def handle_message(self, message: Message) -> None:
+        # message_id is a process-wide counter, so it is left out.
+        self.log.append((self.network.now, self.node_id, message[:5]))
+        if message.payload % 3 == 0 and message.payload < 300:
+            _send(
+                self.network,
+                [
+                    sized_message(
+                        MessageKind.CONTROL, self.node_id, peer,
+                        message.payload * 10 + peer, 8,
+                    )  # fmt: skip
+                    for peer in range(_FANOUT_NODES)
+                    if peer != self.node_id
+                ],
+                self.batched,
+            )
+
+
+def _send(network: Network, messages: list[Message], batched: bool) -> None:
+    if batched:
+        network.send_many(messages)
+    else:
+        for message in messages:
+            network.send(message)
+
+
+def _deliveries(latency: str, batches, batched: bool) -> list:
+    net = Network(latency=_LATENCIES[latency](), bandwidth_bps=1000.0)
+    log: list = []
+    for node_id in range(_FANOUT_NODES):
+        net.register(node_id, _Relay(net, node_id, log, batched))
+    net.set_online(_FANOUT_NODES - 1, False)  # drops sends and deliveries
+    for index, (sender, targets, wait) in enumerate(batches):
+        _send(
+            net,
+            [
+                sized_message(
+                    MessageKind.CONTROL, sender, recipient,
+                    index * 10 + position, size,
+                )  # fmt: skip
+                for position, (recipient, size) in enumerate(targets)
+            ],
+            batched,
+        )
+        net.run_for(wait)
+    net.run()
+    return log + [net.dropped_messages, net.traffic.total_bytes]
+
+
+class TestFanOutRuns:
+    """``send_many`` delivers exactly what per-message ``send`` does."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(latency=st.sampled_from(sorted(_LATENCIES)), batches=_batches)
+    def test_send_many_equals_per_message_send(self, latency, batches):
+        assert _deliveries(latency, batches, True) == _deliveries(
+            latency, batches, False
+        )
+
+    def test_a_constant_latency_fan_out_is_one_heap_entry(self, net):
+        endpoints = wire(net, 5)
+        net.send_many(
+            [sized_message(MessageKind.CONTROL, 0, r, r, 8) for r in range(1, 5)]
+        )
+        assert net.clock.pending == 1
+        net.run()
+        assert net.clock.processed == 1
+        assert [len(e.received) for e in endpoints] == [0, 1, 1, 1, 1]
+
+    def test_unequal_delays_split_the_run(self, net):
+        wire(net, 4)
+        net.send_many(
+            [
+                sized_message(MessageKind.CONTROL, 0, 1, None, 8),
+                sized_message(MessageKind.CONTROL, 0, 2, None, 8),
+                sized_message(MessageKind.CONTROL, 0, 3, None, 80),
+                sized_message(MessageKind.CONTROL, 0, 0, None, 80),
+            ]
+        )
+        assert net.clock.pending == 3  # 1-2 share a delay; 3; self-send
 
 
 class TestTopologyAccess:

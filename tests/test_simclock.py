@@ -168,11 +168,68 @@ class TestPost:
             SimClock().post(-0.1, lambda: None)
 
 
+class TestRuns:
+    def test_a_run_is_one_event_of_consecutive_calls(self):
+        clock = SimClock()
+        order: list[tuple[str, float]] = []
+        log = lambda label: order.append((label, clock.now))  # noqa: E731
+        clock.post(1.0, log, ("before",))
+        clock.post_run(1.0, log, [("a",), ("b",), ("c",)])
+        clock.post(1.0, log, ("after",))
+        assert clock.pending == 3
+        clock.run()
+        assert order == [
+            ("before", 1.0), ("a", 1.0), ("b", 1.0), ("c", 1.0),
+            ("after", 1.0),
+        ]  # fmt: skip
+        assert clock.processed == 3
+        assert clock.pending == 0
+
+    def test_a_raise_leaves_the_rest_queued_ahead_of_later_posts(self):
+        clock = SimClock()
+        order: list[str] = []
+
+        def call(label):
+            order.append(label)
+            if label == "b":
+                clock.post(0.0, order.append, ("posted in b",))
+                raise KeyError(label)
+
+        clock.post_run(1.0, call, [("a",), ("b",), ("c",), ("d",)])
+        with pytest.raises(KeyError):
+            clock.run()
+        assert order == ["a", "b"]
+        assert clock.now == 1.0
+        assert clock.pending == 2  # the rest of the run, the later post
+        clock.post(0.0, order.append, ("posted after",))
+        clock.run()
+        assert order == [
+            "a", "b", "c", "d", "posted in b", "posted after",
+        ]  # fmt: skip
+        assert clock.processed == 4
+
+    def test_a_run_takes_one_sequence_number_per_call(self):
+        clock = SimClock()
+        clock.post_run(1.0, print, [(), (), ()])
+        entry = clock.post(1.0, print)
+        assert entry[1] == 3
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(SimulationError, match="in the past"):
+            SimClock().post_run(-0.1, print, [()])
+
+
 #: Few distinct delays, so ties (broken by sequence number) are common.
 _delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
 _ops = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["post", "schedule"]), _delays),
+        st.tuples(
+            st.just("post_run"),
+            _delays,
+            st.integers(1, 4),  # calls in the run
+            st.integers(-1, 3),  # index of the call that raises, if any
+        ),
         st.tuples(st.just("cancel"), st.integers(0, 50)),
         st.tuples(st.just("run_until"), _delays),
     ),
@@ -181,47 +238,110 @@ _ops = st.lists(
 )
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+class _Raised(Exception):
+    pass
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
 @given(_ops)
 def test_post_schedule_interleavings_match_all_schedule_reference(ops):
-    """Whatever mix of entry points queues the events, the run is the same.
+    """Whatever mix of entry points queues the calls, the run is the same.
 
     The subject uses the drawn entry point; the reference clock queues
-    every event through ``schedule``.  Events queued by ``post`` cannot
-    be cancelled, so cancels only ever name handle-bearing events.
+    every call through ``schedule``, one entry each, so it is the per-call
+    contract a run must keep.  Events queued by ``post``/``post_run``
+    cannot be cancelled, so cancels only ever name handle-bearing events.
+    A call may raise; the subject's run then stops there and its rest
+    stays queued.  ``processed`` and ``pending`` count a run once: the
+    model tracks which entry each subject call belongs to.
     """
     subject, reference = SimClock(), SimClock()
     ran = {id(subject): [], id(reference): []}
     handles: list[tuple[EventHandle, EventHandle]] = []
+    raisers: set[int] = set()
+    #: subject entries: label -> entry id, entry id -> its calls' labels.
+    entry_of: dict[int, int] = {}
+    calls_of: dict[int, list[int]] = {}
+    cancelled: set[int] = set()
+    next_label = 0
+
+    def queue_entry(labels: list[int]) -> None:
+        entry = len(calls_of)
+        calls_of[entry] = labels
+        for label in labels:
+            entry_of[label] = entry
 
     def fire(clock, label):
         ran[id(clock)].append((label, clock.now))
-        if label % 4 == 0:  # a callback that queues a follow-up
+        if label >= 0 and label % 4 == 0:  # a callback that queues more
+            if clock is subject:
+                queue_entry([-label - 1])
             clock.post(0.5, fire, (clock, -label - 1))
+        if label in raisers:
+            if clock is subject:  # the rest of the run is a new entry
+                calls = calls_of[entry_of[label]]
+                rest = calls[calls.index(label) + 1 :]
+                if rest:
+                    queue_entry(rest)
+            raise _Raised(label)
 
-    for label, (op, value) in enumerate(ops):
-        if op == "post":
+    def both(action) -> None:
+        outcomes = []
+        for clock in (subject, reference):
+            try:
+                action(clock)
+                outcomes.append(None)
+            except _Raised as error:
+                outcomes.append(error.args)
+        assert outcomes[0] == outcomes[1]
+
+    def check_counts() -> None:
+        done = {label for label, _ in ran[id(subject)]}
+        assert subject.processed == len({entry_of[label] for label in done})
+        queued = set(entry_of) - done - cancelled
+        assert subject.pending == len({entry_of[label] for label in queued})
+        assert subject.now == reference.now
+
+    for op in ops:
+        kind, value = op[0], op[1]
+        label = next_label
+        if kind == "post":
+            next_label += 1
+            queue_entry([label])
             subject.post(value, fire, (subject, label))
             reference.schedule(value, fire, reference, label)
-        elif op == "schedule":
+        elif kind == "schedule":
+            next_label += 1
+            queue_entry([label])
             handles.append(
                 (
                     subject.schedule(value, fire, subject, label),
                     reference.schedule(value, fire, reference, label),
+                    label,
                 )
             )
-        elif op == "cancel" and handles:
-            ours, theirs = handles[value % len(handles)]
-            assert ours.cancel() == theirs.cancel()
+        elif kind == "post_run":
+            size, raising = op[2], op[3]
+            labels = list(range(label, label + size))
+            next_label += size
+            if 0 <= raising < size:
+                raisers.add(labels[raising])
+            queue_entry(labels)
+            subject.post_run(value, fire, [(subject, x) for x in labels])
+            for x in labels:
+                reference.schedule(value, fire, reference, x)
+        elif kind == "cancel" and handles:
+            ours, theirs, named = handles[value % len(handles)]
+            cancelled_now = ours.cancel()
+            assert cancelled_now == theirs.cancel()
             assert ours.time == theirs.time
-        elif op == "run_until":
-            subject.run_until(subject.now + value)
-            reference.run_until(reference.now + value)
-        assert subject.pending == reference.pending
-        assert subject.processed == reference.processed
-        assert subject.now == reference.now
-    subject.run()
-    reference.run()
+            if cancelled_now:
+                cancelled.add(named)
+        elif kind == "run_until":
+            both(lambda clock: clock.run_until(clock.now + value))
+        check_counts()
+    while subject.pending or reference.pending:
+        both(SimClock.run)
+        check_counts()
     assert ran[id(subject)] == ran[id(reference)]
-    assert subject.processed == reference.processed
     assert subject.pending == reference.pending == 0
