@@ -204,66 +204,24 @@ def _section_latency(deployment) -> str:
     return "## Latency\n\n" + _md_table(["quantity", "value"], rows)
 
 
-def _dht_overlay_lines(dht: dict) -> list[str]:
-    """The "## DHT overlay" section chaos/endurance summaries share."""
-    return [
-        "",
-        "## DHT overlay",
-        "",
-        _md_table(
-            ["counter", "value"],
-            [
-                (
-                    "iterative lookups",
-                    f"{dht.get('lookups_completed', 0)}"
-                    f"/{dht.get('lookups_started', 0)} completed "
-                    f"({dht.get('lookup_messages', 0)} messages, "
-                    f"{dht.get('lookup_hops', 0)} hops)",
-                ),
-                (
-                    "value lookups hit/miss",
-                    f"{dht.get('value_hits', 0)}"
-                    f"/{dht.get('value_misses', 0)} "
-                    f"(+{dht.get('local_hits', 0)} local-record hits)",
-                ),
-                (
-                    "records published",
-                    f"{dht.get('records_published', 0)} "
-                    f"({dht.get('stores_sent', 0)} STOREs, "
-                    f"{dht.get('records_expired', 0)} expired)",
-                ),
-                (
-                    "probe failures / evictions",
-                    f"{dht.get('probe_failures', 0)}"
-                    f"/{dht.get('contacts_evicted', 0)} "
-                    f"({dht.get('pings_sent', 0)} refresh pings)",
-                ),
-                ("joins via self-lookup", dht.get("joins", 0)),
-                (
-                    "table census",
-                    f"{dht.get('tables_audited', 0)} live tables, "
-                    f"{dht.get('contacts', 0)} contacts "
-                    f"({dht.get('stale_contacts', 0)} stale, "
-                    f"{dht.get('empty_tables', 0)} empty tables)",
-                ),
-                (
-                    "audit lookups",
-                    f"{dht.get('audit_lookups_ok', 0)}"
-                    f"/{dht.get('audit_lookups', 0)} resolved",
-                ),
-            ],
-        ),
+def _counter_lines(name: str, counters: dict) -> list[str]:
+    """One ``## <name>`` section: a ``counter | value`` row per key, in
+    the dict's own order (no label map, so a new counter needs no edit
+    here)."""
+    rows = [
+        (key, f"{value:g}" if isinstance(value, float) else value)
+        for key, value in counters.items()
     ]
+    return ["", f"## {name}", "", _md_table(["counter", "value"], rows)]
 
 
 def _degraded_pct(outcome, kind: str) -> str:
     """Degraded requests as a share of tracked sends for one kind.
 
     ``outcome.sends`` is the per-kind ``RouterStats.sends`` capture;
-    kinds without a send count (or pre-capture outcomes) render ``-``.
+    kinds without a send count render ``-``.
     """
-    sends = getattr(outcome, "sends", None) or {}
-    total = sends.get(kind, 0)
+    total = outcome.sends.get(kind, 0)
     degraded = outcome.degraded.get(kind, 0)
     if not total and not degraded:
         return "-"
@@ -294,53 +252,19 @@ def _protocol_recovery_table(outcome) -> str:
     )
 
 
-def _failure_domain_lines(domains: dict) -> list[str]:
-    """The "## Failure domains" section chaos/endurance summaries share."""
-    diversity = (
-        "restored" if domains.get("diversity_met") else "NOT restored"
-    )
-    return [
-        "",
-        "## Failure domains",
-        "",
-        _md_table(
-            ["counter", "value"],
-            [
-                (
-                    "zone outage",
-                    f"zone {domains.get('zone_killed', -1)} of "
-                    f"{domains.get('zones', 0)} "
-                    f"({domains.get('outage_victims', 0)} victims)",
-                ),
-                (
-                    "live zones at audit",
-                    f"{domains.get('live_zones', 0)}"
-                    f"/{domains.get('zones', 0)}",
-                ),
-                (
-                    "placements short of full spread",
-                    domains.get("spread_deficit", 0),
-                ),
-                (
-                    "diversity repairs",
-                    domains.get("diversity_repairs", 0),
-                ),
-                ("**zone diversity**", f"**{diversity}**"),
-            ],
-        ),
-    ]
-
-
-def _storm_header(
+def _storm_lines(
     kind: str, outcome, detail: list[str], integrity_note: str = ""
 ) -> list[str]:
-    """Title + run bullets the chaos and endurance summaries share."""
+    """What the chaos and endurance summaries share: title, verdict and
+    run bullets, one section per non-empty counter dict, protocol
+    recovery and delivery latency."""
     config = outcome.config
     delay_seconds = config.fault_config().delay_seconds
     verdict = "restored" if outcome.integrity_restored else "VIOLATED"
-    return [
+    lines = [
         f"# {kind} run (seed {config.seed})",
         "",
+        f"- **verdict: {'passed' if outcome.passed else 'FAILED'}**",
         f"- nodes: {config.n_nodes} in {config.n_clusters} clusters, "
         f"r={config.replication}",
         f"- fault rates: drop {config.drop_rate:.0%}, "
@@ -353,29 +277,20 @@ def _storm_header(
         f"({sum(outcome.cluster_integrity.values())}"
         f"/{len(outcome.cluster_integrity)} clusters hold the full "
         f"ledger{integrity_note})",
-        "",
     ]
-
-
-def _weather_lines(outcome) -> list[str]:
-    """Fault interception, protocol recovery and delivery latency."""
-    lines = [
-        "## Fault interception",
-        "",
-        _md_table(
-            ["fault", "count"],
-            sorted(outcome.fault_stats.items()),
-        ),
+    for name, counters in outcome.counters().items():
+        if counters:
+            lines += _counter_lines(name, counters)
+    lines += [
         "",
         "## Protocol recovery",
         "",
         _protocol_recovery_table(outcome),
     ]
-    # Older pickled/stubbed outcomes may lack the percentiles field.
-    percentiles = getattr(outcome, "latency_percentiles", None)
+    percentiles = outcome.latency_percentiles
     if percentiles:
         lines += ["", "## Delivery latency (virtual time)", ""]
-        tracer = getattr(outcome, "tracer", None)
+        tracer = outcome.tracer
         if tracer is not None and tracer.evicted:
             lines += [
                 f"{tracer.evicted} of {tracer.recorded} trace events "
@@ -425,7 +340,7 @@ def _probe_lines(title: str, outcome, extra_rows=()) -> list[str]:
 
 def render_chaos_summary(outcome) -> str:
     """Markdown post-mortem of one :func:`repro.sim.chaos.run_chaos`."""
-    lines = _storm_header(
+    lines = _storm_lines(
         "Chaos",
         outcome,
         [
@@ -437,11 +352,6 @@ def render_chaos_summary(outcome) -> str:
             f"{outcome.finalized_blocks} finalized everywhere",
         ],
     )
-    lines += _weather_lines(outcome)
-    if outcome.dht:
-        lines += _dht_overlay_lines(outcome.dht)
-    if outcome.domains:
-        lines += _failure_domain_lines(outcome.domains)
     lines += _probe_lines(
         "Exercised under faults",
         outcome,
@@ -461,9 +371,13 @@ def render_chaos_summary(outcome) -> str:
 def render_endurance_summary(outcome) -> str:
     """Markdown audit of one :func:`repro.sim.chaos.run_endurance`."""
     floor = "met" if outcome.replica_floor_met else "NOT met"
-    repair = outcome.repair
-    ttr = outcome.time_to_repair
-    lines = _storm_header(
+    heal = (
+        f"converged after {outcome.heal_rounds} sweep rounds"
+        if outcome.heal_converged
+        else f"stopped at the {outcome.heal_rounds}-round cap without "
+        "going quiet"
+    )
+    lines = _storm_lines(
         "Endurance",
         outcome,
         [
@@ -473,149 +387,14 @@ def render_endurance_summary(outcome) -> str:
             "- outages: "
             f"crashed {outcome.outage_crashed or 'none'}, "
             f"partitioned {outcome.partitioned or 'none'}",
-            f"- blocks: {outcome.blocks_produced} produced; healing "
-            f"converged after {outcome.heal_rounds} sweep rounds",
+            f"- blocks: {outcome.blocks_produced} produced, "
+            f"{outcome.deferred_blocks} deferred by departures to the "
+            f"sweep; healing {heal}",
+            f"- ledger at audit: "
+            f"{format_bytes(outcome.storage_total_bytes)}",
         ],
         integrity_note=f"; replication floor {floor}",
     )
-    lines += [
-        "## Anti-entropy repair",
-        "",
-        _md_table(
-            ["counter", "value"],
-            [
-                ("sweeps", repair.get("sweeps", 0)),
-                (
-                    "digests",
-                    f"{repair.get('digests_received', 0)}"
-                    f"/{repair.get('digests_requested', 0)} received "
-                    f"({repair.get('digest_failures', 0)} failed)",
-                ),
-                (
-                    "under-replication detected",
-                    repair.get("under_replicated", 0),
-                ),
-                (
-                    "repairs scheduled",
-                    repair.get("repairs_scheduled", 0),
-                ),
-                (
-                    "blocks re-replicated",
-                    f"{repair.get('blocks_re_replicated', 0)} "
-                    f"({repair.get('bytes_re_replicated', 0)} bytes)",
-                ),
-                (
-                    "repair attempts degraded",
-                    repair.get("repairs_degraded", 0),
-                ),
-                (
-                    "deferred by departures",
-                    outcome.deferred_blocks,
-                ),
-                ("unrecoverable", repair.get("unrecoverable", 0)),
-                (
-                    "time-to-repair p50/p95",
-                    f"{format_seconds(ttr.get('p50', 0.0))} / "
-                    f"{format_seconds(ttr.get('p95', 0.0))}"
-                    if ttr
-                    else "-",
-                ),
-            ],
-        ),
-        "",
-    ]
-    lines += _weather_lines(outcome)
-    if outcome.adaptive:
-        adaptive = outcome.adaptive
-        lines += [
-            "",
-            "## Adaptive replication",
-            "",
-            _md_table(
-                ["counter", "value"],
-                [
-                    (
-                        "tier census (hot/warm/cold)",
-                        f"{adaptive.get('hot_blocks', 0)}"
-                        f"/{adaptive.get('warm_blocks', 0)}"
-                        f"/{adaptive.get('cold_blocks', 0)}",
-                    ),
-                    (
-                        "heat refreshes",
-                        f"{adaptive.get('refreshes', 0)} "
-                        f"({adaptive.get('reclassifications', 0)} "
-                        "tier changes)",
-                    ),
-                    (
-                        "replicas shed",
-                        f"{adaptive.get('replicas_shed', 0)} "
-                        f"({adaptive.get('bytes_shed', 0)} bytes)",
-                    ),
-                    (
-                        "sheds blocked at the floor",
-                        adaptive.get("sheds_blocked", 0),
-                    ),
-                    (
-                        "floor violations",
-                        adaptive.get("floor_violations", 0),
-                    ),
-                    ("storm reads", adaptive.get("storm_reads", 0)),
-                    (
-                        "total ledger bytes",
-                        outcome.storage_total_bytes,
-                    ),
-                ],
-            ),
-        ]
-    if outcome.archival:
-        archival = outcome.archival
-        lines += [
-            "",
-            "## Archival coding",
-            "",
-            _md_table(
-                ["counter", "value"],
-                [
-                    (
-                        "blocks archived / thawed",
-                        f"{archival.get('blocks_archived', 0)}"
-                        f"/{archival.get('blocks_thawed', 0)}",
-                    ),
-                    (
-                        "coded entries at end",
-                        f"{archival.get('archived_blocks', 0)} "
-                        f"({archival.get('chunk_bytes', 0)} chunk bytes)",
-                    ),
-                    (
-                        "chunks placed / repaired",
-                        f"{archival.get('chunks_placed', 0)}"
-                        f"/{archival.get('chunks_repaired', 0)}",
-                    ),
-                    (
-                        "lazy reconstructions",
-                        f"{archival.get('reconstructions', 0)} "
-                        f"({archival.get('failed_reconstructions', 0)} "
-                        "failed)",
-                    ),
-                    (
-                        "replica bytes freed",
-                        archival.get("replica_bytes_freed", 0),
-                    ),
-                    (
-                        "chunk bytes read (amplification)",
-                        archival.get("chunk_bytes_read", 0),
-                    ),
-                    (
-                        "floor deficits seen in sweeps",
-                        archival.get("floor_deficits", 0),
-                    ),
-                ],
-            ),
-        ]
-    if outcome.dht:
-        lines += _dht_overlay_lines(outcome.dht)
-    if outcome.domains:
-        lines += _failure_domain_lines(outcome.domains)
     lines += _probe_lines("Exercised after heal", outcome)
     return "\n".join(lines) + "\n"
 

@@ -234,10 +234,6 @@ class ICIDeployment(StorageDeployment):
         planner = ReplicationPlanner(self, tracker)
         self.heat = tracker
         self.replication_planner = planner
-        # Inherit the repair engine's tracer when tracing is already on;
-        # later install_tracing() calls re-attach through the engine.
-        if self.repair._tracer is not None:
-            planner.attach_tracer(self.repair._tracer)
         return planner
 
     def enable_domain_awareness(self, zones: int = 2):
@@ -292,10 +288,6 @@ class ICIDeployment(StorageDeployment):
         planner = self.enable_adaptive_replication()
         tier = ArchivalTier(self, planner)
         self.archival = tier
-        # Inherit the repair engine's tracer when tracing is already on;
-        # later install_tracing() calls re-attach through the engine.
-        if self.repair._tracer is not None:
-            tier.attach_tracer(self.repair._tracer)
         return tier
 
     def holders_in_cluster(

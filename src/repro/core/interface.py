@@ -41,6 +41,12 @@ class StorageDeployment(ABC):
     dissemination, retrieval, and bootstrap.
     """
 
+    #: The run's :class:`~repro.obs.tracer.Tracer`, set by
+    #: :func:`~repro.obs.hooks.install_tracing`; engines that mirror
+    #: their decisions as instants read it here, so an engine enabled
+    #: after tracing was installed is traced too.
+    tracer = None
+
     def __init__(self, network: Network) -> None:
         self.network = network
         self.metrics = DeploymentMetrics()

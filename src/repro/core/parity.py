@@ -85,11 +85,7 @@ class ParityManager:
                 stripes.remove((used, blocks))
                 self._seal(deployment, cluster_id, blocks)
             return
-        stripe: tuple[set[int], list[Block]] = (set(holders), [block])
-        if self.group_size == 1:  # unreachable (ctor forbids), for safety
-            self._seal(deployment, cluster_id, [block])
-        else:
-            stripes.append(stripe)
+        stripes.append((set(holders), [block]))
 
     def flush(self, deployment: "ICIDeployment") -> int:
         """Seal every partial stripe now (smaller groups, same protection).

@@ -11,7 +11,8 @@ simulator already exposes and never touches protocol state:
   directly appear as delivery instants.
 * :func:`install_tracing` wires one deployment: router observer, the
   simclock callback hook (optional, high volume), the fault injector's
-  tracer slot when one is attached, and every engine's tracer slot.
+  tracer slot when one is attached, and ``deployment.tracer``, the one
+  slot its engines read.
   It is the one way a tracer reaches a run: call it after building the
   deployment and before driving it.
 """
@@ -294,10 +295,5 @@ def install_tracing(
     faults = deployment.network.faults
     if faults is not None:
         faults.attach_tracer(tracer)
-    # Engines with a tracer slot (the anti-entropy engine) mirror their
-    # audit/repair decisions as instants.
-    for engine in getattr(deployment, "engines", {}).values():
-        attach = getattr(engine, "attach_tracer", None)
-        if attach is not None:
-            attach(tracer)
+    deployment.tracer = tracer
     return observer

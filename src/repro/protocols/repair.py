@@ -80,7 +80,6 @@ from repro.protocols.router import MessageRouter, ProtocolEngine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.simclock import EventHandle
-    from repro.obs.tracer import Tracer
 
 #: Modeled wire cost of one digest request (control payload).
 DIGEST_REQUEST_BYTES = 24
@@ -190,7 +189,6 @@ class AntiEntropyEngine(ProtocolEngine):
         self._unrecoverable: set[tuple[int, Hash32]] = set()
         self._sweep_handle: "EventHandle | None" = None
         self._track = proto_track("repair")
-        self._tracer: "Tracer | None" = None
 
     def install(self, router: MessageRouter) -> None:
         router.register(
@@ -524,7 +522,7 @@ class AntiEntropyEngine(ProtocolEngine):
             return
         self._first_detected[key] = self.network.now
         self.stats.under_replicated += 1
-        if self._tracer is not None:
+        if self.deployment.tracer is not None:
             self._trace(
                 "under_replicated",
                 {
@@ -570,7 +568,7 @@ class AntiEntropyEngine(ProtocolEngine):
         plan = sorted(holders)
         for repair_target in targets:
             self.diversity_repairs += 1
-            if self._tracer is not None:
+            if self.deployment.tracer is not None:
                 self._trace(
                     "diversity_repair",
                     {
@@ -720,7 +718,7 @@ class AntiEntropyEngine(ProtocolEngine):
                 continue
             freed = node.unassign_body(block_hash)
             planner.note_shed(block_hash, freed)
-            if self._tracer is not None:
+            if deployment.tracer is not None:
                 self._trace(
                     "replica_shed",
                     {
@@ -738,9 +736,9 @@ class AntiEntropyEngine(ProtocolEngine):
             )
             if remaining < floor:
                 planner.note_floor_violation()
-            if self._tracer is not None:
+            if deployment.tracer is not None:
                 record_cluster_storage(
-                    self._tracer, deployment, cluster_id, self.network.now
+                    deployment.tracer, deployment, cluster_id, self.network.now
                 )
 
     def _mark_unrecoverable(self, cluster_id: int, block_hash: Hash32) -> None:
@@ -750,7 +748,7 @@ class AntiEntropyEngine(ProtocolEngine):
         self._unrecoverable.add(key)
         self.stats.unrecoverable += 1
         self.router.note_degraded("repair_request")
-        if self._tracer is not None:
+        if self.deployment.tracer is not None:
             self._trace(
                 "unrecoverable",
                 {"cluster": cluster_id, "block": block_hash.hex()[:12]},
@@ -793,7 +791,7 @@ class AntiEntropyEngine(ProtocolEngine):
         cluster_id, block_hash, target = request.context
         self._inflight.discard((block_hash, target))
         self.stats.repairs_degraded += 1
-        if self._tracer is not None:
+        if self.deployment.tracer is not None:
             self._trace(
                 "repair_degraded",
                 {
@@ -818,7 +816,8 @@ class AntiEntropyEngine(ProtocolEngine):
         if detected_at is not None:
             self.repair_times.append(self.network.now - detected_at)
         self._unrecoverable.discard((cluster_id, block_hash))
-        if self._tracer is None:
+        tracer = self.deployment.tracer
+        if tracer is None:
             return
         self._trace(
             "re_replicated",
@@ -829,23 +828,14 @@ class AntiEntropyEngine(ProtocolEngine):
             },
         )
         record_cluster_storage(
-            self._tracer, self.deployment, cluster_id, self.network.now
+            tracer, self.deployment, cluster_id, self.network.now
         )
 
-    def attach_tracer(self, tracer: "Tracer | None") -> None:
-        """Mirror audit/repair decisions into a tracer (``None`` detaches)."""
-        self._tracer = tracer
-        planner = self.planner
-        if planner is not None:
-            planner.attach_tracer(tracer)
-        tier = self.archival
-        if tier is not None:
-            tier.attach_tracer(tracer)
-
     def _trace(self, name: str, args: dict | None = None) -> None:
-        if self._tracer is None:
+        tracer = self.deployment.tracer
+        if tracer is None:
             return
-        self._tracer.instant(
+        tracer.instant(
             name,
             self._track,
             ts=self.network.clock.now,

@@ -122,6 +122,11 @@ class _StormOutcome:
     """What chaos and endurance outcomes share: the fault/reliability
     counters, the probe tallies, the per-feature audits, the verdict."""
 
+    #: The flat counter dicts every run signs, by field name.
+    _COUNTERS = ("fault_stats",)
+    #: Per-feature counter dicts, signed only when the feature ran.
+    _FEATURES = ("dht", "domains")
+
     config: _StormConfig
     blocks_produced: int = 0
     partitioned: list[int] = field(default_factory=list)
@@ -183,6 +188,24 @@ class _StormOutcome:
             and (not self.domains or bool(self.domains["diversity_met"]))
         )
 
+    def counters(self) -> dict[str, dict]:
+        """Every flat counter dict, by field name: the ones every run
+        signs, then each feature's when non-empty — so enabling a
+        feature cannot move the golden pins of runs without it.
+
+        ``signature()`` signs exactly these and the storm summaries
+        render one ``## <name>`` section per non-empty dict, so a
+        counter added to a stats dataclass is signed and reported with
+        no other edit.
+        """
+        counters = {
+            name: dict(getattr(self, name)) for name in self._COUNTERS
+        }
+        for name in self._FEATURES:
+            if getattr(self, name):
+                counters[name] = dict(getattr(self, name))
+        return counters
+
 
 @dataclass
 class ChaosOutcome(_StormOutcome):
@@ -201,8 +224,7 @@ class ChaosOutcome(_StormOutcome):
         Covers every counter the fault and reliability layers produced;
         the chaos tests assert two same-seed runs match exactly.
         """
-        signature = {
-            "fault_stats": dict(self.fault_stats),
+        return {
             "retries": dict(self.retries),
             "timeouts": dict(self.timeouts),
             "degraded": dict(self.degraded),
@@ -215,12 +237,8 @@ class ChaosOutcome(_StormOutcome):
             "queries_degraded": self.queries_degraded,
             "virtual_seconds": self.virtual_seconds,
             "events_processed": self.events_processed,
+            **self.counters(),
         }
-        if self.dht:
-            signature["dht"] = dict(self.dht)
-        if self.domains:
-            signature["domains"] = dict(self.domains)
-        return signature
 
 
 #: Backoff pacing chaos runs install on the query tracker.
@@ -603,6 +621,9 @@ class EnduranceConfig(_StormConfig):
 class EnduranceOutcome(_StormOutcome):
     """What one endurance run did and whether self-healing converged."""
 
+    _COUNTERS = ("fault_stats", "repair", "time_to_repair")
+    _FEATURES = ("adaptive", "archival", "dht", "domains")
+
     joins: int = 0
     leaves: int = 0
     churn_crashes: int = 0
@@ -615,6 +636,9 @@ class EnduranceOutcome(_StormOutcome):
     #: Virtual seconds from first deficit detection to restored copy.
     time_to_repair: dict[str, float] = field(default_factory=dict)
     heal_rounds: int = 0
+    #: Did the heal rounds go quiet before ``MAX_HEAL_ROUNDS``?  Not
+    #: signed: ``heal_rounds`` already pins it.
+    heal_converged: bool = False
     #: :func:`repro.core.audit.floor_met` after healing (strict: tier-
     #: and code-aware on adaptive/archival runs).
     replica_floor_met: bool = False
@@ -639,7 +663,7 @@ class EnduranceOutcome(_StormOutcome):
 
     def signature(self) -> dict:
         """The determinism fingerprint: equal for equal (config, seed)."""
-        signature = {
+        return {
             "blocks_produced": self.blocks_produced,
             "joins": self.joins,
             "leaves": self.leaves,
@@ -647,13 +671,10 @@ class EnduranceOutcome(_StormOutcome):
             "skipped_events": self.skipped_events,
             "outage_crashed": list(self.outage_crashed),
             "partitioned": list(self.partitioned),
-            "fault_stats": dict(self.fault_stats),
             "retries": dict(self.retries),
             "timeouts": dict(self.timeouts),
             "degraded": dict(self.degraded),
-            "repair": dict(self.repair),
             "deferred_blocks": self.deferred_blocks,
-            "time_to_repair": dict(self.time_to_repair),
             "heal_rounds": self.heal_rounds,
             "queries_completed": self.queries_completed,
             "queries_degraded": self.queries_degraded,
@@ -661,12 +682,8 @@ class EnduranceOutcome(_StormOutcome):
             "replica_floor_met": self.replica_floor_met,
             "virtual_seconds": self.virtual_seconds,
             "events_processed": self.events_processed,
+            **self.counters(),
         }
-        for feature in ("adaptive", "archival", "dht", "domains"):
-            counters = getattr(self, feature)
-            if counters:
-                signature[feature] = dict(counters)
-        return signature
 
 
 #: The endurance storm's fixed shape: block intervals the mid-run
@@ -840,6 +857,7 @@ def run_endurance(
             if snapshot == last and repair.idle:
                 quiet += 1
                 if quiet >= 2:
+                    outcome.heal_converged = True
                     break
             else:
                 quiet = 0

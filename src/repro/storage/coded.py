@@ -50,7 +50,6 @@ from repro.storage.heat import COLD
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chain.block import BlockHeader
     from repro.core.icistrategy import ICIDeployment
-    from repro.obs.tracer import Tracer
     from repro.storage.heat import ReplicationPlanner
 
 
@@ -119,7 +118,6 @@ class ArchivalTier:
         self._entries: dict[tuple[int, Hash32], _ArchivedBlock] = {}
         self._chunk_bytes_by_node: dict[int, int] = {}
         self._track = proto_track("archival")
-        self._tracer: "Tracer | None" = None
 
     # ----------------------------------------------------------- predicates
     def is_archived(self, cluster_id: int, block_hash: Hash32) -> bool:
@@ -203,7 +201,7 @@ class ArchivalTier:
         self.stats.blocks_archived += 1
         self.stats.chunks_placed += n
         self.stats.replica_bytes_freed += freed
-        if self._tracer is not None:
+        if self.deployment.tracer is not None:
             self._trace(
                 "block_archived",
                 {
@@ -260,7 +258,7 @@ class ArchivalTier:
             # Rebuilding one chunk reads k live chunks and re-encodes.
             self.stats.chunk_bytes_read += DATA_CHUNKS * shard_len
             self.stats.chunks_repaired += 1
-            if self._tracer is not None:
+            if self.deployment.tracer is not None:
                 self._trace(
                     "chunk_repaired",
                     {
@@ -303,7 +301,7 @@ class ArchivalTier:
             node.assign_body(block)
         self._forget(cluster_id, entry)
         self.stats.blocks_thawed += 1
-        if self._tracer is not None:
+        if self.deployment.tracer is not None:
             self._trace(
                 "block_thawed",
                 {
@@ -341,7 +339,7 @@ class ArchivalTier:
             self.stats.failed_reconstructions += 1
             return None
         self.stats.reconstructions += 1
-        if self._tracer is not None:
+        if self.deployment.tracer is not None:
             self._trace(
                 "coded_reconstruct",
                 {
@@ -363,7 +361,7 @@ class ArchivalTier:
         present = {index: entry.chunks[index] for index in used}
         for index in used:
             self.stats.chunk_bytes_read += len(entry.chunks[index])
-            if self._tracer is not None:
+            if self.deployment.tracer is not None:
                 self._trace(
                     "chunk_read",
                     {
@@ -408,21 +406,17 @@ class ArchivalTier:
         return sum(self._chunk_bytes_by_node.values())
 
     # -------------------------------------------------------------- tracing
-    def attach_tracer(self, tracer: "Tracer | None") -> None:
-        """Mirror archive/thaw/repair decisions (``None`` detaches)."""
-        self._tracer = tracer
-
     def _sample_storage(self) -> None:
-        if self._tracer is None:
+        tracer = self.deployment.tracer
+        if tracer is None:
             return
-        record_coded_storage(
-            self._tracer, self, self.deployment.network.now
-        )
+        record_coded_storage(tracer, self, self.deployment.network.now)
 
     def _trace(self, name: str, args: dict | None = None) -> None:
-        if self._tracer is None:
+        tracer = self.deployment.tracer
+        if tracer is None:
             return
-        self._tracer.instant(
+        tracer.instant(
             name,
             self._track,
             ts=self.deployment.network.clock.now,

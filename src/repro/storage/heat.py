@@ -62,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
     from repro.net.simclock import SimClock
     from repro.node.base import BaseNode
-    from repro.obs.tracer import Tracer
 
 #: Tier labels, hottest first (also the rank order the planner assigns).
 HOT = "hot"
@@ -221,7 +220,6 @@ class ReplicationPlanner:
         self.tiers: dict[Hash32, str] = {}
         self._first_seen: dict[Hash32, float] = {}
         self._track = proto_track("heat")
-        self._tracer: "Tracer | None" = None
 
     # ------------------------------------------------------------- targets
     def target_for(self, block_hash: Hash32) -> int:
@@ -319,8 +317,9 @@ class ReplicationPlanner:
         self.stats.hot_blocks = counts[HOT]
         self.stats.warm_blocks = counts[WARM]
         self.stats.cold_blocks = counts[COLD]
-        if self._tracer is not None:
-            record_tier_storage(self._tracer, self.deployment, self, now)
+        tracer = self.deployment.tracer
+        if tracer is not None:
+            record_tier_storage(tracer, self.deployment, self, now)
         return changes
 
     def tier_counts(self) -> dict[str, int]:
@@ -365,10 +364,6 @@ class ReplicationPlanner:
         self.stats.floor_violations += 1
 
     # -------------------------------------------------------------- tracing
-    def attach_tracer(self, tracer: "Tracer | None") -> None:
-        """Mirror reclassifications and tier bytes (``None`` detaches)."""
-        self._tracer = tracer
-
     def _trace_reclassified(
         self,
         block_hash: Hash32,
@@ -377,9 +372,10 @@ class ReplicationPlanner:
         score: float,
         now: float,
     ) -> None:
-        if self._tracer is None:
+        tracer = self.deployment.tracer
+        if tracer is None:
             return
-        self._tracer.instant(
+        tracer.instant(
             "heat_reclassified",
             self._track,
             ts=now,

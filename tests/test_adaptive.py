@@ -446,11 +446,11 @@ class TestAdaptiveEndurance:
         from repro.analysis.report import render_endurance_summary
 
         adaptive = render_endurance_summary(self.endurance())
-        assert "## Adaptive replication" in adaptive
-        assert "replicas shed" in adaptive
-        assert "floor violations" in adaptive
+        assert "## adaptive" in adaptive
+        assert "| replicas_shed |" in adaptive
+        assert "| floor_violations |" in adaptive
         fixed = render_endurance_summary(self.endurance(adaptive=False))
-        assert "## Adaptive replication" not in fixed
+        assert "## adaptive" not in fixed
 
     def test_cli_adaptive_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -469,5 +469,5 @@ class TestAdaptiveEndurance:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "## Adaptive replication" in out
-        assert "## Adaptive replication" in report.read_text()
+        assert "## adaptive" in out
+        assert "## adaptive" in report.read_text()

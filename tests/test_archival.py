@@ -406,13 +406,13 @@ class TestArchivalEndurance:
         from repro.analysis.report import render_endurance_summary
 
         archival = render_endurance_summary(self.endurance())
-        assert "## Archival coding" in archival
-        assert "blocks archived / thawed" in archival
-        assert "lazy reconstructions" in archival
+        assert "## archival" in archival
+        assert "| blocks_archived |" in archival
+        assert "| reconstructions |" in archival
         plain = render_endurance_summary(
             self.endurance(archival=False, adaptive=True)
         )
-        assert "## Archival coding" not in plain
+        assert "## archival" not in plain
 
     def test_cli_archival_flag(self, tmp_path, capsys):
         from repro.cli import main
@@ -431,5 +431,5 @@ class TestArchivalEndurance:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "## Archival coding" in out
-        assert "## Archival coding" in report.read_text()
+        assert "## archival" in out
+        assert "## archival" in report.read_text()

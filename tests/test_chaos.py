@@ -134,7 +134,8 @@ class TestChaosReport:
 
         outcome = chaos(seed=3, drop_rate=0.2, crash_count=1)
         summary = render_chaos_summary(outcome)
+        assert "**verdict: passed**" in summary
         assert "cluster integrity: restored" in summary
-        assert "## Fault interception" in summary
+        assert "## fault_stats" in summary
         assert "## Protocol recovery" in summary
         assert "block_body" in summary or "verify" in summary

@@ -367,12 +367,12 @@ def test_chaos_summary_renders_dht_section():
 
     outcome = run_chaos(ChaosConfig(seed=7, dht=True, drop_rate=0.1))
     summary = render_chaos_summary(outcome)
-    assert "## DHT overlay" in summary
-    assert "audit lookups" in summary
+    assert "## dht" in summary
+    assert "| audit_lookups |" in summary
     plain = render_chaos_summary(
         run_chaos(ChaosConfig(seed=7, drop_rate=0.1))
     )
-    assert "## DHT overlay" not in plain
+    assert "## dht" not in plain
 
 
 def test_router_section_lists_dormant_kinds_with_zero_counts():
@@ -392,4 +392,4 @@ def test_cli_chaos_dht_flag(capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "## DHT overlay" in out
+    assert "## dht" in out

@@ -377,11 +377,11 @@ def test_chaos_summary_renders_failure_domain_section():
 
     outcome = run_chaos(ChaosConfig(seed=42, domains=True))
     summary = render_chaos_summary(outcome)
-    assert "## Failure domains" in summary
-    assert "zone diversity" in summary
+    assert "## domains" in summary
+    assert "| diversity_met |" in summary
     assert "degraded %" in summary
     plain = render_chaos_summary(run_chaos(ChaosConfig(seed=42)))
-    assert "## Failure domains" not in plain
+    assert "## domains" not in plain
     assert "degraded %" in plain
 
 
@@ -391,4 +391,4 @@ def test_cli_chaos_domains_flag(capsys):
     code = main(["chaos", "--domains", "--seed", "42"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "## Failure domains" in out
+    assert "## domains" in out

@@ -141,12 +141,36 @@ class TestEnduranceReport:
         outcome = endurance()
         summary = render_endurance_summary(outcome)
         assert "cluster integrity: restored" in summary
-        assert "## Anti-entropy repair" in summary
-        assert "blocks re-replicated" in summary
-        assert "time-to-repair p50/p95" in summary
-        assert "## Fault interception" in summary
+        assert "## repair" in summary
+        assert "| blocks_re_replicated |" in summary
+        assert "## time_to_repair" in summary
+        assert "## fault_stats" in summary
         assert "## Protocol recovery" in summary
         assert "replication floor met" in summary
+
+    def test_heal_line_says_whether_the_sweep_went_quiet(self):
+        """``repro endurance --seed 42`` goes quiet; CI's adaptive smoke
+        shape never does and stops at the round cap."""
+        from repro.analysis.report import render_endurance_summary
+        from repro.sim.chaos import MAX_HEAL_ROUNDS
+
+        quiet = run_endurance(EnduranceConfig(seed=42))
+        assert quiet.heal_converged and quiet.heal_rounds == 8
+        assert "healing converged after 8 sweep rounds" in (
+            render_endurance_summary(quiet)
+        )
+        capped = run_endurance(
+            EnduranceConfig(
+                seed=42, n_nodes=15, n_clusters=3, n_blocks=6, adaptive=True
+            )
+        )
+        assert not capped.heal_converged
+        assert capped.heal_rounds == MAX_HEAL_ROUNDS
+        assert (
+            f"healing stopped at the {MAX_HEAL_ROUNDS}-round cap without "
+            "going quiet" in render_endurance_summary(capped)
+        )
+        assert "heal_converged" not in capped.signature()
 
 
 class TestEnduranceCli:
@@ -169,7 +193,7 @@ class TestEnduranceCli:
         assert code == 0  # integrity restored
         out = capsys.readouterr().out
         assert "cluster integrity: restored" in out
-        assert "## Anti-entropy repair" in out
+        assert "## repair" in out
         assert "cluster integrity: restored" in report.read_text()
 
         from repro.obs.export import validate_chrome_trace

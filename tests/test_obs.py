@@ -139,22 +139,24 @@ class TestDisabledTracer:
             for name, bound in deployment.router._hooks.items()
         }
         observers = list(deployment.router._observers)
-        slots = (deployment.network.clock, injector, deployment.repair)
+        slots = (deployment.network.clock, injector)
         assert deployment.network.faults is injector
 
         tracer = Tracer(enabled=False, trace_callbacks=True)
         assert install_tracing(deployment, tracer) is None
         assert deployment.router._hooks == hooks
         assert deployment.router._observers == observers
-        assert [slot._tracer for slot in slots] == [None, None, None]
+        assert [slot._tracer for slot in slots] == [None, None]
+        assert deployment.tracer is None
 
         # The control: the same call with a recording tracer attaches.
+        tracer = Tracer(trace_callbacks=True)
         assert isinstance(
-            install_tracing(deployment, Tracer(trace_callbacks=True)),
-            TracingObserver,
+            install_tracing(deployment, tracer), TracingObserver
         )
         assert deployment.router._hooks != hooks
-        assert None not in [slot._tracer for slot in slots]
+        assert [slot._tracer for slot in slots] == [tracer, tracer]
+        assert deployment.tracer is tracer
 
     def test_enabled_tracer_without_clock_demands_explicit_ts(self):
         tracer = Tracer()
@@ -176,6 +178,26 @@ class TestInstallTracing:
             isinstance(obs, TracingObserver)
             for obs in untraced.router._observers
         )
+
+
+    @pytest.mark.usefixtures("small_heat")
+    def test_a_tier_enabled_after_install_is_traced(self):
+        """Engines read the deployment's one tracer slot, so the order of
+        ``install_tracing`` and ``enable_archival_tier`` does not matter."""
+        from tests.test_archival import heat_one_block, sweep
+
+        deployment = ici_deployment(6, n_clusters=1, replication=2)
+        tracer = Tracer()
+        install_tracing(deployment, tracer)
+        tier = deployment.enable_archival_tier()
+        report = ScenarioRunner(
+            deployment, limits=TEST_LIMITS, seed=7
+        ).produce_blocks(6, txs_per_block=2)
+        heat_one_block(deployment, report.block_hashes[-1])
+        sweep(deployment)
+        assert tier.stats.blocks_archived > 0
+        names = {event.name for event in tracer}
+        assert {"heat_reclassified", "block_archived"} <= names
 
 
 class TestSpans:

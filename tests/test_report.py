@@ -143,27 +143,72 @@ class TestChaosSummary:
         assert lines[heading + 1 : heading + 4] == ["", note, ""]
         assert lines[heading + 4].startswith("| message kind |")
 
-    def test_tolerates_outcomes_without_percentiles(self):
-        """Older pickled/stubbed outcomes may lack the new field."""
-        from types import SimpleNamespace
 
+def counter_rows(summary: str, name: str) -> list[str]:
+    """The counter column of the ``## <name>`` section's table."""
+    lines = summary.splitlines()
+    start = lines.index(f"## {name}") + 4  # heading, blank, header, rule
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("| "):
+            break
+        rows.append(line.split(" | ")[0][2:])
+    return rows
+
+
+class TestStormCounterSections:
+    """Every counter an outcome signs renders as one row of its field's
+    ``## <name>`` section, which appears exactly when the dict is
+    non-empty."""
+
+    def check(self, outcome, summary: str, fields) -> None:
+        assert list(outcome.counters()) == list(fields)
+        signature = outcome.signature()
+        for name in fields:
+            counters = getattr(outcome, name)
+            assert summary.count(f"\n## {name}\n") == (1 if counters else 0)
+            if counters:
+                assert signature[name] == counters
+                assert counter_rows(summary, name) == list(counters)
+
+    def test_all_features_endurance(self):
+        from repro.analysis.report import render_endurance_summary
+        from repro.sim.chaos import EnduranceConfig, run_endurance
+
+        outcome = run_endurance(
+            EnduranceConfig(
+                seed=42,
+                n_nodes=15,
+                n_clusters=3,
+                n_blocks=6,
+                archival=True,
+                dht=True,
+                domains=True,
+            ),
+            limits=TEST_LIMITS,
+        )
+        fields = (
+            "fault_stats",
+            "repair",
+            "time_to_repair",
+            "adaptive",
+            "archival",
+            "dht",
+            "domains",
+        )
+        assert all(getattr(outcome, name) for name in fields)
+        self.check(outcome, render_endurance_summary(outcome), fields)
+
+    def test_dht_and_domains_chaos(self):
         from repro.analysis.report import render_chaos_summary
         from repro.sim.chaos import ChaosConfig, run_chaos
 
         outcome = run_chaos(
-            ChaosConfig(seed=3, n_blocks=4, queries=0), limits=TEST_LIMITS
+            ChaosConfig(seed=42, dht=True, domains=True), limits=TEST_LIMITS
         )
-        stub = SimpleNamespace(
-            **{
-                name: getattr(outcome, name)
-                for name in dir(outcome)
-                if not name.startswith("_")
-                and name != "latency_percentiles"
-            }
-        )
-        summary = render_chaos_summary(stub)
-        assert "## Delivery latency (virtual time)" not in summary
-        assert "cluster integrity" in summary
+        fields = ("fault_stats", "dht", "domains")
+        assert all(getattr(outcome, name) for name in fields)
+        self.check(outcome, render_chaos_summary(outcome), fields)
 
 
 class TestTraceSummaryReport:
