@@ -11,9 +11,13 @@ and perfbench's four workloads at ``--scale 4`` through ``child.main``,
 with and without its probe.  It prints every function and method defined
 under ``src/repro`` whose code never ran, with its module, line count
 and how many files outside ``tests/`` name it, then the totals.  A
-function with no such referencer is one only tests call.  Prints only;
-gates nothing (``tests/test_architecture.py`` holds the static half).
-About 65 s on a 2-core box.
+module-level function or class counts the files that use its own
+module's binding, by the rule ``tests/test_architecture.py`` gates on
+(a same-named definition elsewhere, or the word in a help text, is not
+a referencer); a method counts the files naming it.  A function with no
+such referencer is one only tests call.  Prints only; gates nothing
+(``tests/test_architecture.py`` holds the static half).
+About 130 s on a 2-core box.
 """
 
 import ast
@@ -25,6 +29,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -69,6 +74,26 @@ def referencers(name: str, texts: dict[Path, str]) -> int:
         1
         for text in texts.values()
         if any(word.search(line) and not own.search(line) for line in text.splitlines())
+    )
+
+
+def module_referencers() -> Counter:
+    """``(module, name) -> files`` using that module-level definition,
+    counted with the static census's own rule."""
+    sys.path.insert(0, str(ROOT))
+    from tests.test_architecture import (
+        IMPORTER_ROOTS,
+        MODULES,
+        module_references,
+        top_level,
+    )
+
+    defined = {module: top_level(path) for module, path in MODULES.items()}
+    return Counter(
+        reference
+        for root in IMPORTER_ROOTS
+        for path in root.rglob("*.py")
+        for reference in module_references(path, defined)
     )
 
 
@@ -162,8 +187,16 @@ def main() -> int:
         for root in REFERENCER_ROOTS
         for path in root.rglob("*.py")
     }
+    by_module = module_referencers()
     missed = sorted(
-        (module, qualname, lines, referencers(qualname.rpartition(".")[2], texts))
+        (
+            module,
+            qualname,
+            lines,
+            by_module[module, qualname]
+            if "." not in qualname
+            else referencers(qualname.rpartition(".")[2], texts),
+        )
         for key, (module, qualname, lines) in defined.items()
         if key not in reached
     )

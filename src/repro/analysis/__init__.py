@@ -1,12 +1,7 @@
-"""Analysis: result tables, ASCII plots, summary statistics."""
+"""Analysis: result tables, ASCII plots, reports."""
 
 from repro.analysis.plots import ascii_bars, ascii_series
-from repro.analysis.stats import (
-    Summary,
-    percentile,
-    relative_error,
-    summarize,
-)
+from repro.analysis.stats import relative_error
 from repro.analysis.tables import (
     format_bytes,
     format_seconds,
@@ -16,10 +11,7 @@ from repro.analysis.tables import (
 __all__ = [
     "ascii_bars",
     "ascii_series",
-    "Summary",
-    "percentile",
     "relative_error",
-    "summarize",
     "format_bytes",
     "format_seconds",
     "render_table",

@@ -457,30 +457,17 @@ def render_trace_summary(summary, title: str = "Trace summary") -> str:
     )
     if summary.nodes:
         lines += ["", "## Per-node timelines", ""]
-        node_rows = []
-        single_label = (
-            len({node.label for node in summary.nodes.values()}) <= 1
-        )
-        for key in sorted(
-            summary.nodes,
-            key=lambda k: (summary.nodes[k].label, summary.nodes[k].node_id),
-        ):
-            node = summary.nodes[key]
-            name = (
-                str(node.node_id)
-                if single_label
-                else f"{node.label}/{node.node_id}"
+        node_rows = [
+            (
+                node.node_id,
+                node.sends,
+                node.receives,
+                format_bytes(node.bytes_sent),
+                format_bytes(node.bytes_received),
+                f"`{_sparkline(node.timeline)}`",
             )
-            node_rows.append(
-                (
-                    name,
-                    node.sends,
-                    node.receives,
-                    format_bytes(node.bytes_sent),
-                    format_bytes(node.bytes_received),
-                    f"`{_sparkline(node.timeline)}`",
-                )
-            )
+            for _, node in sorted(summary.nodes.items())
+        ]
         lines.append(
             _md_table(
                 ["node", "sends", "recvs", "bytes out", "bytes in",

@@ -74,11 +74,6 @@ class Mempool:
             )
         return entry.tx
 
-    @property
-    def total_bytes(self) -> int:
-        """Total wire bytes of all pooled transactions."""
-        return sum(e.tx.size_bytes for e in self._entries.values())
-
     # ------------------------------------------------------------ admission
     def add(self, tx: Transaction, utxos: UtxoSet) -> bool:
         """Admit a transaction; returns ``False`` for duplicates.

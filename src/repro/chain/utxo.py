@@ -193,8 +193,3 @@ class UtxoSet:
         if offset != len(raw):
             raise ValidationError("trailing bytes after UTXO snapshot")
         return snapshot
-
-    @property
-    def snapshot_bytes(self) -> int:
-        """Wire size of the current snapshot (69 bytes per entry + 4)."""
-        return 4 + 69 * len(self._entries)

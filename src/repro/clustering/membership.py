@@ -74,11 +74,6 @@ class ClusterTable:
         """Number of clusters in the table."""
         return len(self._members)
 
-    @property
-    def node_count(self) -> int:
-        """Total nodes across all clusters."""
-        return len(self._cluster_of)
-
     def cluster_of(self, node_id: int) -> int:
         """The cluster id a node belongs to.
 

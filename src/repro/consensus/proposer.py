@@ -61,11 +61,6 @@ class ProposerSchedule:
             self._node_ids.append(node_id)
             self._node_ids.sort()
 
-    @property
-    def eligible(self) -> tuple[int, ...]:
-        """Nodes currently in the rotation."""
-        return tuple(self._node_ids)
-
 
 class BlockProposer:
     """Assembles the next block from a mempool for a scheduled proposer."""

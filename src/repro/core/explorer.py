@@ -81,12 +81,6 @@ class ChainExplorer:
             )
         return location
 
-    def transaction(self, txid: Hash32) -> Transaction:
-        """The transaction itself, read from canonical storage."""
-        location = self.locate_transaction(txid)
-        block = self._deployment.ledger.store.body(location.block_hash)
-        return block.transactions[location.index]
-
     # -------------------------------------------------------------- index
     def _ensure_index(self) -> None:
         tip = self._deployment.ledger.tip

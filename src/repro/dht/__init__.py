@@ -11,7 +11,7 @@ Submodules:
 """
 
 from repro.dht.engine import DHTEngine, DHTStats
-from repro.dht.idspace import ID_BITS, block_key, distance, node_key
+from repro.dht.idspace import ID_BITS, block_key, node_key
 from repro.dht.records import ProviderStore
 from repro.dht.routing import Contact, KBucket, RoutingTable
 
@@ -20,7 +20,6 @@ __all__ = [
     "DHTStats",
     "ID_BITS",
     "block_key",
-    "distance",
     "node_key",
     "ProviderStore",
     "Contact",

@@ -60,9 +60,5 @@ class ProviderStore:
                 del self.records[key]
         return dropped
 
-    def keys(self) -> tuple[int, ...]:
-        """Every stored overlay key, sorted."""
-        return tuple(sorted(self.records))
-
 
 __all__ = ["ProviderStore", "DEFAULT_RECORD_TTL"]

@@ -50,11 +50,6 @@ class KBucket:
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._by_id
 
-    @property
-    def full(self) -> bool:
-        """No room for a new contact."""
-        return len(self._by_id) >= self.k
-
     def remove(self, node_id: int) -> bool:
         """Drop a contact (eviction after a failed liveness probe)."""
         return self._by_id.pop(node_id, None) is not None

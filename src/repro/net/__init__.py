@@ -22,7 +22,6 @@ from repro.net.topology import (
     full_mesh,
     is_connected,
     random_regular,
-    ring,
 )
 from repro.net.traffic import TrafficLedger, TrafficSnapshot
 
@@ -48,7 +47,6 @@ __all__ = [
     "full_mesh",
     "is_connected",
     "random_regular",
-    "ring",
     "TrafficLedger",
     "TrafficSnapshot",
 ]

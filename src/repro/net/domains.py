@@ -56,12 +56,6 @@ class FailureDomainMap:
         return node_id % self.zones
 
     # ------------------------------------------------------------ mutation
-    def remove(self, node_id: int) -> None:
-        """Forget a departed node."""
-        if node_id in self._members:
-            self._members.discard(node_id)
-            self._version += 1
-
     def sync(self, node_ids: Iterable[int]) -> None:
         """Track the current population (called on membership changes).
 
@@ -77,11 +71,6 @@ class FailureDomainMap:
         self._version += 1
 
     # ------------------------------------------------------------- queries
-    @property
-    def members(self) -> frozenset[int]:
-        """The synced population (empty until the first :meth:`sync`)."""
-        return frozenset(self._members)
-
     def members_of_zone(
         self, zone: int, node_ids: Iterable[int] | None = None
     ) -> list[int]:

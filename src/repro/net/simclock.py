@@ -40,24 +40,17 @@ _CALLBACK = 2
 class EventHandle:
     """A cancellation handle for a scheduled event."""
 
-    __slots__ = ("_entry", "_clock")
+    __slots__ = ("_entry",)
 
-    def __init__(self, entry: list, clock: "SimClock") -> None:
+    def __init__(self, entry: list) -> None:
         self._entry = entry
-        self._clock = clock
 
     def cancel(self) -> bool:
         """Cancel the event; returns ``False`` when already run/cancelled."""
         if self._entry[_CALLBACK] is None:
             return False
         self._entry[_CALLBACK] = None
-        self._clock._note_cancel()
         return True
-
-    @property
-    def time(self) -> float:
-        """The virtual time the event is (was) scheduled for."""
-        return self._entry[_TIME]
 
 
 class SimClock:
@@ -75,7 +68,6 @@ class SimClock:
         self._next_seq = 0
         self._max_events = max_events
         self._processed = 0
-        self._live = 0
         self._tracer = None
 
     # -------------------------------------------------------------- queries
@@ -83,20 +75,6 @@ class SimClock:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-cancelled entries still queued (a run is one).
-
-        Maintained as a live counter (incremented on push, decremented on
-        cancel/pop) so runner drain checks are O(1) instead of an O(heap)
-        scan per call.
-        """
-        return self._live
-
-    def _note_cancel(self) -> None:
-        """An :class:`EventHandle` cancelled one of our live entries."""
-        self._live -= 1
 
     @property
     def processed(self) -> int:
@@ -122,7 +100,6 @@ class SimClock:
         self._next_seq = seq + 1
         entry = [at, seq, callback, args]
         heappush(self._heap, entry)
-        self._live += 1
         return entry
 
     def post_run(
@@ -149,13 +126,12 @@ class SimClock:
         self._next_seq = seq + count
         run = calls if count > 1 else calls[0]
         heappush(self._heap, [at, seq, callback, run])
-        self._live += 1
 
     def schedule(
         self, delay: float, callback: EventCallback, *args: Any
     ) -> EventHandle:
         """:meth:`post` plus a cancellation handle."""
-        return EventHandle(self.post(delay, callback, args), self)
+        return EventHandle(self.post(delay, callback, args))
 
     # ------------------------------------------------------- instrumentation
     def attach_tracer(self, tracer) -> None:
@@ -183,9 +159,8 @@ class SimClock:
             if callback is None:
                 continue
             # Null the slot so a late cancel() on the handle reports
-            # "already run" instead of decrementing the live counter.
+            # "already run".
             entry[_CALLBACK] = None
-            self._live -= 1
             self._now = time
             self._processed = processed = self._processed + 1
             if processed > self._max_events:
@@ -208,7 +183,6 @@ class SimClock:
                     if rest:
                         skipped = len(args) - len(rest)
                         heappush(heap, [time, seq + skipped, callback, rest])
-                        self._live += 1
                     raise
             if tracer is not None:
                 tracer.callback_event(

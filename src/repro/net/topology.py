@@ -30,19 +30,6 @@ def full_mesh(node_ids: Sequence[int]) -> dict[int, tuple[int, ...]]:
     }
 
 
-def ring(node_ids: Sequence[int]) -> dict[int, tuple[int, ...]]:
-    """A bidirectional ring (worst-case diameter, used in tests)."""
-    ids = list(node_ids)
-    if len(ids) < 2:
-        return {node: () for node in ids}
-    topology: dict[int, tuple[int, ...]] = {}
-    for index, node in enumerate(ids):
-        left = ids[(index - 1) % len(ids)]
-        right = ids[(index + 1) % len(ids)]
-        topology[node] = (left, right) if left != right else (left,)
-    return topology
-
-
 def random_regular(
     node_ids: Sequence[int], degree: int = 8, seed: int = 0
 ) -> dict[int, tuple[int, ...]]:

@@ -92,33 +92,7 @@ class BaseNode:
             self._note_send(message)
         self.network.send(message)
 
-    def broadcast(
-        self,
-        kind: MessageKind,
-        recipients: tuple[int, ...],
-        payload: object,
-        payload_bytes: int,
-    ) -> None:
-        """Send the same message to every listed recipient (skips self)."""
-        node_id = self.node_id
-        messages = [
-            sized_message(kind, node_id, recipient, payload, payload_bytes)
-            for recipient in recipients
-            if recipient != node_id
-        ]
-        if not messages:
-            return
-        if self._note_send is not None:
-            for message in messages:
-                self._note_send(message)
-        self.network.send_many(messages)
-
     # -------------------------------------------------------------- queries
-    @property
-    def online(self) -> bool:
-        """Is this node currently reachable on the fabric?"""
-        return self.network.is_online(self.node_id)
-
     @property
     def address(self) -> bytes:
         """The node's coin address (proposer rewards go here)."""

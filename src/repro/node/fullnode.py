@@ -43,9 +43,3 @@ class FullNode(BaseNode):
         if applied and self.mempool is not None:
             self.mempool.remove_confirmed(block.transactions)
         return applied
-
-    # ------------------------------------------------------------- queries
-    @property
-    def height(self) -> int:
-        """The validated chain tip height."""
-        return self.ledger.height

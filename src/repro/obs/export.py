@@ -4,8 +4,7 @@ The Chrome format (the *JSON Object Format* of the Trace Event spec,
 loadable in Perfetto / ``chrome://tracing``) maps the tracer's track
 model onto processes and threads:
 
-* pid 1 ``nodes`` — one thread per node timeline (``tid`` is the node
-  id when the trace holds a single deployment);
+* pid 1 ``nodes`` — one thread per node timeline, ``tid`` the node id;
 * pid 2 ``protocol`` — one thread per protocol-engine stream
   (reliability, consensus);
 * pid 3 ``simulator`` — clock callbacks, fault weather, phase spans.
@@ -53,27 +52,14 @@ def _thread_layout(
     by_group: dict[str, set] = {}
     for group, key in set(tracks):
         by_group.setdefault(group, set()).add(key)
-    layout: dict[tuple, tuple[int, int, str]] = {}
-    node_keys = sorted(by_group.get(NODE_GROUP, ()))
-    single_label = len({label for label, _ in node_keys}) <= 1
-    for index, key in enumerate(node_keys):
-        label, node_id = key
-        name = (
-            f"node {node_id}"
-            if single_label
-            else f"{label} node {node_id}"
-        )
-        tid = node_id if single_label else index
-        layout[(NODE_GROUP, key)] = (GROUP_PIDS[NODE_GROUP], tid, name)
+    pid = GROUP_PIDS[NODE_GROUP]
+    layout: dict[tuple, tuple[int, int, str]] = {
+        (NODE_GROUP, node_id): (pid, node_id, f"node {node_id}")
+        for node_id in by_group.get(NODE_GROUP, ())
+    }
     for group in (PROTO_GROUP, SIM_GROUP):
-        keys = sorted(by_group.get(group, ()), key=str)
-        for index, key in enumerate(keys):
-            name = (
-                key
-                if isinstance(key, str)
-                else " ".join(str(part) for part in key if part != "")
-            )
-            layout[(group, key)] = (GROUP_PIDS[group], index, name)
+        for index, name in enumerate(sorted(by_group.get(group, ()))):
+            layout[(group, name)] = (GROUP_PIDS[group], index, name)
     return layout
 
 
@@ -229,7 +215,7 @@ def event_to_json(event: TraceEvent) -> dict:
         "phase": event.phase,
         "ts": event.ts,
         "dur": event.dur,
-        "track": [group, list(key) if isinstance(key, tuple) else key],
+        "track": [group, key],
         "category": event.category,
         "wall": event.wall,
         "args": event.args,

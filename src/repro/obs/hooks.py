@@ -51,39 +51,32 @@ _PENDING_SEND_LIMIT = 100_000
 class _NodeTracks(dict):
     """node id -> that node's one track tuple, built on first use."""
 
-    def __init__(self, label: str) -> None:
-        self._label = label
-
     def __missing__(self, node_id: int) -> tuple:
-        track = self[node_id] = node_track(node_id, self._label)
+        track = self[node_id] = node_track(node_id)
         return track
 
 
 class TracingObserver:
     """Router observer mirroring protocol traffic into a tracer.
 
-    One observer serves one deployment (it holds that deployment's clock
-    and track label); a single tracer can carry several observers, which
-    is how multi-deployment comparison workloads share one trace.
+    One observer serves one deployment, whose clock it holds.
     """
 
     def __init__(
         self,
         tracer: Tracer,
         clock: "SimClock",
-        label: str = "",
         deployment=None,
     ) -> None:
         self._tracer = tracer
         self._clock = clock
-        self._label = label
         # Bound once: a recorded event is this hook's frame plus one
         # record frame (tests/test_message_path.py counts them).
         self._instant = tracer.instant
         self._complete = tracer.complete
-        self._tracks = _NodeTracks(label)
-        self._reliability = proto_track("reliability", label)
-        self._consensus = proto_track("consensus", label)
+        self._tracks = _NodeTracks()
+        self._reliability = proto_track("reliability")
+        self._consensus = proto_track("consensus")
         # With a clustered deployment attached, cluster-final finalizes
         # additionally sample that cluster's ledger bytes as a counter
         # series (the paper's headline storage claim over virtual time).
@@ -142,11 +135,7 @@ class TracingObserver:
             and self._deployment is not None
         ):
             record_cluster_storage(
-                self._tracer,
-                self._deployment,
-                event.cluster_id,
-                event.at,
-                label=self._label,
+                self._tracer, self._deployment, event.cluster_id, event.at
             )
 
     # --------------------------------------------------- reliability hooks
@@ -168,7 +157,6 @@ def record_cluster_storage(
     deployment,
     cluster_id: int,
     ts: float,
-    label: str = "",
 ) -> None:
     """Sample one cluster's total ledger bytes as a counter event.
 
@@ -191,7 +179,7 @@ def record_cluster_storage(
         if member in nodes
     )
     tracer.counter(
-        _cluster_series(cluster_id, label),
+        _cluster_series(cluster_id),
         STORAGE_TRACK,
         {"bytes": total},
         ts=ts,
@@ -200,10 +188,9 @@ def record_cluster_storage(
 
 
 @lru_cache(maxsize=1024)
-def _cluster_series(cluster_id: int, label: str) -> str:
+def _cluster_series(cluster_id: int) -> str:
     """One cluster's counter-series name (one string for all samples)."""
-    name = f"cluster {cluster_id} ledger bytes"
-    return f"{label} {name}" if label else name
+    return f"cluster {cluster_id} ledger bytes"
 
 
 def record_tier_storage(
@@ -211,7 +198,6 @@ def record_tier_storage(
     deployment,
     planner,
     ts: float,
-    label: str = "",
 ) -> None:
     """Sample held body bytes per heat tier as counter events.
 
@@ -223,11 +209,8 @@ def record_tier_storage(
     """
     totals = planner.tier_body_bytes()
     for tier, total in totals.items():
-        name = f"tier {tier} ledger bytes"
-        if label:
-            name = f"{label} {name}"
         tracer.counter(
-            name,
+            f"tier {tier} ledger bytes",
             STORAGE_TRACK,
             {"bytes": total},
             ts=ts,
@@ -235,12 +218,7 @@ def record_tier_storage(
         )
 
 
-def record_coded_storage(
-    tracer: Tracer,
-    tier,
-    ts: float,
-    label: str = "",
-) -> None:
+def record_coded_storage(tracer: Tracer, tier, ts: float) -> None:
     """Sample the archival tier's total coded bytes as a counter event.
 
     One ``ph: "C"`` series ("tier archival coded bytes"): charted over
@@ -248,11 +226,8 @@ def record_coded_storage(
     and falls as blocks thaw back to replicas — the coded-tier storage
     claim made visible next to the per-tier replica series.
     """
-    name = "tier archival coded bytes"
-    if label:
-        name = f"{label} {name}"
     tracer.counter(
-        name,
+        "tier archival coded bytes",
         STORAGE_TRACK,
         {"bytes": tier.total_chunk_bytes},
         ts=ts,
@@ -260,37 +235,30 @@ def record_coded_storage(
     )
 
 
-def install_tracing(
-    deployment,
-    tracer: Tracer,
-    *,
-    callbacks: bool | None = None,
-    label: str | None = None,
-) -> TracingObserver | None:
+def install_tracing(deployment, tracer: Tracer) -> TracingObserver | None:
     """Attach ``tracer`` to one deployment through the hook surfaces.
 
     Args:
         deployment: any :class:`~repro.core.interface.StorageDeployment`.
-        tracer: the recording sink.
-        callbacks: also hook simclock callback execution (defaults to
-            ``tracer.trace_callbacks``).  High volume — every simulated
-            event — but the ring buffer bounds it.
-        label: track label; defaults to a per-tracer-unique class name,
-            so multi-deployment workloads keep separate node timelines.
+        tracer: the recording sink, for this one run.  With
+            ``tracer.trace_callbacks`` it also hooks simclock callback
+            execution: high volume (every simulated event), but the ring
+            buffer bounds it.
 
     Returns the installed observer (tests inspect it).  A disabled
     tracer — ``enabled`` is fixed at construction — attaches nothing and
     returns ``None``: the run takes the exact untraced code path.
+
+    Raises:
+        ObservabilityError: when ``tracer`` already traces another run.
     """
     if not tracer.enabled:
         return None
-    if label is None:
-        label = tracer.label_for(deployment)
     clock = deployment.network.clock
     tracer.bind_clock(clock)
-    observer = TracingObserver(tracer, clock, label, deployment=deployment)
+    observer = TracingObserver(tracer, clock, deployment=deployment)
     deployment.router.add_observer(observer)
-    if callbacks if callbacks is not None else tracer.trace_callbacks:
+    if tracer.trace_callbacks:
         clock.attach_tracer(tracer)
     faults = deployment.network.faults
     if faults is not None:

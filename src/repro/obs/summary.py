@@ -70,7 +70,6 @@ class KindLatency:
 class NodeActivity:
     """One node's traffic over the trace (plus a bucketed timeline)."""
 
-    label: str
     node_id: int
     sends: int = 0
     receives: int = 0
@@ -93,7 +92,7 @@ class TraceSummary:
     t_start: float = 0.0
     t_end: float = 0.0
     kinds: dict[str, KindLatency] = field(default_factory=dict)
-    nodes: dict[tuple, NodeActivity] = field(default_factory=dict)
+    nodes: dict[int, NodeActivity] = field(default_factory=dict)
     phases: list[tuple[str, float, float]] = field(default_factory=list)
 
     @property
@@ -131,11 +130,11 @@ def summarize(
         return summary
 
     kinds, phases = summary.kinds, summary.phases
-    # node key -> (activity, virtual stamp of each send/deliver), and
+    # node id -> (activity, virtual stamp of each send/deliver), and
     # kind -> span durations.  Arrays, not lists: a tracer's rows carry
     # fresh float objects, and a list would keep each one alive until
     # the pass ends.
-    rows: dict[tuple, tuple[NodeActivity, array]] = {}
+    rows: dict[int, tuple[NodeActivity, array]] = {}
     latencies: dict[str, array] = {}
     t_start, t_end = inf, -inf
     for name, phase, ts, dur, (group, key), category, _, args in events:
@@ -147,7 +146,7 @@ def summarize(
         if group == NODE_GROUP:
             row = rows.get(key)
             if row is None:
-                row = rows[key] = (NodeActivity(*key), array("d"))
+                row = rows[key] = (NodeActivity(key), array("d"))
             node, stamps = row
             size = arg_of(args, "bytes", 0)
             if category == "send":

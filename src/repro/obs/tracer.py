@@ -36,11 +36,13 @@ Design rules:
   randomness, so simulated metrics stay byte-identical with tracing on
   (``tests/test_obs.py`` pins this).
 
-Tracks name the timeline an event belongs to: ``("node", (label, id))``
-for per-node timelines, ``("proto", (label, name))`` for protocol-engine
-streams, ``("sim", name)`` for simulator-level streams (clock callbacks,
-fault weather, phase spans).  The Chrome exporter turns track groups
-into processes and tracks into threads (:mod:`repro.obs.export`).
+Tracks name the timeline an event belongs to: ``("node", id)`` for
+per-node timelines, ``("proto", name)`` for protocol-engine streams,
+``("sim", name)`` for simulator-level streams (clock callbacks, fault
+weather, phase spans, storage series).  One tracer records one run: node
+ids are unique only within a deployment, so :meth:`Tracer.bind_clock`
+refuses a second clock.  The Chrome exporter turns track groups into
+processes and tracks into threads (:mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
@@ -142,14 +144,14 @@ def arg_of(args: dict | tuple | None, key: str, default: Any = None) -> Any:
     return args[keys.index(key) + 1] if key in keys else default
 
 
-def node_track(node_id: int, label: str = "") -> tuple:
+def node_track(node_id: int) -> tuple:
     """The per-node timeline track for ``node_id``."""
-    return (NODE_GROUP, (label, node_id))
+    return (NODE_GROUP, node_id)
 
 
-def proto_track(name: str, label: str = "") -> tuple:
+def proto_track(name: str) -> tuple:
     """A protocol-engine stream track (e.g. ``reliability``)."""
-    return (PROTO_GROUP, (label, name))
+    return (PROTO_GROUP, name)
 
 
 class Tracer:
@@ -161,11 +163,9 @@ class Tracer:
         enabled: a disabled tracer is a no-op sink — every record method
             returns immediately and :meth:`span` yields a shared
             ``nullcontext`` (no per-call allocation).
-        trace_callbacks: default for whether :func:`~repro.obs.hooks.
+        trace_callbacks: whether :func:`~repro.obs.hooks.
             install_tracing` also hooks simclock callback execution
             (high volume; the ring bounds it).
-        clock: optional default clock for :meth:`span` /
-            :meth:`instant` calls that omit ``ts``.
     """
 
     __slots__ = (
@@ -177,7 +177,6 @@ class Tracer:
         "_recorded",
         "_clock",
         "trace_callbacks",
-        "_labels",
     )
 
     def __init__(
@@ -186,7 +185,6 @@ class Tracer:
         *,
         enabled: bool = True,
         trace_callbacks: bool = False,
-        clock: "SimClock | None" = None,
     ) -> None:
         if capacity < 1:
             raise ObservabilityError("tracer capacity must be >= 1")
@@ -200,20 +198,14 @@ class Tracer:
         self._capacity = capacity
         self._enabled = enabled
         self._recorded = 0
-        self._clock = clock
+        self._clock: "SimClock | None" = None
         self.trace_callbacks = trace_callbacks
-        self._labels: dict[str, int] = {}
 
     # --------------------------------------------------------------- state
     @property
     def enabled(self) -> bool:
         """Is this tracer recording?"""
         return self._enabled
-
-    @property
-    def capacity(self) -> int:
-        """Ring-buffer size in events."""
-        return self._capacity
 
     @property
     def recorded(self) -> int:
@@ -255,25 +247,19 @@ class Tracer:
             yield _new_record(TraceEvent, row)
 
     def bind_clock(self, clock: "SimClock") -> None:
-        """Set the default clock for ``ts``-less record calls.
+        """Bind the run's clock, the default for ``ts``-less record calls.
 
-        First binding wins: multi-deployment workloads attach several
-        clocks, and the default only serves top-level phase spans.
+        Raises:
+            ObservabilityError: when already bound to a different clock.
+                A tracer records one run; a second deployment's node ids
+                would land on the first one's node tracks.
         """
-        if self._clock is None:
-            self._clock = clock
-
-    def label_for(self, obj: object) -> str:
-        """A stable per-tracer label for one traced deployment.
-
-        First instance of a class gets its bare class name; repeats get
-        ``#2``, ``#3``… suffixes, so multi-deployment workloads (the
-        comparison benches) keep their node timelines apart.
-        """
-        base = type(obj).__name__
-        count = self._labels.get(base, 0) + 1
-        self._labels[base] = count
-        return base if count == 1 else f"{base}#{count}"
+        if self._clock is not None and self._clock is not clock:
+            raise ObservabilityError(
+                "tracer is already bound to another run's clock; "
+                "trace each run with its own Tracer"
+            )
+        self._clock = clock
 
     # ------------------------------------------------------------ recording
     # The three record methods write the stored form inline, one frame

@@ -44,6 +44,7 @@ from repro.sim.churn import (
     ChurnDriver,
     ChurnOutcome,
     make_schedule,
+    spare_members,
 )
 from repro.sim.faults import FaultConfig, FaultInjector, PartitionWindow
 from repro.sim.runner import ScenarioRunner
@@ -154,15 +155,21 @@ class _StormOutcome:
     #: column.  Not signed — the per-kind retry/timeout/degraded
     #: counters above already pin the same stream.
     sends: dict[str, int] = field(default_factory=dict)
-    #: Per-kind delivery-latency percentiles (virtual time) from the
-    #: run's trace; quantifies degradation beyond the counters.  Not
-    #: signed — floats derived from the same deterministic stream the
-    #: counters pin.
-    latency_percentiles: dict[str, dict[str, float]] = field(
-        default_factory=dict
-    )
     #: The run's tracer (``--trace`` exports it).
     tracer: Tracer | None = field(default=None, repr=False)
+
+    @property
+    def latency_percentiles(self) -> dict[str, dict[str, float]]:
+        """Per-kind delivery-latency percentiles (virtual time) from the
+        run's trace; quantifies degradation beyond the counters.
+
+        Not signed — floats derived from the same deterministic stream
+        the counters pin — and summarized on each read, since only the
+        report renderer reads them.  Empty without a tracer.
+        """
+        if self.tracer is None:
+            return {}
+        return summarize(self.tracer).latency_percentiles()
 
     @property
     def integrity_restored(self) -> bool:
@@ -454,8 +461,8 @@ def _audit(
 
     Per-cluster integrity (:mod:`repro.core.audit`), the fault and
     reliability counters, then each enabled feature's own audit; the
-    clock and latency capture come last because the DHT lookup batch
-    still moves them.
+    clock capture comes last because the DHT lookup batch still moves
+    it.
     """
     for view in deployment.clusters.views():
         outcome.cluster_integrity[view.cluster_id] = (
@@ -487,9 +494,6 @@ def _audit(
         }
     outcome.virtual_seconds = deployment.network.now
     outcome.events_processed = deployment.network.clock.processed
-    outcome.latency_percentiles = summarize(
-        outcome.tracer
-    ).latency_percentiles()
 
 
 def _audit_dht(
@@ -945,13 +949,7 @@ def _pick_victims(
     """
     if count == 0:
         return []
-    minimum = max(deployment.config.replication + 1, 2)
-    network = deployment.network
-    candidates: list[int] = []
-    for view in deployment.clusters.views():
-        live = network.live_members(view.members)
-        if len(live) > minimum:
-            candidates.extend(live)
+    candidates = spare_members(deployment)
     count = min(count, len(candidates))
     return rng.sample(sorted(candidates), count) if count else []
 

@@ -64,6 +64,24 @@ def make_schedule(config: ChurnConfig, n_blocks: int) -> list[ChurnEvent]:
     return events
 
 
+def spare_members(deployment: ICIDeployment) -> list[int]:
+    """Live members of every cluster that can afford to lose one: the
+    clusters holding more than ``max(replication + 1, 2)`` live members,
+    cluster by cluster in view order.
+
+    The one spare-capacity rule churn departures and storm outages draw
+    their victims from.
+    """
+    minimum = max(deployment.config.replication + 1, 2)
+    network = deployment.network
+    candidates: list[int] = []
+    for view in deployment.clusters.views():
+        live = network.live_members(view.members)
+        if len(live) > minimum:
+            candidates.extend(live)
+    return candidates
+
+
 @dataclass
 class ChurnOutcome:
     """Aggregate cost of a churn-endurance run."""
@@ -188,13 +206,7 @@ class ChurnDriver:
         and the candidate list — and hence the RNG draw — is identical
         to the historical behaviour.
         """
-        minimum = max(self.deployment.config.replication + 1, 2)
-        network = self.deployment.network
-        candidates: list[int] = []
-        for view in self.deployment.clusters.views():
-            live = network.live_members(view.members)
-            if len(live) > minimum:
-                candidates.extend(live)
+        candidates = spare_members(self.deployment)
         if not candidates:
             return None
         return self._rng.choice(candidates)

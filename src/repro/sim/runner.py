@@ -33,11 +33,6 @@ class RunReport:
     block_hashes: list[Hash32] = field(default_factory=list)
     blocks: list[Block] = field(default_factory=list)
 
-    @property
-    def ledger_bytes(self) -> int:
-        """Ledger growth this run caused: headers + bodies."""
-        return self.total_body_bytes + 84 * self.blocks_produced
-
 
 class ScenarioRunner:
     """Seals blocks from a workload and feeds them to a deployment."""

@@ -333,11 +333,6 @@ class DomainSpreadPlacement(_HrwPlacement):
         #: could not put every replica in its own zone.
         self.domain_spread_deficit = 0
 
-    @property
-    def domains(self) -> "FailureDomainMap":
-        """The map this policy spreads against."""
-        return self._domains
-
     def holders(
         self,
         header: BlockHeader,

@@ -36,6 +36,20 @@ def place_uniform(
         for _ in range(n_nodes)
     ]
 
+def ring(node_ids) -> dict[int, tuple[int, ...]]:
+    """A bidirectional ring: the worst-case-diameter topology the gossip
+    tests flood (``tests/test_topology.py::TestRing`` pins its shape)."""
+    ids = list(node_ids)
+    if len(ids) < 2:
+        return {node: () for node in ids}
+    topology: dict[int, tuple[int, ...]] = {}
+    for index, node in enumerate(ids):
+        left = ids[(index - 1) % len(ids)]
+        right = ids[(index + 1) % len(ids)]
+        topology[node] = (left, right) if left != right else (left,)
+    return topology
+
+
 def eager_clustered_topology(
     clusters, inter_cluster_links: int = 2, seed: int = 0
 ) -> dict[int, tuple[int, ...]]:
@@ -63,6 +77,12 @@ def eager_clustered_topology(
                 adjacency[a].add(b)
                 adjacency[b].add(a)
     return {node: tuple(sorted(peers)) for node, peers in adjacency.items()}
+
+
+def queued(clock) -> int:
+    """Entries still queued on ``clock``, cancelled ones excepted (a run
+    is one): heap entries whose callback slot is not ``None``."""
+    return sum(1 for entry in clock._heap if entry[2] is not None)
 
 
 def per_byte_xor(chunks) -> bytes:

@@ -1,4 +1,4 @@
-"""Tests for tables, ASCII plots, and summary statistics."""
+"""Tests for tables, ASCII plots, and the relative-error helper."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ import math
 import pytest
 
 from repro.analysis.plots import ascii_bars, ascii_series
-from repro.analysis.stats import (
-    percentile,
-    relative_error,
-    summarize,
-)
+from repro.analysis.stats import relative_error
 from repro.analysis.tables import (
     format_bytes,
     format_seconds,
@@ -97,35 +93,6 @@ class TestAsciiPlots:
 
 
 class TestStats:
-    def test_summarize(self):
-        summary = summarize([1, 2, 3, 4, 5])
-        assert summary.count == 5
-        assert summary.mean == 3.0
-        assert summary.median == 3.0
-        assert summary.minimum == 1
-        assert summary.maximum == 5
-        assert summary.p95 == pytest.approx(4.8)
-
-    def test_summarize_single(self):
-        summary = summarize([7.0])
-        assert summary.stdev == 0.0
-        assert summary.p95 == 7.0
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            summarize([])
-
-    def test_percentile_interpolates(self):
-        assert percentile([0, 10], 50) == 5.0
-        assert percentile([1, 2, 3], 0) == 1.0
-        assert percentile([1, 2, 3], 100) == 3.0
-
-    def test_percentile_bounds(self):
-        with pytest.raises(ConfigurationError):
-            percentile([1], 101)
-        with pytest.raises(ConfigurationError):
-            percentile([], 50)
-
     def test_relative_error(self):
         assert relative_error(110, 100) == pytest.approx(0.1)
         assert relative_error(0, 0) == 0.0

@@ -2,9 +2,10 @@
 
 * Every module under ``src/repro`` is imported by something that ships
   (the census that found ``chain/persistence.py`` dead), and every
-  function, class and method is named by something that ships, bar the
-  :data:`KEEP` list (``benchmarks/perf/call_census.py`` is the dynamic
-  half: what no entry point runs).
+  function, class and method is used by something that ships, bar the
+  :data:`KEEP` list; a module-level definition counts only through its
+  own module's binding (``benchmarks/perf/call_census.py`` is the
+  dynamic half: what no entry point runs).
 * Imports run one way: down :data:`LAYERS`, with no cycle between
   modules, and only the CLI's lazy sub-commands import inside a function.
 * Every settable value — a field of a settings dataclass or a parameter
@@ -98,8 +99,28 @@ KEEP = {
     "UtxoSet.outpoints_of": "test fixture: spendable outputs of one address",
     "UtxoSet.total_value": "test oracle: value conservation across blocks",
     "VerificationRound.prepare_votes": "the round-model oracle's view of a round",
+    "ChainStore.tip": "test oracle: the header store's fork choice",
+    "ChainStore.height": "BaseNode.__repr__ prints it (debug output)",
+    "BlockHeader.deserialize": "test oracle: inverts serialize, the hash preimage",
+    "distance": "test oracle: the XOR order RoutingTable.closest must keep",
 }
 WORD = re.compile(r"[A-Za-z_]\w*")
+#: A ``"module:name"`` spec, as the perfbench probe names its targets.
+SPEC = re.compile(r"\b(repro(?:\.\w+)*):(\w+)")
+
+
+def quiet_nodes(tree: ast.AST) -> set[int]:
+    """Ids of the nodes that name nothing: docstrings and ``__all__``."""
+    skipped: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skipped.add(id(node.value))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            skipped.update(id(sub) for sub in ast.walk(node.value))
+    return skipped
 
 
 def names_used(path: Path) -> set[str]:
@@ -110,15 +131,7 @@ def names_used(path: Path) -> set[str]:
     ``__init__``'s re-export.
     """
     tree = ast.parse(path.read_text(), str(path))
-    skipped: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-            skipped.add(id(node.value))
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__"
-            for target in node.targets
-        ):
-            skipped.update(id(sub) for sub in ast.walk(node.value))
+    skipped = quiet_nodes(tree)
     found: set[str] = set()
     for node in ast.walk(tree):
         if id(node) in skipped:
@@ -132,6 +145,99 @@ def names_used(path: Path) -> set[str]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.update(WORD.findall(node.value))
     return found
+
+
+def top_level(path: Path) -> set[str]:
+    """The module-level defs and classes of ``path``."""
+    return {
+        node.name
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+
+
+def owner(module: str, name: str, defined: dict[str, set[str]]) -> str | None:
+    """The module that defines ``module.name``, following package
+    ``__init__`` re-exports; ``None`` for anything else."""
+    while module in MODULES:
+        if name in defined[module]:
+            return module
+        path = MODULES[module]
+        if path.name != "__init__.py":
+            return None
+        origins = [
+            origin
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if (alias.asname or alias.name) == name
+            for origin in import_targets(node, path)
+            if not origin.endswith(f".{alias.name}")
+        ]
+        if not origins:
+            return None
+        module = origins[0]
+    return None
+
+
+def dotted(node: ast.AST) -> list[str] | None:
+    """``a.b.c`` as ``["a", "b", "c"]``; ``None`` unless names all the way."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return None if head is None else [*head, node.attr]
+    return None
+
+
+def module_references(path: Path, defined: dict[str, set[str]]) -> set[tuple]:
+    """``(module, name)`` of each module-level definition ``path`` uses:
+    imported from its module (or a package re-exporting it) and used,
+    used as ``module.name``, named by a ``"module:name"`` spec, or used
+    by name in its own module."""
+    tree = ast.parse(path.read_text(), str(path))
+    skipped = quiet_nodes(tree)
+    modules: dict[str, str] = {}  # local name -> the module it binds
+    imported: dict[str, tuple[str, str]] = {}  # local name -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    modules[alias.asname] = alias.name
+                else:
+                    head = alias.name.partition(".")[0]
+                    modules[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            origin = min(import_targets(node, path), key=len)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if f"{origin}.{alias.name}" in MODULES:
+                    modules[local] = f"{origin}.{alias.name}"
+                else:
+                    imported[local] = (origin, alias.name)
+    words: set[str] = set()
+    names: set[str] = set()
+    found: set[tuple] = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            chain = dotted(node.value)
+            if chain and chain[0] in modules:
+                found.add((".".join([modules[chain[0]], *chain[1:]]), node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(WORD.findall(node.value))
+            found.update(SPEC.findall(node.value))
+    found.update(
+        target for local, target in imported.items() if local in names | words
+    )
+    if PACKAGE in path.parents:
+        own = module_name(path)
+        found.update((own, name) for name in names & defined[own])
+    resolved = {(owner(module, name, defined), name) for module, name in found}
+    return {(module, name) for module, name in resolved if module is not None}
 
 
 def definitions():
@@ -156,14 +262,26 @@ def definitions():
 
 def test_every_definition_has_a_referencer_outside_tests():
     """A layer's surface is what the next layer calls: a definition only
-    tests name is deleted, or kept in :data:`KEEP` with its reason."""
-    used = set().union(
-        *(names_used(path) for root in IMPORTER_ROOTS for path in root.rglob("*.py"))
-    )
+    tests name is deleted, or kept in :data:`KEEP` with its reason.
+
+    A module-level def or class counts as named only where its own
+    module's binding is used (:func:`module_references`), so a
+    same-named definition elsewhere, or the word in a help text, does
+    not keep it; a method counts wherever its name is used.
+    """
+    files = [path for root in IMPORTER_ROOTS for path in root.rglob("*.py")]
+    defined = {module: top_level(path) for module, path in MODULES.items()}
+    used = set().union(*(names_used(path) for path in files))
+    referenced = set().union(*(module_references(path, defined) for path in files))
     unnamed = sorted(
         f"{path.relative_to(PACKAGE)}:{qualname}"
         for path, qualname in definitions()
-        if qualname.rpartition(".")[2] not in used and qualname not in KEEP
+        if qualname not in KEEP
+        and (
+            qualname.rpartition(".")[2] not in used
+            if "." in qualname
+            else (module_name(path), qualname) not in referenced
+        )
     )
     assert unnamed == []
     assert sorted(set(KEEP) - {q for _, q in definitions()}) == []

@@ -203,12 +203,17 @@ class TestProposerSchedule:
 
     def test_remove_and_add(self):
         schedule = ProposerSchedule([0, 1, 2], seed=0)
+
+        def rotation() -> list[int]:
+            return [schedule.proposer_at(h) for h in range(200)]
+
         schedule.remove(1)
-        assert 1 not in schedule.eligible
+        assert set(rotation()) == {0, 2}
         schedule.add(1)
-        assert 1 in schedule.eligible
-        schedule.add(1)  # idempotent
-        assert schedule.eligible.count(1) == 1
+        assert set(rotation()) == {0, 1, 2}
+        schedule.add(1)  # idempotent: the rotation of a fresh schedule
+        fresh = ProposerSchedule([0, 1, 2], seed=0)
+        assert rotation() == [fresh.proposer_at(h) for h in range(200)]
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ConsensusError):

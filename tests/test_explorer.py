@@ -31,7 +31,8 @@ class TestLookup:
                 location = explorer.locate_transaction(tx.txid)
                 assert location.block_hash == block.block_hash
                 assert location.index == position
-                assert explorer.transaction(tx.txid) == tx
+                body = deployment.ledger.store.body(location.block_hash)
+                assert body.transactions[location.index] == tx
 
     def test_unknown_txid_raises(self, explored):
         deployment, *_ = explored
@@ -77,7 +78,7 @@ class TestAddressHistory:
                     event
                     for address in {
                         out.address
-                        for out in explorer.transaction(tx.txid).outputs
+                        for out in tx.outputs
                     }
                     for event in explorer.history(address)
                 ]

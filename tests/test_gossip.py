@@ -9,7 +9,8 @@ from repro.net.latency import ConstantLatency
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network
 from repro.net.simclock import SimClock
-from repro.net.topology import random_regular, ring
+from repro.net.topology import random_regular
+from tests.conftest import ring
 
 
 class GossipHarness:

@@ -159,7 +159,3 @@ class TestSelection:
         chosen = pool.select_for_block(max_body_bytes=100_000)
         assert chosen[0].txid == fee_tx.txid
 
-    def test_total_bytes(self, pool, ledger, alice):
-        tx = transfer_from(ledger, alice)
-        pool.add(tx, ledger.utxos)
-        assert pool.total_bytes == tx.size_bytes

@@ -22,6 +22,7 @@ from repro.net.message import (
 from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.sim.faults import FaultConfig, FaultInjector
+from tests.conftest import queued
 
 
 class Recorder:
@@ -370,7 +371,7 @@ class TestFanOutRuns:
         net.send_many(
             [sized_message(MessageKind.CONTROL, 0, r, r, 8) for r in range(1, 5)]
         )
-        assert net.clock.pending == 1
+        assert queued(net.clock) == 1
         net.run()
         assert net.clock.processed == 1
         assert [len(e.received) for e in endpoints] == [0, 1, 1, 1, 1]
@@ -385,7 +386,7 @@ class TestFanOutRuns:
                 sized_message(MessageKind.CONTROL, 0, 0, None, 80),
             ]
         )
-        assert net.clock.pending == 3  # 1-2 share a delay; 3; self-send
+        assert queued(net.clock) == 3  # 1-2 share a delay; 3; self-send
 
 
 class TestTopologyAccess:

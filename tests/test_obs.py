@@ -10,6 +10,7 @@ stay byte-identical with tracing on.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from repro.errors import ObservabilityError
 from repro.net.message import MessageKind, sized_message
 from repro.net.simclock import SimClock
 from repro.obs.export import (
+    GROUP_PIDS,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
@@ -32,10 +34,17 @@ from repro.obs.tracer import (
     CLOCK_TRACK,
     FAULTS_TRACK,
     PHASE_TRACK,
+    PROTO_GROUP,
     Tracer,
     node_track,
 )
-from repro.sim.chaos import ChaosConfig, build_scenario, run_chaos
+from repro.sim.chaos import (
+    ChaosConfig,
+    EnduranceConfig,
+    build_scenario,
+    run_chaos,
+    run_endurance,
+)
 from repro.sim.runner import ScenarioRunner
 
 from tests.conftest import TEST_LIMITS
@@ -203,7 +212,8 @@ class TestInstallTracing:
 class TestSpans:
     def test_nested_spans_record_innermost_first(self):
         clock = SimClock()
-        tracer = Tracer(clock=clock)
+        tracer = Tracer()
+        tracer.bind_clock(clock)
         with tracer.span("outer"):
             clock.schedule(1.0, lambda: None)
             clock.run()
@@ -220,7 +230,8 @@ class TestSpans:
     def test_spans_survive_simclock_callbacks(self):
         """A span opened around clock.run() covers callback activity."""
         clock = SimClock()
-        tracer = Tracer(clock=clock)
+        tracer = Tracer()
+        tracer.bind_clock(clock)
         clock.attach_tracer(tracer)
 
         def tick(depth: int) -> None:
@@ -349,6 +360,49 @@ class TestFaultAndRetryCapture:
             assert stats["p50"] <= stats["p95"] <= stats["p99"]
             assert stats["p99"] <= stats["max"]
 
+    def test_percentiles_are_summarized_from_the_trace_on_read(self):
+        """The property over the finished trace equals the dict the run
+        used to compute eagerly at its audit (pinned at that commit)."""
+        outcome = run_chaos(ChaosConfig(seed=42, dht=True, domains=True))
+        table = outcome.latency_percentiles
+        assert table == summarize(outcome.tracer).latency_percentiles()
+        assert table["block_body"]["count"] == 126
+        assert hashlib.sha256(
+            json.dumps(table, sort_keys=True).encode()
+        ).hexdigest() == (
+            "279a11bdcc9f18f2a32fdf9af8077f51de0970aa8a569a8f46453c11228e5ff6"
+        )
+
+
+class TestOneRunTrace:
+    def test_one_storage_series_per_cluster(self):
+        """Finality, repair and the heat planner sample a cluster's
+        ledger bytes into one series, and no track carries a class-name
+        prefix."""
+        outcome = run_endurance(
+            EnduranceConfig(
+                seed=42, n_nodes=15, n_clusters=3, n_blocks=6, adaptive=True
+            )
+        )
+        payload = to_chrome_trace(outcome.tracer)
+        assert validate_chrome_trace(payload) == []
+        series = {
+            event["name"]
+            for event in payload["traceEvents"]
+            if event["ph"] == "C" and "cluster" in event["name"]
+        }
+        clusters = sorted(outcome.cluster_integrity)
+        assert series == {f"cluster {c} ledger bytes" for c in clusters}
+        proto_threads = {
+            event["args"]["name"]
+            for event in payload["traceEvents"]
+            if event["ph"] == "M"
+            and event["name"] == "thread_name"
+            and event["pid"] == GROUP_PIDS[PROTO_GROUP]
+        }
+        assert {"reliability", "repair", "heat"} <= proto_threads
+        assert all(" " not in name for name in proto_threads)
+
 
 class TestChromeExport:
     def test_export_validates_with_one_track_per_node(self):
@@ -395,21 +449,17 @@ class TestChromeExport:
         assert len(rows) == len(tracer)
         assert all("wall" in row for row in rows)
 
-    def test_multi_deployment_traces_keep_labels_apart(self):
+    def test_a_tracer_records_one_run(self):
+        """A second deployment's clock is refused: its node ids would
+        land on the first run's node tracks."""
         tracer = Tracer()
-        for deployment in (ici_deployment(9), ici_deployment(9)):
-            install_tracing(deployment, tracer)
-            runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
-            runner.produce_blocks(2, txs_per_block=2)
-        payload = to_chrome_trace(tracer)
-        assert validate_chrome_trace(payload) == []
-        names = {
-            e["args"]["name"]
-            for e in payload["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        assert any(n.startswith("ICIDeployment node") for n in names)
-        assert any(n.startswith("ICIDeployment#2 node") for n in names)
+        first, second = ici_deployment(9), ici_deployment(9)
+        install_tracing(first, tracer)
+        tracer.bind_clock(first.network.clock)  # the same run: no error
+        with pytest.raises(ObservabilityError, match="another run"):
+            install_tracing(second, tracer)
+        with pytest.raises(ObservabilityError, match="another run"):
+            tracer.bind_clock(SimClock())
 
 
 class TestSummary:
@@ -435,9 +485,7 @@ class TestSummary:
         assert recvs == len(
             [e for e in tracer if e.category == "deliver"]
         )
-        assert set(summary.nodes) <= {
-            ("ICIDeployment", node_id) for node_id in deployment.nodes
-        }
+        assert set(summary.nodes) <= set(deployment.nodes)
         for node in summary.nodes.values():
             assert len(node.timeline) == TIMELINE_BUCKETS
             assert sum(node.timeline) == node.sends + node.receives
@@ -462,7 +510,7 @@ class TestSummary:
             args={"to": 4, "bytes": 100},
         )
         summary = summarize(list(tracer))
-        assert summary.nodes[("", 3)].sends == 1
+        assert summary.nodes[3].sends == 1
         assert summary.evicted == 0
 
 

@@ -18,7 +18,7 @@ from repro.core.icistrategy import ICIDeployment
 from repro.errors import ClusteringError, ConfigurationError
 from repro.sim.faults import FaultInjector
 from repro.sim.runner import ScenarioRunner
-from tests.conftest import TEST_LIMITS
+from tests.conftest import TEST_LIMITS, queued
 
 
 def deployed(n_nodes=12, n_blocks=4, faults=True, **config_kwargs):
@@ -74,7 +74,7 @@ class TestDormantByDefault:
         # Never swept, never sent: a whole run left no repair footprint.
         assert all(v == 0 for v in asdict(repair.stats).values())
         assert not repair.tracker.pending
-        assert deployment.network.clock.pending == 0
+        assert queued(deployment.network.clock) == 0
 
     def test_start_rejects_degenerate_cadence(self):
         deployment, _ = deployed(faults=False)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.net.simclock import EventHandle, SimClock
+from tests.conftest import queued
 
 
 class TestScheduling:
@@ -61,24 +62,28 @@ class TestCancellation:
         assert not handle.cancel()
 
     def test_handle_reports_time(self):
+        """A handle's event runs at the virtual time it was scheduled for."""
         clock = SimClock()
-        handle = clock.schedule(3.0, lambda: None)
-        assert handle.time == 3.0
+        fired: list[float] = []
+        clock.schedule(3.0, lambda: fired.append(clock.now))
+        clock.run()
+        assert fired == [3.0]
 
 
 class TestPendingCounter:
-    """``pending`` is a live counter, not a heap scan."""
+    """Schedule, cancel and run leave the heap holding exactly the
+    entries still due."""
 
     def test_tracks_schedule_run_and_cancel(self):
         clock = SimClock()
         handles = [clock.schedule(float(i + 1), lambda: None) for i in range(3)]
-        assert clock.pending == 3
+        assert queued(clock) == 3
         assert handles[1].cancel()
-        assert clock.pending == 2
+        assert queued(clock) == 2
         clock.run_until(1.0)
-        assert clock.pending == 1
+        assert queued(clock) == 1
         clock.run()
-        assert clock.pending == 0
+        assert queued(clock) == 0
         assert clock.processed == 2
 
     def test_double_cancel_counts_once(self):
@@ -86,14 +91,14 @@ class TestPendingCounter:
         handle = clock.schedule(1.0, lambda: None)
         assert handle.cancel()
         assert not handle.cancel()
-        assert clock.pending == 0
+        assert queued(clock) == 0
 
     def test_cancel_after_fire_is_noop(self):
         clock = SimClock()
         handle = clock.schedule(1.0, lambda: None)
         clock.run()
         assert not handle.cancel()
-        assert clock.pending == 0
+        assert queued(clock) == 0
 
 
 class TestBoundedRuns:
@@ -105,7 +110,7 @@ class TestBoundedRuns:
         clock.run_until(2.0)
         assert fired == [1.0]
         assert clock.now == 2.0
-        assert clock.pending == 1
+        assert queued(clock) == 1
 
     def test_run_until_includes_boundary_events(self):
         clock = SimClock()
@@ -158,7 +163,7 @@ class TestPost:
         token = clock.post(1.0, order.append, ("posted",))
         clock.schedule(1.0, order.append, "scheduled")
         assert not isinstance(token, EventHandle)
-        assert clock.pending == 2
+        assert queued(clock) == 2
         clock.run()
         assert order == ["posted", "scheduled"]
         assert clock.processed == 2
@@ -176,14 +181,14 @@ class TestRuns:
         clock.post(1.0, log, ("before",))
         clock.post_run(1.0, log, [("a",), ("b",), ("c",)])
         clock.post(1.0, log, ("after",))
-        assert clock.pending == 3
+        assert queued(clock) == 3
         clock.run()
         assert order == [
             ("before", 1.0), ("a", 1.0), ("b", 1.0), ("c", 1.0),
             ("after", 1.0),
         ]  # fmt: skip
         assert clock.processed == 3
-        assert clock.pending == 0
+        assert queued(clock) == 0
 
     def test_a_raise_leaves_the_rest_queued_ahead_of_later_posts(self):
         clock = SimClock()
@@ -200,7 +205,7 @@ class TestRuns:
             clock.run()
         assert order == ["a", "b"]
         assert clock.now == 1.0
-        assert clock.pending == 2  # the rest of the run, the later post
+        assert queued(clock) == 2  # the rest of the run, the later post
         clock.post(0.0, order.append, ("posted after",))
         clock.run()
         assert order == [
@@ -252,7 +257,7 @@ def test_post_schedule_interleavings_match_all_schedule_reference(ops):
     contract a run must keep.  Events queued by ``post``/``post_run``
     cannot be cancelled, so cancels only ever name handle-bearing events.
     A call may raise; the subject's run then stops there and its rest
-    stays queued.  ``processed`` and ``pending`` count a run once: the
+    stays queued.  ``processed`` and :func:`queued` count a run once: the
     model tracks which entry each subject call belongs to.
     """
     subject, reference = SimClock(), SimClock()
@@ -298,8 +303,8 @@ def test_post_schedule_interleavings_match_all_schedule_reference(ops):
     def check_counts() -> None:
         done = {label for label, _ in ran[id(subject)]}
         assert subject.processed == len({entry_of[label] for label in done})
-        queued = set(entry_of) - done - cancelled
-        assert subject.pending == len({entry_of[label] for label in queued})
+        waiting = set(entry_of) - done - cancelled
+        assert queued(subject) == len({entry_of[label] for label in waiting})
         assert subject.now == reference.now
 
     for op in ops:
@@ -334,14 +339,13 @@ def test_post_schedule_interleavings_match_all_schedule_reference(ops):
             ours, theirs, named = handles[value % len(handles)]
             cancelled_now = ours.cancel()
             assert cancelled_now == theirs.cancel()
-            assert ours.time == theirs.time
             if cancelled_now:
                 cancelled.add(named)
         elif kind == "run_until":
             both(lambda clock: clock.run_until(clock.now + value))
         check_counts()
-    while subject.pending or reference.pending:
+    while queued(subject) or queued(reference):
         both(SimClock.run)
         check_counts()
     assert ran[id(subject)] == ran[id(reference)]
-    assert subject.pending == reference.pending == 0
+    assert queued(subject) == queued(reference) == 0

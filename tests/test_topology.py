@@ -26,10 +26,9 @@ from repro.net.topology import (
     full_mesh,
     is_connected,
     random_regular,
-    ring,
 )
 from repro.sim.runner import ScenarioRunner
-from tests.conftest import TEST_LIMITS, eager_clustered_topology
+from tests.conftest import TEST_LIMITS, eager_clustered_topology, ring
 
 
 class TestFullMesh:

@@ -2,10 +2,12 @@
 
 The tracer is on in every ``repro chaos`` / ``repro endurance`` run, so
 its record path gets optimised; what it *records* must not move when it
-does.  The shas below were taken at the commit before the tuple-backed
-:class:`~repro.obs.tracer.TraceEvent` (PR 18), over everything an export
-or a summary shows except wall-clock residue (the ``wall`` stamp and
-span ``wall_us`` args, masked the way :mod:`repro.obs.diff` masks them).
+does.  The shas below cover everything an export or a summary shows
+except wall-clock residue (the ``wall`` stamp and span ``wall_us`` args,
+masked the way :mod:`repro.obs.diff` masks them).  They were last retaken
+when tracks lost their per-deployment label (``("node", id)``,
+``("proto", name)``); the story itself, label prefixes stripped, was
+checked equal to the one recorded before.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from repro.sim.chaos import EnduranceConfig, run_endurance
 from tests.conftest import TEST_LIMITS
 
 ENDURANCE_PINS = (
-    "1906dba1fd52cd089c45ae6153961309c2f852ac679f64880ffb7afdf3b78c26",
-    "f08947d54015be50e5d55e0f298bfb92dad9dcd7718eb616ee30c24daeb3c5f8",
-    "6f8a9db0edb62fdf6292d3640a528029ed3925fde326616448ac5f1b3fbd69e2",
+    "be0143717483ad79e0540cf155225bc82d518a924ecce3621d831b7ee3907f61",
+    "180ed76c32e2f98480e162c821e0296db0ff6a534e0684d6fc8164c3fb5a98b3",
+    "cf031c19b5889eef40a73cee015b5361c904000467e7df4a73812ca5dd515249",
 )
 CLI_TRACE_PINS = (
-    "05c16c4f005aa0e69f802b8c4f0472b848bb1cb3e73fe15f85fb716c25da5625",
-    "9f72a51523061aa30fe99d91c802c3c3b1a71faa85232036a3d01091f4abe584",
-    "851d88ce115e0ce117060ceb7119a4a0ad8de209b4e7e18b343ad32f0613b32f",
+    "ca84ccac5ce713a2bcf2dc0d3263a2ce7c6d6d87ee093fc1d0e7a6a0657b8ab6",
+    "6f72f8ed397b9f786f7751d3d32ce094a5c5d04cdcda28ece7f2a7fa0969d150",
+    "61eb08060c3a5ab47b5da5a9fbe29883dd7fb8f21b38f017b9a5f58c5073fda3",
 )
 
 
@@ -110,17 +112,7 @@ class TestStoryPins:
         # The JSONL stream is full-fidelity: rebuild the events from it
         # (by keyword) and summarise the raw list.
         events = [
-            TraceEvent(
-                **{
-                    **row,
-                    "track": (
-                        row["track"][0],
-                        tuple(row["track"][1])
-                        if isinstance(row["track"][1], list)
-                        else row["track"][1],
-                    ),
-                }
-            )
+            TraceEvent(**{**row, "track": tuple(row["track"])})
             for row in rows
         ]
         assert CLI_TRACE_PINS == _story_shas(
@@ -139,8 +131,7 @@ class TestEventShape:
                 )
         assert len(tracks) >= 15
         assert all(
-            track == node_track(node_id, label)
-            for (label, node_id), track in tracks.items()
+            track == node_track(node_id) for node_id, track in tracks.items()
         )
 
     def test_an_event_is_an_immutable_eight_field_row(self):

@@ -152,7 +152,7 @@ class TestRunner:
         assert report.blocks_produced == 4
         assert runner.chain_height == 4
         assert deployment.ledger.height == 4
-        assert report.ledger_bytes > 0
+        assert report.total_body_bytes > 0
 
     def test_identical_streams_across_strategies(self):
         """Two deployments under the same seed see the same blocks."""
