@@ -1,8 +1,9 @@
-"""E11 (extension ablation): replication vs XOR parity for crash safety.
+"""E11 (extension ablation): replication vs parity for crash safety.
 
 The paper's future-work direction: with r=1 a member crash loses its
 blocks (E7); the classic fixes are a second replica (r=2, +100% body
-storage) or RAID-5-style parity striping (+1/k body storage, read
+storage) or RAID-5-style parity striping — one RS(k, k + 1)
+single-parity chunk per stripe of k blocks (+1/k body storage, read
 amplification on repair).  This bench quantifies the triangle:
 storage overhead × crash-loss × repair cost.
 """

@@ -6,7 +6,8 @@ One process installs ``sys.setprofile`` / ``threading.setprofile``, then
 runs every entry point that is not a test: ``repro bench`` (the 21
 experiment kernels, twice), ``pytest benchmarks``, each CLI sub-command
 CI runs plus ``run`` / ``compare`` / ``join`` / ``experiments`` /
-``trace {ici,full,rapidchain,diff,profile}``, the seven ``examples/``,
+``trace {ici,full,rapidchain,diff}`` (a ``chaos --trace`` storm diffed
+against the ``ici`` trace), the seven ``examples/``,
 and perfbench's four workloads at ``--scale 4`` through ``child.main``,
 with and without its probe.  It prints every function and method defined
 under ``src/repro`` whose code never ran, with its module, line count
@@ -118,9 +119,8 @@ def run_entry_points(scratch: Path) -> list[str]:
               "--jsonl", scratch / f"{strategy}.jsonl", "--summary", scratch / f"{strategy}-trace.md")  # fmt: skip
     repro("run", "--relay", *small)
     repro("compare", *small)
-    repro("trace", "ici", "--chaos", *small, "--out", scratch / "chaos.json")
+    repro("chaos", *small, "--trace", scratch / "chaos.json")
     repro("trace", "diff", scratch / "ici.json", scratch / "chaos.json", expect=1)
-    repro("trace", "profile", scratch / "chaos.json")
     repro("bench")
     # The CI feature smokes, then the soak lane at SOAK_SCALE=1.
     for name, *argv in (

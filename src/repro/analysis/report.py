@@ -489,50 +489,6 @@ def render_trace_summary(summary, title: str = "Trace summary") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_trace_profile(
-    profiles, title: str = "Callback wall-cost profile"
-) -> str:
-    """Ranked markdown table of per-callback wall cost.
-
-    ``profiles`` is the output of
-    :func:`repro.obs.profile.profile_chrome_trace`: one row per callback
-    qualname, already sorted by descending total wall cost.  The share
-    column is each row's fraction of the summed wall time, so the table
-    reads as "where did this run's real time go".
-    """
-    lines = [f"# {title}", ""]
-    if not profiles:
-        lines += [
-            "No callback spans in this trace (recorded with "
-            "`--no-callback-spans`?).",
-        ]
-        return "\n".join(lines) + "\n"
-    grand_total = sum(p.total_us for p in profiles) or 1.0
-    rows = [
-        (
-            f"`{p.name}`",
-            p.calls,
-            f"{p.total_us / 1e3:.2f}",
-            f"{p.mean_us:.1f}",
-            f"{p.max_us:.1f}",
-            f"{100.0 * p.total_us / grand_total:.1f}%",
-        )
-        for p in profiles
-    ]
-    lines += [
-        f"- callbacks: {sum(p.calls for p in profiles)} calls across "
-        f"{len(profiles)} distinct handlers",
-        f"- total wall: {grand_total / 1e3:.2f} ms",
-        "",
-        _md_table(
-            ["callback", "calls", "total ms", "mean us", "max us",
-             "share"],
-            rows,
-        ),
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _section_events(deployment) -> str:
     metrics = deployment.metrics
     rows = []

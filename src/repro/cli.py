@@ -9,7 +9,8 @@ Commands:
 * ``bench``    — drift gate: run the 21 experiment kernels and compare
   their simulated metrics exactly against ``benchmarks/baseline.json``.
 * ``chaos``    — seeded fault-injection run with a markdown audit
-  (``--trace`` exports the run's Chrome trace).
+  (``--trace`` exports the run's Chrome trace; it is how a storm is
+  traced).
 * ``endurance`` — sustained churn under fault weather with the
   anti-entropy repair engine sweeping; audits integrity + the replica
   floor and reports the repair counters.
@@ -159,28 +160,20 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "scenario",
         nargs="?",
-        choices=("ici", "full", "rapidchain", "diff", "profile"),
+        choices=("ici", "full", "rapidchain", "diff"),
         default="ici",
-        help="strategy to deploy (default ici), 'diff' to compare two "
-        "exported traces, or 'profile' to rank callback wall cost in "
-        "one",
+        help="strategy to deploy (default ici), or 'diff' to compare two "
+        "exported traces",
     )
     trace.add_argument(
         "files",
         nargs="*",
         metavar="FILE",
-        help="with 'diff': the two Chrome trace JSON files to compare; "
-        "with 'profile': the one trace to profile",
+        help="with 'diff': the two Chrome trace JSON files to compare",
     )
     _common_args(trace)
     trace.add_argument(
         "--replication", type=int, default=1, help="ICI replicas per block"
-    )
-    trace.add_argument(
-        "--chaos",
-        action="store_true",
-        help="trace the seeded chaos scenario instead of a clean stream "
-        "(ici only)",
     )
     trace.add_argument(
         "--queries",
@@ -212,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CAPACITY,
         help="ring-buffer size in events (default %(default)s; oldest "
         "evicted)",
-    )
-    trace.add_argument(
-        "--no-callback-spans",
-        action="store_true",
-        help="skip per-simclock-callback spans (much smaller traces)",
     )
     return parser
 
@@ -573,104 +561,46 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     return 0 if divergence is None else 1
 
 
-def _cmd_trace_profile(args: argparse.Namespace) -> int:
-    """``trace profile X.json``: ranked callback wall-cost table."""
-    from repro.analysis.report import render_trace_profile
-    from repro.obs.profile import profile_chrome_trace
-
-    if len(args.files) != 1:
-        print(
-            "trace profile needs exactly one trace file", file=sys.stderr
-        )
-        return 2
-    profiles = profile_chrome_trace(args.files[0])
-    print(
-        render_trace_profile(
-            profiles, title=f"Callback wall-cost profile: {args.files[0]}"
-        ),
-        end="",
-    )
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """``trace``: record one scenario under the tracer and export it."""
     import random
 
     if args.scenario == "diff":
         return _cmd_trace_diff(args)
-    if args.scenario == "profile":
-        return _cmd_trace_profile(args)
     if args.files:
         print(
-            "positional FILE arguments only apply to 'trace diff' and "
-            "'trace profile'",
+            "positional FILE arguments only apply to 'trace diff'",
             file=sys.stderr,
         )
         return 2
 
     from repro.analysis.report import render_trace_summary
-    from repro.obs.export import (
-        to_chrome_trace,
-        validate_chrome_trace,
-        write_jsonl,
-    )
+    from repro.obs.export import write_chrome_trace, write_jsonl
     from repro.obs.hooks import install_tracing
     from repro.obs.summary import summarize
     from repro.obs.tracer import Tracer
 
-    tracer = Tracer(
-        capacity=args.capacity,
-        trace_callbacks=not args.no_callback_spans,
-    )
-    if args.chaos:
-        if args.scenario != "ici":
-            print("--chaos only traces the ici strategy", file=sys.stderr)
-            return 2
-        config = ChaosConfig(
-            seed=args.seed,
-            n_nodes=args.nodes,
-            n_clusters=args.groups,
-            n_blocks=args.blocks,
-            txs_per_block=args.txs,
-        )
-        run_chaos(config, tracer=tracer)
-        label = f"chaos seed={args.seed}"
-    else:
-        deployment = _deploy(args, args.scenario)
-        install_tracing(deployment, tracer)
-        runner = ScenarioRunner(deployment, limits=BENCH_LIMITS)
-        with tracer.span("produce"):
-            report = runner.produce_blocks(args.blocks, txs_per_block=args.txs)
-        with tracer.span("join"):
-            deployment.join_new_node()
-            deployment.run()
-        with tracer.span("queries"):
-            rng = random.Random(args.seed ^ 0x7ACE)
-            hashes = list(report.block_hashes)
-            node_ids = sorted(deployment.nodes)
-            for _ in range(args.queries):
-                if not hashes:
-                    break
-                deployment.retrieve_block(
-                    rng.choice(node_ids), rng.choice(hashes)
-                )
-            deployment.run()
-        label = f"{args.scenario} N={args.nodes} groups={args.groups}"
+    tracer = Tracer(capacity=args.capacity)
+    deployment = _deploy(args, args.scenario)
+    install_tracing(deployment, tracer)
+    runner = ScenarioRunner(deployment, limits=BENCH_LIMITS)
+    with tracer.span("produce"):
+        report = runner.produce_blocks(args.blocks, txs_per_block=args.txs)
+    with tracer.span("join"):
+        deployment.join_new_node()
+        deployment.run()
+    with tracer.span("queries"):
+        rng = random.Random(args.seed ^ 0x7ACE)
+        hashes = list(report.block_hashes)
+        node_ids = sorted(deployment.nodes)
+        for _ in range(args.queries):
+            if not hashes:
+                break
+            deployment.retrieve_block(rng.choice(node_ids), rng.choice(hashes))
+        deployment.run()
+    label = f"{args.scenario} N={args.nodes} groups={args.groups}"
 
-    payload = to_chrome_trace(tracer, label=label)
-    problems = validate_chrome_trace(payload)
-    if problems:
-        for problem in problems:
-            print(f"invalid trace: {problem}", file=sys.stderr)
-        return 1
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    import json
-
-    out_path.write_text(
-        json.dumps(payload, separators=(",", ":")), encoding="utf-8"
-    )
+    out_path = write_chrome_trace(tracer, args.out, label=label)
     print(
         f"trace written to {out_path} ({len(tracer)} events retained, "
         f"{tracer.evicted} evicted)"
@@ -706,8 +636,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (ConfigurationError, ObservabilityError) as error:
-        # An impossible configuration, or a trace file that cannot be
-        # read, is a usage error, like a bad flag.
+        # An impossible configuration, a trace file that cannot be read
+        # or a trace that fails its schema check is a usage error, like
+        # a bad flag.
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
 

@@ -36,9 +36,11 @@ class ICIConfig:
             transactions were relayed beforehand
             (:meth:`~repro.sim.runner.ScenarioRunner.produce_blocks_via_relay`).
         parity_group_size: when ≥ 2, each cluster additionally stores one
-            XOR parity chunk per that many consecutive blocks (the
+            RS(k, k + 1) parity chunk per group of that many blocks (the
             erasure extension), making any single lost body recoverable
-            under r=1.  0 (default) disables parity.
+            under r=1.  At most 255: the code has k + 1 chunks and
+            GF(256) Reed–Solomon caps that at 256.  0 (default) disables
+            parity.
         state_snapshot_bytes: flat size charged for the UTXO snapshot a
             joining node downloads during bootstrap (modelled cost).
         transfer_state_snapshot: when ``True``, bootstrap serves the
@@ -79,6 +81,11 @@ class ICIConfig:
         if self.parity_group_size < 0 or self.parity_group_size == 1:
             raise ConfigurationError(
                 "parity_group_size must be 0 (disabled) or >= 2"
+            )
+        if self.parity_group_size > 255:
+            raise ConfigurationError(
+                "parity_group_size must be <= 255 (RS(k, k + 1) over "
+                "GF(256) has at most 256 chunks)"
             )
         for node, capacity in self.node_capacities.items():
             if capacity <= 0:

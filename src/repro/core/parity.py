@@ -2,11 +2,13 @@
 
 The paper stores ``r`` full replicas of every body inside a cluster;
 ``r = 1`` is the cheapest but a single crash loses the member's blocks
-(E7).  This extension keeps ``r = 1`` and adds **one XOR parity chunk per
-group of k consecutive blocks**, stored on a member chosen by rendezvous
-hashing over the group id.  Any single lost body in a group is then
-reconstructable from the k−1 surviving bodies plus the parity chunk —
-storage overhead ``D/k`` instead of a whole extra replica ``D``.
+(E7).  This extension keeps ``r = 1`` and adds **one RS(k, k + 1)
+single-parity chunk per group of k blocks**, stored on a member chosen
+by rendezvous hashing over the group id.  The chunk is chunk ``k`` of
+:func:`~repro.storage.erasure.rs_encode` over the k bodies, each
+zero-padded to the longest, so any single lost body in a group is
+decodable from the k−1 surviving bodies plus the parity chunk — storage
+overhead ``D/k`` instead of a whole extra replica ``D``.
 
 The manager is deliberately synchronous: groups seal when their k-th
 block finalizes in a cluster, and recovery reads surviving bodies
@@ -19,12 +21,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.chain.block import Block, deserialize_body, serialize_body
 from repro.crypto.hashing import Hash32
 from repro.errors import StorageError
-from repro.storage.erasure import ParityGroup, encode_group, recover_chunk
+from repro.storage.erasure import rs_decode, rs_encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.icistrategy import ICIDeployment
@@ -40,9 +42,43 @@ class RecoveryReport:
     parity_bytes_read: int = 0
 
 
+def parity_chunk(bodies: Sequence[bytes]) -> bytes:
+    """Chunk k of RS(k, k + 1) over ``bodies``, each padded to the longest.
+
+    For one body the chunk equals that body: a single-block group's
+    parity is a full copy.
+    """
+    width = max(map(len, bodies))
+    data = b"".join(body.ljust(width, b"\0") for body in bodies)
+    return rs_encode(data, len(bodies), len(bodies) + 1)[-1]
+
+
+def recover_body(
+    survivors: Mapping[int, bytes],
+    parity: bytes,
+    lengths: Sequence[int],
+    lost: int,
+) -> bytes:
+    """Decode body ``lost`` of a group from the others plus its parity.
+
+    ``survivors`` maps a group position to its body, ``lengths`` holds
+    every body's length in group order.
+
+    Raises:
+        StorageError: when another body of the group is missing too.
+    """
+    k, width = len(lengths), len(parity)
+    chunks = {i: body.ljust(width, b"\0") for i, body in survivors.items()}
+    chunks[k] = parity
+    data = rs_decode(chunks, k, k + 1, k * width)
+    return data[lost * width : lost * width + lengths[lost]]
+
+
 @dataclass
 class _SealedGroup:
-    group: ParityGroup
+    member_ids: tuple[Hash32, ...]
+    lengths: tuple[int, ...]
+    parity: bytes
     parity_holder: int
     cluster_id: int
 
@@ -52,7 +88,7 @@ class ParityManager:
 
     Groups are **striped like RAID-5**: a block may only join an open
     group whose existing members live on *different* holders, so a single
-    member crash loses at most one chunk per group — exactly what one XOR
+    member crash loses at most one chunk per group — exactly what one
     parity chunk can repair.  The parity chunk itself goes to a member
     holding none of the group's bodies (when the cluster is big enough).
     """
@@ -92,8 +128,9 @@ class ParityManager:
 
         Until a stripe seals its blocks are *unprotected* — call this at
         quiet points (or on a timer) so the unprotected tail stays short.
-        A single-block stripe's parity degenerates to a full copy on
-        another member, which is still exactly single-crash protection.
+        A single-block stripe's parity is a full copy on another member
+        (RS(1, 2)'s parity equals its data), which is still exactly
+        single-crash protection.
 
         Returns the number of stripes sealed.
         """
@@ -112,24 +149,28 @@ class ParityManager:
         cluster_id: int,
         blocks: list[Block],
     ) -> None:
-        group = encode_group(
-            [(block.block_hash, serialize_body(block)) for block in blocks]
-        )
+        bodies = [serialize_body(block) for block in blocks]
+        member_ids = tuple(block.block_hash for block in blocks)
         # Group ids must be distinct across clusters even when two
         # clusters stripe the same blocks identically.
         group_id = hashlib.sha256(
-            cluster_id.to_bytes(8, "big") + b"".join(group.member_ids)
+            cluster_id.to_bytes(8, "big") + b"".join(member_ids)
         ).digest()
         holder = self._pick_parity_holder(
             deployment, cluster_id, blocks, group_id
         )
+        parity = parity_chunk(bodies)
         self._sealed[group_id] = _SealedGroup(
-            group=group, parity_holder=holder, cluster_id=cluster_id
+            member_ids=member_ids,
+            lengths=tuple(map(len, bodies)),
+            parity=parity,
+            parity_holder=holder,
+            cluster_id=cluster_id,
         )
         for block in blocks:
             self._group_of[(cluster_id, block.block_hash)] = group_id
         self._parity_bytes_by_node[holder] = (
-            self._parity_bytes_by_node.get(holder, 0) + len(group.parity)
+            self._parity_bytes_by_node.get(holder, 0) + len(parity)
         )
 
     def _pick_parity_holder(
@@ -167,34 +208,36 @@ class ParityManager:
         """Reconstruct a lost body from group survivors + parity.
 
         Reads each surviving group member's body from any live in-cluster
-        holder and folds the parity chunk.  Returns ``None`` (and records
-        the loss) when a second body of the same group is also gone or
-        the parity holder is offline.  Survivor reads are charged to the
-        report even when the attempt then fails on the parity holder —
-        the bytes really crossed the wire before the failure was known,
-        same as the partial reads charged on a missing-survivor abort.
+        holder and decodes the lost one with the parity chunk.  Returns
+        ``None`` (and records the loss) when a second body of the same
+        group is also gone or the parity holder is offline.  Survivor
+        reads are charged to the report even when the attempt then fails
+        on the parity holder — the bytes really crossed the wire before
+        the failure was known, same as the partial reads charged on a
+        missing-survivor abort.
         """
         group_id = self._group_of.get((cluster_id, block_hash))
         if group_id is None:
             report.unrecoverable.append(block_hash)
             return None
         sealed = self._sealed[group_id]
-        surviving: dict[bytes, bytes] = {}
+        lost = sealed.member_ids.index(block_hash)
+        surviving: dict[int, bytes] = {}
         members = deployment.clusters.members_of(cluster_id)
-        for member_hash in sealed.group.member_ids:
-            if member_hash == block_hash:
+        for index, member_hash in enumerate(sealed.member_ids):
+            if index == lost:
                 continue
             body = self._read_body(deployment, members, member_hash)
             if body is None:
                 report.unrecoverable.append(block_hash)
                 return None
-            surviving[member_hash] = body
+            surviving[index] = body
             report.bytes_read += len(body)
         if not deployment.network.is_online(sealed.parity_holder):
             report.unrecoverable.append(block_hash)
             return None
-        report.parity_bytes_read += len(sealed.group.parity)
-        raw = recover_chunk(sealed.group, block_hash, surviving)
+        report.parity_bytes_read += len(sealed.parity)
+        raw = recover_body(surviving, sealed.parity, sealed.lengths, lost)
         header = deployment.ledger.store.header(block_hash)
         block = deserialize_body(header, raw)
         report.recovered.append(block_hash)

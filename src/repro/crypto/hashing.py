@@ -97,7 +97,7 @@ def hash_fields(*fields: _BytesLike) -> Hash32:
 
 
 def xor_bytes(chunks: Iterable[_BytesLike]) -> bytes:
-    """XOR an iterable of equal-length byte strings (parity computation).
+    """XOR an iterable of equal-length byte strings (GF(256) addition).
 
     Each chunk folds in as one big integer, so the XOR itself runs at C
     speed over the whole chunk rather than byte by byte.

@@ -25,7 +25,6 @@ entry must stay mutable.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -68,7 +67,6 @@ class SimClock:
         self._next_seq = 0
         self._max_events = max_events
         self._processed = 0
-        self._tracer = None
 
     # -------------------------------------------------------------- queries
     @property
@@ -133,24 +131,13 @@ class SimClock:
         """:meth:`post` plus a cancellation handle."""
         return EventHandle(self.post(delay, callback, args))
 
-    # ------------------------------------------------------- instrumentation
-    def attach_tracer(self, tracer) -> None:
-        """Hook callback execution into a :class:`repro.obs.tracer.Tracer`.
-
-        Pass ``None`` to detach.  With no tracer attached the dispatch
-        path is the original code behind one ``is None`` check — the
-        bench regression gate holds with tracing off.
-        """
-        self._tracer = tracer
-
     # ------------------------------------------------------------ execution
     def step(self) -> bool:
         """Pop and run the next entry; ``False`` when the queue is empty.
 
-        A run executes as one event: it counts once in :attr:`processed`
-        and is one tracer callback event.  A call that raises ends the
-        run there; the calls after it stay queued at the same instant,
-        still ahead of anything queued later.
+        A run executes as one event: it counts once in :attr:`processed`.
+        A call that raises ends the run there; the calls after it stay
+        queued at the same instant, still ahead of anything queued later.
         """
         heap = self._heap
         while heap:
@@ -168,9 +155,6 @@ class SimClock:
                     f"event budget exceeded ({self._max_events}); "
                     "likely a protocol feedback loop"
                 )
-            tracer = self._tracer
-            if tracer is not None:
-                wall_start = perf_counter()
             if args.__class__ is tuple:
                 callback(*args)
             else:  # a run, inline: no frame between step and a callback
@@ -184,10 +168,6 @@ class SimClock:
                         skipped = len(args) - len(rest)
                         heappush(heap, [time, seq + skipped, callback, rest])
                     raise
-            if tracer is not None:
-                tracer.callback_event(
-                    callback, self._now, perf_counter() - wall_start
-                )
             return True
         return False
 

@@ -7,13 +7,13 @@ model onto processes and threads:
 * pid 1 ``nodes`` — one thread per node timeline, ``tid`` the node id;
 * pid 2 ``protocol`` — one thread per protocol-engine stream
   (reliability, consensus);
-* pid 3 ``simulator`` — clock callbacks, fault weather, phase spans.
+* pid 3 ``simulator`` — fault weather, phase spans, storage series.
 
 Timestamps are **virtual** microseconds (the simclock drives the story);
 wall-clock stamps survive only in the JSONL stream, which keeps full
 event fidelity for ad-hoc tooling.  :func:`validate_chrome_trace` is the
-schema check the test suite and the CI ``trace-smoke`` step run against
-every exported document.
+schema check :func:`write_chrome_trace` runs on every document before it
+writes it, and the CI ``trace-smoke`` step runs on what was written.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.errors import ObservabilityError
 from repro.obs.tracer import (
     COUNTER,
     INSTANT,
@@ -131,13 +132,22 @@ def write_chrome_trace(
     path: Path | str,
     label: str = "repro trace",
 ) -> Path:
-    """Write the Chrome trace JSON for ``source`` to ``path``."""
+    """Write the Chrome trace JSON for ``source`` to ``path`` (compact).
+
+    Raises:
+        ObservabilityError: when the document fails
+            :func:`validate_chrome_trace`; nothing is written then.
+    """
+    payload = to_chrome_trace(source, label=label)
+    problems = validate_chrome_trace(payload)
+    if problems:
+        raise ObservabilityError(
+            f"invalid trace ({len(problems)} problems, first: {problems[0]})"
+        )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = to_chrome_trace(source, label=label)
     path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
+        json.dumps(payload, separators=(",", ":")), encoding="utf-8"
     )
     return path
 

@@ -10,9 +10,8 @@ simulator already exposes and never touches protocol state:
   (send → dispatch, virtual time); gossip relays that enter the network
   directly appear as delivery instants.
 * :func:`install_tracing` wires one deployment: router observer, the
-  simclock callback hook (optional, high volume), the fault injector's
-  tracer slot when one is attached, and ``deployment.tracer``, the one
-  slot its engines read.
+  fault injector's tracer slot when one is attached, and
+  ``deployment.tracer``, the one slot its engines read.
   It is the one way a tracer reaches a run: call it after building the
   deployment and before driving it.
 """
@@ -240,10 +239,7 @@ def install_tracing(deployment, tracer: Tracer) -> TracingObserver | None:
 
     Args:
         deployment: any :class:`~repro.core.interface.StorageDeployment`.
-        tracer: the recording sink, for this one run.  With
-            ``tracer.trace_callbacks`` it also hooks simclock callback
-            execution: high volume (every simulated event), but the ring
-            buffer bounds it.
+        tracer: the recording sink, for this one run.
 
     Returns the installed observer (tests inspect it).  A disabled
     tracer — ``enabled`` is fixed at construction — attaches nothing and
@@ -258,8 +254,6 @@ def install_tracing(deployment, tracer: Tracer) -> TracingObserver | None:
     tracer.bind_clock(clock)
     observer = TracingObserver(tracer, clock, deployment=deployment)
     deployment.router.add_observer(observer)
-    if tracer.trace_callbacks:
-        clock.attach_tracer(tracer)
     faults = deployment.network.faults
     if faults is not None:
         faults.attach_tracer(tracer)

@@ -18,8 +18,8 @@ Design rules:
 
 * **Non-invasive**: nothing in the simulation calls the tracer directly.
   Events arrive through the existing hook surfaces — the router's
-  observer protocol, the simclock's optional callback hook, the fault
-  injector's optional tracer slot (see :mod:`repro.obs.hooks`).
+  observer protocol, the fault injector's optional tracer slot and the
+  deployment's tracer slot (see :mod:`repro.obs.hooks`).
 * **Free when disabled**: with no tracer attached the hot paths are the
   exact pre-existing code (the hooks are ``None`` checks), and
   :func:`~repro.obs.hooks.install_tracing` attaches nothing for a
@@ -38,8 +38,8 @@ Design rules:
 
 Tracks name the timeline an event belongs to: ``("node", id)`` for
 per-node timelines, ``("proto", name)`` for protocol-engine streams,
-``("sim", name)`` for simulator-level streams (clock callbacks, fault
-weather, phase spans, storage series).  One tracer records one run: node
+``("sim", name)`` for simulator-level streams (fault weather, phase
+spans, storage series).  One tracer records one run: node
 ids are unique only within a deployment, so :meth:`Tracer.bind_clock`
 refuses a second clock.  The Chrome exporter turns track groups into
 processes and tracks into threads (:mod:`repro.obs.export`).
@@ -88,7 +88,7 @@ class TraceEvent(NamedTuple):
     ``NamedTuple``.
 
     Attributes:
-        name: what happened (message kind, callback qualname, phase…).
+        name: what happened (message kind, phase, fault…).
         phase: :data:`SPAN` (has a duration) or :data:`INSTANT`.
         ts: virtual-time start, seconds.
         dur: virtual-time duration, seconds (0 for instants).
@@ -163,9 +163,6 @@ class Tracer:
         enabled: a disabled tracer is a no-op sink — every record method
             returns immediately and :meth:`span` yields a shared
             ``nullcontext`` (no per-call allocation).
-        trace_callbacks: whether :func:`~repro.obs.hooks.
-            install_tracing` also hooks simclock callback execution
-            (high volume; the ring bounds it).
     """
 
     __slots__ = (
@@ -176,7 +173,6 @@ class Tracer:
         "_enabled",
         "_recorded",
         "_clock",
-        "trace_callbacks",
     )
 
     def __init__(
@@ -184,7 +180,6 @@ class Tracer:
         capacity: int = DEFAULT_CAPACITY,
         *,
         enabled: bool = True,
-        trace_callbacks: bool = False,
     ) -> None:
         if capacity < 1:
             raise ObservabilityError("tracer capacity must be >= 1")
@@ -199,7 +194,6 @@ class Tracer:
         self._enabled = enabled
         self._recorded = 0
         self._clock: "SimClock | None" = None
-        self.trace_callbacks = trace_callbacks
 
     # --------------------------------------------------------------- state
     @property
@@ -419,11 +413,10 @@ class Tracer:
     def callback_event(
         self, callback: object, ts: float, wall_dur: float
     ) -> None:
-        """Record one simclock callback execution (virtual dur is 0).
-
-        Virtual time does not advance while a callback runs, so the
-        interesting duration is the *wall* cost, carried in ``args``.
-        """
+        """Record one callback execution (virtual dur is 0, wall cost in
+        ``args``).  Nothing in the program calls it: it stays because
+        ``perfbench/`` (frozen) names it among its ``obs.tracer.record``
+        targets; perfbench's probe is the profiler."""
         if not self._enabled:
             return
         name = getattr(callback, "__qualname__", None) or repr(callback)

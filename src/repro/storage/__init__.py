@@ -17,11 +17,6 @@ from repro.storage.communication import (
     ici_advantage_factor,
     ici_block_bytes,
 )
-from repro.storage.erasure import (
-    ParityGroup,
-    encode_group,
-    recover_chunk,
-)
 from repro.storage.placement import (
     CapacityWeightedPlacement,
     ModuloSlotPlacement,
@@ -53,9 +48,6 @@ __all__ = [
     "header_flood_bytes",
     "ici_advantage_factor",
     "ici_block_bytes",
-    "ParityGroup",
-    "encode_group",
-    "recover_chunk",
     "CapacityWeightedPlacement",
     "ModuloSlotPlacement",
     "RendezvousPlacement",

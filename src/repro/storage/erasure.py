@@ -1,139 +1,31 @@
-"""Erasure codecs: XOR parity groups and a GF(256) Reed–Solomon code.
+"""Erasure coding: a systematic GF(256) Reed–Solomon code.
 
-The paper stores ``r`` full replicas per block inside a cluster.  Two
-coding extensions trade replicas for parity:
+:func:`rs_encode` splits one body into ``k`` data shards and extends them
+to ``n`` coded chunks over GF(256); *any* ``k`` of the ``n`` survive an
+arbitrary ``n - k`` erasures (:func:`rs_decode`).  It is the one code
+the program uses:
 
-* **XOR parity groups** (single-loss; :func:`encode_group` /
-  :func:`recover_chunk`): group ``k`` block bodies, store one XOR parity
-  chunk on an extra member, and any single lost body in the group is
-  reconstructable from the ``k-1`` survivors plus parity.  Storage
-  overhead drops from ``r·D`` to ``(1 + 1/k)·D`` per cluster at the cost
-  of read amplification during repair.
-* **Reed–Solomon k-of-n** (:func:`rs_encode` / :func:`rs_decode`): split
-  one body into ``k`` data shards, extend them to ``n`` coded chunks
-  over GF(256), and *any* ``k`` of the ``n`` survive an arbitrary
-  ``n - k`` erasures — the archival tier's codec
-  (:mod:`repro.storage.coded`).  Pure python: field arithmetic runs on
-  precomputed log/exp tables, and scaling a whole chunk by a field
-  coefficient is one ``bytes.translate`` over a per-coefficient
-  256-entry table.
+* the archival tier (:mod:`repro.storage.coded`) stores a cold body as
+  ``k`` of ``n`` chunks;
+* a cluster parity group (:mod:`repro.core.parity`) is RS(k, k + 1) over
+  ``k`` whole bodies: its one parity chunk is chunk ``k``, and any single
+  lost body is decoded from the ``k - 1`` survivors plus that chunk.
 
-Both codes add chunks with :func:`~repro.crypto.hashing.xor_bytes`, which
-folds each chunk in as one big integer, so no step of either codec loops
-over bytes in the interpreter.
-
-Chunks are padded to a common length; original lengths are kept
-alongside so decoding strips padding exactly.
+Pure python: field arithmetic runs on precomputed log/exp tables,
+scaling a whole chunk by a field coefficient is one ``bytes.translate``
+over a per-coefficient 256-entry table, and chunks are added with
+:func:`~repro.crypto.hashing.xor_bytes`, which folds each chunk in as one
+big integer — no step of the codec loops over bytes in the interpreter.
+Shards are padded to a common length; the original length travels with
+them so decoding strips padding exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from repro.crypto.hashing import xor_bytes
 from repro.errors import StorageError
-
-
-@dataclass(frozen=True)
-class ParityGroup:
-    """One coding group: ``k`` data chunks protected by a parity chunk.
-
-    Attributes:
-        member_ids: identifiers (e.g. block hashes) of the data chunks, in
-            group order.
-        lengths: original byte length of each data chunk.
-        parity: XOR of the padded data chunks.
-    """
-
-    member_ids: tuple[bytes, ...]
-    lengths: tuple[int, ...]
-    parity: bytes
-
-    @property
-    def padded_length(self) -> int:
-        """Common padded chunk length in bytes."""
-        return len(self.parity)
-
-    def index_of(self, member_id: bytes) -> int:
-        """Position of a data chunk in the group.
-
-        Raises:
-            StorageError: when the id is not in this group.
-        """
-        try:
-            return self.member_ids.index(member_id)
-        except ValueError:
-            raise StorageError(
-                f"chunk {member_id.hex()[:12]}… not in parity group"
-            ) from None
-
-
-def _pad(chunk: bytes, length: int) -> bytes:
-    if len(chunk) > length:
-        raise StorageError("chunk longer than pad target")
-    return chunk + b"\x00" * (length - len(chunk))
-
-
-def encode_group(
-    chunks: list[tuple[bytes, bytes]],
-) -> ParityGroup:
-    """Build a parity group from ``(id, body)`` pairs.
-
-    Raises:
-        StorageError: for an empty group or duplicate ids.
-    """
-    if not chunks:
-        raise StorageError("parity group needs at least one chunk")
-    ids = [chunk_id for chunk_id, _ in chunks]
-    if len(set(ids)) != len(ids):
-        raise StorageError("duplicate chunk ids in parity group")
-    max_length = max(len(body) for _, body in chunks)
-    padded = [_pad(body, max_length) for _, body in chunks]
-    return ParityGroup(
-        member_ids=tuple(ids),
-        lengths=tuple(len(body) for _, body in chunks),
-        parity=xor_bytes(padded),
-    )
-
-
-def recover_chunk(
-    group: ParityGroup,
-    lost_id: bytes,
-    surviving: dict[bytes, bytes],
-) -> bytes:
-    """Reconstruct a single lost data chunk.
-
-    Args:
-        group: the parity group the chunk belongs to.
-        lost_id: id of the missing chunk.
-        surviving: bodies of **all other** group members, keyed by id.
-
-    Returns:
-        The original (un-padded) body of the lost chunk.
-
-    Raises:
-        StorageError: when more than one chunk is missing or a surviving
-            chunk has the wrong length.
-    """
-    lost_index = group.index_of(lost_id)
-    pieces = [group.parity]
-    for index, member_id in enumerate(group.member_ids):
-        if member_id == lost_id:
-            continue
-        body = surviving.get(member_id)
-        if body is None:
-            raise StorageError(
-                "XOR parity can recover exactly one lost chunk; "
-                f"chunk {member_id.hex()[:12]}… is also missing"
-            )
-        if len(body) != group.lengths[index]:
-            raise StorageError(
-                f"surviving chunk {member_id.hex()[:12]}… has wrong length"
-            )
-        pieces.append(_pad(body, group.padded_length))
-    recovered = xor_bytes(pieces)
-    return recovered[: group.lengths[lost_index]]
 
 
 # ----------------------------------------------- GF(256) Reed–Solomon code
@@ -275,7 +167,7 @@ def rs_encode(
     _check_code_shape(data_chunks, total_chunks)
     shard_len = rs_shard_length(len(data), data_chunks)
     shards = [
-        _pad(data[i * shard_len : (i + 1) * shard_len], shard_len)
+        data[i * shard_len : (i + 1) * shard_len].ljust(shard_len, b"\0")
         for i in range(data_chunks)
     ]
     if total_chunks == data_chunks:

@@ -1,11 +1,14 @@
-"""Property-based tests (hypothesis) for the GF(256) Reed–Solomon codec
-and the XOR fold under it.
+"""Property-based tests (hypothesis) for the GF(256) Reed–Solomon codec,
+the cluster parity groups built on it, and the XOR fold under it.
 
 The archival tier (``repro.storage.coded``) stakes cluster durability on
 this codec, so the battery is exhaustive where it matters: for every
 drawn ``(k, n, body)`` the round-trip is checked under **every** loss
 pattern of up to ``n - k`` chunks, and the first pattern past the MDS
-bound must be rejected loudly.  Every codec output is a scale-and-XOR, so
+bound must be rejected loudly.  The draw includes ``n = k + 1``, the
+shape of a parity group (``repro.core.parity``), whose own battery
+drives the encode/recover pair ``ParityManager`` uses over k whole
+bodies of unequal lengths.  Every codec output is a scale-and-XOR, so
 :func:`~repro.crypto.hashing.xor_bytes` is checked against the per-byte
 oracle ``tests.conftest.per_byte_xor``.  ``derandomize=True`` keeps CI
 deterministic — hypothesis explores the same example set every run.
@@ -25,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
+from repro.core.parity import parity_chunk, recover_body
 from repro.crypto.hashing import ZERO_HASH, sha256, xor_bytes
 from repro.errors import StorageError
 from repro.storage.erasure import rs_decode, rs_encode, rs_shard_length
@@ -196,6 +200,55 @@ class TestReedSolomonProperties:
         for lost in combinations(range(n), n - k):
             present = {i: chunks[i] for i in range(n) if i not in lost}
             assert rs_decode(present, k, n, length) == body
+
+
+group_bodies = st.lists(
+    st.binary(min_size=0, max_size=120), min_size=1, max_size=8
+)
+
+
+class TestParityGroupProperties:
+    """RS(k, k + 1) over k whole bodies, each padded to the longest."""
+
+    @SETTINGS
+    @given(bodies=group_bodies)
+    def test_every_single_loss_recovers_byte_exactly(self, bodies):
+        parity = parity_chunk(bodies)
+        lengths = [len(body) for body in bodies]
+        assert len(parity) == max(lengths)
+        for lost in range(len(bodies)):
+            survivors = {
+                index: body
+                for index, body in enumerate(bodies)
+                if index != lost
+            }
+            assert recover_body(survivors, parity, lengths, lost) == (
+                bodies[lost]
+            )
+
+    @SETTINGS
+    @given(bodies=group_bodies, data=st.data())
+    def test_a_second_loss_is_refused(self, bodies, data):
+        if len(bodies) < 2:
+            return
+        lost, also = data.draw(
+            st.permutations(range(len(bodies))).map(lambda p: p[:2])
+        )
+        survivors = {
+            index: body
+            for index, body in enumerate(bodies)
+            if index not in (lost, also)
+        }
+        parity = parity_chunk(bodies)
+        lengths = [len(body) for body in bodies]
+        with pytest.raises(StorageError):
+            recover_body(survivors, parity, lengths, lost)
+
+    @SETTINGS
+    @given(body=st.binary(min_size=0, max_size=120))
+    def test_one_body_is_its_own_parity(self, body):
+        assert parity_chunk([body]) == body
+        assert recover_body({}, body, [len(body)], 0) == body
 
 
 def _outcome(fold, chunks):

@@ -194,6 +194,13 @@ class TestParityExtension:
         with pytest.raises(StorageError):
             ParityManager(group_size=1)
 
+    def test_an_oversized_group_fails_at_config_time(self):
+        """RS(k, k + 1) over GF(256) has at most 256 chunks: a larger
+        group is refused by the config, not by the first seal."""
+        assert ICIConfig(parity_group_size=255).parity_group_size == 255
+        with pytest.raises(ConfigurationError, match="<= 255"):
+            ICIConfig(parity_group_size=256)
+
     def test_groups_seal_as_blocks_finalize(self):
         deployment, _ = self.make_parity_deployment()
         assert deployment.parity.sealed_groups > 0
@@ -205,7 +212,7 @@ class TestParityExtension:
         parity = deployment.parity
         for group_id, sealed in parity._sealed.items():
             holders_seen: set[int] = set()
-            for member_hash in sealed.group.member_ids:
+            for member_hash in sealed.member_ids:
                 header = deployment.ledger.store.header(member_hash)
                 holders = deployment.holders_in_cluster(
                     header, sealed.cluster_id
@@ -263,7 +270,7 @@ class TestParityExtension:
         parity = deployment.parity
         # Pick a sealed group, delete two of its bodies everywhere.
         group_id, sealed = next(iter(parity._sealed.items()))
-        victims = sealed.group.member_ids[:2]
+        victims = sealed.member_ids[:2]
         members = deployment.clusters.members_of(sealed.cluster_id)
         for block_hash in victims:
             for m in members:
@@ -279,7 +286,7 @@ class TestParityExtension:
         deployment, _ = self.make_parity_deployment()
         parity = deployment.parity
         group_id, sealed = next(iter(parity._sealed.items()))
-        target = sealed.group.member_ids[0]
+        target = sealed.member_ids[0]
         members = deployment.clusters.members_of(sealed.cluster_id)
         for m in members:
             deployment.nodes[m].unassign_body(target)
@@ -308,7 +315,7 @@ class TestParityExtension:
         deployment.leave_node(sealed.parity_holder)
         deployment.run()
         assert not deployment.network.is_online(sealed.parity_holder)
-        target = sealed.group.member_ids[0]
+        target = sealed.member_ids[0]
         members = deployment.clusters.members_of(sealed.cluster_id)
         for m in members:
             deployment.nodes[m].unassign_body(target)

@@ -148,24 +148,21 @@ class TestDisabledTracer:
             for name, bound in deployment.router._hooks.items()
         }
         observers = list(deployment.router._observers)
-        slots = (deployment.network.clock, injector)
         assert deployment.network.faults is injector
 
-        tracer = Tracer(enabled=False, trace_callbacks=True)
+        tracer = Tracer(enabled=False)
         assert install_tracing(deployment, tracer) is None
         assert deployment.router._hooks == hooks
         assert deployment.router._observers == observers
-        assert [slot._tracer for slot in slots] == [None, None]
-        assert deployment.tracer is None
+        assert (injector._tracer, deployment.tracer) == (None, None)
 
         # The control: the same call with a recording tracer attaches.
-        tracer = Tracer(trace_callbacks=True)
+        tracer = Tracer()
         assert isinstance(
             install_tracing(deployment, tracer), TracingObserver
         )
         assert deployment.router._hooks != hooks
-        assert [slot._tracer for slot in slots] == [tracer, tracer]
-        assert deployment.tracer is tracer
+        assert (injector._tracer, deployment.tracer) == (tracer, tracer)
 
     def test_enabled_tracer_without_clock_demands_explicit_ts(self):
         tracer = Tracer()
@@ -228,30 +225,27 @@ class TestSpans:
         assert outer.args["wall_us"] >= inner.args["wall_us"]
 
     def test_spans_survive_simclock_callbacks(self):
-        """A span opened around clock.run() covers callback activity."""
+        """A span opened around clock.run() covers the callbacks' virtual
+        time; the clock itself records nothing."""
         clock = SimClock()
         tracer = Tracer()
         tracer.bind_clock(clock)
-        clock.attach_tracer(tracer)
+        ticks = []
 
         def tick(depth: int) -> None:
+            ticks.append(clock.now)
             if depth:
                 clock.schedule(0.5, tick, depth - 1)
 
         with tracer.span("drive"):
             clock.schedule(0.5, tick, 2)
             clock.run()
-        spans = [e for e in tracer if e.track == PHASE_TRACK]
-        callbacks = [e for e in tracer if e.track == CLOCK_TRACK]
-        (drive,) = spans
+        (drive,) = list(tracer)
+        assert drive.track == PHASE_TRACK
         assert drive.ts == 0.0 and drive.dur == 1.5
-        assert len(callbacks) == 3
-        assert all(c.category == "callback" for c in callbacks)
-        assert all("tick" in c.name for c in callbacks)
-        assert all(c.args["wall_us"] >= 0 for c in callbacks)
-        # every callback executed inside the drive span's window
-        assert all(drive.ts <= c.ts <= drive.ts + drive.dur
-                   for c in callbacks)
+        assert ticks == [0.5, 1.0, 1.5]
+        assert all(drive.ts <= at <= drive.ts + drive.dur for at in ticks)
+        assert not any(e.track == CLOCK_TRACK for e in tracer)
 
 
 class TestTracedDeployment:
@@ -298,7 +292,7 @@ class TestTracedDeployment:
         def run_once(trace: bool) -> dict:
             deployment = ici_deployment()
             if trace:
-                install_tracing(deployment, Tracer(trace_callbacks=True))
+                install_tracing(deployment, Tracer())
             runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
             runner.produce_blocks(3, txs_per_block=2)
             deployment.join_new_node()
@@ -449,6 +443,13 @@ class TestChromeExport:
         assert len(rows) == len(tracer)
         assert all("wall" in row for row in rows)
 
+    def test_write_refuses_an_invalid_document(self, tmp_path):
+        """The writer runs the schema check: an empty trace has no
+        events and no metadata, so nothing is written."""
+        with pytest.raises(ObservabilityError, match="invalid trace"):
+            write_chrome_trace(Tracer(), tmp_path / "empty.json")
+        assert not (tmp_path / "empty.json").exists()
+
     def test_a_tracer_records_one_run(self):
         """A second deployment's clock is refused: its node ids would
         land on the first run's node tracks."""
@@ -541,13 +542,6 @@ class TestTraceCli:
         assert (tmp_path / "trace.jsonl").exists()
         assert "trace written" in capsys.readouterr().out
 
-    def test_trace_chaos_requires_ici(self, capsys):
-        from repro.cli import main
-
-        code = main(["trace", "full", "--chaos"])
-        assert code == 2
-        assert "ici" in capsys.readouterr().err
-
     @pytest.mark.parametrize("capacity", ["0", "-3"])
     def test_trace_rejects_a_ring_below_one_event(self, capacity, capsys):
         from repro.cli import main
@@ -557,63 +551,23 @@ class TestTraceCli:
         assert exited.value.code == 2
         assert "--capacity: must be >= 1" in capsys.readouterr().err
 
-
-class TestTraceProfile:
-    def export_trace(self, tmp_path):
-        tracer = Tracer()
-        clock = SimClock()
-        tracer.bind_clock(clock)
-
-        def cheap():
-            pass
-
-        def costly():
-            pass
-
-        tracer.callback_event(cheap, 1.0, 10e-6)
-        tracer.callback_event(costly, 1.5, 100e-6)
-        tracer.callback_event(costly, 2.0, 300e-6)
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(to_chrome_trace(tracer)))
-        return path
-
-    def test_aggregates_wall_cost_per_callback(self, tmp_path):
-        from repro.obs.profile import profile_chrome_trace
-
-        profiles = profile_chrome_trace(self.export_trace(tmp_path))
-        assert [p.calls for p in profiles] == [2, 1]
-        top = profiles[0]
-        assert "costly" in top.name
-        assert top.total_us == pytest.approx(400.0)
-        assert top.max_us == pytest.approx(300.0)
-        assert top.mean_us == pytest.approx(200.0)
-
-    def test_rejects_non_trace_files(self, tmp_path):
-        from repro.errors import ObservabilityError
-        from repro.obs.profile import profile_chrome_trace
-
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text("{}")
-        with pytest.raises(ObservabilityError):
-            profile_chrome_trace(bogus)
-        with pytest.raises(ObservabilityError):
-            profile_chrome_trace(tmp_path / "missing.json")
-
-    def test_cli_renders_ranked_table(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "profile", "trace.json"],
+            ["trace", "ici", "--chaos"],
+            ["trace", "ici", "--no-callback-spans"],
+        ],
+        ids=["trace-profile", "trace-chaos", "no-callback-spans"],
+    )
+    def test_removed_invocations_are_usage_errors(self, argv):
+        """perfbench is the profiler and ``repro chaos --trace`` traces a
+        storm: the old spellings fail in argparse."""
         from repro.cli import main
 
-        path = self.export_trace(tmp_path)
-        assert main(["trace", "profile", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "| callback | calls | total ms" in out
-        # Ranked: the expensive handler is listed first.
-        assert out.index("costly") < out.index("cheap")
-
-    def test_cli_requires_one_file(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["trace", "profile"]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
 
 
 class TestCounterEvents:
@@ -777,7 +731,6 @@ class TestTraceDiff:
         for argv in (
             ["trace", "diff", str(good), str(jsonl)],
             ["trace", "diff", str(good), str(tmp_path / "missing.json")],
-            ["trace", "profile", str(jsonl)],
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err

@@ -1,11 +1,12 @@
-"""Property-based tests (hypothesis) for placement, layout, and erasure.
+"""Property-based tests (hypothesis) for placement and layout.
 
 These are the invariants the chaos suite leans on: placement always
 yields exactly ``r`` distinct in-cluster holders no matter the membership
-(so every chunk has a holder to retry against), layout totals are exact
-closed forms, and the XOR parity extension round-trips any single lost
-chunk.  ``derandomize=True`` keeps CI deterministic — hypothesis explores
-the same example set every run.
+(so every chunk has a holder to retry against) and layout totals are
+exact closed forms; the parity-group battery lives in
+``tests/test_coded_properties.py`` beside the codec it runs on.
+``derandomize=True`` keeps CI deterministic — hypothesis explores the
+same example set every run.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
 from repro.crypto.hashing import ZERO_HASH, sha256
-from repro.errors import PlacementError, StorageError
+from repro.errors import PlacementError
 from repro.net.domains import FailureDomainMap
-from repro.storage.erasure import encode_group, recover_chunk
 from repro.storage.layout import (
     balanced_clusters,
     ici_layout,
@@ -376,70 +376,6 @@ class TestLayoutProperties:
         assert body_total == clusters.cluster_count * replication * chain_bytes
         body_count = sum(node.body_count for node in report.per_node)
         assert body_count == clusters.cluster_count * replication * n_blocks
-
-
-bodies_strategy = st.lists(
-    st.binary(min_size=0, max_size=200),
-    min_size=1,
-    max_size=6,
-)
-
-
-class TestErasureProperties:
-    @SETTINGS
-    @given(bodies=bodies_strategy, data=st.data())
-    def test_any_single_lost_chunk_round_trips(self, bodies, data):
-        """k-of-(k+parity): any one missing chunk is reconstructed exactly."""
-        chunks = [
-            (sha256(f"chunk-{index}".encode()), body)
-            for index, body in enumerate(bodies)
-        ]
-        group = encode_group(chunks)
-        lost_index = data.draw(
-            st.integers(min_value=0, max_value=len(chunks) - 1)
-        )
-        lost_id, lost_body = chunks[lost_index]
-        surviving = {
-            chunk_id: body
-            for chunk_id, body in chunks
-            if chunk_id != lost_id
-        }
-        assert recover_chunk(group, lost_id, surviving) == lost_body
-
-    @SETTINGS
-    @given(bodies=bodies_strategy)
-    def test_two_missing_chunks_are_unrecoverable(self, bodies):
-        """XOR parity holds exactly one erasure; a second must raise."""
-        if len(bodies) < 2:
-            return
-        chunks = [
-            (sha256(f"chunk-{index}".encode()), body)
-            for index, body in enumerate(bodies)
-        ]
-        group = encode_group(chunks)
-        surviving = {
-            chunk_id: body for chunk_id, body in chunks[2:]
-        }
-        with pytest.raises(StorageError):
-            recover_chunk(group, chunks[0][0], surviving)
-
-    @SETTINGS
-    @given(bodies=bodies_strategy)
-    def test_parity_length_covers_longest_chunk(self, bodies):
-        chunks = [
-            (sha256(f"chunk-{index}".encode()), body)
-            for index, body in enumerate(bodies)
-        ]
-        group = encode_group(chunks)
-        assert group.padded_length == max(len(body) for body in bodies)
-        assert group.lengths == tuple(len(body) for body in bodies)
-
-    def test_duplicate_ids_rejected(self):
-        chunk_id = sha256(b"dup")
-        with pytest.raises(StorageError):
-            encode_group([(chunk_id, b"a"), (chunk_id, b"b")])
-        with pytest.raises(StorageError):
-            encode_group([])
 
 
 class TestEnduranceConvergence:

@@ -1,4 +1,4 @@
-"""Unit tests for storage accounting, replication health, and erasure."""
+"""Unit tests for storage accounting and replication health."""
 
 from __future__ import annotations
 
@@ -18,10 +18,6 @@ from repro.storage.accounting import (
     rapidchain_total,
     report_network,
     report_node,
-)
-from repro.storage.erasure import (
-    encode_group,
-    recover_chunk,
 )
 from repro.storage.placement import RendezvousPlacement
 from repro.storage.replication import (
@@ -171,68 +167,3 @@ class TestRepairPlanning:
             assert len(failed) == 2
         with pytest.raises(StorageError):
             list(sample_failure_sets([0], 2, 1))
-
-
-class TestErasure:
-    def test_encode_and_recover(self):
-        chunks = [(bytes([i]) * 4, f"body-{i}".encode() * (i + 1)) for i in range(4)]
-        group = encode_group(chunks)
-        lost_id, lost_body = chunks[2]
-        surviving = {
-            chunk_id: body for chunk_id, body in chunks if chunk_id != lost_id
-        }
-        assert recover_chunk(group, lost_id, surviving) == lost_body
-
-    def test_recover_each_position(self):
-        chunks = [(bytes([i]) * 4, bytes([i * 7]) * (10 + i)) for i in range(5)]
-        group = encode_group(chunks)
-        for lost_id, lost_body in chunks:
-            surviving = {
-                cid: body for cid, body in chunks if cid != lost_id
-            }
-            assert recover_chunk(group, lost_id, surviving) == lost_body
-
-    def test_two_losses_rejected(self):
-        chunks = [(bytes([i]) * 4, b"x" * 8) for i in range(3)]
-        group = encode_group(chunks)
-        surviving = {chunks[2][0]: chunks[2][1]}  # two missing
-        with pytest.raises(StorageError, match="exactly one"):
-            recover_chunk(group, chunks[0][0], surviving)
-
-    def test_wrong_length_survivor_rejected(self):
-        chunks = [(bytes([i]) * 4, b"x" * 8) for i in range(3)]
-        group = encode_group(chunks)
-        surviving = {chunks[1][0]: b"x" * 7, chunks[2][0]: b"x" * 8}
-        with pytest.raises(StorageError, match="length"):
-            recover_chunk(group, chunks[0][0], surviving)
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(StorageError):
-            encode_group([])
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(StorageError):
-            encode_group([(b"a" * 4, b"x"), (b"a" * 4, b"y")])
-
-    def test_unknown_chunk_rejected(self):
-        group = encode_group([(b"a" * 4, b"x" * 4)])
-        with pytest.raises(StorageError):
-            group.index_of(b"z" * 4)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.binary(min_size=1, max_size=40), min_size=2, max_size=6
-        ),
-        st.data(),
-    )
-    def test_recovery_property(self, bodies, data):
-        chunks = [
-            (index.to_bytes(4, "big"), body)
-            for index, body in enumerate(bodies)
-        ]
-        group = encode_group(chunks)
-        lost = data.draw(st.integers(0, len(chunks) - 1))
-        lost_id, lost_body = chunks[lost]
-        surviving = {cid: b for cid, b in chunks if cid != lost_id}
-        assert recover_chunk(group, lost_id, surviving) == lost_body

@@ -4,10 +4,14 @@ The tracer is on in every ``repro chaos`` / ``repro endurance`` run, so
 its record path gets optimised; what it *records* must not move when it
 does.  The shas below cover everything an export or a summary shows
 except wall-clock residue (the ``wall`` stamp and span ``wall_us`` args,
-masked the way :mod:`repro.obs.diff` masks them).  They were last retaken
-when tracks lost their per-deployment label (``("node", id)``,
-``("proto", name)``); the story itself, label prefixes stripped, was
-checked equal to the one recorded before.
+masked the way :mod:`repro.obs.diff` masks them).  The endurance pins
+were last retaken when tracks lost their per-deployment label
+(``("node", id)``, ``("proto", name)``); the story itself, label
+prefixes stripped, was checked equal to the one recorded before.  The
+CLI pins were retaken when the clock stopped recording a span per
+callback: the new story equals the old one with its 604 callback spans
+removed, events compared by thread name (the simulator process lost its
+``clock`` thread, so ``phases`` moved to tid 0).
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ ENDURANCE_PINS = (
     "cf031c19b5889eef40a73cee015b5361c904000467e7df4a73812ca5dd515249",
 )
 CLI_TRACE_PINS = (
-    "ca84ccac5ce713a2bcf2dc0d3263a2ce7c6d6d87ee093fc1d0e7a6a0657b8ab6",
-    "6f72f8ed397b9f786f7751d3d32ce094a5c5d04cdcda28ece7f2a7fa0969d150",
-    "61eb08060c3a5ab47b5da5a9fbe29883dd7fb8f21b38f017b9a5f58c5073fda3",
+    "780aa3ac0e04ff9e7c7a28cb8510678cf1a62810530826320490efbfbb5e08eb",
+    "db7435818cabed2a94d3ad2d3aa755cc2db3d1087d82394a8afbb63cc656db65",
+    "e02762dde782284d2aa371571db1a0de8a5a198ff0ac7b158d879f74199b94c7",
 )
 
 
@@ -103,12 +107,12 @@ class TestStoryPins:
         assert len(ours.read_text().splitlines()) == len(storm_tracer)
 
     def test_cli_trace_scenario_is_what_it_was(self, tmp_path):
-        """The CI trace-smoke invocation, callback spans included."""
+        """The CI trace-smoke invocation."""
         out, jsonl = tmp_path / "trace.json", tmp_path / "trace.jsonl"
         argv = "trace ici --nodes 16 --groups 4 --blocks 4 --txs 4".split()
         assert main([*argv, "--out", str(out), "--jsonl", str(jsonl)]) == 0
         rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
-        assert len(rows) == 1_491
+        assert len(rows) == 887
         # The JSONL stream is full-fidelity: rebuild the events from it
         # (by keyword) and summarise the raw list.
         events = [
