@@ -65,8 +65,15 @@ def recover_body(
     every body's length in group order.
 
     Raises:
-        StorageError: when another body of the group is missing too.
+        StorageError: when another body of the group is missing too, or
+            a survivor's length is not the one the group sealed.
     """
+    for index, body in survivors.items():
+        if len(body) != lengths[index]:
+            raise StorageError(
+                f"body {index} has length {len(body)}, "
+                f"expected {lengths[index]}"
+            )
     k, width = len(lengths), len(parity)
     chunks = {i: body.ljust(width, b"\0") for i, body in survivors.items()}
     chunks[k] = parity

@@ -1,4 +1,4 @@
-"""Unit tests for storage accounting and replication health."""
+"""Unit tests for storage accounting, replication health, and erasure."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.chain.block import BlockHeader
 from repro.chain.chainstore import ChainStore
+from repro.core.parity import parity_chunk, recover_body
 from repro.crypto.hashing import ZERO_HASH, sha256
 from repro.errors import StorageError
 from repro.storage.accounting import (
@@ -167,3 +168,54 @@ class TestRepairPlanning:
             assert len(failed) == 2
         with pytest.raises(StorageError):
             list(sample_failure_sets([0], 2, 1))
+
+
+def survivors_without(bodies, lost):
+    return {index: body for index, body in enumerate(bodies) if index != lost}
+
+
+class TestErasure:
+    """The RS(k, k + 1) parity pair a sealed parity group uses."""
+
+    def test_encode_and_recover(self):
+        bodies = [f"body-{i}".encode() * (i + 1) for i in range(4)]
+        parity = parity_chunk(bodies)
+        lengths = [len(body) for body in bodies]
+        survivors = survivors_without(bodies, 2)
+        assert recover_body(survivors, parity, lengths, 2) == bodies[2]
+
+    def test_recover_each_position(self):
+        bodies = [bytes([i * 7]) * (10 + i) for i in range(5)]
+        parity = parity_chunk(bodies)
+        lengths = [len(body) for body in bodies]
+        for lost, body in enumerate(bodies):
+            survivors = survivors_without(bodies, lost)
+            assert recover_body(survivors, parity, lengths, lost) == body
+
+    def test_two_losses_rejected(self):
+        bodies = [b"x" * 8] * 3
+        parity = parity_chunk(bodies)
+        survivors = {2: bodies[2]}  # two missing
+        with pytest.raises(StorageError, match="needs 3 of 4"):
+            recover_body(survivors, parity, [8, 8, 8], 0)
+
+    def test_wrong_length_survivor_rejected(self):
+        bodies = [b"x" * 8] * 3
+        parity = parity_chunk(bodies)
+        survivors = {1: b"x" * 7, 2: b"x" * 8}
+        with pytest.raises(StorageError, match="length"):
+            recover_body(survivors, parity, [8, 8, 8], 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.binary(min_size=1, max_size=40), min_size=2, max_size=6
+        ),
+        st.data(),
+    )
+    def test_recovery_property(self, bodies, data):
+        parity = parity_chunk(bodies)
+        lengths = [len(body) for body in bodies]
+        lost = data.draw(st.integers(0, len(bodies) - 1))
+        survivors = survivors_without(bodies, lost)
+        assert recover_body(survivors, parity, lengths, lost) == bodies[lost]
