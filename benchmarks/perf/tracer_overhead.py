@@ -5,7 +5,9 @@
 Alternating fresh processes run ``run_endurance`` at perfbench's
 ``churn_storm`` size with the default tracer and with
 ``Tracer(enabled=False)`` (nothing attached); prints wall time, cyclic GC
-collections and peak RSS per run, then the on/off medians.  Every run's
+collections, peak RSS and the sends still pending a delivery in the
+observer's queue-latency map at the end (0 untraced) per run, then the
+on/off medians.  Every run's
 ``outcome.signature()`` (no trace aggregate in it) must be equal.  Then,
 in this process, a census of what one traced event keeps: bytes
 (tracemalloc) and GC-tracked objects per ``TracingObserver.on_send``,
@@ -82,6 +84,7 @@ def _census() -> dict:
 
 
 def _child(seed: int, enabled: bool) -> None:
+    from repro.obs.hooks import TracingObserver
     from repro.obs.tracer import Tracer
     from repro.sim.chaos import EnduranceConfig, run_endurance
 
@@ -92,11 +95,18 @@ def _child(seed: int, enabled: bool) -> None:
     collections = sum(gen["collections"] for gen in gc.get_stats())
     start = time.perf_counter()
     outcome = run_endurance(config, tracer=Tracer(enabled=enabled))
+    wall_s = round(time.perf_counter() - start, 3)
+    observers = outcome.deployment.router._observers
     row = {
-        "wall_s": round(time.perf_counter() - start, 3),
+        "wall_s": wall_s,
         "events": outcome.tracer.recorded,
         "gc": sum(gen["collections"] for gen in gc.get_stats()) - collections,
         "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024,
+        "pending_sends": sum(
+            len(observer._sent_at)
+            for observer in observers
+            if isinstance(observer, TracingObserver)
+        ),
     }
     print(json.dumps([row, outcome.signature()], sort_keys=True))
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -634,13 +635,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         "trace": cmd_trace,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+        return status
     except (ConfigurationError, ObservabilityError) as error:
         # An impossible configuration, a trace file that cannot be read
         # or a trace that fails its schema check is a usage error, like
         # a bad flag.
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader has gone (``repro trace diff A B | head``).
+        # Point stdout at devnull so the interpreter's last flush does
+        # not raise again, and fail without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -14,6 +14,10 @@ Two exits from a cluster:
   exactly the trade-off experiment E7 sweeps — and the erasure extension
   removes).
 
+A node departs once: a leave or crash repair of a node whose departure
+is still in flight is refused, because the second session would take
+over the first one's per-target sync slots and remove the node twice.
+
 Both paths are message-driven: each new holder sends a batched
 ``SYNC_REQUEST("bodies", …)`` to its source and receives ``SYNC_BODIES``;
 responses route through the deployment's generic sync-session registry.
@@ -122,14 +126,14 @@ def start_departure(
     """Begin a graceful exit; drive the clock until ``report.complete``.
 
     Raises:
-        ClusteringError: when the node is unknown or its cluster would
-            fall below the replication factor.
+        ClusteringError: when the node is unknown, already departing, or
+            its cluster would fall below the replication factor.
         StorageError: when a block's only live copy sits on an offline
             node (cannot happen during a graceful exit of an online node
             with r ≥ 1 unless other members are down too).
     """
-    report = _begin(deployment, node_id, graceful=True)
-    return report
+    _refuse_if_departing(deployment, node_id)
+    return _begin(deployment, node_id, graceful=True)
 
 
 def start_crash_repair(
@@ -138,11 +142,20 @@ def start_crash_repair(
     """Re-replicate after an (assumed permanent) crash of ``node_id``.
 
     The node is forced offline first; blocks whose every replica lived on
-    offline members are recorded in ``report.lost_blocks``.
+    offline members are recorded in ``report.lost_blocks``.  A node whose
+    departure is in flight is refused (``ClusteringError``) and left as
+    it is.
     """
+    _refuse_if_departing(deployment, node_id)
     if node_id in deployment.nodes:
         deployment.network.set_online(node_id, False)
     return _begin(deployment, node_id, graceful=False)
+
+
+def _refuse_if_departing(deployment: "ICIDeployment", node_id: int) -> None:
+    for report in deployment.metrics.departures:
+        if report.node_id == node_id and not report.complete:
+            raise ClusteringError(f"node {node_id} is already departing")
 
 
 def _begin(
@@ -351,13 +364,17 @@ def _pick_source(
 
 
 def _remove_member(deployment: "ICIDeployment", node_id: int) -> None:
-    """Excise a member from membership, topology, and the fabric."""
-    try:
-        deployment.clusters.remove_node(node_id)
-    except ClusteringError:
+    """Excise a member from membership, topology, and the fabric.
+
+    Raises:
+        StorageError: when the node is its cluster's last member.
+    """
+    clusters = deployment.clusters
+    if clusters.members_of(clusters.cluster_of(node_id)) == (node_id,):
         raise StorageError(
             f"cannot remove node {node_id}: it is its cluster's last member"
-        ) from None
+        )
+    clusters.remove_node(node_id)
     deployment.network.unregister(node_id)
     deployment.nodes.pop(node_id, None)
     deployment.public_keys.pop(node_id, None)

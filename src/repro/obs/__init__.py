@@ -1,9 +1,9 @@
 """Structured tracing & telemetry (``repro.obs``).
 
 A :class:`~repro.obs.tracer.Tracer` records spans and instant events —
-stamped with both simclock virtual time and wall time — into a bounded
-ring buffer, attached non-invasively through the simulator's existing
-hook surfaces (router observers, the fault injector's tracer slot).
+stamped with simclock virtual time — into a bounded ring buffer,
+attached non-invasively through the simulator's existing hook surfaces
+(router observers, the fault injector's observer slot).
 Exporters turn a trace into Chrome trace-event JSON (Perfetto-loadable,
 one track per node) or a JSONL stream, and the summary pass computes
 per-kind latency percentiles and per-node timelines.  See ``repro trace

@@ -10,8 +10,8 @@ model onto processes and threads:
 * pid 3 ``simulator`` — fault weather, phase spans, storage series.
 
 Timestamps are **virtual** microseconds (the simclock drives the story);
-wall-clock stamps survive only in the JSONL stream, which keeps full
-event fidelity for ad-hoc tooling.  :func:`validate_chrome_trace` is the
+the JSONL stream keeps every field of every event, virtual stamps as
+floats, for ad-hoc tooling.  :func:`validate_chrome_trace` is the
 schema check :func:`write_chrome_trace` runs on every document before it
 writes it, and the CI ``trace-smoke`` step runs on what was written.
 """
@@ -218,7 +218,8 @@ def validate_chrome_trace(payload: Any) -> list[str]:
 
 
 def event_to_json(event: TraceEvent) -> dict:
-    """Full-fidelity JSON row for one event (virtual + wall stamps)."""
+    """Full-fidelity JSON row for one event: every :class:`TraceEvent`
+    field, its virtual stamps as floats."""
     group, key = event.track
     return {
         "name": event.name,
@@ -227,7 +228,6 @@ def event_to_json(event: TraceEvent) -> dict:
         "dur": event.dur,
         "track": [group, key],
         "category": event.category,
-        "wall": event.wall,
         "args": event.args,
     }
 

@@ -8,9 +8,11 @@ simulator already exposes and never touches protocol state:
   reliability hooks), mirroring per-kind traffic onto per-node tracks.
   Deliveries whose send it witnessed become **queue-latency spans**
   (send → dispatch, virtual time); gossip relays that enter the network
-  directly appear as delivery instants.
+  directly appear as delivery instants.  It also records the fault
+  injector's weather and per-message decisions, and forgets a send the
+  fault layer dropped, which can never be delivered.
 * :func:`install_tracing` wires one deployment: router observer, the
-  fault injector's tracer slot when one is attached, and
+  fault injector's observer slot when one is attached, and
   ``deployment.tracer``, the one slot its engines read.
   It is the one way a tracer reaches a run: call it after building the
   deployment and before driving it.
@@ -25,6 +27,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ClusteringError
 from repro.net.message import KIND_VALUE
 from repro.obs.tracer import (
+    FAULTS_TRACK,
     STORAGE_TRACK,
     Tracer,
     node_track,
@@ -41,9 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: (``(keys, *values)``, see :meth:`Tracer.instant`): no dict per message.
 _SEND_KEYS = ("to", "bytes")
 _DELIVER_KEYS = ("from", "bytes")
+_FAULT_KEYS = ("kind", "from", "to")
+
+#: The fault injector's per-message decisions that lose the message.
+_LOSSES = frozenset({"drop", "stall_drop", "partition_drop"})
 
 #: Cap on the in-flight send-timestamp map: sends that are never
-#: delivered (drops, crashes) must not grow memory without bound.
+#: delivered (an offline sender or recipient) must not grow memory
+#: without bound.
 _PENDING_SEND_LIMIT = 100_000
 
 
@@ -80,9 +88,10 @@ class TracingObserver:
         # additionally sample that cluster's ledger bytes as a counter
         # series (the paper's headline storage claim over virtual time).
         self._deployment = deployment
-        # message_id -> send virtual time, for queue-latency spans.  Once
-        # full, the oldest pending send goes: ``popitem(last=False)`` is
-        # O(1), where a dict's first key is a scan past deleted entries.
+        # message_id -> send virtual time, for queue-latency spans; a
+        # send the fault layer drops leaves at once (:meth:`on_fault`).
+        # Once full, the oldest pending send goes: ``popitem(last=False)``
+        # is O(1), where a dict's first key is a scan past deleted entries.
         self._sent_at: OrderedDict[int, float] = OrderedDict()
 
     # -------------------------------------------------------- router hooks
@@ -149,6 +158,31 @@ class TracingObserver:
     def on_degraded(self, kind: str) -> None:
         """A request exhausted every replica."""
         self._instant(kind, self._reliability, self._clock.now, "degraded")
+
+    # --------------------------------------------------------- fault hooks
+    def on_weather(self, name: str, args: dict) -> None:
+        """The fault injector crashed, stalled, recovered or cut nodes."""
+        self._instant(name, FAULTS_TRACK, self._clock.now, "fault", args)
+
+    def on_fault(self, name: str, message: "Message", now: float) -> None:
+        """The fault injector decided one message's fate.
+
+        A lost message is never delivered, so its send stops pending.
+        """
+        self._instant(
+            name,
+            FAULTS_TRACK,
+            now,
+            "fault",
+            (
+                _FAULT_KEYS,
+                KIND_VALUE[message.kind],
+                message.sender,
+                message.recipient,
+            ),
+        )
+        if name in _LOSSES:
+            self._sent_at.pop(message.message_id, None)
 
 
 def record_cluster_storage(
@@ -256,6 +290,6 @@ def install_tracing(deployment, tracer: Tracer) -> TracingObserver | None:
     deployment.router.add_observer(observer)
     faults = deployment.network.faults
     if faults is not None:
-        faults.attach_tracer(tracer)
+        faults.attach_observer(observer)
     deployment.tracer = tracer
     return observer

@@ -11,7 +11,8 @@ the numbers the paper's flow claims are argued with:
 * the phase spans, so a trace reads as a story.
 
 Everything here is a pure function of the event stream — summarizing a
-fixed-seed run is itself deterministic (wall stamps are ignored).
+fixed-seed run is itself deterministic (phase spans' ``wall_us`` args
+are ignored).
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def summarize(
     rows: dict[int, tuple[NodeActivity, array]] = {}
     latencies: dict[str, array] = {}
     t_start, t_end = inf, -inf
-    for name, phase, ts, dur, (group, key), category, _, args in events:
+    for name, phase, ts, dur, (group, key), category, args in events:
         end = ts + dur
         if ts < t_start:
             t_start = ts

@@ -4,13 +4,15 @@ The simulator's headline numbers (communication overhead, bootstrap
 cost) are *flow* properties — who sent what to whom, and when in virtual
 time — which end-of-run aggregate counters cannot explain.  A
 :class:`Tracer` captures that flow as structured events, each stamped
-with **both** simclock virtual time and a wall-clock stamp, into a
-bounded ring buffer, so a trace of any length costs bounded memory and
-the oldest events are evicted first.  A recorded event is stored in
-40 B: two slots of one flat list — an interned *head* ``(name, phase,
-track, category)``, shared by every event of one kind on one track, and
-its ``args``, packed as ``(keys, *values)`` — plus three doubles ``ts,
-dur, wall`` in one ``array('d')``.  Only :meth:`Tracer.rows` and
+with simclock virtual time, into a bounded ring buffer, so a trace of
+any length costs bounded memory and the oldest events are evicted
+first.  A recorded event is stored in 32 B: two slots of one flat list
+— an interned *head* ``(name, phase, track, category)``, shared by
+every event of one kind on one track, and its ``args``, packed as
+``(keys, *values)`` — plus two doubles ``ts, dur`` in one
+``array('d')``.  An event carries no wall-clock stamp (where the host's
+time goes is perfbench's question); a :meth:`Tracer.span` keeps its
+own wall cost in its ``wall_us`` arg.  Only :meth:`Tracer.rows` and
 :func:`arg_of` read that stored form; everyone else sees
 :class:`TraceEvent` rows whose ``args`` is a fresh dict.
 
@@ -18,23 +20,23 @@ Design rules:
 
 * **Non-invasive**: nothing in the simulation calls the tracer directly.
   Events arrive through the existing hook surfaces — the router's
-  observer protocol, the fault injector's optional tracer slot and the
-  deployment's tracer slot (see :mod:`repro.obs.hooks`).
+  observer protocol, the fault injector's optional observer slot and
+  the deployment's tracer slot (see :mod:`repro.obs.hooks`).
 * **Free when disabled**: with no tracer attached the hot paths are the
   exact pre-existing code (the hooks are ``None`` checks), and
   :func:`~repro.obs.hooks.install_tracing` attaches nothing for a
   disabled :class:`Tracer`; called directly, its record methods return
   immediately, allocating nothing.
-* **Cheap when enabled**: a recorded event is two slots and three
+* **Cheap when enabled**: a recorded event is two slots and two
   doubles written by C calls inside the record method — no constructor
   frame, no per-event track or head, no retained row
   (``tests/test_message_path.py`` counts the frames, the GC-tracked
   allocations and the bytes).
 * **Deterministic virtual story**: virtual timestamps, event order, and
-  counts are a pure function of the (seeded) run; only the ``wall``
-  stamps vary across machines.  Tracing never schedules events or draws
-  randomness, so simulated metrics stay byte-identical with tracing on
-  (``tests/test_obs.py`` pins this).
+  counts are a pure function of the (seeded) run; only the phase
+  spans' ``wall_us`` args vary across machines.  Tracing never
+  schedules events or draws randomness, so simulated metrics stay
+  byte-identical with tracing on (``tests/test_obs.py`` pins this).
 
 Tracks name the timeline an event belongs to: ``("node", id)`` for
 per-node timelines, ``("proto", name)`` for protocol-engine streams,
@@ -60,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.simclock import SimClock
 
 #: Default ring-buffer capacity (events).  Full, the slots and stamps
-#: take 8 MB, plus one lap's distinct heads and ``args`` (DESIGN.md).
+#: take 6.4 MB, plus one lap's distinct heads and ``args`` (DESIGN.md).
 DEFAULT_CAPACITY = 200_000
 
 #: Track groups (the Chrome exporter's processes).
@@ -81,7 +83,7 @@ COUNTER = "C"   # sampled numeric series (Perfetto charts these)
 
 
 class TraceEvent(NamedTuple):
-    """One recorded event: an immutable eight-field row.
+    """One recorded event: an immutable seven-field row.
 
     Iterating a :class:`Tracer` builds these on demand from the ring's
     slots; keyword and positional construction work as for any
@@ -94,7 +96,6 @@ class TraceEvent(NamedTuple):
         dur: virtual-time duration, seconds (0 for instants).
         track: ``(group, key)`` timeline this event belongs to.
         category: coarse bucket (``send``/``deliver``/``fault``/…).
-        wall: wall-clock stamp (``perf_counter`` seconds) at record time.
         args: extra key/values carried into the exporters.
     """
 
@@ -104,7 +105,6 @@ class TraceEvent(NamedTuple):
     dur: float
     track: tuple
     category: str
-    wall: float
     args: dict | None = None
 
 
@@ -114,8 +114,8 @@ _new_record = tuple.__new__
 #: Ring slots per event: its interned head and its ``args``.
 _STRIDE = 2
 
-#: Doubles per event in the stamp column: ``ts``, ``dur``, ``wall``.
-_STAMPS = 3
+#: Doubles per event in the stamp column: ``ts`` and ``dur``.
+_STAMPS = 2
 
 #: Key set -> the one tuple every packed ``args`` with those keys shares.
 _KEYS: dict[tuple, tuple] = {}
@@ -228,10 +228,10 @@ class Tracer:
             for field in range(4)
         )
         args = _lap(ring, first * _STRIDE + 1, _STRIDE)
-        # One iterator yields ts, dur, wall in turn; zip pulls its
-        # arguments left to right, so each lands in its own field.
+        # One iterator yields ts, dur in turn; zip pulls its arguments
+        # left to right, so each lands in its own field.
         stamps = _lap(self._stamps, first * _STAMPS)
-        return zip(name, phase, stamps, stamps, track, category, stamps, args)
+        return zip(name, phase, stamps, stamps, track, category, args)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         for row in self.rows():
@@ -295,12 +295,12 @@ class Tracer:
         row = (interned.setdefault(head, head), args)
         if recorded < self._capacity:
             self._ring.extend(row)
-            self._stamps.fromlist([ts, 0.0, perf_counter()])
+            self._stamps.fromlist([ts, 0.0])
         else:  # full: overwrite the oldest event
             at = slot * _STRIDE
             self._ring[at : at + _STRIDE] = row
             at = slot * _STAMPS
-            self._stamps[at : at + _STAMPS] = array("d", (ts, 0.0, perf_counter()))
+            self._stamps[at : at + _STAMPS] = array("d", (ts, 0.0))
         self._recorded = recorded + 1
 
     def counter(
@@ -330,12 +330,12 @@ class Tracer:
         row = (interned.setdefault(head, head), _pack(values))
         if recorded < self._capacity:
             self._ring.extend(row)
-            self._stamps.fromlist([ts, 0.0, perf_counter()])
+            self._stamps.fromlist([ts, 0.0])
         else:
             at = slot * _STRIDE
             self._ring[at : at + _STRIDE] = row
             at = slot * _STAMPS
-            self._stamps[at : at + _STAMPS] = array("d", (ts, 0.0, perf_counter()))
+            self._stamps[at : at + _STAMPS] = array("d", (ts, 0.0))
         self._recorded = recorded + 1
 
     def complete(
@@ -368,12 +368,12 @@ class Tracer:
         row = (interned.setdefault(head, head), args)
         if recorded < self._capacity:
             self._ring.extend(row)
-            self._stamps.fromlist([start, dur, perf_counter()])
+            self._stamps.fromlist([start, dur])
         else:
             at = slot * _STRIDE
             self._ring[at : at + _STRIDE] = row
             at = slot * _STAMPS
-            self._stamps[at : at + _STAMPS] = array("d", (start, dur, perf_counter()))
+            self._stamps[at : at + _STAMPS] = array("d", (start, dur))
         self._recorded = recorded + 1
 
     def span(

@@ -180,9 +180,10 @@ class ChurnDriver:
             else:
                 report = self.deployment.repair_after_crash(victim)
         except (ClusteringError, StorageError):
-            # StorageError: removing the victim would empty its cluster
-            # (possible when faults already felled the other members) —
-            # degrade to a skipped event rather than abort the run.
+            # ClusteringError: the victim is still departing from an
+            # earlier event, or its cluster would fall below r.
+            # StorageError: removing the victim would empty its cluster.
+            # Either way the event is skipped rather than the run aborted.
             outcome.skipped_events += 1
             return
         self._settle()

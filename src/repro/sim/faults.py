@@ -33,13 +33,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError, FaultConfigError
-from repro.net.message import KIND_VALUE
-from repro.obs.tracer import FAULTS_TRACK
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
     from repro.net.network import Network
-    from repro.obs.tracer import Tracer
+    from repro.obs.hooks import TracingObserver
 
 
 @dataclass(frozen=True)
@@ -107,9 +105,6 @@ class PartitionWindow:
 CRASH = "crash"
 STALL = "stall"
 
-#: Key set of a traced per-message fault decision's (packed) ``args``.
-_FAULT_KEYS = ("kind", "from", "to")
-
 
 @dataclass
 class FaultStats:
@@ -149,7 +144,7 @@ class FaultInjector:
         #: for the opt-in ``domains`` audit only — the per-node counters of
         #: :class:`FaultStats` already absorb the member-level effects.
         self.domain_outages: list[tuple[float, int, str, tuple[int, ...]]] = []
-        self._tracer: "Tracer | None" = None
+        self._observer: "TracingObserver | None" = None
 
     @classmethod
     def install(
@@ -161,18 +156,10 @@ class FaultInjector:
         return injector
 
     # ------------------------------------------------------- instrumentation
-    def attach_tracer(self, tracer: "Tracer | None") -> None:
-        """Mirror fault decisions into a tracer (``None`` detaches)."""
-        self._tracer = tracer
-
-    def _trace(self, name: str, args: dict | None = None) -> None:
-        self._tracer.instant(
-            name,
-            FAULTS_TRACK,
-            ts=self.network.clock.now,
-            category="fault",
-            args=args,
-        )
+    def attach_observer(self, observer: "TracingObserver | None") -> None:
+        """Mirror fault decisions into a tracing observer (``None``
+        detaches)."""
+        self._observer = observer
 
     # ------------------------------------------------------------ liveness
     def is_live(self, node_id: int) -> bool:
@@ -184,15 +171,15 @@ class FaultInjector:
         self.network.set_online(node_id, False)
         self._crashed.add(node_id)
         self.stats.crashes += 1
-        if self._tracer is not None:
-            self._trace("crash", {"node": node_id})
+        if self._observer is not None:
+            self._observer.on_weather("crash", {"node": node_id})
 
     def stall(self, node_id: int) -> None:
         """Stall a node now: it stays registered but all its traffic drops."""
         self._stalled.add(node_id)
         self.stats.stalls += 1
-        if self._tracer is not None:
-            self._trace("stall", {"node": node_id})
+        if self._observer is not None:
+            self._observer.on_weather("stall", {"node": node_id})
 
     def recover(self, node_id: int) -> None:
         """Bring a crashed or stalled node back.
@@ -206,14 +193,14 @@ class FaultInjector:
             self._crashed.discard(node_id)
         self._stalled.discard(node_id)
         self.stats.recoveries += 1
-        if self._tracer is not None:
-            self._trace("recover", {"node": node_id})
+        if self._observer is not None:
+            self._observer.on_weather("recover", {"node": node_id})
 
     def partition(self, window: PartitionWindow) -> None:
         """Add a partition window at runtime (tests and chaos drivers)."""
         self._partitions.append(window)
-        if self._tracer is not None:
-            self._trace(
+        if self._observer is not None:
+            self._observer.on_weather(
                 "partition",
                 {
                     "side_a": sorted(window.side_a),
@@ -272,8 +259,8 @@ class FaultInjector:
         for node_id in victims:
             fail(node_id)
         self.domain_outages.append((self.network.clock.now, zone, kind, victims))
-        if self._tracer is not None:
-            self._trace(
+        if self._observer is not None:
+            self._observer.on_weather(
                 "domain_outage",
                 {"zone": zone, "kind": kind, "victims": list(victims)},
             )
@@ -320,17 +307,6 @@ class FaultInjector:
         return 1, 0.0
 
     def _trace_fault(self, name: str, message: "Message", now: float) -> None:
-        if self._tracer is None:
+        if self._observer is None:
             return
-        self._tracer.instant(
-            name,
-            FAULTS_TRACK,
-            now,
-            "fault",
-            (
-                _FAULT_KEYS,
-                KIND_VALUE[message.kind],
-                message.sender,
-                message.recipient,
-            ),
-        )
+        self._observer.on_fault(name, message, now)

@@ -114,6 +114,40 @@ class TestGracefulDeparture:
             assert report.complete
         assert deployment.cluster_holds_full_ledger(cluster)
 
+    @pytest.mark.parametrize("second", ["leave_node", "repair_after_crash"])
+    def test_a_node_departs_once(self, second):
+        """A second departure of a node still leaving is refused before
+        it touches anything, so the first one completes and removes the
+        node exactly once."""
+        deployment, _ = deployed()
+        cluster = deployment.nodes[0].cluster_id
+        victim = deployment.clusters.members_of(cluster)[1]
+        report = deployment.leave_node(victim)
+        assert not report.complete  # its body transfers are in flight
+        with pytest.raises(ClusteringError, match="already departing"):
+            getattr(deployment, second)(victim)
+        assert deployment.network.is_online(victim)
+        deployment.run()
+        assert report.complete and report.graceful
+        assert [r.node_id for r in deployment.metrics.departures] == [victim]
+        assert victim not in deployment.nodes
+        assert victim not in deployment.clusters.all_nodes()
+        assert deployment.cluster_holds_full_ledger(cluster)
+        assert all(c == 2 for c in copies_per_block(deployment, cluster))
+
+    def test_only_a_last_member_removal_is_called_one(self):
+        """Removing a node that is no longer clustered is not reported
+        as its cluster's last member."""
+        from repro.core.departure import _remove_member
+
+        deployment, _ = deployed()
+        cluster = deployment.nodes[0].cluster_id
+        victim = deployment.clusters.members_of(cluster)[1]
+        deployment.leave_node(victim)
+        deployment.run()
+        with pytest.raises(ClusteringError, match="unclustered"):
+            _remove_member(deployment, victim)
+
 
 class TestCrashRepair:
     def test_r2_crash_fully_repaired(self):

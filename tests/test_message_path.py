@@ -186,8 +186,11 @@ def test_traced_call_budget(wrapped: bool = False):
     with no witnessed send), with the public ``SimClock.now`` property
     read in between as the only other call: no ``node_track``, no
     ``TraceEvent.__new__``/``__init__``, no inner record helper.
-    Retries, timeouts and fault decisions likewise.  The ring is still
-    filling here; the next test re-runs this on one that has ``wrapped``.
+    Retries and timeouts likewise.  A fault decision is the injector's
+    ``_trace_fault`` (the ``None`` check an untraced run executes) →
+    the observer's ``on_fault`` (which also forgets a lost send) →
+    ``Tracer.instant``.  The ring is still filling here; the next test
+    re-runs this on one that has ``wrapped``.
     """
     from repro.obs.hooks import TracingObserver, install_tracing
     from repro.obs.tracer import Tracer
@@ -230,7 +233,8 @@ def test_traced_call_budget(wrapped: bool = False):
         (_code(TracingObserver.on_deliver), now, instant),
         (_code(TracingObserver.on_retry), now, instant),
         (_code(TracingObserver.on_timeout), now, instant),
-        (_code(FaultInjector._trace_fault), instant),
+        (_code(FaultInjector._trace_fault), _code(TracingObserver.on_fault),
+         instant),
     }, {_names(path) for path in profiler.paths}
     assert profiler.paths[_code(TracingObserver.on_send), now, instant] > 100
     # One event per watched call; finalize marks, counter samples and
@@ -319,7 +323,7 @@ def test_traced_event_retains_at_most_one_tracked_object():
     """What the cyclic GC has to count per recorded event: about nothing.
 
     A recorded event is two ring slots (its interned head and ``args``)
-    and three doubles, so a repeated traced send leaves no object behind
+    and two doubles, so a repeated traced send leaves no object behind
     for the collector (the packed ``args`` tuple was one until heads and
     packed ``args`` were interned); an event without ``args`` leaves
     none, and on a wrapped ring each record frees what it overwrites.
@@ -345,8 +349,8 @@ def test_traced_event_retains_at_most_one_tracked_object():
 
 
 def test_traced_send_retains_at_most_48_bytes():
-    """A repeated traced send keeps two ring slots and three doubles,
-    40 B, plus the list's and the array's growth headroom.  The
+    """A repeated traced send keeps two ring slots and two doubles,
+    32 B, plus the list's and the array's growth headroom.  The
     observer's pending-send map is its own, not the trace's: it is
     emptied before the reading."""
     from repro.obs.hooks import TracingObserver

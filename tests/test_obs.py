@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,7 @@ from repro.obs.tracer import (
     FAULTS_TRACK,
     PHASE_TRACK,
     PROTO_GROUP,
+    TraceEvent,
     Tracer,
     node_track,
 )
@@ -45,11 +50,13 @@ from repro.sim.chaos import (
     run_chaos,
     run_endurance,
 )
+from repro.sim.faults import FaultConfig, FaultInjector, PartitionWindow
 from repro.sim.runner import ScenarioRunner
 
 from tests.conftest import TEST_LIMITS
 
 TRACK = ("sim", "test")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def bound_tracer(**kwargs) -> Tracer:
@@ -154,15 +161,14 @@ class TestDisabledTracer:
         assert install_tracing(deployment, tracer) is None
         assert deployment.router._hooks == hooks
         assert deployment.router._observers == observers
-        assert (injector._tracer, deployment.tracer) == (None, None)
+        assert (injector._observer, deployment.tracer) == (None, None)
 
         # The control: the same call with a recording tracer attaches.
         tracer = Tracer()
-        assert isinstance(
-            install_tracing(deployment, tracer), TracingObserver
-        )
+        observer = install_tracing(deployment, tracer)
+        assert isinstance(observer, TracingObserver)
         assert deployment.router._hooks != hooks
-        assert (injector._tracer, deployment.tracer) == (tracer, tracer)
+        assert (injector._observer, deployment.tracer) == (observer, tracer)
 
     def test_enabled_tracer_without_clock_demands_explicit_ts(self):
         tracer = Tracer()
@@ -277,6 +283,37 @@ class TestTracedDeployment:
             observer.on_deliver(None, message)
         phases = [e.phase for e in tracer if e.category == "deliver"]
         assert phases == ["i"] * 6 + ["X"] * 4
+
+    @pytest.mark.parametrize("weather", ["drop", "stall", "partition"])
+    def test_a_send_the_fault_layer_loses_stops_pending(self, weather):
+        """A lost send can never be delivered: the observer records the
+        fault instant and forgets the send, so nothing stays pending."""
+        deployment = ici_deployment()
+        injector = FaultInjector.install(
+            deployment.network,
+            FaultConfig(drop_rate=1.0 if weather == "drop" else 0.0),
+        )
+        tracer = Tracer()
+        observer = install_tracing(deployment, tracer)
+        if weather == "stall":
+            for node_id in sorted(deployment.nodes):
+                injector.stall(node_id)
+        elif weather == "partition":
+            injector.partition(
+                PartitionWindow(
+                    frozenset(n for n in deployment.nodes if n % 2),
+                    frozenset(n for n in deployment.nodes if not n % 2),
+                )
+            )
+        runner = ScenarioRunner(deployment, limits=TEST_LIMITS)
+        runner.produce_blocks(1, txs_per_block=2)
+        deployment.run()
+        lost = {"drop": "drop", "stall": "stall_drop"}.get(
+            weather, "partition_drop"
+        )
+        assert sum(e.category == "send" for e in tracer) > 0
+        assert sum(e.name == lost for e in tracer) > 0
+        assert len(observer._sent_at) == 0
 
     def test_finalize_instants_mark_consensus(self):
         tracer, _ = traced_run()
@@ -441,7 +478,9 @@ class TestChromeExport:
             for line in jsonl.read_text().splitlines()
         ]
         assert len(rows) == len(tracer)
-        assert all("wall" in row for row in rows)
+        # Every field of every event, and nothing else: an event keeps
+        # no wall-clock stamp.
+        assert all(tuple(row) == TraceEvent._fields for row in rows)
 
     def test_write_refuses_an_invalid_document(self, tmp_path):
         """The writer runs the schema check: an empty trace has no
@@ -568,6 +607,33 @@ class TestTraceCli:
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == 2
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_a_closed_stdout_ends_quietly(self, tmp_path, buffered):
+        """``repro trace diff A B | head``: a reader that has gone fails
+        the run by its status alone, with nothing on stderr."""
+        paths = []
+        for name in ("a", "b"):
+            tracer = bound_tracer()
+            tracer.instant(name, TRACK, ts=0.0)
+            paths.append(str(write_chrome_trace(tracer, tmp_path / name)))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "trace", "diff", *paths],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "")
 
 
 class TestCounterEvents:

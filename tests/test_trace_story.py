@@ -58,14 +58,7 @@ def _story_shas(chrome: dict, jsonl_rows: list[dict], summary) -> tuple:
         dict(row, args=_unwalled(row.get("args")))
         for row in chrome["traceEvents"]
     ]
-    stream = [
-        {
-            key: _unwalled(value) if key == "args" else value
-            for key, value in row.items()
-            if key != "wall"
-        }
-        for row in jsonl_rows
-    ]
+    stream = [dict(row, args=_unwalled(row["args"])) for row in jsonl_rows]
     return (
         _sha(json.dumps(chrome_rows, sort_keys=True)),
         _sha(json.dumps(stream, sort_keys=True)),
@@ -138,17 +131,18 @@ class TestEventShape:
             track == node_track(node_id) for node_id, track in tracks.items()
         )
 
-    def test_an_event_is_an_immutable_eight_field_row(self):
+    def test_an_event_is_an_immutable_seven_field_row(self):
+        """No wall-clock stamp: an event is its virtual story."""
         assert TraceEvent._fields == (
-            "name", "phase", "ts", "dur", "track", "category", "wall", "args",
+            "name", "phase", "ts", "dur", "track", "category", "args",
         )  # fmt: skip
         event = TraceEvent(
             name="block_body", phase="i", ts=1.5, dur=0.0,
-            track=node_track(3), category="send", wall=0.0,
+            track=node_track(3), category="send",
         )  # fmt: skip
         assert event.args is None
         assert event == TraceEvent(
-            "block_body", "i", 1.5, 0.0, node_track(3), "send", 0.0, None
+            "block_body", "i", 1.5, 0.0, node_track(3), "send", None
         )
         with pytest.raises(AttributeError):
             event.ts = 2.0
@@ -160,7 +154,7 @@ class TestEventShape:
         tracer.complete("late", node_track(3), 1.0, 0.75)
         first, second = list(tracer)
         assert type(first) is TraceEvent
-        assert first._replace(wall=0.0) == event
+        assert first == event
         assert (second.name, second.phase, second.ts, second.dur) == (
             "late", "X", 1.0, 0.75,
         )  # fmt: skip

@@ -1,6 +1,6 @@
 """Model test for the tracer's ring: stored form against a ``deque`` of events.
 
-The ring stores an interned head and ``args`` per event, next to three
+The ring stores an interned head and ``args`` per event, next to two
 doubles in a float column (:mod:`repro.obs.tracer`); what callers see
 must stay what a ``collections.deque(maxlen=capacity)`` of
 :class:`TraceEvent` rows would show, type for type.  Hypothesis drives
@@ -79,10 +79,10 @@ _ops = st.lists(
 )  # fmt: skip
 
 
-def _unwalled(events) -> str:
-    """The events with ``wall`` zeroed, as a ``repr``: ``==`` takes
-    ``True``, ``1`` and ``1.0`` for one value, ``repr`` does not."""
-    return repr([event._replace(wall=0.0) for event in events])
+def _shown(events) -> str:
+    """The events as a ``repr``: ``==`` takes ``True``, ``1`` and
+    ``1.0`` for one value, ``repr`` does not."""
+    return repr(list(events))
 
 
 def _as_dict(args: dict | tuple | None) -> dict | None:
@@ -103,13 +103,13 @@ def test_ring_matches_a_deque_of_events(capacity, ops):
         expected = _as_dict(args)
         if method == "instant":
             tracer.instant(name, track, ts, "cat", args)
-            row = (name, INSTANT, ts, 0.0, track, "cat", 0.0, expected)
+            row = (name, INSTANT, ts, 0.0, track, "cat", expected)
         elif method == "complete":
             tracer.complete(name, track, ts, dur[0], "cat", args)
-            row = (name, SPAN, ts, dur[0], track, "cat", 0.0, expected)
+            row = (name, SPAN, ts, dur[0], track, "cat", expected)
         else:
             tracer.counter(name, track, args, ts, "cat")
-            row = (name, COUNTER, ts, 0.0, track, "cat", 0.0, expected)
+            row = (name, COUNTER, ts, 0.0, track, "cat", expected)
         model.append(TraceEvent(*row))
         packed.append(args if isinstance(args, tuple) else None)
         if isinstance(args, dict) and args:
@@ -117,19 +117,17 @@ def test_ring_matches_a_deque_of_events(capacity, ops):
             args[next(iter(args))] = "mutated"
             args["extra"] = 1
 
-        assert _unwalled(list(tracer)) == _unwalled(model)
-        assert _unwalled(tracer) == _unwalled(model)
+        assert _shown(list(tracer)) == _shown(model)
+        assert _shown(tracer) == _shown(model)
         assert len(tracer) == len(model)
         assert tracer.recorded == recorded
         assert tracer.evicted == recorded - len(model)
         stored = list(tracer.rows())
         assert [row[:6] for row in stored] == [event[:6] for event in model]
-        walls = [row[6] for row in stored]
-        assert walls == sorted(walls)  # oldest first
         for row, event in zip(stored, model):
             for key in (*KEYS, "extra"):
                 want = repr((event.args or {}).get(key, MISSING))
-                assert repr(arg_of(row[7], key, MISSING)) == want
+                assert repr(arg_of(row[6], key, MISSING)) == want
                 assert repr(arg_of(event.args, key, MISSING)) == want
         # The intern table holds what this lap of the ring recorded: the
         # distinct heads and packed ``args`` since it last wrapped to 0.
