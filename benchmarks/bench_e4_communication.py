@@ -1,11 +1,12 @@
 """E4 (figure): communication bytes per disseminated block vs network size.
 
 Paper claim reproduced: ICIStrategy cuts dissemination traffic because a
-block body travels only to each cluster's ``r`` holders (≈ N·r/m body
-transfers) instead of to every node (N transfers under flooding).
+block body travels only to each cluster's ``r`` holders (``r·C`` body
+transfers) instead of to every node (N − 1 transfers under flooding).
 Headers still flood everywhere in both, so the saving shows up in body
 bytes; RapidChain also ships the body only to one committee but pays the
-same header flood.
+same header flood.  Every measured figure is printed beside the exact
+model's (:mod:`repro.storage.communication`) and must equal it.
 """
 
 from __future__ import annotations
@@ -16,56 +17,71 @@ from benchmarks.conftest import (
     build_rapid,
     drive,
     emit,
+    measured_traffic,
+    modeled_traffic,
 )
 from repro.analysis.plots import ascii_series
 from repro.analysis.tables import format_bytes, render_table
 from repro.bench.workload import BenchWorkload
+from repro.core.config import ICIConfig
 from repro.storage.communication import ici_advantage_factor
 
 POPULATIONS = (24, 48, 72)
 GROUP_SIZE = 8
 N_BLOCKS = 8
+STRATEGIES = ("full", "rapidchain", "ici")
 
 
-def traffic_per_block(deployment, n_blocks: int) -> float:
-    before = deployment.network.traffic.snapshot()
-    drive(deployment, n_blocks)
-    delta = deployment.network.traffic.snapshot().delta(before)
-    return delta.total_bytes / n_blocks
+def traffic_per_block(deployment) -> tuple[float, float]:
+    """(measured, modeled) bytes per block of ``N_BLOCKS`` clean blocks."""
+    runner, report = drive(deployment, N_BLOCKS)
+    measured = measured_traffic(deployment.network.traffic)
+    modeled = modeled_traffic(deployment, runner, report)
+    assert measured == modeled, "the exact model disagrees with the run"
+    return tuple(
+        sum(size for _, size in table.values()) / N_BLOCKS
+        for table in (measured, modeled)
+    )
 
 
 def test_e4_communication(results_dir):
-    series: dict[str, list[float]] = {"full": [], "rapidchain": [], "ici": []}
+    measured: dict[str, list[float]] = {name: [] for name in STRATEGIES}
+    modeled: dict[str, list[float]] = {name: [] for name in STRATEGIES}
 
     def run_sweep():
         for n in POPULATIONS:
             groups = n // GROUP_SIZE
-            series["full"].append(
-                traffic_per_block(build_full(n), N_BLOCKS)
-            )
-            series["rapidchain"].append(
-                traffic_per_block(build_rapid(n, groups), N_BLOCKS)
-            )
-            series["ici"].append(
-                traffic_per_block(
-                    build_ici(n, groups, replication=1), N_BLOCKS
-                )
-            )
+            for name, deployment in (
+                ("full", build_full(n)),
+                ("rapidchain", build_rapid(n, groups)),
+                ("ici", build_ici(n, groups, replication=1)),
+            ):
+                sim, model = traffic_per_block(deployment)
+                measured[name].append(sim)
+                modeled[name].append(model)
 
     run_sweep()
 
     rows = [
         (
             n,
-            format_bytes(series["full"][i]),
-            format_bytes(series["rapidchain"][i]),
-            format_bytes(series["ici"][i]),
-            f"{series['full'][i] / series['ici'][i]:.1f}x",
+            *(
+                f"{format_bytes(measured[name][i])} | "
+                f"{format_bytes(modeled[name][i])}"
+                for name in STRATEGIES
+            ),
+            f"{measured['full'][i] / measured['ici'][i]:.1f}x",
         )
         for i, n in enumerate(POPULATIONS)
     ]
     table = render_table(
-        ["N", "full B/block", "rapidchain B/block", "ici B/block", "full/ici"],
+        [
+            "N",
+            "full B/block (sim | model)",
+            "rapidchain B/block (sim | model)",
+            "ici B/block (sim | model)",
+            "full/ici",
+        ],
         rows,
         title=(
             f"E4  Dissemination traffic per block "
@@ -74,19 +90,20 @@ def test_e4_communication(results_dir):
     )
     plot = ascii_series(
         list(POPULATIONS),
-        series,
+        measured,
         x_label="network size N",
         y_label="bytes per block",
     )
-    # Paper-scale closed forms: the advantage approaches m/r as block
-    # bodies dominate (the simulator runs small blocks; real chains ship
-    # ~1 MB, where ICI's saving is an order of magnitude larger).
+    # Paper scale from the exact model: the advantage approaches m/r as
+    # block bodies dominate (the simulator runs small blocks; real chains
+    # ship ~1 MB, where ICI's saving is an order of magnitude larger).
+    config = ICIConfig(replication=1)
     asymptotic = render_table(
-        ["block body", "full/ici advantage (closed form, N=1000, m=16, r=1)"],
+        ["block body", "full/ici advantage (exact model, N=1000, m=16, r=1)"],
         [
             (
                 format_bytes(body),
-                f"{ici_advantage_factor(1000, 16, 1, body):.1f}x",
+                f"{ici_advantage_factor(1000, 16, config, body):.2f}x",
             )
             for body in (10_000, 100_000, 1_000_000)
         ],
@@ -99,11 +116,10 @@ def test_e4_communication(results_dir):
 
     # Shape: ICI cheaper than full flooding at every population, and the
     # advantage does not shrink as the network grows.
+    full, ici = measured["full"], measured["ici"]
     for i in range(len(POPULATIONS)):
-        assert series["ici"][i] < series["full"][i]
-    first_gain = series["full"][0] / series["ici"][0]
-    last_gain = series["full"][-1] / series["ici"][-1]
-    assert last_gain > first_gain * 0.8
+        assert ici[i] < full[i]
+    assert full[-1] / ici[-1] > full[0] / ici[0] * 0.8
 
 
 # ------------------------------------------------------ drift-gate kernel

@@ -21,6 +21,14 @@ from repro.baselines.full_replication import FullReplicationDeployment
 from repro.baselines.rapidchain import RapidChainDeployment
 from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import BENCH_LIMITS
+from repro.storage.communication import (
+    Traffic,
+    edge_count,
+    full_replication_traffic,
+    ici_traffic,
+    rapidchain_traffic,
+    total,
+)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -62,3 +70,49 @@ def drive(deployment, n_blocks: int, txs_per_block: int = 6):
     runner = ScenarioRunner(deployment, limits=BENCH_LIMITS)
     report = runner.produce_blocks(n_blocks, txs_per_block=txs_per_block)
     return runner, report
+
+
+def modeled_traffic(deployment, runner, report) -> Traffic:
+    """The exact model's traffic for the blocks ``drive`` produced on a
+    clean network (:mod:`repro.storage.communication`)."""
+    network = deployment.network
+    nodes = deployment.nodes
+    edges = edge_count({node: network.peers_of(node) for node in nodes})
+    tables = []
+    for block in report.blocks:
+        proposer = runner.schedule.proposer_at(block.height)
+        if isinstance(deployment, ICIDeployment):
+            clusters = deployment.clusters
+            holders = deployment.holders_in_cluster(
+                block.header, clusters.cluster_of(proposer)
+            )
+            table = ici_traffic(
+                edges,
+                [len(view.members) for view in clusters.views()],
+                deployment.config,
+                block.size_bytes,
+                proposer in holders,
+            )
+        elif isinstance(deployment, RapidChainDeployment):
+            home = deployment.home_committee(block.header)
+            table = rapidchain_traffic(
+                edges,
+                len(nodes),
+                len(deployment.committees.members_of(home)),
+                block.size_bytes,
+                proposer == deployment.committee_leader(home),
+            )
+        else:
+            table = full_replication_traffic(
+                edges, len(nodes), block.size_bytes
+            )
+        tables.append(table)
+    return total(tables)
+
+
+def measured_traffic(ledger) -> Traffic:
+    """A traffic ledger in the model's shape: ``kind -> (count, bytes)``."""
+    return {
+        kind: (count, ledger.bytes_by_kind[kind])
+        for kind, count in ledger.messages_by_kind.items()
+    }

@@ -87,8 +87,8 @@ def claim_2_communication() -> None:
         )
     print(render_table(["strategy", "traffic per block"], rows))
     print(
-        "closed form at 1 MB blocks (N=1000, m=16): full/ici = "
-        f"{ici_advantage_factor(1000, 16, 1, 1_000_000):.1f}x"
+        "exact model at 1 MB blocks (N=1000, m=16, r=1): full/ici = "
+        f"{ici_advantage_factor(1000, 16, ICIConfig(), 1_000_000):.1f}x"
     )
 
 

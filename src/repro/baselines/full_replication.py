@@ -36,7 +36,6 @@ class FullReplicationDeployment(StorageDeployment):
         n_nodes: int,
         network: Network | None = None,
         genesis: Block | None = None,
-        degree: int = 8,
         limits: ValidationLimits = DEFAULT_LIMITS,
         seed: int = 0,
     ) -> None:
@@ -51,7 +50,7 @@ class FullReplicationDeployment(StorageDeployment):
             node.attach(self)
             self.nodes[node_id] = node
         self.network.set_topology(
-            random_regular(list(self.nodes), degree=degree, seed=seed)
+            random_regular(list(self.nodes), seed=seed)
         )
         self._orphans: dict[int, dict[Hash32, Block]] = {}
         self._queries: dict[int, QueryRecord] = {}

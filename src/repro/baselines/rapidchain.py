@@ -80,7 +80,6 @@ class RapidChainDeployment(StorageDeployment):
         self.network.set_topology(
             clustered_topology(
                 [list(v.members) for v in self.committees.views()],
-                inter_cluster_links=2,
                 seed=seed,
             )
         )

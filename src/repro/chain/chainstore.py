@@ -128,11 +128,6 @@ class ChainStore:
         """Highest indexed header (``None`` before genesis arrives)."""
         return self._tip
 
-    @property
-    def height(self) -> int:
-        """Height of the tip, or -1 when empty."""
-        return -1 if self._tip is None else self._tip.height
-
     def iter_active_headers(self) -> Iterator[BlockHeader]:
         """Active chain headers from genesis to tip."""
         tip = self._tip

@@ -1,6 +1,6 @@
 """Network substrate: virtual clock, latency models, topologies, gossip."""
 
-from repro.net.gossip import GossipProtocol, GossipStats, flood_cost_bytes
+from repro.net.gossip import GossipProtocol, GossipStats
 from repro.net.latency import (
     DEFAULT_BANDWIDTH_BPS,
     ConstantLatency,
@@ -23,12 +23,11 @@ from repro.net.topology import (
     is_connected,
     random_regular,
 )
-from repro.net.traffic import TrafficLedger, TrafficSnapshot
+from repro.net.traffic import TrafficLedger
 
 __all__ = [
     "GossipProtocol",
     "GossipStats",
-    "flood_cost_bytes",
     "DEFAULT_BANDWIDTH_BPS",
     "ConstantLatency",
     "CoordinateLatency",
@@ -48,5 +47,4 @@ __all__ = [
     "is_connected",
     "random_regular",
     "TrafficLedger",
-    "TrafficSnapshot",
 ]

@@ -5,9 +5,7 @@ a node that learns a new item announces its id to all peers; a peer missing
 the item requests it from the first announcer; received items are
 re-announced.  The helper is protocol-agnostic — block relay, transaction
 relay, and header relay all instantiate it with different message kinds.
-
-For analytical experiments that don't need per-hop simulation, the module
-also provides closed-form traffic estimates (:func:`flood_cost_bytes`).
+:mod:`repro.storage.communication` counts what one flood sends.
 """
 
 from __future__ import annotations
@@ -166,17 +164,3 @@ class GossipProtocol(Generic[T]):
         self._on_item(node_id, item)
         self._announce(node_id, item_id)
 
-
-def flood_cost_bytes(
-    n_nodes: int, item_bytes: int, degree: int, envelope: int = 40
-) -> int:
-    """Closed-form traffic estimate for announce/request/deliver flooding.
-
-    Every node announces to ``degree`` peers; each node requests and
-    receives the item exactly once (n-1 transfers).  Used by analytical
-    baselines to cross-check the simulator.
-    """
-    announces = n_nodes * degree * (ANNOUNCE_PAYLOAD_BYTES + envelope)
-    requests = (n_nodes - 1) * (REQUEST_PAYLOAD_BYTES + envelope)
-    transfers = (n_nodes - 1) * (item_bytes + envelope)
-    return announces + requests + transfers

@@ -20,6 +20,10 @@ from repro.errors import ConfigurationError
 
 Topology = Mapping[int, tuple[int, ...]]
 
+#: Bridges :func:`clustered_topology` draws between each cluster pair,
+#: read at call time.
+INTER_CLUSTER_LINKS = 2
+
 
 def full_mesh(node_ids: Sequence[int]) -> dict[int, tuple[int, ...]]:
     """Every node peers with every other node (small clusters)."""
@@ -56,28 +60,18 @@ def random_regular(
 
 
 def clustered_topology(
-    clusters: Sequence[Sequence[int]],
-    inter_cluster_links: int = 2,
-    seed: int = 0,
+    clusters: Sequence[Sequence[int]], seed: int = 0
 ) -> "ClusteredOverlay":
-    """Full mesh inside each cluster plus sparse inter-cluster bridges.
+    """Full mesh inside each cluster plus :data:`INTER_CLUSTER_LINKS`
+    bridges between each cluster pair.
 
     This is the overlay ICIStrategy operates: cheap dense communication
     within a cluster, a few representative links between clusters.  The
     result is derived on read (:class:`ClusteredOverlay`): building it
     costs one pass over the cluster list, and a node's peer tuple is
     built the first time something asks for it.
-
-    Args:
-        clusters: disjoint groups of node ids.
-        inter_cluster_links: bridges created between each cluster pair.
-
-    Raises:
-        ConfigurationError: when ``inter_cluster_links`` is below 1.
     """
-    if inter_cluster_links < 1:
-        raise ConfigurationError("inter_cluster_links must be >= 1")
-    return ClusteredOverlay(clusters, inter_cluster_links, seed)
+    return ClusteredOverlay(clusters, INTER_CLUSTER_LINKS, seed)
 
 
 class ClusteredOverlay(Mapping[int, tuple[int, ...]]):

@@ -99,7 +99,4 @@ class BaseNode:
         return self.keypair.address
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(id={self.node_id}, "
-            f"height={self.store.height})"
-        )
+        return f"{type(self).__name__}(id={self.node_id})"

@@ -11,12 +11,6 @@ from repro.storage.accounting import (
     report_network,
     report_node,
 )
-from repro.storage.communication import (
-    full_replication_block_bytes,
-    header_flood_bytes,
-    ici_advantage_factor,
-    ici_block_bytes,
-)
 from repro.storage.placement import (
     CapacityWeightedPlacement,
     ModuloSlotPlacement,
@@ -44,10 +38,6 @@ __all__ = [
     "rapidchain_total",
     "report_network",
     "report_node",
-    "full_replication_block_bytes",
-    "header_flood_bytes",
-    "ici_advantage_factor",
-    "ici_block_bytes",
     "CapacityWeightedPlacement",
     "ModuloSlotPlacement",
     "RendezvousPlacement",

@@ -14,6 +14,7 @@ from repro.chain.validation import ValidationLimits
 from repro.clustering.coordinates import Coordinate
 from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError
+from repro.net import topology as topology_module
 from repro.storage import heat
 
 #: Small consensus limits so unit tests stay fast.
@@ -51,11 +52,12 @@ def ring(node_ids) -> dict[int, tuple[int, ...]]:
 
 
 def eager_clustered_topology(
-    clusters, inter_cluster_links: int = 2, seed: int = 0
+    clusters, seed: int = 0
 ) -> dict[int, tuple[int, ...]]:
     """The oracle for :func:`repro.net.topology.clustered_topology`: the
     same overlay built at once as a dict (set arithmetic for the meshes,
-    then every bridge drawn from the member tuples)."""
+    then ``INTER_CLUSTER_LINKS`` bridges per cluster pair drawn from the
+    member tuples)."""
     rng = random.Random(seed)
     adjacency: dict[int, set[int]] = {}
     for members in clusters:
@@ -64,14 +66,13 @@ def eager_clustered_topology(
             adjacency.setdefault(node, set()).update(mesh)
     for node, peers in adjacency.items():
         peers.discard(node)
-    links = max(inter_cluster_links, 1)
     for i, cluster_a in enumerate(clusters):
         if not cluster_a:
             continue
         for cluster_b in clusters[i + 1 :]:
             if not cluster_b:
                 continue
-            for _ in range(links):
+            for _ in range(topology_module.INTER_CLUSTER_LINKS):
                 a = rng.choice(cluster_a)
                 b = rng.choice(cluster_b)
                 adjacency[a].add(b)

@@ -100,7 +100,6 @@ KEEP = {
     "UtxoSet.total_value": "test oracle: value conservation across blocks",
     "VerificationRound.prepare_votes": "the round-model oracle's view of a round",
     "ChainStore.tip": "test oracle: the header store's fork choice",
-    "ChainStore.height": "BaseNode.__repr__ prints it (debug output)",
     "BlockHeader.deserialize": "test oracle: inverts serialize, the hash preimage",
     "distance": "test oracle: the XOR order RoutingTable.closest must keep",
 }

@@ -41,12 +41,9 @@ class TestChainStoreHeaders:
             store.add_header(header)
         assert store.tip is not None
         assert store.tip.height == 3
-        assert store.height == 3
 
     def test_empty_store_height(self):
-        store = ChainStore()
-        assert store.height == -1
-        assert store.tip is None
+        assert ChainStore().tip is None
 
     def test_iter_active_headers_in_order(self, ledger, chain_of_three):
         heights = [h.height for h in ledger.store.iter_active_headers()]

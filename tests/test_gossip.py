@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.gossip import GossipProtocol, flood_cost_bytes
+from repro.net.gossip import GossipProtocol
 from repro.net.latency import ConstantLatency
-from repro.net.message import Message, MessageKind
+from repro.net.message import ENVELOPE_OVERHEAD, Message, MessageKind
 from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.net.topology import random_regular
+from repro.storage.communication import edge_count, full_replication_traffic
 from tests.conftest import ring
 
 
@@ -122,12 +123,21 @@ class TestFlooding:
 
 
 class TestFloodCostModel:
+    """The exact model's flood term (:mod:`repro.storage.communication`)."""
+
+    @staticmethod
+    def flood(n_nodes: int, item_bytes: int):
+        edges = edge_count(random_regular(range(n_nodes)))
+        return full_replication_traffic(edges, n_nodes, item_bytes)
+
     def test_cost_scales_with_nodes(self):
-        small = flood_cost_bytes(10, 1000, degree=8)
-        large = flood_cost_bytes(100, 1000, degree=8)
+        small = sum(size for _, size in self.flood(10, 1000).values())
+        large = sum(size for _, size in self.flood(100, 1000).values())
         assert large > small * 8
 
     def test_cost_dominated_by_item_size_for_big_items(self):
-        cost = flood_cost_bytes(100, 1_000_000, degree=8)
-        transfers = 99 * (1_000_000 + 40)
+        traffic = self.flood(100, 1_000_000)
+        transfers = 99 * (1_000_000 + ENVELOPE_OVERHEAD)
+        assert traffic[MessageKind.BLOCK_BODY] == (99, transfers)
+        cost = sum(size for _, size in traffic.values())
         assert cost == pytest.approx(transfers, rel=0.01)

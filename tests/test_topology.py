@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.errors import ConfigurationError, UnknownNodeError
+from repro.net import topology as topology_module
 from repro.net.network import Network
 from repro.net.topology import (
     _bridge_plan,
@@ -115,7 +117,7 @@ class TestClusteredTopology:
 
     def test_bridges_exist(self):
         clusters = [[0, 1, 2], [3, 4, 5]]
-        topology = clustered_topology(clusters, inter_cluster_links=2, seed=0)
+        topology = clustered_topology(clusters, seed=0)
         cross = [
             (a, b)
             for a in (0, 1, 2)
@@ -138,31 +140,26 @@ class TestClusteredTopology:
     _TWELVE_BY_EIGHT = [list(range(i * 8, (i + 1) * 8)) for i in range(12)]
 
     @pytest.mark.parametrize(
-        "clusters, links, expected",
+        "clusters, expected",
         [
             (
                 _TWELVE_BY_EIGHT,
-                2,
                 "ac61eb9224485c9b037d07dc917dd3ffa77d905d0260898051c8a3a029f769cf",
             ),
             (
                 [_TWELVE_BY_EIGHT[0] + [96], *_TWELVE_BY_EIGHT[1:]],
-                2,
                 "f37d12a94af081adb3b83c26dc4e22a188b063ef2abf40718f2c7cce2dc0f4cb",
             ),
             (
                 [[0, 1, 2], list(range(3, 11)), list(range(11, 20))],
-                3,
-                "15644ca49f2fd6163edadf37d219684579de6566081266eef5c2ddbd8713ae52",
+                "90c897921aa4294fba0a241fb385f66195f8f5f7504dec2fbaa6b1212ab6b3d2",
             ),
         ],
-        ids=["12x8", "12x8-plus-joiner", "unequal-3-links"],
+        ids=["12x8", "12x8-plus-joiner", "unequal"],
     )
-    def test_output_pinned(self, clusters, links, expected):
+    def test_output_pinned(self, clusters, expected):
         for groups in (clusters, [tuple(c) for c in clusters]):
-            topology = clustered_topology(
-                groups, inter_cluster_links=links, seed=0
-            )
+            topology = clustered_topology(groups, seed=0)
             digest = hashlib.sha256(
                 repr(sorted(topology.items())).encode()
             ).hexdigest()
@@ -180,11 +177,6 @@ class TestClusteredTopology:
             list(range(i * size, (i + 1) * size)) for i in range(k)
         ]
         assert is_connected(clustered_topology(clusters, seed=seed))
-
-    @pytest.mark.parametrize("links", [0, -1])
-    def test_rejects_fewer_than_one_link(self, links):
-        with pytest.raises(ConfigurationError):
-            clustered_topology([[0, 1], [2, 3]], inter_cluster_links=links)
 
     def test_rejects_overlapping_clusters(self):
         overlay = clustered_topology([[0, 1], [1, 2]], seed=0)
@@ -250,8 +242,9 @@ class TestDerivedOverlay:
         order=st.randoms(use_true_random=False),
     )
     def test_matches_the_eager_oracle(self, clusters, links, seed, order):
-        overlay = clustered_topology(clusters, links, seed)
-        oracle = eager_clustered_topology(clusters, links, seed)
+        with patch.object(topology_module, "INTER_CLUSTER_LINKS", links):
+            overlay = clustered_topology(clusters, seed)
+            oracle = eager_clustered_topology(clusters, seed)
         nodes = list(oracle)
         order.shuffle(nodes)
         # Reads in any order, before and after the key order is asked.
