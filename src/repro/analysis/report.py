@@ -232,7 +232,7 @@ def _degraded_pct(outcome, kind: str) -> str:
 
 
 def _protocol_recovery_table(outcome) -> str:
-    """The per-kind retry/timeout/degraded table both summaries share."""
+    """The storm summary's per-kind retry/timeout/degraded table."""
     kinds = sorted(
         set(outcome.retries) | set(outcome.timeouts) | set(outcome.degraded)
     )
@@ -252,17 +252,22 @@ def _protocol_recovery_table(outcome) -> str:
     )
 
 
-def _storm_lines(
-    kind: str, outcome, detail: list[str], integrity_note: str = ""
-) -> list[str]:
-    """What the chaos and endurance summaries share: title, verdict and
-    run bullets, one section per non-empty counter dict, protocol
-    recovery and delivery latency."""
+def render_endurance_summary(outcome) -> str:
+    """Markdown audit of one :func:`repro.sim.chaos.run_endurance`:
+    verdict and run bullets, one section per non-empty counter dict,
+    protocol recovery, delivery latency and the closing probe."""
     config = outcome.config
     delay_seconds = config.fault_config().delay_seconds
     verdict = "restored" if outcome.integrity_restored else "VIOLATED"
+    floor = "met" if outcome.replica_floor_met else "NOT met"
+    heal = (
+        f"converged after {outcome.heal_rounds} sweep rounds"
+        if outcome.heal_converged
+        else f"stopped at the {outcome.heal_rounds}-round cap without "
+        "going quiet"
+    )
     lines = [
-        f"# {kind} run (seed {config.seed})",
+        f"# Endurance run (seed {config.seed})",
         "",
         f"- **verdict: {'passed' if outcome.passed else 'FAILED'}**",
         f"- nodes: {config.n_nodes} in {config.n_clusters} clusters, "
@@ -270,13 +275,24 @@ def _storm_lines(
         f"- fault rates: drop {config.drop_rate:.0%}, "
         f"duplicate {config.duplicate_rate:.0%}, "
         f"delay {config.delay_rate:.0%} (+{delay_seconds:g}s)",
-        *detail,
+        f"- churn: {outcome.joins} joins, {outcome.leaves} leaves, "
+        f"{outcome.churn_crashes} crashes "
+        f"({outcome.skipped_events} events skipped)",
+        "- outages: "
+        f"crashed {outcome.outage_crashed or 'none'}, "
+        f"stalled {outcome.outage_stalled or 'none'}, "
+        f"partitioned {outcome.partitioned or 'none'}",
+        f"- blocks: {outcome.blocks_produced} produced, "
+        f"{outcome.deployment.total_finalized_blocks()} finalized "
+        f"everywhere, {outcome.deferred_blocks} deferred by departures "
+        f"to the sweep; healing {heal}",
+        f"- ledger at audit: {format_bytes(outcome.storage_total_bytes)}",
         f"- virtual time: {outcome.virtual_seconds:.1f}s over "
         f"{outcome.events_processed} events",
         f"- **cluster integrity: {verdict}** "
         f"({sum(outcome.cluster_integrity.values())}"
         f"/{len(outcome.cluster_integrity)} clusters hold the full "
-        f"ledger{integrity_note})",
+        f"ledger; replication floor {floor})",
     ]
     for name, counters in outcome.counters().items():
         if counters:
@@ -315,14 +331,9 @@ def _storm_lines(
                 or [("(none)", 0, "-", "-", "-", "-")],
             ),
         ]
-    return lines
-
-
-def _probe_lines(title: str, outcome, extra_rows=()) -> list[str]:
-    """The closing probe table (query tallies, plus per-run rows)."""
-    return [
+    lines += [
         "",
-        f"## {title}",
+        "## Exercised after heal",
         "",
         _md_table(
             ["probe", "result"],
@@ -332,70 +343,9 @@ def _probe_lines(title: str, outcome, extra_rows=()) -> list[str]:
                     f"{outcome.queries_completed}/{outcome.queries_attempted}"
                     f" completed, {outcome.queries_degraded} degraded",
                 ),
-                *extra_rows,
             ],
         ),
     ]
-
-
-def render_chaos_summary(outcome) -> str:
-    """Markdown post-mortem of one :func:`repro.sim.chaos.run_chaos`."""
-    lines = _storm_lines(
-        "Chaos",
-        outcome,
-        [
-            "- outages: "
-            f"crashed {outcome.crashed or 'none'}, "
-            f"stalled {outcome.stalled or 'none'}, "
-            f"partitioned {outcome.partitioned or 'none'}",
-            f"- blocks: {outcome.blocks_produced} produced, "
-            f"{outcome.finalized_blocks} finalized everywhere",
-        ],
-    )
-    lines += _probe_lines(
-        "Exercised under faults",
-        outcome,
-        [
-            (
-                "join bootstrap",
-                ("complete" if outcome.bootstrap_complete else "incomplete")
-                + f" ({outcome.bootstrap_bodies_unavailable}"
-                " bodies unavailable)",
-            ),
-            ("bodies refetched at heal", outcome.refetched_bodies),
-        ],
-    )
-    return "\n".join(lines) + "\n"
-
-
-def render_endurance_summary(outcome) -> str:
-    """Markdown audit of one :func:`repro.sim.chaos.run_endurance`."""
-    floor = "met" if outcome.replica_floor_met else "NOT met"
-    heal = (
-        f"converged after {outcome.heal_rounds} sweep rounds"
-        if outcome.heal_converged
-        else f"stopped at the {outcome.heal_rounds}-round cap without "
-        "going quiet"
-    )
-    lines = _storm_lines(
-        "Endurance",
-        outcome,
-        [
-            f"- churn: {outcome.joins} joins, {outcome.leaves} leaves, "
-            f"{outcome.churn_crashes} crashes "
-            f"({outcome.skipped_events} events skipped)",
-            "- outages: "
-            f"crashed {outcome.outage_crashed or 'none'}, "
-            f"partitioned {outcome.partitioned or 'none'}",
-            f"- blocks: {outcome.blocks_produced} produced, "
-            f"{outcome.deferred_blocks} deferred by departures to the "
-            f"sweep; healing {heal}",
-            f"- ledger at audit: "
-            f"{format_bytes(outcome.storage_total_bytes)}",
-        ],
-        integrity_note=f"; replication floor {floor}",
-    )
-    lines += _probe_lines("Exercised after heal", outcome)
     return "\n".join(lines) + "\n"
 
 

@@ -8,12 +8,12 @@ Commands:
 * ``experiments`` — list the reproduced experiments and their benches.
 * ``bench``    — drift gate: run the 21 experiment kernels and compare
   their simulated metrics exactly against ``benchmarks/baseline.json``.
-* ``chaos``    — seeded fault-injection run with a markdown audit
-  (``--trace`` exports the run's Chrome trace; it is how a storm is
-  traced).
 * ``endurance`` — sustained churn under fault weather with the
   anti-entropy repair engine sweeping; audits integrity + the replica
-  floor and reports the repair counters.
+  floor and reports the repair counters (``--trace`` exports the run's
+  Chrome trace; it is how a storm is traced).
+* ``chaos``    — the same storm under ``CHAOS_PRESET``: a small
+  population, fault weather and one mid-run outage, no churn.
 * ``trace``    — record a structured trace of one scenario: Chrome
   trace-event JSON (Perfetto-loadable, one track per node), optional
   JSONL stream, and a markdown latency/timeline summary.  ``repro trace
@@ -33,12 +33,7 @@ from typing import Sequence
 from repro.analysis.tables import format_bytes, format_seconds, render_table
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs.tracer import DEFAULT_CAPACITY
-from repro.sim.chaos import (
-    ChaosConfig,
-    EnduranceConfig,
-    run_chaos,
-    run_endurance,
-)
+from repro.sim.chaos import CHAOS_PRESET, EnduranceConfig, run_endurance
 from repro.sim.runner import ScenarioRunner
 from repro.sim.scenario import BENCH_LIMITS, Scenario, build_deployment
 
@@ -142,16 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="seeded fault-injection run: drops, crashes, heal, audit",
+        help="the endurance storm without churn or partition on a small "
+        "population: drops, a mid-run outage, heal, audit",
     )
-    _storm_args(chaos, ChaosConfig)
+    _storm_args(chaos, CHAOS_PRESET)
 
     endurance = sub.add_parser(
         "endurance",
         help="sustained churn under fault weather with anti-entropy "
         "repair; audits integrity and the replica floor",
     )
-    _storm_args(endurance, EnduranceConfig)
+    _storm_args(endurance, {})
 
     trace = sub.add_parser(
         "trace",
@@ -243,10 +239,10 @@ _FIELD_OF = {
 }
 
 #: Every population/weather/feature flag of ``chaos`` and ``endurance``
-#: with its help text.  A parser takes the flags its config class has a
-#: field for, and reads the default off that field — so each default is
-#: stated once, on the dataclass.  Boolean fields become switches:
-#: ``--x`` when off by default, ``--no-x`` when on.
+#: with its help text: one per ``EnduranceConfig`` field, its default
+#: read off that field or the command's preset — so each default is
+#: stated once.  Boolean fields become switches: ``--x`` when off by
+#: default, ``--no-x`` when on.
 _STORM_FLAGS = (
     ("seed", "every random draw derives from it"),
     ("nodes", "initial population"),
@@ -291,15 +287,16 @@ _STORM_FLAGS = (
 )
 
 
-def _storm_args(parser: argparse.ArgumentParser, config_cls) -> None:
-    """The ``chaos``/``endurance`` flags, defaults from ``config_cls``."""
-    defaults = {f.name: f.default for f in dataclasses.fields(config_cls)}
+def _storm_args(parser: argparse.ArgumentParser, preset: dict) -> None:
+    """The storm flags, defaults from ``EnduranceConfig`` over which
+    ``preset`` wins."""
+    defaults = {
+        f.name: f.default for f in dataclasses.fields(EnduranceConfig)
+    }
+    defaults.update(preset)
     for flag, text in _STORM_FLAGS:
         dest = flag.replace("-", "_")
-        field_name = _FIELD_OF.get(dest, dest)
-        if field_name not in defaults:
-            continue
-        default = defaults[field_name]
+        default = defaults[_FIELD_OF.get(dest, dest)]
         if default is True:
             parser.add_argument(
                 f"--no-{flag}",
@@ -330,22 +327,25 @@ def _storm_args(parser: argparse.ArgumentParser, config_cls) -> None:
     )
 
 
-def _storm_config(config_cls, args: argparse.Namespace):
-    """Build a chaos/endurance config from its parsed flags."""
+def _storm_config(args: argparse.Namespace) -> EnduranceConfig:
+    """Build a storm config from its parsed flags."""
     given = {_FIELD_OF.get(k, k): v for k, v in vars(args).items()}
-    return config_cls(
+    return EnduranceConfig(
         **{
             f.name: given[f.name]
-            for f in dataclasses.fields(config_cls)
+            for f in dataclasses.fields(EnduranceConfig)
             if f.name in given
         }
     )
 
 
-def _storm_epilogue(
-    args: argparse.Namespace, outcome, summary: str, label: str
-) -> int:
-    """Print/write the summary, export the trace, exit on the verdict."""
+def cmd_storm(args: argparse.Namespace) -> int:
+    """``chaos``/``endurance``: one seeded storm; print/write its
+    summary, export its trace, exit on its verdict."""
+    from repro.analysis.report import render_endurance_summary
+
+    outcome = run_endurance(_storm_config(args))
+    summary = render_endurance_summary(outcome)
     print(summary, end="")
     if args.report:
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
@@ -355,7 +355,7 @@ def _storm_epilogue(
         from repro.obs.export import write_chrome_trace
 
         path = write_chrome_trace(
-            outcome.tracer, Path(args.trace), label=label
+            outcome.tracer, Path(args.trace), label=args.command
         )
         print(
             f"trace ({len(outcome.tracer)} events) written to {path}",
@@ -528,26 +528,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """``chaos``: one seeded fault-injection run with a markdown audit."""
-    from repro.analysis.report import render_chaos_summary
-
-    outcome = run_chaos(_storm_config(ChaosConfig, args))
-    return _storm_epilogue(
-        args, outcome, render_chaos_summary(outcome), "chaos"
-    )
-
-
-def cmd_endurance(args: argparse.Namespace) -> int:
-    """``endurance``: churn × faults × anti-entropy, then audit."""
-    from repro.analysis.report import render_endurance_summary
-
-    outcome = run_endurance(_storm_config(EnduranceConfig, args))
-    return _storm_epilogue(
-        args, outcome, render_endurance_summary(outcome), "endurance"
-    )
-
-
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
     """``trace diff A.json B.json``: first divergent story event."""
     from repro.obs.diff import diff_traces, render_divergence
@@ -630,8 +610,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "join": cmd_join,
         "experiments": cmd_experiments,
         "bench": cmd_bench,
-        "chaos": cmd_chaos,
-        "endurance": cmd_endurance,
+        "chaos": cmd_storm,
+        "endurance": cmd_storm,
         "trace": cmd_trace,
     }
     try:

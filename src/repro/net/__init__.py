@@ -1,6 +1,6 @@
 """Network substrate: virtual clock, latency models, topologies, gossip."""
 
-from repro.net.gossip import GossipProtocol, GossipStats
+from repro.net.gossip import GossipProtocol
 from repro.net.latency import (
     DEFAULT_BANDWIDTH_BPS,
     ConstantLatency,
@@ -27,7 +27,6 @@ from repro.net.traffic import TrafficLedger
 
 __all__ = [
     "GossipProtocol",
-    "GossipStats",
     "DEFAULT_BANDWIDTH_BPS",
     "ConstantLatency",
     "CoordinateLatency",

@@ -10,7 +10,6 @@ relay, and header relay all instantiate it with different message kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, TypeVar
 
 from repro.net.message import Message, MessageKind, sized_message
@@ -23,16 +22,6 @@ T = TypeVar("T")
 ANNOUNCE_PAYLOAD_BYTES = 36
 #: Bytes of a request (item id).
 REQUEST_PAYLOAD_BYTES = 32
-
-
-@dataclass
-class GossipStats:
-    """Per-protocol gossip counters."""
-
-    announces_sent: int = 0
-    requests_sent: int = 0
-    items_sent: int = 0
-    duplicate_announces: int = 0
 
 
 class GossipProtocol(Generic[T]):
@@ -68,7 +57,6 @@ class GossipProtocol(Generic[T]):
         self._have: dict[int, set[Hashable]] = {}
         self._items: dict[Hashable, T] = {}
         self._requested: dict[int, set[Hashable]] = {}
-        self.stats = GossipStats()
         #: kind -> router-shaped ``(node, message)`` handler; the node is
         #: unused (per-node state is keyed by ``message.recipient``).
         self.handlers: dict[MessageKind, Callable[[object, Message], None]] = {
@@ -101,7 +89,6 @@ class GossipProtocol(Generic[T]):
         peers = self._network.peers_of(node_id)
         if not peers:
             return
-        self.stats.announces_sent += len(peers)
         kind = self.announce_kind
         # A list, not a generator: no frame resumed per peer.
         self._network.send_many(
@@ -118,7 +105,6 @@ class GossipProtocol(Generic[T]):
         item_id = message.payload
         have = self._have.get(node_id)
         if have is not None and item_id in have:
-            self.stats.duplicate_announces += 1
             return
         requested = self._requested.get(node_id)
         if requested is None:
@@ -126,7 +112,6 @@ class GossipProtocol(Generic[T]):
         elif item_id in requested:
             return
         requested.add(item_id)
-        self.stats.requests_sent += 1
         self._network.send(
             sized_message(
                 self.request_kind,
@@ -143,7 +128,6 @@ class GossipProtocol(Generic[T]):
         if not self.node_has(node_id, item_id):
             return  # we pruned or never had it; requester will retry elsewhere
         item = self._items[item_id]
-        self.stats.items_sent += 1
         self._network.send(
             sized_message(
                 self.item_kind,

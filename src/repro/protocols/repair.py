@@ -1,8 +1,8 @@
 """Anti-entropy repair engine: the self-healing backstop.
 
-The event-driven repair paths (:mod:`repro.core.departure`, the chaos
-``reconcile`` pass) fix damage they *know about* — a announced leave, a
-detected crash.  Under the fault layer a cluster can silently fall below
+The event-driven repair paths (:mod:`repro.core.departure`, the
+survivors' re-replication after a detected crash) fix damage they *know
+about* — an announced leave, a detected crash.  Under the fault layer a cluster can silently fall below
 its replication floor anyway: a ``SYNC_BODIES`` batch dropped mid-repair,
 a source crashing between request and response, a departure straddling a
 partition.  This engine closes that gap the way LightChain's DHT

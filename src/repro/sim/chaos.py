@@ -1,27 +1,16 @@
-"""Chaos scenarios: seeded end-to-end runs under the fault layer.
+"""Storm scenarios: seeded end-to-end runs under the fault layer.
 
-A chaos run drives the full ICIStrategy stack through hostile weather —
-message drop/duplicate/delay rates, mid-run crashes and stalls, optional
-partitions — then heals the network, reconciles every replica, and
-checks the paper's core claim survived: **each cluster again holds the
-complete ledger**.  Everything is derived from one seed, so the same
-configuration reproduces identical fault schedules, retry/timeout
-counters, and outcomes run after run (the chaos test suite pins this).
-
-Shape of a run (:func:`run_chaos`):
-
-1. produce the first half of the block stream under message-level faults;
-2. crash/stall deterministically-chosen victims (removed from the
-   proposer rotation — a crashed proposer would strand its block) and,
-   optionally, cut a minority partition;
-3. produce the second half degraded — the engines' retry probes carry
-   delivery as far as live replicas allow;
-4. heal, restore the rotation, and :func:`reconcile` every node (header
-   catch-up, assigned-body refetch through the query path, finality
-   re-kick via the verification probes);
-5. exercise a join (bootstrap retries) and a batch of queries under the
-   still-lossy link rates;
-6. audit per-cluster integrity.
+One driver, :func:`run_endurance`, takes the full ICIStrategy stack
+through hostile weather — message drop/duplicate/delay rates, seeded
+churn, a mid-run outage of crashed and stalled members (or a whole
+zone), an optional partition window — with the anti-entropy sweep
+repairing throughout, then heals the network and checks the paper's
+core claim survived: **each cluster again holds the complete ledger**,
+at the replica floor.  ``repro endurance`` runs it; ``repro chaos`` runs
+it under :data:`CHAOS_PRESET` (no churn, no partition).  Everything is
+derived from one seed, so the same configuration reproduces identical
+fault schedules, retry/timeout counters, and outcomes run after run
+(the storm test suites pin this).
 """
 
 from __future__ import annotations
@@ -52,21 +41,33 @@ from repro.sim.workload import ReadWorkloadConfig, ZipfReadWorkload
 
 
 @dataclass(frozen=True)
-class _StormConfig:
-    """What chaos and endurance scenarios both configure: population,
-    fault weather, and the opt-in features (all seeded from ``seed``)."""
+class EnduranceConfig:
+    """One seeded storm: population, fault weather, churn, anti-entropy
+    and the opt-in features (all randomness derives from ``seed``).
+
+    A sustained :class:`ChurnSchedule` (drawn from the same seed) fires
+    *while* the fault weather is active, an outage crashes
+    ``crash_count`` and stalls ``stall_count`` members mid-run, an
+    auto-expiring partition window opens, and the anti-entropy engine
+    sweeps at ``repair_cadence`` throughout.  :data:`CHAOS_PRESET` is
+    the same storm with churn and the partition off.
+    """
 
     seed: int = 0
-    n_nodes: int = 16
-    n_clusters: int = 4
+    n_nodes: int = 24
+    n_clusters: int = 3
     replication: int = 2
-    n_blocks: int = 8
+    n_blocks: int = 12
     txs_per_block: int = 2
     drop_rate: float = 0.2
     duplicate_rate: float = 0.05
     delay_rate: float = 0.05
     crash_count: int = 1
-    partition: bool = False
+    #: Outage members stalled (up but unresponsive) instead of crashed;
+    #: drawn after the crash victims, so a run without stalls draws as
+    #: one without the field.  A zone outage replaces both counts.
+    stall_count: int = 0
+    partition: bool = True
     queries: int = 8
     #: Kademlia-style DHT overlay (:mod:`repro.dht`): queries resolve
     #: holders via FIND_VALUE, joins bootstrap by self-lookup, repair
@@ -86,15 +87,35 @@ class _StormConfig:
     #: (golden pins).
     domains: bool = False
     #: Zones in the failure-domain map (domain runs only).
-    zones: int = 4
+    zones: int = 3
+    join_rate: float = 0.15
+    leave_rate: float = 0.1
+    crash_rate: float = 0.1
+    repair_cadence: float = 5.0
+    #: Heat-aware adaptive replication (:mod:`repro.storage.heat`).
+    #: When on, a Zipf-skewed read stream runs through the storm so heat
+    #: is non-uniform, the anti-entropy sweep sheds as well as repairs,
+    #: and the audit checks *per-tier* replica floors.  Off by default:
+    #: the fixed-r path must stay byte-identical (golden pins).
+    adaptive: bool = False
+    #: Coded archival tier (:mod:`repro.storage.coded`).  Implies the
+    #: adaptive path (the tier consumes the planner's cold signal): cold
+    #: blocks transition to k-of-n Reed–Solomon chunks, queries decode
+    #: them on demand, and the audit additionally holds the **coded
+    #: floor** (≥ k live chunks per archived block, never co-located).
+    #: Off by default: adaptive-without-archival runs must stay
+    #: byte-identical (golden pins).
+    archival: bool = False
 
     def __post_init__(self) -> None:
         if self.n_blocks < 2:
             raise ConfigurationError("runs need at least 2 blocks")
-        if self.crash_count < 0 or self.queries < 0:
+        if min(self.crash_count, self.stall_count, self.queries) < 0:
             raise ConfigurationError("counts must be >= 0")
         if self.domains and self.zones < 2:
             raise ConfigurationError("domain runs need at least 2 zones")
+        if self.repair_cadence <= 0:
+            raise ConfigurationError("repair cadence must be > 0")
 
     def fault_config(self) -> FaultConfig:
         """The message-level fault weather this scenario runs under."""
@@ -106,57 +127,93 @@ class _StormConfig:
         )
 
 
-@dataclass(frozen=True)
-class ChaosConfig(_StormConfig):
-    """One seeded chaos scenario (all randomness derives from ``seed``)."""
-
-    stall_count: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.stall_count < 0:
-            raise ConfigurationError("counts must be >= 0")
+#: ``repro chaos``: the fault weather and one mid-run outage on a small
+#: population (16 nodes in 4 clusters, r = 2, 8 blocks, 4 zones), with
+#: no churn and no partition window.
+CHAOS_PRESET = dict(
+    n_nodes=16,
+    n_clusters=4,
+    replication=2,
+    n_blocks=8,
+    zones=4,
+    partition=False,
+    join_rate=0.0,
+    leave_rate=0.0,
+    crash_rate=0.0,
+)
 
 
 @dataclass
-class _StormOutcome:
-    """What chaos and endurance outcomes share: the fault/reliability
-    counters, the probe tallies, the per-feature audits, the verdict."""
+class EnduranceOutcome:
+    """What one storm did and whether self-healing converged."""
 
     #: The flat counter dicts every run signs, by field name.
-    _COUNTERS = ("fault_stats",)
+    _COUNTERS = ("fault_stats", "repair", "time_to_repair")
     #: Per-feature counter dicts, signed only when the feature ran.
-    _FEATURES = ("dht", "domains")
+    _FEATURES = ("adaptive", "archival", "dht", "domains")
 
-    config: _StormConfig
+    config: EnduranceConfig
     blocks_produced: int = 0
+    joins: int = 0
+    leaves: int = 0
+    churn_crashes: int = 0
+    skipped_events: int = 0
+    outage_crashed: list[int] = field(default_factory=list)
+    #: Not signed: ``fault_stats`` counts the stalls.
+    outage_stalled: list[int] = field(default_factory=list)
     partitioned: list[int] = field(default_factory=list)
     fault_stats: dict[str, int] = field(default_factory=dict)
     retries: dict[str, int] = field(default_factory=dict)
     timeouts: dict[str, int] = field(default_factory=dict)
     degraded: dict[str, int] = field(default_factory=dict)
+    #: Per-kind tracked-send counts (``RouterStats.sends``); the
+    #: denominator for the report renderer's degraded-percentage
+    #: column.  Not signed — the per-kind retry/timeout/degraded
+    #: counters above already pin the same stream.
+    sends: dict[str, int] = field(default_factory=dict)
     queries_attempted: int = 0
     queries_completed: int = 0
     queries_degraded: int = 0
     cluster_integrity: dict[int, bool] = field(default_factory=dict)
+    #: The anti-entropy engine's counters (``asdict(RepairStats)``).
+    repair: dict[str, int] = field(default_factory=dict)
+    #: Blocks departures handed off to the sweep after exhausted retries.
+    deferred_blocks: int = 0
+    #: Virtual seconds from first deficit detection to restored copy.
+    time_to_repair: dict[str, float] = field(default_factory=dict)
+    heal_rounds: int = 0
+    #: Did the heal rounds go quiet before ``MAX_HEAL_ROUNDS``?  Not
+    #: signed: ``heal_rounds`` already pins it.
+    heal_converged: bool = False
+    #: :func:`repro.core.audit.floor_met` after healing (strict: tier-
+    #: and code-aware on adaptive/archival runs).
+    replica_floor_met: bool = False
+    #: Adaptive-replication counters (``asdict(AdaptiveStats)`` plus
+    #: tier counts and storm reads); empty on fixed-r runs, and only a
+    #: non-empty dict joins ``signature()`` — so enabling a feature
+    #: cannot move the golden pins of runs without it.
+    adaptive: dict[str, int] = field(default_factory=dict)
+    #: Archival-tier counters (``asdict(ArchivalStats)``); empty
+    #: unless the coded tier ran, same opt-in discipline.
+    archival: dict[str, int] = field(default_factory=dict)
     #: DHT overlay counters + audit (``asdict(DHTStats)`` merged with
     #: the table census and the audit lookup batch); empty on non-DHT
-    #: runs, and only a non-empty dict joins ``signature()`` — so
-    #: enabling a feature cannot move the golden pins of runs without it.
+    #: runs, same opt-in discipline.
     dht: dict[str, int] = field(default_factory=dict)
     #: Failure-domain census + audit (zone killed, victim count,
     #: placement spread deficit, diversity repairs, post-heal diversity
     #: flag); empty on domain-oblivious runs, same opt-in discipline.
     domains: dict[str, int] = field(default_factory=dict)
+    #: Network-wide ledger bytes at audit time (reports; not signed).
+    storage_total_bytes: int = 0
     virtual_seconds: float = 0.0
     events_processed: int = 0
-    #: Per-kind tracked-send counts (``RouterStats.sends``); the
-    #: denominator for the report renderers' degraded-percentage
-    #: column.  Not signed — the per-kind retry/timeout/degraded
-    #: counters above already pin the same stream.
-    sends: dict[str, int] = field(default_factory=dict)
     #: The run's tracer (``--trace`` exports it).
     tracer: Tracer | None = field(default=None, repr=False)
+    #: The healed deployment, for independent post-run auditing (the
+    #: property suite re-derives coverage rather than trusting the
+    #: audit flags above).  Not part of the signature.
+    deployment: "ICIDeployment | None" = field(default=None, repr=False)
 
     @property
     def latency_percentiles(self) -> dict[str, dict[str, float]]:
@@ -173,20 +230,23 @@ class _StormOutcome:
 
     @property
     def integrity_restored(self) -> bool:
-        """Did every cluster end the run holding the full ledger?"""
-        return bool(self.cluster_integrity) and all(
-            self.cluster_integrity.values()
+        """Every cluster holds the full ledger *and* the replication
+        floor is met."""
+        return (
+            bool(self.cluster_integrity)
+            and all(self.cluster_integrity.values())
+            and self.replica_floor_met
         )
 
     @property
     def passed(self) -> bool:
         """The run's verdict — what the CLI exit code reports.
 
-        Integrity restored (on endurance runs that includes the tier-
-        and code-aware floor) and, for each enabled feature, its own
-        audit: every post-heal DHT lookup resolved its block's holder
-        record; every block's live copies span distinct zones again
-        (up to the live-zone count).
+        Integrity restored (including the tier- and code-aware floor)
+        and, for each enabled feature, its own audit: every post-heal
+        DHT lookup resolved its block's holder record; every block's
+        live copies span distinct zones again (up to the live-zone
+        count).
         """
         return (
             self.integrity_restored
@@ -200,8 +260,8 @@ class _StormOutcome:
         signs, then each feature's when non-empty — so enabling a
         feature cannot move the golden pins of runs without it.
 
-        ``signature()`` signs exactly these and the storm summaries
-        render one ``## <name>`` section per non-empty dict, so a
+        ``signature()`` signs exactly these and the storm summary
+        renders one ``## <name>`` section per non-empty dict, so a
         counter added to a stats dataclass is signed and reported with
         no other edit.
         """
@@ -213,35 +273,25 @@ class _StormOutcome:
                 counters[name] = dict(getattr(self, name))
         return counters
 
-
-@dataclass
-class ChaosOutcome(_StormOutcome):
-    """What one chaos run did and whether the network came back whole."""
-
-    finalized_blocks: int = 0
-    crashed: list[int] = field(default_factory=list)
-    stalled: list[int] = field(default_factory=list)
-    refetched_bodies: int = 0
-    bootstrap_complete: bool = False
-    bootstrap_bodies_unavailable: int = 0
-
     def signature(self) -> dict:
-        """The determinism fingerprint: equal for equal (config, seed).
-
-        Covers every counter the fault and reliability layers produced;
-        the chaos tests assert two same-seed runs match exactly.
-        """
+        """The determinism fingerprint: equal for equal (config, seed)."""
         return {
+            "blocks_produced": self.blocks_produced,
+            "joins": self.joins,
+            "leaves": self.leaves,
+            "churn_crashes": self.churn_crashes,
+            "skipped_events": self.skipped_events,
+            "outage_crashed": list(self.outage_crashed),
+            "partitioned": list(self.partitioned),
             "retries": dict(self.retries),
             "timeouts": dict(self.timeouts),
             "degraded": dict(self.degraded),
-            "blocks_produced": self.blocks_produced,
-            "finalized_blocks": self.finalized_blocks,
-            "crashed": list(self.crashed),
-            "stalled": list(self.stalled),
-            "refetched_bodies": self.refetched_bodies,
+            "deferred_blocks": self.deferred_blocks,
+            "heal_rounds": self.heal_rounds,
             "queries_completed": self.queries_completed,
             "queries_degraded": self.queries_degraded,
+            "cluster_integrity": dict(self.cluster_integrity),
+            "replica_floor_met": self.replica_floor_met,
             "virtual_seconds": self.virtual_seconds,
             "events_processed": self.events_processed,
             **self.counters(),
@@ -324,178 +374,6 @@ def uniform_reads(rng: random.Random, requesters, block_hashes, count: int):
         yield rng.choice(requesters), rng.choice(block_hashes)
 
 
-def run_chaos(
-    config: ChaosConfig | None = None,
-    limits: ValidationLimits = DEFAULT_LIMITS,
-    tracer: Tracer | None = None,
-) -> ChaosOutcome:
-    """Run one seeded chaos scenario end to end (see module docs).
-
-    Every run carries a tracer (a caller-supplied one, or an internal
-    default-capacity one): the delivery-latency percentiles in the
-    outcome come from its deliver spans.  Tracing is observation-only —
-    it draws no randomness and schedules nothing, so the determinism
-    signature is unchanged by it (the chaos suite pins this).
-    """
-    config = config or ChaosConfig()
-    if tracer is None:
-        tracer = Tracer()
-    deployment, runner, injector = build_scenario(
-        config,
-        limits,
-        config.fault_config(),
-        zones=config.zones if config.domains else 0,
-    )
-    if config.dht:
-        # After the plan installs, unlike endurance runs: the
-        # enable-time publish of genesis provider records rides the
-        # fault weather (the DHT smoke report and E20's chaos leg pin
-        # that message stream).
-        deployment.enable_dht()
-    install_tracing(deployment, tracer)
-    outcome = ChaosOutcome(config=config, tracer=tracer)
-    rng = random.Random(config.seed ^ 0xC4A05)
-
-    # Phase 1: first half of the stream under message-level faults only.
-    first_half = max(1, config.n_blocks // 2)
-    with tracer.span("produce:clean"):
-        report = runner.produce_blocks(
-            first_half, txs_per_block=config.txs_per_block
-        )
-
-    # Phase 2: mid-run outages.  Victims come only from clusters that can
-    # spare a member (mirrors the churn driver's minimum), and leave the
-    # proposer rotation while down — a dead proposer's block would exist
-    # only in the oracle ledger, unrecoverable by any replica.
-    zone_killed = -1
-    if config.domains:
-        # Correlated outage: one whole zone goes down at once instead
-        # of independently-sampled victims — the blast radius the
-        # spread-aware placement exists to survive.
-        zone_killed = rng.randrange(config.zones)
-        victims = list(injector.crash_domain(zone_killed))
-        outcome.crashed = victims
-    else:
-        victims = _pick_victims(
-            deployment, rng, config.crash_count + config.stall_count
-        )
-        outcome.crashed = victims[: config.crash_count]
-        outcome.stalled = victims[config.crash_count :]
-        for victim in outcome.crashed:
-            injector.crash(victim)
-        for victim in outcome.stalled:
-            injector.stall(victim)
-    if config.partition:
-        outcome.partitioned = _cut_minority(deployment, injector, victims)
-    down = outcome.crashed + outcome.stalled + outcome.partitioned
-    for victim in down:
-        runner.schedule.remove(victim)
-
-    # Phase 3: the degraded half.
-    with tracer.span("produce:degraded"):
-        report2 = runner.produce_blocks(
-            config.n_blocks - first_half,
-            txs_per_block=config.txs_per_block,
-        )
-    outcome.blocks_produced = (
-        report.blocks_produced + report2.blocks_produced
-    )
-
-    # Phase 4: heal and reconcile.
-    with tracer.span("heal:reconcile"):
-        injector.heal()
-        for victim in down:
-            runner.schedule.add(victim)
-        outcome.refetched_bodies = reconcile(deployment)
-        if config.dht:
-            _heal_overlay(deployment)
-
-    # Phase 5: a join and a query batch, still under lossy links.
-    with tracer.span("join:queries"):
-        join = deployment.join_new_node()
-        deployment.run()
-        outcome.bootstrap_complete = join.complete
-        outcome.bootstrap_bodies_unavailable = len(join.bodies_unavailable)
-        if join.complete:
-            runner.schedule.add(join.node_id)
-        block_hashes = report.block_hashes + report2.block_hashes
-        (
-            outcome.queries_attempted,
-            outcome.queries_completed,
-            outcome.queries_degraded,
-        ) = probe_reads(
-            deployment,
-            uniform_reads(
-                rng, sorted(deployment.nodes), block_hashes, config.queries
-            ),
-        )
-
-    # Phase 6: audit.
-    outcome.finalized_blocks = deployment.total_finalized_blocks()
-    _audit(
-        deployment, outcome, injector, rng, block_hashes, zone_killed, victims
-    )
-    return outcome
-
-
-def _heal_overlay(deployment: ICIDeployment) -> None:
-    """Overlay heal: tracked pings evict contacts that died (or left)
-    in the storm, then a forced republish rebuilds provider records so
-    post-storm lookups see fresh holder sets."""
-    deployment.dht.refresh_all()
-    deployment.run()
-    deployment.dht.republish_all()
-    deployment.run()
-
-
-def _audit(
-    deployment: ICIDeployment,
-    outcome: _StormOutcome,
-    injector,
-    rng: random.Random,
-    block_hashes,
-    zone_killed: int,
-    outage_victims: list[int],
-) -> None:
-    """The end-of-run audit chaos and endurance share.
-
-    Per-cluster integrity (:mod:`repro.core.audit`), the fault and
-    reliability counters, then each enabled feature's own audit; the
-    clock capture comes last because the DHT lookup batch still moves
-    it.
-    """
-    for view in deployment.clusters.views():
-        outcome.cluster_integrity[view.cluster_id] = (
-            deployment.cluster_holds_full_ledger(view.cluster_id)
-        )
-    outcome.fault_stats = asdict(injector.stats)
-    stats = deployment.metrics.router_stats
-    outcome.retries = dict(stats.retries)
-    outcome.timeouts = dict(stats.timeouts)
-    outcome.degraded = dict(stats.degraded)
-    outcome.sends = dict(stats.sends)
-    live = deployment.network.live_members(sorted(deployment.nodes))
-    if outcome.config.dht:
-        _audit_dht(deployment, outcome, rng, block_hashes, live)
-    if outcome.config.domains:
-        domains = deployment.domains
-        # Integer-valued so the fingerprint stays json-stable.
-        # ``spread_deficit`` counts the placements that could not reach
-        # full zone spread — the audited fallback, surfaced so a
-        # correlated blast radius is visible instead of silent.
-        outcome.domains = {
-            "zones": domains.zones,
-            "zone_killed": zone_killed,
-            "outage_victims": len(outage_victims),
-            "live_zones": len(domains.zones_of(live)),
-            "spread_deficit": deployment.placement.domain_spread_deficit,
-            "diversity_repairs": deployment.repair.diversity_repairs,
-            "diversity_met": int(diversity_met(deployment)),
-        }
-    outcome.virtual_seconds = deployment.network.now
-    outcome.events_processed = deployment.network.clock.processed
-
-
 def _audit_dht(
     deployment: ICIDeployment, outcome, rng: random.Random, block_hashes, live
 ) -> None:
@@ -504,7 +382,7 @@ def _audit_dht(
     Runs one iterative FIND_VALUE per produced block from a random live
     requester and counts hits — under the acceptance chaos weather
     (10% drop + a crash) every lookup must still succeed, which is what
-    :attr:`_StormOutcome.passed` and the E20 chaos leg pin.  The census
+    :attr:`EnduranceOutcome.passed` and the E20 chaos leg pin.  The census
     and the engine's own counters land on ``outcome.dht``.
     """
     dht = deployment.dht
@@ -525,22 +403,16 @@ def _audit_dht(
     }
 
 
-def reconcile(
-    deployment: ICIDeployment, refetch_bodies: bool = True
-) -> int:
-    """Repair every replica after a heal; returns bodies refetched.
+def reconcile(deployment: ICIDeployment) -> None:
+    """Catch every replica up after a heal; restoring bodies is the
+    anti-entropy sweep's job.
 
-    Three passes, each drained to quiescence:
+    Two passes, each drained to quiescence:
 
     1. **Header catch-up** — nodes that missed gossiped headers (their
        links were cut) index the canonical headers in height order, which
        also reopens any verification round they never saw.
-    2. **Body refetch** — every assigned holder missing its body pulls it
-       through the ordinary query path; under faults the query engine
-       re-adopts the body into the holder's assignment.  Endurance runs
-       pass ``refetch_bodies=False`` to leave this to the anti-entropy
-       sweep (the thing under test) instead of the query path.
-    3. **Finality re-kick** — members still stuck re-enter the
+    2. **Finality re-kick** — members still stuck re-enter the
        verification engine's probe chain, which replays certificates or
        re-broadcasts attestations until the round closes.
     """
@@ -552,23 +424,6 @@ def reconcile(
                 deployment.dissemination.note_header(node, header)
     deployment.run()
 
-    refetched = 0
-    if refetch_bodies:
-        for view in deployment.clusters.views():
-            for header in headers:
-                if header.is_genesis:
-                    continue
-                holders = deployment.holders_in_cluster(
-                    header, view.cluster_id
-                )
-                for holder in holders:
-                    node = deployment.nodes[holder]
-                    if node.store.has_body(header.block_hash):
-                        continue
-                    deployment.retrieve_block(holder, header.block_hash)
-                    refetched += 1
-        deployment.run()
-
     verification = deployment.verification
     for node_id in sorted(deployment.nodes):
         node = deployment.nodes[node_id]
@@ -578,116 +433,6 @@ def reconcile(
             if not node.is_finalized(header.block_hash):
                 verification.ensure_round(node, header)
     deployment.run()
-    return refetched
-
-
-@dataclass(frozen=True)
-class EnduranceConfig(_StormConfig):
-    """One seeded endurance scenario: churn × faults × anti-entropy.
-
-    Extends the chaos shape with a sustained :class:`ChurnSchedule`
-    (drawn from the same seed) applied *while* the fault weather is
-    active, an auto-expiring partition window, and the anti-entropy
-    engine sweeping at ``repair_cadence`` throughout.
-    """
-
-    n_nodes: int = 24
-    n_clusters: int = 3
-    n_blocks: int = 12
-    partition: bool = True
-    zones: int = 3
-    join_rate: float = 0.15
-    leave_rate: float = 0.1
-    crash_rate: float = 0.1
-    repair_cadence: float = 5.0
-    #: Heat-aware adaptive replication (:mod:`repro.storage.heat`).
-    #: When on, a Zipf-skewed read stream runs through the storm so heat
-    #: is non-uniform, the anti-entropy sweep sheds as well as repairs,
-    #: and the audit checks *per-tier* replica floors.  Off by default:
-    #: the fixed-r path must stay byte-identical (golden pins).
-    adaptive: bool = False
-    #: Coded archival tier (:mod:`repro.storage.coded`).  Implies the
-    #: adaptive path (the tier consumes the planner's cold signal): cold
-    #: blocks transition to k-of-n Reed–Solomon chunks, queries decode
-    #: them on demand, and the audit additionally holds the **coded
-    #: floor** (≥ k live chunks per archived block, never co-located).
-    #: Off by default: adaptive-without-archival runs must stay
-    #: byte-identical (golden pins).
-    archival: bool = False
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.repair_cadence <= 0:
-            raise ConfigurationError("repair cadence must be > 0")
-
-
-@dataclass
-class EnduranceOutcome(_StormOutcome):
-    """What one endurance run did and whether self-healing converged."""
-
-    _COUNTERS = ("fault_stats", "repair", "time_to_repair")
-    _FEATURES = ("adaptive", "archival", "dht", "domains")
-
-    joins: int = 0
-    leaves: int = 0
-    churn_crashes: int = 0
-    skipped_events: int = 0
-    outage_crashed: list[int] = field(default_factory=list)
-    #: The anti-entropy engine's counters (``asdict(RepairStats)``).
-    repair: dict[str, int] = field(default_factory=dict)
-    #: Blocks departures handed off to the sweep after exhausted retries.
-    deferred_blocks: int = 0
-    #: Virtual seconds from first deficit detection to restored copy.
-    time_to_repair: dict[str, float] = field(default_factory=dict)
-    heal_rounds: int = 0
-    #: Did the heal rounds go quiet before ``MAX_HEAL_ROUNDS``?  Not
-    #: signed: ``heal_rounds`` already pins it.
-    heal_converged: bool = False
-    #: :func:`repro.core.audit.floor_met` after healing (strict: tier-
-    #: and code-aware on adaptive/archival runs).
-    replica_floor_met: bool = False
-    #: Adaptive-replication counters (``asdict(AdaptiveStats)`` plus
-    #: tier counts and storm reads); empty on fixed-r runs, same opt-in
-    #: signature discipline as ``dht``.
-    adaptive: dict[str, int] = field(default_factory=dict)
-    #: Archival-tier counters (``asdict(ArchivalStats)``); empty
-    #: unless the coded tier ran, same opt-in discipline.
-    archival: dict[str, int] = field(default_factory=dict)
-    #: Network-wide ledger bytes at audit time (reports; not signed).
-    storage_total_bytes: int = 0
-    #: The healed deployment, for independent post-run auditing (the
-    #: property suite re-derives coverage rather than trusting the
-    #: audit flags above).  Not part of the signature.
-    deployment: "ICIDeployment | None" = field(default=None, repr=False)
-
-    @property
-    def integrity_restored(self) -> bool:
-        """Full ledger per cluster *and* the replication floor met."""
-        return super().integrity_restored and self.replica_floor_met
-
-    def signature(self) -> dict:
-        """The determinism fingerprint: equal for equal (config, seed)."""
-        return {
-            "blocks_produced": self.blocks_produced,
-            "joins": self.joins,
-            "leaves": self.leaves,
-            "churn_crashes": self.churn_crashes,
-            "skipped_events": self.skipped_events,
-            "outage_crashed": list(self.outage_crashed),
-            "partitioned": list(self.partitioned),
-            "retries": dict(self.retries),
-            "timeouts": dict(self.timeouts),
-            "degraded": dict(self.degraded),
-            "deferred_blocks": self.deferred_blocks,
-            "heal_rounds": self.heal_rounds,
-            "queries_completed": self.queries_completed,
-            "queries_degraded": self.queries_degraded,
-            "cluster_integrity": dict(self.cluster_integrity),
-            "replica_floor_met": self.replica_floor_met,
-            "virtual_seconds": self.virtual_seconds,
-            "events_processed": self.events_processed,
-            **self.counters(),
-        }
 
 
 #: The endurance storm's fixed shape: block intervals the mid-run
@@ -713,12 +458,12 @@ def run_endurance(
        the anti-entropy engine sweeping; the seeded churn schedule fires
        between blocks (joins bootstrap, leaves repair-then-exit, crashes
        trigger survivor re-replication), an outage crashes
-       ``crash_count`` extra members a third of the way in, and an
+       ``crash_count`` and stalls ``stall_count`` extra members a third
+       of the way in (or downs one whole zone on domain runs), and an
        auto-expiring minority partition opens at the halfway mark.
-    2. **Heal** — faults off, header catch-up + finality re-kick
-       (``reconcile`` *without* the query-path body refetch: restoring
-       bodies is the sweep's job here), then bounded sweep rounds until
-       the repair counters go quiet.
+    2. **Heal** — faults off, :func:`reconcile` (header catch-up +
+       finality re-kick), then bounded sweep rounds until the repair
+       counters go quiet.
     3. **Probe** — a query batch under the still-lossy link rates.
     4. **Audit** — per-cluster full-ledger integrity plus the stronger
        floor (:func:`repro.core.audit.floor_met`): every active block
@@ -766,6 +511,7 @@ def run_endurance(
     repair = deployment.repair
     repair.start(cadence=config.repair_cadence)
     outage_block = max(1, config.n_blocks // 3)
+    outage_count = config.crash_count + config.stall_count
     partition_block = max(2, config.n_blocks // 2)
     block_hashes: list = []
     zone_killed = -1
@@ -781,7 +527,7 @@ def run_endurance(
             )
             block_hashes.extend(report.block_hashes)
             churn.blocks_produced += 1
-            if block_index == outage_block and config.crash_count:
+            if block_index == outage_block and outage_count:
                 if config.domains:
                     # Correlated outage: a full zone instead of the
                     # independently-sampled victims.
@@ -790,18 +536,20 @@ def run_endurance(
                         injector.crash_domain(zone_killed)
                     )
                 else:
-                    outcome.outage_crashed = _pick_victims(
-                        deployment, rng, config.crash_count
-                    )
+                    victims = _pick_victims(deployment, rng, outage_count)
+                    outcome.outage_crashed = victims[: config.crash_count]
+                    outcome.outage_stalled = victims[config.crash_count :]
                     for victim in outcome.outage_crashed:
                         injector.crash(victim)
-                for victim in outcome.outage_crashed:
+                    for victim in outcome.outage_stalled:
+                        injector.stall(victim)
+                for victim in outcome.outage_crashed + outcome.outage_stalled:
                     runner.schedule.remove(victim)
             if block_index == partition_block and config.partition:
                 outcome.partitioned = _cut_minority(
                     deployment,
                     injector,
-                    outcome.outage_crashed,
+                    outcome.outage_crashed + outcome.outage_stalled,
                     duration=PARTITION_BLOCKS * runner.block_interval,
                 )
                 for victim in outcome.partitioned:
@@ -830,13 +578,14 @@ def run_endurance(
     # Phase 2: heal, catch headers up, and let the sweep converge.
     with tracer.span("endurance:heal"):
         injector.heal()
-        for victim in outcome.outage_crashed + outcome.partitioned:
+        down = outcome.outage_crashed + outcome.outage_stalled
+        for victim in down + outcome.partitioned:
             if victim in deployment.nodes:
                 runner.schedule.add(victim)
         # reconcile() drains to quiescence internally — the sweep must be
         # parked while it runs, then resumed for the convergence rounds.
         repair.stop()
-        reconcile(deployment, refetch_bodies=False)
+        reconcile(deployment)
         repair.start(cadence=config.repair_cadence)
         last = None
         quiet = 0
@@ -871,8 +620,12 @@ def run_endurance(
         if config.dht:
             # The sweep hook kept records fresh through the convergence
             # rounds; the explicit pass covers clusters whose membership
-            # churned.
-            _heal_overlay(deployment)
+            # churned.  Tracked pings evict contacts that died or left,
+            # then a forced republish rebuilds the provider records.
+            deployment.dht.refresh_all()
+            deployment.run()
+            deployment.dht.republish_all()
+            deployment.run()
 
     # Phase 3: a query batch, still under lossy links.
     with tracer.span("endurance:queries"):
@@ -915,15 +668,37 @@ def run_endurance(
             "p50": percentile(times, 0.50),
             "p95": percentile(times, 0.95),
         }
-    _audit(
-        deployment,
-        outcome,
-        injector,
-        rng,
-        block_hashes,
-        zone_killed,
-        outcome.outage_crashed,
-    )
+    for view in deployment.clusters.views():
+        outcome.cluster_integrity[view.cluster_id] = (
+            deployment.cluster_holds_full_ledger(view.cluster_id)
+        )
+    outcome.fault_stats = asdict(injector.stats)
+    stats = deployment.metrics.router_stats
+    outcome.retries = dict(stats.retries)
+    outcome.timeouts = dict(stats.timeouts)
+    outcome.degraded = dict(stats.degraded)
+    outcome.sends = dict(stats.sends)
+    live = deployment.network.live_members(sorted(deployment.nodes))
+    if config.dht:
+        _audit_dht(deployment, outcome, rng, block_hashes, live)
+    if config.domains:
+        domains = deployment.domains
+        # Integer-valued so the fingerprint stays json-stable.
+        # ``spread_deficit`` counts the placements that could not reach
+        # full zone spread — the audited fallback, surfaced so a
+        # correlated blast radius is visible instead of silent.
+        outcome.domains = {
+            "zones": domains.zones,
+            "zone_killed": zone_killed,
+            "outage_victims": len(outcome.outage_crashed),
+            "live_zones": len(domains.zones_of(live)),
+            "spread_deficit": deployment.placement.domain_spread_deficit,
+            "diversity_repairs": deployment.repair.diversity_repairs,
+            "diversity_met": int(diversity_met(deployment)),
+        }
+    # Last: the DHT lookup batch still moves the clock.
+    outcome.virtual_seconds = deployment.network.now
+    outcome.events_processed = deployment.network.clock.processed
     outcome.deployment = deployment
     return outcome
 

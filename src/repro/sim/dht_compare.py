@@ -20,9 +20,9 @@ self-lookup's message cost against the modelled legacy full-table
 exchange (one membership entry per existing node).
 
 A final chaos leg re-runs the largest size through
-:func:`repro.sim.chaos.run_chaos` with ``dht=True`` under the
-acceptance weather (10% drop + a crash) and pins that every audit
-lookup still succeeds.
+:func:`repro.sim.chaos.run_endurance` under its ``CHAOS_PRESET`` (no
+churn, no partition) with ``dht=True`` and the acceptance weather (10%
+drop + a crash), and pins that every audit lookup still succeeds.
 
 Everything is seeded; the outcome's :meth:`signature` is a determinism
 fingerprint the test suite pins.
@@ -38,7 +38,7 @@ from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.dht.idspace import block_key
 from repro.errors import ConfigurationError
-from repro.sim.chaos import ChaosConfig, run_chaos
+from repro.sim.chaos import CHAOS_PRESET, EnduranceConfig, run_endurance
 from repro.sim.runner import ScenarioRunner
 
 
@@ -92,7 +92,7 @@ class DhtCompareOutcome:
     #: ``n_nodes, lookups, dht_messages, dht_hops, dht_hits,
     #: flood_messages, flood_hits, join_messages, legacy_join_entries``.
     sizes: list[dict[str, int]] = field(default_factory=list)
-    #: The chaos leg's audit extract (``ChaosOutcome.dht`` subset).
+    #: The chaos leg's audit extract (``EnduranceOutcome.dht`` subset).
     chaos: dict[str, int] = field(default_factory=dict)
     chaos_integrity: bool = False
     #: The driven deployments (smallest/largest), for the bench
@@ -232,17 +232,20 @@ def run_dht_compare(
             outcome.deployments[n_nodes] = deployment
 
     largest = config.network_sizes[-1]
-    chaos = run_chaos(
-        ChaosConfig(
-            seed=config.seed,
-            n_nodes=largest,
-            n_clusters=largest // CLUSTER_SIZE,
-            replication=config.replication,
-            n_blocks=config.n_blocks,
-            txs_per_block=config.txs_per_block,
-            drop_rate=CHAOS_DROP_RATE,
-            crash_count=CHAOS_CRASH_COUNT,
-            dht=True,
+    chaos = run_endurance(
+        EnduranceConfig(
+            **dict(
+                CHAOS_PRESET,
+                seed=config.seed,
+                n_nodes=largest,
+                n_clusters=largest // CLUSTER_SIZE,
+                replication=config.replication,
+                n_blocks=config.n_blocks,
+                txs_per_block=config.txs_per_block,
+                drop_rate=CHAOS_DROP_RATE,
+                crash_count=CHAOS_CRASH_COUNT,
+                dht=True,
+            )
         ),
         limits=limits,
     )

@@ -15,6 +15,7 @@ from repro.clustering.coordinates import Coordinate
 from repro.crypto.keys import KeyPair
 from repro.errors import ConfigurationError
 from repro.net import topology as topology_module
+from repro.sim.chaos import CHAOS_PRESET, EnduranceConfig
 from repro.storage import heat
 
 #: Small consensus limits so unit tests stay fast.
@@ -22,6 +23,12 @@ TEST_LIMITS = ValidationLimits(
     max_block_body_bytes=50_000, max_tx_bytes=10_000
 )
 
+
+
+def chaos_config(**fields) -> EnduranceConfig:
+    """The ``repro chaos`` storm (:data:`CHAOS_PRESET`) with ``fields``
+    set on top."""
+    return EnduranceConfig(**dict(CHAOS_PRESET, **fields))
 
 
 def place_uniform(

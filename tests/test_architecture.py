@@ -16,7 +16,8 @@
   probe pacing constants and — bar the sweep timer and the
   validation-cost delay — every ``clock.schedule`` of ``protocols/`` and
   ``dht/``.
-* The per-engine request bookkeeping that owner replaced stays gone.
+* The per-engine request bookkeeping that owner replaced stays gone, and
+  so does the second storm driver.
 """
 
 from __future__ import annotations
@@ -356,26 +357,21 @@ def settings():
                         yield f"{node.name}.{sub.name}({arg}=)", None, arg
 
 
-def settings_lineage() -> dict[str, set[str]]:
-    """Settings class -> itself and the settings classes it inherits
-    from: a keyword to ``EnduranceConfig`` sets a ``_StormConfig`` field."""
-    bases: dict[str, set[str]] = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef) and is_settings(node):
-                bases[node.name] = {ast.unparse(base) for base in node.bases}
-
-    def lineage(name: str) -> set[str]:
-        return {name}.union(*(lineage(b) for b in bases[name] if b in bases))
-
-    return {name: lineage(name) for name in bases}
+def settings_classes() -> set[str]:
+    """The names of every settings dataclass."""
+    return {
+        node.name
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef) and is_settings(node)
+    }
 
 
 def setters() -> set[tuple[str | None, str]]:
     """``(owner, name)`` for every value code that ships sets.
 
-    A keyword argument sets its name on the settings class it calls (and
-    that class's ancestors), or on every class when the callee is a
+    A keyword argument sets its name on the settings class it calls,
+    or on every class when the callee is a
     helper, ``replace`` or a method; a string dict key sets its name on
     every class (bench helpers forward ``**kwargs``), and so does each
     ``chaos``/``endurance`` flag.  Passing a value on under its own name
@@ -384,7 +380,7 @@ def setters() -> set[tuple[str | None, str]]:
     """
     from repro.cli import _FIELD_OF, _STORM_FLAGS
 
-    lineage = settings_lineage()
+    classes = settings_classes()
     found: set[tuple[str | None, str]] = set()
     for root in IMPORTER_ROOTS:
         for path in root.rglob("*.py"):
@@ -415,7 +411,7 @@ def setters() -> set[tuple[str | None, str]]:
                     if isinstance(value, ast.Name) and value.id == name:
                         if name in passed_on.get(id(keyword), ()):
                             continue
-                    found.update((owner, name) for owner in lineage.get(callee, {None}))
+                    found.add((callee if callee in classes else None, name))
     for flag, _ in _STORM_FLAGS:
         dest = flag.replace("-", "_")
         found.add((None, _FIELD_OF.get(dest, dest)))
@@ -495,6 +491,10 @@ GONE = (
     "_digest_requests", "_repair_requests", "query_plan", "degraded_results",
     "probed", "_probe_finality", "_probe_bootstrap", "_probe_body",
     "_schedule_body_probe",
+    # One storm driver: chaos is a preset of the endurance storm, which
+    # heals through the anti-entropy sweep, not an oracle refetch.
+    "run_chaos", "ChaosConfig", "ChaosOutcome", "render_chaos_summary",
+    "refetch_bodies",
 )  # fmt: skip
 
 

@@ -22,13 +22,8 @@ from repro.core.audit import (
     holdings,
     uncovered_pairs,
 )
-from repro.sim.chaos import (
-    ChaosConfig,
-    ChaosOutcome,
-    EnduranceConfig,
-    EnduranceOutcome,
-    run_endurance,
-)
+from repro.core.icistrategy import ICIDeployment
+from repro.sim.chaos import EnduranceConfig, EnduranceOutcome, run_endurance
 from repro.storage.heat import HOT
 from tests.conftest import TEST_LIMITS
 
@@ -192,10 +187,14 @@ def test_integrity_is_one_definition_and_counts_decodable_chunks():
 
 # --------------------------------------------------------------- the verdict
 class TestPassed:
-    def whole(self, **fields) -> ChaosOutcome:
-        return ChaosOutcome(
-            config=ChaosConfig(), cluster_integrity={0: True}, **fields
+    def whole(self, **fields) -> EnduranceOutcome:
+        whole = dict(
+            config=EnduranceConfig(),
+            cluster_integrity={0: True},
+            replica_floor_met=True,
+            deployment=ICIDeployment(8),
         )
+        return EnduranceOutcome(**dict(whole, **fields))
 
     def test_requires_every_dht_audit_lookup_to_resolve(self):
         assert self.whole(
@@ -211,9 +210,7 @@ class TestPassed:
 
     def test_requires_integrity_and_on_endurance_the_floor(self):
         assert self.whole().passed
-        assert not ChaosOutcome(
-            config=ChaosConfig(), cluster_integrity={0: True, 1: False}
-        ).passed
+        assert not self.whole(cluster_integrity={0: True, 1: False}).passed
         holed = EnduranceOutcome(
             config=EnduranceConfig(), cluster_integrity={0: True}
         )
@@ -235,7 +232,7 @@ class TestPassed:
         import repro.cli
 
         monkeypatch.setattr(
-            repro.cli, "run_chaos", lambda config: self.whole(**audit)
+            repro.cli, "run_endurance", lambda config: self.whole(**audit)
         )
         assert repro.cli.main(["chaos"]) == code
         assert "cluster integrity: restored" in capsys.readouterr().out

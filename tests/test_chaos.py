@@ -1,10 +1,13 @@
 """Seeded chaos runs: the protocols must survive hostile weather.
 
-Every scenario here drives the full deployment through the fault layer
-(:mod:`repro.sim.chaos`) and asserts the paper's storage claim holds
-after heal + reconcile: **each cluster again holds the complete ledger**.
-Same-seed runs must also reproduce identical fault and retry counters —
-that determinism is what makes a chaos failure debuggable.
+``repro chaos`` is the endurance storm under :data:`CHAOS_PRESET` — a
+16-node population, fault weather and one mid-run outage, no churn and
+no partition window.  Every scenario here drives the full deployment
+through the fault layer (:mod:`repro.sim.chaos`) and asserts the
+paper's storage claim holds after the anti-entropy heal: **each cluster
+again holds the complete ledger**.  Same-seed runs must also reproduce
+identical fault and retry counters — that determinism is what makes a
+chaos failure debuggable.
 """
 
 from __future__ import annotations
@@ -12,15 +15,20 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sim.chaos import ChaosConfig, ChaosOutcome, run_chaos
+from repro.sim.chaos import (
+    CHAOS_PRESET,
+    EnduranceConfig,
+    EnduranceOutcome,
+    run_endurance,
+)
 
-from tests.conftest import TEST_LIMITS
+from tests.conftest import TEST_LIMITS, chaos_config
 
 
-def chaos(**kwargs) -> ChaosOutcome:
+def chaos(**kwargs) -> EnduranceOutcome:
     defaults = dict(n_blocks=4, queries=4)
     defaults.update(kwargs)
-    return run_chaos(ChaosConfig(**defaults), limits=TEST_LIMITS)
+    return run_endurance(chaos_config(**defaults), limits=TEST_LIMITS)
 
 
 class TestDropRateSweep:
@@ -35,7 +43,6 @@ class TestDropRateSweep:
         )
         assert outcome.integrity_restored, outcome.cluster_integrity
         assert outcome.blocks_produced == 4
-        assert outcome.bootstrap_complete
         assert outcome.queries_completed == outcome.queries_attempted == 4
 
     def test_clean_run_needs_no_recovery(self):
@@ -61,17 +68,17 @@ class TestDropRateSweep:
 class TestCrashAndRecover:
     def test_crashed_node_recovers_and_cluster_heals(self):
         outcome = chaos(seed=5, n_blocks=6, drop_rate=0.1, crash_count=1)
-        assert len(outcome.crashed) == 1
+        assert len(outcome.outage_crashed) == 1
         assert outcome.fault_stats["crashes"] == 1
         assert outcome.fault_stats["recoveries"] == 1
         assert outcome.integrity_restored, outcome.cluster_integrity
-        assert outcome.bootstrap_complete
 
     def test_stalled_node_recovers_too(self):
         outcome = chaos(
             seed=5, n_blocks=6, drop_rate=0.1, crash_count=0, stall_count=1
         )
-        assert len(outcome.stalled) == 1
+        assert len(outcome.outage_stalled) == 1
+        assert outcome.outage_crashed == []
         assert outcome.fault_stats["stalls"] == 1
         assert outcome.fault_stats["stall_dropped"] > 0
         assert outcome.integrity_restored
@@ -90,14 +97,14 @@ class TestPartitionAndHeal:
         outcome = chaos(
             seed=13, n_blocks=6, drop_rate=0.1, crash_count=1, partition=True
         )
-        assert outcome.crashed and outcome.partitioned
-        assert set(outcome.crashed).isdisjoint(outcome.partitioned)
+        assert outcome.outage_crashed and outcome.partitioned
+        assert set(outcome.outage_crashed).isdisjoint(outcome.partitioned)
         assert outcome.integrity_restored
 
 
 class TestDeterminism:
     def test_acceptance_scenario_reproduces_exactly(self):
-        """The PR's acceptance pin: 20% drop + one mid-run crash, twice."""
+        """20% drop + one mid-run crash, twice."""
         config = dict(seed=42, n_blocks=6, drop_rate=0.2, crash_count=1)
         first = chaos(**config)
         second = chaos(**config)
@@ -118,24 +125,48 @@ class TestDeterminism:
 class TestChaosConfig:
     def test_rejects_degenerate_runs(self):
         with pytest.raises(ConfigurationError):
-            ChaosConfig(n_blocks=1)
+            chaos_config(n_blocks=1)
         with pytest.raises(ConfigurationError):
-            ChaosConfig(crash_count=-1)
+            chaos_config(crash_count=-1)
         with pytest.raises(ConfigurationError):
-            ChaosConfig(queries=-1)
+            chaos_config(stall_count=-1)
+        with pytest.raises(ConfigurationError):
+            chaos_config(queries=-1)
         # Rate validation is delegated to FaultConfig at run time.
         with pytest.raises(ConfigurationError):
-            run_chaos(ChaosConfig(drop_rate=1.5), limits=TEST_LIMITS)
+            run_endurance(chaos_config(drop_rate=1.5), limits=TEST_LIMITS)
 
 
 class TestChaosReport:
     def test_summary_renders_the_verdict(self):
-        from repro.analysis.report import render_chaos_summary
+        from repro.analysis.report import render_endurance_summary
 
         outcome = chaos(seed=3, drop_rate=0.2, crash_count=1)
-        summary = render_chaos_summary(outcome)
+        summary = render_endurance_summary(outcome)
         assert "**verdict: passed**" in summary
         assert "cluster integrity: restored" in summary
+        finalized = outcome.deployment.total_finalized_blocks()
+        assert f"4 produced, {finalized} finalized everywhere" in summary
         assert "## fault_stats" in summary
         assert "## Protocol recovery" in summary
         assert "block_body" in summary or "verify" in summary
+
+
+class TestChaosCli:
+    def test_chaos_is_the_endurance_parser_with_the_preset(self):
+        from repro.cli import _storm_config, build_parser
+
+        parser = build_parser()
+        chaos_args = parser.parse_args(["chaos", "--seed", "7"])
+        assert _storm_config(chaos_args) == EnduranceConfig(
+            **CHAOS_PRESET, seed=7
+        )
+        endurance_args = parser.parse_args(["endurance", "--seed", "7"])
+        assert _storm_config(endurance_args) == EnduranceConfig(seed=7)
+
+    def test_seed_20_exits_zero(self, capsys):
+        """The seed whose closing join once raised ``UnknownBlockError``."""
+        from repro.cli import main
+
+        assert main(["chaos", "--seed", "20"]) == 0
+        assert "**verdict: passed**" in capsys.readouterr().out

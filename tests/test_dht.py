@@ -26,10 +26,10 @@ from repro.dht.records import DEFAULT_RECORD_TTL, ProviderStore
 from repro.dht.routing import DEFAULT_K
 from repro.errors import ConfigurationError
 from repro.net.message import MessageKind
-from repro.sim.chaos import ChaosConfig, EnduranceConfig, run_chaos, run_endurance
+from repro.sim.chaos import EnduranceConfig, run_endurance
 from repro.sim.dht_compare import DhtCompareConfig, run_dht_compare
 from repro.sim.runner import ScenarioRunner
-from tests.conftest import TEST_LIMITS
+from tests.conftest import TEST_LIMITS, chaos_config
 
 
 def build_dht(
@@ -294,19 +294,19 @@ def test_repair_sweep_converges_with_dht_fanout():
 
 # ------------------------------------------------------------ chaos / E20
 def test_chaos_dht_audit_and_determinism():
-    config = ChaosConfig(seed=7, dht=True, drop_rate=0.1)
-    first = run_chaos(config)
+    config = chaos_config(seed=7, dht=True, drop_rate=0.1)
+    first = run_endurance(config)
     assert first.integrity_restored
     assert first.dht["audit_lookups_ok"] == first.dht["audit_lookups"]
     assert first.dht["stale_contacts"] == 0
     assert first.dht["empty_tables"] == 0
     assert "dht" in first.signature()
-    second = run_chaos(config)
+    second = run_endurance(config)
     assert first.signature() == second.signature()
 
 
 def test_chaos_without_dht_signature_has_no_dht_key():
-    outcome = run_chaos(ChaosConfig(seed=7, drop_rate=0.1))
+    outcome = run_endurance(chaos_config(seed=7, drop_rate=0.1))
     assert outcome.dht == {}
     assert "dht" not in outcome.signature()
 
@@ -324,7 +324,7 @@ def test_endurance_dht_audit():
 
 #: sha256 of the canonical-JSON signature of the default E20 run.
 E20_GOLDEN_SHA = (
-    "c115ed2521e119cf0325b175654b2bc100991526f3589e5eb0bef19f87438b1c"
+    "65b2806513abc6aedc29e3c57d1df46ab9745e3eb588515be00bfe5ec7fdf3a2"
 )
 
 
@@ -342,8 +342,8 @@ def test_dht_compare_sublinear_and_deterministic():
 
 
 def test_e20_golden_signature():
-    """The default E20 run, pinned like E18/E19/E21: its chaos leg also
-    pins that the overlay is enabled *under* the fault weather."""
+    """The default E20 run, pinned like E18/E19/E21: its chaos leg is
+    the endurance storm under the chaos preset."""
     signature = run_dht_compare().signature()
     blob = json.dumps(signature, sort_keys=True)
     digest = hashlib.sha256(blob.encode()).hexdigest()
@@ -363,14 +363,14 @@ def test_dht_compare_config_validation():
 
 # ---------------------------------------------------------------- reporting
 def test_chaos_summary_renders_dht_section():
-    from repro.analysis.report import render_chaos_summary
+    from repro.analysis.report import render_endurance_summary
 
-    outcome = run_chaos(ChaosConfig(seed=7, dht=True, drop_rate=0.1))
-    summary = render_chaos_summary(outcome)
+    outcome = run_endurance(chaos_config(seed=7, dht=True, drop_rate=0.1))
+    summary = render_endurance_summary(outcome)
     assert "## dht" in summary
     assert "| audit_lookups |" in summary
-    plain = render_chaos_summary(
-        run_chaos(ChaosConfig(seed=7, drop_rate=0.1))
+    plain = render_endurance_summary(
+        run_endurance(chaos_config(seed=7, drop_rate=0.1))
     )
     assert "## dht" not in plain
 

@@ -28,12 +28,7 @@ from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.net.simclock import SimClock
 from repro.core.audit import diversity_met
-from repro.sim.chaos import (
-    ChaosConfig,
-    EnduranceConfig,
-    run_chaos,
-    run_endurance,
-)
+from repro.sim.chaos import EnduranceConfig, run_endurance
 from repro.sim.domain_compare import (
     ARMS,
     DomainCompareConfig,
@@ -44,7 +39,7 @@ from repro.storage.placement import (
     DomainSpreadPlacement,
     RendezvousPlacement,
 )
-from tests.conftest import TEST_LIMITS
+from tests.conftest import TEST_LIMITS, chaos_config
 
 #: sha256 of the E21 acceptance run's sorted-JSON signature.  Pins the
 #: killed zone, the identical victim sets, and both arms' full
@@ -252,26 +247,26 @@ class TestEnableDomainAwareness:
 # --------------------------------------------------------------- chaos audit
 class TestChaosDomains:
     def test_zone_outage_audit_and_determinism(self):
-        config = ChaosConfig(seed=42, domains=True)
-        first = run_chaos(config)
-        # Phase 2 killed one whole zone, not a sampled victim.
-        assert first.crashed == [2, 6, 10, 14]
-        assert first.domains["zone_killed"] == 2
+        config = chaos_config(seed=42, domains=True)
+        first = run_endurance(config)
+        # The outage killed one whole zone, not a sampled victim.
+        assert first.outage_crashed == [3, 7, 11, 15]
+        assert first.domains["zone_killed"] == 3
         assert first.domains["outage_victims"] == 4
         assert first.domains["diversity_met"] == 1
         assert first.integrity_restored
         assert "domains" in first.signature()
-        second = run_chaos(config)
+        second = run_endurance(config)
         assert first.signature() == second.signature()
 
     def test_without_domains_signature_has_no_domains_key(self):
-        outcome = run_chaos(ChaosConfig(seed=42))
+        outcome = run_endurance(chaos_config(seed=42))
         assert outcome.domains == {}
         assert "domains" not in outcome.signature()
 
     def test_needs_two_zones(self):
         with pytest.raises(ConfigurationError):
-            ChaosConfig(domains=True, zones=1)
+            chaos_config(domains=True, zones=1)
 
 
 class TestEnduranceDomains:
@@ -368,14 +363,14 @@ def test_e21_golden_signature():
 
 # ----------------------------------------------------------------- reporting
 def test_chaos_summary_renders_failure_domain_section():
-    from repro.analysis.report import render_chaos_summary
+    from repro.analysis.report import render_endurance_summary
 
-    outcome = run_chaos(ChaosConfig(seed=42, domains=True))
-    summary = render_chaos_summary(outcome)
+    outcome = run_endurance(chaos_config(seed=42, domains=True))
+    summary = render_endurance_summary(outcome)
     assert "## domains" in summary
     assert "| diversity_met |" in summary
     assert "degraded %" in summary
-    plain = render_chaos_summary(run_chaos(ChaosConfig(seed=42)))
+    plain = render_endurance_summary(run_endurance(chaos_config(seed=42)))
     assert "## domains" not in plain
     assert "degraded %" in plain
 

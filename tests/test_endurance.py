@@ -201,3 +201,35 @@ class TestEnduranceCli:
         payload = json.loads(trace.read_text())
         assert validate_chrome_trace(payload) == []
         assert any(e["ph"] == "C" for e in payload["traceEvents"])
+
+
+class TestZoneOutageWithoutChurn:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="block 6 ends held by no node: three of its six holders "
+        "sit in the crashed zone, the fault layer drops the body on its "
+        "way to the other three, and on the plain path the proposer "
+        "keeps no copy (ROADMAP item 22)",
+    )
+    def test_every_block_keeps_a_holder(self):
+        outcome = run_endurance(
+            EnduranceConfig(
+                seed=42,
+                domains=True,
+                join_rate=0,
+                leave_rate=0,
+                crash_rate=0,
+                partition=False,
+            )
+        )
+        deployment = outcome.deployment
+        unheld = [
+            header.height
+            for header in deployment.ledger.store.iter_active_headers()
+            if not any(
+                node.store.has_body(header.block_hash)
+                for node in deployment.nodes.values()
+            )
+        ]
+        assert unheld == []
+        assert outcome.passed

@@ -102,13 +102,15 @@ class TestFlooding:
         assert sum(harness.gossip.node_has(n, "x") for n in others) >= 8
 
     def test_stats_accumulate(self):
-        harness = GossipHarness(10)
+        topology = random_regular(list(range(10)), degree=3, seed=0)
+        harness = GossipHarness(10, topology)
         harness.gossip.publish(0, "x", "X")
         harness.network.run()
-        stats = harness.gossip.stats
-        assert stats.announces_sent > 0
-        assert stats.requests_sent >= 9
-        assert stats.items_sent >= 9
+        sent = harness.network.traffic.messages_by_kind
+        edges = edge_count(topology)
+        assert sent[MessageKind.BLOCK_ANNOUNCE] == 2 * edges
+        assert sent[MessageKind.BLOCK_REQUEST] == 9
+        assert sent[MessageKind.BLOCK_BODY] == 9
 
     def test_foreign_message_not_handled(self):
         harness = GossipHarness(3)

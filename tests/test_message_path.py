@@ -194,10 +194,11 @@ def test_traced_call_budget(wrapped: bool = False):
     """
     from repro.obs.hooks import TracingObserver, install_tracing
     from repro.obs.tracer import Tracer
-    from repro.sim.chaos import ChaosConfig, build_scenario
+    from repro.sim.chaos import build_scenario
     from repro.sim.faults import FaultInjector
+    from tests.conftest import chaos_config
 
-    config = ChaosConfig(seed=3, n_blocks=4, queries=0, drop_rate=0.2)
+    config = chaos_config(seed=3, n_blocks=4, queries=0, drop_rate=0.2)
     deployment, runner, _ = build_scenario(
         config, TEST_LIMITS, config.fault_config()
     )

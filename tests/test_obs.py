@@ -43,17 +43,11 @@ from repro.obs.tracer import (
     Tracer,
     node_track,
 )
-from repro.sim.chaos import (
-    ChaosConfig,
-    EnduranceConfig,
-    build_scenario,
-    run_chaos,
-    run_endurance,
-)
+from repro.sim.chaos import EnduranceConfig, build_scenario, run_endurance
 from repro.sim.faults import FaultConfig, FaultInjector, PartitionWindow
 from repro.sim.runner import ScenarioRunner
 
-from tests.conftest import TEST_LIMITS
+from tests.conftest import TEST_LIMITS, chaos_config
 
 TRACK = ("sim", "test")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -146,7 +140,7 @@ class TestDisabledTracer:
 
     def test_installing_a_disabled_tracer_attaches_nothing(self):
         """Disabled means free for the observer too, not just the sink."""
-        config = ChaosConfig(seed=3, n_blocks=2, queries=0, drop_rate=0.1)
+        config = chaos_config(seed=3, n_blocks=2, queries=0, drop_rate=0.1)
         deployment, _, injector = build_scenario(
             config, TEST_LIMITS, config.fault_config()
         )
@@ -347,8 +341,8 @@ class TestFaultAndRetryCapture:
     @pytest.fixture(scope="class")
     def lossy(self):
         tracer = Tracer()
-        outcome = run_chaos(
-            ChaosConfig(
+        outcome = run_endurance(
+            chaos_config(
                 seed=11, n_blocks=4, queries=4, drop_rate=0.3, crash_count=1
             ),
             limits=TEST_LIMITS,
@@ -382,7 +376,7 @@ class TestFaultAndRetryCapture:
         phases = {
             e.name for e in tracer if e.track == PHASE_TRACK
         }
-        assert {"produce:degraded", "heal:reconcile"} <= phases
+        assert {"endurance:storm", "endurance:heal"} <= phases
 
     def test_outcome_carries_latency_percentiles(self, lossy):
         _, outcome = lossy
@@ -392,16 +386,16 @@ class TestFaultAndRetryCapture:
             assert stats["p99"] <= stats["max"]
 
     def test_percentiles_are_summarized_from_the_trace_on_read(self):
-        """The property over the finished trace equals the dict the run
-        used to compute eagerly at its audit (pinned at that commit)."""
-        outcome = run_chaos(ChaosConfig(seed=42, dht=True, domains=True))
+        """The property over the finished trace equals a fresh summary
+        of it, pinned on the chaos preset's all-feature storm."""
+        outcome = run_endurance(chaos_config(seed=42, dht=True, domains=True))
         table = outcome.latency_percentiles
         assert table == summarize(outcome.tracer).latency_percentiles()
-        assert table["block_body"]["count"] == 126
+        assert table["block_body"]["count"] == 64
         assert hashlib.sha256(
             json.dumps(table, sort_keys=True).encode()
         ).hexdigest() == (
-            "279a11bdcc9f18f2a32fdf9af8077f51de0970aa8a569a8f46453c11228e5ff6"
+            "ea18c75f2f8ee2a1d25f4fb8dc001004f5d196522df658c97240fe55c4e975da"
         )
 
 

