@@ -3,7 +3,7 @@
     PYTHONPATH=src python benchmarks/perf/call_census.py
 
 One process installs ``sys.setprofile`` / ``threading.setprofile``, then
-runs every entry point that is not a test: ``repro bench`` (the 21
+runs every entry point that is not a test: ``repro bench`` (the 20
 experiment kernels, twice), ``pytest benchmarks``, each CLI sub-command
 CI runs plus ``run`` / ``compare`` / ``join`` / ``experiments`` /
 ``trace {ici,full,rapidchain,diff}`` (a ``chaos --trace`` storm diffed
@@ -15,9 +15,12 @@ and how many files outside ``tests/`` name it, then the totals.  A
 module-level function or class counts the files that use its own
 module's binding, by the rule ``tests/test_architecture.py`` gates on
 (a same-named definition elsewhere, or the word in a help text, is not
-a referencer); a method counts the files naming it.  A function with no
-such referencer is one only tests call.  Prints only; gates nothing
-(``tests/test_architecture.py`` holds the static half).
+a referencer); a method counts the files naming it, so a method kept
+alive only by a same-named definition elsewhere looks referenced: each
+unrun method's row is followed by a ``same name:`` line listing every
+other definition of that name, marked ``ran`` where its code ran.  A
+function with no such referencer is one only tests call.  Prints only;
+gates nothing (``tests/test_architecture.py`` holds the static half).
 About 130 s on a 2-core box.
 """
 
@@ -126,12 +129,10 @@ def run_entry_points(scratch: Path) -> list[str]:
     for name, *argv in (
         ("adaptive", "endurance", "--adaptive", "--seed", 42, "--nodes", 15, "--groups", 3, "--blocks", 6),
         ("archival", "endurance", "--archival", "--seed", 42, "--nodes", 15, "--groups", 3, "--blocks", 6),
-        ("dht", "chaos", "--dht", "--seed", 7, "--drop-rate", 0.1),
         ("domains", "chaos", "--domains", "--seed", 42),
         ("soak-chaos", "chaos", "--seed", 42, "--nodes", 16, "--groups", 4, "--drop-rate", 0.2,
          "--duplicate-rate", 0.05, "--delay-rate", 0.05, "--crash-count", 1, "--partition"),
         ("soak-endurance", "endurance", "--seed", 42),
-        ("soak-dht", "endurance", "--dht", "--seed", 42, "--nodes", 15, "--groups", 3),
         ("soak-domains", "endurance", "--domains", "--seed", 42, "--nodes", 15, "--groups", 3),
     ):  # fmt: skip
         repro(*argv, "--report", scratch / f"{name}.md", "--trace", scratch / f"{name}.json")
@@ -200,8 +201,22 @@ def main() -> int:
         for key, (module, qualname, lines) in defined.items()
         if key not in reached
     )
+    namesakes: dict[str, list[tuple[str, bool]]] = {}
+    for key, (module, qualname, _) in defined.items():
+        if "." in qualname:
+            namesakes.setdefault(qualname.rpartition(".")[2], []).append(
+                (f"{module}:{qualname}", key in reached)
+            )
     for module, qualname, lines, refs in missed:
         print(f"{module:34} {qualname:52} {lines:4} lines  {refs:3} referencers")
+        if "." in qualname:
+            others = [
+                f"{where}{' (ran)' if did else ''}"
+                for where, did in sorted(namesakes[qualname.rpartition(".")[2]])
+                if where != f"{module}:{qualname}"
+            ]
+            if others:
+                print(f"{'':34} same name: {', '.join(others)}")
     test_only = [row for row in missed if row[3] == 0]
     print(
         f"{len(missed)} of {len(defined)} functions "

@@ -6,7 +6,7 @@ Commands:
 * ``compare``  — identical block stream through all three strategies.
 * ``join``     — bootstrap-cost demo: grow a network by one node.
 * ``experiments`` — list the reproduced experiments and their benches.
-* ``bench``    — drift gate: run the 21 experiment kernels and compare
+* ``bench``    — drift gate: run the 20 experiment kernels and compare
   their simulated metrics exactly against ``benchmarks/baseline.json``.
 * ``endurance`` — sustained churn under fault weather with the
   anti-entropy repair engine sweeping; audits integrity + the replica
@@ -66,11 +66,6 @@ _EXPERIMENTS = [
         "bench_e19_archival_coding.py",
     ),
     (
-        "E20",
-        "DHT lookup vs broadcast",
-        "bench_e20_dht_lookup.py",
-    ),
-    (
         "E21",
         "zone outage vs placement spread",
         "bench_e21_domain_outage.py",
@@ -125,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="drift gate: run the 21 experiment kernels and compare their "
+        help="drift gate: run the 20 experiment kernels and compare their "
         "simulated metrics exactly against benchmarks/baseline.json",
     )
     bench.add_argument(
@@ -269,13 +264,6 @@ _STORM_FLAGS = (
         "archival",
         "the Reed-Solomon archival tier (implies --adaptive; cold blocks "
         "become 3+1 coded chunk sets, audited against the coded floor)",
-    ),
-    (
-        "dht",
-        "the Kademlia-style DHT overlay (joins self-lookup, queries "
-        "resolve holders via FIND_VALUE, repair digests route to "
-        "XOR-nearest peers; the audit adds a routing-table census and a "
-        "per-block lookup batch, and the exit code gates on it)",
     ),
     (
         "domains",

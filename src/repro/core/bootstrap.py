@@ -192,15 +192,6 @@ def start_bootstrap(deployment: "ICIDeployment") -> BootstrapReport:
     state = BootstrapState(deployment, report, contact, old_members)
     deployment.sync.bootstraps[new_id] = state
 
-    dht = getattr(deployment, "dht", None)
-    if dht is not None and dht.enabled:
-        # Overlay membership discovery: instead of inheriting a full
-        # membership table, the joiner seeds its routing table with the
-        # one contact and converges by iterative self-lookup — the
-        # logarithmic join the DHT exists for.  The chain download
-        # below is unchanged (headers still come from the contact).
-        dht.join_node(new_id, contact)
-
     node.send(
         MessageKind.SYNC_REQUEST,
         contact,

@@ -267,9 +267,9 @@ class ICIDeployment(StorageDeployment):
         up: routing tables are seeded and then maintained from observed
         router traffic, provider records are published on every cluster
         finalization, the query engine resolves holders via FIND_VALUE
-        before its legacy broadcast tail, bootstrap joins via iterative
-        self-lookup, and the anti-entropy engine exchanges digests with
-        DHT-nearest peers only.  Returns the engine.
+        before its placement plan, and the anti-entropy engine exchanges
+        digests with DHT-nearest peers only.  Joins take the placement
+        path, as they do with the overlay off.  Returns the engine.
         """
         return self.dht.enable()
 

@@ -5,9 +5,9 @@ Submodules:
 * :mod:`repro.dht.idspace` — the 160-bit XOR-metric id space.
 * :mod:`repro.dht.routing` — k-bucket routing tables (pure data).
 * :mod:`repro.dht.records` — provider records with virtual-time expiry.
-* :mod:`repro.dht.engine` — the protocol engine: PING/FIND_NODE/
-  FIND_VALUE/STORE over the deployment's message router, iterative
-  α-parallel lookups on the shared request tracker.
+* :mod:`repro.dht.engine` — the protocol engine: FIND_NODE/FIND_VALUE/
+  STORE over the deployment's message router, iterative α-parallel
+  lookups on the shared request tracker.
 """
 
 from repro.dht.engine import DHTEngine, DHTStats

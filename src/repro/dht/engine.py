@@ -1,6 +1,6 @@
 """The DHT protocol engine: Kademlia-style lookups over the router.
 
-Installed on every ICI deployment so its seven message kinds are always
+Installed on every ICI deployment so its five message kinds are always
 registered (router coverage and report schemas stay uniform), but — like
 the anti-entropy engine — completely dormant until
 ``deployment.enable_dht()``: until then it adds no observer, owns no
@@ -9,18 +9,18 @@ runs stay byte-identical.
 
 Enabled, the engine keeps one :class:`~repro.dht.routing.RoutingTable`
 and one :class:`~repro.dht.records.ProviderStore` per node and speaks
-four sub-protocols, all dispatched through the deployment's
+three sub-protocols, all dispatched through the deployment's
 :class:`~repro.protocols.router.MessageRouter`:
 
-* **PING/PONG** — explicit liveness refresh; a contact that stays
-  silent through the tracker's retries is evicted from its bucket.
 * **FIND_NODE/NODES** — iterative node lookup with ``α`` probes in
   flight, each probe a tracked request (retry/timeout/degrade ride the
   shared :class:`~repro.protocols.reliability.RequestTracker`
-  machinery, so chaos-weather counters cover the overlay for free).
+  machinery, so chaos-weather counters cover the overlay for free); a
+  peer that stays silent through the retries is evicted from the
+  requester's bucket.
 * **FIND_VALUE/VALUE** — the same iteration, short-circuited by the
   first provider-record hit; the query engine resolves block holders
-  through this before falling back to its legacy broadcast tail.
+  through this before falling back to its placement plan.
 * **STORE** — provider-record publication: on every cluster
   finalization the block's primary holder looks up the record key's
   k-nearest nodes and stores the holder set there, with virtual-time
@@ -29,7 +29,11 @@ four sub-protocols, all dispatched through the deployment's
 Tables are additionally maintained from *observed* router traffic: the
 engine registers as a router observer at enable time and folds every
 send/delivery's endpoint into the respective tables, so ordinary block
-gossip keeps buckets warm without dedicated maintenance traffic.
+gossip keeps buckets warm without dedicated maintenance traffic.  A
+joiner gets no table at its join, which takes the placement path like
+any other: its first lookup opens an empty table (that lookup misses and
+the query engine's placement plan serves the read), and observed
+traffic fills it from then on.
 """
 
 from __future__ import annotations
@@ -56,8 +60,6 @@ from repro.protocols.router import FinalizeEvent, MessageRouter, ProtocolEngine
 KEY_BYTES = 20
 #: Wire size of one serialized contact (overlay key + node reference).
 CONTACT_BYTES = 26
-#: Wire size of a ping/pong payload (request id only).
-PING_BYTES = 8
 #: Wire size of one holder entry inside a record payload.
 HOLDER_BYTES = 6
 
@@ -87,22 +89,16 @@ DIGEST_FANOUT = 4
 
 @dataclass
 class DHTStats:
-    """Integer counters (signature-safe; see chaos outcome discipline)."""
+    """Lookup outcomes: how many completed, their messages and hops, and
+    how holder resolutions ended (a local record, a FIND_VALUE hit, or
+    a miss the query engine's placement plan then covers)."""
 
-    lookups_started: int = 0
     lookups_completed: int = 0
     value_hits: int = 0
     value_misses: int = 0
     local_hits: int = 0
     lookup_messages: int = 0
     lookup_hops: int = 0
-    probe_failures: int = 0
-    joins: int = 0
-    records_published: int = 0
-    stores_sent: int = 0
-    pings_sent: int = 0
-    contacts_evicted: int = 0
-    records_expired: int = 0
 
 
 class _Lookup:
@@ -152,18 +148,6 @@ class _Lookup:
         self.done = False
 
 
-class _Flood:
-    """Broadcast-resolution baseline state (E20's comparison arm)."""
-
-    __slots__ = ("key", "messages", "responses", "holders")
-
-    def __init__(self, key: int) -> None:
-        self.key = key
-        self.messages = 0
-        self.responses = 0
-        self.holders: tuple[int, ...] | None = None
-
-
 class DHTEngine(ProtocolEngine):
     """Kademlia-style overlay, dormant until :meth:`enable`."""
 
@@ -173,7 +157,8 @@ class DHTEngine(ProtocolEngine):
         super().__init__(deployment)
         self.enabled = False
         self.stats = DHTStats()
-        #: node id -> routing table (populated at enable/join).
+        #: node id -> routing table (populated at enable, or at a
+        #: joiner's first lookup).
         self.tables: dict[int, RoutingTable] = {}
         #: node id -> provider-record slice.
         self.providers: dict[int, ProviderStore] = {}
@@ -182,11 +167,8 @@ class DHTEngine(ProtocolEngine):
             deployment.router,
             policy=DHT_RETRY_POLICY,
         )
-        #: One id sequence for tracked probes/pings and untracked floods.
+        #: Request ids of the tracked lookup probes.
         self._ids = itertools.count(1)
-        #: request id -> flood awaiting that peer's answer (untracked:
-        #: E20's baseline arm has no deadlines and no retries).
-        self._floods: dict[int, _Flood] = {}
         #: node id -> cached overlay key (survives departures).
         self._keys: dict[int, int] = {}
         #: node id -> its one Contact record (same lifetime as ``_keys``).
@@ -195,8 +177,6 @@ class DHTEngine(ProtocolEngine):
         self._published_at: dict[tuple[int, Hash32], float] = {}
 
     def install(self, router: MessageRouter) -> None:
-        router.register(MessageKind.DHT_PING, self._on_ping, owner=self.name)
-        router.register(MessageKind.DHT_PONG, self._on_pong, owner=self.name)
         router.register(
             MessageKind.DHT_FIND_NODE, self._on_find_node, owner=self.name
         )
@@ -283,7 +263,7 @@ class DHTEngine(ProtocolEngine):
     # both endpoints of every message are live peers worth remembering.
     # Two calls per message, so each reads the cached Contact directly and
     # makes one call, the table's ``update``; the probe candidate it
-    # returns is ignored (a liveness probe is ``refresh_all``'s job).
+    # returns is ignored (a silent peer is evicted when a probe degrades).
     def on_send(self, message: Message) -> None:
         table = self.tables.get(message.sender)
         peer = message.recipient
@@ -313,21 +293,17 @@ class DHTEngine(ProtocolEngine):
     def _evict(self, owner: int, peer: int) -> None:
         """Drop a contact that stayed silent through every retry."""
         table = self.tables.get(owner)
-        if table is not None and table.remove(peer):
-            self.stats.contacts_evicted += 1
+        if table is not None:
+            table.remove(peer)
 
     def _probe_degraded(self, request: PendingRequest) -> None:
         lookup: _Lookup = request.context
         peer = request.plan[0]
-        self.stats.probe_failures += 1
         lookup.in_flight.discard(peer)
         lookup.failed.add(peer)
         self._evict(lookup.requester, peer)
         if not lookup.done:
             self._advance(lookup)
-
-    def _ping_degraded(self, request: PendingRequest) -> None:
-        self._evict(request.context, request.plan[0])
 
     # ----------------------------------------------------- iterative lookup
     def lookup_node(
@@ -379,7 +355,6 @@ class DHTEngine(ProtocolEngine):
         on_complete: Callable | None,
     ) -> _Lookup:
         lookup = _Lookup(requester, target, mode, on_complete)
-        self.stats.lookups_started += 1
         for contact in self._table(requester).closest(target, DEFAULT_K):
             lookup.known[contact.node_id] = contact.key
             lookup.generation[contact.node_id] = 0
@@ -448,13 +423,6 @@ class DHTEngine(ProtocolEngine):
         contacts: tuple[tuple[int, int], ...],
         holders: tuple[int, ...] | None,
     ) -> None:
-        flood = self._floods.pop(request_id, None)
-        if flood is not None:
-            flood.messages += 1
-            flood.responses += 1
-            if holders and flood.holders is None:
-                flood.holders = holders
-            return
         request = self.tracker.resolve(request_id)
         if request is None:
             return  # duplicate delivery or post-degrade straggler
@@ -511,20 +479,6 @@ class DHTEngine(ProtocolEngine):
         if lookup.on_complete is not None:
             lookup.on_complete(lookup.result)
 
-    # ------------------------------------------------------------- joining
-    def join_node(self, node_id: int, contact_id: int) -> _Lookup:
-        """Bootstrap a joiner's table: seed one contact, self-lookup.
-
-        Replaces the legacy full-table membership exchange: the joiner
-        learns progressively closer neighbourhoods from the iterative
-        FIND_NODE toward its own key, and every response folds into its
-        fresh routing table on the way.
-        """
-        table = self._table(node_id)
-        table.update(self.contact_of(contact_id))
-        self.stats.joins += 1
-        return self.lookup_node(node_id, self.key_of(node_id))
-
     # ----------------------------------------------------- provider records
     def _publish_existing(self) -> None:
         for view in sorted(
@@ -554,7 +508,6 @@ class DHTEngine(ProtocolEngine):
         publisher = holders[0]
         key = block_key(block_hash)
         now = self.network.now
-        self.stats.records_published += 1
         self._published_at[(cluster_id, block_hash)] = now
         # The publisher always keeps a local copy: the record stays
         # resolvable even while the k-nearest stores are in flight.
@@ -570,7 +523,6 @@ class DHTEngine(ProtocolEngine):
             for contact in contacts[: DEFAULT_K]:
                 if contact.node_id == publisher:
                     continue
-                self.stats.stores_sent += 1
                 publisher_node.send(
                     MessageKind.DHT_STORE,
                     contact.node_id,
@@ -590,9 +542,7 @@ class DHTEngine(ProtocolEngine):
         """
         now = self.network.now
         for node_id in sorted(self.providers):
-            self.stats.records_expired += self.providers[node_id].expire(
-                now
-            )
+            self.providers[node_id].expire(now)
         for view in sorted(
             self.deployment.clusters.views(), key=lambda v: v.cluster_id
         ):
@@ -604,11 +554,6 @@ class DHTEngine(ProtocolEngine):
                     self._publish_cluster(
                         header.block_hash, view.cluster_id
                     )
-
-    def republish_all(self) -> None:
-        """Force-republish every (block, cluster) record (heal phases)."""
-        self._published_at.clear()
-        self.on_sweep()
 
     # ----------------------------------------------------- repair routing
     def digest_peers(self, coordinator: int, candidates: list[int]) -> list[int]:
@@ -627,86 +572,6 @@ class DHTEngine(ProtocolEngine):
             :fanout
         ]
 
-    # --------------------------------------------------- refresh / auditing
-    def refresh_all(self) -> None:
-        """PING every contact of every live table (tracked, retried).
-
-        Contacts that stay silent through the retry policy are evicted —
-        the explicit refresh pass chaos heal phases run so lookups after
-        a crash storm do not waste probes on dead peers.
-        """
-        for node_id in self.network.live_members(sorted(self.tables)):
-            table = self.tables[node_id]
-            for contact in table.contacts():
-                self._ping(node_id, contact.node_id)
-
-    def _ping(self, owner: int, peer: int) -> None:
-        def send(target: int, request: PendingRequest) -> None:
-            node = self.deployment.nodes.get(owner)
-            if node is None:
-                return
-            self.stats.pings_sent += 1
-            node.send(
-                MessageKind.DHT_PING, target, request.request_id, PING_BYTES
-            )
-
-        self.tracker.begin(
-            next(self._ids),
-            "dht_ping",
-            [peer],
-            send,
-            on_degraded=self._ping_degraded,
-            context=owner,
-        )
-
-    def flood_resolve(self, requester: int, block_hash: Hash32) -> _Flood:
-        """The pre-DHT baseline: ask *every* live peer for the record.
-
-        Exists for E20's comparison arm only — message cost is linear in
-        network size by construction, which is exactly the curve the
-        experiment contrasts with the iterative lookup's.
-        """
-        key = block_key(block_hash)
-        flood = _Flood(key)
-        node = self.deployment.nodes[requester]
-        for peer in self.network.live_members(sorted(self.deployment.nodes)):
-            if peer == requester:
-                continue
-            request_id = next(self._ids)
-            self._floods[request_id] = flood
-            flood.messages += 1
-            node.send(
-                MessageKind.DHT_FIND_VALUE,
-                peer,
-                (request_id, key),
-                KEY_BYTES + 8,
-            )
-        return flood
-
-    def audit_tables(self) -> dict[str, int]:
-        """Routing-table liveness census (chaos/endurance audits)."""
-        live = set(
-            self.network.live_members(sorted(self.deployment.nodes))
-        )
-        audit = {
-            "tables_audited": 0,
-            "contacts": 0,
-            "stale_contacts": 0,
-            "empty_tables": 0,
-        }
-        for node_id in sorted(self.tables):
-            if node_id not in live:
-                continue
-            entries = self.tables[node_id].contacts()
-            audit["tables_audited"] += 1
-            audit["contacts"] += len(entries)
-            audit["stale_contacts"] += sum(
-                1 for entry in entries if entry.node_id not in live
-            )
-            if not entries:
-                audit["empty_tables"] += 1
-        return audit
-
     # ------------------------------------------------------------- handlers
     def _serialized_closest(
         self, node_id: int, target: int
@@ -718,14 +583,6 @@ class DHTEngine(ProtocolEngine):
             (contact.node_id, contact.key)
             for contact in table.closest(target, DEFAULT_K)
         )
-
-    def _on_ping(self, node: BaseNode, message: Message) -> None:
-        node.send(
-            MessageKind.DHT_PONG, message.sender, message.payload, PING_BYTES
-        )
-
-    def _on_pong(self, node: BaseNode, message: Message) -> None:
-        self.tracker.resolve(message.payload)
 
     def _on_find_node(self, node: BaseNode, message: Message) -> None:
         request_id, target = message.payload

@@ -7,7 +7,7 @@ least-recently-seen order (Kademlia's LRU discipline): a re-observed
 contact moves to the tail, a new contact joins the tail while there is
 room, and a full bucket *rejects* the newcomer — long-lived contacts are
 statistically the ones that stay reachable, so the table prefers them
-until an explicit liveness probe (PING) evicts a dead head.
+until a lookup probe to a dead contact degrades and evicts it.
 
 Everything here is pure data structure — no clock, no network — which
 is what lets the property suite drive it with Hypothesis directly.
@@ -51,7 +51,7 @@ class KBucket:
         return node_id in self._by_id
 
     def remove(self, node_id: int) -> bool:
-        """Drop a contact (eviction after a failed liveness probe)."""
+        """Drop a contact (eviction after a degraded lookup probe)."""
         return self._by_id.pop(node_id, None) is not None
 
 
@@ -78,8 +78,9 @@ class RoutingTable:
         """Fold an observed contact in; returns a probe candidate.
 
         Applies the LRU discipline.  When the target bucket is full the
-        newcomer is dropped and the stale *head* is returned so the
-        engine can PING it — a dead head is evicted on probe failure,
+        newcomer is dropped and the stale *head* is returned: the one
+        contact a liveness check would probe.  The engine sends no such
+        check; a dead contact leaves when a lookup probe to it degrades,
         making room for fresher peers on the next observation.
         """
         node_id = contact.node_id

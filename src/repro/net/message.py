@@ -60,9 +60,7 @@ class MessageKind(Enum):
     REPAIR_REQUEST = "repair_request"      # re-replication body pull
     REPAIR_BODIES = "repair_bodies"        # re-replication body (or miss)
 
-    # Kademlia-style DHT overlay (opt-in holder/membership resolution)
-    DHT_PING = "dht_ping"                  # liveness probe for a contact
-    DHT_PONG = "dht_pong"                  # ping acknowledgement
+    # Kademlia-style DHT overlay (opt-in holder resolution)
     DHT_FIND_NODE = "dht_find_node"        # ask for contacts near a key
     DHT_NODES = "dht_nodes"                # k closest known contacts
     DHT_FIND_VALUE = "dht_find_value"      # ask for a provider record

@@ -22,7 +22,6 @@ from repro.chain.validation import DEFAULT_LIMITS, ValidationLimits
 from repro.core.audit import diversity_met, floor_met
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
-from repro.dht.idspace import block_key
 from repro.errors import ConfigurationError
 from repro.obs.hooks import install_tracing
 from repro.obs.summary import percentile, summarize
@@ -69,14 +68,6 @@ class EnduranceConfig:
     stall_count: int = 0
     partition: bool = True
     queries: int = 8
-    #: Kademlia-style DHT overlay (:mod:`repro.dht`): queries resolve
-    #: holders via FIND_VALUE, joins bootstrap by self-lookup, repair
-    #: digests route to XOR-nearest peers, the heal phase refreshes
-    #: routing tables and republishes provider records, and the audit
-    #: adds a table-liveness census plus a full lookup batch.  Off by
-    #: default: non-DHT signatures must stay byte-identical (golden
-    #: pins).
-    dht: bool = False
     #: Failure-domain awareness (:mod:`repro.net.domains`): placement
     #: spreads replicas across zones, the mid-run outage becomes a full
     #: **zone outage** (every live member of one deterministically-drawn
@@ -150,7 +141,7 @@ class EnduranceOutcome:
     #: The flat counter dicts every run signs, by field name.
     _COUNTERS = ("fault_stats", "repair", "time_to_repair")
     #: Per-feature counter dicts, signed only when the feature ran.
-    _FEATURES = ("adaptive", "archival", "dht", "domains")
+    _FEATURES = ("adaptive", "archival", "domains")
 
     config: EnduranceConfig
     blocks_produced: int = 0
@@ -196,10 +187,6 @@ class EnduranceOutcome:
     #: Archival-tier counters (``asdict(ArchivalStats)``); empty
     #: unless the coded tier ran, same opt-in discipline.
     archival: dict[str, int] = field(default_factory=dict)
-    #: DHT overlay counters + audit (``asdict(DHTStats)`` merged with
-    #: the table census and the audit lookup batch); empty on non-DHT
-    #: runs, same opt-in discipline.
-    dht: dict[str, int] = field(default_factory=dict)
     #: Failure-domain census + audit (zone killed, victim count,
     #: placement spread deficit, diversity repairs, post-heal diversity
     #: flag); empty on domain-oblivious runs, same opt-in discipline.
@@ -243,16 +230,11 @@ class EnduranceOutcome:
         """The run's verdict — what the CLI exit code reports.
 
         Integrity restored (including the tier- and code-aware floor)
-        and, for each enabled feature, its own audit: every post-heal
-        DHT lookup resolved its block's holder record; every block's
-        live copies span distinct zones again (up to the live-zone
-        count).
+        and, on domain runs, every block's live copies span distinct
+        zones again (up to the live-zone count).
         """
-        return (
-            self.integrity_restored
-            and self.dht.get("audit_lookups_ok")
-            == self.dht.get("audit_lookups")
-            and (not self.domains or bool(self.domains["diversity_met"]))
+        return self.integrity_restored and (
+            not self.domains or bool(self.domains["diversity_met"])
         )
 
     def counters(self) -> dict[str, dict]:
@@ -311,7 +293,6 @@ def build_scenario(
     *,
     adaptive: bool = False,
     archival: bool = False,
-    dht: bool = False,
     zones: int = 0,
     outage_map=None,
 ):
@@ -320,8 +301,7 @@ def build_scenario(
     ``config`` supplies ``seed``/``n_nodes``/``n_clusters``/
     ``replication``.  Features are enabled before production (and
     before the plan installs), so every non-genesis placement is
-    computed by the spread-aware policy and provider records publish
-    organically as blocks finalize.  ``zones`` turns failure-domain
+    computed by the spread-aware policy.  ``zones`` turns failure-domain
     awareness on; whole-zone outages resolve their victims through
     ``outage_map`` (how a domain-oblivious deployment loses the same
     physical zone as an aware one), else through the deployment's own
@@ -337,8 +317,6 @@ def build_scenario(
         deployment.enable_adaptive_replication()
     if archival:
         deployment.enable_archival_tier()
-    if dht:
-        deployment.enable_dht()
     if zones:
         deployment.enable_domain_awareness(zones=zones)
     if outage_map is None:
@@ -372,35 +350,6 @@ def uniform_reads(rng: random.Random, requesters, block_hashes, count: int):
     """``count`` seeded uniform ``(requester, block_hash)`` draws."""
     for _ in range(count):
         yield rng.choice(requesters), rng.choice(block_hashes)
-
-
-def _audit_dht(
-    deployment: ICIDeployment, outcome, rng: random.Random, block_hashes, live
-) -> None:
-    """Overlay audit: table-liveness census plus a full lookup batch.
-
-    Runs one iterative FIND_VALUE per produced block from a random live
-    requester and counts hits — under the acceptance chaos weather
-    (10% drop + a crash) every lookup must still succeed, which is what
-    :attr:`EnduranceOutcome.passed` and the E20 chaos leg pin.  The census
-    and the engine's own counters land on ``outcome.dht``.
-    """
-    dht = deployment.dht
-    if not live:
-        outcome.dht = {**asdict(dht.stats), **dht.audit_tables()}
-        return
-    lookups_ok = 0
-    for block_hash in block_hashes:
-        lookup = dht.lookup_value(rng.choice(live), block_key(block_hash))
-        deployment.run()
-        if lookup.value:
-            lookups_ok += 1
-    outcome.dht = {
-        **asdict(dht.stats),
-        **dht.audit_tables(),
-        "audit_lookups": len(block_hashes),
-        "audit_lookups_ok": lookups_ok,
-    }
 
 
 def reconcile(deployment: ICIDeployment) -> None:
@@ -479,7 +428,6 @@ def run_endurance(
         config.fault_config(),
         adaptive=config.adaptive,
         archival=config.archival,
-        dht=config.dht,
         zones=config.zones if config.domains else 0,
     )
     install_tracing(deployment, tracer)
@@ -617,15 +565,6 @@ def run_endurance(
             last = snapshot
         repair.stop()
         deployment.run()
-        if config.dht:
-            # The sweep hook kept records fresh through the convergence
-            # rounds; the explicit pass covers clusters whose membership
-            # churned.  Tracked pings evict contacts that died or left,
-            # then a forced republish rebuilds the provider records.
-            deployment.dht.refresh_all()
-            deployment.run()
-            deployment.dht.republish_all()
-            deployment.run()
 
     # Phase 3: a query batch, still under lossy links.
     with tracer.span("endurance:queries"):
@@ -678,11 +617,9 @@ def run_endurance(
     outcome.timeouts = dict(stats.timeouts)
     outcome.degraded = dict(stats.degraded)
     outcome.sends = dict(stats.sends)
-    live = deployment.network.live_members(sorted(deployment.nodes))
-    if config.dht:
-        _audit_dht(deployment, outcome, rng, block_hashes, live)
     if config.domains:
         domains = deployment.domains
+        live = deployment.network.live_members(sorted(deployment.nodes))
         # Integer-valued so the fingerprint stays json-stable.
         # ``spread_deficit`` counts the placements that could not reach
         # full zone spread — the audited fallback, surfaced so a
@@ -696,7 +633,6 @@ def run_endurance(
             "diversity_repairs": deployment.repair.diversity_repairs,
             "diversity_met": int(diversity_met(deployment)),
         }
-    # Last: the DHT lookup batch still moves the clock.
     outcome.virtual_seconds = deployment.network.now
     outcome.events_processed = deployment.network.clock.processed
     outcome.deployment = deployment

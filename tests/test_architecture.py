@@ -17,7 +17,8 @@
   validation-cost delay — every ``clock.schedule`` of ``protocols/`` and
   ``dht/``.
 * The per-engine request bookkeeping that owner replaced stays gone, and
-  so does the second storm driver.
+  so do the second storm driver and the DHT paths the placement
+  directory replaced.
 """
 
 from __future__ import annotations
@@ -495,6 +496,11 @@ GONE = (
     # heals through the anti-entropy sweep, not an oracle refetch.
     "run_chaos", "ChaosConfig", "ChaosOutcome", "render_chaos_summary",
     "refetch_bodies",
+    # Placement is the directory: E20's broadcast arm, the storm's DHT
+    # feature and the DHT-routed join are gone, with the pings, table
+    # audit and forced republish only they ran.
+    "run_dht_compare", "DhtCompareConfig", "flood_resolve", "join_node",
+    "refresh_all", "republish_all", "audit_tables", "_audit_dht",
 )  # fmt: skip
 
 

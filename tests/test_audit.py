@@ -5,7 +5,7 @@ an audit is seen returning ``False``.  Each negative case hand-breaks a
 healed clean-weather deployment in one specific way and checks which
 predicates flip and which hold, then that the run's ``passed`` verdict
 (the CLI exit code) follows.  The feature-combination sweep at the end
-is the positive counterpart: every valid subset of the four opt-in
+is the positive counterpart: every valid subset of the three storm
 features passes in clean weather.
 """
 
@@ -196,14 +196,6 @@ class TestPassed:
         )
         return EnduranceOutcome(**dict(whole, **fields))
 
-    def test_requires_every_dht_audit_lookup_to_resolve(self):
-        assert self.whole(
-            dht={"audit_lookups": 8, "audit_lookups_ok": 8}
-        ).passed
-        assert not self.whole(
-            dht={"audit_lookups": 8, "audit_lookups_ok": 7}
-        ).passed
-
     def test_requires_zone_diversity_on_domain_runs(self):
         assert self.whole(domains={"diversity_met": 1}).passed
         assert not self.whole(domains={"diversity_met": 0}).passed
@@ -223,7 +215,7 @@ class TestPassed:
         [
             (dict(domains={"diversity_met": 1}), 0),
             (dict(domains={"diversity_met": 0}), 1),
-            (dict(dht={"audit_lookups": 8, "audit_lookups_ok": 7}), 1),
+            (dict(replica_floor_met=False), 1),
         ],
     )
     def test_cli_exit_code_is_the_verdict(
@@ -235,11 +227,12 @@ class TestPassed:
             repro.cli, "run_endurance", lambda config: self.whole(**audit)
         )
         assert repro.cli.main(["chaos"]) == code
-        assert "cluster integrity: restored" in capsys.readouterr().out
+        verdict = "passed" if code == 0 else "FAILED"
+        assert f"**verdict: {verdict}**" in capsys.readouterr().out
 
 
 # ------------------------------------------------------ feature combinations
-FEATURES = ("adaptive", "archival", "domains", "dht")
+FEATURES = ("adaptive", "archival", "domains")
 VALID_SUBSETS = [
     flags
     for flags in itertools.product((False, True), repeat=len(FEATURES))

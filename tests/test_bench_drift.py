@@ -1,6 +1,6 @@
 """The tier-1 drift gate: no experiment's simulated numbers moved.
 
-Each of the 21 ``benchmarks/bench_e*.py`` kernels is run twice and its
+Each of the 20 ``benchmarks/bench_e*.py`` kernels is run twice and its
 simulated metrics compared *exactly* with ``benchmarks/baseline.json`` —
 the same :func:`~repro.bench.runner.measure` / ``drift`` pair that
 ``repro bench`` runs.  A failure here means a protocol changed behaviour;
@@ -14,7 +14,9 @@ import pytest
 
 from repro.bench import runner
 
-BENCH_IDS = [f"e{i}" for i in range(1, 22)]
+#: E20 (DHT lookup vs a broadcast no read path used) is retired: a
+#: member names a block's holders from its own cluster table.
+BENCH_IDS = [f"e{i}" for i in range(1, 22) if i != 20]
 
 
 @pytest.fixture(scope="module")

@@ -50,10 +50,11 @@ class TestSimulatedMetrics:
 
 
 class TestDiscovery:
-    def test_all_twenty_one_experiments_discovered(self):
+    def test_all_experiments_discovered(self):
         workloads = runner.discover_workloads()
+        # E20 is retired: its DHT lookup duplicated the placement plan.
         assert [w.bench_id for w in workloads] == [
-            f"e{i}" for i in range(1, 22)
+            f"e{i}" for i in range(1, 22) if i != 20
         ]
 
     def test_seed_determinism_across_independent_runs(self):
@@ -134,7 +135,7 @@ def two_kernel_gate(monkeypatch, tmp_path):
 class TestBenchCli:
     def test_tree_has_no_drift(self, capsys):
         assert main(["bench"]) == 0
-        assert capsys.readouterr().out.startswith("RESULT: pass (21 kernels")
+        assert capsys.readouterr().out.startswith("RESULT: pass (20 kernels")
 
     def test_one_edited_integer_fails_and_is_named(
         self, two_kernel_gate, capsys

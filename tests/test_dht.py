@@ -1,20 +1,16 @@
-"""The Kademlia-style DHT overlay: engine, wiring, audits, and E20.
+"""The Kademlia-style DHT overlay: engine and wiring.
 
-Covers the whole overlay loop (:mod:`repro.dht`): the dormant-engine
+Covers the overlay loop :mod:`repro.dht` still runs: the dormant-engine
 discipline (installed always, inert until :meth:`enable_dht`), table
 seeding and observer-driven warming, iterative FIND_NODE/FIND_VALUE
 lookups over the message fabric, provider-record publish/expiry/
 republish on the repair sweep cadence, the query engine's
-FIND_VALUE-first retrieval path, join-by-self-lookup, the repair
-engine's XOR-nearest digest fanout, the chaos/endurance ``dht=True``
-audits, and the E20 broadcast-vs-DHT comparison.  Every scenario is
-seeded and the key signatures are pinned for determinism.
+FIND_VALUE-first retrieval path, joins taking the placement path, and
+the repair engine's XOR-nearest digest fanout.  The storm has no DHT
+feature: a member names a block's holders from its cluster table.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 import pytest
 
@@ -24,10 +20,8 @@ from repro.dht.engine import ALPHA, DIGEST_FANOUT, MAX_LOOKUP_CONTACTS, DHTEngin
 from repro.dht.idspace import block_key
 from repro.dht.records import DEFAULT_RECORD_TTL, ProviderStore
 from repro.dht.routing import DEFAULT_K
-from repro.errors import ConfigurationError
 from repro.net.message import MessageKind
-from repro.sim.chaos import EnduranceConfig, run_endurance
-from repro.sim.dht_compare import DhtCompareConfig, run_dht_compare
+from repro.sim.chaos import run_endurance
 from repro.sim.runner import ScenarioRunner
 from tests.conftest import TEST_LIMITS, chaos_config
 
@@ -61,11 +55,9 @@ def test_engine_installed_but_inert_by_default():
     assert isinstance(deployment.dht, DHTEngine)
     assert not deployment.dht.enabled
     assert deployment.dht.tables == {}
-    # All seven overlay kinds are registered even while dormant (the
+    # All five overlay kinds are registered even while dormant (the
     # router coverage invariant counts referenced kinds).
     for kind in (
-        MessageKind.DHT_PING,
-        MessageKind.DHT_PONG,
         MessageKind.DHT_FIND_NODE,
         MessageKind.DHT_NODES,
         MessageKind.DHT_FIND_VALUE,
@@ -187,13 +179,23 @@ def test_retrieve_block_resolves_through_overlay():
 def test_finalize_publishes_each_cluster_record_once():
     deployment, report = build_dht(n_blocks=3)
     dht = deployment.dht
+    now = deployment.network.now
+    headers = list(deployment.ledger.store.iter_active_headers())
+    # Every (cluster, active block incl. genesis) record is stored: some
+    # provider store names a member of that cluster as a holder.
+    for header in headers:
+        key = block_key(header.block_hash)
+        named = {
+            holder
+            for store in dht.providers.values()
+            for holder in store.get(key, now)
+        }
+        for view in deployment.clusters.views():
+            assert named & set(view.members)
+    # One publish walk per record, no dupes despite per-member finalize
+    # events: no read ran, so every completed lookup is a publish.
     clusters = deployment.clusters.cluster_count
-    # One record per (cluster, active block incl. genesis), no dupes
-    # despite per-member finalize events.
-    active = sum(
-        1 for _ in deployment.ledger.store.iter_active_headers()
-    )
-    assert dht.stats.records_published == clusters * active
+    assert dht.stats.lookups_completed == clusters * len(headers)
 
 
 def test_records_expire_and_republish_on_sweep():
@@ -215,9 +217,16 @@ def test_records_expire_and_republish_on_sweep():
     assert all(
         not store.get(key, later) for store in dht.providers.values()
     )
+    # Lapsed entries decay in place until a sweep drops them.
+    assert any(key in store.records for store in dht.providers.values())
     dht.on_sweep()
+    assert all(
+        expires > later
+        for store in dht.providers.values()
+        for record in store.records.values()
+        for expires in record.values()
+    )
     deployment.run()
-    assert dht.stats.records_expired > 0
     refreshed = sum(
         1
         for store in dht.providers.values()
@@ -237,25 +246,30 @@ def test_provider_store_merges_max_expiry():
 
 
 # ------------------------------------------------------------------- joins
-def test_join_bootstraps_by_self_lookup():
-    deployment, _ = build_dht()
+def test_join_with_dht_on_takes_the_placement_path():
+    deployment, report = build_dht()
     dht = deployment.dht
-    joins_before = dht.stats.joins
-    report = deployment.join_new_node()
+    target = report.block_hashes[-1]
+    sends = dict(deployment.metrics.router_stats.sends)
+    joined = deployment.join_new_node()
     deployment.run()
-    assert report.complete
-    assert dht.stats.joins == joins_before + 1
-    table = dht.tables[report.node_id]
-    table.check_invariants()
-    # The self-lookup converged: the joiner knows more than its seed
-    # contact, and its peers learned the joiner from its probes.
-    assert len(table) > 1
-    known_by = sum(
-        1
-        for node_id, other in dht.tables.items()
-        if node_id != report.node_id and report.node_id in other
+    assert joined.complete
+    # The join sent no overlay message and opened no routing table.
+    after = deployment.metrics.router_stats.sends
+    assert all(
+        after[kind] == sends.get(kind)
+        for kind in after
+        if kind.startswith("dht_")
     )
-    assert known_by > 0
+    assert joined.node_id not in dht.tables
+    # The joiner reads like any member: its empty table misses, and the
+    # placement plan serves the read.
+    misses = dht.stats.value_misses
+    record = deployment.retrieve_block(joined.node_id, target)
+    deployment.run()
+    assert record.completed_at is not None and not record.degraded
+    node = deployment.nodes[joined.node_id]
+    assert node.store.has_body(target) or dht.stats.value_misses > misses
 
 
 # ----------------------------------------------------------- digest routing
@@ -292,89 +306,13 @@ def test_repair_sweep_converges_with_dht_fanout():
     assert deployment.nodes[lost].store.has_body(victim_block)
 
 
-# ------------------------------------------------------------ chaos / E20
-def test_chaos_dht_audit_and_determinism():
-    config = chaos_config(seed=7, dht=True, drop_rate=0.1)
-    first = run_endurance(config)
-    assert first.integrity_restored
-    assert first.dht["audit_lookups_ok"] == first.dht["audit_lookups"]
-    assert first.dht["stale_contacts"] == 0
-    assert first.dht["empty_tables"] == 0
-    assert "dht" in first.signature()
-    second = run_endurance(config)
-    assert first.signature() == second.signature()
-
-
+# -------------------------------------------------------------- the storm
 def test_chaos_without_dht_signature_has_no_dht_key():
     outcome = run_endurance(chaos_config(seed=7, drop_rate=0.1))
-    assert outcome.dht == {}
     assert "dht" not in outcome.signature()
 
 
-def test_endurance_dht_audit():
-    outcome = run_endurance(
-        EnduranceConfig(seed=3, n_blocks=6, dht=True)
-    )
-    assert outcome.integrity_restored
-    assert (
-        outcome.dht["audit_lookups_ok"] == outcome.dht["audit_lookups"]
-    )
-    assert "dht" in outcome.signature()
-
-
-#: sha256 of the canonical-JSON signature of the default E20 run.
-E20_GOLDEN_SHA = (
-    "65b2806513abc6aedc29e3c57d1df46ab9745e3eb588515be00bfe5ec7fdf3a2"
-)
-
-
-def test_dht_compare_sublinear_and_deterministic():
-    config = DhtCompareConfig(
-        network_sizes=(12, 24), n_blocks=3, lookups=6
-    )
-    outcome = run_dht_compare(config, limits=TEST_LIMITS)
-    assert outcome.lookups_ok
-    assert outcome.sublinear
-    assert outcome.chaos_lookups_ok
-    assert outcome.chaos_integrity
-    again = run_dht_compare(config, limits=TEST_LIMITS)
-    assert outcome.signature() == again.signature()
-
-
-def test_e20_golden_signature():
-    """The default E20 run, pinned like E18/E19/E21: its chaos leg is
-    the endurance storm under the chaos preset."""
-    signature = run_dht_compare().signature()
-    blob = json.dumps(signature, sort_keys=True)
-    digest = hashlib.sha256(blob.encode()).hexdigest()
-    assert digest == E20_GOLDEN_SHA, signature
-
-
-def test_dht_compare_config_validation():
-    with pytest.raises(ConfigurationError):
-        DhtCompareConfig(network_sizes=(12,))
-    with pytest.raises(ConfigurationError):
-        DhtCompareConfig(network_sizes=(24, 12))
-    with pytest.raises(ConfigurationError):
-        DhtCompareConfig(network_sizes=(6, 12))
-    with pytest.raises(ConfigurationError):
-        DhtCompareConfig(lookups=0)
-
-
 # ---------------------------------------------------------------- reporting
-def test_chaos_summary_renders_dht_section():
-    from repro.analysis.report import render_endurance_summary
-
-    outcome = run_endurance(chaos_config(seed=7, dht=True, drop_rate=0.1))
-    summary = render_endurance_summary(outcome)
-    assert "## dht" in summary
-    assert "| audit_lookups |" in summary
-    plain = render_endurance_summary(
-        run_endurance(chaos_config(seed=7, drop_rate=0.1))
-    )
-    assert "## dht" not in plain
-
-
 def test_router_section_lists_dormant_kinds_with_zero_counts():
     from repro.analysis.report import render_deployment_report
 
@@ -385,11 +323,10 @@ def test_router_section_lists_dormant_kinds_with_zero_counts():
 
 
 def test_cli_chaos_dht_flag(capsys):
+    """The storm has no DHT feature: ``--dht`` is an unknown flag."""
     from repro.cli import main
 
-    code = main(
-        ["chaos", "--dht", "--drop-rate", "0.1", "--seed", "7"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "## dht" in out
+    with pytest.raises(SystemExit) as refused:
+        main(["chaos", "--dht", "--drop-rate", "0.1", "--seed", "7"])
+    assert refused.value.code == 2
+    assert "--dht" in capsys.readouterr().err

@@ -122,7 +122,7 @@ def test_call_budget():
         runner.produce_blocks(2, txs_per_block=3)
         for sender in range(4):  # the unicast path: node.send()
             deployment.nodes[sender].send(
-                MessageKind.DHT_PING, sender + 1, (1,), 8
+                MessageKind.CONTROL, sender + 1, (1,), 8
             )
         deployment.run()
     finally:

@@ -436,7 +436,7 @@ class TestTrafficAccounting:
         FaultInjector.install(
             net, FaultConfig(seed=3, drop_rate=0.3, duplicate_rate=0.3)
         )
-        kinds = (MessageKind.CONTROL, MessageKind.TX_BODY, MessageKind.DHT_PING)
+        kinds = (MessageKind.CONTROL, MessageKind.TX_BODY, MessageKind.BLOCK_HEADER)
         for index in range(300):
             message = sized_message(
                 kinds[index % 3], index % 6, (index * 5 + 1) % 6, None, index

@@ -182,7 +182,6 @@ class TestStormCounterSections:
                 n_clusters=3,
                 n_blocks=6,
                 archival=True,
-                dht=True,
                 domains=True,
             ),
             limits=TEST_LIMITS,
@@ -193,20 +192,19 @@ class TestStormCounterSections:
             "time_to_repair",
             "adaptive",
             "archival",
-            "dht",
             "domains",
         )
         assert all(getattr(outcome, name) for name in fields)
         self.check(outcome, render_endurance_summary(outcome), fields)
 
-    def test_dht_and_domains_chaos(self):
+    def test_domains_chaos(self):
         from repro.analysis.report import render_endurance_summary
         from repro.sim.chaos import run_endurance
 
         outcome = run_endurance(
-            chaos_config(seed=42, dht=True, domains=True), limits=TEST_LIMITS
+            chaos_config(seed=42, domains=True), limits=TEST_LIMITS
         )
-        fields = ("fault_stats", "repair", "time_to_repair", "dht", "domains")
+        fields = ("fault_stats", "repair", "time_to_repair", "domains")
         assert all(getattr(outcome, name) for name in fields)
         self.check(outcome, render_endurance_summary(outcome), fields)
 

@@ -144,11 +144,11 @@ class TestObservers:
         deployment = make_ici()
         log: list = []
         deployment.router.add_observer(_Hooks("late", log, ALL_HOOKS))
-        deployment.nodes[0].send(MessageKind.DHT_PING, 1, (1,), 8)
+        deployment.nodes[0].send(MessageKind.CONTROL, 1, (1,), 8)
         deployment.run()
         assert ("late", "on_send") in log and ("late", "on_deliver") in log
         stats = deployment.metrics.router_stats
-        assert stats.sends["dht_ping"] == stats.deliveries["dht_ping"] == 1
+        assert stats.sends["control"] == stats.deliveries["control"] == 1
 
     def test_missing_optional_hooks_tolerated(self):
         router = MessageRouter()
@@ -197,7 +197,7 @@ class TestObservers:
             config=ICIConfig(n_clusters=2, replication=2, limits=TEST_LIMITS),
         )
         for sender in range(4):
-            deployment.nodes[sender].send(MessageKind.DHT_PING, 7, (1,), 8)
+            deployment.nodes[sender].send(MessageKind.CONTROL, 7, (1,), 8)
         deployment.run()
         traffic = deployment.network.traffic
         assert len(seen) == traffic.total_messages >= 4
