@@ -20,7 +20,8 @@ three sub-protocols, all dispatched through the deployment's
   requester's bucket.
 * **FIND_VALUE/VALUE** — the same iteration, short-circuited by the
   first provider-record hit; the query engine resolves block holders
-  through this before falling back to its placement plan.
+  through this, keeps only those in the requester's cluster, and
+  appends its placement plan.
 * **STORE** — provider-record publication: on every cluster
   finalization the block's primary holder looks up the record key's
   k-nearest nodes and stores the holder set there, with virtual-time
@@ -34,6 +35,10 @@ joiner gets no table at its join, which takes the placement path like
 any other: its first lookup opens an empty table (that lookup misses and
 the query engine's placement plan serves the read), and observed
 traffic fills it from then on.
+
+The overlay routes no repair traffic: an anti-entropy sweep polls every
+live cluster member whether it is enabled or not, and only calls
+:meth:`DHTEngine.on_sweep` for record upkeep.
 """
 
 from __future__ import annotations
@@ -80,11 +85,6 @@ MAX_LOOKUP_CONTACTS = 24
 #: :data:`~repro.dht.routing.DEFAULT_K` and the provider-record lifetime
 #: :data:`~repro.dht.records.DEFAULT_RECORD_TTL`).
 ALPHA = 3
-
-#: Digest-collection fanout when the repair engine routes through the
-#: overlay: the coordinator polls only its ``DIGEST_FANOUT`` XOR-nearest
-#: live cluster peers instead of every member.
-DIGEST_FANOUT = 4
 
 
 @dataclass
@@ -554,23 +554,6 @@ class DHTEngine(ProtocolEngine):
                     self._publish_cluster(
                         header.block_hash, view.cluster_id
                     )
-
-    # ----------------------------------------------------- repair routing
-    def digest_peers(self, coordinator: int, candidates: list[int]) -> list[int]:
-        """The coordinator's digest-poll subset: XOR-nearest live peers.
-
-        Replaces whole-cluster digest fanout: only the ``digest_fanout``
-        peers nearest the coordinator in the overlay id space are
-        polled each sweep; the analysis pass excludes the rest (their
-        coverage is unknown, like an unresponsive member's).
-        """
-        fanout = DIGEST_FANOUT
-        if len(candidates) <= fanout:
-            return list(candidates)
-        ckey = self.key_of(coordinator)
-        return sorted(candidates, key=lambda m: self.key_of(m) ^ ckey)[
-            :fanout
-        ]
 
     # ------------------------------------------------------------- handlers
     def _serialized_closest(

@@ -125,8 +125,9 @@ class QueryEngine(ProtocolEngine):
         dht = getattr(deployment, "dht", None)
         if dht is not None and dht.enabled:
             # Overlay resolution first: FIND_VALUE for the holder set,
-            # the legacy plan appended as the fallback tail (and used
-            # alone when the lookup misses).
+            # whose in-cluster holders lead the plan, the legacy plan
+            # appended as the fallback tail (and used alone when the
+            # lookup misses).
             self._retrieve_via_dht(record, node, header)
             return record
         self._begin(record, self._plan_holders(node, header, requester_id))
@@ -193,30 +194,24 @@ class QueryEngine(ProtocolEngine):
     ) -> None:
         """Resolve holders through the overlay, then fetch as usual.
 
-        The FIND_VALUE result orders in-cluster holders first (cheaper
-        fetch), then out-of-cluster record holders, then the legacy
-        plan's remainder as the broadcast tail — so a stale or partial
-        record degrades to exactly the pre-DHT behaviour instead of a
-        failed query.
+        The plan keeps only the FIND_VALUE result's holders that are
+        members of the requester's cluster (every cluster holds the
+        whole ledger), then the legacy plan's remainder, so a stale or
+        partial record degrades to exactly the pre-DHT behaviour.  The
+        read crosses the cluster boundary only by that plan's own
+        tails: under faults, or from a single-member cluster.
         """
         deployment = self.deployment
 
         def resolved(holders: "tuple[int, ...] | None") -> None:
             if record.completed_at is not None or record.degraded:
                 return  # answered (or given up) while the lookup ran
-            plan: list[int] = []
-            if holders:
-                in_cluster = set(
-                    deployment.clusters.members_of(node.cluster_id)
-                )
-                plan = sorted(
-                    (
-                        h
-                        for h in holders
-                        if h != record.requester and h in deployment.nodes
-                    ),
-                    key=lambda h: (h not in in_cluster, h),
-                )
+            in_cluster = set(deployment.clusters.members_of(node.cluster_id))
+            plan = sorted(
+                h
+                for h in holders or ()
+                if h != record.requester and h in in_cluster
+            )
             legacy = self._plan_holders(node, header, record.requester)
             plan += [h for h in legacy if h not in plan]
             self._begin(record, plan)

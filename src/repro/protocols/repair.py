@@ -124,7 +124,6 @@ class _DigestSession:
         "pending",
         "coverage",
         "unresponsive",
-        "unpolled",
     )
 
     def __init__(self, cluster_id: int, coordinator: int) -> None:
@@ -138,11 +137,6 @@ class _DigestSession:
         # entirely (floor, holders, and targets) rather than invent
         # deficits a dropped digest would otherwise imply.
         self.unresponsive: set[int] = set()
-        # Members deliberately not polled this sweep (DHT digest
-        # routing caps fanout at the coordinator's overlay-nearest
-        # peers).  Same analysis treatment as unresponsive — unknown
-        # coverage, excluded — but not counted as digest failures.
-        self.unpolled: set[int] = set()
 
     def absorb(self, member: int, hashes: Sequence[Hash32]) -> None:
         """Fold one member's digest into the coverage map."""
@@ -292,15 +286,9 @@ class AntiEntropyEngine(ProtocolEngine):
                 continue
             coordinator = live[0]
             session = _DigestSession(view.cluster_id, coordinator)
+            # The cluster's own members check its coverage: every live
+            # one is polled.
             peers = live[1:]
-            if dht is not None and dht.enabled:
-                # Digest routing through the overlay: poll only the
-                # coordinator's DHT-nearest peers instead of the whole
-                # cluster; the rest are excluded from this sweep's
-                # analysis (unknown coverage, like unresponsive ones).
-                polled = dht.digest_peers(coordinator, peers)
-                session.unpolled = set(peers) - set(polled)
-                peers = polled
             session.pending = set(peers)
             # The coordinator's own coverage needs no wire exchange.
             session.absorb(
@@ -428,11 +416,10 @@ class AntiEntropyEngine(ProtocolEngine):
             members = deployment.clusters.members_of(cluster_id)
         except ClusteringError:  # cluster dissolved since the sweep started
             return
-        excluded = session.unresponsive | session.unpolled
         live = [
             m
             for m in self.network.live_members(sorted(members))
-            if m not in excluded
+            if m not in session.unresponsive
         ]
         if not live:
             return

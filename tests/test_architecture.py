@@ -501,6 +501,9 @@ GONE = (
     # audit and forced republish only they ran.
     "run_dht_compare", "DhtCompareConfig", "flood_resolve", "join_node",
     "refresh_all", "republish_all", "audit_tables", "_audit_dht",
+    # Reads and repair sweeps follow the cluster with the overlay on:
+    # no digest fanout, no unpolled members.
+    "digest_peers", "DIGEST_FANOUT",
 )  # fmt: skip
 
 

@@ -5,8 +5,9 @@ discipline (installed always, inert until :meth:`enable_dht`), table
 seeding and observer-driven warming, iterative FIND_NODE/FIND_VALUE
 lookups over the message fabric, provider-record publish/expiry/
 republish on the repair sweep cadence, the query engine's
-FIND_VALUE-first retrieval path, joins taking the placement path, and
-the repair engine's XOR-nearest digest fanout.  The storm has no DHT
+FIND_VALUE-first retrieval path (which keeps to the requester's
+cluster), joins taking the placement path, and repair sweeps that poll
+every member with the overlay on.  The storm has no DHT
 feature: a member names a block's holders from its cluster table.
 """
 
@@ -16,13 +17,20 @@ import pytest
 
 from repro.core.config import ICIConfig
 from repro.core.icistrategy import ICIDeployment
-from repro.dht.engine import ALPHA, DIGEST_FANOUT, MAX_LOOKUP_CONTACTS, DHTEngine
+from repro.dht.engine import ALPHA, MAX_LOOKUP_CONTACTS, DHTEngine
 from repro.dht.idspace import block_key
 from repro.dht.records import DEFAULT_RECORD_TTL, ProviderStore
 from repro.dht.routing import DEFAULT_K
 from repro.net.message import MessageKind
 from repro.sim.chaos import run_endurance
 from repro.sim.runner import ScenarioRunner
+from repro.sim.scenario import BENCH_LIMITS
+from repro.sim.workload import (
+    ReadWorkloadConfig,
+    TransactionWorkload,
+    WorkloadConfig,
+    ZipfReadWorkload,
+)
 from tests.conftest import TEST_LIMITS, chaos_config
 
 
@@ -96,7 +104,7 @@ def test_dht_config_validation():
     """Kademlia's constants stay in range: a lookup never asks for more
     than its contact cap, and records outlive their publication."""
     assert 1 <= DEFAULT_K <= MAX_LOOKUP_CONTACTS
-    assert ALPHA >= 1 and DIGEST_FANOUT >= 1
+    assert ALPHA >= 1
     assert DEFAULT_RECORD_TTL > 0
 
 
@@ -173,6 +181,77 @@ def test_retrieve_block_resolves_through_overlay():
         deployment.dht.stats.value_hits > hits_before
         or deployment.dht.stats.local_hits > local_before
     )
+
+
+def zipf_read_deployment():
+    """perfbench's ``zipf_read`` shape at smoke size, seed 1: 3 clusters
+    of 8, r = 3, adaptive + archival + DHT, 8 blocks, 150 Zipf reads a
+    round."""
+    seed = 1
+    deployment = ICIDeployment(
+        24,
+        config=ICIConfig(n_clusters=3, replication=3, limits=BENCH_LIMITS),
+    )
+    deployment.enable_adaptive_replication()
+    deployment.enable_archival_tier()
+    deployment.enable_dht()
+    report = ScenarioRunner(
+        deployment,
+        workload=TransactionWorkload(WorkloadConfig(seed=seed)),
+        limits=BENCH_LIMITS,
+        seed=seed,
+    ).produce_blocks(8, txs_per_block=6)
+    reads = ZipfReadWorkload(
+        ReadWorkloadConfig(seed=seed ^ 0x2EAD, exponent=1.1)
+    )
+    return deployment, report.block_hashes, reads
+
+
+class KindsByCluster:
+    """Router observer: one kind's sends, split by whether the recipient
+    is in the sender's cluster."""
+
+    def __init__(self, deployment, kind: MessageKind) -> None:
+        self.nodes = deployment.nodes
+        self.kind = kind
+        self.local = 0
+        self.remote = 0
+        #: sender's cluster id -> sends
+        self.by_cluster: dict[int, int] = {}
+        deployment.router.add_observer(self)
+
+    def on_send(self, message) -> None:
+        if message.kind is not self.kind:
+            return
+        cluster = self.nodes[message.sender].cluster_id
+        self.by_cluster[cluster] = self.by_cluster.get(cluster, 0) + 1
+        if self.nodes[message.recipient].cluster_id == cluster:
+            self.local += 1
+        else:
+            self.remote += 1
+
+
+def test_reads_stay_inside_the_requesters_cluster():
+    """With every cluster holding the whole ledger, a clean-network read
+    never asks a holder outside its own cluster, even though provider
+    records name every cluster's holders."""
+    deployment, block_hashes, reads = zipf_read_deployment()
+    requests = KindsByCluster(deployment, MessageKind.BLOCK_REQUEST)
+    records = []
+    # perfbench's round: a read batch, then two anti-entropy cadences.
+    for _ in range(6):
+        for requester, block_hash in reads.reads(
+            block_hashes, sorted(deployment.nodes), 150
+        ):
+            records.append(deployment.retrieve_block(requester, block_hash))
+        deployment.run()
+        deployment.repair.start(cadence=5.0)
+        deployment.run_for(10.0)
+        deployment.repair.stop()
+        deployment.run()
+    assert all(r.completed_at is not None for r in records)
+    assert requests.local > 0
+    assert requests.remote == 0, (requests.remote, requests.local)
 
 
 # ----------------------------------------------------------------- records
@@ -272,22 +351,34 @@ def test_join_with_dht_on_takes_the_placement_path():
     assert node.store.has_body(target) or dht.stats.value_misses > misses
 
 
-# ----------------------------------------------------------- digest routing
-def test_digest_peers_picks_xor_nearest_subset():
-    deployment, _ = build_dht()
-    dht = deployment.dht
-    candidates = [n for n in sorted(deployment.nodes) if n != 0]
-    picked = dht.digest_peers(0, candidates)
-    assert len(picked) == DIGEST_FANOUT
-    own = dht.key_of(0)
-    cutoff = max(dht.key_of(p) ^ own for p in picked)
-    for other in set(candidates) - set(picked):
-        assert dht.key_of(other) ^ own > cutoff
-    # Small candidate lists pass through whole.
-    assert dht.digest_peers(0, candidates[:2]) == candidates[:2]
+# ------------------------------------------------------ cluster-local repair
+def one_sweep(deployment) -> None:
+    repair = deployment.repair
+    sweeps = repair.stats.sweeps
+    repair.start(cadence=5.0)
+    deployment.run_for(6.0)
+    repair.stop()
+    deployment.run()
+    assert repair.stats.sweeps == sweeps + 1
 
 
-def test_repair_sweep_converges_with_dht_fanout():
+def test_sweep_with_dht_polls_every_live_member():
+    """The overlay routes no digests: a sweep polls each cluster's live
+    members but its coordinator, and an intact deployment has nothing to
+    re-replicate."""
+    deployment, _ = build_dht(n_nodes=14, n_clusters=2)
+    polls = KindsByCluster(deployment, MessageKind.REPAIR_DIGEST_REQUEST)
+    one_sweep(deployment)
+    network = deployment.network
+    assert polls.by_cluster == {
+        view.cluster_id: len(network.live_members(view.members)) - 1
+        for view in deployment.clusters.views()
+    }
+    assert polls.remote == 0
+    assert deployment.repair.stats.blocks_re_replicated == 0
+
+
+def test_repair_sweep_restores_a_lost_body_with_dht_on():
     deployment, report = build_dht(n_nodes=14, n_clusters=2)
     victim_block = report.block_hashes[0]
     holders = [
@@ -297,12 +388,10 @@ def test_repair_sweep_converges_with_dht_fanout():
     ]
     lost = holders[0]
     deployment.nodes[lost].unassign_body(victim_block)
+    one_sweep(deployment)
     repair = deployment.repair
-    repair.start(cadence=2.0)
-    deployment.network.clock.run_for(10.0)
-    repair.stop()
-    deployment.run()
-    assert repair.stats.digests_requested > 0
+    assert repair.stats.digests_requested == len(deployment.nodes) - 2
+    assert repair.stats.blocks_re_replicated == 1
     assert deployment.nodes[lost].store.has_body(victim_block)
 
 
