@@ -6,9 +6,10 @@ Runs perfbench's ``zipf_read`` setup and timed region
 (``perfbench/workloads.py``: 96 nodes / 12 clusters / r = 3, adaptive,
 archival and DHT on, 32 blocks, six rounds of 600 Zipf reads, each
 followed by two anti-entropy sweeps; ``--smoke`` is perfbench's quarter
-size) with a router observer on every delivered ``BLOCK_REQUEST``.
-Prints one JSON row per seed (default 5): the timed region's delivered
-messages per kind; the requests delivered, those that reached a node
+size) with a router observer on every delivered read ``BLOCK_REQUEST``
+(the ``read`` flow; repair pulls share the kind).
+Prints one JSON row per seed (default 5): the timed region's sent
+messages per kind; the read requests delivered, those that reached a node
 without the body and those that crossed a cluster boundary; reads,
 remote reads (the requester did not hold the body) and requests per
 remote read; and the bodies repair re-replicated.  Gates nothing.
@@ -28,7 +29,7 @@ from repro.net.message import MessageKind  # noqa: E402
 
 
 class _RequestCensus:
-    """Router observer: where each delivered ``BLOCK_REQUEST`` landed."""
+    """Router observer: where each delivered read request landed."""
 
     def __init__(self, deployment) -> None:
         self.nodes = deployment.nodes
@@ -39,8 +40,11 @@ class _RequestCensus:
     def on_deliver(self, node, message) -> None:
         if message.kind is not MessageKind.BLOCK_REQUEST:
             return
+        _request_id, flow, hashes = message.payload
+        if flow != "read":
+            return  # a repair pull, join or departure batch
         self.delivered += 1
-        if not node.store.has_body(message.payload[1]):
+        if not node.store.has_body(hashes[0]):
             self.missed += 1
         if self.nodes[message.sender].cluster_id != node.cluster_id:
             self.cross_cluster += 1

@@ -139,7 +139,8 @@ class Block:
 def serialize_body(block: Block) -> bytes:
     """Deterministic wire form of a block's transaction list.
 
-    Used by the parity (erasure) extension, which XORs body encodings.
+    Used by the parity extension and the coded archival tier, which
+    Reed–Solomon-code body encodings (:mod:`repro.storage.erasure`).
     """
     parts = [struct.pack(">I", len(block.transactions))]
     for tx in block.transactions:

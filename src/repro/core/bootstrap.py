@@ -12,11 +12,12 @@ Protocol (message-driven over the simulator):
 3. Contact → joiner: ``SYNC_HEADERS`` (all active headers + the optional
    UTXO snapshot, charged at ``config.state_snapshot_bytes``).
 4. The joiner recomputes placement over the *new* member list, groups its
-   newly-assigned blocks by a surviving old holder, and issues one
-   ``SYNC_REQUEST("bodies", …)`` per source.
-5. Sources reply ``SYNC_BODIES``; when the last batch lands the join is
-   complete and displaced old holders prune the bodies the joiner took
-   over (never before — no availability gap during the join).
+   newly-assigned blocks by a surviving old holder, and fetches one batch
+   per source on the ``batch`` flow of the body-transfer service
+   (:mod:`repro.protocols.transfer`).
+5. When the last batch lands the join is complete and displaced old
+   holders prune the bodies the joiner took over (never before — no
+   availability gap during the join).
 
 Reassignments *between existing members* (rare under the default
 rendezvous placement, catastrophic under modulo placement — the E9
@@ -116,31 +117,36 @@ class BootstrapState:
             by_source.setdefault(source, []).append(header.block_hash)
             self.expected_bodies.add(header.block_hash)
 
+        self.request_bodies(node, by_source)
+        _maybe_complete(deployment, self)
+
+    def request_bodies(
+        self,
+        node: ClusterNode,
+        by_source: dict[int, list[Hash32]],
+        retry: bool = False,
+    ) -> None:
+        """Ask each source for its batch, in ``by_source`` order."""
         self.pending_sources = set(by_source)
         self.requested_from = {
             source: set(wanted) for source, wanted in by_source.items()
         }
         for source, wanted in by_source.items():
-            node.send(
-                MessageKind.SYNC_REQUEST,
-                source,
-                ("bodies", tuple(wanted)),
-                64 + 32 * len(wanted),
-            )
-        _maybe_complete(deployment, self)
+            if retry:
+                self.deployment.router.note_retry("sync_request")
+            self.deployment.sync.request_batch(node, source, wanted)
 
-    def on_bodies(self, source: int, blocks: Sequence) -> None:
-        """Phase 3: a source's body batch arrived at the joiner."""
+    def on_bodies(
+        self, node: ClusterNode, source: int, blocks: Sequence
+    ) -> None:
+        """Phase 3: a source's batch of expected bodies, stored, arrived.
+
+        A duplicate or late body (fault-layer retries re-request batches)
+        is no longer expected, so the accept step has dropped it.
+        """
         report = self.report
-        node = self.deployment.nodes[report.node_id]
-        assert isinstance(node, ClusterNode)
         delivered: set[Hash32] = set()
         for block in blocks:
-            if block.block_hash not in self.expected_bodies:
-                # Duplicate/late delivery (fault-layer retries re-request
-                # batches); the first copy already counted.
-                continue
-            node.assign_body(block)
             node.finalize(block.block_hash)
             delivered.add(block.block_hash)
             self.expected_bodies.discard(block.block_hash)
@@ -302,18 +308,7 @@ def _replan_bodies(
     for block_hash in unservable:
         state.expected_bodies.discard(block_hash)
         state.report.bodies_unavailable.append(block_hash)
-    state.pending_sources = set(by_source)
-    state.requested_from = {
-        source: set(wanted) for source, wanted in by_source.items()
-    }
-    for source, wanted in sorted(by_source.items()):
-        deployment.router.note_retry("sync_request")
-        node.send(
-            MessageKind.SYNC_REQUEST,
-            source,
-            ("bodies", tuple(wanted)),
-            64 + 32 * len(wanted),
-        )
+    state.request_bodies(node, dict(sorted(by_source.items())), retry=True)
 
 
 def _prune_displaced_holders(

@@ -18,9 +18,11 @@ A node departs once: a leave or crash repair of a node whose departure
 is still in flight is refused, because the second session would take
 over the first one's per-target sync slots and remove the node twice.
 
-Both paths are message-driven: each new holder sends a batched
-``SYNC_REQUEST("bodies", …)`` to its source and receives ``SYNC_BODIES``;
-responses route through the deployment's generic sync-session registry.
+Both paths are message-driven: each new holder fetches its batch from
+its source on the ``batch`` flow of the body-transfer service
+(:mod:`repro.protocols.transfer`), the flow a join's bodies use too;
+the sync engine hands each reply to the session registered for the
+target.
 
 Under a fault layer the request/response pair can be silently dropped, so
 each target's transfer additionally runs on the repair engine's
@@ -40,7 +42,6 @@ from repro.core.metrics import DepartureReport
 from repro.core.parity import RecoveryReport
 from repro.crypto.hashing import Hash32
 from repro.errors import ClusteringError, StorageError
-from repro.net.message import MessageKind
 from repro.node.clusternode import ClusterNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,27 +64,21 @@ class _RepairSession:
         self.prune_plan = prune_plan  # stale (holder, hash) post-repair
         # target -> tracker request id (fault-layer deployments only).
         self.request_ids: dict[int, int] = {}
+        for target in expected:
+            deployment.sync.departures[target] = self
 
     def on_bodies(
         self, node: ClusterNode, sender: int, blocks: Sequence
     ) -> None:
-        """A repair source's body batch arrived at a target."""
-        owed = self.expected.get(node.node_id)
-        if owed is None:
-            return
+        """Owed bodies from a repair source, stored, reached a target."""
+        owed = self.expected[node.node_id]
         for block in blocks:
-            if block.block_hash not in owed:
-                continue
-            node.backfill_headers(
-                block.header, self.deployment.ledger.store
-            )
-            node.assign_body(block)
             owed.discard(block.block_hash)
             self.report.blocks_transferred += 1
             self.report.bytes_moved += block.size_bytes
         if not owed:
             del self.expected[node.node_id]
-            self.deployment.sync.sessions.pop(node.node_id, None)
+            self.deployment.sync.departures.pop(node.node_id, None)
             self._resolve_tracking(node.node_id)
         self._maybe_finish()
 
@@ -95,7 +90,7 @@ class _RepairSession:
         because a stale replica may now be the only live copy.
         """
         owed = self.expected.pop(target, None)
-        self.deployment.sync.sessions.pop(target, None)
+        self.deployment.sync.departures.pop(target, None)
         self.request_ids.pop(target, None)
         if owed:
             self.report.deferred_blocks.extend(sorted(owed))
@@ -201,17 +196,12 @@ def _begin(
     for (_source, target), hashes in transfers.items():
         expected.setdefault(target, set()).update(hashes)
     session = _RepairSession(deployment, report, expected, prune_plan)
-    for target in expected:
-        deployment.sync.sessions[target] = session.on_bodies
     if deployment.network.faults is None:
         # Clean network: the historical fire-and-forget batches (delivery
         # is guaranteed, tracking would only add clock events).
         for (source, target), hashes in transfers.items():
-            deployment.nodes[target].send(
-                MessageKind.SYNC_REQUEST,
-                source,
-                ("bodies", tuple(sorted(hashes))),
-                64 + 32 * len(hashes),
+            deployment.sync.request_batch(
+                deployment.nodes[target], source, sorted(hashes)
             )
         return report
     for target in sorted(expected):
@@ -232,7 +222,7 @@ def _track_transfer(
     other live surviving member (any of them may hold a replica the
     placement did not pick); each attempt re-requests whatever the target
     is *still* owed, so partially-delivered batches shrink on retry and
-    duplicate bodies are absorbed idempotently by ``on_bodies``.
+    a duplicate body, no longer owed, is dropped by the accept step.
     """
     preferred = sorted(
         {src for (src, tgt) in transfers if tgt == target}
@@ -249,14 +239,8 @@ def _track_transfer(
     def send(source: int, _request) -> None:
         owed = session.expected.get(target)
         requester = deployment.nodes.get(target)
-        if not owed or requester is None:
-            return
-        requester.send(
-            MessageKind.SYNC_REQUEST,
-            source,
-            ("bodies", tuple(sorted(owed))),
-            64 + 32 * len(owed),
-        )
+        if owed and requester is not None:
+            deployment.sync.request_batch(requester, source, sorted(owed))
 
     repair.tracker.begin(
         request_id,

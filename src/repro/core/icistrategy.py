@@ -2,10 +2,11 @@
 
 The deployment wires ``n`` cluster nodes (full mesh inside each cluster,
 sparse bridges between them) onto a simulated network.  The class itself
-is a thin facade: protocol behaviour lives in four engines under
+is a thin facade: protocol behaviour lives in engines under
 :mod:`repro.protocols` — dissemination (header/tx gossip + body routing
-+ forks), verification (prepare/commit/result voting), query (retrievals
-+ SPV), and sync (join/leave/crash repair) — all dispatching through the
++ forks), verification (prepare/commit/result voting), transfer (every
+fetched body), query (retrievals + SPV), sync (join/leave/crash repair)
+and repair (anti-entropy) — all dispatching through the
 deployment's :class:`~repro.protocols.router.MessageRouter`.  Each engine
 module documents its slice of the wire protocol.
 
@@ -57,6 +58,7 @@ from repro.protocols.reliability import RequestTracker
 from repro.protocols.repair import AntiEntropyEngine
 from repro.protocols.spv import attach_light_client, start_spv_check
 from repro.protocols.sync import SyncEngine
+from repro.protocols.transfer import TransferEngine
 from repro.storage.coded import ArchivalTier
 from repro.storage.heat import HeatTracker, ReplicationPlanner
 from repro.storage.placement import (
@@ -164,6 +166,8 @@ class ICIDeployment(StorageDeployment):
         self.reliability = RequestTracker(self.network.clock, self.router)
         self.dissemination = self.install_engine(DisseminationEngine(self))
         self.verification = self.install_engine(IntraClusterEngine(self))
+        # Before the engines whose fetch flows register with it.
+        self.transfer = self.install_engine(TransferEngine(self))
         self.query = self.install_engine(QueryEngine(self))
         self.sync = self.install_engine(SyncEngine(self))
         # Dormant until .start(): registers handlers only, schedules

@@ -36,8 +36,8 @@ class MessageKind(Enum):
     # Block relay
     BLOCK_ANNOUNCE = "block_announce"      # inv: block hash + height
     BLOCK_HEADER = "block_header"          # 84-byte header
-    BLOCK_BODY = "block_body"              # full block (header + txs)
-    BLOCK_REQUEST = "block_request"        # ask a peer for a body
+    BLOCK_BODY = "block_body"              # pushed body, or a fetch's reply
+    BLOCK_REQUEST = "block_request"        # fetch bodies from a peer
     HEADER_REQUEST = "header_request"      # ask a peer for header range
 
     # Intra-cluster collaborative verification (PBFT-style)
@@ -48,17 +48,11 @@ class MessageKind(Enum):
     # Bootstrap / sync
     SYNC_REQUEST = "sync_request"          # new node asks for chain state
     SYNC_HEADERS = "sync_headers"          # batch of headers
-    SYNC_BODIES = "sync_bodies"            # batch of bodies (assigned slots)
-
-    # Cluster membership
-    CLUSTER_HELLO = "cluster_hello"        # membership announcement
-    CLUSTER_ASSIGN = "cluster_assign"      # placement table update
+    SYNC_BODIES = "sync_bodies"            # batch of bodies (baselines)
 
     # Anti-entropy repair (periodic coverage reconciliation)
     REPAIR_DIGEST_REQUEST = "repair_digest_request"  # ask for coverage
     REPAIR_DIGEST = "repair_digest"        # compact held-body summary
-    REPAIR_REQUEST = "repair_request"      # re-replication body pull
-    REPAIR_BODIES = "repair_bodies"        # re-replication body (or miss)
 
     # Kademlia-style DHT overlay (opt-in holder resolution)
     DHT_FIND_NODE = "dht_find_node"        # ask for contacts near a key

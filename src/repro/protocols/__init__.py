@@ -1,9 +1,9 @@
 """Pluggable protocol engines and the message router they share.
 
-The package decomposes a deployment's wire behaviour into four engines —
-dissemination, intra-cluster verification, query, and sync — each owning
-one protocol family's state and message handlers, all dispatched through
-a single :class:`~repro.protocols.router.MessageRouter`.
+The package decomposes a deployment's wire behaviour into engines —
+dissemination, verification, body transfer, query, sync and repair —
+each owning one protocol family's state and message handlers, all
+dispatched through a single :class:`~repro.protocols.router.MessageRouter`.
 """
 
 from repro.protocols.dissemination import DisseminationEngine

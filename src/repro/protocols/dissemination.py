@@ -244,12 +244,8 @@ class DisseminationEngine(ProtocolEngine):
         elif tag == "compact":
             _, header, txids = message.payload
             on_compact(self.deployment, node, header, txids, message.sender)
-        elif tag == "serve":
-            _, request_id, block = message.payload
-            self.deployment.query.on_served(node, request_id, block)
-        elif tag == "miss":
-            _, request_id = message.payload
-            self.deployment.query.on_miss(request_id)
+        else:  # "serve" / "miss": a body-transfer reply
+            self.deployment.transfer.accept(node, message)
 
     # ----------------------------------------------------- header handling
     def _on_header_gossiped(self, node_id: int, header: BlockHeader) -> None:

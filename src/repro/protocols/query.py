@@ -1,8 +1,10 @@
 """Query engine: intra-cluster block retrieval and the SPV service.
 
-Owns the request/serve/miss/retry/timeout lifecycle of block-body
-queries (any member can fetch a body it lacks from an in-cluster
-placement holder) and the light-client proof service built on the same
+Owns the holder plan, retry/timeout lifecycle and completion of
+block-body queries (any member can fetch a body it lacks from an
+in-cluster placement holder) — the ``read`` flow of the body-transfer
+service (:mod:`repro.protocols.transfer`), which carries each request
+and its reply — and the light-client proof service built on the same
 "any cluster serves anything" property.  Compact-block transaction
 fetches also ride the CONTROL kind and are delegated to the
 dissemination engine, which owns reconstruction state.
@@ -31,10 +33,11 @@ from repro.protocols.spv import (
     handle_spv_request,
     handle_spv_response,
 )
+from repro.protocols.transfer import Flow
 
 #: Seconds a requester waits for a holder before trying the next one.
 QUERY_TIMEOUT = 2.0
-#: Bytes of a sync-request control message payload.
+#: Bytes of a read's ``BLOCK_REQUEST`` payload.
 SYNC_REQUEST_BYTES = 64
 
 
@@ -95,10 +98,10 @@ class QueryEngine(ProtocolEngine):
 
     def install(self, router: MessageRouter) -> None:
         router.register(
-            MessageKind.BLOCK_REQUEST, self._on_block_request, owner=self.name
-        )
-        router.register(
             MessageKind.CONTROL, self._on_control, owner=self.name
+        )
+        self.deployment.transfer.flows["read"] = Flow(
+            32, self._wanted, self._on_reply, self._keeps
         )
 
     # -------------------------------------------------------------- queries
@@ -139,20 +142,10 @@ class QueryEngine(ProtocolEngine):
         """The legacy holder plan: placement/planner + failover tail."""
         deployment = self.deployment
         block_hash = header.block_hash
-        planner = getattr(deployment, "replication_planner", None)
-        if planner is not None:
-            # Adaptive replication: the read plan follows the per-block
-            # tier target — hot blocks expose their extra replicas, cold
-            # blocks name exactly the keeper the shed pass retained.
-            assigned = planner.read_plan(
-                header, deployment.clusters.members_of(node.cluster_id)
-            )
-        else:
-            assigned = deployment.holders_in_cluster(
-                header, node.cluster_id
-            )
         holders = [
-            holder for holder in assigned if holder != requester_id
+            holder
+            for holder in self._assigned(node, header)
+            if holder != requester_id
         ]
         if self.network.faults is not None:
             # Under faults an assigned holder may itself have lost the
@@ -175,6 +168,18 @@ class QueryEngine(ProtocolEngine):
                 and deployment.nodes[other].store.has_body(block_hash)
             ][:1]
         return holders
+
+    def _assigned(self, node: ClusterNode, header) -> tuple[int, ...]:
+        """The block's in-cluster holders, as ``node`` plans its reads."""
+        planner = getattr(self.deployment, "replication_planner", None)
+        if planner is not None:
+            # Adaptive replication: the read plan follows the per-block
+            # tier target — hot blocks expose their extra replicas, cold
+            # blocks name exactly the keeper the shed pass retained.
+            return planner.read_plan(
+                header, self.deployment.clusters.members_of(node.cluster_id)
+            )
+        return self.deployment.holders_in_cluster(header, node.cluster_id)
 
     def _begin(self, record: QueryRecord, holders: list[int]) -> None:
         """Start the tracked fetch over ``holders`` (may be empty)."""
@@ -228,10 +233,12 @@ class QueryEngine(ProtocolEngine):
             # The requester left between attempts: nobody to retry for.
             self.tracker.abandon(request.request_id, "requester-departed")
             return
-        requester.send(
-            MessageKind.BLOCK_REQUEST,
+        self.deployment.transfer.request(
+            requester,
             target,
-            (record.request_id, record.block_hash),
+            "read",
+            record.request_id,
+            (record.block_hash,),
             SYNC_REQUEST_BYTES,
         )
 
@@ -271,61 +278,42 @@ class QueryEngine(ProtocolEngine):
         record.completed_at = self.network.now
         return True
 
-    def on_miss(self, request_id: int) -> None:
-        """A holder answered "miss": advance to the next holder now."""
-        self.tracker.advance(request_id)
-
-    def _on_block_request(self, node: BaseNode, message: Message) -> None:
-        assert isinstance(node, ClusterNode)
-        request_id, block_hash = message.payload
-        if node.store.has_body(block_hash):
-            block = node.store.body(block_hash)
-            node.send(
-                MessageKind.BLOCK_BODY,
-                message.sender,
-                ("serve", request_id, block),
-                block.size_bytes,
-            )
-        else:
-            node.send(
-                MessageKind.BLOCK_BODY,
-                message.sender,
-                ("miss", request_id),
-                32,
-            )
-
-    def on_served(
-        self, node: ClusterNode, request_id: int, block: Block
-    ) -> None:
-        """The requested body arrived back at the requester."""
+    # ------------------------------------------------------ the read flow
+    def _wanted(
+        self, node: ClusterNode, request_id: int
+    ) -> tuple[Hash32] | None:
         record = self.queries.get(request_id)
         if record is None or record.completed_at is not None:
+            return None
+        return (record.block_hash,)
+
+    def _on_reply(
+        self,
+        node: ClusterNode,
+        source: int,
+        request_id: int,
+        bodies: list[Block],
+    ) -> None:
+        """The requested body arrived, or the holder missed: try the next."""
+        if not bodies:
+            self.tracker.advance(request_id)
             return
-        record.completed_at = self.network.now
+        self.queries[request_id].completed_at = self.network.now
         self.tracker.resolve(request_id)
-        if self.network.faults is None:
-            return
-        # Chaos repair: a holder that lost (or never received) its
-        # assigned body re-adopts it when a query brings it back.
-        if node.store.has_body(block.block_hash) or not node.store.has_header(
-            block.block_hash
+
+    def _keeps(self, node: ClusterNode, block: Block) -> bool:
+        """Chaos repair: a holder that lost (or never received) its
+        assigned body re-adopts it when a read brings it back."""
+        if (
+            self.network.faults is None
+            or node.store.has_body(block.block_hash)
+            or not node.store.has_header(block.block_hash)
         ):
-            return
+            return False
+        # The read plan's holders: re-adopting past the tier target
+        # would ratchet a shed cold copy back on every read.
         header = node.store.header(block.block_hash)
-        planner = getattr(self.deployment, "replication_planner", None)
-        if planner is not None:
-            # Re-adopt only within the tier target, or a shed cold copy
-            # would ratchet back every time its ex-holder queried it.
-            holders = planner.read_plan(
-                header,
-                self.deployment.clusters.members_of(node.cluster_id),
-            )
-        else:
-            holders = self.deployment.holders_in_cluster(
-                header, node.cluster_id
-            )
-        if node.node_id in holders:
-            node.assign_body(block)
+        return node.node_id in self._assigned(node, header)
 
     # ---------------------------------------------------------------- SPV
     def _on_control(self, node: BaseNode, message: Message) -> None:

@@ -3,7 +3,7 @@
 The event-driven repair paths (:mod:`repro.core.departure`, the
 survivors' re-replication after a detected crash) fix damage they *know
 about* — an announced leave, a detected crash.  Under the fault layer a cluster can silently fall below
-its replication floor anyway: a ``SYNC_BODIES`` batch dropped mid-repair,
+its replication floor anyway: a departure's body batch dropped mid-repair,
 a source crashing between request and response, a departure straddling a
 partition.  This engine closes that gap the way LightChain's DHT
 maintenance does — by **periodically reconciling what each cluster
@@ -24,7 +24,8 @@ One sweep (per :attr:`AntiEntropyEngine.cadence` virtual seconds):
    integrity audit use) and flags every block with fewer than
    ``min(replication, live_cluster_size)`` live replicas.
 3. Each deficit schedules an **idempotent** re-replication: the chosen
-   target pulls the body through a tracked ``REPAIR_REQUEST`` with
+   target pulls the body on the ``pull`` flow of the body-transfer
+   service (:mod:`repro.protocols.transfer`), tracked, with
    capped-backoff retries and failover across every live in-cluster
    holder, then up to two out-of-cluster holders.  A ``(block, target)``
    pair already in flight is never double-requested, and
@@ -44,17 +45,8 @@ the committed baseline.
 :class:`~repro.storage.heat.ReplicationPlanner` attached to the
 deployment, each sweep first refreshes the heat classification, then
 analyzes against *per-block* targets instead of the fixed ``r`` — and
-gains the inverse of repair: **shedding**.  A block observed above its
-tier target drops surplus copies (local deletes; no wire cost beyond
-the digests that discovered them), keeping exactly the placement
-function's top-``target`` members.  Shedding is idempotent (a second
-sweep over the same coverage finds nothing to drop) and guarded: it
-never leaves fewer than ``min(target, live)`` live copies, never fewer
-than one (the last in-cluster copy is also that cluster's contribution
-to cross-cluster coverage), skips blocks with an in-flight repair, and
-recounts actual live holders after every drop — a recount below the
-floor increments the planner's ``floor_violations`` counter, which the
-endurance audit pins at zero.
+gains the inverse of repair, **shedding** (:meth:`AntiEntropyEngine.
+_shed`; its safety invariants are listed in :mod:`repro.storage.heat`).
 """
 
 from __future__ import annotations
@@ -77,6 +69,7 @@ from repro.protocols.reliability import (
     RetryPolicy,
 )
 from repro.protocols.router import MessageRouter, ProtocolEngine
+from repro.protocols.transfer import Flow
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.simclock import EventHandle
@@ -85,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DIGEST_REQUEST_BYTES = 24
 #: Modeled bytes per block hash in a coverage digest (truncated summary).
 DIGEST_HASH_BYTES = 8
-#: Modeled wire cost of one re-replication pull (hash + framing).
+#: Modeled wire cost of one re-replication pull's ``BLOCK_REQUEST``.
 REPAIR_REQUEST_BYTES = 72
 #: Default sweep interval, virtual seconds.
 DEFAULT_CADENCE = 5.0
@@ -193,15 +186,8 @@ class AntiEntropyEngine(ProtocolEngine):
         router.register(
             MessageKind.REPAIR_DIGEST, self._on_digest, owner=self.name
         )
-        router.register(
-            MessageKind.REPAIR_REQUEST,
-            self._on_repair_request,
-            owner=self.name,
-        )
-        router.register(
-            MessageKind.REPAIR_BODIES,
-            self._on_repair_bodies,
-            owner=self.name,
+        self.deployment.transfer.flows["pull"] = Flow(
+            48, self._wanted, self._on_pulled
         )
 
     # ------------------------------------------------------------ lifecycle
@@ -368,44 +354,30 @@ class AntiEntropyEngine(ProtocolEngine):
         if not session.pending:
             self._analyze(session)
 
-    def _on_repair_request(self, node: BaseNode, message: Message) -> None:
-        """A repair source serves (or explicitly misses) one body."""
-        assert isinstance(node, ClusterNode)
-        request_id, block_hash = message.payload
-        if node.store.has_body(block_hash):
-            body = node.store.body(block_hash)
-            node.send(
-                MessageKind.REPAIR_BODIES,
-                message.sender,
-                (request_id, body),
-                body.size_bytes,
-            )
-        else:
-            node.send(
-                MessageKind.REPAIR_BODIES,
-                message.sender,
-                (request_id, None),
-                48,
-            )
-
-    def _on_repair_bodies(self, node: BaseNode, message: Message) -> None:
-        assert isinstance(node, ClusterNode)
-        request_id, body = message.payload
+    def _wanted(
+        self, node: ClusterNode, request_id: int
+    ) -> tuple[Hash32] | None:
         request = self.tracker.pending.get(request_id)
         if request is None:
-            return  # duplicate delivery or post-degrade straggler
-        if body is None:
+            return None  # duplicate delivery or post-degrade straggler
+        return (request.context[1],)
+
+    def _on_pulled(
+        self,
+        node: ClusterNode,
+        source: int,
+        request_id: int,
+        bodies: list[Block],
+    ) -> None:
+        if not bodies:
             # Explicit miss: fail over to the next plan peer immediately.
             self.tracker.advance(request_id)
             return
-        cluster_id, block_hash, target = request.context
-        if node.node_id != target or body.block_hash != block_hash:
-            return
-        self.tracker.resolve(request_id)
+        cluster_id, block_hash, target = self.tracker.resolve(
+            request_id
+        ).context
         self._inflight.discard((block_hash, target))
-        node.backfill_headers(body.header, self.deployment.ledger.store)
-        node.assign_body(body)
-        self._note_repaired(cluster_id, block_hash, target, body)
+        self._note_repaired(cluster_id, block_hash, target, bodies[0])
 
     # ------------------------------------------------------------- analysis
     def _analyze(self, session: _DigestSession) -> None:
@@ -758,10 +730,12 @@ class AntiEntropyEngine(ProtocolEngine):
             requester = self.deployment.nodes.get(target)
             if requester is None:
                 return  # target departed mid-repair
-            requester.send(
-                MessageKind.REPAIR_REQUEST,
+            self.deployment.transfer.request(
+                requester,
                 source,
-                (request.request_id, block_hash),
+                "pull",
+                request.request_id,
+                (block_hash,),
                 REPAIR_REQUEST_BYTES,
             )
 

@@ -12,8 +12,9 @@ Two pieces:
 
 * :class:`HeatTracker` — a router observer (the same hook surface the
   metrics recorder and tracing observer use).  Every delivered
-  ``BLOCK_REQUEST`` (a query reaching a holder) and ``REPAIR_REQUEST``
-  (a re-replication pull) counts as one access to that block.  Accesses
+  ``BLOCK_REQUEST`` of the ``read`` flow (a query reaching a holder) and
+  of the ``pull`` flow (a re-replication pull) counts as one access to
+  that block; join and departure batches do not count.  Accesses
   accumulate into an exponentially decayed rate on **virtual time**, so
   two same-seed runs score identically on any machine.
 * :class:`ReplicationPlanner` — ranks every active block by a weighted
@@ -79,8 +80,8 @@ RECENCY_WEIGHT = 0.5
 SIZE_WEIGHT = 0.25
 #: Body bytes at which the size term reaches 0.5.
 SIZE_SCALE = 4096.0
-#: Heat of one ``REPAIR_REQUEST`` pull relative to a query hit
-#: (re-requests are demand too, but second-hand).
+#: Heat of one re-replication pull (a ``pull`` flow ``BLOCK_REQUEST``)
+#: relative to a query hit (re-requests are demand too, but second-hand).
 REPAIR_WEIGHT = 0.5
 #: Blocks ranked above this score quantile are hot (0.9 → top 10%).
 HOT_QUANTILE = 0.9
@@ -148,12 +149,12 @@ class HeatTracker:
 
     def on_deliver(self, node: "BaseNode", message: "Message") -> None:
         """Count query hits and repair pulls as block accesses."""
-        kind = message.kind
-        if kind is MessageKind.BLOCK_REQUEST:
-            # payload = (request_id, block_hash)
-            self.note_access(message.payload[1])
-        elif kind is MessageKind.REPAIR_REQUEST:
-            self.note_access(message.payload[1], weight=REPAIR_WEIGHT)
+        if message.kind is MessageKind.BLOCK_REQUEST:
+            _request_id, flow, hashes = message.payload
+            if flow == "read":
+                self.note_access(hashes[0])
+            elif flow == "pull":
+                self.note_access(hashes[0], weight=REPAIR_WEIGHT)
 
     def on_finalize(self, event) -> None:
         """Unused (observer protocol)."""

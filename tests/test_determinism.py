@@ -137,14 +137,18 @@ class TestChurnSequencePin:
 
     The shas were taken at the parent of the O(delta) membership PR
     (per-header ``holders(old)/holders(new)`` loops, flat placement
-    memo); ``modulo`` drives the generic ``reassignments`` path.
+    memo); ``modulo`` drives the generic ``reassignments`` path.  They
+    were retaken once when join and departure batches moved from
+    ``SYNC_REQUEST``/``SYNC_BODIES`` to the body-transfer service's
+    ``BLOCK_REQUEST``/``BLOCK_BODY``: only the per-kind byte rows fold,
+    every other folded number is unchanged.
     """
 
     @pytest.mark.parametrize(
         "placement, expected",
         [
-            ("hash", "dcdce0428b6c00dfebc53de32aefc455bc4045469005526509daebf819e03aa2"),
-            ("modulo", "508a1b14324c1534ca569884f5777e4e2091508e0c88ff79d22ecfbba10cb639"),
+            ("hash", "a10c24a7127528ce65d042736cdb1fff609bd2bf2135414f2858c8478e064621"),
+            ("modulo", "48f209219997d07be3051519aff74b37d1cd40e0347998190380d4e43ddbdec9"),
         ],
     )
     def test_churn_sequence_unchanged(self, placement, expected):

@@ -127,12 +127,35 @@ class TestBootstrap:
         deployment, _ = deployed(n_blocks=8)
         join = deployment.join_new_node()
         handed_to_repair = []
-        deployment.sync.sessions[join.node_id] = (
-            lambda node, sender, blocks: handed_to_repair.append(blocks)
-        )
+
+        class RepairSession:
+            expected = {join.node_id: set()}
+
+            def on_bodies(self, node, source, blocks):
+                handed_to_repair.append(blocks)
+
+        deployment.sync.departures[join.node_id] = RepairSession()
         deployment.run()
         assert join.complete and join.bodies_fetched > 0
         assert handed_to_repair == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="batch replies route by recipient, a join first: a "
+        "departure's batch to a joiner is handed to the join",
+    )
+    def test_a_joiner_that_is_a_departure_target_gets_both_batches(self):
+        """Each batch reply should reach the session that asked for it:
+        the join's bodies its join, the departure's bodies its departure."""
+        deployment, _ = deployed(n_blocks=8)
+        join = deployment.join_new_node()
+        members = deployment.clusters.members_of(join.cluster_id)
+        deployment.leave_node(next(m for m in members if m != join.node_id))
+        session = deployment.sync.departures[join.node_id]
+        deployment.run()
+        assert join.complete and join.bodies_fetched > 0
+        assert join.bodies_unavailable == []
+        assert join.node_id not in session.expected
 
     def test_integrity_preserved_through_join(self):
         deployment, _ = deployed(n_blocks=8)

@@ -391,11 +391,13 @@ class TestFaultAndRetryCapture:
         outcome = run_endurance(chaos_config(seed=42, domains=True))
         table = outcome.latency_percentiles
         assert table == summarize(outcome.tracer).latency_percentiles()
-        assert table["block_body"]["count"] == 62
+        # Pushed bodies plus every body-transfer reply (reads, repair
+        # pulls, join and departure batches).
+        assert table["block_body"]["count"] == 143
         assert hashlib.sha256(
             json.dumps(table, sort_keys=True).encode()
         ).hexdigest() == (
-            "130aa6d72e1706ece0f888b6e7c9325b49525958815583123eb65512f6da0968"
+            "ab21eb2e224bee437e6d50fcd2c18689a3bbd05af35dc9e988b6da74f3d63dae"
         )
 
 

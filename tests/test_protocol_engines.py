@@ -34,6 +34,7 @@ from repro.node.clusternode import ClusterNode
 from repro.protocols.dissemination import DisseminationEngine
 from repro.protocols.query import QueryEngine
 from repro.protocols.router import MessageRouter
+from repro.protocols.transfer import TransferEngine
 from repro.sim.runner import ScenarioRunner
 from repro.storage.placement import RendezvousPlacement
 from tests.conftest import TEST_LIMITS, make_transfer_block
@@ -57,18 +58,17 @@ class StubVerification:
         self.started.append((node.node_id, block.block_hash))
 
 
-class StubQuery:
-    """Records serve/miss hand-offs from the dissemination engine."""
+class StubTransfer:
+    """Records the serve/miss replies dissemination hands over."""
 
     def __init__(self) -> None:
-        self.served: list[tuple[int, bytes]] = []
-        self.missed: list[int] = []
+        self.replies: list[tuple[str, int, tuple[bytes, ...]]] = []
 
-    def on_served(self, node, request_id, block) -> None:
-        self.served.append((request_id, block.block_hash))
-
-    def on_miss(self, request_id) -> None:
-        self.missed.append(request_id)
+    def accept(self, node, message) -> None:
+        tag, request_id, _flow, bodies = message.payload
+        self.replies.append(
+            (tag, request_id, tuple(b.block_hash for b in bodies))
+        )
 
 
 class EngineHarness:
@@ -96,7 +96,7 @@ class EngineHarness:
         self.network.set_topology(clustered_topology([members], seed=0))
         self.placement = RendezvousPlacement()
         self.verification = StubVerification()
-        self.query = StubQuery()
+        self.transfer = StubTransfer()
 
     # Deployment protocol surface the engines touch.
     def on_message(self, node: BaseNode, message: Message) -> None:
@@ -201,7 +201,7 @@ class TestDisseminationEngineIsolated:
             harness.verification.started
         )
 
-    def test_serve_and_miss_tags_route_to_query_engine(self):
+    def test_serve_and_miss_tags_route_to_transfer_engine(self):
         harness, engine = self.make_engine()
         block = make_transfer_block(
             Ledger(genesis=harness.genesis, limits=TEST_LIMITS),
@@ -210,12 +210,19 @@ class TestDisseminationEngineIsolated:
             500,
         )
         harness.nodes[1].send(
-            MessageKind.BLOCK_BODY, 0, ("serve", 7, block), block.size_bytes
+            MessageKind.BLOCK_BODY,
+            0,
+            ("serve", 7, "read", (block,)),
+            block.size_bytes,
         )
-        harness.nodes[2].send(MessageKind.BLOCK_BODY, 0, ("miss", 9), 32)
+        harness.nodes[2].send(
+            MessageKind.BLOCK_BODY, 0, ("miss", 9, "read", ()), 32
+        )
         harness.run()
-        assert harness.query.served == [(7, block.block_hash)]
-        assert harness.query.missed == [9]
+        assert sorted(harness.transfer.replies) == [
+            ("miss", 9, ()),
+            ("serve", 7, (block.block_hash,)),
+        ]
 
     def test_submitted_transaction_gossips_to_every_mempool(self):
         harness, engine = self.make_engine()
@@ -237,18 +244,15 @@ class TestDisseminationEngineIsolated:
 class TestQueryEngineIsolated:
     def make_engine(self, **kwargs) -> tuple[EngineHarness, QueryEngine]:
         harness = EngineHarness(**kwargs)
+        harness.transfer = TransferEngine(harness)
+        harness.transfer.install(harness.router)
         engine = QueryEngine(harness)
         engine.install(harness.router)
 
         # Stand-in for the dissemination engine's BLOCK_BODY handler:
-        # route serve/miss replies straight back into the query engine.
+        # every reply here is a body-transfer serve or miss.
         def on_body(node: BaseNode, message: Message) -> None:
-            tag = message.payload[0]
-            if tag == "serve":
-                _, request_id, block = message.payload
-                engine.on_served(node, request_id, block)
-            elif tag == "miss":
-                engine.on_miss(message.payload[1])
+            harness.transfer.accept(node, message)
 
         harness.router.register(
             MessageKind.BLOCK_BODY, on_body, owner="test-stub"

@@ -204,7 +204,7 @@ class TestMidRepairCrash:
         assert pending  # transfers run on tracker deadlines under faults
         # Crash a node that is purely a repair *source* — crashing a
         # transfer target would (correctly) defer that target's batch.
-        targets = set(deployment.sync.sessions)
+        targets = set(deployment.sync.departures)
         source = sorted(
             req.plan[0]
             for req in pending.values()

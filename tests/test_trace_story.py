@@ -5,9 +5,11 @@ its record path gets optimised; what it *records* must not move when it
 does.  The shas below cover everything an export or a summary shows
 except wall-clock residue (the ``wall`` stamp and span ``wall_us`` args,
 masked the way :mod:`repro.obs.diff` masks them).  The endurance pins
-were last retaken when tracks lost their per-deployment label
-(``("node", id)``, ``("proto", name)``); the story itself, label
-prefixes stripped, was checked equal to the one recorded before.  The
+were last retaken when repair pulls and join/departure batches moved
+onto the body-transfer service's ``BLOCK_REQUEST``/``BLOCK_BODY``: the
+new code, sending those flows under their old kinds, reproduced the
+previous pins exactly.  Before that they were retaken when tracks lost
+their per-deployment label (``("node", id)``, ``("proto", name)``).  The
 CLI pins were retaken when the clock stopped recording a span per
 callback: the new story equals the old one with its 604 callback spans
 removed, events compared by thread name (the simulator process lost its
@@ -31,9 +33,9 @@ from repro.sim.chaos import EnduranceConfig, run_endurance
 from tests.conftest import TEST_LIMITS
 
 ENDURANCE_PINS = (
-    "be0143717483ad79e0540cf155225bc82d518a924ecce3621d831b7ee3907f61",
-    "180ed76c32e2f98480e162c821e0296db0ff6a534e0684d6fc8164c3fb5a98b3",
-    "cf031c19b5889eef40a73cee015b5361c904000467e7df4a73812ca5dd515249",
+    "2608ae5a431b7cb0c1f5dce83d7be47daed7fa9ae11986a75897446fb7ddb8bd",
+    "8855ee3f36c4326095a312ba6c44de98b6b68826a20012451dfa8a88b034f28b",
+    "c947d9653b6f0eae628ae1ea3d825f61b8ec9db2d5a69a690c9e75a1078e0cdd",
 )
 CLI_TRACE_PINS = (
     "780aa3ac0e04ff9e7c7a28cb8510678cf1a62810530826320490efbfbb5e08eb",
