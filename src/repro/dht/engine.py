@@ -19,13 +19,18 @@ three sub-protocols, all dispatched through the deployment's
   peer that stays silent through the retries is evicted from the
   requester's bucket.
 * **FIND_VALUE/VALUE** — the same iteration, short-circuited by the
-  first provider-record hit; the query engine resolves block holders
-  through this, keeps only those in the requester's cluster, and
-  appends its placement plan.
-* **STORE** — provider-record publication: on every cluster
-  finalization the block's primary holder looks up the record key's
-  k-nearest nodes and stores the holder set there, with virtual-time
-  expiry and sweep-driven republish keeping records live under churn.
+  first provider-record hit; a FIND_VALUE names the requester's
+  cluster and a VALUE answers with that cluster's entry alone, so a
+  record with no entry for it is a miss.  The query engine resolves
+  block holders through this and appends its placement plan.
+* **STORE** — provider-record publication: each cluster's live
+  read-plan holders for a block, stored by the cluster's first live
+  member at the record key's k-nearest nodes, where it replaces that
+  cluster's entry.  A cluster publishes at finalization and again only
+  when a sweep finds its plan changed or its entry past half its
+  lifetime; the publisher stores at its last store set for the key
+  without a FIND_NODE walk until it evicts one of those nodes or one
+  leaves.
 
 Tables are additionally maintained from *observed* router traffic: the
 engine registers as a router observer at enable time and folds every
@@ -67,15 +72,15 @@ KEY_BYTES = 20
 CONTACT_BYTES = 26
 #: Wire size of one holder entry inside a record payload.
 HOLDER_BYTES = 6
+#: Wire size of the cluster id a STORE publishes for and a FIND_VALUE
+#: asks for.
+CLUSTER_BYTES = 4
 
 #: Probe pacing: like the repair engine's, two rounds of capped backoff
 #: per single-peer plan, so a dead peer degrades after two deadlines.
 DHT_RETRY_POLICY = RetryPolicy(
     base_timeout=2.0, backoff=1.5, max_timeout=12.0, rounds=2
 )
-
-#: Minimum virtual seconds between republishes of one record.
-REPUBLISH_INTERVAL = 30.0
 
 #: Hard cap on contacts one lookup may query (loop backstop).
 MAX_LOOKUP_CONTACTS = 24
@@ -108,6 +113,7 @@ class _Lookup:
         "requester",
         "target",
         "mode",
+        "cluster",
         "on_complete",
         "known",
         "generation",
@@ -127,10 +133,13 @@ class _Lookup:
         target: int,
         mode: str,
         on_complete: Callable | None,
+        cluster: int | None,
     ) -> None:
         self.requester = requester
         self.target = target
         self.mode = mode  # "node" | "value"
+        #: FIND_VALUE: the requester's cluster, whose entry answers.
+        self.cluster = cluster
         self.on_complete = on_complete
         #: Candidate node id -> overlay key (grows as responses arrive).
         self.known: dict[int, int] = {}
@@ -173,8 +182,14 @@ class DHTEngine(ProtocolEngine):
         self._keys: dict[int, int] = {}
         #: node id -> its one Contact record (same lifetime as ``_keys``).
         self._contacts: dict[int, Contact] = {}
-        #: (cluster id, block hash) -> last publish time (republish gate).
-        self._published_at: dict[tuple[int, Hash32], float] = {}
+        #: (cluster id, block hash) -> (time, holders) of its last
+        #: publish: the republish gate compares the live plan with it.
+        self._published_at: dict[
+            tuple[int, Hash32], tuple[float, tuple[int, ...]]
+        ] = {}
+        #: publisher -> {key -> node ids its last STORE for key went to};
+        #: a set goes when the publisher evicts one of its nodes.
+        self._stored_at: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def install(self, router: MessageRouter) -> None:
         router.register(
@@ -212,7 +227,7 @@ class DHTEngine(ProtocolEngine):
         for node_id in sorted(self.deployment.nodes):
             self._table(node_id)
         self._seed_tables()
-        self._publish_existing()
+        self._publish_due()
         return self
 
     # ---------------------------------------------------------- id plumbing
@@ -287,14 +302,27 @@ class DHTEngine(ProtocolEngine):
         # only the first publishes (republish is the sweep's job).
         if (event.cluster_id, event.block_hash) in self._published_at:
             return
-        self._publish_cluster(event.block_hash, event.cluster_id)
+        try:
+            members = self.deployment.clusters.members_of(event.cluster_id)
+        except ClusteringError:
+            return  # cluster dissolved since the event fired
+        self._publish_if_due(
+            self.deployment.ledger.store.header(event.block_hash),
+            event.cluster_id,
+            members,
+        )
 
     # ------------------------------------------------------------- requests
     def _evict(self, owner: int, peer: int) -> None:
-        """Drop a contact that stayed silent through every retry."""
+        """Drop a contact that stayed silent through every retry, and
+        every store set of the owner's that names it."""
         table = self.tables.get(owner)
         if table is not None:
             table.remove(peer)
+        stored = self._stored_at.get(owner)
+        if stored:
+            for key in [k for k, nodes in stored.items() if peer in nodes]:
+                del stored[key]
 
     def _probe_degraded(self, request: PendingRequest) -> None:
         lookup: _Lookup = request.context
@@ -313,7 +341,9 @@ class DHTEngine(ProtocolEngine):
         on_complete: Callable | None = None,
     ) -> _Lookup:
         """Iterative FIND_NODE toward ``target`` from ``requester``."""
-        return self._start_lookup(requester, target, "node", on_complete)
+        return self._start_lookup(
+            requester, target, "node", on_complete, None
+        )
 
     def lookup_value(
         self,
@@ -321,8 +351,12 @@ class DHTEngine(ProtocolEngine):
         key: int,
         on_complete: Callable | None = None,
     ) -> _Lookup:
-        """Iterative FIND_VALUE for ``key`` from ``requester``."""
-        return self._start_lookup(requester, key, "value", on_complete)
+        """Iterative FIND_VALUE for ``key``: ``requester``'s cluster's
+        entry."""
+        cluster = self.deployment.nodes[requester].cluster_id
+        return self._start_lookup(
+            requester, key, "value", on_complete, cluster
+        )
 
     def find_holders(
         self,
@@ -332,15 +366,20 @@ class DHTEngine(ProtocolEngine):
     ) -> "_Lookup | None":
         """Resolve a block's holder set through the overlay.
 
-        A locally stored (unexpired) provider record answers without
-        any wire traffic; otherwise an iterative FIND_VALUE runs and
-        ``on_complete`` receives the holder tuple (or ``None`` on a
-        miss — the query engine then falls back to its legacy plan).
+        A locally stored (unexpired) entry for the requester's cluster
+        answers without any wire traffic; otherwise an iterative
+        FIND_VALUE runs and ``on_complete`` receives that cluster's
+        holder tuple (or ``None`` on a miss — the query engine then
+        falls back to its legacy plan).
         """
         key = block_key(block_hash)
         store = self.providers.get(requester)
         if store is not None:
-            holders = store.get(key, self.network.now)
+            holders = store.get(
+                key,
+                self.network.now,
+                self.deployment.nodes[requester].cluster_id,
+            )
             if holders:
                 self.stats.local_hits += 1
                 on_complete(holders)
@@ -353,8 +392,9 @@ class DHTEngine(ProtocolEngine):
         target: int,
         mode: str,
         on_complete: Callable | None,
+        cluster: int | None,
     ) -> _Lookup:
-        lookup = _Lookup(requester, target, mode, on_complete)
+        lookup = _Lookup(requester, target, mode, on_complete, cluster)
         for contact in self._table(requester).closest(target, DEFAULT_K):
             lookup.known[contact.node_id] = contact.key
             lookup.generation[contact.node_id] = 0
@@ -390,11 +430,14 @@ class DHTEngine(ProtocolEngine):
     def _probe(self, lookup: _Lookup, peer: int) -> None:
         lookup.queried.add(peer)
         lookup.in_flight.add(peer)
-        kind = (
-            MessageKind.DHT_FIND_VALUE
-            if lookup.mode == "value"
-            else MessageKind.DHT_FIND_NODE
-        )
+        if lookup.mode == "value":
+            kind = MessageKind.DHT_FIND_VALUE
+            operands = (lookup.target, lookup.cluster)
+            size = 8 + KEY_BYTES + CLUSTER_BYTES
+        else:
+            kind = MessageKind.DHT_FIND_NODE
+            operands = (lookup.target,)
+            size = 8 + KEY_BYTES
 
         def send(target: int, request: PendingRequest) -> None:
             requester = self.deployment.nodes.get(lookup.requester)
@@ -402,10 +445,7 @@ class DHTEngine(ProtocolEngine):
                 return
             lookup.messages += 1
             requester.send(
-                kind,
-                target,
-                (request.request_id, lookup.target),
-                KEY_BYTES + 8,
+                kind, target, (request.request_id, *operands), size
             )
 
         self.tracker.begin(
@@ -480,21 +520,20 @@ class DHTEngine(ProtocolEngine):
             lookup.on_complete(lookup.result)
 
     # ----------------------------------------------------- provider records
-    def _publish_existing(self) -> None:
+    def _publish_due(self) -> None:
+        """Publish every (cluster, active block) entry that is due."""
+        headers = list(self.deployment.ledger.store.iter_active_headers())
         for view in sorted(
             self.deployment.clusters.views(), key=lambda v: v.cluster_id
         ):
-            for header in self.deployment.ledger.store.iter_active_headers():
-                self._publish_cluster(header.block_hash, view.cluster_id)
+            for header in headers:
+                self._publish_if_due(header, view.cluster_id, view.members)
 
-    def _publish_cluster(self, block_hash: Hash32, cluster_id: int) -> None:
-        """Publish one (block, cluster)'s holder set into the overlay."""
+    def _publish_if_due(self, header, cluster_id: int, members) -> None:
+        """Publish one cluster's entry for a block if it was never
+        published, its live read plan differs from the holders last
+        published, or it is past half its lifetime."""
         deployment = self.deployment
-        try:
-            members = deployment.clusters.members_of(cluster_id)
-        except ClusteringError:
-            return  # cluster dissolved since the event fired
-        header = deployment.ledger.store.header(block_hash)
         planner = getattr(deployment, "replication_planner", None)
         if planner is not None and not header.is_genesis:
             assigned = planner.read_plan(header, members)
@@ -505,55 +544,86 @@ class DHTEngine(ProtocolEngine):
         holders = tuple(self.network.live_members(sorted(assigned)))
         if not holders:
             return
-        publisher = holders[0]
-        key = block_key(block_hash)
         now = self.network.now
-        self._published_at[(cluster_id, block_hash)] = now
+        last = self._published_at.get((cluster_id, header.block_hash))
+        if (
+            last is not None
+            and last[1] == holders
+            and now - last[0] < DEFAULT_RECORD_TTL / 2
+        ):
+            return
+        # The cluster's first live member publishes (the node that also
+        # coordinates its repair digests), so the publisher and its
+        # store set outlast plan changes.
+        publisher = self.network.live_members(sorted(members))[0]
+        self._published_at[(cluster_id, header.block_hash)] = (now, holders)
+        self._publish(header.block_hash, cluster_id, publisher, holders)
+
+    def _publish(
+        self,
+        block_hash: Hash32,
+        cluster_id: int,
+        publisher: int,
+        holders: tuple[int, ...],
+    ) -> None:
+        """Store one cluster's holder set as its entry in the block's
+        record."""
+        deployment = self.deployment
+        key = block_key(block_hash)
         # The publisher always keeps a local copy: the record stays
         # resolvable even while the k-nearest stores are in flight.
         self.providers.setdefault(publisher, ProviderStore()).put(
-            key, holders, now, DEFAULT_RECORD_TTL
+            key, cluster_id, holders, self.network.now, DEFAULT_RECORD_TTL
         )
 
-        def stored(contacts) -> None:
+        def store_at(targets: tuple[int, ...]) -> None:
             publisher_node = deployment.nodes.get(publisher)
-            if publisher_node is None or not contacts:
+            if publisher_node is None or not targets:
                 return
-            payload_bytes = 16 + KEY_BYTES + HOLDER_BYTES * len(holders)
-            for contact in contacts[: DEFAULT_K]:
-                if contact.node_id == publisher:
-                    continue
+            self._stored_at.setdefault(publisher, {})[key] = targets
+            payload_bytes = (
+                16 + KEY_BYTES + CLUSTER_BYTES + HOLDER_BYTES * len(holders)
+            )
+            for target in targets:
                 publisher_node.send(
                     MessageKind.DHT_STORE,
-                    contact.node_id,
-                    (key, holders, DEFAULT_RECORD_TTL),
+                    target,
+                    (key, cluster_id, holders, DEFAULT_RECORD_TTL),
                     payload_bytes,
                 )
 
-        self.lookup_node(publisher, key, stored)
+        # The last store set is stored at again until the publisher
+        # evicts one of its nodes or one leaves; a walk finds a new one.
+        previous = self._stored_at.get(publisher, {}).get(key)
+        if previous and all(t in deployment.nodes for t in previous):
+            store_at(previous)
+            return
+        self.lookup_node(
+            publisher,
+            key,
+            lambda contacts: store_at(
+                tuple(
+                    contact.node_id
+                    for contact in contacts[: DEFAULT_K]
+                    if contact.node_id != publisher
+                )
+            ),
+        )
 
     def on_sweep(self) -> None:
-        """Anti-entropy hook: expire lapsed records, republish due ones.
+        """Anti-entropy hook: expire lapsed entries, republish due ones.
 
-        Called by the repair engine at the top of each sweep while the
-        overlay is enabled, giving records the same periodic-maintenance
-        cadence the replica floor already has — no timers of its own,
-        so full ``run()`` drains still terminate.
+        Called by the repair engine at the top of each sweep (after the
+        planner's tier refresh) while the overlay is enabled, giving
+        records the same periodic-maintenance cadence the replica floor
+        already has — no timers of its own, so full ``run()`` drains
+        still terminate.  A quiet sweep — no read plan changed, no entry
+        past half its lifetime — sends nothing.
         """
         now = self.network.now
         for node_id in sorted(self.providers):
             self.providers[node_id].expire(now)
-        for view in sorted(
-            self.deployment.clusters.views(), key=lambda v: v.cluster_id
-        ):
-            for header in self.deployment.ledger.store.iter_active_headers():
-                last = self._published_at.get(
-                    (view.cluster_id, header.block_hash)
-                )
-                if last is None or now - last >= REPUBLISH_INTERVAL:
-                    self._publish_cluster(
-                        header.block_hash, view.cluster_id
-                    )
+        self._publish_due()
 
     # ------------------------------------------------------------- handlers
     def _serialized_closest(
@@ -582,10 +652,12 @@ class DHTEngine(ProtocolEngine):
         self._absorb(request_id, contacts, holders=None)
 
     def _on_find_value(self, node: BaseNode, message: Message) -> None:
-        request_id, key = message.payload
+        request_id, key, cluster_id = message.payload
         store = self.providers.get(node.node_id)
         holders = (
-            store.get(key, self.network.now) if store is not None else ()
+            store.get(key, self.network.now, cluster_id)
+            if store is not None
+            else ()
         )
         if holders:
             node.send(
@@ -611,7 +683,7 @@ class DHTEngine(ProtocolEngine):
             self._absorb(request_id, data, holders=None)
 
     def _on_store(self, node: BaseNode, message: Message) -> None:
-        key, holders, ttl = message.payload
+        key, cluster_id, holders, ttl = message.payload
         self.providers.setdefault(node.node_id, ProviderStore()).put(
-            key, holders, self.network.now, ttl
+            key, cluster_id, holders, self.network.now, ttl
         )

@@ -199,12 +199,14 @@ class QueryEngine(ProtocolEngine):
     ) -> None:
         """Resolve holders through the overlay, then fetch as usual.
 
-        The plan keeps only the FIND_VALUE result's holders that are
-        members of the requester's cluster (every cluster holds the
-        whole ledger), then the legacy plan's remainder, so a stale or
-        partial record degrades to exactly the pre-DHT behaviour.  The
-        read crosses the cluster boundary only by that plan's own
-        tails: under faults, or from a single-member cluster.
+        The FIND_VALUE answer is the requester's cluster's entry: its
+        read plan as of the last sweep that changed it (every cluster
+        holds the whole ledger).  The plan keeps the answer's members
+        of the requester's cluster, then the legacy plan's remainder,
+        so an entry that lags a membership change, or a miss, degrades
+        to exactly the pre-DHT behaviour.  The read crosses the cluster
+        boundary only by that plan's own tails: under faults, or from a
+        single-member cluster.
         """
         deployment = self.deployment
 

@@ -230,14 +230,16 @@ class TestDeliveryOrderPin:
     ``getattr``-dispatched observers): event order, sizes and the id
     sequence are exactly what that code produced.  The read round's was
     retaken when reads and repair sweeps with the overlay on stopped
-    leaving the requester's cluster (3008 deliveries before, 3012 after).
+    leaving the requester's cluster (3008 deliveries before, 3012 after),
+    and again when a provider record became one entry per cluster,
+    stored only when that cluster's read plan changes (2954 after).
     """
 
     @pytest.mark.parametrize(
         "read_round, expected",
         [
             (False, (1894, "8bbc5902c4050c3a30552d1e6e57aeeed8e6ce7cab7f1008193016a106d1e236")),
-            (True, (3012, "5342cc9a57b4c61824d175502a05d320207cf5302bc00c53c2ba1faccfacf7d0")),
+            (True, (2954, "16da51e0a03ef95bfbc4638ee253206bab9832590f88c945df03db078f074006")),
         ],
     )
     def test_delivery_order_unchanged(self, read_round, expected):

@@ -233,8 +233,8 @@ class KindsByCluster:
 
 def test_reads_stay_inside_the_requesters_cluster():
     """With every cluster holding the whole ledger, a clean-network read
-    never asks a holder outside its own cluster, even though provider
-    records name every cluster's holders."""
+    never asks a holder outside its own cluster: a provider record
+    answers with the requester's cluster's entry alone."""
     deployment, block_hashes, reads = zipf_read_deployment()
     requests = KindsByCluster(deployment, MessageKind.BLOCK_REQUEST)
     records = []
@@ -315,13 +315,242 @@ def test_records_expire_and_republish_on_sweep():
 
 
 def test_provider_store_merges_max_expiry():
+    """A put replaces its own cluster's holders and never moves that
+    entry's expiry back; other clusters' entries are untouched."""
     store = ProviderStore()
-    store.put(1, [4, 5], now=0.0, ttl=10.0)
-    store.put(1, [5, 6], now=5.0, ttl=10.0)
+    store.put(1, 0, [4, 5], now=0.0, ttl=10.0)
+    store.put(1, 1, [7], now=0.0, ttl=10.0)
+    store.put(1, 0, [5, 6], now=5.0, ttl=10.0)
+    assert store.get(1, 9.0, 0) == (5, 6)
+    assert store.get(1, 9.0, 1) == (7,)
+    assert store.get(1, 9.0) == (5, 6, 7)
     assert store.get(1, 11.0) == (5, 6)
-    assert store.get(1, 9.0) == (4, 5, 6)
-    assert store.expire(20.0) == 3
+    assert store.get(1, 11.0, 1) == ()
+    # A shorter-lived put still replaces the holders; expiry stays 15.
+    store.put(1, 0, [4], now=6.0, ttl=2.0)
+    assert store.records[1][0] == 15.0
+    assert store.get(1, 14.0, 0) == (4,)
+    assert store.get(1, 14.0, 2) == ()
+    assert store.expire(20.0) == 2
     assert store.get(1, 0.0) == ()
+    assert len(store) == 0 and store.holders == {}
+
+
+def dht_sends(deployment) -> dict[MessageKind, int]:
+    """Messages sent so far per overlay kind."""
+    sent = deployment.network.traffic.messages_by_kind
+    return {
+        kind: sent.get(kind, 0)
+        for kind in (MessageKind.DHT_FIND_NODE, MessageKind.DHT_STORE)
+    }
+
+
+def sends_since(deployment, before) -> dict[MessageKind, int]:
+    return {
+        kind: count - before[kind]
+        for kind, count in dht_sends(deployment).items()
+    }
+
+
+def live_plan(deployment, block_hash, cluster_id) -> tuple[int, ...]:
+    """The cluster's current read plan for a block, live members only."""
+    header = deployment.ledger.store.header(block_hash)
+    members = deployment.clusters.members_of(cluster_id)
+    planner = deployment.replication_planner
+    if planner is not None and not header.is_genesis:
+        plan = planner.read_plan(header, members)
+    else:
+        plan = deployment.placement.holders(
+            header, members, deployment.config.replication
+        )
+    return tuple(deployment.network.live_members(sorted(plan)))
+
+
+def test_store_from_a_cluster_replaces_only_its_entry():
+    deployment, report = build_dht()
+    dht = deployment.dht
+    key = block_key(report.block_hashes[0])
+    # A node holding both clusters' entries for the key.
+    node_id = next(
+        node_id
+        for node_id, store in sorted(dht.providers.items())
+        if len(store.records.get(key, ())) == 2
+    )
+    store = dht.providers[node_id]
+    ours, theirs = sorted(store.records[key])
+    kept = (store.records[key][theirs], store.holders[key][theirs])
+    replaced_expiry = store.records[key][ours]
+    sender = next(n for n in sorted(deployment.nodes) if n != node_id)
+    deployment.nodes[sender].send(
+        MessageKind.DHT_STORE,
+        node_id,
+        (key, ours, (sender,), DEFAULT_RECORD_TTL),
+        64,
+    )
+    deployment.run()
+    assert store.get(key, deployment.network.now, ours) == (sender,)
+    assert store.records[key][ours] > replaced_expiry
+    assert (store.records[key][theirs], store.holders[key][theirs]) == kept
+
+
+def test_find_value_answers_only_the_asking_cluster():
+    deployment, report = build_dht()
+    dht = deployment.dht
+    key = block_key(report.block_hashes[-1])
+    nodes = deployment.nodes
+    answers = []
+
+    class Values:
+        def on_send(self, message) -> None:
+            if message.kind is MessageKind.DHT_VALUE:
+                _request_id, _key, data, found = message.payload
+                if found:
+                    answers.append((message.recipient, data))
+
+    deployment.router.add_observer(Values())
+    for view in deployment.clusters.views():
+        requester = max(view.members)
+        lookup = dht.lookup_value(requester, key)
+        deployment.run()
+        assert lookup.value == live_plan(
+            deployment, report.block_hashes[-1], view.cluster_id
+        )
+    # Every hit on the wire carries the asker's cluster's holders alone.
+    assert {nodes[recipient].cluster_id for recipient, _ in answers} == {
+        view.cluster_id for view in deployment.clusters.views()
+    }
+    for recipient, holders in answers:
+        members = deployment.clusters.members_of(nodes[recipient].cluster_id)
+        assert set(holders) <= set(members)
+
+
+def test_quiet_sweep_sends_no_store_and_no_walk():
+    """No read plan changed and no entry is past half its lifetime: the
+    sweep publishes nothing."""
+    deployment, _ = build_dht()
+    dht = deployment.dht
+    deployment.run_for(DEFAULT_RECORD_TTL / 4)
+    before = dht_sends(deployment)
+    published = dict(dht._published_at)
+    dht.on_sweep()
+    deployment.run()
+    assert sends_since(deployment, before) == {
+        MessageKind.DHT_FIND_NODE: 0,
+        MessageKind.DHT_STORE: 0,
+    }
+    assert dht._published_at == published
+
+
+def test_tier_change_republishes_one_record_per_cluster(monkeypatch):
+    deployment, block_hashes, _ = zipf_read_deployment()
+    deployment.run()
+    dht = deployment.dht
+    planner = deployment.replication_planner
+    target = block_hashes[-1]
+    assert planner.tier_of(target) == "warm"
+    published = []
+    publish = dht._publish
+
+    def recorded(block_hash, cluster_id, publisher, holders):
+        published.append((block_hash, cluster_id))
+        publish(block_hash, cluster_id, publisher, holders)
+
+    monkeypatch.setattr(dht, "_publish", recorded)
+    # Cold: every cluster's plan shrinks from r = 3 holders to 2.
+    planner.tiers[target] = "cold"
+    before = dht_sends(deployment)
+    dht.on_sweep()
+    deployment.run()
+    views = sorted(v.cluster_id for v in deployment.clusters.views())
+    assert published == [(target, cluster_id) for cluster_id in views]
+    for cluster_id in views:
+        assert len(dht._published_at[(cluster_id, target)][1]) == 2
+    # Each cluster's publisher stores at its last store set again.
+    sent = sends_since(deployment, before)
+    assert sent[MessageKind.DHT_FIND_NODE] == 0
+    key = block_key(target)
+    assert sent[MessageKind.DHT_STORE] == sum(
+        len(stored[key]) for stored in dht._stored_at.values() if key in stored
+    )
+
+
+def test_republish_reuses_the_store_set_until_an_eviction():
+    deployment, report = build_dht()
+    dht = deployment.dht
+    block_hash = report.block_hashes[0]
+    key = block_key(block_hash)
+    view = min(deployment.clusters.views(), key=lambda v: v.cluster_id)
+    publisher = min(view.members)
+    stored = dht._stored_at[publisher][key]
+    assert stored
+    # Past half the lifetime every entry is due: the second publish of
+    # each key goes straight to its store set.
+    deployment.run_for(DEFAULT_RECORD_TTL / 2)
+    before = dht_sends(deployment)
+    dht.on_sweep()
+    deployment.run()
+    sent = sends_since(deployment, before)
+    assert sent[MessageKind.DHT_FIND_NODE] == 0
+    assert sent[MessageKind.DHT_STORE] > 0
+    assert dht._stored_at[publisher][key] == stored
+    # Evicting one stored-at contact from the publisher's table drops
+    # the set: the next publish of that key walks again.
+    dht._evict(publisher, stored[0])
+    assert stored[0] not in dht.tables[publisher]
+    assert key not in dht._stored_at[publisher]
+    deployment.run_for(DEFAULT_RECORD_TTL / 2)
+    before = dht_sends(deployment)
+    dht.on_sweep()
+    deployment.run()
+    assert sends_since(deployment, before)[MessageKind.DHT_FIND_NODE] > 0
+    assert dht._stored_at[publisher][key]
+
+
+def test_sweep_after_tier_change_drops_shed_holders_from_records():
+    """After the sweep that sheds a replica, a FIND_VALUE names the
+    cluster's current read plan, never a member that shed the block."""
+    deployment, block_hashes, reads = zipf_read_deployment()
+    deployment.run()
+    dht = deployment.dht
+    planner = deployment.replication_planner
+    held = {
+        (node_id, block_hash)
+        for node_id, node in deployment.nodes.items()
+        for block_hash in block_hashes
+        if node.store.has_body(block_hash)
+    }
+    for _ in range(3):
+        for requester, block_hash in reads.reads(
+            block_hashes, sorted(deployment.nodes), 150
+        ):
+            deployment.retrieve_block(requester, block_hash)
+        deployment.run()
+        one_sweep(deployment)
+        if planner.stats.replicas_shed:
+            break
+    nodes = deployment.nodes
+    shed = {
+        (node_id, block_hash)
+        for node_id, block_hash in held
+        if not nodes[node_id].store.has_body(block_hash)
+    }
+    named_shed = 0
+    for view in sorted(
+        deployment.clusters.views(), key=lambda v: v.cluster_id
+    ):
+        requester = max(view.members)
+        for block_hash in block_hashes:
+            plan = live_plan(deployment, block_hash, view.cluster_id)
+            lookup = dht.lookup_value(requester, block_key(block_hash))
+            deployment.run()
+            assert lookup.value == plan
+            named_shed += sum(
+                1
+                for node_id in view.members
+                if (node_id, block_hash) in shed and node_id not in plan
+            )
+    # Some member shed a block it held, and no record names it.
+    assert named_shed > 0
 
 
 # ------------------------------------------------------------------- joins

@@ -310,10 +310,12 @@ def test_self_lookup_converges_on_random_topologies(n_nodes, rng):
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=5),
+            st.integers(min_value=0, max_value=3),
             st.lists(
                 st.integers(min_value=0, max_value=30),
                 min_size=1,
                 max_size=4,
+                unique=True,
             ),
             st.floats(min_value=0.0, max_value=100.0),
         ),
@@ -324,13 +326,27 @@ def test_provider_store_expiry_monotone(puts):
     store = ProviderStore()
     ttl = 10.0
     now = 0.0
-    for key, holders, at in puts:
+    #: (key, cluster) -> (holders, expiry): the per-cluster model.
+    model: dict[tuple[int, int], tuple[tuple[int, ...], float]] = {}
+    for key, cluster, holders, at in puts:
         now = max(now, at)
-        store.put(key, holders, now, ttl)
-        # Unexpired records always include the just-put holders.
+        before = store.records.get(key, {}).get(cluster, 0.0)
+        store.put(key, cluster, holders, now, ttl)
+        expires = store.records[key][cluster]
+        # Expiry is monotone per entry ...
+        assert expires >= before
+        assert expires >= now + ttl
+        # ... the put replaces its own cluster's holders ...
+        model[(key, cluster)] = (tuple(sorted(holders)), expires)
+        assert store.get(key, now, cluster) == tuple(sorted(holders))
+        # ... and every other cluster's entry is untouched.
+        for (k, c), (held, expiry) in model.items():
+            assert store.records[k][c] == expiry
+            assert store.holders[k][c] == held
         assert set(holders) <= set(store.get(key, now))
     # Advancing past every TTL drains the store completely.
-    dropped = store.expire(now + ttl + 1.0)
-    assert dropped >= 0
-    for key, _, _ in puts:
+    assert store.expire(now + ttl + 1.0) == len(model)
+    assert len(store) == 0
+    for key, cluster, _, _ in puts:
         assert store.get(key, now + ttl + 1.0) == ()
+        assert store.get(key, now + ttl + 1.0, cluster) == ()
